@@ -4,7 +4,6 @@
 // field-study volumes comfortably.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -16,7 +15,6 @@
 #include "common/obs/obs.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "common/strings.hpp"
 #include "logdiver/logdiver.hpp"
 #include "logdiver/streaming.hpp"
@@ -235,9 +233,8 @@ BENCHMARK(BM_ParseSyslogThreads)
     ->UseRealTime();
 
 // The key=value accounting parsers, same fan-out shape as the syslog
-// row above.  These are the rows the SIMD field splitter
-// (strings.hpp KeyValueView) moves: compare_bench.py gates their
-// single-thread margin over a scalar-forced run.
+// row above.  These are the rows the one-pass field splitter
+// (strings.hpp KeyValueView) moves.
 void BM_ParseTorqueThreads(benchmark::State& state) {
   const auto& lines = Shared().logs.torque;
   std::vector<std::string_view> views;
@@ -438,55 +435,8 @@ double PeakRssMb() {
   return 0.0;
 }
 
-// The newline scan at the bottom of every block split, on the campaign's
-// syslog text: one row per backend this binary can run ("active" is
-// whatever runtime dispatch resolved to — see simd::BackendName), so
-// compare_bench.py can gate each tier against the one below it in a
-// single run.  A backend the host cannot execute (e.g. avx2 on an old
-// CPU) reports an error row, which the gates treat as skip-if-
-// unsupported.  CI gates the active backend's bytes/s floor and the
-// per-tier margins via --min-bytes-per-second / --min-speedup.
-void BM_SimdScan(benchmark::State& state, const char* backend) {
-  static const std::string* text = [] {
-    auto* buffer = new std::string();
-    for (const std::string& line : Shared().logs.syslog) {
-      buffer->append(line);
-      buffer->push_back('\n');
-    }
-    return buffer;
-  }();
-  const ld::simd::Kernels* kernels =
-      std::string_view(backend) == "active" ? &ld::simd::ActiveKernels()
-                                            : ld::simd::GetBackend(backend);
-  if (kernels == nullptr) {
-    state.SkipWithError("backend not compiled in or not runnable here");
-    return;
-  }
-  const std::string_view data = *text;
-  std::uint64_t newlines = 0;
-  for (auto _ : state) {
-    std::size_t pos = 0;
-    while (pos < data.size()) {
-      const std::size_t nl = kernels->find_byte(data, '\n', pos);
-      if (nl == std::string_view::npos) break;
-      ++newlines;
-      pos = nl + 1;
-    }
-    benchmark::DoNotOptimize(newlines);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(data.size()));
-  state.SetLabel(kernels->name);
-}
-BENCHMARK_CAPTURE(BM_SimdScan, active, "active")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimdScan, scalar, "scalar")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimdScan, sse2, "sse2")->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimdScan, avx2, "avx2")->Unit(benchmark::kMillisecond);
-
 // The torque accounting payloads (the key=value text after the final
-// ';'), shared by the splitter and classifier benches below.
+// ';') for the splitter bench below.
 const std::vector<std::string>& TorquePayloads() {
   static const std::vector<std::string>* payloads = [] {
     auto* out = new std::vector<std::string>();
@@ -501,53 +451,10 @@ const std::vector<std::string>& TorquePayloads() {
   return *payloads;
 }
 
-// The splitter's classification kernel per backend, streamed over the
-// torque payloads: one classify_kv call marks every '=' and whitespace
-// byte of a record.  Unlike the short seek scans in BM_SimdScan (where
-// per-call overhead buries the wider vectors), classification streams
-// whole records, so this is the row where AVX2's 32-byte lanes must
-// actually pay — CI gates avx2 ≥1.15x sse2 here (skip-if-unsupported)
-// and active ≥1.2x scalar.
-void BM_SimdClassify(benchmark::State& state, const char* backend) {
-  const auto& payloads = TorquePayloads();
-  const ld::simd::Kernels* kernels =
-      std::string_view(backend) == "active" ? &ld::simd::ActiveKernels()
-                                            : ld::simd::GetBackend(backend);
-  if (kernels == nullptr) {
-    state.SkipWithError("backend not compiled in or not runnable here");
-    return;
-  }
-  std::uint64_t eq_bits[64];
-  std::uint64_t ws_bits[64];
-  std::int64_t total_bytes = 0;
-  for (const std::string& payload : payloads) {
-    total_bytes += static_cast<std::int64_t>(payload.size());
-  }
-  std::uint64_t checksum = 0;
-  for (auto _ : state) {
-    for (const std::string& payload : payloads) {
-      const std::size_t n = std::min(payload.size(), sizeof(eq_bits) * 8);
-      kernels->classify_kv(payload.data(), n, '=', eq_bits, ws_bits);
-      checksum += eq_bits[0] ^ ws_bits[0];
-    }
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.SetBytesProcessed(state.iterations() * total_bytes);
-  state.SetLabel(kernels->name);
-}
-BENCHMARK_CAPTURE(BM_SimdClassify, active, "active")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimdClassify, scalar, "scalar")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimdClassify, sse2, "sse2")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimdClassify, avx2, "avx2")
-    ->Unit(benchmark::kMillisecond);
-
 // The key=value field splitter on the campaign's torque payloads: the
-// parsers' one-pass KeyValueView (one classify_kv pass, then an
-// '='-bit walk and table lookups) against the per-key substring scan
-// it replaced.  CI gates split ≥1.2x scan via compare_bench.py.
+// parsers' one-pass KeyValueView (one table-driven tokenizing pass,
+// then tag-indexed lookups) against the per-key substring scan it
+// replaced.  CI gates split ≥1.2x scan via compare_bench.py.
 void BM_FieldSplit(benchmark::State& state, bool one_pass) {
   const std::vector<std::string>* payloads = &TorquePayloads();
   // The torque parser's lookup set.

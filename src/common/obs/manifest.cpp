@@ -11,7 +11,6 @@
 #include "common/obs/build_info.hpp"
 #include "common/obs/json.hpp"
 #include "common/obs/metrics.hpp"
-#include "common/simd.hpp"
 
 namespace ld::obs {
 
@@ -138,15 +137,6 @@ std::string ManifestBuilder::ToJson() const {
   w.KV("cxx_flags", std::string_view(build.cxx_flags));
   w.KV("sanitizers", std::string_view(build.sanitizers));
   w.KV("obs_compiled_in", build.obs_compiled_in);
-  w.KV("simd_backend", std::string_view(simd::CompiledBackends()));
-  w.EndObject();
-
-  // build.simd_backend above is the compiled capability; the backend
-  // runtime dispatch actually resolved to (CPU probe + LD_SIMD_FORCE)
-  // is a per-run fact and lives here.
-  w.Key("runtime");
-  w.BeginObject();
-  w.KV("simd_dispatch", std::string_view(simd::BackendName()));
   w.EndObject();
 
   w.Key("host");

@@ -27,11 +27,6 @@ inline constexpr const char* kIngestBlocksTotal = "ld.ingest.blocks_total";
 inline constexpr const char* kIngestBudgetExhaustedTotal =
     "ld.ingest.budget_exhausted_total";
 
-// --- SIMD scanning kernels (block_reader.cpp; see common/simd.hpp) ---
-inline constexpr const char* kSimdBytesScannedTotal =
-    "ld.simd.bytes_scanned_total";
-inline constexpr const char* kSimdDispatch = "ld.simd.dispatch";
-
 // --- parsed-bundle cache (cache/bundle_cache.cpp) --------------------
 inline constexpr const char* kCacheHitsTotal = "ld.cache.hits_total";
 inline constexpr const char* kCacheRecordHitsTotal =

@@ -1,14 +1,11 @@
 #include "common/strings.hpp"
 
-#include <bit>
-#include <cctype>
+#include <array>
 #include <cerrno>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-
-#include "common/simd.hpp"
 
 namespace ld {
 
@@ -16,7 +13,7 @@ std::vector<std::string_view> Split(std::string_view text, char sep) {
   std::vector<std::string_view> out;
   std::size_t start = 0;
   while (true) {
-    const std::size_t hit = simd::FindByte(text, sep, start);
+    const std::size_t hit = text.find(sep, start);
     if (hit == std::string_view::npos) {
       out.push_back(text.substr(start));
       break;
@@ -31,18 +28,18 @@ std::vector<std::string_view> SplitWhitespace(std::string_view text) {
   std::vector<std::string_view> out;
   std::size_t i = 0;
   while (i < text.size()) {
-    const std::size_t start = simd::SkipWhitespace(text, i);
+    const std::size_t start = SkipWhitespace(text, i);
     if (start == text.size()) break;
-    i = simd::FindWhitespace(text, start);
+    i = FindWhitespace(text, start);
     out.push_back(text.substr(start, i - start));
   }
   return out;
 }
 
 std::string_view Trim(std::string_view text) {
-  const std::size_t b = simd::SkipWhitespace(text, 0);
+  const std::size_t b = SkipWhitespace(text, 0);
   std::size_t e = text.size();
-  while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1]))) --e;
+  while (e > b && IsSpace(text[e - 1])) --e;
   return text.substr(b, e - b);
 }
 
@@ -100,11 +97,10 @@ std::optional<std::string_view> FindKeyValueOpt(std::string_view record,
     // Must be at start or preceded by whitespace to be a field boundary,
     // and followed by '=' to be this key and not a prefix of another.
     const std::size_t eq = hit + key.size();
-    if ((hit == 0 ||
-         std::isspace(static_cast<unsigned char>(record[hit - 1]))) &&
-        eq < record.size() && record[eq] == '=') {
+    if ((hit == 0 || IsSpace(record[hit - 1])) && eq < record.size() &&
+        record[eq] == '=') {
       const std::size_t vstart = eq + 1;
-      const std::size_t vend = simd::FindWhitespace(record, vstart);
+      const std::size_t vend = FindWhitespace(record, vstart);
       return record.substr(vstart, vend - vstart);
     }
     pos = hit + 1;
@@ -114,125 +110,76 @@ std::optional<std::string_view> FindKeyValueOpt(std::string_view record,
 
 namespace {
 
-// '=' plus the C-locale whitespace set: the one delimiter class the
-// key=value tokenizer needs, so a single delimiter-set pass finds both
-// the end of a key and the end of a bare token.
-constexpr std::string_view kKeyValueDelims = "= \t\n\v\f\r";
+// Byte classes for the key=value tokenizer.
+constexpr std::uint8_t kKvOther = 0;
+constexpr std::uint8_t kKvSpace = 1;
+constexpr std::uint8_t kKvEquals = 2;
 
-// Records up to this size take the classify-once bitmap walk on stack
-// buffers; longer ones (a giant exec_host list) fall back to the
-// per-token kernel scan.
-constexpr std::size_t kClassifyInlineBytes = 4096;
-constexpr std::size_t kClassifyWords = kClassifyInlineBytes / 64;
+constexpr std::array<std::uint8_t, 256> kKvClass = [] {
+  std::array<std::uint8_t, 256> table{};
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    table[static_cast<std::size_t>(b)] =
+        IsSpace(c) ? kKvSpace : c == '=' ? kKvEquals : kKvOther;
+  }
+  return table;
+}();
+
+std::uint8_t KvClass(char c) {
+  return kKvClass[static_cast<unsigned char>(c)];
+}
+
+// Length, first and last byte of a key packed in one word.
+std::uint32_t KeyTag(std::string_view key) {
+  if (key.empty()) return 0;
+  return static_cast<std::uint32_t>(key.size() & 0xFFFF) |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(key.front()))
+             << 16 |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(key.back()))
+             << 24;
+}
 
 }  // namespace
 
-KeyValueView::KeyValueView(std::string_view record)
-    : KeyValueView(record, simd::ActiveKernels()) {}
-
-KeyValueView::KeyValueView(std::string_view record,
-                           const simd::Kernels& kernels)
-    : record_(record) {
-  if (record.size() > kClassifyInlineBytes) {
-    BuildByTokenScan(kernels);
-    return;
-  }
-  // One streaming classification pass over the record, then a bit-walk
-  // over the '=' bits: every entry corresponds to the first '=' of its
-  // token, so the walk visits one bit per entry and derives the key and
-  // value bounds from the whitespace bitmap with local word ops — no
-  // dispatched kernel call per field, which is what lets the one-pass
-  // splitter beat repeated per-key memmem scans.
-  std::uint64_t eq_bits[kClassifyWords];
-  std::uint64_t ws_bits[kClassifyWords];
-  kernels.classify_kv(record.data(), record.size(), '=', eq_bits, ws_bits);
-  const std::size_t size = record.size();
-  const std::size_t nwords = (size + 63) >> 6;
-  std::size_t vend = 0;  // end of the previous entry's value
-  for (std::size_t w = 0; w < nwords; ++w) {
-    std::uint64_t eqw = eq_bits[w];
-    while (eqw != 0) {
-      const std::size_t e =
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(eqw));
-      eqw &= eqw - 1;
-      // A second '=' inside a value ("neednodes=1:ppn=16") is not a
-      // field boundary; the first '=' of each token is ('=' is never
-      // whitespace, so e == vend cannot happen).
-      if (e < vend) continue;
-      // Key start: one past the last whitespace bit before e.
-      std::size_t ks = 0;
-      const std::uint64_t before =
-          (e & 63) ? (ws_bits[w] & ((std::uint64_t{1} << (e & 63)) - 1)) : 0;
-      if (before != 0) {
-        ks = (w << 6) + 64 -
-             static_cast<std::size_t>(std::countl_zero(before));
-      } else {
-        for (std::size_t pw = w; pw > 0;) {
-          --pw;
-          if (ws_bits[pw] != 0) {
-            ks = (pw << 6) + 64 -
-                 static_cast<std::size_t>(std::countl_zero(ws_bits[pw]));
-            break;
-          }
-        }
-      }
-      // Value end: the next whitespace bit after e (size when none).
-      std::size_t ve = size;
-      for (std::size_t fw = (e + 1) >> 6; fw < nwords; ++fw) {
-        const std::uint64_t word =
-            fw == ((e + 1) >> 6)
-                ? ws_bits[fw] & (~std::uint64_t{0} << ((e + 1) & 63))
-                : ws_bits[fw];
-        if (word != 0) {
-          ve = (fw << 6) + static_cast<std::size_t>(std::countr_zero(word));
-          break;
-        }
-      }
-      if (count_ == kMaxEntries) {
-        overflow_ = true;  // Get falls back to per-key record scans
-        return;
-      }
-      entries_[count_++] = Entry{record.substr(ks, e - ks),
-                                 record.substr(e + 1, ve - (e + 1))};
-      vend = ve;
-    }
-  }
-}
-
-void KeyValueView::BuildByTokenScan(const simd::Kernels& kernels) {
-  const std::string_view record = record_;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t start = kernels.skip_whitespace(record, pos);
-    if (start >= record.size()) break;
-    const std::size_t boundary =
-        kernels.find_any_of(record, kKeyValueDelims, start);
-    if (boundary == std::string_view::npos) break;  // bare trailing token
-    if (record[boundary] != '=') {
-      pos = boundary;  // token without '=': skip, like FindKeyValueOpt
-      continue;
-    }
-    const std::size_t vstart = boundary + 1;
-    const std::size_t vend = kernels.find_whitespace(record, vstart);
+KeyValueView::KeyValueView(std::string_view record) : record_(record) {
+  const char* p = record.data();
+  const char* const end = p + record.size();
+  while (p < end) {
+    while (p < end && KvClass(*p) == kKvSpace) ++p;
+    const char* const key = p;
+    while (p < end && KvClass(*p) == kKvOther) ++p;
+    // A bare token (no '=' before its end) is skipped, like
+    // FindKeyValueOpt skips it; a bare trailing token ends the record.
+    if (p == end || KvClass(*p) == kKvSpace) continue;
+    // p is the token's first '='; a later one ("neednodes=1:ppn=16")
+    // belongs to the value, which runs to the next whitespace.
+    const char* const eq = p++;
+    while (p < end && KvClass(*p) != kKvSpace) ++p;
     if (count_ == kMaxEntries) {
       overflow_ = true;  // Get falls back to per-key record scans
       return;
     }
-    entries_[count_++] = Entry{record.substr(start, boundary - start),
-                               record.substr(vstart, vend - vstart)};
-    pos = vend;
+    Entry& e = entries_[count_++];
+    e.key = key;
+    e.key_size = static_cast<std::size_t>(eq - key);
+    e.value = eq + 1;
+    e.value_size = static_cast<std::size_t>(p - eq - 1);
+    e.tag = KeyTag({key, e.key_size});
+    std::size_t slot = Slot(e.tag);
+    while (slots_[slot] != 0) slot = (slot + 1) % kSlots;
+    slots_[slot] = static_cast<std::uint8_t>(count_);
   }
 }
 
 std::optional<std::string_view> KeyValueView::Get(std::string_view key) const {
   if (overflow_) return FindKeyValueOpt(record_, key);
-  for (std::size_t i = 0; i < count_; ++i) {
-    const Entry& e = entries_[i];
-    // Size + first-byte prefilter: the full compare is an out-of-line
-    // memcmp, and most entries differ in length or initial letter.
-    if (e.key.size() != key.size()) continue;
-    if (!key.empty() && e.key.front() != key.front()) continue;
-    if (e.key == key) return e.value;
+  const std::uint32_t tag = KeyTag(key);
+  for (std::size_t slot = Slot(tag); slots_[slot] != 0;
+       slot = (slot + 1) % kSlots) {
+    const Entry& e = entries_[slots_[slot] - 1];
+    if (e.tag == tag && std::string_view(e.key, e.key_size) == key) {
+      return std::string_view(e.value, e.value_size);
+    }
   }
   return std::nullopt;
 }

@@ -1,7 +1,7 @@
 // Small string utilities shared by log parsers and emitters.
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -12,9 +12,27 @@
 
 namespace ld {
 
-namespace simd {
-struct Kernels;
-}  // namespace simd
+/// True for the C locale's isspace set (' ', '\t', '\n', '\v', '\f',
+/// '\r') regardless of the process locale.  The one whitespace
+/// predicate behind every splitter, trimmer and key=value scanner here.
+constexpr bool IsSpace(char c) {
+  const auto u = static_cast<unsigned char>(c);
+  return u == ' ' || (u >= '\t' && u <= '\r');
+}
+
+/// Index of the first IsSpace byte at or after `pos`, or data.size()
+/// when none.
+inline std::size_t FindWhitespace(std::string_view data, std::size_t pos = 0) {
+  while (pos < data.size() && !IsSpace(data[pos])) ++pos;
+  return pos < data.size() ? pos : data.size();
+}
+
+/// Index of the first byte at or after `pos` that is not IsSpace, or
+/// data.size() when the rest of the buffer is whitespace.
+inline std::size_t SkipWhitespace(std::string_view data, std::size_t pos = 0) {
+  while (pos < data.size() && IsSpace(data[pos])) ++pos;
+  return pos < data.size() ? pos : data.size();
+}
 
 /// Splits on a single character; keeps empty fields ("a,,b" -> 3 fields).
 std::vector<std::string_view> Split(std::string_view text, char sep);
@@ -45,16 +63,13 @@ std::optional<std::string_view> FindKeyValueOpt(std::string_view record,
                                                 std::string_view key);
 
 /// Tokenize-once view over a "key=value key2=value2" record for parsers
-/// that look up many keys in the same record: one streaming
-/// classification pass (simd::ClassifyKeyValue) marks every '=' and
-/// whitespace byte in two per-byte bitmaps, and a bitmap walk then
-/// splits the record into at most kMaxEntries key=value entries up
-/// front — a handful of word ops per token instead of a kernel call per
-/// field, which is what lets this beat repeated per-key record scans.
-/// Each Get is a linear scan over those small views.  Records larger
-/// than the stack bitmaps (4 KiB) take a per-token delimiter-scan
-/// fallback; records with more entries than the fixed table fall back
-/// to FindKeyValueOpt per lookup.  Behavior is identical to repeated
+/// that look up many keys in the same record: one table-driven pass
+/// (a 256-entry byte-class table for whitespace and '=') splits the
+/// record into at most kMaxEntries key=value entries up front and
+/// indexes them by a tag of each key's length, first and last byte, so
+/// each Get is one or two probes instead of a walk over the record.
+/// Records with more entries than the fixed table fall back to
+/// FindKeyValueOpt per lookup.  Behavior is identical to repeated
 /// FindKeyValueOpt calls for every record: first matching occurrence
 /// wins, values run to the next whitespace, bare tokens without '=' are
 /// skipped.  Keys must not contain '=' or whitespace (all parser keys
@@ -63,11 +78,6 @@ std::optional<std::string_view> FindKeyValueOpt(std::string_view record,
 class KeyValueView {
  public:
   explicit KeyValueView(std::string_view record);
-
-  /// Same splitter pinned to a specific kernel table, so tests and
-  /// benchmarks can compare backends inside one binary (production
-  /// code uses the one-argument form, which takes runtime dispatch).
-  KeyValueView(std::string_view record, const simd::Kernels& kernels);
 
   /// Value for `key`, or nullopt when absent.  Same contract as
   /// FindKeyValueOpt(record, key).
@@ -81,15 +91,29 @@ class KeyValueView {
   static constexpr std::size_t kMaxEntries = 32;
 
  private:
+  // Raw fields, so the table costs nothing to set up per record; only
+  // the first count_ entries are ever read.
   struct Entry {
-    std::string_view key;
-    std::string_view value;
+    const char* key;
+    const char* value;
+    std::size_t key_size;
+    std::size_t value_size;
+    std::uint32_t tag;  // length, first and last byte of the key
   };
 
-  void BuildByTokenScan(const simd::Kernels& kernels);
+  // Open-addressed index over the entries by tag: entry index + 1, 0 =
+  // empty.  Twice kMaxEntries slots, so a probe always reaches an empty
+  // one; the earlier of two equal keys sits earlier on the probe path,
+  // so lookups find the first occurrence.
+  static constexpr std::size_t kSlots = 2 * kMaxEntries;
+  static_assert(kSlots == 64, "Slot() keeps the top 6 bits of the hash");
+  static std::size_t Slot(std::uint32_t tag) {
+    return (tag * 0x9E3779B1u) >> 26;
+  }
 
   std::string_view record_;
-  std::array<Entry, kMaxEntries> entries_;
+  Entry entries_[kMaxEntries];
+  std::uint8_t slots_[kSlots] = {};
   std::size_t count_ = 0;
   bool overflow_ = false;
 };

@@ -25,7 +25,7 @@ Result<std::optional<AlpsRecord>> ParseLineImpl(std::string_view line) {
 
   if (StartsWith(daemon, "apsched") && StartsWith(payload, "placeApp")) {
     rec.kind = AlpsRecord::Kind::kPlace;
-    // One SIMD tokenization pass over the payload; the bare "placeApp"
+    // One tokenization pass over the payload; the bare "placeApp"
     // token has no '=' and is skipped by the tokenizer.
     const KeyValueView kv(payload);
     const auto apid = kv.Get("apid");

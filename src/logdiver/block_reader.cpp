@@ -11,7 +11,6 @@
 
 #include "common/obs/obs.hpp"
 #include "common/parallel.hpp"
-#include "common/simd.hpp"
 
 namespace ld {
 
@@ -102,7 +101,7 @@ std::vector<std::string_view> SplitBlocks(std::string_view data,
       end = data.size();
     } else {
       // Extend to the next newline so the edge line stays whole.
-      const std::size_t nl = simd::FindByte(data, '\n', end - 1);
+      const std::size_t nl = data.find('\n', end - 1);
       end = (nl == std::string_view::npos) ? data.size() : nl + 1;
     }
     blocks.push_back(data.substr(pos, end - pos));
@@ -112,10 +111,9 @@ std::vector<std::string_view> SplitBlocks(std::string_view data,
 }
 
 void AppendLines(std::string_view block, std::vector<std::string_view>* out) {
-  LD_OBS_COUNTER_ADD(obs::names::kSimdBytesScannedTotal, block.size());
   std::size_t start = 0;
   for (;;) {
-    const std::size_t nl = simd::FindByte(block, '\n', start);
+    const std::size_t nl = block.find('\n', start);
     if (nl == std::string_view::npos) break;
     std::string_view line = block.substr(start, nl - start);
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);

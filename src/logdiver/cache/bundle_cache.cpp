@@ -1,11 +1,7 @@
 #include "logdiver/cache/bundle_cache.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -68,115 +64,37 @@ void MixI64(std::uint64_t& h, std::int64_t v) {
 
 // --- file framing ----------------------------------------------------
 
-// Deliberately distinct from the snapshot magic: a checkpoint copied
-// into a cache directory (or vice versa) must fail the very first
-// header check, not limp into payload decoding.
-constexpr std::array<std::uint8_t, 8> kMagic = {'L', 'D', 'P', 'B',
-                                                'C', 'H', 'E', '1'};
-// magic | version u32 | crc u32 | payload size u64 | fingerprint u64
-constexpr std::size_t kHeaderSize = kMagic.size() + 4 + 4 + 8 + 8;
+// The shared durable-file header (snapshot.hpp) under its own magic,
+// deliberately distinct from the snapshot one: a checkpoint copied into
+// a cache directory (or vice versa) fails the very first header check.
+constexpr FileFormat kCacheFormat = {{'L', 'D', 'P', 'B', 'C', 'H', 'E', '1'},
+                                     kBundleCacheVersion};
 
 constexpr std::uint8_t kKindBundle = 1;
 constexpr std::uint8_t kKindClaims = 2;
 
-void PutU32(std::uint8_t* out, std::uint32_t v) {
-  out[0] = static_cast<std::uint8_t>(v);
-  out[1] = static_cast<std::uint8_t>(v >> 8);
-  out[2] = static_cast<std::uint8_t>(v >> 16);
-  out[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-std::uint32_t GetU32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t GetU64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(GetU32(p)) |
-         static_cast<std::uint64_t>(GetU32(p + 4)) << 32;
-}
-
-/// Atomic publish with the snapshot store's discipline: pid-qualified
-/// tmp, full write, fsync, rename.  Concurrent writers of the same
-/// entry race benignly — last rename wins and both candidates are
-/// complete, valid files.
-Status AtomicWrite(const std::string& path,
-                   const std::vector<std::uint8_t>& bytes) {
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return InternalError("bundle cache: cannot create " + tmp + ": " +
-                         std::strerror(errno));
-  }
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return InternalError("bundle cache: short write to " + tmp + ": " + why);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return InternalError("bundle cache: fsync " + tmp + " failed: " + why);
-  }
-  if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    return InternalError("bundle cache: close " + tmp + " failed");
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string why = std::strerror(errno);
-    ::unlink(tmp.c_str());
-    return InternalError("bundle cache: rename to " + path + " failed: " +
-                         why);
-  }
-  return Status::Ok();
-}
-
 Status WriteEntry(const std::string& dir, const std::string& path,
-                  std::uint64_t fingerprint, SnapshotWriter&& payload_writer) {
+                  std::uint64_t fingerprint,
+                  const SnapshotWriter& payload_writer) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
     return InternalError("bundle cache: cannot create " + dir + ": " +
                          ec.message());
   }
-  const std::vector<std::uint8_t> payload = payload_writer.TakeBytes();
-  std::vector<std::uint8_t> framed;
-  framed.reserve(kHeaderSize + payload.size());
-  framed.insert(framed.end(), kMagic.begin(), kMagic.end());
-  std::uint8_t scratch[8];
-  PutU32(scratch, kBundleCacheVersion);
-  framed.insert(framed.end(), scratch, scratch + 4);
-  PutU32(scratch, Crc32(payload));
-  framed.insert(framed.end(), scratch, scratch + 4);
-  const std::uint64_t size = payload.size();
-  PutU32(scratch, static_cast<std::uint32_t>(size));
-  PutU32(scratch + 4, static_cast<std::uint32_t>(size >> 32));
-  framed.insert(framed.end(), scratch, scratch + 8);
-  PutU32(scratch, static_cast<std::uint32_t>(fingerprint));
-  PutU32(scratch + 4, static_cast<std::uint32_t>(fingerprint >> 32));
-  framed.insert(framed.end(), scratch, scratch + 8);
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  LD_TRY(AtomicWrite(path, framed));
+  const std::vector<std::uint8_t>& payload = payload_writer.bytes();
+  if (Status s = WriteDurableFile(path, kCacheFormat, payload, fingerprint);
+      !s.ok()) {
+    return Status(s.code(), "bundle cache: " + s.message());
+  }
   LD_OBS_COUNTER_ADD(obs::names::kCacheWritesTotal, 1);
-  LD_OBS_COUNTER_ADD(obs::names::kCacheWriteBytesTotal, framed.size());
+  LD_OBS_COUNTER_ADD(obs::names::kCacheWriteBytesTotal,
+                     kFileHeaderSize + payload.size());
   return Status::Ok();
 }
 
-/// A mapped entry whose header has passed every structural check; the
-/// payload span aliases the mapping, which must stay alive through
-/// decoding.
+/// A mapped entry whose header has passed every check; the payload
+/// aliases the mapping, which must stay alive through decoding.
 struct MappedEntry {
   MappedFile file;
   const std::uint8_t* payload = nullptr;
@@ -192,37 +110,13 @@ Result<MappedEntry> OpenEntry(const std::string& path,
   MappedEntry entry;
   entry.file = std::move(*mapped);
   const std::string_view data = entry.file.data();
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data.data());
-  if (data.size() < kHeaderSize) {
-    return ParseError(path + " shorter than the header");
-  }
-  if (!std::equal(kMagic.begin(), kMagic.end(), bytes)) {
-    return ParseError(path + " has a bad magic number");
-  }
-  const std::uint32_t version = GetU32(bytes + kMagic.size());
-  if (version != kBundleCacheVersion) {
-    return ParseError(path + " has format version " + std::to_string(version) +
-                      ", this build speaks " +
-                      std::to_string(kBundleCacheVersion));
-  }
-  const std::uint32_t crc = GetU32(bytes + kMagic.size() + 4);
-  const std::uint64_t declared = GetU64(bytes + kMagic.size() + 8);
-  if (declared != data.size() - kHeaderSize) {
-    return ParseError(path + " is torn (declares " + std::to_string(declared) +
-                      " payload bytes, has " +
-                      std::to_string(data.size() - kHeaderSize) + ")");
-  }
-  entry.payload = bytes + kHeaderSize;
-  entry.size = data.size() - kHeaderSize;
-  if (Crc32(entry.payload, entry.size) != crc) {
-    return ParseError(path + " fails its CRC check");
-  }
-  const std::uint64_t fingerprint = GetU64(bytes + kMagic.size() + 16);
-  if (fingerprint != expected_fingerprint) {
-    return ParseError(path + " belongs to a different bundle (fingerprint " +
-                      std::to_string(fingerprint) + ", expected " +
-                      std::to_string(expected_fingerprint) + ")");
-  }
+  LD_ASSIGN_OR_RETURN(
+      const ValidatedFile valid,
+      ValidateDurableFile(
+          {reinterpret_cast<const std::uint8_t*>(data.data()), data.size()},
+          kCacheFormat, expected_fingerprint, path));
+  entry.payload = valid.payload.data();
+  entry.size = valid.payload.size();
   return entry;
 }
 
@@ -1070,7 +964,7 @@ Status BundleCache::Store(const CacheKeys& keys,
   w.U64(keys.analysis_key);
   EncodeResult(w, result);
   LD_TRY(WriteEntry(dir_, BundlePath(keys.input_fingerprint),
-                    keys.input_fingerprint, std::move(w)));
+                    keys.input_fingerprint, w));
   EnforceCap();
   return Status::Ok();
 }
@@ -1133,7 +1027,7 @@ Status BundleCache::StoreClaims(std::uint64_t input_fingerprint,
     PutPodColumn(w, seconds);
   }
   LD_TRY(WriteEntry(dir_, ClaimsPath(input_fingerprint), input_fingerprint,
-                    std::move(w)));
+                    w));
   EnforceCap();
   return Status::Ok();
 }

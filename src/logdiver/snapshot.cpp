@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -22,14 +23,6 @@ namespace ld {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// File magic: "LDSNAP" + 0x1A (stops accidental text-mode readers) + a
-/// free byte reserved as zero.
-constexpr std::array<std::uint8_t, 8> kMagic = {'L', 'D', 'S', 'N',
-                                                'A', 'P', 0x1A, 0x00};
-// magic | u32 version | u32 payload CRC | u64 payload size | u64 input
-// fingerprint (since version 2).
-constexpr std::size_t kHeaderSize = kMagic.size() + 4 + 4 + 8 + 8;
 
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kSnapshotSuffix[] = ".ldsnap";
@@ -68,6 +61,11 @@ void PutU32(std::uint8_t* out, std::uint32_t v) {
   out[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
+void PutU64(std::uint8_t* out, std::uint64_t v) {
+  PutU32(out, static_cast<std::uint32_t>(v));
+  PutU32(out + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
 std::uint32_t GetU32(const std::uint8_t* in) {
   return static_cast<std::uint32_t>(in[0]) |
          static_cast<std::uint32_t>(in[1]) << 8 |
@@ -78,6 +76,25 @@ std::uint32_t GetU32(const std::uint8_t* in) {
 std::uint64_t GetU64(const std::uint8_t* in) {
   return static_cast<std::uint64_t>(GetU32(in)) |
          static_cast<std::uint64_t>(GetU32(in + 4)) << 32;
+}
+
+/// Writes all of `bytes` to `fd`, retrying short writes and EINTR.
+bool WriteAll(int fd, std::span<const std::uint8_t> bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes = bytes.subspan(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// Prefixes a failed status's message with the file kind ("snapshot: ").
+Status InContext(const char* what, const Status& status) {
+  if (status.ok()) return status;
+  return Status(status.code(), std::string(what) + status.message());
 }
 
 }  // namespace
@@ -605,75 +622,117 @@ std::uint32_t FingerprintIngest(const IngestStats& stats) {
   return Crc32(w.bytes());
 }
 
-// --- snapshot files --------------------------------------------------
+// --- durable files -------------------------------------------------
+
+Status WriteDurableFile(const std::string& path, const FileFormat& format,
+                        std::span<const std::uint8_t> payload,
+                        std::uint64_t fingerprint) {
+  std::array<std::uint8_t, kFileHeaderSize> header{};
+  std::copy(format.magic.begin(), format.magic.end(), header.begin());
+  PutU32(header.data() + 8, format.version);
+  PutU32(header.data() + 12, Crc32(payload.data(), payload.size()));
+  PutU64(header.data() + 16, payload.size());
+  PutU64(header.data() + 24, fingerprint);
+
+  // The tmp name is pid-qualified: two processes sharing a directory
+  // (the daemon's per-tenant layout, concurrent cache writers, a test
+  // racing two writers) must never interleave writes into one tmp file.
+  // With a shared name, one writer's rename could publish a file the
+  // other was still appending to: a torn file under the *final* name
+  // that atomicity exists to prevent.  Racing writers of one path end
+  // benignly: the last rename wins and both candidates are complete.
+  const std::string tmp =
+      path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    return InternalError("cannot create " + tmp + ": " +
+                         std::strerror(errno));
+  }
+  const auto fail = [&](const std::string& what) {
+    const std::string why = std::strerror(errno);
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return InternalError(what + " " + tmp + " failed: " + why);
+  };
+  if (!WriteAll(fd, header) || !WriteAll(fd, payload)) return fail("write to");
+  // fsync before rename: the rename must never become durable ahead of
+  // the data it points at.
+  if (::fsync(fd) != 0) return fail("fsync");
+  if (::close(fd) != 0) {
+    ::unlink(tmp.c_str());
+    return InternalError("close " + tmp + " failed");
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    const std::string why = std::strerror(errno);
+    ::unlink(tmp.c_str());
+    return InternalError("rename to " + path + " failed: " + why);
+  }
+  // The rename lives in the parent directory: until that directory is
+  // on disk, a power loss can drop the file just published.
+  std::string dir = fs::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd < 0) {
+    return InternalError("cannot open directory " + dir + ": " +
+                         std::strerror(errno));
+  }
+  const int synced = ::fsync(dfd);
+  const int sync_errno = errno;
+  ::close(dfd);
+  // EINVAL: the filesystem cannot sync a directory; nothing more to do.
+  if (synced != 0 && sync_errno != EINVAL) {
+    return InternalError("fsync of directory " + dir + " failed: " +
+                         std::strerror(sync_errno));
+  }
+  return Status::Ok();
+}
+
+Result<ValidatedFile> ValidateDurableFile(std::span<const std::uint8_t> file,
+                                          const FileFormat& format,
+                                          std::uint64_t expected_fingerprint,
+                                          const std::string& path) {
+  if (file.size() < kFileHeaderSize) {
+    return ParseError(path + " shorter than the header");
+  }
+  if (!std::equal(format.magic.begin(), format.magic.end(), file.data())) {
+    return ParseError(path + " has a bad magic number");
+  }
+  const std::uint32_t version = GetU32(file.data() + 8);
+  if (version != format.version) {
+    return ParseError(path + " has format version " + std::to_string(version) +
+                      ", this build speaks " + std::to_string(format.version));
+  }
+  ValidatedFile out;
+  out.payload = file.subspan(kFileHeaderSize);
+  const std::uint64_t declared = GetU64(file.data() + 16);
+  if (declared != out.payload.size()) {
+    return ParseError(path + " is torn (declares " + std::to_string(declared) +
+                      " payload bytes, has " +
+                      std::to_string(out.payload.size()) + ")");
+  }
+  if (Crc32(out.payload.data(), out.payload.size()) !=
+      GetU32(file.data() + 12)) {
+    return ParseError(path + " fails its CRC check");
+  }
+  out.fingerprint = GetU64(file.data() + 24);
+  if (expected_fingerprint != 0 && out.fingerprint != expected_fingerprint) {
+    return ParseError(path + " fingerprints a different input (fingerprint " +
+                      std::to_string(out.fingerprint) + ", expected " +
+                      std::to_string(expected_fingerprint) + ")");
+  }
+  return out;
+}
 
 Status WriteSnapshotFile(const std::string& path,
                          const std::vector<std::uint8_t>& payload,
                          std::uint64_t fingerprint) {
   LD_OBS_SPAN("snapshot/write");
   const std::uint64_t write_start_ns = LD_OBS_NOW_NS();
-  std::vector<std::uint8_t> framed;
-  framed.reserve(kHeaderSize + payload.size());
-  framed.insert(framed.end(), kMagic.begin(), kMagic.end());
-  std::uint8_t scratch[8];
-  PutU32(scratch, kSnapshotFileVersion);
-  framed.insert(framed.end(), scratch, scratch + 4);
-  PutU32(scratch, Crc32(payload));
-  framed.insert(framed.end(), scratch, scratch + 4);
-  const std::uint64_t size = payload.size();
-  PutU32(scratch, static_cast<std::uint32_t>(size));
-  PutU32(scratch + 4, static_cast<std::uint32_t>(size >> 32));
-  framed.insert(framed.end(), scratch, scratch + 8);
-  PutU32(scratch, static_cast<std::uint32_t>(fingerprint));
-  PutU32(scratch + 4, static_cast<std::uint32_t>(fingerprint >> 32));
-  framed.insert(framed.end(), scratch, scratch + 8);
-  framed.insert(framed.end(), payload.begin(), payload.end());
-
-  // The tmp name is pid-qualified: two processes sharing a snapshot dir
-  // (the daemon's per-tenant layout, or a test racing two writers) must
-  // never interleave writes into one tmp file — with a shared name, one
-  // writer's rename could publish a file the other was still appending
-  // to, a torn snapshot under the *final* name that atomicity exists to
-  // prevent.
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return InternalError("snapshot: cannot create " + tmp + ": " +
-                         std::strerror(errno));
-  }
-  std::size_t written = 0;
-  while (written < framed.size()) {
-    const ssize_t n =
-        ::write(fd, framed.data() + written, framed.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return InternalError("snapshot: short write to " + tmp + ": " + why);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  // fsync before rename: the rename must never become durable ahead of
-  // the data it points at.
-  if (::fsync(fd) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return InternalError("snapshot: fsync " + tmp + " failed: " + why);
-  }
-  if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    return InternalError("snapshot: close " + tmp + " failed");
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string why = std::strerror(errno);
-    ::unlink(tmp.c_str());
-    return InternalError("snapshot: rename to " + path + " failed: " + why);
-  }
+  LD_TRY(InContext("snapshot: ", WriteDurableFile(path, kSnapshotFormat,
+                                                  payload, fingerprint)));
   LD_OBS_COUNTER_ADD(obs::names::kSnapshotWritesTotal, 1);
-  LD_OBS_COUNTER_ADD(obs::names::kSnapshotWriteBytesTotal, framed.size());
+  LD_OBS_COUNTER_ADD(obs::names::kSnapshotWriteBytesTotal,
+                     kFileHeaderSize + payload.size());
   if (write_start_ns != 0) {
     LD_OBS_HIST_RECORD(obs::names::kSnapshotWriteMicros,
                        (LD_OBS_NOW_NS() - write_start_ns) / 1000);
@@ -682,7 +741,8 @@ Status WriteSnapshotFile(const std::string& path,
 }
 
 Result<std::vector<std::uint8_t>> ReadSnapshotFile(
-    const std::string& path, std::uint64_t* fingerprint) {
+    const std::string& path, std::uint64_t* fingerprint,
+    std::uint64_t expected_fingerprint) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return NotFoundError("snapshot: cannot open " + path);
@@ -690,39 +750,19 @@ Result<std::vector<std::uint8_t>> ReadSnapshotFile(
   std::fseek(f, 0, SEEK_END);
   const long file_size = std::ftell(f);
   std::fseek(f, 0, SEEK_SET);
-  if (file_size < 0 || static_cast<std::size_t>(file_size) < kHeaderSize) {
-    std::fclose(f);
-    return ParseError("snapshot: " + path + " shorter than the header");
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(file_size));
+  std::vector<std::uint8_t> bytes(
+      static_cast<std::size_t>(std::max(file_size, 0L)));
   const std::size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
   std::fclose(f);
-  if (read != bytes.size()) {
+  if (file_size < 0 || read != bytes.size()) {
     return ParseError("snapshot: short read from " + path);
   }
-  if (!std::equal(kMagic.begin(), kMagic.end(), bytes.begin())) {
-    return ParseError("snapshot: " + path + " has a bad magic number");
-  }
-  const std::uint32_t version = GetU32(bytes.data() + kMagic.size());
-  if (version != kSnapshotFileVersion) {
-    return ParseError("snapshot: " + path + " has unsupported version " +
-                      std::to_string(version));
-  }
-  const std::uint32_t crc = GetU32(bytes.data() + kMagic.size() + 4);
-  const std::uint64_t declared = GetU64(bytes.data() + kMagic.size() + 8);
-  if (declared != bytes.size() - kHeaderSize) {
-    return ParseError("snapshot: " + path + " is torn (declares " +
-                      std::to_string(declared) + " payload bytes, has " +
-                      std::to_string(bytes.size() - kHeaderSize) + ")");
-  }
-  std::vector<std::uint8_t> payload(bytes.begin() + kHeaderSize, bytes.end());
-  if (Crc32(payload) != crc) {
-    return ParseError("snapshot: " + path + " fails its CRC check");
-  }
-  if (fingerprint != nullptr) {
-    *fingerprint = GetU64(bytes.data() + kMagic.size() + 16);
-  }
-  return payload;
+  auto valid =
+      ValidateDurableFile(bytes, kSnapshotFormat, expected_fingerprint, path);
+  if (!valid.ok()) return InContext("snapshot: ", valid.status());
+  if (fingerprint != nullptr) *fingerprint = valid->fingerprint;
+  bytes.erase(bytes.begin(), bytes.begin() + kFileHeaderSize);
+  return bytes;
 }
 
 SnapshotStore::SnapshotStore(std::string dir, std::size_t keep_generations)
@@ -785,15 +825,11 @@ Result<SnapshotStore::Loaded> SnapshotStore::LoadLatest(
   const std::vector<std::uint64_t> gens = Generations();
   Loaded loaded;
   for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
+    // A snapshot computed from different input (a stale directory or a
+    // foreign partial) is as unusable as a torn one.
     std::uint64_t fingerprint = 0;
-    auto payload = ReadSnapshotFile(PathFor(*it), &fingerprint);
-    if (payload.ok() && expected_fingerprint != 0 &&
-        fingerprint != expected_fingerprint) {
-      // Structurally intact but computed from different input: a stale
-      // directory or a foreign partial.  As unusable as a torn file.
-      payload = ParseError("snapshot: " + PathFor(*it) +
-                           " fingerprints a different input");
-    }
+    auto payload =
+        ReadSnapshotFile(PathFor(*it), &fingerprint, expected_fingerprint);
     if (payload.ok()) {
       loaded.payload = std::move(*payload);
       loaded.generation = *it;

@@ -15,9 +15,11 @@
 // bench/crash_campaign asserts cell by cell.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -152,34 +154,72 @@ std::uint32_t FingerprintReport(const MetricsReport& report);
 /// CRC-32 over the serialized ingest counters.
 std::uint32_t FingerprintIngest(const IngestStats& stats);
 
-// --- snapshot files --------------------------------------------------
+// --- durable files -------------------------------------------------
 
-/// On-disk framing version; bump when the header layout changes.  The
-/// analyzer payload carries its own version (see streaming.cpp).
+/// Every durable LogDiver file (snapshots, fleet partials, tenant
+/// snapshots, parsed-bundle-cache entries) is one 32-byte header and a
+/// payload:
+///   magic[8] | u32 version | u32 payload CRC | u64 payload size |
+///   u64 input fingerprint
+/// Only the magic and the version differ between kinds.  The magics are
+/// distinct, so a file copied to another kind's path fails the very
+/// first header check instead of limping into payload decoding.
+struct FileFormat {
+  std::array<std::uint8_t, 8> magic;
+  std::uint32_t version;
+};
+inline constexpr std::size_t kFileHeaderSize = 32;
+
+/// Snapshot framing, shared by fleet partials and tenant snapshots:
+/// "LDSNAP" + 0x1A (stops accidental text-mode readers) + a zero byte.
 /// Version 2 added the input fingerprint to the header, making every
-/// snapshot (and every fleet partial built on this framing) a
-/// self-describing unit: a loader can reject a file that belongs to a
-/// different bundle or bundle partition without parsing the payload.
-inline constexpr std::uint32_t kSnapshotFileVersion = 2;
+/// snapshot a self-describing unit: a loader can reject a file that
+/// belongs to a different bundle or bundle partition without parsing
+/// the payload.  The analyzer payload carries its own version (see
+/// streaming.cpp).
+inline constexpr FileFormat kSnapshotFormat = {
+    {'L', 'D', 'S', 'N', 'A', 'P', 0x1A, 0x00}, 2};
 
-/// Writes `magic | version | crc | size | fingerprint | payload` to
-/// `path` atomically: the bytes go to `path + ".tmp"`, are fsync'd, and
-/// the tmp is renamed over `path`.  A crash at any point leaves either
-/// the old file or no file — never a torn one under the final name.
+/// Writes header + payload to `path` atomically and durably: the bytes
+/// go to a pid-qualified tmp file, are fsync'd, the tmp is renamed over
+/// `path`, and the parent directory is fsync'd so the rename itself
+/// survives power loss.  A crash at any point leaves either the old
+/// file or no file, never a torn one under the final name.
 /// `fingerprint` identifies the input the payload was computed from
 /// (see BundlePartitionFingerprint in resume.hpp); 0 = unspecified.
+Status WriteDurableFile(const std::string& path, const FileFormat& format,
+                        std::span<const std::uint8_t> payload,
+                        std::uint64_t fingerprint);
+
+/// The payload and header fingerprint of a file that passed validation.
+/// `payload` aliases the validated bytes.
+struct ValidatedFile {
+  std::span<const std::uint8_t> payload;
+  std::uint64_t fingerprint = 0;
+};
+
+/// The one header validator: length, magic, version, declared payload
+/// size against the actual one (a torn file), payload CRC and, when
+/// `expected_fingerprint` is non-zero, the input fingerprint.  Any
+/// mismatch is a ParseError naming `path`: such a file must never be
+/// trusted.
+Result<ValidatedFile> ValidateDurableFile(std::span<const std::uint8_t> file,
+                                          const FileFormat& format,
+                                          std::uint64_t expected_fingerprint,
+                                          const std::string& path);
+
+/// WriteDurableFile in the snapshot format.
 Status WriteSnapshotFile(const std::string& path,
                          const std::vector<std::uint8_t>& payload,
                          std::uint64_t fingerprint = 0);
 
-/// Reads and validates a snapshot file: magic, version, declared size
-/// against file size, and payload CRC.  Any mismatch is an error — a
-/// torn/corrupt snapshot must never be silently restored.  The header
-/// fingerprint is returned through `fingerprint` when non-null;
-/// matching it against the caller's input is SnapshotStore's (or the
-/// fleet validator's) job.
+/// Reads a snapshot-format file and returns its payload once
+/// ValidateDurableFile accepts it; a non-zero `expected_fingerprint`
+/// also rejects a file stamped with another input.  The header
+/// fingerprint is returned through `fingerprint` when non-null.
 Result<std::vector<std::uint8_t>> ReadSnapshotFile(
-    const std::string& path, std::uint64_t* fingerprint = nullptr);
+    const std::string& path, std::uint64_t* fingerprint = nullptr,
+    std::uint64_t expected_fingerprint = 0);
 
 /// Generation-managed snapshot directory: snapshot-000001.ldsnap,
 /// snapshot-000002.ldsnap, ...  Writes always create the next

@@ -3,7 +3,6 @@
 #include <array>
 #include <cctype>
 
-#include "common/simd.hpp"
 #include "common/strings.hpp"
 #include "logdiver/quarantine.hpp"
 
@@ -21,13 +20,22 @@ int MonthFromAbbrev(std::string_view m) {
   return 0;
 }
 
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// True when the 8 bytes at `p` spell a clock "HH:MM:SS": digits at
+/// offsets {0,1,3,4,6,7} and ':' at {2,5}.  Range checks are the
+/// caller's job.
+bool IsClockHHMMSS(const char* p) {
+  return IsDigit(p[0]) && IsDigit(p[1]) && p[2] == ':' && IsDigit(p[3]) &&
+         IsDigit(p[4]) && p[5] == ':' && IsDigit(p[6]) && IsDigit(p[7]);
+}
+
 /// Strict "HH:MM:SS" (any digit widths, nothing trailing).  Replaces the
 /// old sscanf call: no format-string machinery, no allocation, and no
 /// accidental acceptance of signs or trailing garbage.
 bool ParseClock(std::string_view text, int& h, int& m, int& s) {
-  // Fast path: the fixed-width "HH:MM:SS" every real syslog line uses is
-  // recognized with one 8-byte vector classification.
-  if (text.size() == 8 && simd::IsClockHHMMSS(text.data())) {
+  // Fast path: the fixed-width "HH:MM:SS" every real syslog line uses.
+  if (text.size() == 8 && IsClockHHMMSS(text.data())) {
     h = (text[0] - '0') * 10 + (text[1] - '0');
     m = (text[3] - '0') * 10 + (text[4] - '0');
     s = (text[6] - '0') * 10 + (text[7] - '0');
@@ -60,7 +68,7 @@ std::string CnameAfter(std::string_view text, std::string_view marker) {
   if (pos == std::string_view::npos) return "";
   std::string_view rest = text.substr(pos + marker.size());
   rest = Trim(rest);
-  const std::size_t end = simd::FindWhitespace(rest, 0);
+  const std::size_t end = FindWhitespace(rest, 0);
   return std::string(rest.substr(0, end));
 }
 
@@ -98,15 +106,15 @@ Result<std::optional<SyslogParser::PreRecord>> ParsePreImpl(
   std::string_view fields[4];
   std::size_t pos = 0;
   for (std::string_view& field : fields) {
-    pos = simd::SkipWhitespace(line, pos);
+    pos = SkipWhitespace(line, pos);
     if (pos == line.size()) {
       return ParseError("syslog: too few fields");
     }
-    const std::size_t end = simd::FindWhitespace(line, pos);
+    const std::size_t end = FindWhitespace(line, pos);
     field = line.substr(pos, end - pos);
     pos = end;
   }
-  if (simd::SkipWhitespace(line, pos) == line.size()) {
+  if (SkipWhitespace(line, pos) == line.size()) {
     return ParseError("syslog: too few fields");
   }
   const int month = MonthFromAbbrev(fields[0]);

@@ -61,7 +61,7 @@ Result<std::optional<TorqueRecord>> ParseLineImpl(std::string_view line) {
   rec.jobid = jobid;
   rec.kind = type == "S" ? TorqueRecord::Kind::kStart : TorqueRecord::Kind::kEnd;
 
-  // One SIMD tokenization pass; every field lookup below scans the
+  // One tokenization pass; every field lookup below scans the
   // small entry table instead of re-walking the payload.
   const KeyValueView kv(payload);
 

@@ -40,7 +40,6 @@ TEST(ObsManifestTest, GoldenSchema) {
         "\"argv\": [\"tool\",\"analyze\",\"--seed\",\"7\"]", "\"build\": ",
         "\"git_sha\": ", "\"build_type\": ", "\"compiler\": ",
         "\"cxx_flags\": ", "\"sanitizers\": ", "\"obs_compiled_in\": ",
-        "\"simd_backend\": ",
         "\"host\": ", "\"hardware_concurrency\": ", "\"config\": ",
         "\"seed\": \"7\"", "\"mode\": \"analyze\"", "\"env\": ",
         "\"LD_OBS_MANIFEST_TEST_UNSET_VAR\": null", "\"inputs\": [",

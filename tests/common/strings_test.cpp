@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "common/simd.hpp"
+#include <cctype>
+#include <random>
+#include <string>
+#include <vector>
 
 namespace ld {
 namespace {
@@ -40,6 +43,36 @@ TEST(Trim, BothEnds) {
   EXPECT_EQ(Trim(""), "");
   EXPECT_EQ(Trim(" \t\n "), "");
   EXPECT_EQ(Trim("abc"), "abc");
+}
+
+TEST(Whitespace, EveryByteValueIsTheCLocaleIsspaceSet) {
+  // All 256 byte values, including >= 0x80 where a signed-char
+  // classifier goes wrong: the one predicate is the C locale's isspace
+  // set whatever the process locale is.
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const bool is_space = b == ' ' || b == '\t' || b == '\n' || b == '\v' ||
+                          b == '\f' || b == '\r';
+    EXPECT_EQ(is_space, std::isspace(b) != 0) << b;  // gtest runs in "C"
+    EXPECT_EQ(IsSpace(c), is_space) << b;
+  }
+}
+
+TEST(Whitespace, ScannersAndTrimAgreeOnEveryByteValue) {
+  // Each byte value as a one-byte buffer and as padding around a word:
+  // the scanners and Trim must classify it exactly as IsSpace does.
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const bool is_space = IsSpace(c);
+    const std::string_view one(&c, 1);
+    EXPECT_EQ(FindWhitespace(one), is_space ? 0u : 1u) << b;
+    EXPECT_EQ(SkipWhitespace(one), is_space ? 1u : 0u) << b;
+    const std::string padded = std::string(1, c) + "x" + std::string(1, c);
+    EXPECT_EQ(Trim(padded), is_space ? std::string_view("x") : padded) << b;
+  }
+  // A start position at or past the end finds nothing.
+  EXPECT_EQ(FindWhitespace("ab", 2), 2u);
+  EXPECT_EQ(SkipWhitespace("  ", 5), 2u);
 }
 
 TEST(StartsWithContains, Basics) {
@@ -147,54 +180,87 @@ TEST(KeyValueView, OverflowFallsBackToFullScan) {
   EXPECT_FALSE(kv.Get("k999").has_value());
 }
 
-TEST(KeyValueView, PinnedBackendsAgree) {
-  // The bitmap walk must split identically on every kernel backend this
-  // host can run, including records whose '=' and token boundaries
-  // straddle the 64-byte word boundary.
-  std::string boundary = std::string(60, 'x') + " key=value tail=1";
-  const std::string_view records[] = {
-      "user=u1 group=users queue=normal Exit_status=271 start=123",
-      "Resource_List.nodect=32 Resource_List.neednodes=1:ppn=16 end=9",
-      "  apid=204   jobid=7 nids=12-15,18  ",
-      boundary,
-  };
-  const std::string_view keys[] = {"user",  "queue", "Exit_status",
-                                   "start", "end",   "Resource_List.nodect",
-                                   "apid",  "key",   "tail"};
-  for (const char* name : {"scalar", "sse2", "avx2", "neon"}) {
-    const simd::Kernels* k = simd::GetBackend(name);
-    if (k == nullptr) continue;
-    for (const std::string_view rec : records) {
-      const KeyValueView pinned(rec, *k);
-      const KeyValueView active(rec);
-      ASSERT_EQ(pinned.entry_count(), active.entry_count())
-          << name << " rec=\"" << rec << "\"";
-      for (const std::string_view key : keys) {
-        EXPECT_EQ(pinned.Get(key), active.Get(key))
-            << name << " rec=\"" << rec << "\" key=" << key;
-      }
+// Every key FindKeyValueOpt could be asked about in `rec`: each token's
+// text before its first '=', each piece after an '=' (so an embedded
+// "ppn=" is probed too), each bare token, and a miss.
+std::vector<std::string> ProbeKeys(std::string_view rec) {
+  std::vector<std::string> keys = {"missing"};
+  for (const std::string_view token : SplitWhitespace(rec)) {
+    for (const std::string_view piece : Split(token, '=')) {
+      if (!piece.empty()) keys.emplace_back(piece);
     }
   }
+  return keys;
 }
 
-TEST(KeyValueView, LargeRecordTakesTokenScanFallback) {
-  // A record past the 4 KiB stack-bitmap budget (a giant exec_host
-  // list) takes the per-token fallback, which must answer exactly like
-  // the per-key scanner.
+// A record past 4 KiB: a giant exec_host list between ordinary fields.
+std::string LargeExecHostRecord() {
   std::string rec = "user=u7 exec_host=";
   for (int i = 0; i < 400; ++i) {
     rec += "nid" + std::to_string(10000 + i) + "/0+";
   }
   rec += " Exit_status=0 end=1357088460";
+  return rec;
+}
+
+TEST(KeyValueView, LargeRecordTakesTokenScanFallback) {
+  // Records past 4 KiB once took a separate per-token fallback builder;
+  // the one token scan must now answer them exactly like the per-key
+  // scanner, without overflowing the fixed table.
+  const std::string rec = LargeExecHostRecord();
   ASSERT_GT(rec.size(), 4096u);
   const KeyValueView kv(rec);
   EXPECT_FALSE(kv.overflowed());
+  EXPECT_EQ(kv.entry_count(), 4u);
   for (const std::string_view key :
        {"user", "exec_host", "Exit_status", "end", "missing", "nid10000"}) {
     EXPECT_EQ(kv.Get(key), FindKeyValueOpt(rec, key)) << key;
   }
   EXPECT_EQ(kv.Get("Exit_status").value(), "0");
   EXPECT_EQ(kv.Get("user").value(), "u7");
+}
+
+TEST(KeyValueView, MatchesFindKeyValueOptOnEveryRecordShape) {
+  // A record past 4 KiB, one entry more than the fixed table holds, a
+  // second '=' inside a value, bare tokens, and an '=' just past a
+  // 64-byte boundary.
+  std::string wide;
+  for (std::size_t i = 0; i <= KeyValueView::kMaxEntries; ++i) {
+    wide += "k" + std::to_string(i) + "=" + std::to_string(i * 10) + " ";
+  }
+  const std::string records[] = {
+      LargeExecHostRecord(),
+      wide,
+      std::string(60, 'x') + " key=value tail=1",
+      "Resource_List.nodect=32 Resource_List.neednodes=1:ppn=16 end=9",
+      "placeApp bare apid=204 token jobid=7 nids=12-15,18 trailing",
+  };
+  for (const std::string& rec : records) {
+    const KeyValueView kv(rec);
+    EXPECT_EQ(kv.overflowed(), &rec == &records[1]) << rec;
+    for (const std::string& key : ProbeKeys(rec)) {
+      EXPECT_EQ(kv.Get(key), FindKeyValueOpt(rec, key))
+          << "rec=\"" << rec << "\" key=" << key;
+    }
+  }
+}
+
+TEST(KeyValueView, RandomRecordsMatchFindKeyValueOpt) {
+  // Dense '=', whitespace and high-bit bytes, at lengths from empty to
+  // past 4 KiB, so tokens of every shape meet every lookup.
+  std::mt19937_64 rng(20260810);
+  const char alphabet[] = " \t\n==abk0:\x80\xff";
+  for (const std::size_t len : {0u, 1u, 15u, 63u, 64u, 65u, 400u, 5000u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::string rec(len, '\0');
+      for (char& c : rec) c = alphabet[rng() % (sizeof(alphabet) - 1)];
+      const KeyValueView kv(rec);
+      for (const std::string& key : ProbeKeys(rec)) {
+        ASSERT_EQ(kv.Get(key), FindKeyValueOpt(rec, key))
+            << "len=" << len << " trial=" << trial << " key=" << key;
+      }
+    }
+  }
 }
 
 TEST(Join, Basics) {

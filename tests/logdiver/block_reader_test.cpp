@@ -105,8 +105,9 @@ TEST(BlockReader, CrlfStraddlingABlockBoundaryStaysOneLine) {
 }
 
 TEST(BlockReader, NewlineAtEveryVectorLaneOffsetIsFound) {
-  // Lines sized 1..64 place the '\n' at every offset within and beyond a
-  // 16-byte SIMD lane; the split must match getline semantics for all.
+  // Lines sized 1..64 place the '\n' at every offset within and beyond
+  // the 16- and 32-byte strides a vectorized memchr reads; the split
+  // must match getline semantics for all.
   std::string data;
   for (std::size_t len = 1; len <= 64; ++len) {
     data += std::string(len, 'x');

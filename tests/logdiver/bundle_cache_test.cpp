@@ -267,6 +267,60 @@ TEST(BundleCache, StaleFormatVersionIsRejected) {
   fs::remove_all(cb.cache_dir);
 }
 
+TEST(BundleCache, CrossKindFilesFailTheMagicCheck) {
+  // Snapshots and cache entries share one header layout and validator;
+  // the magic tells them apart.  A file of one kind under the other's
+  // name must fail that very first check, even when every other header
+  // field is intact.
+  const CachedBundle cb = MakeCachedBundle("crosskind", 107);
+  const LogDiver diver(cb.machine, CachedConfig(cb));
+  auto cold = diver.AnalyzeBundle(cb.bundle_dir);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  const std::string entry = FindBundleEntry(cb.cache_dir);
+  ASSERT_NE(entry, "");
+
+  std::vector<std::uint8_t> bytes(fs::file_size(entry));
+  {
+    std::ifstream file(entry, std::ios::binary);
+    file.read(reinterpret_cast<char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  std::uint64_t fingerprint = 0;
+  for (int i = 7; i >= 0; --i) fingerprint = fingerprint << 8 | bytes[24 + i];
+  const std::vector<std::uint8_t> payload(bytes.begin() + kFileHeaderSize,
+                                          bytes.end());
+
+  // A cache entry copied into a snapshot directory as the newest
+  // generation: rejected, and the store falls back to the older one.
+  const std::string snap_dir = cb.cache_dir + "_snapshots";
+  fs::remove_all(snap_dir);
+  SnapshotStore store(snap_dir);
+  ASSERT_TRUE(store.Write({1, 2, 3}, fingerprint).ok());
+  fs::copy_file(entry, store.PathFor(2));
+  auto read = ReadSnapshotFile(store.PathFor(2));
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.status().message().find("magic"), std::string::npos)
+      << read.status().ToString();
+  auto loaded = store.LoadLatest(fingerprint);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->generation, 1u);
+  EXPECT_EQ(loaded->rejected, 1u);
+
+  // The same payload and fingerprint framed as a snapshot, over the
+  // cache entry's path: rejected, with the text-parse fallback.
+  ASSERT_TRUE(WriteSnapshotFile(entry, payload, fingerprint).ok());
+  auto rejected = diver.AnalyzeBundle(cb.bundle_dir);
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_EQ(rejected->cache_outcome, CacheOutcome::kRejected);
+  EXPECT_NE(rejected->cache_note.find("magic"), std::string::npos)
+      << rejected->cache_note;
+  ExpectSameAnalysis(*cold, *rejected);
+
+  fs::remove_all(snap_dir);
+  fs::remove_all(cb.bundle_dir);
+  fs::remove_all(cb.cache_dir);
+}
+
 TEST(BundleCache, LinesFingerprintMatchesBundlePartitionFingerprint) {
   const CachedBundle cb = MakeCachedBundle("fp", 107);
 

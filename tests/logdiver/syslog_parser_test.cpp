@@ -16,6 +16,21 @@ TEST(SyslogTime, RejectsBadStamp) {
   EXPECT_FALSE(SyslogParser::ParseSyslogTime("Apr", 2013).ok());
 }
 
+TEST(SyslogTime, ClockMustBeDigitsAndColons) {
+  // The fixed-width HH:MM:SS fast path and the general digit-run path
+  // agree: any non-digit where a digit belongs, or a missing ':',
+  // rejects the stamp.
+  for (const char* bad : {"Apr  1 0a:10:02", "Apr  1 02:1a:02",
+                          "Apr  1 02:10:0\x80", "Apr  1 02-10:02",
+                          "Apr  1 02:10-02", "Apr  1 02:10:",
+                          "Apr  1 02::0:02"}) {
+    EXPECT_FALSE(SyslogParser::ParseSyslogTime(bad, 2013).ok()) << bad;
+  }
+  auto narrow = SyslogParser::ParseSyslogTime("Apr  1 2:3:4", 2013);
+  ASSERT_TRUE(narrow.ok());
+  EXPECT_EQ(narrow->ToIso(), "2013-04-01T02:03:04");
+}
+
 TEST(SyslogParser, MachineCheckFatalOnNode) {
   SyslogParser parser(2013);
   auto rec = parser.ParseLine(

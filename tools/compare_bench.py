@@ -3,8 +3,7 @@
 
 Usage:
     tools/compare_bench.py BASELINE.json CANDIDATE.json [--threshold 0.10]
-        [--min-bytes-per-second NAME=BYTES] [--max-rss-mb NAME=MB]
-        [--min-speedup SLOW_NAME,FAST_NAME,RATIO]
+        [--max-rss-mb NAME=MB] [--min-speedup SLOW_NAME,FAST_NAME,RATIO]
 
 Matches benchmarks by name and computes the geometric mean of the
 candidate/baseline real-time ratios across every benchmark present in
@@ -12,26 +11,15 @@ both files.  Exits non-zero when that geomean exceeds 1 + threshold
 (default: a 10% slowdown) — single-benchmark jitter is tolerated, a
 broad slowdown is not.
 
-Three absolute gates run on the *candidate* file alone (repeatable; all
+Two absolute gates run on the *candidate* file alone (repeatable; all
 violations are reported before the gate fails):
 
-  --min-bytes-per-second NAME=BYTES   the row's bytes_per_second must be
-                                      at least BYTES (a throughput floor
-                                      for ingest-path benchmarks).
   --max-rss-mb NAME=MB                the row's rss_mb counter must not
                                       exceed MB (a peak-memory ceiling).
   --min-speedup SLOW,FAST,RATIO       real_time(SLOW) / real_time(FAST)
                                       must be at least RATIO — e.g. the
                                       warm parsed-bundle-cache run must
-                                      be 5x the cold one, the SIMD scan
-                                      must beat the scalar reference.
-  --min-speedup-optional SLOW,FAST,RATIO
-                                      same, but skips (with a note)
-                                      when either row is absent from
-                                      the candidate — for per-backend
-                                      rows the host may not run (a
-                                      SkipWithError'd AVX2 row on a
-                                      pre-AVX2 CPU is dropped on load).
+                                      be 5x the cold one.
 
 The CI release job runs this with the committed BENCH_*.json baseline
 against numbers it just regenerated on its own runner, so the
@@ -51,7 +39,7 @@ import sys
 
 
 def load_benchmarks(path: pathlib.Path) -> dict[str, dict[str, float]]:
-    """Benchmark name -> {time_ns, bytes_per_second?, rss_mb?}."""
+    """Benchmark name -> {time_ns, rss_mb?}."""
     scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
     doc = json.loads(path.read_text(encoding="utf-8"))
     rows: dict[str, dict[str, float]] = {}
@@ -60,9 +48,8 @@ def load_benchmarks(path: pathlib.Path) -> dict[str, dict[str, float]]:
         # double-counted next to their iteration rows; skip them.
         if bench.get("run_type") == "aggregate":
             continue
-        # Rows the benchmark skipped (SkipWithError — e.g. an AVX2
-        # kernel on a host without AVX2) carry no meaningful timing;
-        # drop them so gates can treat the name as absent.
+        # Rows the benchmark skipped (SkipWithError) carry no
+        # meaningful timing; drop them so gates treat the name as absent.
         if bench.get("error_occurred"):
             print(f"note: skipping {bench.get('name')} in {path}: "
                   f"{bench.get('error_message', 'benchmark reported an error')}")
@@ -79,10 +66,9 @@ def load_benchmarks(path: pathlib.Path) -> dict[str, dict[str, float]]:
                   f"unrecognized name/real_time/time_unit")
             continue
         row = {"time_ns": real_time * scale[time_unit]}
-        for key in ("bytes_per_second", "rss_mb"):
-            value = bench.get(key)
-            if isinstance(value, (int, float)):
-                row[key] = float(value)
+        rss_mb = bench.get("rss_mb")
+        if isinstance(rss_mb, (int, float)):
+            row["rss_mb"] = float(rss_mb)
         rows[name] = row
     return rows
 
@@ -109,22 +95,6 @@ def absolute_gates(args, candidate: dict[str, dict[str, float]]) -> int:
             return True
         return False
 
-    for spec in args.min_bytes_per_second:
-        name, floor = parse_name_value(spec, "--min-bytes-per-second")
-        if missing(name, "--min-bytes-per-second"):
-            continue
-        got = candidate[name].get("bytes_per_second")
-        if got is None:
-            print(f"FAIL: {name} reports no bytes_per_second")
-            failures += 1
-        elif got < floor:
-            print(f"FAIL: {name} at {got / 1e6:.1f} MB/s, floor is "
-                  f"{floor / 1e6:.1f} MB/s")
-            failures += 1
-        else:
-            print(f"ok: {name} at {got / 1e6:.1f} MB/s "
-                  f"(floor {floor / 1e6:.1f} MB/s)")
-
     for spec in args.max_rss_mb:
         name, ceiling = parse_name_value(spec, "--max-rss-mb")
         if missing(name, "--max-rss-mb"):
@@ -141,18 +111,19 @@ def absolute_gates(args, candidate: dict[str, dict[str, float]]) -> int:
             print(f"ok: {name} peaked at {got:.0f} MB RSS "
                   f"(ceiling {ceiling:.0f} MB)")
 
-    def parse_speedup(spec: str, flag: str) -> tuple[str, str, float]:
+    for spec in args.min_speedup:
         parts = spec.split(",")
         if len(parts) != 3:
             raise SystemExit(
-                f"error: {flag} wants SLOW,FAST,RATIO, got {spec!r}")
+                f"error: --min-speedup wants SLOW,FAST,RATIO, got {spec!r}")
+        slow, fast = parts[0], parts[1]
         try:
-            return parts[0], parts[1], float(parts[2])
+            ratio_floor = float(parts[2])
         except ValueError:
-            raise SystemExit(f"error: {flag}: {parts[2]!r} is not a number")
-
-    def check_speedup(slow: str, fast: str, ratio_floor: float) -> None:
-        nonlocal failures
+            raise SystemExit(
+                f"error: --min-speedup: {parts[2]!r} is not a number")
+        if missing(slow, "--min-speedup") or missing(fast, "--min-speedup"):
+            continue
         ratio = candidate[slow]["time_ns"] / candidate[fast]["time_ns"]
         if ratio < ratio_floor:
             print(f"FAIL: {fast} is only {ratio:.2f}x faster than {slow}, "
@@ -161,25 +132,6 @@ def absolute_gates(args, candidate: dict[str, dict[str, float]]) -> int:
         else:
             print(f"ok: {fast} is {ratio:.2f}x faster than {slow} "
                   f"(floor {ratio_floor:.2f}x)")
-
-    for spec in args.min_speedup:
-        slow, fast, ratio_floor = parse_speedup(spec, "--min-speedup")
-        if missing(slow, "--min-speedup") or missing(fast, "--min-speedup"):
-            continue
-        check_speedup(slow, fast, ratio_floor)
-
-    # The skip-if-unsupported variant: a backend row the host cannot run
-    # (SkipWithError, or not compiled in) is simply absent from the
-    # candidate, and the gate passes with a note instead of failing —
-    # e.g. the AVX2-over-SSE2 margin only binds on an AVX2 runner.
-    for spec in args.min_speedup_optional:
-        slow, fast, ratio_floor = parse_speedup(spec, "--min-speedup-optional")
-        absent = [n for n in (slow, fast) if n not in candidate]
-        if absent:
-            print(f"skip: --min-speedup-optional {spec}: "
-                  f"{', '.join(absent)} not runnable on this host")
-            continue
-        check_speedup(slow, fast, ratio_floor)
 
     return failures
 
@@ -195,13 +147,6 @@ def main() -> int:
         help="allowed geomean slowdown as a fraction (default 0.10 = 10%%)",
     )
     parser.add_argument(
-        "--min-bytes-per-second",
-        action="append",
-        default=[],
-        metavar="NAME=BYTES",
-        help="candidate row NAME must sustain at least BYTES bytes/s",
-    )
-    parser.add_argument(
         "--max-rss-mb",
         action="append",
         default=[],
@@ -214,15 +159,6 @@ def main() -> int:
         default=[],
         metavar="SLOW,FAST,RATIO",
         help="candidate real_time(SLOW)/real_time(FAST) must be >= RATIO",
-    )
-    parser.add_argument(
-        "--min-speedup-optional",
-        action="append",
-        default=[],
-        metavar="SLOW,FAST,RATIO",
-        help="like --min-speedup, but a row absent from the candidate "
-             "(backend not runnable on this host) skips the gate instead "
-             "of failing it",
     )
     args = parser.parse_args()
 
