@@ -30,6 +30,7 @@
 
 #include "analysis/scoring.hpp"
 #include "faults/corruptor.hpp"
+#include "logdiver/resume.hpp"
 #include "logdiver/snapshot.hpp"
 #include "logdiver/streaming.hpp"
 #include "simlog/scenario.hpp"
@@ -84,84 +85,18 @@ std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
   return std::strtoull(value, nullptr, 10);
 }
 
-/// Per-line claimed times of one source, in file order.  Lines that no
-/// longer parse (torn/garbled) carry the last claimed time of their
-/// source — a real shipper cannot drop what it cannot read.
-std::vector<TimePoint> ClaimedTimes(const std::vector<std::string>& lines,
-                                    int source, int year) {
-  std::vector<TimePoint> times;
-  times.reserve(lines.size());
-  TorqueParser torque;
-  AlpsParser alps;
-  HwerrParser hwerr;
-  TimePoint last;
-  for (const std::string& line : lines) {
-    switch (source) {
-      case 0: {
-        auto rec = torque.ParseLine(line);
-        if (rec.ok() && rec->has_value()) last = (*rec)->time;
-        break;
-      }
-      case 1: {
-        auto rec = alps.ParseLine(line);
-        if (rec.ok() && rec->has_value()) last = (*rec)->time;
-        break;
-      }
-      case 2: {
-        auto t = SyslogParser::ParseSyslogTime(line.substr(0, 15), year);
-        if (t.ok()) last = *t;
-        break;
-      }
-      default: {
-        auto rec = hwerr.ParseLine(line);
-        if (rec.ok() && rec->has_value()) last = (*rec)->time;
-        break;
-      }
-    }
-    times.push_back(last);
-  }
-  return times;
-}
-
 /// Streams the dirty bundle the way a live shipper would: each file is
 /// consumed strictly in file order, and the four tails are merged by the
-/// claimed time of their current heads.  Skewed or reordered files make
-/// the merged stamp sequence non-monotone, so the naive watermark below
-/// (claimed time minus slack) genuinely regresses — exactly the broken
-/// promise StreamingAnalyzer clamps and counts.
+/// claimed time of their current heads (ReplayLines).  Skewed or
+/// reordered files make the merged stamp sequence non-monotone, so the
+/// replay watermark (claimed time minus slack) genuinely regresses —
+/// exactly the broken promise StreamingAnalyzer clamps and counts.
 StreamingAnalyzer::Summary StreamDirty(const Machine& machine,
                                        const EmittedLogs& logs) {
-  StreamingAnalyzer analyzer(machine, LogDiverConfig{});
-  const std::vector<std::string>* files[4] = {&logs.torque, &logs.alps,
-                                              &logs.syslog, &logs.hwerr};
-  std::vector<TimePoint> claimed[4];
-  for (int s = 0; s < 4; ++s) claimed[s] = ClaimedTimes(*files[s], s, 2013);
-
-  std::size_t heads[4] = {0, 0, 0, 0};
-  std::size_t since_advance = 0;
-  for (;;) {
-    int pick = -1;
-    for (int s = 0; s < 4; ++s) {
-      if (heads[s] >= files[s]->size()) continue;
-      if (pick < 0 || claimed[s][heads[s]] < claimed[pick][heads[pick]]) {
-        pick = s;
-      }
-    }
-    if (pick < 0) break;
-    const std::string& line = (*files[pick])[heads[pick]];
-    const TimePoint time = claimed[pick][heads[pick]];
-    ++heads[pick];
-    switch (pick) {
-      case 0: analyzer.AddTorqueLine(line); break;
-      case 1: analyzer.AddAlpsLine(line); break;
-      case 2: analyzer.AddSyslogLine(line); break;
-      case 3: analyzer.AddHwerrLine(line); break;
-    }
-    if (++since_advance >= 500) {
-      since_advance = 0;
-      analyzer.Advance(time - Duration::Minutes(5));  // reorder slack
-    }
-  }
+  const LogDiverConfig config;
+  StreamingAnalyzer analyzer(machine, config);
+  const LogSet copy{logs.torque, logs.alps, logs.syslog, logs.hwerr};
+  ReplayLines(LogSetView(copy), config, ReplaySchedule{}, analyzer);
   return analyzer.Finalize();
 }
 

@@ -57,6 +57,7 @@
 #include <thread>
 #include <vector>
 
+#include "logdiver/claims.hpp"
 #include "logdiver/service/client.hpp"
 #include "logdiver/service/daemon.hpp"
 #include "logdiver/service/protocol.hpp"
@@ -83,31 +84,16 @@ struct TimedLine {
   std::string line;
 };
 
+/// Every line with its claimed time (claims.hpp), in claimed-time order.
 std::vector<TimedLine> MergeStreams(const EmittedLogs& logs, int base_year) {
+  ClaimedTracker tracker(base_year);
+  const std::vector<std::string>* files[kNumLogSources] = {
+      &logs.torque, &logs.alps, &logs.syslog, &logs.hwerr};
   std::vector<TimedLine> merged;
-  TorqueParser torque;
-  for (const std::string& line : logs.torque) {
-    auto rec = torque.ParseLine(line);
-    if (rec.ok() && rec->has_value()) {
-      merged.push_back({(*rec)->time, LogSource::kTorque, line});
-    }
-  }
-  AlpsParser alps;
-  for (const std::string& line : logs.alps) {
-    auto rec = alps.ParseLine(line);
-    if (rec.ok() && rec->has_value()) {
-      merged.push_back({(*rec)->time, LogSource::kAlps, line});
-    }
-  }
-  for (const std::string& line : logs.syslog) {
-    auto t = SyslogParser::ParseSyslogTime(line.substr(0, 15), base_year);
-    merged.push_back({t.ok() ? *t : TimePoint(0), LogSource::kSyslog, line});
-  }
-  HwerrParser hwerr;
-  for (const std::string& line : logs.hwerr) {
-    auto rec = hwerr.ParseLine(line);
-    if (rec.ok() && rec->has_value()) {
-      merged.push_back({(*rec)->time, LogSource::kHwerr, line});
+  for (std::size_t s = 0; s < kNumLogSources; ++s) {
+    const auto source = static_cast<LogSource>(s);
+    for (const std::string& line : *files[s]) {
+      merged.push_back({tracker.Claim(source, line), source, line});
     }
   }
   std::stable_sort(merged.begin(), merged.end(),

@@ -7,7 +7,8 @@
 //   logdiver_cli analyze <dir> [--small]
 //       Run the full LogDiver pipeline over a bundle directory and print
 //       every report table.  With ground_truth.csv present, also scores
-//       the classification.
+//       the classification (batch path).  Every driver below prints the
+//       same tables and, with --csv, exports the same bytes.
 //
 //   Both modes accept --manifest-out <file> (write a run manifest: build
 //   provenance, input fingerprints, config, env, metric dump — schema in
@@ -34,10 +35,11 @@
 //   With --fleet-workers N, analyze fans the bundle across N supervised
 //   worker processes (ownership-sharded by apid) and merges their
 //   partial aggregates; the merged report is bit-identical to the
-//   serial analyzer's.  --shard-timeout caps each shard attempt's wall
-//   clock (ms) before SIGKILL escalation; --fleet-budget M tolerates up
-//   to M dropped shards (report degrades with a coverage annotation
-//   instead of failing).
+//   serial analyzer's, and its CSV export to the batch path's.
+//   --shard-timeout caps each shard attempt's wall clock (ms) before
+//   SIGKILL escalation; --fleet-budget M tolerates up to M dropped
+//   shards (report degrades with a coverage annotation instead of
+//   failing).
 //
 // Exit codes: 0 success, 1 analysis error, 2 usage, 3 a fail-fast
 // ingest error budget tripped, 4 the crash-restart budget was
@@ -68,6 +70,43 @@ namespace {
 constexpr int kExitIngestBudget = 3;
 constexpr int kExitRestartsExhausted = 4;
 constexpr int kExitFleetBudget = 5;
+
+/// Prints every report table, exports the CSV series when asked, and
+/// returns the exit code (kExitIngestBudget when a streaming ingest
+/// budget tripped).  Batch, streaming and the fleet all report here.
+int PrintReport(const ld::MetricsReport& report, const std::string& csv_dir,
+                const ld::Status& ingest_status) {
+  std::cout << "\n--- headline ---\n";
+  ld::PrintHeadline(std::cout, report);
+  std::cout << "\n--- outcomes ---\n";
+  ld::PrintOutcomeBreakdown(std::cout, report);
+  std::cout << "\n--- error categories ---\n";
+  ld::PrintCategoryTable(std::cout, report);
+  std::cout << "\n--- attribution ---\n";
+  ld::PrintAttributionTable(std::cout, report);
+  std::cout << "\n--- scale curves ---\n";
+  ld::PrintScaleCurve(std::cout, report.xe_scale, "XE");
+  ld::PrintScaleCurve(std::cout, report.xk_scale, "XK");
+  std::cout << "\n--- monthly ---\n";
+  ld::PrintMonthlySeries(std::cout, report);
+  std::cout << "\n--- queue waits ---\n";
+  ld::PrintQueueWaits(std::cout, report);
+  std::cout << "\n--- detection gap ---\n";
+  ld::PrintDetectionGap(std::cout, report);
+  if (!csv_dir.empty()) {
+    auto exported = ld::ExportMetricsCsv(report, csv_dir);
+    if (exported.ok()) {
+      std::cout << "\nexported " << *exported << " CSV series to " << csv_dir
+                << "\n";
+    } else {
+      std::cerr << "csv export failed: " << exported.status().ToString()
+                << "\n";
+    }
+  }
+  if (ingest_status.ok()) return 0;
+  std::cerr << "ingest budget tripped: " << ingest_status.ToString() << "\n";
+  return kExitIngestBudget;
+}
 
 int Usage() {
   std::cerr << "usage:\n"
@@ -328,30 +367,7 @@ int main(int argc, char** argv) {
     std::cout << fleet->coverage.Row() << "\n";
     std::cout << "fleet: " << fleet->runs_finalized << " runs finalized"
               << " across " << fleet->coverage.shards_merged << " shard(s)\n";
-    std::cout << "\n--- headline ---\n";
-    ld::PrintHeadline(std::cout, fleet->report);
-    std::cout << "\n--- outcomes ---\n";
-    ld::PrintOutcomeBreakdown(std::cout, fleet->report);
-    std::cout << "\n--- error categories ---\n";
-    ld::PrintCategoryTable(std::cout, fleet->report);
-    std::cout << "\n--- attribution ---\n";
-    ld::PrintAttributionTable(std::cout, fleet->report);
-    if (!csv_dir.empty()) {
-      auto exported = ld::ExportMetricsCsv(fleet->report, csv_dir);
-      if (exported.ok()) {
-        std::cout << "\nexported " << *exported << " CSV series to "
-                  << csv_dir << "\n";
-      } else {
-        std::cerr << "csv export failed: " << exported.status().ToString()
-                  << "\n";
-      }
-    }
-    if (!fleet->ingest_status.ok()) {
-      std::cerr << "ingest budget tripped: " << fleet->ingest_status.ToString()
-                << "\n";
-      return finish(kExitIngestBudget);
-    }
-    return finish(0);
+    return finish(PrintReport(fleet->report, csv_dir, fleet->ingest_status));
   }
 
   if (mode == "analyze" && !snapshot_dir.empty()) {
@@ -395,30 +411,7 @@ int main(int argc, char** argv) {
       std::cout << "streamed " << result->total_lines << " lines, "
                 << summary.runs_finalized << " runs finalized, "
                 << result->snapshots_written << " snapshot(s) written\n";
-      std::cout << "\n--- headline ---\n";
-      ld::PrintHeadline(std::cout, summary.metrics);
-      std::cout << "\n--- outcomes ---\n";
-      ld::PrintOutcomeBreakdown(std::cout, summary.metrics);
-      std::cout << "\n--- error categories ---\n";
-      ld::PrintCategoryTable(std::cout, summary.metrics);
-      std::cout << "\n--- attribution ---\n";
-      ld::PrintAttributionTable(std::cout, summary.metrics);
-      if (!csv_dir.empty()) {
-        auto exported = ld::ExportMetricsCsv(summary.metrics, csv_dir);
-        if (exported.ok()) {
-          std::cout << "\nexported " << *exported << " CSV series to "
-                    << csv_dir << "\n";
-        } else {
-          std::cerr << "csv export failed: " << exported.status().ToString()
-                    << "\n";
-        }
-      }
-      if (!summary.ingest_status.ok()) {
-        std::cerr << "ingest budget tripped: "
-                  << summary.ingest_status.ToString() << "\n";
-        return kExitIngestBudget;
-      }
-      return 0;
+      return PrintReport(summary.metrics, csv_dir, summary.ingest_status);
     };
     const ld::CrashSupervisor::Outcome outcome =
         ld::CrashSupervisor::Run(child);
@@ -465,34 +458,7 @@ int main(int argc, char** argv) {
         break;
     }
     ld::PrintParseSummary(std::cout, *analysis);
-    std::cout << "\n--- headline ---\n";
-    ld::PrintHeadline(std::cout, analysis->metrics);
-    std::cout << "\n--- outcomes ---\n";
-    ld::PrintOutcomeBreakdown(std::cout, analysis->metrics);
-    std::cout << "\n--- error categories ---\n";
-    ld::PrintCategoryTable(std::cout, analysis->metrics);
-    std::cout << "\n--- attribution ---\n";
-    ld::PrintAttributionTable(std::cout, analysis->metrics);
-    std::cout << "\n--- scale curves ---\n";
-    ld::PrintScaleCurve(std::cout, analysis->metrics.xe_scale, "XE");
-    ld::PrintScaleCurve(std::cout, analysis->metrics.xk_scale, "XK");
-    std::cout << "\n--- monthly ---\n";
-    ld::PrintMonthlySeries(std::cout, analysis->metrics);
-    std::cout << "\n--- queue waits ---\n";
-    ld::PrintQueueWaits(std::cout, analysis->metrics);
-    std::cout << "\n--- detection gap ---\n";
-    ld::PrintDetectionGap(std::cout, analysis->metrics);
-
-    if (!csv_dir.empty()) {
-      auto exported = ld::ExportMetricsCsv(analysis->metrics, csv_dir);
-      if (exported.ok()) {
-        std::cout << "\nexported " << *exported << " CSV series to "
-                  << csv_dir << "\n";
-      } else {
-        std::cerr << "csv export failed: " << exported.status().ToString()
-                  << "\n";
-      }
-    }
+    PrintReport(analysis->metrics, csv_dir, ld::Status::Ok());
 
     const std::string truth_path = dir + "/ground_truth.csv";
     if (std::filesystem::exists(truth_path)) {

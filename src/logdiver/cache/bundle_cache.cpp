@@ -748,13 +748,12 @@ std::string HexFingerprint(std::uint64_t fp) {
 
 std::uint64_t LinesFingerprint(const LogSetView& lines,
                                std::uint32_t shard_count) {
-  const std::vector<std::string_view>* sources[kNumLogSources] = {
-      &lines.torque, &lines.alps, &lines.syslog, &lines.hwerr};
   std::uint64_t h = kFnvOffset;
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
     const unsigned char tag = static_cast<unsigned char>(0xF0 + s);
     FnvMix(h, &tag, 1);
-    for (const std::string_view line : *sources[s]) {
+    const auto source = static_cast<LogSource>(s);
+    for (const std::string_view line : lines.lines(source)) {
       FnvMixBulk(h, line.data(), line.size());
       const unsigned char nl = '\n';
       FnvMix(h, &nl, 1);

@@ -13,7 +13,7 @@
 //   claims-<fp>.ldpbc   Per-line claimed-time columns for the
 //                       streaming/fleet bundle loader (keyed by the
 //                       syslog base year), replacing the throwaway
-//                       re-parse in resume.cpp's ClaimedTimes.
+//                       ClaimedTracker pass over the whole bundle.
 //
 // Safety model (docs/FORMATS.md "Parsed-bundle cache"): every load
 // validates magic, format version, payload size, payload CRC-32, the
@@ -51,7 +51,11 @@ namespace ld::cache {
 /// deltas instead of fixed-width words (docs/FORMATS.md "Parsed-bundle
 /// cache v2").  v1 entries are rejected as stale — loudly, with the
 /// text-parse fallback — and rewritten in v2 on the next store.
-inline constexpr std::uint32_t kBundleCacheVersion = 2;
+/// Version 3 changed what a claims entry means, not its layout: syslog
+/// claims carry the year reached by rollover instead of the base year,
+/// so a v2 claims entry would replay a different merge order and is
+/// rejected.
+inline constexpr std::uint32_t kBundleCacheVersion = 3;
 
 /// FNV-1a-64 (word-folded over line content for speed; bytewise
 /// framing) over the four line streams, with the framing

@@ -1,0 +1,47 @@
+// Claimed times: the one rule that merges a bundle's four sources into
+// one stream, used by the replay loader (resume.hpp) and the service's
+// accept path (service/tenant.hpp).
+//
+// A line's claimed time is the last parseable timestamp of its source,
+// carried over lines that do not parse (a real shipper cannot drop what
+// it cannot read).  A syslog stamp takes its year from the carried claim
+// by the parser's own rollover rule (SyslogParser::ParseSyslogTime), so
+// a campaign crossing New Year keeps its order with the carry as the
+// only state.
+#pragma once
+
+#include <string_view>
+
+#include "common/time.hpp"
+#include "logdiver/alps_parser.hpp"
+#include "logdiver/hwerr_parser.hpp"
+#include "logdiver/records.hpp"
+#include "logdiver/torque_parser.hpp"
+
+namespace ld {
+
+class ClaimedTracker {
+ public:
+  explicit ClaimedTracker(int syslog_base_year)
+      : syslog_base_year_(syslog_base_year) {}
+
+  /// Claimed time for `line`, updating the per-source carry.
+  TimePoint Claim(LogSource source, std::string_view line);
+
+  /// Re-seeds one source's carry (service recovery: the snapshot and the
+  /// replayed journal records carry the claims, so the parsers never
+  /// re-run over history).
+  void SetCarry(LogSource source, TimePoint claimed) {
+    carry_[static_cast<std::size_t>(source)] = claimed;
+  }
+
+ private:
+  int syslog_base_year_;
+  TorqueParser torque_;
+  AlpsParser alps_;
+  HwerrParser hwerr_;
+  /// The epoch means "no claim yet".
+  TimePoint carry_[kNumLogSources] = {};
+};
+
+}  // namespace ld

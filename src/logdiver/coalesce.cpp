@@ -60,9 +60,6 @@ std::uint64_t OpenKey(ErrorCategory category, Symbol location) {
          location.id();
 }
 
-/// Window applied to a system incident whose recovery never arrived.
-constexpr std::int64_t kDefaultIncidentSeconds = 1800;
-
 void SortByFirst(std::vector<ErrorTuple>& tuples) {
   std::sort(tuples.begin(), tuples.end(),
             [](const ErrorTuple& a, const ErrorTuple& b) {
@@ -93,17 +90,8 @@ void StreamingCoalescer::Add(const ErrorRecord& record) {
   auto it = open_.find(key);
   if (it != open_.end()) {
     ErrorTuple& tuple = it->second;
-    // An unrecovered system incident is ongoing by definition: error
-    // reports and the eventual recovery line merge into it no matter how
-    // long it lasts.
-    const bool open_incident = tuple.scope == LocScope::kSystem &&
-                               !tuple.recovered.has_value();
-    const bool in_window =
-        (record.time >= tuple.first - config_.tupling_window &&
-         record.time <= tuple.last + config_.tupling_window) ||
-        (open_incident &&
-         record.time >= tuple.first - config_.tupling_window);
-    if (in_window) {
+    if (record.time >= tuple.first - config_.tupling_window &&
+        record.time <= tuple.last + config_.tupling_window) {
       tuple.first = std::min(tuple.first, record.time);
       tuple.last = std::max(tuple.last, record.time);
       tuple.severity = std::max(tuple.severity, record.severity);
@@ -169,13 +157,8 @@ std::vector<ErrorTuple> StreamingCoalescer::Flush(TimePoint watermark) {
   std::vector<ErrorTuple> out = std::move(closed_);
   closed_.clear();
   for (auto it = open_.begin(); it != open_.end();) {
-    ErrorTuple& tuple = it->second;
-    const bool window_closed =
-        tuple.last + config_.tupling_window < watermark;
-    const bool incident_open = tuple.scope == LocScope::kSystem &&
-                               !tuple.recovered.has_value();
-    if (window_closed && !incident_open) {
-      out.push_back(std::move(tuple));
+    if (it->second.last + config_.tupling_window < watermark) {
+      out.push_back(std::move(it->second));
       it = open_.erase(it);
     } else {
       ++it;
@@ -189,29 +172,11 @@ std::vector<ErrorTuple> StreamingCoalescer::Flush(TimePoint watermark) {
 std::vector<ErrorTuple> StreamingCoalescer::FlushAll() {
   std::vector<ErrorTuple> out = std::move(closed_);
   closed_.clear();
-  for (auto& [key, tuple] : open_) {
-    if (tuple.scope == LocScope::kSystem && !tuple.recovered.has_value()) {
-      tuple.recovered = tuple.first + Duration(kDefaultIncidentSeconds);
-    }
-    out.push_back(std::move(tuple));
-  }
+  for (auto& [key, tuple] : open_) out.push_back(std::move(tuple));
   open_.clear();
   stats_.tuples += out.size();
   SortByFirst(out);
   return out;
-}
-
-std::optional<TimePoint> StreamingCoalescer::EarliestOpenIncident() const {
-  std::optional<TimePoint> earliest;
-  for (const auto& [key, tuple] : open_) {
-    if (tuple.scope != LocScope::kSystem || tuple.recovered.has_value()) {
-      continue;
-    }
-    if (!earliest.has_value() || tuple.first < *earliest) {
-      earliest = tuple.first;
-    }
-  }
-  return earliest;
 }
 
 void StreamingCoalescer::MergeFrom(const StreamingCoalescer& other) {

@@ -68,19 +68,14 @@ class StreamingCoalescer {
   /// tuple's span merge even if slightly out of order.
   void Add(const ErrorRecord& record);
 
-  /// Closes and returns tuples that can no longer grow: node-scoped
-  /// tuples with last-event + window < watermark; system incidents
-  /// additionally need their recovery line (or the final FlushAll).
-  /// Output is sorted by first-event time.
+  /// Closes and returns tuples that can no longer grow: those with
+  /// last-event + window < watermark.  System incidents arrive already
+  /// closed (the syslog parser pairs them), so they follow the same
+  /// rule.  Output is sorted by first-event time.
   std::vector<ErrorTuple> Flush(TimePoint watermark);
 
-  /// Closes everything, applying the default window to still-open
-  /// system incidents.
+  /// Closes and returns every tuple, sorted by first-event time.
   std::vector<ErrorTuple> FlushAll();
-
-  /// Start time of the earliest still-open system incident, if any —
-  /// runs dying during it cannot be finalized yet.
-  std::optional<TimePoint> EarliestOpenIncident() const;
 
   std::size_t open_tuples() const { return open_.size(); }
   const CoalesceStats& stats() const { return stats_; }

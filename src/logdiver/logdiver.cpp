@@ -68,27 +68,30 @@ Result<std::vector<std::string>> RotationSegments(const std::string& base) {
   return paths;
 }
 
-Result<std::vector<std::string>> ReadRotatedLines(const std::string& base) {
-  // logrotate convention: base.log is the newest segment, base.log.1 the
-  // one before it, and so on.  Read oldest-first so the stream stays
-  // chronological (the syslog year reconstruction depends on it).
-  LD_ASSIGN_OR_RETURN(const auto segments, RotationSegments(base));
-  std::uintmax_t total_bytes = 0;
-  for (const std::string& path : segments) {
-    std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    if (!ec) total_bytes += size;
+Result<MappedBundle> LoadBundle(const StreamInputs& inputs, ThreadPool* pool) {
+  LD_OBS_SPAN("load_bundle");
+  MappedBundle bundle;
+  const auto load = [&bundle, pool](const std::string& base,
+                                    std::vector<std::string_view>* out)
+      -> Status {
+    LD_ASSIGN_OR_RETURN(const auto segments, RotationSegments(base));
+    for (const std::string& path : segments) {
+      LD_OBS_SPAN_DYN("load/" + path);
+      LD_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
+      const std::vector<std::string_view> lines =
+          SplitLinesParallel(file.data(), pool);
+      out->insert(out->end(), lines.begin(), lines.end());
+      bundle.mappings.push_back(std::move(file));
+    }
+    return Status::Ok();
+  };
+  LD_TRY(load(inputs.torque_path, &bundle.views.torque));
+  LD_TRY(load(inputs.alps_path, &bundle.views.alps));
+  LD_TRY(load(inputs.syslog_path, &bundle.views.syslog));
+  if (std::filesystem::exists(inputs.hwerr_path)) {
+    LD_TRY(load(inputs.hwerr_path, &bundle.views.hwerr));
   }
-  std::vector<std::string> lines;
-  // ~64 bytes/line is conservative for these formats; one reservation
-  // instead of doubling growth across a multi-segment family.
-  lines.reserve(static_cast<std::size_t>(total_bytes / 64) + 1);
-  for (const std::string& path : segments) {
-    LD_ASSIGN_OR_RETURN(auto segment, ReadLines(path));
-    lines.insert(lines.end(), std::make_move_iterator(segment.begin()),
-                 std::make_move_iterator(segment.end()));
-  }
-  return lines;
+  return bundle;
 }
 
 LogSetView::LogSetView(const LogSet& logs)
@@ -331,35 +334,9 @@ Result<AnalysisResult> LogDiver::AnalyzeBundle(const std::string& dir) const {
     pool = &*pool_storage;
   }
 
-  // Map every segment and keep the mappings alive across the analysis:
-  // the line views (and the quarantine/record fields parsers keep as
-  // views nowhere — they copy) alias the mapped bytes.
-  std::vector<MappedFile> mappings;
-  LogSetView views;
-  const auto load = [&mappings, pool](const std::string& base,
-                                      std::vector<std::string_view>* out)
-      -> Status {
-    LD_ASSIGN_OR_RETURN(const auto segments, RotationSegments(base));
-    for (const std::string& path : segments) {
-      LD_OBS_SPAN_DYN("load/" + path);
-      LD_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
-      const std::vector<std::string_view> lines =
-          SplitLinesParallel(file.data(), pool);
-      out->insert(out->end(), lines.begin(), lines.end());
-      mappings.push_back(std::move(file));
-    }
-    return Status::Ok();
-  };
-
-  {
-    LD_OBS_SPAN("load_bundle");
-    LD_TRY(load(dir + "/torque.log", &views.torque));
-    LD_TRY(load(dir + "/alps.log", &views.alps));
-    LD_TRY(load(dir + "/syslog.log", &views.syslog));
-    if (std::filesystem::exists(dir + "/hwerr.log")) {
-      LD_TRY(load(dir + "/hwerr.log", &views.hwerr));
-    }
-  }
+  LD_ASSIGN_OR_RETURN(const MappedBundle bundle,
+                      LoadBundle(StreamInputs::FromBundleDir(dir), pool));
+  const LogSetView& views = bundle.views;
   if (config_.bundle_cache_dir.empty()) return AnalyzeWith(views, pool);
 
   // Parsed-bundle cache (src/logdiver/cache).  A full hit returns the

@@ -24,6 +24,7 @@
 
 #include "common/status.hpp"
 #include "logdiver/alps_parser.hpp"
+#include "logdiver/block_reader.hpp"
 #include "logdiver/coalesce.hpp"
 #include "logdiver/columns.hpp"
 #include "logdiver/correlate.hpp"
@@ -111,7 +112,42 @@ struct LogSetView {
   LogSetView() = default;
   /// Views into an owning LogSet (which must outlive the view).
   explicit LogSetView(const LogSet& logs);
+
+  /// One source's lines, by LogSource index order.
+  const std::vector<std::string_view>& lines(LogSource source) const {
+    const std::vector<std::string_view>* columns[kNumLogSources] = {
+        &torque, &alps, &syslog, &hwerr};
+    return *columns[static_cast<std::size_t>(source)];
+  }
 };
+
+/// The four log files of a bundle (each the newest segment of its
+/// logrotate family).
+struct StreamInputs {
+  std::string torque_path;
+  std::string alps_path;
+  std::string syslog_path;
+  std::string hwerr_path;
+  /// Convenience: the standard bundle layout under `dir`.
+  static StreamInputs FromBundleDir(const std::string& dir) {
+    return {dir + "/torque.log", dir + "/alps.log", dir + "/syslog.log",
+            dir + "/hwerr.log"};
+  }
+};
+
+/// A bundle mapped into memory; the views alias `mappings`.
+struct MappedBundle {
+  std::vector<MappedFile> mappings;
+  LogSetView views;
+};
+
+/// The one bundle loader, behind AnalyzeBundle, the streaming replay,
+/// the fleet workers and BundlePartitionFingerprint: maps every segment
+/// of each source's rotation family (RotationSegments, oldest first) and
+/// splits it into lines (SplitLinesParallel on `pool`, inline when
+/// null).  hwerr is optional: a missing hwerr file loads as an empty
+/// stream; the other three are required.
+Result<MappedBundle> LoadBundle(const StreamInputs& inputs, ThreadPool* pool);
 
 /// Everything the parse phase produces, decoupled from the analysis
 /// tail so the parsed-bundle cache can persist and restore it.  The
@@ -175,10 +211,7 @@ class LogDiver {
   /// alive for the duration of the call.
   Result<AnalysisResult> Analyze(const LogSetView& logs) const;
 
-  /// Reads torque.log / alps.log / syslog.log / hwerr.log from `dir`
-  /// (memory-mapped, rotation families stitched oldest-first) and runs
-  /// the pipeline.  Missing hwerr.log is tolerated (the source is
-  /// optional); the other three are required.
+  /// Loads the bundle in `dir` (LoadBundle) and runs the pipeline.
   Result<AnalysisResult> AnalyzeBundle(const std::string& dir) const;
 
   /// The parse phase alone: chunk-parallel parse + ordered reduction of
@@ -203,13 +236,9 @@ class LogDiver {
   LogDiverConfig config_;
 };
 
-/// Reads a whole text file into lines (shared by the bundle loader and
-/// the examples).
+/// Reads one whole text file into owned lines (the block reader's line
+/// semantics); bundles load through LoadBundle instead.
 Result<std::vector<std::string>> ReadLines(const std::string& path);
-
-/// Reads a logrotate family oldest-first: base.N ... base.2, base.1,
-/// then base itself.  A lone base file (no rotations) reads as-is.
-Result<std::vector<std::string>> ReadRotatedLines(const std::string& base);
 
 /// Resolves a logrotate family to its segment paths, oldest first
 /// (base.N ... base.1, base).  Fails with NotFound when `base` itself is

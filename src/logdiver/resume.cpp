@@ -7,11 +7,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <vector>
 
 #include "common/crashpoint.hpp"
 #include "common/obs/obs.hpp"
 #include "logdiver/cache/bundle_cache.hpp"
+#include "logdiver/claims.hpp"
 #include "logdiver/logdiver.hpp"
 #include "logdiver/snapshot.hpp"
 
@@ -23,149 +25,103 @@ namespace {
 /// files").
 constexpr std::uint32_t kResumeStateVersion = 1;
 
-/// Per-line claimed times of one source, in file order.  Lines that do
-/// not parse carry the last claimed time of their source — a real
-/// shipper cannot drop what it cannot read.  Recomputed from line zero
-/// on every (re)start with throwaway parsers, so the merge order never
-/// depends on restored state.
-std::vector<TimePoint> ClaimedTimes(const std::vector<std::string>& lines,
-                                    LogSource source, int base_year) {
-  std::vector<TimePoint> times;
-  times.reserve(lines.size());
-  TorqueParser torque;
-  AlpsParser alps;
-  HwerrParser hwerr;
-  TimePoint last;
-  for (const std::string& line : lines) {
-    switch (source) {
-      case LogSource::kTorque: {
-        auto rec = torque.ParseLine(line);
-        if (rec.ok() && rec->has_value()) last = (*rec)->time;
-        break;
-      }
-      case LogSource::kAlps: {
-        auto rec = alps.ParseLine(line);
-        if (rec.ok() && rec->has_value()) last = (*rec)->time;
-        break;
-      }
-      case LogSource::kSyslog: {
-        if (line.size() >= 15) {
-          auto t = SyslogParser::ParseSyslogTime(line.substr(0, 15),
-                                                 base_year);
-          if (t.ok()) last = *t;
-        }
-        break;
-      }
-      case LogSource::kHwerr: {
-        auto rec = hwerr.ParseLine(line);
-        if (rec.ok() && rec->has_value()) last = (*rec)->time;
-        break;
-      }
-    }
-    times.push_back(last);
-  }
-  return times;
-}
-
-/// The four sources of a bundle, loaded into memory with their per-line
-/// claimed times — everything the deterministic merge loop needs.
-struct LoadedBundle {
-  std::vector<std::string> lines[kNumLogSources];
-  std::vector<TimePoint> claimed[kNumLogSources];
+/// A bundle loaded for replay: its lines plus each line's claimed time
+/// — everything the deterministic merge loop needs.
+struct ReplayInput {
+  MappedBundle bundle;
+  cache::ClaimedColumns claimed;
+  std::uint64_t fingerprint = 0;  // LinesFingerprint(views, 0)
 };
 
-Result<LoadedBundle> LoadBundle(const StreamInputs& inputs,
-                                const LogDiverConfig& config,
-                                BundleLoadStats* stats = nullptr) {
+/// Claims every line from line zero with a throwaway tracker, so the
+/// merge order never depends on restored state.
+cache::ClaimedColumns ClaimAll(const LogSetView& views, int base_year) {
+  ClaimedTracker tracker(base_year);
+  cache::ClaimedColumns claimed;
+  for (std::size_t s = 0; s < kNumLogSources; ++s) {
+    const auto source = static_cast<LogSource>(s);
+    claimed[s].reserve(views.lines(source).size());
+    for (const std::string_view line : views.lines(source)) {
+      claimed[s].push_back(tracker.Claim(source, line));
+    }
+  }
+  return claimed;
+}
+
+Result<ReplayInput> LoadReplayInput(const StreamInputs& inputs,
+                                    const LogDiverConfig& config,
+                                    BundleLoadStats* stats = nullptr) {
   BundleLoadStats local_stats;
   if (stats == nullptr) stats = &local_stats;
-  LoadedBundle bundle;
-  const std::string* paths[kNumLogSources] = {
-      &inputs.torque_path, &inputs.alps_path, &inputs.syslog_path,
-      &inputs.hwerr_path};
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    LD_ASSIGN_OR_RETURN(bundle.lines[s], ReadLines(*paths[s]));
-  }
+  ReplayInput in;
+  LD_ASSIGN_OR_RETURN(in.bundle, LoadBundle(inputs, nullptr));
+  const LogSetView& views = in.bundle.views;
   const int base_year = config.syslog_base_year;
+  in.fingerprint = cache::LinesFingerprint(views, 0);
   if (config.bundle_cache_dir.empty()) {
-    for (std::size_t s = 0; s < kNumLogSources; ++s) {
-      bundle.claimed[s] = ClaimedTimes(bundle.lines[s],
-                                       static_cast<LogSource>(s), base_year);
-    }
-    return bundle;
+    in.claimed = ClaimAll(views, base_year);
+    return in;
   }
 
-  // Claimed-time cache: the throwaway re-parse above is pure overhead on
-  // a bundle this process family has already seen.  Keyed by the same
+  // Claimed-time cache: the throwaway claim pass is pure overhead on a
+  // bundle this process family has already seen.  Keyed by the same
   // lines fingerprint as the snapshot headers (shard_count 0: claims are
   // partition-independent), so every fleet worker shares one entry.
   const cache::BundleCache bundle_cache(config.bundle_cache_dir,
                                         config.bundle_cache_max_bytes);
-  LogSetView views;
-  std::vector<std::string_view>* view_cols[kNumLogSources] = {
-      &views.torque, &views.alps, &views.syslog, &views.hwerr};
   std::array<std::size_t, kNumLogSources> line_counts{};
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    view_cols[s]->assign(bundle.lines[s].begin(), bundle.lines[s].end());
-    line_counts[s] = bundle.lines[s].size();
+    line_counts[s] = views.lines(static_cast<LogSource>(s)).size();
   }
-  const std::uint64_t fingerprint = cache::LinesFingerprint(views, 0);
-  auto claims = bundle_cache.LoadClaims(fingerprint, base_year, line_counts);
+  auto claims = bundle_cache.LoadClaims(in.fingerprint, base_year, line_counts);
   if (claims.ok()) {
     ++stats->cache_hits;
-    for (std::size_t s = 0; s < kNumLogSources; ++s) {
-      bundle.claimed[s] = std::move((*claims)[s]);
-    }
-    return bundle;
+    in.claimed = std::move(*claims);
+    return in;
   }
   if (claims.status().code() != StatusCode::kNotFound) {
     // Rejected entry (torn/stale/foreign): fall back loudly, never
-    // silently — the reparse below restores correctness either way.
+    // silently — the claim pass below restores correctness either way.
     ++stats->cache_rejected;
     std::fprintf(stderr, "logdiver: %s\n",
                  claims.status().message().c_str());
   } else {
     ++stats->cache_misses;
   }
-  cache::ClaimedColumns fresh;
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    bundle.claimed[s] = ClaimedTimes(bundle.lines[s],
-                                     static_cast<LogSource>(s), base_year);
-    fresh[s] = bundle.claimed[s];
-  }
+  in.claimed = ClaimAll(views, base_year);
   const Status stored =
-      bundle_cache.StoreClaims(fingerprint, base_year, fresh);
+      bundle_cache.StoreClaims(in.fingerprint, base_year, in.claimed);
   if (!stored.ok()) {
     std::fprintf(stderr, "logdiver: %s\n", stored.message().c_str());
   } else {
     ++stats->cache_stores;
   }
-  return bundle;
+  return in;
 }
 
-/// The deterministic merge-replay loop shared by the resumable path and
-/// fleet workers: the head with the earliest claimed time wins (strict
+/// The deterministic merge-replay loop behind every replay entry point:
+/// the head with the earliest claimed time wins (strict
 /// `<` ties toward the lowest source index), watermarks advance on the
 /// total-line schedule.  `heads`/`total` carry restored offsets in and
 /// final positions out; `on_line` (optional) runs after every consumed
 /// line — the resumable path hangs its snapshot schedule there.
-void ReplayLoop(const LoadedBundle& bundle, StreamingAnalyzer& analyzer,
-                const ReplaySchedule& schedule,
+void ReplayLoop(const LogSetView& lines, const cache::ClaimedColumns& claimed,
+                StreamingAnalyzer& analyzer, const ReplaySchedule& schedule,
                 std::uint64_t heads[kNumLogSources], std::uint64_t& total,
                 const std::function<Status(std::uint64_t total)>& on_line,
                 Status& status) {
   for (;;) {
     int pick = -1;
     for (std::size_t s = 0; s < kNumLogSources; ++s) {
-      if (heads[s] >= bundle.lines[s].size()) continue;
-      if (pick < 0 ||
-          bundle.claimed[s][heads[s]] < bundle.claimed[pick][heads[pick]]) {
+      if (heads[s] >= claimed[s].size()) continue;
+      if (pick < 0 || claimed[s][heads[s]] < claimed[pick][heads[pick]]) {
         pick = static_cast<int>(s);
       }
     }
     if (pick < 0) break;
-    const std::string& line = bundle.lines[pick][heads[pick]];
-    const TimePoint time = bundle.claimed[pick][heads[pick]];
+    const std::string_view line =
+        lines.lines(static_cast<LogSource>(pick))[heads[pick]];
+    const TimePoint time = claimed[pick][heads[pick]];
     ++heads[pick];
     ++total;
     switch (static_cast<LogSource>(pick)) {
@@ -189,21 +145,11 @@ void ReplayLoop(const LoadedBundle& bundle, StreamingAnalyzer& analyzer,
 
 Result<std::uint64_t> BundlePartitionFingerprint(const StreamInputs& inputs,
                                                  std::uint32_t shard_count) {
-  // Delegates to the parsed-bundle cache's in-memory fingerprint so the
-  // snapshot headers and the cache entries can never disagree about a
+  // The parsed-bundle cache's fingerprint over the shared loader's lines,
+  // so snapshot headers and cache entries can never disagree about a
   // bundle's identity.
-  const std::string* paths[kNumLogSources] = {
-      &inputs.torque_path, &inputs.alps_path, &inputs.syslog_path,
-      &inputs.hwerr_path};
-  std::vector<std::string> lines[kNumLogSources];
-  LogSetView views;
-  std::vector<std::string_view>* view_cols[kNumLogSources] = {
-      &views.torque, &views.alps, &views.syslog, &views.hwerr};
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    LD_ASSIGN_OR_RETURN(lines[s], ReadLines(*paths[s]));
-    view_cols[s]->assign(lines[s].begin(), lines[s].end());
-  }
-  return cache::LinesFingerprint(views, shard_count);
+  LD_ASSIGN_OR_RETURN(const MappedBundle bundle, LoadBundle(inputs, nullptr));
+  return cache::LinesFingerprint(bundle.views, shard_count);
 }
 
 Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
@@ -211,13 +157,25 @@ Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
                                    const ReplaySchedule& schedule,
                                    StreamingAnalyzer& analyzer,
                                    BundleLoadStats* load_stats) {
-  LD_ASSIGN_OR_RETURN(const LoadedBundle bundle,
-                      LoadBundle(inputs, config, load_stats));
+  LD_ASSIGN_OR_RETURN(const ReplayInput in,
+                      LoadReplayInput(inputs, config, load_stats));
   std::uint64_t heads[kNumLogSources] = {0, 0, 0, 0};
   std::uint64_t total = 0;
   Status status;
-  ReplayLoop(bundle, analyzer, schedule, heads, total, nullptr, status);
+  ReplayLoop(in.bundle.views, in.claimed, analyzer, schedule, heads, total,
+             nullptr, status);
   LD_TRY(status);
+  return total;
+}
+
+std::uint64_t ReplayLines(const LogSetView& lines, const LogDiverConfig& config,
+                          const ReplaySchedule& schedule,
+                          StreamingAnalyzer& analyzer) {
+  std::uint64_t heads[kNumLogSources] = {0, 0, 0, 0};
+  std::uint64_t total = 0;
+  Status status;
+  ReplayLoop(lines, ClaimAll(lines, config.syslog_base_year), analyzer,
+             schedule, heads, total, nullptr, status);
   return total;
 }
 
@@ -225,12 +183,7 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
                                               const LogDiverConfig& config,
                                               const StreamInputs& inputs,
                                               const ResumeOptions& options) {
-  LD_ASSIGN_OR_RETURN(const LoadedBundle bundle,
-                      LoadBundle(inputs, config));
-  const std::vector<std::string>* files[kNumLogSources] = {
-      &bundle.lines[0], &bundle.lines[1], &bundle.lines[2], &bundle.lines[3]};
-  LD_ASSIGN_OR_RETURN(const std::uint64_t fingerprint,
-                      BundlePartitionFingerprint(inputs, 0));
+  LD_ASSIGN_OR_RETURN(const ReplayInput in, LoadReplayInput(inputs, config));
 
   StreamingAnalyzer analyzer(machine, config);
   ResumableSummary out;
@@ -244,7 +197,7 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
   if (!options.snapshot_dir.empty() && options.resume) {
     // Fingerprint-gated: a snapshot of a *different* bundle in this
     // directory is rejected and skipped like a torn one.
-    auto loaded = store.LoadLatest(fingerprint);
+    auto loaded = store.LoadLatest(in.fingerprint);
     if (loaded.ok()) {
       out.snapshots_rejected = loaded->rejected;
       SnapshotReader r(loaded->payload);
@@ -258,7 +211,7 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
       for (std::uint64_t& head : heads) head = r.U64();
       LD_TRY(analyzer.Restore(r));
       for (std::size_t s = 0; s < kNumLogSources; ++s) {
-        if (heads[s] > files[s]->size()) {
+        if (heads[s] > in.claimed[s].size()) {
           return FailedPreconditionError(
               "snapshot records an offset past the end of " +
               std::string(LogSourceName(static_cast<LogSource>(s))) +
@@ -278,10 +231,9 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
   // Both schedules key off the *total* line count, which the restored
   // offsets reproduce exactly — a resumed pass advances and snapshots
   // at the same lines an uninterrupted one would.
-  const ReplaySchedule schedule{options.advance_every, options.reorder_slack};
   Status replay_status;
   ReplayLoop(
-      bundle, analyzer, schedule, heads, total,
+      in.bundle.views, in.claimed, analyzer, options.schedule, heads, total,
       [&](std::uint64_t total_now) -> Status {
         if (!snapshots_enabled || total_now % options.snapshot_interval != 0) {
           return Status::Ok();
@@ -290,7 +242,7 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
         w.U32(kResumeStateVersion);
         for (std::uint64_t head : heads) w.U64(head);
         analyzer.Snapshot(w);
-        LD_TRY(store.Write(w.bytes(), fingerprint));
+        LD_TRY(store.Write(w.bytes(), in.fingerprint));
         ++out.snapshots_written;
         CrashPoint("snapshot");
         return Status::Ok();

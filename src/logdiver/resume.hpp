@@ -3,7 +3,8 @@
 //
 // RunResumableAnalysis streams an on-disk bundle through a
 // StreamingAnalyzer exactly as a live shipper would — four file tails
-// merged by claimed head time — writing a snapshot every N lines.  On
+// (loaded by LoadBundle, rotation families stitched) merged by claimed
+// head time (claims.hpp) — writing a snapshot every N lines.  On
 // startup it loads the newest *valid* snapshot (torn or corrupt files
 // are rejected by CRC and the loader falls back a generation), restores
 // the analyzer, and resumes reading each file at the recorded offset,
@@ -30,25 +31,12 @@
 
 namespace ld {
 
-/// The four log files of a bundle, each consumed strictly in order.
-struct StreamInputs {
-  std::string torque_path;
-  std::string alps_path;
-  std::string syslog_path;
-  std::string hwerr_path;
-  /// Convenience: the standard bundle layout under `dir`.
-  static StreamInputs FromBundleDir(const std::string& dir) {
-    return {dir + "/torque.log", dir + "/alps.log", dir + "/syslog.log",
-            dir + "/hwerr.log"};
-  }
-};
-
 /// The deterministic advance schedule shared by every replay path
 /// (single-process resume and fleet workers).  Watermark advances key
 /// off the total merged line count, so two replays of the same bundle
-/// with the same schedule make identical Advance() calls — the defaults
-/// must stay in lockstep with ResumeOptions for a fleet worker's
-/// classification context to be bit-identical to the serial analyzer's.
+/// with the same schedule make identical Advance() calls — a fleet
+/// worker's classification context is bit-identical to the serial
+/// analyzer's only when both use the same schedule.
 struct ReplaySchedule {
   /// Lines between watermark advances.
   std::uint64_t advance_every = 500;
@@ -62,19 +50,16 @@ struct ResumeOptions {
   std::string snapshot_dir;
   /// Lines between snapshots; 0 disables snapshotting.
   std::uint64_t snapshot_interval = 20000;
-  /// Lines between watermark advances.  Part of the deterministic
-  /// schedule: derived from the *total* line count, so a resumed pass
-  /// advances at exactly the same points as an uninterrupted one.
-  std::uint64_t advance_every = 500;
-  /// Reorder slack subtracted from the claimed head time at each
-  /// advance.
-  Duration reorder_slack = Duration::Minutes(5);
   /// Load the newest valid snapshot on startup; false starts fresh
   /// (existing snapshots are left alone — Clear() is the caller's call).
   bool resume = true;
   /// Snapshot generations retained (min 2: the newest always has a
   /// fallback in case it is torn by the next crash).
   std::size_t keep_generations = 2;
+  /// The watermark schedule.  Derived from the *total* line count, so a
+  /// resumed pass advances at exactly the same points as an
+  /// uninterrupted one.
+  ReplaySchedule schedule;
 };
 
 struct ResumableSummary {
@@ -119,18 +104,24 @@ struct BundleLoadStats {
 /// snapshotting or resume — the replay core a fleet worker runs.  The
 /// caller owns the analyzer (and calls Finalize()); `config` must be
 /// the one the analyzer was built with (it supplies the syslog base
-/// year for claimed-time recomputation).  Returns total merged lines;
-/// fills `load_stats` (optional) with the claims-cache activity of the
-/// bundle load.
+/// year of the claimed times).  Returns total merged lines; fills
+/// `load_stats` (optional) with the claims-cache activity of the bundle
+/// load.
 Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
                                    const StreamInputs& inputs,
                                    const ReplaySchedule& schedule,
                                    StreamingAnalyzer& analyzer,
                                    BundleLoadStats* load_stats = nullptr);
 
+/// ReplayBundle's merge order and schedule over lines already in memory
+/// (no claims cache).  Returns total merged lines.
+std::uint64_t ReplayLines(const LogSetView& lines, const LogDiverConfig& config,
+                          const ReplaySchedule& schedule,
+                          StreamingAnalyzer& analyzer);
+
 /// Deterministic fingerprint of (bundle bytes, shard partition):
-/// delegates to bundle_cache's LinesFingerprint (word-folded FNV-1a-64)
-/// over every source's raw lines, mixed with `shard_count`.  This is
+/// bundle_cache's LinesFingerprint (word-folded FNV-1a-64) over every
+/// line LoadBundle yields, mixed with `shard_count`.  This is
 /// the id stamped into snapshot/partial headers so a loader can tell
 /// "same bundle, same partition" from "stale directory or foreign
 /// partial" without parsing a payload.  `shard_count` 0 is the

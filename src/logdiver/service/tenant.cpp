@@ -40,40 +40,6 @@ const char* TenantStateName(TenantState s) {
   return "invalid";
 }
 
-TimePoint ClaimedTracker::Claim(LogSource source, std::string_view line) {
-  TimePoint& carry = carry_[static_cast<std::size_t>(source)];
-  switch (source) {
-    case LogSource::kTorque: {
-      auto rec = torque_.ParseLine(line);
-      if (rec.ok() && rec->has_value()) carry = (*rec)->time;
-      break;
-    }
-    case LogSource::kAlps: {
-      auto rec = alps_.ParseLine(line);
-      if (rec.ok() && rec->has_value()) carry = (*rec)->time;
-      break;
-    }
-    case LogSource::kSyslog: {
-      if (line.size() >= 15) {
-        auto t = SyslogParser::ParseSyslogTime(line.substr(0, 15),
-                                               syslog_base_year_);
-        if (t.ok()) carry = *t;
-      }
-      break;
-    }
-    case LogSource::kHwerr: {
-      auto rec = hwerr_.ParseLine(line);
-      if (rec.ok() && rec->has_value()) carry = (*rec)->time;
-      break;
-    }
-  }
-  return carry;
-}
-
-void ClaimedTracker::SetCarry(LogSource source, TimePoint claimed) {
-  carry_[static_cast<std::size_t>(source)] = claimed;
-}
-
 std::uint64_t TenantShard::TenantFingerprint(std::string_view tenant_id) {
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::string_view text) {

@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "logdiver/claims.hpp"
 #include "logdiver/quarantine.hpp"
 #include "logdiver/service/journal.hpp"
 #include "logdiver/snapshot.hpp"
@@ -42,33 +43,6 @@
 #include "topology/machine.hpp"
 
 namespace ld::service {
-
-/// Per-line claimed times, mirroring the resume path's rule: a line's
-/// claimed time is the last parseable timestamp of its source (carried
-/// over unparseable lines), syslog via the year-anchored static parse.
-/// The claim is computed once on the accept path and journaled with
-/// the line, so recovery replays the same watermark schedule without
-/// re-running the parsers.
-class ClaimedTracker {
- public:
-  explicit ClaimedTracker(int syslog_base_year)
-      : syslog_base_year_(syslog_base_year) {}
-
-  /// Claimed time for `line`, updating the per-source carry.
-  TimePoint Claim(LogSource source, std::string_view line);
-
-  /// Re-seeds one source's carry (recovery: the snapshot and the
-  /// replayed journal records carry the claims, so the parsers never
-  /// re-run over history).
-  void SetCarry(LogSource source, TimePoint claimed);
-
- private:
-  int syslog_base_year_;
-  TorqueParser torque_;
-  AlpsParser alps_;
-  HwerrParser hwerr_;
-  TimePoint carry_[kNumLogSources] = {};
-};
 
 /// Per-tenant admission policy: the PR 1 error budget, evaluated over
 /// rolling windows of accepted lines so a tenant that was dirty an

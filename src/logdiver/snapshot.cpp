@@ -388,6 +388,28 @@ void LoadAppRun(SnapshotReader& r, AppRun& run) {
   run.job_exit_status = r.I32();
 }
 
+void SaveErrorRecord(SnapshotWriter& w, const ErrorRecord& rec) {
+  w.Time(rec.time);
+  w.U8(static_cast<std::uint8_t>(rec.category));
+  w.U8(static_cast<std::uint8_t>(rec.severity));
+  w.U8(static_cast<std::uint8_t>(rec.scope));
+  w.Str(rec.location.view());
+  w.U8(static_cast<std::uint8_t>(rec.source));
+  w.Bool(rec.recovered.has_value());
+  if (rec.recovered.has_value()) w.Time(*rec.recovered);
+}
+
+void LoadErrorRecord(SnapshotReader& r, ErrorRecord& rec) {
+  rec.time = r.Time();
+  rec.category = static_cast<ErrorCategory>(r.U8());
+  rec.severity = static_cast<Severity>(r.U8());
+  rec.scope = static_cast<LocScope>(r.U8());
+  rec.location = Intern(r.Str());
+  rec.source = static_cast<LogSource>(r.U8());
+  rec.recovered.reset();
+  if (r.Bool()) rec.recovered = r.Time();
+}
+
 void SaveErrorTuple(SnapshotWriter& w, const ErrorTuple& tuple) {
   w.U64(tuple.id);
   w.U8(static_cast<std::uint8_t>(tuple.category));

@@ -30,6 +30,7 @@
 namespace ld {
 
 struct AppRun;
+struct ErrorRecord;
 struct ErrorTuple;
 struct TorqueRecord;
 struct ParseStats;
@@ -135,6 +136,8 @@ void SaveTorqueRecord(SnapshotWriter& w, const TorqueRecord& rec);
 void LoadTorqueRecord(SnapshotReader& r, TorqueRecord& rec);
 void SaveAppRun(SnapshotWriter& w, const AppRun& run);
 void LoadAppRun(SnapshotReader& r, AppRun& run);
+void SaveErrorRecord(SnapshotWriter& w, const ErrorRecord& rec);
+void LoadErrorRecord(SnapshotReader& r, ErrorRecord& rec);
 void SaveErrorTuple(SnapshotWriter& w, const ErrorTuple& tuple);
 void LoadErrorTuple(SnapshotReader& r, ErrorTuple& tuple);
 void SaveQuarantineEntry(SnapshotWriter& w, const QuarantineEntry& e);

@@ -12,9 +12,10 @@ namespace {
 /// encoding change (docs/FORMATS.md documents the current layout).
 // Version 2: MetricsAccumulator state moved to integer node-second
 // tallies and per-job queue-wait winners (the mergeable-aggregate
-// refactor); version-1 snapshots are rejected and analysis restarts
-// from the raw logs.
-constexpr std::uint32_t kStreamStateVersion = 2;
+// refactor).  Version 3: the syslog parser's held incident follows its
+// year-rollover state.  Older snapshots are rejected and analysis
+// restarts from the raw logs.
+constexpr std::uint32_t kStreamStateVersion = 3;
 
 }  // namespace
 
@@ -183,11 +184,8 @@ void StreamingAnalyzer::AddSyslogLine(std::string_view line) {
     CheckBudget(LogSource::kSyslog, syslog_parser_.stats());
     return;
   }
-  if (!rec->has_value()) return;
-  // Recovery lines (corrected severity, `recovered` set) merge into the
-  // open incident inside the coalescer; a stray recovery with no open
-  // incident becomes a harmless corrected-severity tuple.
-  coalescer_.Add(**rec);
+  // A system incident arrives once, closed, when its recovery line does.
+  if (rec->has_value()) coalescer_.Add(**rec);
 }
 
 void StreamingAnalyzer::AddHwerrLine(std::string_view line) {
@@ -313,7 +311,7 @@ std::size_t StreamingAnalyzer::Advance(TimePoint watermark) {
 
   // 2. Finalize pending runs whose guard has passed and that no open
   //    incident could still explain.
-  const auto open_incident = coalescer_.EarliestOpenIncident();
+  const auto open_incident = syslog_parser_.held_incident_start();
   std::vector<AppRun> batch;
   while (!pending_.empty()) {
     const AppRun& run = pending_.front();
@@ -335,7 +333,11 @@ StreamingAnalyzer::Summary StreamingAnalyzer::Finalize() {
   LD_CHECK(!finalized_, "Finalize called twice — the analyzer is spent");
   finalized_ = true;
   Summary summary;
-  // Flush every tuple, then classify every remaining terminated run.
+  // Close a still-held incident, flush every tuple, then classify every
+  // remaining terminated run.
+  if (auto incident = syslog_parser_.FinishOpenIncident()) {
+    coalescer_.Add(*incident);
+  }
   for (ErrorTuple& tuple : coalescer_.FlushAll()) {
     if (config_.shard.OwnsTuple(tuple.id)) metrics_.AddTuple(tuple);
     tuple_buffer_.push_back(std::move(tuple));
@@ -380,6 +382,10 @@ void StreamingAnalyzer::Snapshot(SnapshotWriter& w) const {
   SaveParseStats(w, syslog.stats);
   w.I32(syslog.current_year);
   w.I32(syslog.last_month);
+  w.Bool(syslog.held_incident.has_value());
+  if (syslog.held_incident.has_value()) {
+    SaveErrorRecord(w, *syslog.held_incident);
+  }
   SaveParseStats(w, hwerr_parser_.stats());
 
   coalescer_.SaveState(w);
@@ -442,6 +448,7 @@ Status StreamingAnalyzer::Restore(SnapshotReader& r) {
   LoadParseStats(r, syslog.stats);
   syslog.current_year = r.I32();
   syslog.last_month = r.I32();
+  if (r.Bool()) LoadErrorRecord(r, syslog.held_incident.emplace());
   syslog_parser_.RestoreStreamState(syslog);
   ParseStats hwerr_stats;
   LoadParseStats(r, hwerr_stats);

@@ -13,11 +13,15 @@
 // carries an earlier timestamp (minus a reorder slack the caller
 // chooses).  A terminated run is classified once the watermark passes
 // its death time plus the attribution + coalescing guard, and once no
-// still-open system incident could cover it; finalized runs fold into
-// the metric accumulators and are dropped.
+// system incident the syslog parser still holds open could cover it;
+// finalized runs fold into the metric accumulators and are dropped.
 //
-// Classification results are exactly those of the batch pipeline for
-// well-ordered streams (the integration test asserts this).
+// The parsers are the batch parsers (syslog incident pairing included),
+// and the coalescer is the one CoalesceEvents drives, so a bundle
+// replayed in claimed-time order (resume.hpp) exports the same CSV bytes
+// as AnalyzeBundle: tests/logdiver/driver_parity_test.cpp asserts it for
+// batch, snapshotted streaming and the fleet on the clean bundle and
+// every catalog scenario.
 #pragma once
 
 #include <array>

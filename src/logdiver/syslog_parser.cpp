@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cctype>
+#include <utility>
 
 #include "common/strings.hpp"
 #include "logdiver/quarantine.hpp"
@@ -86,7 +87,21 @@ std::string StripLaneSuffix(std::string cname) {
 /// (stream truncated); matches the study's conservative handling.
 constexpr std::int64_t kDefaultOpenIncidentSeconds = 1800;
 
-constexpr std::size_t kNoOpenIncident = static_cast<std::size_t>(-1);
+/// The December-rollover test shared by the sequential path, the chunk
+/// worker, the chunk-boundary stitch and ParseSyslogTime.
+bool RolloverBetween(int last_month, int month) {
+  return last_month != 0 && month < last_month && last_month - month > 6;
+}
+
+/// A backward month jump (Jan -> Dec) right after a rollover is a node
+/// with a lagging clock still stamping the old year, not time travel:
+/// render the line one year back and do NOT advance the carried month,
+/// otherwise the next in-year line would re-trigger RolloverBetween and
+/// double-advance the year.  Mutually exclusive with RolloverBetween
+/// (one needs month < last, the other month > last).
+bool BackwardJump(int last_month, int month) {
+  return last_month != 0 && month > last_month && month - last_month > 6;
+}
 
 /// The year-independent part of the per-line parse: everything except
 /// resolving the absolute year.  Pure — safe on any thread.
@@ -225,28 +240,12 @@ Result<std::optional<SyslogParser::PreRecord>> ParsePreImpl(
   return std::optional<SyslogParser::PreRecord>{std::move(pre)};
 }
 
-/// The December-rollover test shared by the sequential path, the chunk
-/// worker, and the chunk-boundary stitch.
-bool RolloverBetween(int last_month, int month) {
-  return last_month != 0 && month < last_month && last_month - month > 6;
-}
-
-/// A backward month jump (Jan -> Dec) right after a rollover is a node
-/// with a lagging clock still stamping the old year, not time travel:
-/// render the line one year back and do NOT advance the carried month,
-/// otherwise the next in-year line would re-trigger RolloverBetween and
-/// double-advance the year.  Mutually exclusive with RolloverBetween
-/// (one needs month < last, the other month > last).
-bool BackwardJump(int last_month, int month) {
-  return last_month != 0 && month > last_month && month - last_month > 6;
-}
-
 }  // namespace
 
 SyslogParser::SyslogParser(int base_year) : current_year_(base_year) {}
 
 Result<TimePoint> SyslogParser::ParseSyslogTime(std::string_view text,
-                                                int year) {
+                                                int year, TimePoint previous) {
   // "Apr  1 02:10:02" (day may be space-padded).
   const auto fields = SplitWhitespace(text);
   if (fields.size() < 3) return ParseError("syslog: bad timestamp");
@@ -260,25 +259,21 @@ Result<TimePoint> SyslogParser::ParseSyslogTime(std::string_view text,
   if (!ParseClock(fields[2], h, m, s)) {
     return ParseError("syslog: bad clock field");
   }
+  if (previous != TimePoint()) {
+    // The previous time carries its own year, so a stale-clock line
+    // resolved a year back needs no extra state: the next in-year line
+    // rolls forward from it again.
+    const CalendarTime prev = ToCalendar(previous);
+    year = prev.year;
+    if (RolloverBetween(prev.month, month)) ++year;
+    if (BackwardJump(prev.month, month)) --year;
+  }
   return TimePoint::FromCalendar(year, month, static_cast<int>(*day), h, m, s);
 }
 
 Result<std::optional<ErrorRecord>> SyslogParser::ParseLine(
     std::string_view line) {
   ++stats_.lines;
-  auto rec = ParseLineImpl(line);
-  if (!rec.ok()) {
-    ++stats_.malformed;
-  } else if (rec->has_value()) {
-    ++stats_.records;
-  } else {
-    ++stats_.skipped;
-  }
-  return rec;
-}
-
-Result<std::optional<ErrorRecord>> SyslogParser::ParseLineImpl(
-    std::string_view line) {
   int month_seen = 0;
   auto pre = ParsePreImpl(line, &month_seen);
   // Year-rollover reconstruction advances on every line whose month
@@ -293,14 +288,40 @@ Result<std::optional<ErrorRecord>> SyslogParser::ParseLineImpl(
       last_month_ = month_seen;
     }
   }
-  if (!pre.ok()) return pre.status();
-  if (!pre->has_value()) return std::optional<ErrorRecord>{};
-  PreRecord& item = **pre;
+  if (!pre.ok()) {
+    ++stats_.malformed;
+    return pre.status();
+  }
+  if (!pre->has_value()) {
+    ++stats_.skipped;
+    return std::optional<ErrorRecord>{};
+  }
+  ++stats_.records;
+  return Step(std::move(**pre), render_year);
+}
+
+std::optional<ErrorRecord> SyslogParser::Step(PreRecord&& item, int year) {
   ErrorRecord rec = std::move(item.rec);
-  rec.time = TimePoint::FromCalendar(render_year, item.month, item.day,
-                                     item.hour, item.minute, item.second);
-  if (item.is_recovery) rec.recovered = rec.time;
-  return std::optional<ErrorRecord>{std::move(rec)};
+  rec.time = TimePoint::FromCalendar(year, item.month, item.day, item.hour,
+                                     item.minute, item.second);
+  if (rec.scope != LocScope::kSystem) return rec;
+  if (item.is_recovery) {
+    // Recovery lines never become records themselves: they close the
+    // held incident (a stray one closes nothing).
+    if (!held_incident_.has_value()) return std::nullopt;
+    held_incident_->recovered = rec.time;
+    return std::exchange(held_incident_, std::nullopt);
+  }
+  // The first report opens the incident; overlapping ones fold into it.
+  if (!held_incident_.has_value()) held_incident_ = std::move(rec);
+  return std::nullopt;
+}
+
+std::optional<ErrorRecord> SyslogParser::FinishOpenIncident() {
+  if (!held_incident_.has_value()) return std::nullopt;
+  held_incident_->recovered =
+      held_incident_->time + Duration(kDefaultOpenIncidentSeconds);
+  return std::exchange(held_incident_, std::nullopt);
 }
 
 SyslogParser::Chunk SyslogParser::ParseChunk(
@@ -358,8 +379,6 @@ std::vector<ErrorRecord> SyslogParser::ReduceChunks(std::vector<Chunk>&& chunks,
   for (const Chunk& chunk : chunks) total += chunk.items.size();
   std::vector<ErrorRecord> out;
   out.reserve(total);
-  // Index of the currently open system incident in `out`, or none.
-  std::size_t open_incident = kNoOpenIncident;
   for (Chunk& chunk : chunks) {
     // Chunk-boundary stitch: a rollover between the carried last month
     // and this chunk's first valid month shifts the whole chunk's base
@@ -372,39 +391,17 @@ std::vector<ErrorRecord> SyslogParser::ReduceChunks(std::vector<Chunk>&& chunks,
       if (BackwardJump(last_month_, chunk.first_month)) --entry_year;
     }
     for (PreRecord& item : chunk.items) {
-      ErrorRecord rec = std::move(item.rec);
-      rec.time = TimePoint::FromCalendar(entry_year + item.year_delta,
-                                         item.month, item.day, item.hour,
-                                         item.minute, item.second);
-      if (item.is_recovery) rec.recovered = rec.time;
-      if (rec.scope == LocScope::kSystem) {
-        if (item.is_recovery) {
-          // Recovery: close the open incident.
-          if (open_incident != kNoOpenIncident) {
-            out[open_incident].recovered = rec.recovered;
-            open_incident = kNoOpenIncident;
-          }
-          continue;  // recovery lines do not become records themselves
-        }
-        if (open_incident != kNoOpenIncident) {
-          // Overlapping incident reports merge into the open one.
-          continue;
-        }
-        open_incident = out.size();
-        out.push_back(std::move(rec));
-        continue;
+      const int year = entry_year + item.year_delta;
+      if (auto rec = Step(std::move(item), year)) {
+        out.push_back(std::move(*rec));
       }
-      out.push_back(std::move(rec));
     }
     current_year_ = entry_year + chunk.year_delta_total;
     if (chunk.last_month != 0) last_month_ = chunk.last_month;
     stats_.MergeFrom(chunk.stats);
     if (sink != nullptr) sink->MergeFrom(std::move(chunk.sink));
   }
-  if (open_incident != kNoOpenIncident) {
-    out[open_incident].recovered =
-        out[open_incident].time + Duration(kDefaultOpenIncidentSeconds);
-  }
+  if (auto rec = FinishOpenIncident()) out.push_back(std::move(*rec));
   return out;
 }
 

@@ -7,17 +7,20 @@
 //     when the month moves backwards across a December/January boundary
 //     the year is advanced).
 //  2. Lustre incidents are reported as an error line when the service
-//     degrades and a recovery line when it returns.  The parser pairs
-//     them into a single system-scope record carrying the outage window;
-//     overlapping incident windows are merged into the open incident.
+//     degrades and a recovery line when it returns.  The parser holds
+//     the incident open until its recovery line arrives and then emits
+//     one system-scope record carrying the outage window; overlapping
+//     reports fold into the held incident.
 //
 // Both are cross-line state, so the chunk-parallel path is split in two:
 // ParseChunk (any thread) emits *year-relative* pre-records — calendar
 // fields plus the rollover count within the chunk — and ReduceChunks
 // (owning thread, chunks in order) resolves absolute years across chunk
-// boundaries and runs the incident-pairing state machine serially.  The
-// result is bit-identical to the line-at-a-time path at any thread count
-// or chunk size (see DESIGN.md "Parallel ingestion").
+// boundaries.  ReduceChunks and the line-at-a-time ParseLine then feed
+// every pre-record through the same step (date it, pair incidents), so
+// ParseLine line by line plus FinishOpenIncident() emits exactly the
+// records ParseLines does, at any thread count or chunk size (see
+// DESIGN.md "Parallel ingestion").
 #pragma once
 
 #include <cstdint>
@@ -36,9 +39,23 @@ class SyslogParser {
   /// `base_year` is the calendar year of the first line in the stream.
   explicit SyslogParser(int base_year);
 
-  /// Parses one line.  Recovery lines return nullopt (they close the
-  /// pending incident, visible via `Finish()` / mutated prior records).
+  /// Parses one line.  A Lustre error line opens a held incident and
+  /// returns nullopt, as do further reports of the same outage (they fold
+  /// into it); the recovery line returns the held incident with
+  /// `recovered` set.  Every other record returns at once.
   Result<std::optional<ErrorRecord>> ParseLine(std::string_view line);
+
+  /// End of stream: closes a still-held incident with the default window
+  /// (its recovery line never arrived) and returns it; nullopt when no
+  /// incident is held.
+  std::optional<ErrorRecord> FinishOpenIncident();
+
+  /// Start of the held incident, if any: runs that die during it cannot
+  /// be classified before it closes.
+  std::optional<TimePoint> held_incident_start() const {
+    if (!held_incident_.has_value()) return std::nullopt;
+    return held_incident_->time;
+  }
 
   /// One record parsed inside a chunk, before the absolute year is
   /// known: `year_delta` counts December rollovers observed within the
@@ -71,7 +88,7 @@ class SyslogParser {
   /// Folds chunks — in order — through the year-reconstruction and
   /// incident-pairing state machines, updating this parser's stream
   /// state, stats, and `sink`.  Any incident still open at end-of-input
-  /// is closed with the default window.
+  /// is closed with the default window (FinishOpenIncident).
   std::vector<ErrorRecord> ReduceChunks(std::vector<Chunk>&& chunks,
                                         QuarantineSink* sink = nullptr);
 
@@ -91,31 +108,44 @@ class SyslogParser {
 
   /// Checkpoint-restore hooks: beyond the counters, the parser carries
   /// the year-rollover reconstruction state (current year + last month
-  /// seen), which must survive a restore or timestamps after a December
-  /// boundary would land in the wrong year.
+  /// seen) and the held incident, which must survive a restore or
+  /// timestamps after a December boundary would land in the wrong year
+  /// and an outage spanning the cut would lose its start.
   struct StreamState {
     ParseStats stats;
     int current_year = 0;
     int last_month = 0;
+    std::optional<ErrorRecord> held_incident;
   };
   StreamState stream_state() const {
-    return {stats_, current_year_, last_month_};
+    return {stats_, current_year_, last_month_, held_incident_};
   }
   void RestoreStreamState(const StreamState& state) {
     stats_ = state.stats;
     current_year_ = state.current_year;
     last_month_ = state.last_month;
+    held_incident_ = state.held_incident;
   }
 
-  /// Parses "Apr  1 02:10:02" within the given year.
-  static Result<TimePoint> ParseSyslogTime(std::string_view text, int year);
+  /// Parses "Apr  1 02:10:02" within `year` — or, given `previous`, the
+  /// stream's last resolved time, in the year the stream has reached: the
+  /// month step from `previous` advances or steps back a year by the
+  /// parser's own rollover rule.  Dates a line without running the parser
+  /// (ClaimedTracker).
+  static Result<TimePoint> ParseSyslogTime(std::string_view text, int year,
+                                           TimePoint previous = TimePoint());
 
  private:
-  Result<std::optional<ErrorRecord>> ParseLineImpl(std::string_view line);
+  /// The one per-pre-record step of ParseLine and ReduceChunks: dates
+  /// `item` in `year` and runs incident pairing.  Returns the record the
+  /// stream emits now, if any.
+  std::optional<ErrorRecord> Step(PreRecord&& item, int year);
 
   ParseStats stats_;
   int current_year_;
   int last_month_ = 0;
+  /// The open system incident, awaiting its recovery line.
+  std::optional<ErrorRecord> held_incident_;
 };
 
 }  // namespace ld

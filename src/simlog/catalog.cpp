@@ -7,10 +7,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <utility>
 
 #include "common/obs/names.hpp"
 #include "common/obs/obs.hpp"
+#include "logdiver/export.hpp"
+#include "logdiver/fleet/supervisor.hpp"
 #include "logdiver/logdiver.hpp"
+#include "logdiver/resume.hpp"
 #include "workload/appmix.hpp"
 
 namespace ld {
@@ -436,6 +441,63 @@ const ScenarioSpec* FindScenario(std::string_view name) {
   return nullptr;
 }
 
+Result<std::vector<std::string>> DriverParityViolations(
+    const Machine& machine, const std::string& bundle_dir,
+    const std::string& work_dir, int threads) {
+  namespace fs = std::filesystem;
+  fs::remove_all(work_dir);
+  LogDiverConfig config;
+  config.threads = threads;
+  const StreamInputs inputs = StreamInputs::FromBundleDir(bundle_dir);
+  std::vector<std::pair<std::string, MetricsReport>> reports;
+
+  LD_ASSIGN_OR_RETURN(AnalysisResult batch,
+                      LogDiver(machine, config).AnalyzeBundle(bundle_dir));
+  reports.emplace_back("batch", std::move(batch.metrics));
+
+  ResumeOptions resume;
+  resume.snapshot_dir = work_dir + "/snapshots";
+  resume.snapshot_interval = 997;  // many snapshots on a small bundle
+  for (const bool resumed : {false, true}) {
+    resume.resume = resumed;
+    LD_ASSIGN_OR_RETURN(ResumableSummary stream,
+                        RunResumableAnalysis(machine, config, inputs, resume));
+    reports.emplace_back(resumed ? "resumed stream" : "stream",
+                         std::move(stream.summary.metrics));
+  }
+
+  for (const std::uint32_t shards : {1u, 4u}) {
+    fleet::FleetOptions options;
+    options.shard_count = shards;
+    options.partial_dir = work_dir + "/partials-" + std::to_string(shards);
+    LD_ASSIGN_OR_RETURN(fleet::FleetSummary fleet,
+                        fleet::ShardSupervisor(machine, config)
+                            .Run(inputs, options));
+    reports.emplace_back("fleet x" + std::to_string(shards),
+                         std::move(fleet.report));
+  }
+
+  // Export every report and compare each file to batch's bytes.
+  const auto read = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  std::vector<std::string> violations;
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const std::string dir = work_dir + "/csv-" + std::to_string(i);
+    LD_TRY(ExportMetricsCsv(reports[i].second, dir).status());
+    for (const auto& entry : fs::directory_iterator(work_dir + "/csv-0")) {
+      const std::string name = entry.path().filename().string();
+      if (read(entry.path()) != read(dir + "/" + name)) {
+        violations.push_back(reports[i].first + " " + name +
+                             " differs from batch");
+      }
+    }
+  }
+  fs::remove_all(work_dir);
+  return violations;
+}
+
 Result<LogBundle> WriteScenarioBundle(const Machine& machine,
                                       const ScenarioConfig& config,
                                       const ScenarioSpec& spec,
@@ -562,16 +624,17 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
     }
   }
 
+  std::string work = options.work_dir;
+  if (work.empty()) {
+    work = (std::filesystem::temp_directory_path() /
+            ("ld_scenario_" + std::string(spec.name) + "_" +
+             std::to_string(options.seed)))
+               .string();
+  }
+
   // Rotation scenarios: the rotated, skewed bundle must analyze exactly
   // like the same skewed stream as one whole file.
   if (spec.rotate_days > 0 || spec.midnight_skew_seconds > 0) {
-    std::string work = options.work_dir;
-    if (work.empty()) {
-      work = (std::filesystem::temp_directory_path() /
-              ("ld_scenario_" + std::string(spec.name) + "_" +
-               std::to_string(options.seed)))
-                 .string();
-    }
     const std::string whole_dir = work + "/whole";
     const std::string rotated_dir = work + "/rotated";
     std::filesystem::remove_all(whole_dir);
@@ -610,10 +673,25 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
     // year-reconstruction fix has to survive.
     out.score = ScoreClassification(whole->runs, whole->classified,
                                     campaign->injection.truth);
-    std::filesystem::remove_all(work);
   }
 
   out.violations = spec.validate(out);
+
+  // Every driver must export the cell's bundle byte for byte as batch.
+  const std::string bundle_dir = work + "/bundle";
+  std::filesystem::remove_all(bundle_dir);
+  if (Status s = WriteTransformedBundle(*campaign, config, spec.rotate_days,
+                                        spec.midnight_skew_seconds,
+                                        bundle_dir);
+      !s.ok()) {
+    return s;
+  }
+  LD_ASSIGN_OR_RETURN(const std::vector<std::string> parity,
+                      DriverParityViolations(machine, bundle_dir,
+                                             work + "/parity",
+                                             options.threads));
+  out.violations.insert(out.violations.end(), parity.begin(), parity.end());
+  std::filesystem::remove_all(work);
 
   LD_OBS_COUNTER_ADD(obs::names::kScenarioRunsTotal, 1);
   LD_OBS_COUNTER_ADD(obs::names::kScenarioAppsTotal, out.apps);

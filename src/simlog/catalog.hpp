@@ -9,8 +9,10 @@
 // analyze — and measures the analyzer's *attribution bias* against the
 // injector's ground-truth ledger; every spec carries a validate hook
 // whose expectations are asserted by bench/scenario_campaign.cpp (ctest
-// label `scenario`).  docs/SCENARIOS.md is the human-facing page per
-// entry; the two are kept in lockstep by the campaign's manifest.
+// label `scenario`).  Every cell also writes its bundle and checks that
+// all analysis drivers export the same CSV bytes (DriverParityViolations).
+// docs/SCENARIOS.md is the human-facing page per entry; the two are kept
+// in lockstep by the campaign's manifest.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +64,8 @@ struct ScenarioOutcome {
   /// identically to the same stream as one whole file.
   bool rotated_matches_whole = true;
 
-  /// Violated expectations (empty = the cell validates).
+  /// Violated expectations, driver-parity mismatches included (empty =
+  /// the cell validates).
   std::vector<std::string> violations;
 
   const CauseBias* BiasFor(ErrorCategory cause) const;
@@ -94,7 +97,7 @@ struct ScenarioRunOptions {
   /// LogDiver thread count (0 = auto); the outcome is bit-identical at
   /// any value — the determinism tests pin that.
   int threads = 0;
-  /// Scratch directory for scenarios that write bundles; empty = a
+  /// Scratch directory for the bundles a cell writes; empty = a
   /// name-and-seed-keyed directory under the system temp dir.
   std::string work_dir;
   /// Multiplies SmallScenario's target_app_runs (campaign size knob).
@@ -105,6 +108,16 @@ struct ScenarioRunOptions {
 /// truth.  Deterministic in (spec, seed, app_scale).
 Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
                                     const ScenarioRunOptions& options);
+
+/// Analyzes the bundle in `bundle_dir` with every driver — batch
+/// AnalyzeBundle, RunResumableAnalysis snapshotting as it goes (then
+/// once more resuming from its newest snapshot), and the fleet at 1 and
+/// 4 shards — and returns one violation per exported CSV file that
+/// differs from batch's (empty = every driver agrees byte for byte).
+/// `work_dir` holds the exports, snapshots and partials and is removed.
+Result<std::vector<std::string>> DriverParityViolations(
+    const Machine& machine, const std::string& bundle_dir,
+    const std::string& work_dir, int threads = 0);
 
 /// Writes the scenario's bundle with its rotation/skew transforms
 /// applied (for `logdiver_cli generate --scenario <name>` and tests).

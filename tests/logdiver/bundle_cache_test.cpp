@@ -462,6 +462,50 @@ TEST(BundleCache, V1EntryIsRejectedAsStaleAndRewritten) {
   fs::remove_all(cb.cache_dir);
 }
 
+TEST(BundleCache, V2ClaimsEntryIsRejectedNotReplayed) {
+  // A v2 claims entry dated every syslog line in the base year; replaying
+  // its merge order would reorder a campaign that crosses New Year.  The
+  // v3 version gate must reject it, and the fresh claim pass rewrites it.
+  const CachedBundle cb = MakeCachedBundle("v2claims", 112);
+  const StreamInputs inputs = StreamInputs::FromBundleDir(cb.bundle_dir);
+  const LogDiverConfig cached = CachedConfig(cb);
+  const auto replay = [&](BundleLoadStats* stats) {
+    StreamingAnalyzer analyzer(cb.machine, cached);
+    EXPECT_TRUE(
+        ReplayBundle(cached, inputs, ReplaySchedule{}, analyzer, stats).ok());
+    return FingerprintReport(analyzer.Finalize().metrics);
+  };
+  BundleLoadStats cold;
+  const std::uint32_t want = replay(&cold);
+  EXPECT_EQ(cold.cache_stores, 1u);
+
+  std::string entry;
+  for (const auto& file : fs::directory_iterator(cb.cache_dir)) {
+    const std::string name = file.path().filename().string();
+    if (name.rfind("claims-", 0) == 0) entry = file.path().string();
+  }
+  ASSERT_NE(entry, "");
+  {
+    std::fstream file(entry, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(8);
+    const std::uint32_t v2 = 2;
+    file.write(reinterpret_cast<const char*>(&v2), sizeof(v2));
+  }
+
+  BundleLoadStats stale;
+  EXPECT_EQ(replay(&stale), want);
+  EXPECT_EQ(stale.cache_hits, 0u);
+  EXPECT_EQ(stale.cache_rejected, 1u);
+  EXPECT_EQ(stale.cache_stores, 1u);
+
+  BundleLoadStats warm;
+  EXPECT_EQ(replay(&warm), want);
+  EXPECT_EQ(warm.cache_hits, 1u);
+
+  fs::remove_all(cb.bundle_dir);
+  fs::remove_all(cb.cache_dir);
+}
+
 // Small identical claims payloads so every entry has the same size and
 // cap arithmetic is exact.
 cache::ClaimedColumns SmallClaims() {

@@ -13,6 +13,7 @@
 #include "faults/corruptor.hpp"
 #include "logdiver/logdiver.hpp"
 #include "logdiver/snapshot.hpp"
+#include "simlog/catalog.hpp"
 #include "simlog/scenario.hpp"
 
 namespace ld {
@@ -239,6 +240,52 @@ TEST(ParallelParse, SyslogLustrePairingSpansChunkBoundaries) {
     ASSERT_TRUE(records[1].recovered.has_value());
     EXPECT_EQ(*records[1].recovered - records[1].time, Duration::Minutes(30))
         << "chunk_lines=" << chunk_lines;  // kDefaultOpenIncidentSeconds
+  }
+}
+
+TEST(ParallelParse, SyslogLineByLineMatchesChunkedOnScenarioSyslog) {
+  // ParseLine line by line plus FinishOpenIncident is the same state
+  // machine as the chunked ParseLines: the same records in the same
+  // order, on Lustre incident storms and on rotated, clock-skewed
+  // syslog crossing a year boundary.
+  ThreadPool pool(4);
+  for (const char* name : {"lustre-storm", "rotation-skew"}) {
+    const ScenarioSpec* spec = FindScenario(name);
+    ASSERT_NE(spec, nullptr);
+    ScenarioConfig config = SmallScenario(21);
+    config.workload.target_app_runs = 1500;
+    spec->configure(&config);
+    const Machine machine = MakeMachine(config);
+    const std::string dir = ::testing::TempDir() + "ld_line_vs_chunk_" + name;
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(WriteScenarioBundle(machine, config, *spec, dir).ok());
+    auto bundle = LoadBundle(StreamInputs::FromBundleDir(dir), nullptr);
+    ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+    const std::vector<std::string_view>& lines = bundle->views.syslog;
+
+    SyslogParser chunked_parser(2013);
+    const auto chunked = chunked_parser.ParseLines(
+        std::span<const std::string_view>(lines), nullptr, &pool, 17);
+
+    SyslogParser line_parser(2013);
+    std::vector<ErrorRecord> by_line;
+    for (const std::string_view line : lines) {
+      auto rec = line_parser.ParseLine(line);
+      if (rec.ok() && rec->has_value()) by_line.push_back(std::move(**rec));
+    }
+    if (auto rec = line_parser.FinishOpenIncident()) by_line.push_back(*rec);
+
+    std::size_t incidents = 0;
+    for (const ErrorRecord& rec : chunked) {
+      incidents += rec.scope == LocScope::kSystem ? 1 : 0;
+    }
+    EXPECT_GT(incidents, 0u) << name;
+    ASSERT_EQ(chunked.size(), by_line.size()) << name;
+    for (std::size_t i = 0; i < chunked.size(); ++i) {
+      ExpectSameRecord(chunked[i], by_line[i], i);
+    }
+    ExpectSameStats(chunked_parser.stats(), line_parser.stats());
+    std::filesystem::remove_all(dir);
   }
 }
 

@@ -16,6 +16,18 @@ void WriteFile(const std::string& path, const std::vector<std::string>& lines) {
   for (const std::string& line : lines) out << line << '\n';
 }
 
+/// The syslog family of `dir`, stitched by the bundle loader (torque and
+/// alps are created empty when missing).
+Result<std::vector<std::string>> ReadSyslogFamily(const std::string& dir) {
+  for (const char* name : {"/torque.log", "/alps.log"}) {
+    if (!std::filesystem::exists(dir + name)) WriteFile(dir + name, {});
+  }
+  LD_ASSIGN_OR_RETURN(const MappedBundle bundle,
+                      LoadBundle(StreamInputs::FromBundleDir(dir), nullptr));
+  return std::vector<std::string>(bundle.views.syslog.begin(),
+                                  bundle.views.syslog.end());
+}
+
 TEST(RotatedLogs, ReadsOldestFirst) {
   const std::string dir = ::testing::TempDir() + "/ld_rotated_basic";
   std::filesystem::remove_all(dir);
@@ -24,7 +36,7 @@ TEST(RotatedLogs, ReadsOldestFirst) {
   WriteFile(base + ".2", {"oldest"});
   WriteFile(base + ".1", {"middle"});
   WriteFile(base, {"newest"});
-  auto lines = ReadRotatedLines(base);
+  auto lines = ReadSyslogFamily(dir);
   ASSERT_TRUE(lines.ok());
   ASSERT_EQ(lines->size(), 3u);
   EXPECT_EQ((*lines)[0], "oldest");
@@ -37,15 +49,20 @@ TEST(RotatedLogs, LoneFileReadsAsIs) {
   const std::string dir = ::testing::TempDir() + "/ld_rotated_lone";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  WriteFile(dir + "/alps.log", {"a", "b"});
-  auto lines = ReadRotatedLines(dir + "/alps.log");
+  WriteFile(dir + "/syslog.log", {"a", "b"});
+  auto lines = ReadSyslogFamily(dir);
   ASSERT_TRUE(lines.ok());
   EXPECT_EQ(lines->size(), 2u);
   std::filesystem::remove_all(dir);
 }
 
 TEST(RotatedLogs, MissingBaseFails) {
-  EXPECT_FALSE(ReadRotatedLines("/nonexistent/foo.log").ok());
+  const std::string dir = ::testing::TempDir() + "/ld_rotated_missing";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  WriteFile(dir + "/syslog.log.1", {"orphaned rotation"});
+  EXPECT_FALSE(ReadSyslogFamily(dir).ok());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RotatedLogs, MissingMiddleSegmentFailsInsteadOfTruncating) {
@@ -59,7 +76,7 @@ TEST(RotatedLogs, MissingMiddleSegmentFailsInsteadOfTruncating) {
   WriteFile(base + ".3", {"oldest"});
   WriteFile(base + ".1", {"middle"});
   WriteFile(base, {"newest"});
-  auto lines = ReadRotatedLines(base);
+  auto lines = ReadSyslogFamily(dir);
   ASSERT_FALSE(lines.ok());
   EXPECT_NE(lines.status().ToString().find("rotation gap"), std::string::npos)
       << lines.status().ToString();
@@ -106,7 +123,7 @@ TEST(RotatedLogs, SkewedMidnightSegmentsReadLikeWholeStream) {
     WriteFile(suffix == 0 ? base : base + "." + std::to_string(suffix),
               segments[i]);
   }
-  auto joined = ReadRotatedLines(base);
+  auto joined = ReadSyslogFamily(dir);
   ASSERT_TRUE(joined.ok());
   EXPECT_EQ(*joined, skewed);
 
@@ -139,7 +156,7 @@ TEST(RotatedLogs, GapSpanningSkewedMidnightFailsLoudly) {
     WriteFile(suffix == 0 ? base : base + "." + std::to_string(suffix),
               segments[i]);
   }
-  auto joined = ReadRotatedLines(base);
+  auto joined = ReadSyslogFamily(dir);
   ASSERT_FALSE(joined.ok());
   EXPECT_NE(joined.status().ToString().find("rotation gap"), std::string::npos)
       << joined.status().ToString();

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -366,6 +367,50 @@ TEST_F(AnalyzerSnapshotTest, MidStreamRoundTripContinuesIdentically) {
   EXPECT_EQ(FingerprintIngest(cont.ingest), FingerprintIngest(base.ingest));
   EXPECT_EQ(cont.runs_finalized, base.runs_finalized);
   EXPECT_EQ(cont.orphan_terminations, base.orphan_terminations);
+}
+
+TEST_F(AnalyzerSnapshotTest, HeldIncidentSurvivesSnapshotAndRestore) {
+  // A snapshot taken between a Lustre error line and its recovery line
+  // carries the held incident (stream state v3): the restored analyzer
+  // closes the same outage an uninterrupted one does.
+  const std::string before[] = {
+      "Apr  1 02:00:00 sonexion LustreError: ost12 failing over",
+      "Apr  1 02:05:00 sonexion LustreError: ost12 still degraded",
+  };
+  const std::string after[] = {
+      "Apr  1 02:40:00 sonexion Lustre: ost12 recovered after failover",
+      "Apr  1 03:00:00 c0-0c0s0n0 kernel: Kernel panic - not syncing: x",
+  };
+  StreamingAnalyzer uninterrupted(*machine_, LogDiverConfig{});
+  StreamingAnalyzer before_crash(*machine_, LogDiverConfig{});
+  for (const std::string& line : before) {
+    uninterrupted.AddSyslogLine(line);
+    before_crash.AddSyslogLine(line);
+  }
+  std::vector<std::uint8_t> snapshot = TakeSnapshot(before_crash);
+  StreamingAnalyzer resumed(*machine_, LogDiverConfig{});
+  SnapshotReader r(snapshot);
+  ASSERT_TRUE(resumed.Restore(r).ok());
+  for (const std::string& line : after) {
+    uninterrupted.AddSyslogLine(line);
+    resumed.AddSyslogLine(line);
+  }
+  const auto base = uninterrupted.Finalize();
+  const auto cont = resumed.Finalize();
+  // One incident tuple plus the panic; a lost held incident would leave
+  // only the panic (the recovery line alone closes nothing).
+  EXPECT_EQ(base.coalesce_stats.input_events, 2u);
+  EXPECT_EQ(cont.coalesce_stats.input_events, 2u);
+  EXPECT_EQ(FingerprintReport(cont.metrics), FingerprintReport(base.metrics));
+
+  // The same payload stamped as layout v2 (no held incident) is rejected.
+  const std::uint32_t v2 = 2;
+  std::memcpy(snapshot.data(), &v2, sizeof(v2));
+  StreamingAnalyzer stale(*machine_, LogDiverConfig{});
+  SnapshotReader stale_reader(snapshot);
+  const Status status = stale.Restore(stale_reader);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
 }
 
 TEST_F(AnalyzerSnapshotTest, RestoreRejectsWrongGeometry) {

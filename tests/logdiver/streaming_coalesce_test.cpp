@@ -70,37 +70,6 @@ TEST_F(StreamingCoalesceTest, DisplacedTupleSurfacesOnNextFlush) {
   EXPECT_EQ(coalescer_.open_tuples(), 1u);
 }
 
-TEST_F(StreamingCoalesceTest, OpenIncidentSurvivesLongGaps) {
-  ErrorRecord incident = Rec(1000, ErrorCategory::kLustre, Severity::kFatal,
-                             LocScope::kSystem, "");
-  coalescer_.Add(incident);
-  // Well past the tupling window but unrecovered: must stay open.
-  EXPECT_TRUE(coalescer_.Flush(TimePoint(10000)).empty());
-  ASSERT_TRUE(coalescer_.EarliestOpenIncident().has_value());
-  EXPECT_EQ(*coalescer_.EarliestOpenIncident(), TimePoint(1000));
-
-  // The recovery line merges despite the 2-hour gap and closes it.
-  ErrorRecord recovery = Rec(8200, ErrorCategory::kLustre,
-                             Severity::kCorrected, LocScope::kSystem, "");
-  recovery.recovered = TimePoint(8200);
-  coalescer_.Add(recovery);
-  EXPECT_FALSE(coalescer_.EarliestOpenIncident().has_value());
-  auto flushed = coalescer_.Flush(TimePoint(9000));
-  ASSERT_EQ(flushed.size(), 1u);
-  EXPECT_EQ(flushed[0].severity, Severity::kFatal);
-  ASSERT_TRUE(flushed[0].recovered.has_value());
-  EXPECT_EQ(*flushed[0].recovered, TimePoint(8200));
-}
-
-TEST_F(StreamingCoalesceTest, FlushAllAppliesDefaultIncidentWindow) {
-  coalescer_.Add(Rec(1000, ErrorCategory::kLustre, Severity::kFatal,
-                     LocScope::kSystem, ""));
-  auto flushed = coalescer_.FlushAll();
-  ASSERT_EQ(flushed.size(), 1u);
-  ASSERT_TRUE(flushed[0].recovered.has_value());
-  EXPECT_EQ((*flushed[0].recovered - flushed[0].first).seconds(), 1800);
-}
-
 TEST_F(StreamingCoalesceTest, StatsTrackEventsAndTuples) {
   coalescer_.Add(Rec(1000, ErrorCategory::kMachineCheck, Severity::kFatal,
                      LocScope::kNode, node0_));

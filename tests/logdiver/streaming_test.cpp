@@ -240,6 +240,29 @@ TEST_F(StreamingTest, OrphanTerminationsCounted) {
   EXPECT_EQ(summary.metrics.total_runs, 0u);
 }
 
+TEST_F(StreamingTest, RunDyingInAHeldIncidentWaitsForItsRecovery) {
+  // A run dies ten minutes into a two-hour Lustre outage.  A watermark
+  // far past its finalize guard must not classify it while the syslog
+  // parser still holds the incident open; once the recovery line closes
+  // it, the incident explains the death.
+  StreamingAnalyzer analyzer(*machine_, LogDiverConfig{});
+  analyzer.AddAlpsLine(
+      "2013-04-01T01:00:00 apsched[5]: placeApp apid=7 jobid=1 user=u "
+      "cmd=c nodect=1 nids=0");
+  analyzer.AddSyslogLine(
+      "Apr  1 02:00:00 sonexion LustreError: ost12 failing over");
+  analyzer.AddAlpsLine(
+      "2013-04-01T02:10:00 apsys[5]: apid=7 exited, status=1 signal=0");
+  EXPECT_EQ(analyzer.Advance(TimePoint::FromCalendar(2013, 4, 1, 3, 30)), 0u);
+  EXPECT_EQ(analyzer.state_size().pending_runs, 1u);
+  analyzer.AddSyslogLine(
+      "Apr  1 04:00:00 sonexion Lustre: ost12 recovered after failover");
+  EXPECT_EQ(analyzer.Advance(TimePoint::FromCalendar(2013, 4, 1, 6, 0)), 1u);
+  const auto summary = analyzer.Finalize();
+  ASSERT_EQ(summary.metrics.outcomes.size(), 1u);
+  EXPECT_EQ(summary.metrics.outcomes[0].outcome, AppOutcome::kSystemFailure);
+}
+
 TEST_F(StreamingTest, UnterminatedRunsSurfaceAsUnknown) {
   StreamingAnalyzer analyzer(*machine_, LogDiverConfig{});
   analyzer.AddAlpsLine(

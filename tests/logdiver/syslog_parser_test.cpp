@@ -214,6 +214,88 @@ TEST(SyslogParser, OverlappingLustreReportsMerge) {
   EXPECT_TRUE(records[0].recovered.has_value());
 }
 
+TEST(SyslogParser, OpenIncidentSurvivesLongGaps) {
+  // The line path holds the incident until its recovery line, however
+  // long the outage; reports in between fold into it and other records
+  // pass straight through.
+  SyslogParser parser(2013);
+  auto open = parser.ParseLine(
+      "Apr  1 10:00:00 sonexion LustreError: ost12 failing over");
+  ASSERT_TRUE(open.ok());
+  EXPECT_FALSE(open->has_value());
+  ASSERT_TRUE(parser.held_incident_start().has_value());
+  const TimePoint start = *parser.held_incident_start();
+  EXPECT_EQ(start.ToIso(), "2013-04-01T10:00:00");
+
+  auto node = parser.ParseLine(
+      "Apr  1 11:00:00 c0-0c0s0n0 kernel: Kernel panic - not syncing: x");
+  ASSERT_TRUE(node.ok() && node->has_value());
+  auto again = parser.ParseLine(
+      "Apr  1 11:30:00 sonexion LustreError: ost12 still degraded");
+  ASSERT_TRUE(again.ok());
+  EXPECT_FALSE(again->has_value());
+  EXPECT_EQ(parser.held_incident_start(), start);
+
+  auto closed = parser.ParseLine(
+      "Apr  1 12:00:00 sonexion Lustre: ost12 recovered after failover");
+  ASSERT_TRUE(closed.ok() && closed->has_value());
+  EXPECT_EQ((*closed)->time, start);
+  EXPECT_EQ((*closed)->severity, Severity::kFatal);
+  EXPECT_EQ((*closed)->scope, LocScope::kSystem);
+  ASSERT_TRUE((*closed)->recovered.has_value());
+  EXPECT_EQ(*(*closed)->recovered - start, Duration::Hours(2));
+  EXPECT_FALSE(parser.held_incident_start().has_value());
+  EXPECT_FALSE(parser.FinishOpenIncident().has_value());
+  // Every line that produced a record is counted, folded ones included.
+  EXPECT_EQ(parser.stats().records, 4u);
+}
+
+TEST(SyslogParser, FinishOpenIncidentAppliesDefaultWindow) {
+  SyslogParser parser(2013);
+  auto open = parser.ParseLine(
+      "Apr  1 02:00:00 sonexion LustreError: service unavailable");
+  ASSERT_TRUE(open.ok());
+  EXPECT_FALSE(open->has_value());
+  const auto closed = parser.FinishOpenIncident();
+  ASSERT_TRUE(closed.has_value());
+  ASSERT_TRUE(closed->recovered.has_value());
+  EXPECT_EQ((*closed->recovered - closed->time).seconds(), 1800);
+  EXPECT_FALSE(parser.FinishOpenIncident().has_value());
+}
+
+TEST(SyslogParser, StrayRecoveryEmitsNothing) {
+  SyslogParser parser(2013);
+  auto stray = parser.ParseLine(
+      "Apr  1 02:10:00 sonexion Lustre: service recovered");
+  ASSERT_TRUE(stray.ok());
+  EXPECT_FALSE(stray->has_value());
+  EXPECT_FALSE(parser.held_incident_start().has_value());
+}
+
+TEST(SyslogTime, YearFollowsThePreviousTime) {
+  const auto at = [](std::string_view stamp, TimePoint previous) {
+    auto t = SyslogParser::ParseSyslogTime(stamp, 2013, previous);
+    EXPECT_TRUE(t.ok()) << stamp;
+    return t.ok() ? *t : TimePoint();
+  };
+  // No previous time: the base year.
+  const TimePoint dec = at("Dec 31 23:59:30", TimePoint());
+  EXPECT_EQ(dec.ToIso(), "2013-12-31T23:59:30");
+  // December -> January rolls the year forward ...
+  const TimePoint jan = at("Jan  1 00:00:10", dec);
+  EXPECT_EQ(jan.ToIso(), "2014-01-01T00:00:10");
+  // ... a stale-clock December line after it steps back one year ...
+  const TimePoint stale = at("Dec 31 23:59:50", jan);
+  EXPECT_EQ(stale.ToIso(), "2013-12-31T23:59:50");
+  // ... and the next in-year line returns to the new year, once.
+  EXPECT_EQ(at("Jan  1 00:00:40", stale).ToIso(), "2014-01-01T00:00:40");
+  // A small backward month step stays in the year.
+  EXPECT_EQ(at("Mar 30 00:00:00", at("Apr  1 00:00:00", jan)).ToIso(),
+            "2014-03-30T00:00:00");
+  EXPECT_FALSE(
+      SyslogParser::ParseSyslogTime("Foo  1 02:10:02", 2013, jan).ok());
+}
+
 TEST(SyslogParser, MalformedCounted) {
   SyslogParser parser(2013);
   EXPECT_FALSE(parser.ParseLine("too short").ok());

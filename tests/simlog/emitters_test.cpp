@@ -123,6 +123,9 @@ TEST_P(SyslogRoundTrip, EmittedLineParsesBackToSameCategory) {
   SyslogParser parser(2013);
   auto rec = parser.ParseLine(line);
   ASSERT_TRUE(rec.ok()) << line;
+  // A Lustre incident is held until its recovery line; end of stream
+  // closes it.
+  if (!rec->has_value()) *rec = parser.FinishOpenIncident();
   ASSERT_TRUE(rec->has_value()) << line;
   EXPECT_EQ((*rec)->category, category) << line;
   EXPECT_EQ((*rec)->severity, severity) << line;
