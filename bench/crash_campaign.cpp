@@ -87,7 +87,7 @@ int Run(bool quick) {
       FingerprintReport(baseline->summary.metrics);
   const std::uint32_t want_ingest = FingerprintIngest(baseline->summary.ingest);
   const std::uint64_t total_lines = baseline->total_lines;
-  const std::uint64_t want_runs = baseline->summary.runs_finalized;
+  const std::uint64_t want_runs = baseline->summary.reconstruct_stats.runs;
   std::printf("baseline: %llu lines, %llu runs, report fp %08x, "
               "ingest fp %08x\n\n",
               static_cast<unsigned long long>(total_lines),
@@ -121,13 +121,13 @@ int Run(bool quick) {
       const std::uint32_t got_ingest =
           FingerprintIngest(result->summary.ingest);
       if (got_report != want_report || got_ingest != want_ingest ||
-          result->summary.runs_finalized != want_runs) {
+          result->summary.reconstruct_stats.runs != want_runs) {
         std::fprintf(stderr,
                      "  MISMATCH: report fp %08x (want %08x), ingest fp %08x "
                      "(want %08x), runs %llu (want %llu), resumed gen %llu\n",
                      got_report, want_report, got_ingest, want_ingest,
                      static_cast<unsigned long long>(
-                         result->summary.runs_finalized),
+                         result->summary.reconstruct_stats.runs),
                      static_cast<unsigned long long>(want_runs),
                      static_cast<unsigned long long>(
                          result->resumed_generation));

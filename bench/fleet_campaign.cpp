@@ -88,11 +88,10 @@ int Run(bool quick) {
                  total.status().ToString().c_str());
     return 1;
   }
-  StreamingAnalyzer::Summary serial_summary = serial.Finalize();
-  serial_summary.metrics.ingest = serial_summary.ingest;
+  const AnalysisSummary serial_summary = serial.Finalize();
   const std::uint32_t want_report = FingerprintReport(serial_summary.metrics);
   const std::uint32_t want_ingest = FingerprintIngest(serial_summary.ingest);
-  const std::uint64_t want_runs = serial_summary.runs_finalized;
+  const std::uint64_t want_runs = serial_summary.reconstruct_stats.runs;
   std::printf("baseline: %llu lines, %llu runs, report fp %08x, "
               "ingest fp %08x\n\n",
               static_cast<unsigned long long>(*total),
@@ -143,9 +142,9 @@ int Run(bool quick) {
       if (ok) {
         const fleet::ShardOutcome& out = fleet_run->shards[victim];
         const bool identical =
-            FingerprintReport(fleet_run->report) == want_report &&
-            FingerprintIngest(fleet_run->report.ingest) == want_ingest &&
-            fleet_run->runs_finalized == want_runs &&
+            FingerprintReport(fleet_run->summary.metrics) == want_report &&
+            FingerprintIngest(fleet_run->summary.ingest) == want_ingest &&
+            fleet_run->summary.reconstruct_stats.runs == want_runs &&
             !fleet_run->coverage.degraded();
         bool absorbed = true;
         switch (fault) {
@@ -166,9 +165,10 @@ int Run(bool quick) {
           std::fprintf(stderr,
                        "  MISMATCH: report fp %08x (want %08x), runs %llu "
                        "(want %llu)\n",
-                       FingerprintReport(fleet_run->report), want_report,
+                       FingerprintReport(fleet_run->summary.metrics),
+                       want_report,
                        static_cast<unsigned long long>(
-                           fleet_run->runs_finalized),
+                           fleet_run->summary.reconstruct_stats.runs),
                        static_cast<unsigned long long>(want_runs));
         }
         if (!absorbed) {
@@ -218,7 +218,7 @@ int Run(bool quick) {
           ok = false;
           break;
         }
-        const StreamingAnalyzer::Summary s = analyzer.Finalize();
+        const AnalysisSummary s = analyzer.Finalize();
         if (i == 0) expected_ingest = s.ingest;
         expected_acc.MergeFrom(analyzer.metrics_accumulator());
       }
@@ -231,10 +231,12 @@ int Run(bool quick) {
               std::vector<std::uint32_t>{1} &&
           degraded->coverage.Row().find("dropped: 1") != std::string::npos;
       const bool exact_subset =
-          FingerprintReport(degraded->report) == FingerprintReport(expected);
+          FingerprintReport(degraded->summary.metrics) ==
+          FingerprintReport(expected);
       const bool monotone =
-          degraded->report.total_runs < serial_summary.metrics.total_runs &&
-          degraded->report.total_node_hours <=
+          degraded->summary.metrics.total_runs <
+              serial_summary.metrics.total_runs &&
+          degraded->summary.metrics.total_node_hours <=
               serial_summary.metrics.total_node_hours;
       if (!annotated) std::fprintf(stderr, "  degrade: bad coverage row\n");
       if (!exact_subset) {
@@ -342,33 +344,35 @@ int Run(bool quick) {
     }
     if (ok) {
       const bool cold_populates =
-          cold->cache_stores >= 1 && cold->cache_rejected == 0 &&
-          cold->cache_hits + cold->cache_misses == shards;
+          cold->load.cache_stores >= 1 && cold->load.cache_rejected == 0 &&
+          cold->load.cache_hits + cold->load.cache_misses == shards;
       const bool warm_all_hits =
-          warm->cache_hits == shards && warm->cache_misses == 0 &&
-          warm->cache_stores == 0 && warm->cache_rejected == 0;
+          warm->load.cache_hits == shards && warm->load.cache_misses == 0 &&
+          warm->load.cache_stores == 0 && warm->load.cache_rejected == 0;
       const bool identical =
-          FingerprintReport(cold->report) == want_report &&
-          FingerprintReport(warm->report) == want_report &&
-          cold->runs_finalized == want_runs &&
-          warm->runs_finalized == want_runs;
+          FingerprintReport(cold->summary.metrics) == want_report &&
+          FingerprintReport(warm->summary.metrics) == want_report &&
+          cold->summary.reconstruct_stats.runs == want_runs &&
+          warm->summary.reconstruct_stats.runs == want_runs;
       if (!cold_populates) {
         std::fprintf(stderr,
                      "  cold run: hits %llu misses %llu stores %llu "
                      "rejected %llu\n",
-                     static_cast<unsigned long long>(cold->cache_hits),
-                     static_cast<unsigned long long>(cold->cache_misses),
-                     static_cast<unsigned long long>(cold->cache_stores),
-                     static_cast<unsigned long long>(cold->cache_rejected));
+                     static_cast<unsigned long long>(cold->load.cache_hits),
+                     static_cast<unsigned long long>(cold->load.cache_misses),
+                     static_cast<unsigned long long>(cold->load.cache_stores),
+                     static_cast<unsigned long long>(
+                         cold->load.cache_rejected));
       }
       if (!warm_all_hits) {
         std::fprintf(stderr,
                      "  warm run: hits %llu misses %llu stores %llu "
                      "rejected %llu\n",
-                     static_cast<unsigned long long>(warm->cache_hits),
-                     static_cast<unsigned long long>(warm->cache_misses),
-                     static_cast<unsigned long long>(warm->cache_stores),
-                     static_cast<unsigned long long>(warm->cache_rejected));
+                     static_cast<unsigned long long>(warm->load.cache_hits),
+                     static_cast<unsigned long long>(warm->load.cache_misses),
+                     static_cast<unsigned long long>(warm->load.cache_stores),
+                     static_cast<unsigned long long>(
+                         warm->load.cache_rejected));
       }
       if (!identical) {
         std::fprintf(stderr, "  cache cell: merged report diverged from "

@@ -91,8 +91,7 @@ std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
 /// reordered files make the merged stamp sequence non-monotone, so the
 /// replay watermark (claimed time minus slack) genuinely regresses —
 /// exactly the broken promise StreamingAnalyzer clamps and counts.
-StreamingAnalyzer::Summary StreamDirty(const Machine& machine,
-                                       const EmittedLogs& logs) {
+AnalysisSummary StreamDirty(const Machine& machine, const EmittedLogs& logs) {
   const LogDiverConfig config;
   StreamingAnalyzer analyzer(machine, config);
   const LogSet copy{logs.torque, logs.alps, logs.syslog, logs.hwerr};

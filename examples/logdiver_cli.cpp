@@ -71,11 +71,14 @@ constexpr int kExitIngestBudget = 3;
 constexpr int kExitRestartsExhausted = 4;
 constexpr int kExitFleetBudget = 5;
 
-/// Prints every report table, exports the CSV series when asked, and
-/// returns the exit code (kExitIngestBudget when a streaming ingest
-/// budget tripped).  Batch, streaming and the fleet all report here.
-int PrintReport(const ld::MetricsReport& report, const std::string& csv_dir,
-                const ld::Status& ingest_status) {
+/// Prints the parse summary and every report table, exports the CSV
+/// series when asked, and returns the exit code (kExitIngestBudget when
+/// a streaming ingest budget tripped).  Batch, streaming and the fleet
+/// all report here, so each prints the same text for the same bundle.
+int PrintReport(const ld::AnalysisSummary& summary,
+                const std::string& csv_dir) {
+  const ld::MetricsReport& report = summary.metrics;
+  ld::PrintParseSummary(std::cout, summary);
   std::cout << "\n--- headline ---\n";
   ld::PrintHeadline(std::cout, report);
   std::cout << "\n--- outcomes ---\n";
@@ -103,8 +106,9 @@ int PrintReport(const ld::MetricsReport& report, const std::string& csv_dir,
                 << "\n";
     }
   }
-  if (ingest_status.ok()) return 0;
-  std::cerr << "ingest budget tripped: " << ingest_status.ToString() << "\n";
+  if (summary.ingest_status.ok()) return 0;
+  std::cerr << "ingest budget tripped: " << summary.ingest_status.ToString()
+            << "\n";
   return kExitIngestBudget;
 }
 
@@ -365,9 +369,7 @@ int main(int argc, char** argv) {
                         : 1);
     }
     std::cout << fleet->coverage.Row() << "\n";
-    std::cout << "fleet: " << fleet->runs_finalized << " runs finalized"
-              << " across " << fleet->coverage.shards_merged << " shard(s)\n";
-    return finish(PrintReport(fleet->report, csv_dir, fleet->ingest_status));
+    return finish(PrintReport(fleet->summary, csv_dir));
   }
 
   if (mode == "analyze" && !snapshot_dir.empty()) {
@@ -407,11 +409,9 @@ int main(int argc, char** argv) {
         }
         std::cout << ")\n";
       }
-      const ld::StreamingAnalyzer::Summary& summary = result->summary;
       std::cout << "streamed " << result->total_lines << " lines, "
-                << summary.runs_finalized << " runs finalized, "
                 << result->snapshots_written << " snapshot(s) written\n";
-      return PrintReport(summary.metrics, csv_dir, summary.ingest_status);
+      return PrintReport(result->summary, csv_dir);
     };
     const ld::CrashSupervisor::Outcome outcome =
         ld::CrashSupervisor::Run(child);
@@ -457,8 +457,7 @@ int main(int argc, char** argv) {
         std::cout << "bundle cache: hit (memoized result)\n";
         break;
     }
-    ld::PrintParseSummary(std::cout, *analysis);
-    PrintReport(analysis->metrics, csv_dir, ld::Status::Ok());
+    PrintReport(*analysis, csv_dir);
 
     const std::string truth_path = dir + "/ground_truth.csv";
     if (std::filesystem::exists(truth_path)) {

@@ -671,49 +671,16 @@ void GetClassified(SnapshotReader& r, std::vector<ClassifiedRun>& cls) {
 }
 
 void EncodeResult(SnapshotWriter& w, const AnalysisResult& result) {
-  SaveParseStats(w, result.torque_stats);
-  SaveParseStats(w, result.alps_stats);
-  SaveParseStats(w, result.syslog_stats);
-  SaveParseStats(w, result.hwerr_stats);
-  w.U64(result.reconstruct_stats.placements);
-  w.U64(result.reconstruct_stats.terminations);
-  w.U64(result.reconstruct_stats.runs);
-  w.U64(result.reconstruct_stats.missing_termination);
-  w.U64(result.reconstruct_stats.orphan_terminations);
-  w.U64(result.reconstruct_stats.missing_job);
-  w.U64(result.reconstruct_stats.mixed_node_types);
-  w.U64(result.reconstruct_stats.duplicate_placements);
-  w.U64(result.reconstruct_stats.duplicate_terminations);
-  w.U64(result.coalesce_stats.input_events);
-  w.U64(result.coalesce_stats.tuples);
-  w.U64(result.coalesce_stats.unresolved_locations);
-  SaveIngestStats(w, result.ingest);
+  SaveAnalysisSummary(w, result);
   w.U64(result.quarantine.size());
   for (const auto& entry : result.quarantine) SaveQuarantineEntry(w, entry);
   PutRuns(w, result.runs);
   PutClassified(w, result.classified);
   PutTuples(w, result.tuples);
-  SaveMetricsReport(w, result.metrics);
 }
 
 void DecodeResult(SnapshotReader& r, AnalysisResult& result) {
-  LoadParseStats(r, result.torque_stats);
-  LoadParseStats(r, result.alps_stats);
-  LoadParseStats(r, result.syslog_stats);
-  LoadParseStats(r, result.hwerr_stats);
-  result.reconstruct_stats.placements = r.U64();
-  result.reconstruct_stats.terminations = r.U64();
-  result.reconstruct_stats.runs = r.U64();
-  result.reconstruct_stats.missing_termination = r.U64();
-  result.reconstruct_stats.orphan_terminations = r.U64();
-  result.reconstruct_stats.missing_job = r.U64();
-  result.reconstruct_stats.mixed_node_types = r.U64();
-  result.reconstruct_stats.duplicate_placements = r.U64();
-  result.reconstruct_stats.duplicate_terminations = r.U64();
-  result.coalesce_stats.input_events = r.U64();
-  result.coalesce_stats.tuples = r.U64();
-  result.coalesce_stats.unresolved_locations = r.U64();
-  LoadIngestStats(r, result.ingest);
+  LoadAnalysisSummary(r, result);
   const std::uint64_t quarantined = r.U64();
   if (!r.ok()) return;
   if (quarantined > r.remaining()) {
@@ -725,7 +692,6 @@ void DecodeResult(SnapshotReader& r, AnalysisResult& result) {
   GetRuns(r, result.runs);
   GetClassified(r, result.classified);
   GetTuples(r, result.tuples);
-  LoadMetricsReport(r, result.metrics);
 }
 
 /// Marks an entry as recently used.  mtime is the LRU recency signal

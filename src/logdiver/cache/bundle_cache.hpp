@@ -54,8 +54,10 @@ namespace ld::cache {
 /// Version 3 changed what a claims entry means, not its layout: syslog
 /// claims carry the year reached by rollover instead of the base year,
 /// so a v2 claims entry would replay a different merge order and is
-/// rejected.
-inline constexpr std::uint32_t kBundleCacheVersion = 3;
+/// rejected.  Version 4 writes the memoized result's summary with the
+/// shared SaveAnalysisSummary codec; v3 results lack the
+/// duplicate_job_records count and are rejected.
+inline constexpr std::uint32_t kBundleCacheVersion = 4;
 
 /// FNV-1a-64 (word-folded over line content for speed; bytewise
 /// framing) over the four line streams, with the framing

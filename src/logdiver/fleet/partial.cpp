@@ -7,22 +7,11 @@ void SavePartialAggregates(SnapshotWriter& w, const PartialAggregates& p) {
   w.U32(p.header.shard_index);
   w.U32(p.header.shard_count);
   w.U64(p.header.fingerprint);
-  w.U64(p.runs_finalized);
-  w.U64(p.unterminated_runs);
-  w.U64(p.orphan_terminations);
-  SaveParseStats(w, p.torque_stats);
-  SaveParseStats(w, p.alps_stats);
-  SaveParseStats(w, p.syslog_stats);
-  SaveParseStats(w, p.hwerr_stats);
-  w.U64(p.coalesce_stats.input_events);
-  w.U64(p.coalesce_stats.tuples);
-  w.U64(p.coalesce_stats.unresolved_locations);
-  SaveIngestStats(w, p.ingest);
-  SaveStatus(w, p.ingest_status);
-  w.U64(p.cache_hits);
-  w.U64(p.cache_misses);
-  w.U64(p.cache_rejected);
-  w.U64(p.cache_stores);
+  SaveAnalysisSummary(w, p.summary);
+  w.U64(p.load.cache_hits);
+  w.U64(p.load.cache_misses);
+  w.U64(p.load.cache_rejected);
+  w.U64(p.load.cache_stores);
   p.metrics.SaveState(w);
 }
 
@@ -40,22 +29,11 @@ Result<PartialAggregates> LoadPartialAggregates(
   p.header.shard_index = r.U32();
   p.header.shard_count = r.U32();
   p.header.fingerprint = r.U64();
-  p.runs_finalized = r.U64();
-  p.unterminated_runs = r.U64();
-  p.orphan_terminations = r.U64();
-  LoadParseStats(r, p.torque_stats);
-  LoadParseStats(r, p.alps_stats);
-  LoadParseStats(r, p.syslog_stats);
-  LoadParseStats(r, p.hwerr_stats);
-  p.coalesce_stats.input_events = r.U64();
-  p.coalesce_stats.tuples = r.U64();
-  p.coalesce_stats.unresolved_locations = r.U64();
-  LoadIngestStats(r, p.ingest);
-  p.ingest_status = LoadStatus(r);
-  p.cache_hits = r.U64();
-  p.cache_misses = r.U64();
-  p.cache_rejected = r.U64();
-  p.cache_stores = r.U64();
+  LoadAnalysisSummary(r, p.summary);
+  p.load.cache_hits = r.U64();
+  p.load.cache_misses = r.U64();
+  p.load.cache_rejected = r.U64();
+  p.load.cache_stores = r.U64();
   p.metrics.LoadState(r);
   if (!r.ok()) return r.status();
   if (r.remaining() != 0) {

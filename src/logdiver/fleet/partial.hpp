@@ -6,9 +6,9 @@
 // are rejected the same way torn checkpoints are.  The payload adds a
 // shard header (record version, shard index, shard count, the
 // bundle-partition fingerprint again) followed by the worker's
-// mergeable aggregates: its shard-filtered MetricsAccumulator plus the
-// bundle-wide stats every worker reproduces identically (parse/
-// coalesce/ingest counters, finalized-run counts).  The supervisor
+// AnalysisSummary (the bundle-wide counters every worker reproduces
+// identically, written with the shared summary codec), its claims-cache
+// counters and its shard-filtered MetricsAccumulator.  The supervisor
 // validates CRC + fingerprint + shard identity before a partial is
 // allowed anywhere near the merge.
 #pragma once
@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "logdiver/logdiver.hpp"
 #include "logdiver/metrics.hpp"
-#include "logdiver/quarantine.hpp"
-#include "logdiver/records.hpp"
+#include "logdiver/resume.hpp"
 #include "logdiver/snapshot.hpp"
 
 namespace ld::fleet {
@@ -28,8 +28,10 @@ namespace ld::fleet {
 /// Payload-level record version; bump when the partial layout changes.
 /// Version 2 added the worker's claims-cache counters (hits / misses /
 /// rejections / stores), so the supervisor can see cache effectiveness
-/// without reaching into a dead child's obs registry.
-inline constexpr std::uint32_t kPartialRecordVersion = 2;
+/// without reaching into a dead child's obs registry.  Version 3 ships
+/// the worker's AnalysisSummary (SaveAnalysisSummary) in place of the
+/// per-field counters, reconstruct stats included.
+inline constexpr std::uint32_t kPartialRecordVersion = 3;
 
 /// Who computed this partial, over what input.
 struct PartialHeader {
@@ -42,28 +44,18 @@ struct PartialHeader {
 };
 
 /// One worker's output: the shard-owned metric accumulator plus the
-/// bundle-wide counters (identical on every surviving worker; the
-/// supervisor takes them from the lowest-index survivor).
+/// worker's summary.  The summary's counters are bundle-wide (identical
+/// on every surviving worker; the supervisor takes them from the
+/// lowest-index survivor); its `metrics` is the shard-filtered report,
+/// which the merge replaces.
 struct PartialAggregates {
   PartialHeader header;
-  std::uint64_t runs_finalized = 0;
-  std::uint64_t unterminated_runs = 0;
-  std::uint64_t orphan_terminations = 0;
-  ParseStats torque_stats;
-  ParseStats alps_stats;
-  ParseStats syslog_stats;
-  ParseStats hwerr_stats;
-  CoalesceStats coalesce_stats;
-  IngestStats ingest;
-  Status ingest_status;
+  AnalysisSummary summary;
   /// Claims-cache activity of this worker's bundle load (v2): whether a
   /// warm shard actually skipped the claimed-time re-parse.  Summed —
   /// not survivor-picked — by the supervisor: each worker loads the
   /// bundle independently.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_rejected = 0;
-  std::uint64_t cache_stores = 0;
+  BundleLoadStats load;
   MetricsAccumulator metrics;
 
   explicit PartialAggregates(MetricsConfig metrics_config = {})

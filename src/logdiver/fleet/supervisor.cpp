@@ -55,34 +55,18 @@ int RunWorkerProcess(const Machine& machine, LogDiverConfig config,
 
   config.shard = ShardSpec{shard, options.shard_count};
   StreamingAnalyzer analyzer(machine, config);
-  BundleLoadStats load_stats;
+  PartialAggregates partial(config.metrics);
   const auto total =
-      ReplayBundle(config, inputs, options.schedule, analyzer, &load_stats);
+      ReplayBundle(config, inputs, options.schedule, analyzer, &partial.load);
   if (!total.ok()) {
     std::fprintf(stderr, "[fleet] shard %u: %s\n", shard,
                  total.status().message().c_str());
     return 1;
   }
-  const StreamingAnalyzer::Summary summary = analyzer.Finalize();
-
-  PartialAggregates partial(config.metrics);
   partial.header.shard_index = shard;
   partial.header.shard_count = options.shard_count;
   partial.header.fingerprint = fingerprint;
-  partial.runs_finalized = summary.runs_finalized;
-  partial.unterminated_runs = summary.unterminated_runs;
-  partial.orphan_terminations = summary.orphan_terminations;
-  partial.torque_stats = summary.torque_stats;
-  partial.alps_stats = summary.alps_stats;
-  partial.syslog_stats = summary.syslog_stats;
-  partial.hwerr_stats = summary.hwerr_stats;
-  partial.coalesce_stats = summary.coalesce_stats;
-  partial.ingest = summary.ingest;
-  partial.ingest_status = summary.ingest_status;
-  partial.cache_hits = load_stats.cache_hits;
-  partial.cache_misses = load_stats.cache_misses;
-  partial.cache_rejected = load_stats.cache_rejected;
-  partial.cache_stores = load_stats.cache_stores;
+  partial.summary = analyzer.Finalize();
   partial.metrics = analyzer.metrics_accumulator();
 
   const std::string path = PartialPathFor(options, shard);
@@ -104,7 +88,7 @@ int RunWorkerProcess(const Machine& machine, LogDiverConfig config,
     std::fprintf(stderr, "[fleet] shard %u: injected partial truncation\n",
                  shard);
   }
-  if (!summary.ingest_status.ok()) return 3;
+  if (!partial.summary.ingest_status.ok()) return 3;
   return 0;
 }
 
@@ -363,25 +347,22 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
   // order; the algebra is order-free, the bytes we compare are not
   // allowed to depend on that).
   const std::uint64_t merge_start_ns = LD_OBS_NOW_NS();
-  FleetSummary summary;
-  summary.bundle_fingerprint = fingerprint;
-  summary.coverage.shard_count = options.shard_count;
+  FleetSummary fleet;
+  fleet.bundle_fingerprint = fingerprint;
+  fleet.coverage.shard_count = options.shard_count;
   MetricsAccumulator merged(config_.metrics);
   const ShardState* first_survivor = nullptr;
   for (const ShardState& s : shards) {
-    summary.shards.push_back(s.out);
+    fleet.shards.push_back(s.out);
     if (s.phase != ShardState::Phase::kDone) {
-      summary.coverage.dropped_shards.push_back(s.out.shard_index);
+      fleet.coverage.dropped_shards.push_back(s.out.shard_index);
       continue;
     }
-    ++summary.coverage.shards_merged;
+    ++fleet.coverage.shards_merged;
     merged.MergeFrom(s.partial->metrics);
     // Cache counters are per-worker facts (each worker loads the
     // bundle itself), so they sum instead of taking the survivor's.
-    summary.cache_hits += s.partial->cache_hits;
-    summary.cache_misses += s.partial->cache_misses;
-    summary.cache_rejected += s.partial->cache_rejected;
-    summary.cache_stores += s.partial->cache_stores;
+    fleet.load.MergeFrom(s.partial->load);
     if (first_survivor == nullptr) first_survivor = &s;
   }
   if (first_survivor == nullptr) {
@@ -389,23 +370,14 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
   }
   // Bundle-wide counters are replayed identically by every worker; the
   // lowest-index survivor speaks for the fleet.
-  const PartialAggregates& base = *first_survivor->partial;
-  summary.runs_finalized = base.runs_finalized;
-  summary.unterminated_runs = base.unterminated_runs;
-  summary.orphan_terminations = base.orphan_terminations;
-  summary.torque_stats = base.torque_stats;
-  summary.alps_stats = base.alps_stats;
-  summary.syslog_stats = base.syslog_stats;
-  summary.hwerr_stats = base.hwerr_stats;
-  summary.coalesce_stats = base.coalesce_stats;
-  summary.ingest_status = base.ingest_status;
-  summary.report = merged.Report();
-  summary.report.ingest = base.ingest;
+  fleet.summary = first_survivor->partial->summary;
+  fleet.summary.metrics = merged.Report();
+  fleet.summary.metrics.ingest = fleet.summary.ingest;
   if (merge_start_ns != 0) {
     LD_OBS_HIST_RECORD(obs::names::kFleetMergeMicros,
                        (LD_OBS_NOW_NS() - merge_start_ns) / 1000);
   }
-  return summary;
+  return fleet;
 }
 
 }  // namespace ld::fleet

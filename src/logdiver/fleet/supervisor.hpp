@@ -117,28 +117,16 @@ struct FleetCoverage {
 };
 
 struct FleetSummary {
-  /// Merged metrics; bit-identical to the serial analyzer's when
-  /// coverage is full, a monotone subset of it when degraded.
-  MetricsReport report;
-  /// Bundle-wide counters, from the lowest-index surviving shard
-  /// (identical on every survivor by construction).
-  std::uint64_t runs_finalized = 0;
-  std::uint64_t unterminated_runs = 0;
-  std::uint64_t orphan_terminations = 0;
-  ParseStats torque_stats;
-  ParseStats alps_stats;
-  ParseStats syslog_stats;
-  ParseStats hwerr_stats;
-  CoalesceStats coalesce_stats;
-  Status ingest_status;
+  /// `metrics` is the merged report: bit-identical to the serial
+  /// analyzer's when coverage is full, a monotone subset of it when
+  /// degraded.  The counters are bundle-wide, from the lowest-index
+  /// surviving shard (identical on every survivor by construction).
+  AnalysisSummary summary;
   std::uint64_t bundle_fingerprint = 0;
   /// Claims-cache activity summed over merged shards (each worker loads
   /// the bundle independently, so a warm fleet shows hits ≈ shard
   /// count).  Zero across the board when no bundle_cache_dir is set.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_rejected = 0;
-  std::uint64_t cache_stores = 0;
+  BundleLoadStats load;
   FleetCoverage coverage;
   std::vector<ShardOutcome> shards;  // one per shard, index order
 };

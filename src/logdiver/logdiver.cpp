@@ -309,10 +309,7 @@ Result<AnalysisResult> LogDiver::AnalyzeParsed(ParsedLogs&& parsed,
 
   result.ingest.quarantined = parsed.sink.total();
   result.ingest.quarantine_overflow = parsed.sink.overflow();
-  result.ingest.duplicate_placements =
-      result.reconstruct_stats.duplicate_placements;
-  result.ingest.duplicate_terminations =
-      result.reconstruct_stats.duplicate_terminations;
+  CopyReplayCounts(result.reconstruct_stats, result.ingest);
   result.quarantine = parsed.sink.entries();
   result.metrics.ingest = result.ingest;
 

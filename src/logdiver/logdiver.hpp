@@ -173,22 +173,43 @@ enum class CacheOutcome : std::uint8_t {
   kHit,            // full hit: memoized result returned
 };
 
-struct AnalysisResult {
-  std::vector<AppRun> runs;
-  std::vector<ClassifiedRun> classified;
-  std::vector<ErrorTuple> tuples;
+/// The bundle-wide result every driver produces: batch AnalyzeBundle,
+/// StreamingAnalyzer::Finalize (resume, logdiverd) and the fleet merge.
+/// Drivers give the same bundle the same summary: the same CSV exports
+/// and PrintParseSummary text (DriverParityViolations).
+struct AnalysisSummary {
   MetricsReport metrics;
 
   ParseStats torque_stats;
   ParseStats alps_stats;
   ParseStats syslog_stats;
   ParseStats hwerr_stats;
-  ReconstructStats reconstruct_stats;
   CoalesceStats coalesce_stats;
+  ReconstructStats reconstruct_stats;
 
   /// Ingestion-health counters; all-zero on a clean bundle.  Mirrored
   /// into `metrics.ingest` so exports carry them.
   IngestStats ingest;
+  /// Error when a fail-fast error budget tripped in a streaming pass;
+  /// OK otherwise (batch returns the error instead of a result).
+  Status ingest_status;
+};
+
+/// Copies the run builder's replay counters into the ingest counters.
+inline void CopyReplayCounts(const ReconstructStats& stats,
+                             IngestStats& ingest) {
+  ingest.duplicate_placements = stats.duplicate_placements;
+  ingest.duplicate_terminations = stats.duplicate_terminations;
+  ingest.duplicate_job_records = stats.duplicate_job_records;
+}
+
+/// Batch AnalyzeBundle's result: the summary plus the per-run detail
+/// only an in-memory pass keeps.
+struct AnalysisResult : AnalysisSummary {
+  std::vector<AppRun> runs;
+  std::vector<ClassifiedRun> classified;
+  std::vector<ErrorTuple> tuples;
+
   /// Rejected lines with reasons (bounded by the quarantine config).
   std::vector<QuarantineEntry> quarantine;
 

@@ -4,11 +4,15 @@
 // This is LogDiver's first join: apid -> (placement, termination) from
 // ALPS, then jobid -> (user, queue, walltime limit, job exit status)
 // from Torque.  The join is defensive — production logs lose lines —
-// and every unmatched record is counted.
+// and every unmatched or replayed record is counted.  RunBuilder holds
+// the join rules once; batch ReconstructRuns and the streaming analyzer
+// (and through it the fleet workers and logdiverd) both feed it.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
@@ -66,22 +70,73 @@ struct ReconstructStats {
   /// the first termination per apid win; replays are counted, not applied.
   std::uint64_t duplicate_placements = 0;
   std::uint64_t duplicate_terminations = 0;
+  /// Replayed Torque records: an E record over an S is authoritative;
+  /// any other repeat of a jobid is counted and the stored record wins.
+  std::uint64_t duplicate_job_records = 0;
 };
 
-/// Joins parsed records into runs, ordered by start time.  Node type is
-/// derived from the placement's nids via the machine model; a run whose
-/// job record is missing keeps ALPS-only fields (walltime checks then
-/// degrade gracefully).
-std::vector<AppRun> ReconstructRuns(const Machine& machine,
-                                    const std::vector<AlpsRecord>& alps,
-                                    const std::vector<TorqueRecord>& torque,
-                                    ReconstructStats* stats = nullptr);
+class SnapshotWriter;
+class SnapshotReader;
 
-/// Overload for callers done with the ALPS records: each placement's
-/// nid list is moved into its run instead of copied.  Same output as
-/// the const overload; `alps` is left in a valid but unspecified state.
+/// The run-join rules, in one place (DESIGN.md "One ingest core"): an E
+/// job record overrides an S, any other repeat is a counted replay; the
+/// first placement and first termination per apid win, a termination
+/// with no placement is an orphan; a kill is exit 137 / signal 9; the
+/// node type is the nids' majority partition; a run joins its job at
+/// placement.  A terminated run goes back to the caller, and its apid
+/// stays behind to recognize replays.  Batch feeds every job, then
+/// every placement, then every termination; streaming feeds lines as
+/// they arrive and ages old state out with Forget().
+class RunBuilder {
+ public:
+  explicit RunBuilder(const Machine& machine);
+
+  /// Sizes the indexes for a known input (batch).
+  void Reserve(std::size_t jobs, std::size_t runs);
+
+  void AddJob(const TorqueRecord& record);
+  /// Opens a run; the placement's nid list moves into it.
+  void AddPlacement(AlpsRecord&& record);
+  /// Applies an exit or kill.  Returns the completed run, or nullopt
+  /// for an orphan or a replayed termination.
+  std::optional<AppRun> AddTermination(const AlpsRecord& record);
+  /// Completes every run still waiting for a termination (counted as
+  /// missing_termination), in (start, apid) order.
+  std::vector<AppRun> TakeUnterminated();
+
+  /// Drops the memory of runs terminated before `terminated_before` and
+  /// of jobs whose E record ends before `jobs_ended_before`.
+  void Forget(TimePoint terminated_before, TimePoint jobs_ended_before);
+
+  const ReconstructStats& stats() const { return stats_; }
+  std::size_t job_count() const { return jobs_.size(); }
+  std::size_t open_run_count() const { return open_runs_; }
+
+  /// Serializes jobs (jobid order), runs and terminated remnants (apid
+  /// order) and the stats; layout in docs/FORMATS.md.
+  void SaveState(SnapshotWriter& w) const;
+  void LoadState(SnapshotReader& r);
+
+ private:
+  /// Node type of the placed nids (dense table: the vote touches every
+  /// placed nid).
+  std::vector<NodeType> node_types_;
+  std::unordered_map<JobId, TorqueRecord> jobs_;
+  /// apid -> open run, or a terminated run's remnant (has_termination
+  /// set, nid list moved out) kept for replay detection.
+  std::unordered_map<ApId, AppRun> runs_;
+  std::size_t open_runs_ = 0;
+  ReconstructStats stats_;
+};
+
+/// Joins parsed records into runs, ordered by (start, apid): RunBuilder
+/// fed every job, then every placement, then every termination, so a
+/// termination logged before its placement still matches.  A run whose
+/// job record is missing keeps ALPS-only fields (walltime checks then
+/// degrade gracefully).  Each placement's nid list moves into its run,
+/// so callers done with the records should move them in.
 std::vector<AppRun> ReconstructRuns(const Machine& machine,
-                                    std::vector<AlpsRecord>&& alps,
+                                    std::vector<AlpsRecord> alps,
                                     const std::vector<TorqueRecord>& torque,
                                     ReconstructStats* stats = nullptr);
 

@@ -165,7 +165,7 @@ void PrintQueueWaits(std::ostream& out, const MetricsReport& report) {
   out << RenderTable(rows);
 }
 
-void PrintParseSummary(std::ostream& out, const AnalysisResult& analysis) {
+void PrintParseSummary(std::ostream& out, const AnalysisSummary& analysis) {
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"source", "lines", "records", "skipped", "malformed"});
   const std::pair<const char*, const ParseStats*> sources[] = {

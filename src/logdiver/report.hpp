@@ -22,7 +22,9 @@ void PrintScaleCurve(std::ostream& out, const std::vector<ScalePoint>& points,
 void PrintMonthlySeries(std::ostream& out, const MetricsReport& report);
 void PrintDetectionGap(std::ostream& out, const MetricsReport& report);
 void PrintQueueWaits(std::ostream& out, const MetricsReport& report);
-void PrintParseSummary(std::ostream& out, const AnalysisResult& analysis);
+/// Parse, reconstruct and coalesce counters; the same text on every
+/// driver for the same bundle.
+void PrintParseSummary(std::ostream& out, const AnalysisSummary& analysis);
 
 /// The headline numbers (anchors A2/A3) in one block.
 void PrintHeadline(std::ostream& out, const MetricsReport& report);

@@ -63,7 +63,7 @@ struct ResumeOptions {
 };
 
 struct ResumableSummary {
-  StreamingAnalyzer::Summary summary;
+  AnalysisSummary summary;
   /// Lines applied by the whole logical pass (replayed + fresh).
   std::uint64_t total_lines = 0;
   /// Snapshots written by *this* process.
@@ -97,6 +97,13 @@ struct BundleLoadStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_rejected = 0;
   std::uint64_t cache_stores = 0;
+
+  void MergeFrom(const BundleLoadStats& other) {
+    cache_hits += other.cache_hits;
+    cache_misses += other.cache_misses;
+    cache_rejected += other.cache_rejected;
+    cache_stores += other.cache_stores;
+  }
 };
 
 /// Streams the whole bundle through `analyzer` with the deterministic

@@ -14,6 +14,7 @@
 
 #include "common/obs/obs.hpp"
 #include "logdiver/coalesce.hpp"
+#include "logdiver/logdiver.hpp"
 #include "logdiver/metrics.hpp"
 #include "logdiver/quarantine.hpp"
 #include "logdiver/reconstruct.hpp"
@@ -294,6 +295,60 @@ void LoadIngestStats(SnapshotReader& r, IngestStats& s) {
   s.evicted_tuples = r.U64();
   s.budget_exhausted_sources = r.U64();
   s.lines_dropped_after_budget = r.U64();
+}
+
+void SaveReconstructStats(SnapshotWriter& w, const ReconstructStats& s) {
+  w.U64(s.placements);
+  w.U64(s.terminations);
+  w.U64(s.runs);
+  w.U64(s.missing_termination);
+  w.U64(s.orphan_terminations);
+  w.U64(s.missing_job);
+  w.U64(s.mixed_node_types);
+  w.U64(s.duplicate_placements);
+  w.U64(s.duplicate_terminations);
+  w.U64(s.duplicate_job_records);
+}
+
+void LoadReconstructStats(SnapshotReader& r, ReconstructStats& s) {
+  s.placements = r.U64();
+  s.terminations = r.U64();
+  s.runs = r.U64();
+  s.missing_termination = r.U64();
+  s.orphan_terminations = r.U64();
+  s.missing_job = r.U64();
+  s.mixed_node_types = r.U64();
+  s.duplicate_placements = r.U64();
+  s.duplicate_terminations = r.U64();
+  s.duplicate_job_records = r.U64();
+}
+
+void SaveAnalysisSummary(SnapshotWriter& w, const AnalysisSummary& summary) {
+  SaveMetricsReport(w, summary.metrics);
+  SaveParseStats(w, summary.torque_stats);
+  SaveParseStats(w, summary.alps_stats);
+  SaveParseStats(w, summary.syslog_stats);
+  SaveParseStats(w, summary.hwerr_stats);
+  w.U64(summary.coalesce_stats.input_events);
+  w.U64(summary.coalesce_stats.tuples);
+  w.U64(summary.coalesce_stats.unresolved_locations);
+  SaveReconstructStats(w, summary.reconstruct_stats);
+  SaveIngestStats(w, summary.ingest);
+  SaveStatus(w, summary.ingest_status);
+}
+
+void LoadAnalysisSummary(SnapshotReader& r, AnalysisSummary& summary) {
+  LoadMetricsReport(r, summary.metrics);
+  LoadParseStats(r, summary.torque_stats);
+  LoadParseStats(r, summary.alps_stats);
+  LoadParseStats(r, summary.syslog_stats);
+  LoadParseStats(r, summary.hwerr_stats);
+  summary.coalesce_stats.input_events = r.U64();
+  summary.coalesce_stats.tuples = r.U64();
+  summary.coalesce_stats.unresolved_locations = r.U64();
+  LoadReconstructStats(r, summary.reconstruct_stats);
+  LoadIngestStats(r, summary.ingest);
+  summary.ingest_status = LoadStatus(r);
 }
 
 void SaveStatus(SnapshotWriter& w, const Status& s) {

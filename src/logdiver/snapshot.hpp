@@ -37,6 +37,8 @@ struct ParseStats;
 struct IngestStats;
 struct QuarantineEntry;
 struct MetricsReport;
+struct ReconstructStats;
+struct AnalysisSummary;
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected).  This is the
 /// checksum both the snapshot file trailer and the report fingerprints
@@ -132,6 +134,8 @@ void SaveIngestStats(SnapshotWriter& w, const IngestStats& s);
 void LoadIngestStats(SnapshotReader& r, IngestStats& s);
 void SaveStatus(SnapshotWriter& w, const Status& s);
 Status LoadStatus(SnapshotReader& r);
+void SaveReconstructStats(SnapshotWriter& w, const ReconstructStats& s);
+void LoadReconstructStats(SnapshotReader& r, ReconstructStats& s);
 void SaveTorqueRecord(SnapshotWriter& w, const TorqueRecord& rec);
 void LoadTorqueRecord(SnapshotReader& r, TorqueRecord& rec);
 void SaveAppRun(SnapshotWriter& w, const AppRun& run);
@@ -151,6 +155,11 @@ void SaveMetricsReport(SnapshotWriter& w, const MetricsReport& report);
 /// loaded report re-serializes to the same bytes (FingerprintReport
 /// equal) — the parsed-bundle cache depends on this round trip.
 void LoadMetricsReport(SnapshotReader& r, MetricsReport& report);
+/// The one codec for the bundle-wide result every driver produces
+/// (report, parse/coalesce/reconstruct/ingest counters, ingest status):
+/// the bundle cache's memoized result and the fleet partials use it.
+void SaveAnalysisSummary(SnapshotWriter& w, const AnalysisSummary& summary);
+void LoadAnalysisSummary(SnapshotReader& r, AnalysisSummary& summary);
 /// CRC-32 over the full serialized report: two reports fingerprint
 /// equal iff every number in them is bit-identical.
 std::uint32_t FingerprintReport(const MetricsReport& report);

@@ -13,9 +13,10 @@ namespace {
 // Version 2: MetricsAccumulator state moved to integer node-second
 // tallies and per-job queue-wait winners (the mergeable-aggregate
 // refactor).  Version 3: the syslog parser's held incident follows its
-// year-rollover state.  Older snapshots are rejected and analysis
-// restarts from the raw logs.
-constexpr std::uint32_t kStreamStateVersion = 3;
+// year-rollover state.  Version 4: the job index, open runs and replay
+// memory are the RunBuilder's state, with its stats.  Older snapshots
+// are rejected and analysis restarts from the raw logs.
+constexpr std::uint32_t kStreamStateVersion = 4;
 
 }  // namespace
 
@@ -27,7 +28,8 @@ StreamingAnalyzer::StreamingAnalyzer(const Machine& machine,
       coalescer_(machine, config_.coalesce),
       correlator_(machine, config_.correlator),
       metrics_(config_.metrics),
-      quarantine_(config_.ingest.quarantine) {}
+      quarantine_(config_.ingest.quarantine),
+      runs_(machine) {}
 
 Duration StreamingAnalyzer::FinalizeGuard() const {
   // A tuple explaining a death at D starts no later than
@@ -77,18 +79,7 @@ void StreamingAnalyzer::AddTorqueLine(std::string_view line) {
     CheckBudget(LogSource::kTorque, torque_parser_.stats());
     return;
   }
-  if (!rec->has_value()) return;
-  TorqueRecord& record = **rec;
-  auto [it, inserted] = jobs_.try_emplace(record.jobid, record);
-  if (inserted) return;
-  const bool have_end = it->second.kind == TorqueRecord::Kind::kEnd;
-  if (record.kind == TorqueRecord::Kind::kEnd && !have_end) {
-    it->second = std::move(record);  // E record is authoritative
-    return;
-  }
-  // Replayed S over anything, or E over an E already held: the stored
-  // record wins and the replay is disclosed, not applied.
-  ++ingest_.duplicate_job_records;
+  if (rec->has_value()) runs_.AddJob(**rec);
 }
 
 void StreamingAnalyzer::AddAlpsLine(std::string_view line) {
@@ -103,75 +94,14 @@ void StreamingAnalyzer::AddAlpsLine(std::string_view line) {
   if (!rec->has_value()) return;
   AlpsRecord& record = **rec;
   if (record.kind == AlpsRecord::Kind::kPlace) {
-    // A placement for an apid we are already tracking (or just finished)
-    // is a replayed record; the first placement wins.
-    if (open_runs_.count(record.apid) != 0 ||
-        recent_terminated_.count(record.apid) != 0) {
-      ++ingest_.duplicate_placements;
-      return;
-    }
-    AppRun run;
-    run.apid = record.apid;
-    run.jobid = record.jobid;
-    run.user = record.user;
-    run.nodes = std::move(record.nids);
-    run.nodect = record.nodect != 0
-                     ? record.nodect
-                     : static_cast<std::uint32_t>(run.nodes.size());
-    run.start = record.time;
-    run.end = record.time;
-    // Node type from placement.
-    std::uint32_t xe = 0, xk = 0;
-    for (NodeIndex n : run.nodes) {
-      if (n >= machine_.node_count()) continue;
-      switch (machine_.node(n).type) {
-        case NodeType::kXE: ++xe; break;
-        case NodeType::kXK: ++xk; break;
-        case NodeType::kService: break;
-      }
-    }
-    run.node_type = xk > xe ? NodeType::kXK : NodeType::kXE;
-    open_runs_.emplace(run.apid, std::move(run));
+    runs_.AddPlacement(std::move(record));
     return;
   }
-  // Termination: close the open run and queue it for classification.
-  const auto it = open_runs_.find(record.apid);
-  if (it == open_runs_.end()) {
-    if (recent_terminated_.count(record.apid) != 0) {
-      ++ingest_.duplicate_terminations;  // replayed exit/kill; first won
-    } else {
-      ++orphan_terminations_;
-    }
-    return;
+  // A completed run waits in pending_ for its attribution guard.
+  if (auto run = runs_.AddTermination(record)) {
+    pending_.push_back(std::move(*run));
+    EnforceBounds();
   }
-  AppRun run = std::move(it->second);
-  open_runs_.erase(it);
-  run.end = record.time;
-  run.has_termination = true;
-  if (record.kind == AlpsRecord::Kind::kExit) {
-    run.exit_code = record.exit_code;
-    run.exit_signal = record.exit_signal;
-  } else {
-    run.killed_node_failure = record.kill_reason == "node_failure";
-    run.failed_nid = record.failed_nid;
-    run.exit_code = 137;
-    run.exit_signal = 9;
-  }
-  // Join the job context now (Torque E records flush at job end, i.e.
-  // at-or-before the last run's termination reaches us in a well-ordered
-  // stream; S records cover the rest).
-  const auto job = jobs_.find(run.jobid);
-  if (job != jobs_.end()) {
-    run.queue = job->second.queue;
-    run.job_submit = job->second.submit;
-    run.job_start = job->second.start;
-    run.walltime_limit = job->second.walltime_limit;
-    run.job_exit_status = job->second.exit_status;
-    if (run.user.empty()) run.user = job->second.user;
-  }
-  recent_terminated_.emplace(run.apid, run.end);
-  pending_.push_back(std::move(run));
-  EnforceBounds();
 }
 
 void StreamingAnalyzer::AddSyslogLine(std::string_view line) {
@@ -265,25 +195,12 @@ void StreamingAnalyzer::EvictOldState(TimePoint watermark) {
       break;
     }
   }
-  // Job records are only needed while a run of theirs can still arrive;
-  // E-recorded jobs are safe to drop well after their end.
-  for (auto it = jobs_.begin(); it != jobs_.end();) {
-    if (it->second.kind == TorqueRecord::Kind::kEnd &&
-        it->second.end + Duration::Hours(2) < watermark) {
-      it = jobs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   // Terminated-apid memory (replay detection) ages out once a replay
-  // could no longer be confused with live data.
-  for (auto it = recent_terminated_.begin(); it != recent_terminated_.end();) {
-    if (it->second + FinalizeGuard() + FinalizeGuard() < watermark) {
-      it = recent_terminated_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // could no longer be confused with live data.  Job records are only
+  // needed while a run of theirs can still arrive; E-recorded jobs are
+  // safe to drop well after their end.
+  runs_.Forget(watermark - FinalizeGuard() - FinalizeGuard(),
+               watermark - Duration::Hours(2));
 }
 
 std::size_t StreamingAnalyzer::Advance(TimePoint watermark) {
@@ -329,10 +246,15 @@ std::size_t StreamingAnalyzer::Advance(TimePoint watermark) {
   return finalized;
 }
 
-StreamingAnalyzer::Summary StreamingAnalyzer::Finalize() {
+IngestStats StreamingAnalyzer::ingest_stats() const {
+  IngestStats ingest = ingest_;
+  CopyReplayCounts(runs_.stats(), ingest);
+  return ingest;
+}
+
+AnalysisSummary StreamingAnalyzer::Finalize() {
   LD_CHECK(!finalized_, "Finalize called twice — the analyzer is spent");
   finalized_ = true;
-  Summary summary;
   // Close a still-held incident, flush every tuple, then classify every
   // remaining terminated run.
   if (auto incident = syslog_parser_.FinishOpenIncident()) {
@@ -348,22 +270,18 @@ StreamingAnalyzer::Summary StreamingAnalyzer::Finalize() {
   LD_OBS_SPAN("stream/finalize");
   // Placements that never terminated surface as unknown-outcome runs,
   // exactly as in the batch pipeline.
-  summary.unterminated_runs = open_runs_.size();
-  for (auto& [apid, run] : open_runs_) {
-    batch.push_back(std::move(run));
-  }
-  open_runs_.clear();
+  for (AppRun& run : runs_.TakeUnterminated()) batch.push_back(std::move(run));
   ClassifyBatch(std::move(batch));
 
+  AnalysisSummary summary;
   summary.metrics = metrics_.Report();
-  summary.runs_finalized = runs_finalized_;
   summary.torque_stats = torque_parser_.stats();
   summary.alps_stats = alps_parser_.stats();
   summary.syslog_stats = syslog_parser_.stats();
   summary.hwerr_stats = hwerr_parser_.stats();
   summary.coalesce_stats = coalescer_.stats();
-  summary.orphan_terminations = orphan_terminations_;
-  summary.ingest = ingest_;
+  summary.reconstruct_stats = runs_.stats();
+  summary.ingest = ingest_stats();
   summary.ingest_status = ingest_status_;
   summary.metrics.ingest = summary.ingest;
   return summary;
@@ -392,28 +310,13 @@ void StreamingAnalyzer::Snapshot(SnapshotWriter& w) const {
   quarantine_.SaveState(w);
   metrics_.SaveState(w);
 
-  w.U64(jobs_.size());
-  for (const auto& [jobid, record] : jobs_) {
-    w.U64(jobid);
-    SaveTorqueRecord(w, record);
-  }
-  w.U64(open_runs_.size());
-  for (const auto& [apid, run] : open_runs_) {
-    w.U64(apid);
-    SaveAppRun(w, run);
-  }
+  runs_.SaveState(w);
   w.U64(pending_.size());
   for (const AppRun& run : pending_) SaveAppRun(w, run);
   w.U64(tuple_buffer_.size());
   for (const ErrorTuple& tuple : tuple_buffer_) SaveErrorTuple(w, tuple);
-  w.U64(recent_terminated_.size());
-  for (const auto& [apid, end] : recent_terminated_) {
-    w.U64(apid);
-    w.Time(end);
-  }
 
   w.U64(runs_finalized_);
-  w.U64(orphan_terminations_);
   SaveIngestStats(w, ingest_);
   SaveStatus(w, ingest_status_);
   w.Time(last_watermark_);
@@ -458,20 +361,7 @@ Status StreamingAnalyzer::Restore(SnapshotReader& r) {
   quarantine_.LoadState(r);
   metrics_.LoadState(r);
 
-  jobs_.clear();
-  for (std::uint64_t i = 0, n = r.U64(); i < n && r.ok(); ++i) {
-    const JobId jobid = r.U64();
-    TorqueRecord record;
-    LoadTorqueRecord(r, record);
-    jobs_.emplace_hint(jobs_.end(), jobid, std::move(record));
-  }
-  open_runs_.clear();
-  for (std::uint64_t i = 0, n = r.U64(); i < n && r.ok(); ++i) {
-    const ApId apid = r.U64();
-    AppRun run;
-    LoadAppRun(r, run);
-    open_runs_.emplace_hint(open_runs_.end(), apid, std::move(run));
-  }
+  runs_.LoadState(r);
   pending_.clear();
   for (std::uint64_t i = 0, n = r.U64(); i < n && r.ok(); ++i) {
     AppRun run;
@@ -484,14 +374,8 @@ Status StreamingAnalyzer::Restore(SnapshotReader& r) {
     LoadErrorTuple(r, tuple);
     tuple_buffer_.push_back(std::move(tuple));
   }
-  recent_terminated_.clear();
-  for (std::uint64_t i = 0, n = r.U64(); i < n && r.ok(); ++i) {
-    const ApId apid = r.U64();
-    recent_terminated_.emplace_hint(recent_terminated_.end(), apid, r.Time());
-  }
 
   runs_finalized_ = r.U64();
-  orphan_terminations_ = r.U64();
   LoadIngestStats(r, ingest_);
   ingest_status_ = LoadStatus(r);
   last_watermark_ = r.Time();
@@ -509,8 +393,8 @@ Status StreamingAnalyzer::Restore(SnapshotReader& r) {
 
 StreamingAnalyzer::StateSize StreamingAnalyzer::state_size() const {
   StateSize size;
-  size.open_jobs = jobs_.size();
-  size.open_runs = open_runs_.size();
+  size.open_jobs = runs_.job_count();
+  size.open_runs = runs_.open_run_count();
   size.pending_runs = pending_.size();
   size.buffered_tuples = tuple_buffer_.size();
   size.open_tuples = coalescer_.open_tuples();

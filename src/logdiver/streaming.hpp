@@ -3,8 +3,8 @@
 // Production log bundles are tens of gigabytes; holding every parsed
 // record is not an option on an analysis node.  StreamingAnalyzer
 // consumes lines incrementally and retains only:
-//   - open jobs (Torque S seen, E pending) and recently-ended jobs,
-//   - open runs (ALPS placement seen, termination pending),
+//   - the run builder's state (reconstruct.hpp): open and recently-ended
+//     jobs, open runs, and the apids of recently terminated runs,
 //   - terminated runs waiting for their attribution window to close,
 //   - a rolling buffer of recent error tuples,
 //   - O(aggregates) metric state (MetricsAccumulator).
@@ -17,16 +17,18 @@
 // finalized runs fold into the metric accumulators and are dropped.
 //
 // The parsers are the batch parsers (syslog incident pairing included),
-// and the coalescer is the one CoalesceEvents drives, so a bundle
-// replayed in claimed-time order (resume.hpp) exports the same CSV bytes
-// as AnalyzeBundle: tests/logdiver/driver_parity_test.cpp asserts it for
-// batch, snapshotted streaming and the fleet on the clean bundle and
-// every catalog scenario.
+// the run join is the RunBuilder batch ReconstructRuns feeds (this class
+// only ages its state out behind the watermark), and the coalescer is
+// the one CoalesceEvents drives.  So a bundle replayed in claimed-time
+// order (resume.hpp) yields the same AnalysisSummary as AnalyzeBundle —
+// the same CSV bytes and PrintParseSummary text:
+// tests/logdiver/driver_parity_test.cpp asserts it for batch,
+// snapshotted streaming and the fleet on the clean bundle, damaged
+// copies of it, and every catalog scenario.
 #pragma once
 
 #include <array>
 #include <deque>
-#include <map>
 #include <string_view>
 #include <vector>
 
@@ -37,6 +39,7 @@
 #include "logdiver/logdiver.hpp"
 #include "logdiver/metrics.hpp"
 #include "logdiver/quarantine.hpp"
+#include "logdiver/reconstruct.hpp"
 #include "logdiver/syslog_parser.hpp"
 #include "logdiver/torque_parser.hpp"
 
@@ -59,29 +62,12 @@ class StreamingAnalyzer {
   /// rather than allowed to re-open finalized state.
   std::size_t Advance(TimePoint watermark);
 
-  struct Summary {
-    MetricsReport metrics;
-    std::uint64_t runs_finalized = 0;
-    ParseStats torque_stats;
-    ParseStats alps_stats;
-    ParseStats syslog_stats;
-    ParseStats hwerr_stats;
-    CoalesceStats coalesce_stats;
-    /// Placements that never terminated (classified unknown at the end).
-    std::uint64_t unterminated_runs = 0;
-    /// Terminations that matched no placement.
-    std::uint64_t orphan_terminations = 0;
-    /// Quarantine, dedup, watermark-clamp and eviction counters
-    /// (all-zero on a clean, well-ordered stream).
-    IngestStats ingest;
-    /// Error when a fail-fast error budget tripped; OK otherwise.
-    Status ingest_status;
-  };
-
-  /// Flushes all remaining state and returns the final report.  The
-  /// analyzer is spent afterwards: feeding lines, advancing, snapshotting
-  /// or finalizing again is a programming error (LD_CHECK).
-  Summary Finalize();
+  /// Flushes all remaining state and returns the final summary;
+  /// placements that never terminated are classified as unknown-outcome
+  /// runs (reconstruct_stats.missing_termination).  The analyzer is
+  /// spent afterwards: feeding lines, advancing, snapshotting or
+  /// finalizing again is a programming error (LD_CHECK).
+  AnalysisSummary Finalize();
 
   /// Serializes the full retained state — parsers, coalescer, metric
   /// accumulators, quarantine, open/pending runs, tuple buffer, replay
@@ -113,7 +99,7 @@ class StreamingAnalyzer {
   /// worker ships as its mergeable partial aggregate.
   const MetricsAccumulator& metrics_accumulator() const { return metrics_; }
   /// Ingestion-health counters accumulated so far.
-  const IngestStats& ingest_stats() const { return ingest_; }
+  IngestStats ingest_stats() const;
   /// Rejected lines captured with reasons (bounded).
   const QuarantineSink& quarantine() const { return quarantine_; }
   /// Error once a fail-fast error budget trips; the offending source's
@@ -146,22 +132,15 @@ class StreamingAnalyzer {
   Correlator correlator_;
   MetricsAccumulator metrics_;
   QuarantineSink quarantine_;
+  RunBuilder runs_;
 
-  /// jobid -> best job record so far (E overrides S).
-  std::map<JobId, TorqueRecord> jobs_;
-  /// apid -> placed-but-running run.
-  std::map<ApId, AppRun> open_runs_;
   /// Terminated runs ordered by end time, waiting for the guard.
   std::deque<AppRun> pending_;  // kept sorted by end (stream order)
   /// Flushed tuples still inside some pending run's attribution reach.
   std::deque<ErrorTuple> tuple_buffer_;
-  /// apid -> termination time of runs already moved past open_runs_,
-  /// kept briefly so replayed placements/terminations are recognized as
-  /// duplicates instead of becoming phantom runs or orphans.
-  std::map<ApId, TimePoint> recent_terminated_;
 
   std::uint64_t runs_finalized_ = 0;
-  std::uint64_t orphan_terminations_ = 0;
+  /// Counters the analyzer owns; the replay counters live in runs_.
   IngestStats ingest_;
   Status ingest_status_;
   TimePoint last_watermark_;

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <utility>
 
 #include "common/obs/names.hpp"
@@ -15,6 +16,7 @@
 #include "logdiver/export.hpp"
 #include "logdiver/fleet/supervisor.hpp"
 #include "logdiver/logdiver.hpp"
+#include "logdiver/report.hpp"
 #include "logdiver/resume.hpp"
 #include "workload/appmix.hpp"
 
@@ -449,11 +451,11 @@ Result<std::vector<std::string>> DriverParityViolations(
   LogDiverConfig config;
   config.threads = threads;
   const StreamInputs inputs = StreamInputs::FromBundleDir(bundle_dir);
-  std::vector<std::pair<std::string, MetricsReport>> reports;
+  std::vector<std::pair<std::string, AnalysisSummary>> reports;
 
   LD_ASSIGN_OR_RETURN(AnalysisResult batch,
                       LogDiver(machine, config).AnalyzeBundle(bundle_dir));
-  reports.emplace_back("batch", std::move(batch.metrics));
+  reports.emplace_back("batch", static_cast<AnalysisSummary&&>(batch));
 
   ResumeOptions resume;
   resume.snapshot_dir = work_dir + "/snapshots";
@@ -463,7 +465,7 @@ Result<std::vector<std::string>> DriverParityViolations(
     LD_ASSIGN_OR_RETURN(ResumableSummary stream,
                         RunResumableAnalysis(machine, config, inputs, resume));
     reports.emplace_back(resumed ? "resumed stream" : "stream",
-                         std::move(stream.summary.metrics));
+                         std::move(stream.summary));
   }
 
   for (const std::uint32_t shards : {1u, 4u}) {
@@ -474,18 +476,29 @@ Result<std::vector<std::string>> DriverParityViolations(
                         fleet::ShardSupervisor(machine, config)
                             .Run(inputs, options));
     reports.emplace_back("fleet x" + std::to_string(shards),
-                         std::move(fleet.report));
+                         std::move(fleet.summary));
   }
 
-  // Export every report and compare each file to batch's bytes.
+  // Export every report and compare each file, and the parse summary
+  // text, to batch's bytes.
   const auto read = [](const fs::path& path) {
     std::ifstream in(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in), {});
   };
+  const auto parse_summary = [](const AnalysisSummary& summary) {
+    std::ostringstream text;
+    PrintParseSummary(text, summary);
+    return text.str();
+  };
   std::vector<std::string> violations;
   for (std::size_t i = 0; i < reports.size(); ++i) {
+    const std::string text = parse_summary(reports[i].second);
+    if (text != parse_summary(reports[0].second)) {
+      violations.push_back(reports[i].first + " parse summary differs:\n" +
+                           text);
+    }
     const std::string dir = work_dir + "/csv-" + std::to_string(i);
-    LD_TRY(ExportMetricsCsv(reports[i].second, dir).status());
+    LD_TRY(ExportMetricsCsv(reports[i].second.metrics, dir).status());
     for (const auto& entry : fs::directory_iterator(work_dir + "/csv-0")) {
       const std::string name = entry.path().filename().string();
       if (read(entry.path()) != read(dir + "/" + name)) {

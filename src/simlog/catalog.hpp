@@ -112,8 +112,10 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
 /// Analyzes the bundle in `bundle_dir` with every driver — batch
 /// AnalyzeBundle, RunResumableAnalysis snapshotting as it goes (then
 /// once more resuming from its newest snapshot), and the fleet at 1 and
-/// 4 shards — and returns one violation per exported CSV file that
-/// differs from batch's (empty = every driver agrees byte for byte).
+/// 4 shards — and returns one violation per exported CSV file, and per
+/// PrintParseSummary text (parse, reconstruct and coalesce counters),
+/// that differs from batch's (empty = every driver agrees byte for
+/// byte).
 /// `work_dir` holds the exports, snapshots and partials and is removed.
 Result<std::vector<std::string>> DriverParityViolations(
     const Machine& machine, const std::string& bundle_dir,

@@ -434,29 +434,33 @@ TEST(BundleCache, V1EntryIsRejectedAsStaleAndRewritten) {
   const std::string entry = FindBundleEntry(cb.cache_dir);
   ASSERT_NE(entry, "");
 
-  // Stamp the entry as format v1 (the pre-compaction layout).  The
-  // version u32 sits after the 8-byte magic and outside the payload
-  // CRC, so this is exactly what a leftover v1 entry looks like to a v2
-  // build: the version gate must reject it before any column decoding.
-  {
-    std::fstream file(entry, std::ios::in | std::ios::out | std::ios::binary);
-    file.seekp(8);
-    const std::uint32_t v1 = 1;
-    file.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
+  // Stamp the entry as format v1 (the pre-compaction layout), then as
+  // v3 (a memoized result without duplicate_job_records).  The version
+  // u32 sits after the 8-byte magic and outside the payload CRC, so
+  // this is exactly what a leftover entry looks like to this build: the
+  // version gate must reject it before any column decoding.
+  for (const std::uint32_t stale_version : {1u, 3u}) {
+    {
+      std::fstream file(entry,
+                        std::ios::in | std::ios::out | std::ios::binary);
+      file.seekp(8);
+      file.write(reinterpret_cast<const char*>(&stale_version),
+                 sizeof(stale_version));
+    }
+
+    auto rejected = diver.AnalyzeBundle(cb.bundle_dir);
+    ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+    EXPECT_EQ(rejected->cache_outcome, CacheOutcome::kRejected);
+    EXPECT_NE(rejected->cache_note.find("version"), std::string::npos)
+        << rejected->cache_note;
+    ExpectSameAnalysis(*cold, *rejected);
+
+    // The fallback text parse rewrote the entry in the current format.
+    auto warm = diver.AnalyzeBundle(cb.bundle_dir);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(warm->cache_outcome, CacheOutcome::kHit);
+    ExpectSameAnalysis(*cold, *warm);
   }
-
-  auto rejected = diver.AnalyzeBundle(cb.bundle_dir);
-  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
-  EXPECT_EQ(rejected->cache_outcome, CacheOutcome::kRejected);
-  EXPECT_NE(rejected->cache_note.find("version"), std::string::npos)
-      << rejected->cache_note;
-  ExpectSameAnalysis(*cold, *rejected);
-
-  // The fallback text parse rewrote the entry in v2.
-  auto warm = diver.AnalyzeBundle(cb.bundle_dir);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_EQ(warm->cache_outcome, CacheOutcome::kHit);
-  ExpectSameAnalysis(*cold, *warm);
 
   fs::remove_all(cb.bundle_dir);
   fs::remove_all(cb.cache_dir);
@@ -465,7 +469,8 @@ TEST(BundleCache, V1EntryIsRejectedAsStaleAndRewritten) {
 TEST(BundleCache, V2ClaimsEntryIsRejectedNotReplayed) {
   // A v2 claims entry dated every syslog line in the base year; replaying
   // its merge order would reorder a campaign that crosses New Year.  The
-  // v3 version gate must reject it, and the fresh claim pass rewrites it.
+  // version gate must reject it (and a v3 entry, which predates the
+  // current format), and the fresh claim pass rewrites it.
   const CachedBundle cb = MakeCachedBundle("v2claims", 112);
   const StreamInputs inputs = StreamInputs::FromBundleDir(cb.bundle_dir);
   const LogDiverConfig cached = CachedConfig(cb);
@@ -485,22 +490,25 @@ TEST(BundleCache, V2ClaimsEntryIsRejectedNotReplayed) {
     if (name.rfind("claims-", 0) == 0) entry = file.path().string();
   }
   ASSERT_NE(entry, "");
-  {
-    std::fstream file(entry, std::ios::in | std::ios::out | std::ios::binary);
-    file.seekp(8);
-    const std::uint32_t v2 = 2;
-    file.write(reinterpret_cast<const char*>(&v2), sizeof(v2));
+  for (const std::uint32_t stale_version : {2u, 3u}) {
+    {
+      std::fstream file(entry,
+                        std::ios::in | std::ios::out | std::ios::binary);
+      file.seekp(8);
+      file.write(reinterpret_cast<const char*>(&stale_version),
+                 sizeof(stale_version));
+    }
+
+    BundleLoadStats stale;
+    EXPECT_EQ(replay(&stale), want);
+    EXPECT_EQ(stale.cache_hits, 0u);
+    EXPECT_EQ(stale.cache_rejected, 1u);
+    EXPECT_EQ(stale.cache_stores, 1u);
+
+    BundleLoadStats warm;
+    EXPECT_EQ(replay(&warm), want);
+    EXPECT_EQ(warm.cache_hits, 1u);
   }
-
-  BundleLoadStats stale;
-  EXPECT_EQ(replay(&stale), want);
-  EXPECT_EQ(stale.cache_hits, 0u);
-  EXPECT_EQ(stale.cache_rejected, 1u);
-  EXPECT_EQ(stale.cache_stores, 1u);
-
-  BundleLoadStats warm;
-  EXPECT_EQ(replay(&warm), want);
-  EXPECT_EQ(warm.cache_hits, 1u);
 
   fs::remove_all(cb.bundle_dir);
   fs::remove_all(cb.cache_dir);

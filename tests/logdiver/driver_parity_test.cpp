@@ -1,12 +1,16 @@
 // Every analysis driver must export the same ten CSV files, byte for
-// byte, as batch AnalyzeBundle: RunResumableAnalysis with snapshots (and
-// resumed from one), and the fleet at 1 and 4 shards.  Covered: the
-// clean small bundle, a copy of it without hwerr.log, and every catalog
-// scenario (rotated and clock-skewed syslog included).
+// byte, and print the same parse summary as batch AnalyzeBundle:
+// RunResumableAnalysis with snapshots (and resumed from one), and the
+// fleet at 1 and 4 shards.  Covered: the clean small bundle, copies of
+// it without hwerr.log, with lost ALPS terminations and with replayed
+// Torque S records, and every catalog scenario (rotated and
+// clock-skewed syslog included).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -21,6 +25,21 @@ namespace fs = std::filesystem;
 std::string WorkDir(const std::string& name) {
   return testing::TempDir() + "driver_parity_" + name + "_" +
          std::to_string(::getpid());
+}
+
+/// Rewrites `path` line by line: `keep` returns how many copies of each
+/// line to write (0 drops it).
+void RewriteLines(const std::string& path,
+                  const std::function<int(const std::string&)>& keep) {
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  std::ofstream out(path, std::ios::trunc);
+  for (const std::string& line : lines) {
+    for (int i = keep(line); i > 0; --i) out << line << '\n';
+  }
 }
 
 void ExpectDriversAgree(const Machine& machine, const std::string& bundle,
@@ -39,6 +58,33 @@ TEST(DriverParity, CleanBundleWithAndWithoutHwerr) {
   fs::remove_all(bundle);
   ASSERT_TRUE(WriteBundle(machine, config, bundle).ok());
   ExpectDriversAgree(machine, bundle, "clean");
+
+  // Every 25th exit/kill line lost: runs that never terminate still
+  // carry their job's context (queue waits) on every driver.
+  const std::string lost = WorkDir("lost_terminations_bundle");
+  fs::remove_all(lost);
+  fs::copy(bundle, lost, fs::copy_options::recursive);
+  int terminations = 0;
+  RewriteLines(lost + "/alps.log", [&](const std::string& line) {
+    const bool termination = line.find(" exited") != std::string::npos ||
+                             line.find(" killed") != std::string::npos;
+    return termination && ++terminations % 25 == 0 ? 0 : 1;
+  });
+  ExpectDriversAgree(machine, lost, "lost_terminations");
+  fs::remove_all(lost);
+
+  // Every 100th Torque S line replayed: every driver counts the
+  // duplicate job records.
+  const std::string replayed = WorkDir("replayed_starts_bundle");
+  fs::remove_all(replayed);
+  fs::copy(bundle, replayed, fs::copy_options::recursive);
+  int starts = 0;
+  RewriteLines(replayed + "/torque.log", [&](const std::string& line) {
+    return line.find(";S;") != std::string::npos && ++starts % 100 == 0 ? 2
+                                                                         : 1;
+  });
+  ExpectDriversAgree(machine, replayed, "replayed_starts");
+  fs::remove_all(replayed);
 
   // hwerr.log is optional on every path, not only in batch.
   ASSERT_TRUE(fs::remove(bundle + "/hwerr.log"));

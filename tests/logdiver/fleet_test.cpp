@@ -48,11 +48,11 @@ class PartialFileTest : public ::testing::Test {
     p.header.shard_index = 2;
     p.header.shard_count = 4;
     p.header.fingerprint = 0xABCDEF0123456789ull;
-    p.runs_finalized = 77;
-    p.unterminated_runs = 3;
-    p.torque_stats.lines = 123;
-    p.coalesce_stats.tuples = 9;
-    p.ingest.quarantined = 5;
+    p.summary.reconstruct_stats.runs = 77;
+    p.summary.reconstruct_stats.missing_termination = 3;
+    p.summary.torque_stats.lines = 123;
+    p.summary.coalesce_stats.tuples = 9;
+    p.summary.ingest.quarantined = 5;
     return p;
   }
 };
@@ -66,11 +66,18 @@ TEST_F(PartialFileTest, RoundTripsThroughDisk) {
   EXPECT_EQ(read->header.shard_index, 2u);
   EXPECT_EQ(read->header.shard_count, 4u);
   EXPECT_EQ(read->header.fingerprint, 0xABCDEF0123456789ull);
-  EXPECT_EQ(read->runs_finalized, 77u);
-  EXPECT_EQ(read->unterminated_runs, 3u);
-  EXPECT_EQ(read->torque_stats.lines, 123u);
-  EXPECT_EQ(read->coalesce_stats.tuples, 9u);
-  EXPECT_EQ(read->ingest.quarantined, 5u);
+  EXPECT_EQ(read->summary.reconstruct_stats.runs, 77u);
+  EXPECT_EQ(read->summary.reconstruct_stats.missing_termination, 3u);
+  EXPECT_EQ(read->summary.torque_stats.lines, 123u);
+  EXPECT_EQ(read->summary.coalesce_stats.tuples, 9u);
+  EXPECT_EQ(read->summary.ingest.quarantined, 5u);
+
+  // A v2 partial (per-field counters, no AnalysisSummary) is rejected.
+  fleet::PartialAggregates stale = Make();
+  stale.header.record_version = 2;
+  ASSERT_TRUE(fleet::WritePartialFile(path, stale).ok());
+  EXPECT_EQ(fleet::ReadPartialFile(path, {}).status().code(),
+            StatusCode::kFailedPrecondition);
   std::filesystem::remove(path);
 }
 
@@ -135,8 +142,7 @@ TEST_F(FleetEndToEndTest, TwoShardsReproduceTheSerialReport) {
   StreamingAnalyzer serial(*machine_, config);
   auto total = ReplayBundle(config, inputs, {}, serial);
   ASSERT_TRUE(total.ok()) << total.status().ToString();
-  StreamingAnalyzer::Summary summary = serial.Finalize();
-  summary.metrics.ingest = summary.ingest;
+  const AnalysisSummary summary = serial.Finalize();
 
   fleet::FleetOptions options;
   options.shard_count = 2;
@@ -145,9 +151,10 @@ TEST_F(FleetEndToEndTest, TwoShardsReproduceTheSerialReport) {
   auto result = supervisor.Run(inputs, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  EXPECT_EQ(FingerprintReport(result->report),
+  EXPECT_EQ(FingerprintReport(result->summary.metrics),
             FingerprintReport(summary.metrics));
-  EXPECT_EQ(result->runs_finalized, summary.runs_finalized);
+  EXPECT_EQ(result->summary.reconstruct_stats.runs,
+            summary.reconstruct_stats.runs);
   EXPECT_EQ(result->coverage.shards_merged, 2u);
   EXPECT_FALSE(result->coverage.degraded());
   ASSERT_EQ(result->shards.size(), 2u);

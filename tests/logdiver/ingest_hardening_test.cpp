@@ -61,7 +61,7 @@ TEST_F(IngestHardeningTest, ReplayedPlacementsAndTerminationsDeduped) {
   const auto summary = analyzer.Finalize();
   EXPECT_EQ(summary.ingest.duplicate_placements, 2u);
   EXPECT_EQ(summary.ingest.duplicate_terminations, 1u);
-  EXPECT_EQ(summary.orphan_terminations, 0u);
+  EXPECT_EQ(summary.reconstruct_stats.orphan_terminations, 0u);
   EXPECT_EQ(summary.metrics.total_runs, 1u);
 }
 

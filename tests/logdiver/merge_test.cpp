@@ -327,7 +327,7 @@ TEST(MergeAlgebra, DirtyBundleShardsMergeToSerialSnapshotBytes) {
   StreamingAnalyzer serial(machine, serial_config);
   auto total = ReplayBundle(serial_config, inputs, {}, serial);
   ASSERT_TRUE(total.ok()) << total.status().ToString();
-  const StreamingAnalyzer::Summary summary = serial.Finalize();
+  const AnalysisSummary summary = serial.Finalize();
   ASSERT_GT(summary.ingest.quarantined, 0u);  // the dirt registered
   const std::vector<std::uint8_t> want = Bytes(serial.metrics_accumulator());
 

@@ -140,7 +140,7 @@ TEST_F(ResumeTest, UninterruptedRunNeedsNoSnapshots) {
                                      options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->total_lines, 0u);
-  EXPECT_GT(result->summary.runs_finalized, 0u);
+  EXPECT_GT(result->summary.reconstruct_stats.runs, 0u);
   EXPECT_EQ(result->snapshots_written, 0u);
   EXPECT_EQ(result->resumed_generation, 0u);
 }

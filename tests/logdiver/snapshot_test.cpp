@@ -365,13 +365,14 @@ TEST_F(AnalyzerSnapshotTest, MidStreamRoundTripContinuesIdentically) {
   const auto cont = resumed.Finalize();
   EXPECT_EQ(FingerprintReport(cont.metrics), FingerprintReport(base.metrics));
   EXPECT_EQ(FingerprintIngest(cont.ingest), FingerprintIngest(base.ingest));
-  EXPECT_EQ(cont.runs_finalized, base.runs_finalized);
-  EXPECT_EQ(cont.orphan_terminations, base.orphan_terminations);
+  EXPECT_EQ(cont.reconstruct_stats.runs, base.reconstruct_stats.runs);
+  EXPECT_EQ(cont.reconstruct_stats.orphan_terminations,
+            base.reconstruct_stats.orphan_terminations);
 }
 
 TEST_F(AnalyzerSnapshotTest, HeldIncidentSurvivesSnapshotAndRestore) {
   // A snapshot taken between a Lustre error line and its recovery line
-  // carries the held incident (stream state v3): the restored analyzer
+  // carries the held incident (stream state v3 on): the restored analyzer
   // closes the same outage an uninterrupted one does.
   const std::string before[] = {
       "Apr  1 02:00:00 sonexion LustreError: ost12 failing over",
@@ -403,14 +404,16 @@ TEST_F(AnalyzerSnapshotTest, HeldIncidentSurvivesSnapshotAndRestore) {
   EXPECT_EQ(cont.coalesce_stats.input_events, 2u);
   EXPECT_EQ(FingerprintReport(cont.metrics), FingerprintReport(base.metrics));
 
-  // The same payload stamped as layout v2 (no held incident) is rejected.
-  const std::uint32_t v2 = 2;
-  std::memcpy(snapshot.data(), &v2, sizeof(v2));
-  StreamingAnalyzer stale(*machine_, LogDiverConfig{});
-  SnapshotReader stale_reader(snapshot);
-  const Status status = stale.Restore(stale_reader);
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
-      << status.ToString();
+  // The same payload stamped as layout v2 (no held incident) or v3 (job
+  // index and open runs outside the run builder) is rejected.
+  for (const std::uint32_t stale_version : {2u, 3u}) {
+    std::memcpy(snapshot.data(), &stale_version, sizeof(stale_version));
+    StreamingAnalyzer stale(*machine_, LogDiverConfig{});
+    SnapshotReader stale_reader(snapshot);
+    const Status status = stale.Restore(stale_reader);
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+        << status.ToString();
+  }
 }
 
 TEST_F(AnalyzerSnapshotTest, RestoreRejectsWrongGeometry) {

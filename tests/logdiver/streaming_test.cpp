@@ -87,9 +87,8 @@ class StreamingTest : public ::testing::Test {
 
   /// Streams the whole campaign chronologically, advancing the watermark
   /// every `advance_every` lines; returns the summary and the peak state.
-  StreamingAnalyzer::Summary Stream(std::size_t advance_every,
-                                    StreamingAnalyzer::StateSize* peak =
-                                        nullptr) {
+  AnalysisSummary Stream(std::size_t advance_every,
+                         StreamingAnalyzer::StateSize* peak = nullptr) {
     StreamingAnalyzer analyzer(*machine_, LogDiverConfig{});
     const auto merged = MergeStreams(campaign_->logs, 2013);
     StreamingAnalyzer::StateSize max_size;
@@ -130,7 +129,7 @@ AnalysisResult* StreamingTest::batch_ = nullptr;
 
 TEST_F(StreamingTest, MatchesBatchHeadlineMetrics) {
   const auto summary = Stream(500);
-  EXPECT_EQ(summary.runs_finalized, batch_->runs.size());
+  EXPECT_EQ(summary.reconstruct_stats.runs, batch_->runs.size());
   EXPECT_EQ(summary.metrics.total_runs, batch_->metrics.total_runs);
   EXPECT_DOUBLE_EQ(summary.metrics.system_failure_fraction,
                    batch_->metrics.system_failure_fraction);
@@ -236,7 +235,7 @@ TEST_F(StreamingTest, OrphanTerminationsCounted) {
   analyzer.AddAlpsLine(
       "2013-04-01T03:10:05 apsys[5]: apid=999999 exited, status=0 signal=0");
   const auto summary = analyzer.Finalize();
-  EXPECT_EQ(summary.orphan_terminations, 1u);
+  EXPECT_EQ(summary.reconstruct_stats.orphan_terminations, 1u);
   EXPECT_EQ(summary.metrics.total_runs, 0u);
 }
 
@@ -269,7 +268,7 @@ TEST_F(StreamingTest, UnterminatedRunsSurfaceAsUnknown) {
       "2013-04-01T02:10:05 apsched[5]: placeApp apid=7 jobid=1 user=u "
       "cmd=c nodect=1 nids=0");
   const auto summary = analyzer.Finalize();
-  EXPECT_EQ(summary.unterminated_runs, 1u);
+  EXPECT_EQ(summary.reconstruct_stats.missing_termination, 1u);
   ASSERT_EQ(summary.metrics.outcomes.size(), 1u);
   EXPECT_EQ(summary.metrics.outcomes[0].outcome, AppOutcome::kUnknown);
 }
