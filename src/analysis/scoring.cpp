@@ -1,17 +1,37 @@
 #include "analysis/scoring.hpp"
 
+#include <string_view>
+
 #include "common/csv.hpp"
 #include "common/strings.hpp"
 
 namespace ld {
 namespace {
 
-Result<AppOutcome> ParseOutcome(const std::string& name) {
+Result<AppOutcome> ParseOutcome(std::string_view name) {
   for (int i = 0; i < kOutcomeCount; ++i) {
     const auto o = static_cast<AppOutcome>(i);
     if (name == AppOutcomeName(o)) return o;
   }
-  return ParseError("unknown outcome '" + name + "'");
+  return ParseError("unknown outcome '" + std::string(name) + "'");
+}
+
+Status AddTruthRow(const std::vector<std::string_view>& row,
+                   std::unordered_map<ApId, TruthRecord>& truth) {
+  if (row.size() < 5) {
+    return ParseError("ground truth row with " + std::to_string(row.size()) +
+                      " fields");
+  }
+  TruthRecord rec;
+  LD_ASSIGN_OR_RETURN(rec.apid, ParseUint(row[0]));
+  LD_ASSIGN_OR_RETURN(rec.outcome, ParseOutcome(row[1]));
+  if (!row[2].empty()) {
+    LD_ASSIGN_OR_RETURN(rec.cause, ParseErrorCategory(std::string(row[2])));
+  }
+  LD_ASSIGN_OR_RETURN(rec.event_id, ParseUint(row[3]));
+  rec.cause_detected = row[4] == "1";
+  truth.emplace(rec.apid, rec);
+  return Status::Ok();
 }
 
 }  // namespace
@@ -80,33 +100,14 @@ ScoreReport ScoreClassification(
 
 Result<std::unordered_map<ApId, TruthRecord>> LoadGroundTruth(
     const std::string& path) {
-  auto table = CsvReader::ReadFile(path, /*has_header=*/true);
-  if (!table.ok()) return table.status();
+  // The CLI scores every pass, so rows are visited as views into the
+  // file bytes instead of being copied into a CsvReader::Table.
   std::unordered_map<ApId, TruthRecord> truth;
-  truth.reserve(table->rows.size());
-  for (const auto& row : table->rows) {
-    if (row.size() < 5) {
-      return ParseError("ground truth row with " + std::to_string(row.size()) +
-                        " fields");
-    }
-    TruthRecord rec;
-    auto apid = ParseUint(row[0]);
-    if (!apid.ok()) return apid.status();
-    rec.apid = *apid;
-    auto outcome = ParseOutcome(row[1]);
-    if (!outcome.ok()) return outcome.status();
-    rec.outcome = *outcome;
-    if (!row[2].empty()) {
-      auto cause = ParseErrorCategory(row[2]);
-      if (!cause.ok()) return cause.status();
-      rec.cause = *cause;
-    }
-    auto event_id = ParseUint(row[3]);
-    if (!event_id.ok()) return event_id.status();
-    rec.event_id = *event_id;
-    rec.cause_detected = row[4] == "1";
-    truth.emplace(rec.apid, rec);
-  }
+  LD_TRY(CsvReader::ForEachRow(
+      path, /*has_header=*/true,
+      [&](bool header, const std::vector<std::string_view>& row) {
+        return header ? Status::Ok() : AddTruthRow(row, truth);
+      }));
   return truth;
 }
 

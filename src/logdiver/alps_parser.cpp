@@ -42,13 +42,12 @@ Result<std::optional<AlpsRecord>> ParseLineImpl(std::string_view line) {
     rec.apid = *apid_v;
     rec.jobid = *jobid_v;
     if (auto v = kv.Get("user")) rec.user = Intern(*v);
-    if (auto v = kv.Get("cmd")) rec.command = Intern(*v);
     if (auto v = kv.Get("nodect")) {
       if (auto n = ParseUint(*v); n.ok()) {
         rec.nodect = static_cast<std::uint32_t>(*n);
       }
     }
-    LD_ASSIGN_OR_RETURN(rec.nids, ParseNidRanges(*nids));
+    LD_ASSIGN_OR_RETURN(rec.nids, ParseNidRanges(*nids, rec.nodect));
     return std::optional<AlpsRecord>{std::move(rec)};
   }
 
@@ -74,9 +73,7 @@ Result<std::optional<AlpsRecord>> ParseLineImpl(std::string_view line) {
     }
     if (Contains(payload, "killed")) {
       rec.kind = AlpsRecord::Kind::kKill;
-      if (auto v = kv.Get("reason")) {
-        rec.kill_reason = *v;
-      }
+      rec.node_failure = kv.Get("reason") == "node_failure";
       if (auto v = kv.Get("nid")) {
         if (auto n = ParseUint(*v); n.ok()) {
           rec.failed_nid = static_cast<NodeIndex>(*n);

@@ -2,6 +2,7 @@
 //
 // Three record kinds:
 //   <iso-ts> apsched[pid]: placeApp apid=A jobid=J user=U cmd=C nodect=N nids=R
+// Only the fields the analysis reads are kept (placeApp's cmd= is not).
 //   <iso-ts> apsys[pid]:   apid=A exited, status=S signal=G
 //   <iso-ts> apsys[pid]:   apid=A killed, reason=node_failure nid=N
 //

@@ -319,7 +319,6 @@ void PutTorque(SnapshotWriter& w, const std::vector<TorqueRecord>& recs) {
   for (const auto& rec : recs) w.U64(rec.jobid);
   PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].user; });
   PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].queue; });
-  PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].job_name; });
   for (const auto& rec : recs) w.I64(rec.submit.unix_seconds());
   for (const auto& rec : recs) w.I64(rec.start.unix_seconds());
   for (const auto& rec : recs) w.I64(rec.end.unix_seconds());
@@ -342,7 +341,6 @@ void GetTorque(SnapshotReader& r, std::vector<TorqueRecord>& recs) {
   for (auto& rec : recs) rec.jobid = r.U64();
   GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].user = s; });
   GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].queue = s; });
-  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].job_name = s; });
   for (auto& rec : recs) rec.submit = TimePoint(r.I64());
   for (auto& rec : recs) rec.start = TimePoint(r.I64());
   for (auto& rec : recs) rec.end = TimePoint(r.I64());
@@ -360,7 +358,6 @@ void PutAlps(SnapshotWriter& w, const std::vector<AlpsRecord>& recs) {
   for (const auto& rec : recs) w.U64(rec.apid);
   for (const auto& rec : recs) w.U64(rec.jobid);
   PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].user; });
-  PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].command; });
   for (const auto& rec : recs) w.U32(rec.nodect);
   // Node placements as CSR: offsets + one packed entry array.
   std::vector<std::uint64_t> offsets;
@@ -375,7 +372,7 @@ void PutAlps(SnapshotWriter& w, const std::vector<AlpsRecord>& recs) {
   PutPodColumn(w, entries);
   for (const auto& rec : recs) w.I32(rec.exit_code);
   for (const auto& rec : recs) w.I32(rec.exit_signal);
-  for (const auto& rec : recs) w.Str(rec.kill_reason);
+  for (const auto& rec : recs) w.U8(rec.node_failure ? 1 : 0);
   for (const auto& rec : recs) w.U32(rec.failed_nid);
 }
 
@@ -392,7 +389,6 @@ void GetAlps(SnapshotReader& r, std::vector<AlpsRecord>& recs) {
   for (auto& rec : recs) rec.apid = r.U64();
   for (auto& rec : recs) rec.jobid = r.U64();
   GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].user = s; });
-  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].command = s; });
   for (auto& rec : recs) rec.nodect = r.U32();
   std::vector<std::uint64_t> offsets;
   std::vector<NodeIndex> entries;
@@ -414,7 +410,7 @@ void GetAlps(SnapshotReader& r, std::vector<AlpsRecord>& recs) {
   }
   for (auto& rec : recs) rec.exit_code = r.I32();
   for (auto& rec : recs) rec.exit_signal = r.I32();
-  for (auto& rec : recs) rec.kill_reason = r.Str();
+  for (auto& rec : recs) rec.node_failure = r.U8() != 0;
   for (auto& rec : recs) rec.failed_nid = r.U32();
 }
 

@@ -56,8 +56,10 @@ namespace ld::cache {
 /// so a v2 claims entry would replay a different merge order and is
 /// rejected.  Version 4 writes the memoized result's summary with the
 /// shared SaveAnalysisSummary codec; v3 results lack the
-/// duplicate_job_records count and are rejected.
-inline constexpr std::uint32_t kBundleCacheVersion = 4;
+/// duplicate_job_records count and are rejected.  Version 5 drops the
+/// Torque job-name and ALPS command columns (the parsers no longer keep
+/// them) and writes the ALPS kill reason as a symbol column.
+inline constexpr std::uint32_t kBundleCacheVersion = 5;
 
 /// FNV-1a-64 (word-folded over line content for speed; bytewise
 /// framing) over the four line streams, with the framing

@@ -124,7 +124,7 @@ std::optional<AppRun> RunBuilder::AddTermination(const AlpsRecord& record) {
     slot.exit_code = record.exit_code;
     slot.exit_signal = record.exit_signal;
   } else {
-    slot.killed_node_failure = record.kill_reason == "node_failure";
+    slot.killed_node_failure = record.node_failure;
     slot.failed_nid = record.failed_nid;
     slot.exit_code = 137;  // SIGKILL convention
     slot.exit_signal = 9;

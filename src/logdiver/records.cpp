@@ -1,5 +1,9 @@
 #include "logdiver/records.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+
 #include "common/strings.hpp"
 
 namespace ld {
@@ -24,67 +28,81 @@ const char* LogSourceName(LogSource s) {
   return "invalid";
 }
 
-Result<std::vector<NodeIndex>> ParseNidRanges(std::string_view text) {
+namespace {
+
+/// Widest single range, hi - lo, a nid list may name.
+constexpr std::uint64_t kMaxNidRangeSpan = std::uint64_t{1} << 20;
+
+/// Consumes the decimal digits at `p` into `value`.  False when there
+/// are none or they overflow 64 bits: exactly the digit runs
+/// std::from_chars (ParseUint) refuses.
+bool ScanDigits(const char*& p, const char* end, std::uint64_t& value) {
+  const char* const first = p;
+  std::uint64_t v = 0;
+  for (; p != end; ++p) {
+    const unsigned digit = static_cast<unsigned char>(*p) - unsigned{'0'};
+    if (digit > 9) break;
+    if (v > (UINT64_MAX - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  value = v;
+  return p != first;
+}
+
+/// Why a comma piece is rejected, worded as a per-piece ParseUint walk
+/// words it: quarantine.csv records these strings as the reason.
+Status NidPieceError(std::string_view piece) {
+  const std::size_t dash = piece.find('-');
+  if (dash == std::string_view::npos) return ParseUint(piece).status();
+  if (auto lo = ParseUint(piece.substr(0, dash)); !lo.ok()) return lo.status();
+  if (auto hi = ParseUint(piece.substr(dash + 1)); !hi.ok()) return hi.status();
+  return ParseError("bad nid range: '" + std::string(piece) + "'");
+}
+
+}  // namespace
+
+Result<std::vector<NodeIndex>> ParseNidRanges(std::string_view text,
+                                              std::uint64_t expected_nodes) {
   if (Trim(text).empty()) return ParseError("empty nid list");
-  // Every placeApp record funnels through here, so the parse is split
-  // into a validate pass that lands the [lo, hi] bounds in a stack
-  // buffer and a fill pass into a single exact reservation — no Split
-  // vector and no geometric regrowth of the output.  Payloads with more
-  // comma pieces than the stack holds spill to a heap bounds vector;
-  // the fill pass is identical either way.
-  struct Bounds {
-    std::uint64_t lo;
-    std::uint64_t hi;
-  };
-  constexpr std::size_t kStackBounds = 64;
-  Bounds stack_bounds[kStackBounds];
-  std::vector<Bounds> heap_bounds;
-  std::size_t nbounds = 0;
-  std::uint64_t total = 0;
-  const auto push_bounds = [&](Bounds b) {
-    if (nbounds < kStackBounds) {
-      stack_bounds[nbounds] = b;
-    } else {
-      if (heap_bounds.empty()) {
-        heap_bounds.assign(stack_bounds, stack_bounds + kStackBounds);
-      }
-      heap_bounds.push_back(b);
-    }
-    ++nbounds;
-    total += b.hi - b.lo + 1;
-  };
-  std::size_t pos = 0;
-  while (true) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string_view::npos) comma = text.size();
-    const std::string_view piece = text.substr(pos, comma - pos);
-    const std::size_t dash = piece.find('-');
-    if (dash == std::string_view::npos) {
-      auto v = ParseUint(piece);
-      if (!v.ok()) return v.status();
-      push_bounds(Bounds{*v, *v});
-    } else {
-      auto lo = ParseUint(piece.substr(0, dash));
-      auto hi = ParseUint(piece.substr(dash + 1));
-      if (!lo.ok()) return lo.status();
-      if (!hi.ok()) return hi.status();
-      if (*hi < *lo || *hi - *lo > 1u << 20) {
-        return ParseError("bad nid range: '" + std::string(piece) + "'");
-      }
-      push_bounds(Bounds{*lo, *hi});
-    }
-    if (comma == text.size()) break;
-    pos = comma + 1;
-  }
-  const Bounds* bounds =
-      heap_bounds.empty() ? stack_bounds : heap_bounds.data();
+  // Every placeApp record funnels through here: one walk validates each
+  // comma piece and appends its nids, with no per-piece Result.  Past
+  // the cap the walk stops appending but still validates, so a list
+  // that is malformed anyway keeps its syntax reason.
   std::vector<NodeIndex> out;
-  out.reserve(total);
-  for (std::size_t i = 0; i < nbounds; ++i) {
-    for (std::uint64_t v = bounds[i].lo; v <= bounds[i].hi; ++v) {
-      out.push_back(static_cast<NodeIndex>(v));
+  out.reserve(std::min(expected_nodes, kMaxNidListNodes));
+  std::uint64_t total = 0;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (true) {
+    const char* const piece = p;
+    std::uint64_t lo = 0;
+    bool ok = ScanDigits(p, end, lo);
+    std::uint64_t hi = lo;
+    if (ok && p != end && *p == '-') {
+      ++p;
+      ok = ScanDigits(p, end, hi) && hi >= lo && hi - lo <= kMaxNidRangeSpan;
     }
+    if (!ok || (p != end && *p != ',')) {
+      const char* const comma = std::find(p, end, ',');
+      return NidPieceError(std::string_view(piece, comma - piece));
+    }
+    const std::uint64_t count = hi - lo + 1;
+    total += count;
+    if (total <= kMaxNidListNodes) {
+      for (std::uint64_t i = 0; i < count; ++i) {
+        out.push_back(static_cast<NodeIndex>(lo + i));
+      }
+    }
+    if (p == end) break;
+    ++p;  // the ','
   }
+  if (total > kMaxNidListNodes) {
+    return ParseError("nid list expands to more than " +
+                      std::to_string(kMaxNidListNodes) + " nodes");
+  }
+  // A nodect that disagrees with the list leaves slack; records are
+  // held for the whole pass, so they keep an exact allocation.
+  if (out.capacity() != out.size()) out.shrink_to_fit();
   return out;
 }
 

@@ -8,7 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/intern.hpp"
@@ -35,10 +35,11 @@ inline constexpr std::size_t kNumLogSources = 4;
 
 const char* LogSourceName(LogSource s);
 
-/// A Torque accounting record ("S" or "E").  The repeated identity
-/// fields (user, queue, job name) are interned Symbols: a production
-/// log repeats a few hundred distinct values across millions of
-/// records, so per-record std::strings were pure allocation churn.
+/// A Torque accounting record ("S" or "E").  Only the fields the
+/// analysis reads are kept.  The repeated identity fields (user, queue)
+/// are interned Symbols: a production log repeats a few hundred
+/// distinct values across millions of records, so per-record
+/// std::strings were pure allocation churn.
 struct TorqueRecord {
   enum class Kind : std::uint8_t { kStart, kEnd };
   Kind kind = Kind::kStart;
@@ -46,7 +47,6 @@ struct TorqueRecord {
   JobId jobid = 0;
   Symbol user;
   Symbol queue;
-  Symbol job_name;
   TimePoint submit;
   TimePoint start;
   TimePoint end;                  // E records only
@@ -56,24 +56,25 @@ struct TorqueRecord {
   Duration walltime_used{0};      // E records only
 };
 
-/// An ALPS record: placement, exit, or kill.
+/// An ALPS record: placement, exit, or kill.  Only the fields the
+/// analysis reads are kept, ordered by alignment so the record packs
+/// into 72 bytes; the batch path holds one per ALPS line.
 struct AlpsRecord {
   enum class Kind : std::uint8_t { kPlace, kExit, kKill };
-  Kind kind = Kind::kPlace;
   TimePoint time;
   ApId apid = 0;
   // kPlace:
   JobId jobid = 0;
-  Symbol user;
-  Symbol command;
-  std::uint32_t nodect = 0;
   std::vector<NodeIndex> nids;
+  Symbol user;
+  std::uint32_t nodect = 0;
   // kExit:
   int exit_code = 0;
   int exit_signal = 0;
   // kKill:
-  std::string kill_reason;
   NodeIndex failed_nid = kInvalidNode;
+  bool node_failure = false;  // reason=node_failure
+  Kind kind = Kind::kPlace;
 };
 
 /// A normalized error event from syslog or hwerr.
@@ -107,8 +108,16 @@ struct ParseStats {
   }
 };
 
-/// Parses ALPS nid range syntax: "3-5,9" -> {3,4,5,9}.
-Result<std::vector<NodeIndex>> ParseNidRanges(std::string_view text);
+/// Most nodes one nid list may expand to.  A list past it is rejected
+/// as malformed, so a few hundred bytes of repeated ranges cannot
+/// expand to gigabytes.
+inline constexpr std::uint64_t kMaxNidListNodes = std::uint64_t{1} << 20;
+
+/// Parses ALPS nid range syntax: "3-5,9" -> {3,4,5,9}, in one walk.
+/// `expected_nodes` (the record's nodect, untrusted) sizes the output's
+/// first reservation, never past kMaxNidListNodes.
+Result<std::vector<NodeIndex>> ParseNidRanges(std::string_view text,
+                                              std::uint64_t expected_nodes = 0);
 
 /// Lines per work unit in the chunk-parallel ParseLines paths: big
 /// enough to amortize task dispatch, small enough that a 4-thread pool

@@ -369,7 +369,6 @@ void SaveTorqueRecord(SnapshotWriter& w, const TorqueRecord& rec) {
   w.U64(rec.jobid);
   w.Str(rec.user.view());
   w.Str(rec.queue.view());
-  w.Str(rec.job_name.view());
   w.Time(rec.submit);
   w.Time(rec.start);
   w.Time(rec.end);
@@ -385,7 +384,6 @@ void LoadTorqueRecord(SnapshotReader& r, TorqueRecord& rec) {
   rec.jobid = r.U64();
   rec.user = Intern(r.Str());
   rec.queue = Intern(r.Str());
-  rec.job_name = Intern(r.Str());
   rec.submit = r.Time();
   rec.start = r.Time();
   rec.end = r.Time();

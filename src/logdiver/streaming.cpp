@@ -14,9 +14,10 @@ namespace {
 // tallies and per-job queue-wait winners (the mergeable-aggregate
 // refactor).  Version 3: the syslog parser's held incident follows its
 // year-rollover state.  Version 4: the job index, open runs and replay
-// memory are the RunBuilder's state, with its stats.  Older snapshots
-// are rejected and analysis restarts from the raw logs.
-constexpr std::uint32_t kStreamStateVersion = 4;
+// memory are the RunBuilder's state, with its stats.  Version 5: job
+// records no longer carry the job name.  Older snapshots are rejected
+// and analysis restarts from the raw logs.
+constexpr std::uint32_t kStreamStateVersion = 5;
 
 }  // namespace
 

@@ -67,7 +67,6 @@ Result<std::optional<TorqueRecord>> ParseLineImpl(std::string_view line) {
 
   if (auto v = kv.Get("user")) rec.user = Intern(*v);
   if (auto v = kv.Get("queue")) rec.queue = Intern(*v);
-  if (auto v = kv.Get("jobname")) rec.job_name = Intern(*v);
 
   const auto submit = EpochField(kv, "ctime");
   const auto start = EpochField(kv, "start");

@@ -3,7 +3,8 @@
 // Record grammar (one per line):
 //   MM/DD/YYYY HH:MM:SS;TYPE;JOBID;key=value key=value ...
 // TYPE "S" = job start, "E" = job end; other record types (Q, D, A)
-// are recognized and skipped.  Epoch-seconds fields (ctime/start/end)
+// are recognized and skipped.  Only the fields the analysis reads are
+// kept (jobname= is not).  Epoch-seconds fields (ctime/start/end)
 // are authoritative for times; the leading wall-clock stamp is only the
 // flush time.
 //

@@ -129,5 +129,65 @@ TEST(Scoring, LoadGroundTruthRejectsBadRows) {
   EXPECT_FALSE(LoadGroundTruth("/nonexistent.csv").ok());
 }
 
+TEST(Scoring, LoadGroundTruthReadsCrlfAndQuotedRows) {
+  const std::string path = ::testing::TempDir() + "/truth_crlf.csv";
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << "apid,outcome,cause,event_id,cause_detected\r\n";
+    f << "100,success,,0,0\r\n";
+    f << "\r\n";  // blank lines are skipped
+    f << "101,\"system_failure\",\"gpu_dbe\",42,1\r\n";
+    f << "102,user_failure,,0,0";  // no final newline
+  }
+  auto truth = LoadGroundTruth(path);
+  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+  ASSERT_EQ(truth->size(), 3u);
+  EXPECT_EQ(truth->at(100).outcome, AppOutcome::kSuccess);
+  EXPECT_FALSE(truth->at(100).cause_detected);
+  EXPECT_EQ(truth->at(101).outcome, AppOutcome::kSystemFailure);
+  EXPECT_EQ(truth->at(101).cause, ErrorCategory::kGpuDbe);
+  EXPECT_TRUE(truth->at(101).cause_detected);
+  EXPECT_EQ(truth->at(102).outcome, AppOutcome::kUserFailure);
+  std::remove(path.c_str());
+}
+
+TEST(Scoring, LoadGroundTruthHeaderOnlyIsEmpty) {
+  const std::string path = ::testing::TempDir() + "/truth_header.csv";
+  {
+    std::ofstream f(path);
+    f << "apid,outcome,cause,event_id,cause_detected\n";
+  }
+  auto truth = LoadGroundTruth(path);
+  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+  EXPECT_TRUE(truth->empty());
+  std::remove(path.c_str());
+}
+
+TEST(Scoring, LoadGroundTruthErrorMessages) {
+  const std::string path = ::testing::TempDir() + "/truth_short.csv";
+  const auto load = [&](const std::string& row) {
+    {
+      std::ofstream f(path);
+      f << "apid,outcome,cause,event_id,cause_detected\n" << row << "\n";
+    }
+    return LoadGroundTruth(path).status().ToString();
+  };
+  EXPECT_EQ(load("100,success,,0"),
+            "PARSE_ERROR: ground truth row with 4 fields");
+  EXPECT_EQ(load("x,success,,0,0"),
+            "PARSE_ERROR: bad unsigned integer: 'x'");
+  EXPECT_EQ(load("100,nope,,0,0"), "PARSE_ERROR: unknown outcome 'nope'");
+  EXPECT_EQ(load("100,succ\"ess,,0,0"),
+            "PARSE_ERROR: quote in unquoted field at column 8");
+  EXPECT_EQ(load("100,\"success,,0,0"),
+            "PARSE_ERROR: unterminated quoted field");
+  // A quoting error anywhere in the file wins over an earlier bad row.
+  EXPECT_EQ(load("100,success,,0\n101,\"success,,0,0"),
+            "PARSE_ERROR: unterminated quoted field");
+  EXPECT_EQ(load("100,nope,,0,0\n101,succ\"ess,,0,0"),
+            "PARSE_ERROR: quote in unquoted field at column 8");
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace ld

@@ -70,6 +70,49 @@ TEST(CsvReader, ReadFileWithHeader) {
   std::remove(path.c_str());
 }
 
+TEST(CsvReader, ForEachRowVisitsEveryRowInOrder) {
+  const std::string path = ::testing::TempDir() + "/csv_each_row.csv";
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << "id,name\r\n1,alpha\r\n\r\n2,\"be,ta\"\n3,";
+  }
+  std::vector<std::string> seen;
+  const Status status = CsvReader::ForEachRow(
+      path, /*has_header=*/true,
+      [&](bool header, const std::vector<std::string_view>& fields) {
+        std::string row = header ? "H:" : "R:";
+        for (const auto f : fields) row += std::string(f) + "|";
+        seen.push_back(row);
+        return Status::Ok();
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(seen, (std::vector<std::string>{"H:id|name|", "R:1|alpha|",
+                                            "R:2|be,ta|", "R:3||"}));
+  std::remove(path.c_str());
+}
+
+TEST(CsvReader, ForEachRowStopsAtVisitorErrorButQuoteErrorsWin) {
+  const std::string path = ::testing::TempDir() + "/csv_each_row_err.csv";
+  const auto first_error = [&](const std::string& text) {
+    {
+      std::ofstream f(path);
+      f << text;
+    }
+    int visited = 0;
+    const Status status = CsvReader::ForEachRow(
+        path, /*has_header=*/false,
+        [&](bool, const std::vector<std::string_view>& fields) {
+          ++visited;
+          return fields.size() == 2 ? Status::Ok() : ParseError("short row");
+        });
+    return status.ToString() + " after " + std::to_string(visited);
+  };
+  EXPECT_EQ(first_error("a,b\nc\nd,e\n"), "PARSE_ERROR: short row after 2");
+  EXPECT_EQ(first_error("a,b\nc\n\"d,e\n"),
+            "PARSE_ERROR: unterminated quoted field after 0");
+  std::remove(path.c_str());
+}
+
 TEST(CsvReader, MissingFile) {
   EXPECT_FALSE(CsvReader::ReadFile("/nonexistent/file.csv", true).ok());
 }

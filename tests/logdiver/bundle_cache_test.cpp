@@ -435,11 +435,12 @@ TEST(BundleCache, V1EntryIsRejectedAsStaleAndRewritten) {
   ASSERT_NE(entry, "");
 
   // Stamp the entry as format v1 (the pre-compaction layout), then as
-  // v3 (a memoized result without duplicate_job_records).  The version
-  // u32 sits after the 8-byte magic and outside the payload CRC, so
-  // this is exactly what a leftover entry looks like to this build: the
-  // version gate must reject it before any column decoding.
-  for (const std::uint32_t stale_version : {1u, 3u}) {
+  // v3 (a memoized result without duplicate_job_records), then as v4
+  // (records with job-name and command columns).  The version u32 sits
+  // after the 8-byte magic and outside the payload CRC, so this is
+  // exactly what a leftover entry looks like to this build: the version
+  // gate must reject it before any column decoding.
+  for (const std::uint32_t stale_version : {1u, 3u, 4u}) {
     {
       std::fstream file(entry,
                         std::ios::in | std::ios::out | std::ios::binary);
@@ -469,8 +470,8 @@ TEST(BundleCache, V1EntryIsRejectedAsStaleAndRewritten) {
 TEST(BundleCache, V2ClaimsEntryIsRejectedNotReplayed) {
   // A v2 claims entry dated every syslog line in the base year; replaying
   // its merge order would reorder a campaign that crosses New Year.  The
-  // version gate must reject it (and a v3 entry, which predates the
-  // current format), and the fresh claim pass rewrites it.
+  // version gate must reject it (and v3 and v4 entries, which predate
+  // the current format), and the fresh claim pass rewrites it.
   const CachedBundle cb = MakeCachedBundle("v2claims", 112);
   const StreamInputs inputs = StreamInputs::FromBundleDir(cb.bundle_dir);
   const LogDiverConfig cached = CachedConfig(cb);
@@ -490,7 +491,7 @@ TEST(BundleCache, V2ClaimsEntryIsRejectedNotReplayed) {
     if (name.rfind("claims-", 0) == 0) entry = file.path().string();
   }
   ASSERT_NE(entry, "");
-  for (const std::uint32_t stale_version : {2u, 3u}) {
+  for (const std::uint32_t stale_version : {2u, 3u, 4u}) {
     {
       std::fstream file(entry,
                         std::ios::in | std::ios::out | std::ios::binary);

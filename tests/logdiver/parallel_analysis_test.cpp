@@ -303,7 +303,6 @@ TEST(ParallelAnalysis, InternedFieldsRoundTripThroughSnapshot) {
   rec.jobid = 6;
   rec.user = Intern("snapshot-user");
   rec.queue = Intern("snapshot-queue");
-  rec.job_name = Intern("snapshot-job");
 
   SnapshotWriter w;
   SaveAppRun(w, run);
@@ -323,7 +322,6 @@ TEST(ParallelAnalysis, InternedFieldsRoundTripThroughSnapshot) {
   EXPECT_EQ(run2.queue, "snapshot-queue");
   EXPECT_EQ(tuple2.location, tuple.location);
   EXPECT_EQ(rec2.user, rec.user);
-  EXPECT_EQ(rec2.job_name, "snapshot-job");
 }
 
 }  // namespace

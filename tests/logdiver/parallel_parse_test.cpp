@@ -70,7 +70,6 @@ void ExpectSameRecord(const TorqueRecord& a, const TorqueRecord& b,
   EXPECT_EQ(a.jobid, b.jobid) << i;
   EXPECT_EQ(a.user, b.user) << i;
   EXPECT_EQ(a.queue, b.queue) << i;
-  EXPECT_EQ(a.job_name, b.job_name) << i;
   EXPECT_EQ(a.submit, b.submit) << i;
   EXPECT_EQ(a.start, b.start) << i;
   EXPECT_EQ(a.end, b.end) << i;
@@ -87,12 +86,11 @@ void ExpectSameRecord(const AlpsRecord& a, const AlpsRecord& b,
   EXPECT_EQ(a.apid, b.apid) << i;
   EXPECT_EQ(a.jobid, b.jobid) << i;
   EXPECT_EQ(a.user, b.user) << i;
-  EXPECT_EQ(a.command, b.command) << i;
   EXPECT_EQ(a.nodect, b.nodect) << i;
   EXPECT_EQ(a.nids, b.nids) << i;
   EXPECT_EQ(a.exit_code, b.exit_code) << i;
   EXPECT_EQ(a.exit_signal, b.exit_signal) << i;
-  EXPECT_EQ(a.kill_reason, b.kill_reason) << i;
+  EXPECT_EQ(a.node_failure, b.node_failure) << i;
   EXPECT_EQ(a.failed_nid, b.failed_nid) << i;
 }
 

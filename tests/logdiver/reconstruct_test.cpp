@@ -33,7 +33,7 @@ AlpsRecord Kill(ApId apid, NodeIndex nid, std::int64_t t) {
   rec.kind = AlpsRecord::Kind::kKill;
   rec.time = TimePoint(t);
   rec.apid = apid;
-  rec.kill_reason = "node_failure";
+  rec.node_failure = true;
   rec.failed_nid = nid;
   return rec;
 }

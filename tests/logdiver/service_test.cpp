@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -442,6 +443,42 @@ TEST_F(ServiceTest, ForeignSnapshotIsRejectedAtStart) {
   ASSERT_TRUE(shard.Start(&recovered).ok());
   EXPECT_EQ(shard.accepted(), 0u);  // started fresh, not from the snapshot
   shard.Stop();
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ServiceTest, StaleAnalyzerStateInTenantSnapshotIsRejected) {
+  // A tenant snapshot nests the analyzer state, so the analyzer's layout
+  // version gates it too: a v4 payload (job records with a job name)
+  // fails Start loudly instead of being misread.
+  const std::string dir = Dir("stale_analyzer");
+  {
+    TenantShard shard("acme", dir, *machine_, LogDiverConfig{},
+                      TenantLimits{});
+    ASSERT_TRUE(shard.Start().ok());
+    Feed(shard, 0, 50);
+    ASSERT_TRUE(shard.Drain().ok());
+    shard.Stop();
+  }
+  const std::uint64_t fingerprint = TenantShard::TenantFingerprint("acme");
+  SnapshotStore store(dir + "/snapshots");
+  auto loaded = store.LoadLatest(fingerprint);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // Tenant version u32, tenant id (u32 length + "acme"), applied u64,
+  // journal offset u64, four claim carries (i64): then the analyzer's
+  // own u32 layout version.
+  std::vector<std::uint8_t> payload = loaded->payload;
+  const std::size_t analyzer_version_at = 4 + 4 + 4 + 8 + 8 + 4 * 8;
+  const std::uint32_t stale_version = 4;
+  std::memcpy(payload.data() + analyzer_version_at, &stale_version,
+              sizeof(stale_version));
+  ASSERT_TRUE(store.Write(payload, fingerprint).ok());
+
+  TenantShard shard("acme", dir, *machine_, LogDiverConfig{}, TenantLimits{});
+  const Status status = shard.Start();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
+  EXPECT_NE(status.message().find("stream-state version 4"), std::string::npos)
+      << status.ToString();
   std::filesystem::remove_all(dir);
 }
 

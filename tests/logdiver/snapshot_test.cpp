@@ -404,9 +404,10 @@ TEST_F(AnalyzerSnapshotTest, HeldIncidentSurvivesSnapshotAndRestore) {
   EXPECT_EQ(cont.coalesce_stats.input_events, 2u);
   EXPECT_EQ(FingerprintReport(cont.metrics), FingerprintReport(base.metrics));
 
-  // The same payload stamped as layout v2 (no held incident) or v3 (job
-  // index and open runs outside the run builder) is rejected.
-  for (const std::uint32_t stale_version : {2u, 3u}) {
+  // The same payload stamped as layout v2 (no held incident), v3 (job
+  // index and open runs outside the run builder) or v4 (job records
+  // with a job name) is rejected.
+  for (const std::uint32_t stale_version : {2u, 3u, 4u}) {
     std::memcpy(snapshot.data(), &stale_version, sizeof(stale_version));
     StreamingAnalyzer stale(*machine_, LogDiverConfig{});
     SnapshotReader stale_reader(snapshot);

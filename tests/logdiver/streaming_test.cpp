@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "analysis/scoring.hpp"
 #include "simlog/scenario.hpp"
@@ -271,6 +272,52 @@ TEST_F(StreamingTest, UnterminatedRunsSurfaceAsUnknown) {
   EXPECT_EQ(summary.reconstruct_stats.missing_termination, 1u);
   ASSERT_EQ(summary.metrics.outcomes.size(), 1u);
   EXPECT_EQ(summary.metrics.outcomes[0].outcome, AppOutcome::kUnknown);
+}
+
+TEST_F(StreamingTest, InternPoolDoesNotGrowPerJob) {
+  // logdiverd tenants run this path for weeks, and the intern pool never
+  // frees: job-unique strings (job names, commands, kill reasons) must
+  // not reach it.
+  // Only the user and queue vocabulary may grow the pool.
+  constexpr int kJobs = 200;
+  const char* const kUsers[] = {"intern-user-a", "intern-user-b"};
+  const char* const kQueues[] = {"intern-queue-a", "intern-queue-b"};
+  StreamingAnalyzer analyzer(*machine_, LogDiverConfig{});
+  const std::size_t before = InternedCount();
+  const std::int64_t base = 1364783400;  // 2013-04-01T02:30:00
+  for (int i = 0; i < kJobs; ++i) {
+    const std::string jobid = std::to_string(900000 + i);
+    const std::string apid = std::to_string(700000 + i);
+    const std::string user = kUsers[i % 2];
+    const std::string job = "user=" + user + " queue=" + kQueues[i % 2] +
+                            " jobname=intern-job-" + std::to_string(i);
+    const std::int64_t start = base + 60 * i;
+    const std::int64_t end = start + 600;
+    const std::string epochs = " ctime=" + std::to_string(start - 30) +
+                               " start=" + std::to_string(start);
+    analyzer.AddTorqueLine("04/01/2013 02:30:00;S;" + jobid + ".bw;" + job +
+                           epochs + " Resource_List.nodect=2");
+    analyzer.AddAlpsLine(TimePoint(start).ToIso() +
+                         " apsched[5]: placeApp apid=" + apid +
+                         " jobid=" + jobid + " user=" + user +
+                         " cmd=intern-cmd-" + std::to_string(i) +
+                         ".exe nodect=2 nids=0-1");
+    analyzer.AddAlpsLine(TimePoint(end).ToIso() + " apsys[5]: apid=" + apid +
+                         (i % 2 ? " killed, reason=intern-reason-" +
+                                      std::to_string(i) + " nid=1"
+                                : std::string(" exited, status=0 signal=0")));
+    analyzer.AddTorqueLine("04/01/2013 02:40:00;E;" + jobid + ".bw;" + job +
+                           epochs + " end=" + std::to_string(end) +
+                           " Exit_status=0 Resource_List.nodect=2");
+  }
+  const std::size_t grown = InternedCount() - before;
+  const auto summary = analyzer.Finalize();
+  // The lines were all applied: every job joined its run.
+  EXPECT_EQ(summary.torque_stats.records, 2u * kJobs);
+  EXPECT_EQ(summary.alps_stats.records, 2u * kJobs);
+  EXPECT_EQ(summary.reconstruct_stats.runs, static_cast<std::uint64_t>(kJobs));
+  EXPECT_EQ(summary.reconstruct_stats.missing_job, 0u);
+  EXPECT_LE(grown, 4u) << "the intern pool grew per job";
 }
 
 }  // namespace

@@ -27,7 +27,6 @@ TEST(TorqueParser, ParsesEndRecord) {
   EXPECT_EQ(r.jobid, 2273504u);
   EXPECT_EQ(r.user, "u1234");
   EXPECT_EQ(r.queue, "normal");
-  EXPECT_EQ(r.job_name, "run_e1");
   EXPECT_EQ(r.submit.unix_seconds(), 1364783402);
   EXPECT_EQ(r.start.unix_seconds(), 1364783500);
   EXPECT_EQ(r.end.unix_seconds(), 1364790602);
