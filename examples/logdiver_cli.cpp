@@ -41,18 +41,25 @@
 //   shards (report degrades with a coverage annotation instead of
 //   failing).
 //
+// Numeric flag values must be plain decimal integers within the flag's
+// range; anything else is a usage error naming the flag.
+//
 // Exit codes: 0 success, 1 analysis error, 2 usage, 3 a fail-fast
 // ingest error budget tripped, 4 the crash-restart budget was
 // exhausted, 5 the fleet failure budget was exhausted.
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "analysis/scoring.hpp"
 #include "common/obs/manifest.hpp"
 #include "common/obs/trace.hpp"
+#include "common/strings.hpp"
 #include "logdiver/export.hpp"
 #include "logdiver/fleet/supervisor.hpp"
 #include "logdiver/logdiver.hpp"
@@ -70,6 +77,16 @@ namespace {
 constexpr int kExitIngestBudget = 3;
 constexpr int kExitRestartsExhausted = 4;
 constexpr int kExitFleetBudget = 5;
+
+/// Upper bounds of the numeric flags whose natural type would admit
+/// values that exhaust memory or overflow downstream arithmetic.
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kMaxApps = 1'000'000'000;
+constexpr std::uint64_t kMaxDays = 36'500;
+constexpr std::uint64_t kMaxThreads = 1024;
+constexpr std::uint64_t kMaxFleetWorkers = 1024;
+constexpr std::uint64_t kMaxShardTimeoutMs = 30ull * 24 * 3600 * 1000;
+constexpr std::uint64_t kMaxCacheMb = kMaxU64 >> 20;  // MB * 2^20 fits
 
 /// Prints the parse summary and every report table, exports the CSV
 /// series when asked, and returns the exit code (kExitIngestBudget when
@@ -160,23 +177,32 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag's value: decimal digits only, no sign or trailing
+    // bytes, within [lo, hi].  A bad value names the flag; the caller
+    // then exits through Usage().
+    auto number = [&](auto& out, std::uint64_t lo, std::uint64_t hi) {
+      const char* v = next();
+      if (v == nullptr) return false;
+      const auto parsed = ld::ParseUint(v);
+      if (!parsed.ok() || *parsed < lo || *parsed > hi) {
+        std::cerr << "logdiver_cli: " << arg << " expects an integer in ["
+                  << lo << ", " << hi << "], got '" << v << "'\n";
+        return false;
+      }
+      out = static_cast<std::remove_reference_t<decltype(out)>>(*parsed);
+      return true;
+    };
     if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return Usage();
-      seed = std::strtoull(v, nullptr, 10);
+      if (!number(seed, 0, kMaxU64)) return Usage();
     } else if (arg == "--apps") {
-      const char* v = next();
-      if (!v) return Usage();
-      apps = std::strtoull(v, nullptr, 10);
+      if (!number(apps, 1, kMaxApps)) return Usage();
       have_apps = true;
     } else if (arg == "--scenario") {
       const char* v = next();
       if (!v) return Usage();
       scenario_name = v;
     } else if (arg == "--days") {
-      const char* v = next();
-      if (!v) return Usage();
-      days = std::strtoll(v, nullptr, 10);
+      if (!number(days, 1, kMaxDays)) return Usage();
     } else if (arg == "--small") {
       small = true;
     } else if (arg == "--csv") {
@@ -188,36 +214,24 @@ int main(int argc, char** argv) {
       if (!v) return Usage();
       bundle_cache_dir = v;
     } else if (arg == "--bundle-cache-max-mb") {
-      const char* v = next();
-      if (!v) return Usage();
-      bundle_cache_max_mb = std::strtoull(v, nullptr, 10);
+      if (!number(bundle_cache_max_mb, 0, kMaxCacheMb)) return Usage();
     } else if (arg == "--snapshot-dir") {
       const char* v = next();
       if (!v) return Usage();
       snapshot_dir = v;
     } else if (arg == "--snapshot-interval") {
-      const char* v = next();
-      if (!v) return Usage();
-      snapshot_interval = std::strtoull(v, nullptr, 10);
+      if (!number(snapshot_interval, 0, kMaxU64)) return Usage();
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return Usage();
-      threads = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!number(threads, 0, kMaxThreads)) return Usage();
     } else if (arg == "--fleet-workers") {
-      const char* v = next();
-      if (!v) return Usage();
-      fleet_workers = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!number(fleet_workers, 0, kMaxFleetWorkers)) return Usage();
     } else if (arg == "--shard-timeout") {
-      const char* v = next();
-      if (!v) return Usage();
-      shard_timeout_ms = std::strtoull(v, nullptr, 10);
+      if (!number(shard_timeout_ms, 1, kMaxShardTimeoutMs)) return Usage();
     } else if (arg == "--fleet-budget") {
-      const char* v = next();
-      if (!v) return Usage();
+      if (!number(fleet_budget, 0, kMaxFleetWorkers)) return Usage();
       have_fleet_budget = true;
-      fleet_budget = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
     } else if (arg == "--manifest-out") {
       const char* v = next();
       if (!v) return Usage();

@@ -414,46 +414,73 @@ void GetAlps(SnapshotReader& r, std::vector<AlpsRecord>& recs) {
   for (auto& rec : recs) rec.failed_nid = r.U32();
 }
 
-void PutErrorColumns(SnapshotWriter& w, const ErrorColumns& cols) {
-  w.U64(cols.size());
-  PutPodColumn(w, cols.time);
-  PutPodColumn(w, cols.category);
-  PutPodColumn(w, cols.severity);
-  PutPodColumn(w, cols.scope);
-  PutPodColumn(w, cols.source);
-  PutSymbolColumn(w, cols.size(),
-                  [&](std::size_t i) { return cols.location[i]; });
-  PutPodColumn(w, cols.recovered_set);
-  PutPodColumn(w, cols.recovered);
+// Error records keep the v5 column layout: a record count, then per
+// field a u64 count and one little-endian element per record (location
+// as a symbol column; recovered as a set flag, then unix seconds or 0).
+
+/// One fixed-width field column: u64 count + `get(rec)` per record.
+template <typename Rec, typename GetFn>
+void PutField(SnapshotWriter& w, const std::vector<Rec>& recs, GetFn get) {
+  w.U64(recs.size());
+  for (const Rec& rec : recs) PutElement(w, get(rec));
 }
 
-void GetErrorColumns(SnapshotReader& r, ErrorColumns& cols) {
+/// Reads a PutField column of T into the already-sized `recs`.
+template <typename T, typename Rec, typename SetFn>
+void GetField(SnapshotReader& r, std::vector<Rec>& recs, SetFn set) {
   const std::uint64_t n = r.U64();
-  if (!r.ok()) return;
-  GetPodColumn(r, cols.time);
-  GetPodColumn(r, cols.category);
-  GetPodColumn(r, cols.severity);
-  GetPodColumn(r, cols.scope);
-  GetPodColumn(r, cols.source);
-  if (!r.ok()) return;
-  cols.location.resize(cols.time.size());
-  GetSymbolColumn(r, cols.time.size(),
-                  [&](std::size_t i, Symbol s) { cols.location[i] = s; });
-  GetPodColumn(r, cols.recovered_set);
-  GetPodColumn(r, cols.recovered);
-  if (!r.ok()) return;
-  if (cols.time.size() != n || cols.category.size() != n ||
-      cols.severity.size() != n || cols.scope.size() != n ||
-      cols.source.size() != n || cols.recovered_set.size() != n ||
-      cols.recovered.size() != n) {
+  if (r.ok() && (n != recs.size() || n > r.remaining() / sizeof(T))) {
     r.Fail("error columns have mismatched lengths");
   }
+  if (!r.ok()) return;
+  for (Rec& rec : recs) set(rec, GetElement<T>(r));
+}
+
+void PutErrors(SnapshotWriter& w, const std::vector<ErrorRecord>& recs) {
+  using Rec = ErrorRecord;
+  w.U64(recs.size());
+  PutField(w, recs, [](const Rec& e) { return e.time.unix_seconds(); });
+  PutField(w, recs, [](const Rec& e) { return e.category; });
+  PutField(w, recs, [](const Rec& e) { return e.severity; });
+  PutField(w, recs, [](const Rec& e) { return e.scope; });
+  PutField(w, recs, [](const Rec& e) { return e.source; });
+  PutSymbolColumn(w, recs.size(),
+                  [&](std::size_t i) { return recs[i].location; });
+  PutField(w, recs, [](const Rec& e) {
+    return static_cast<std::uint8_t>(e.recovered.has_value());
+  });
+  PutField(w, recs, [](const Rec& e) {
+    return e.recovered ? e.recovered->unix_seconds() : std::int64_t{0};
+  });
+}
+
+void GetErrors(SnapshotReader& r, std::vector<ErrorRecord>& recs) {
+  using Rec = ErrorRecord;
+  const std::uint64_t n = r.U64();
+  // Every record spends well over one byte.
+  if (n > r.remaining()) r.Fail("error column longer than the payload");
+  if (!r.ok()) return;
+  recs.resize(n);
+  GetField<std::int64_t>(r, recs,
+                         [](Rec& e, auto v) { e.time = TimePoint(v); });
+  GetField<ErrorCategory>(r, recs, [](Rec& e, auto v) { e.category = v; });
+  GetField<Severity>(r, recs, [](Rec& e, auto v) { e.severity = v; });
+  GetField<LocScope>(r, recs, [](Rec& e, auto v) { e.scope = v; });
+  GetField<LogSource>(r, recs, [](Rec& e, auto v) { e.source = v; });
+  if (!r.ok()) return;
+  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].location = s; });
+  GetField<std::uint8_t>(r, recs, [](Rec& e, auto set) {
+    if (set != 0) e.recovered = TimePoint(0);
+  });
+  GetField<std::int64_t>(r, recs, [](Rec& e, auto v) {
+    if (e.recovered) e.recovered = TimePoint(v);
+  });
 }
 
 void DecodeParsed(SnapshotReader& r, ParsedLogs& parsed) {
   GetTorque(r, parsed.torque);
   GetAlps(r, parsed.alps);
-  GetErrorColumns(r, parsed.errors);
+  GetErrors(r, parsed.errors);
   LoadParseStats(r, parsed.torque_stats);
   LoadParseStats(r, parsed.alps_stats);
   LoadParseStats(r, parsed.syslog_stats);
@@ -823,11 +850,15 @@ void BundleCache::EnforceCap() const {
     // unlink is atomic: a reader that already mapped the file keeps a
     // valid mapping; a later reader sees a clean miss.  A concurrent
     // writer can republish the name — that new entry is complete and
-    // valid, so the worst case is an extra eviction pass.
-    if (fs::remove(victim.path, rm_ec) && !rm_ec) {
-      total -= victim.size;
-      LD_OBS_COUNTER_ADD(obs::names::kCacheEvictedTotal, 1);
-    }
+    // valid, so the worst case is an extra eviction pass.  remove()
+    // returns false without an error when a sibling process unlinked
+    // the victim first: it is gone all the same, so its bytes leave the
+    // total (otherwise this pass would go on to evict newer entries),
+    // but only this process's own unlinks count as evictions.
+    const bool removed = fs::remove(victim.path, rm_ec);
+    if (rm_ec) continue;
+    total -= victim.size;
+    if (removed) LD_OBS_COUNTER_ADD(obs::names::kCacheEvictedTotal, 1);
   }
 }
 
@@ -904,7 +935,7 @@ std::vector<std::uint8_t> BundleCache::EncodeParsed(const ParsedLogs& parsed) {
   SnapshotWriter w;
   PutTorque(w, parsed.torque);
   PutAlps(w, parsed.alps);
-  PutErrorColumns(w, parsed.errors);
+  PutErrors(w, parsed.errors);
   SaveParseStats(w, parsed.torque_stats);
   SaveParseStats(w, parsed.alps_stats);
   SaveParseStats(w, parsed.syslog_stats);

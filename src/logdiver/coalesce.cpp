@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "logdiver/columns.hpp"
 #include "logdiver/snapshot.hpp"
 #include "topology/cname.hpp"
 
@@ -179,43 +178,6 @@ std::vector<ErrorTuple> StreamingCoalescer::FlushAll() {
   return out;
 }
 
-void StreamingCoalescer::MergeFrom(const StreamingCoalescer& other) {
-  stats_.input_events += other.stats_.input_events;
-  stats_.tuples += other.stats_.tuples;
-  stats_.unresolved_locations += other.stats_.unresolved_locations;
-  // Shift the other side's ids past ours: ids are 1-based, so offsetting
-  // by next_id_ - 1 keeps the merged space dense and unique, and makes
-  // the shift compose associatively across repeated merges.
-  const std::uint64_t offset = next_id_ - 1;
-  next_id_ += other.next_id_ - 1;
-  closed_.reserve(closed_.size() + other.closed_.size());
-  for (const ErrorTuple& tuple : other.closed_) {
-    closed_.push_back(tuple);
-    closed_.back().id += offset;
-  }
-  for (const auto& [key, theirs] : other.open_) {
-    ErrorTuple shifted = theirs;
-    shifted.id += offset;
-    auto [it, inserted] = open_.emplace(key, std::move(shifted));
-    if (inserted) continue;
-    // Key collision: the partition was not key-disjoint.  Merge
-    // conservatively rather than dropping either burst.
-    ErrorTuple& mine = it->second;
-    mine.id = std::min(mine.id, theirs.id + offset);
-    mine.first = std::min(mine.first, theirs.first);
-    mine.last = std::max(mine.last, theirs.last);
-    mine.severity = std::max(mine.severity, theirs.severity);
-    mine.count += theirs.count;
-    mine.from_syslog |= theirs.from_syslog;
-    mine.from_hwerr |= theirs.from_hwerr;
-    if (theirs.recovered.has_value()) {
-      mine.recovered = mine.recovered.has_value()
-                           ? std::max(*mine.recovered, *theirs.recovered)
-                           : theirs.recovered;
-    }
-  }
-}
-
 void StreamingCoalescer::SaveState(SnapshotWriter& w) const {
   w.U64(stats_.input_events);
   w.U64(stats_.tuples);
@@ -268,43 +230,26 @@ void StreamingCoalescer::LoadState(SnapshotReader& r) {
 }
 
 std::vector<ErrorTuple> CoalesceEvents(const Machine& machine,
-                                       const ErrorColumns& records,
-                                       const CoalesceConfig& config,
-                                       CoalesceStats* stats) {
-  // Sort keyed by (time, input index): streaming the dense int64 time
-  // column instead of shuffling ~48-byte records, and — unlike the
-  // unstable by-time record sort this replaced — fully deterministic on
-  // equal timestamps, so the text-parse and bundle-cache paths assign
-  // identical tuple ids.  The key is packed next to the index so the
-  // sort's comparisons stay sequential instead of chasing the time
-  // column through an index indirection.
-  struct OrderKey {
-    std::int64_t time;  // unix seconds, same key the column stores
-    std::uint32_t index;
-  };
-  std::vector<OrderKey> order;
-  order.reserve(records.size());
-  for (std::uint32_t i = 0; i < records.size(); ++i) {
-    order.push_back(OrderKey{records.time[i], i});
-  }
-  std::sort(order.begin(), order.end(),
-            [](const OrderKey& a, const OrderKey& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.index < b.index;
-            });
-  StreamingCoalescer coalescer(machine, config);
-  for (const OrderKey& key : order) coalescer.Add(records.Row(key.index));
-  std::vector<ErrorTuple> out = coalescer.FlushAll();
-  if (stats != nullptr) *stats = coalescer.stats();
-  return out;
-}
-
-std::vector<ErrorTuple> CoalesceEvents(const Machine& machine,
                                        std::vector<ErrorRecord> records,
                                        const CoalesceConfig& config,
                                        CoalesceStats* stats) {
-  return CoalesceEvents(machine, ErrorColumns::FromRecords(records), config,
-                        stats);
+  // Feed order is (time, input index): deterministic on equal
+  // timestamps.  Sorting 4-byte indices instead of the 32-byte records
+  // keeps the coalesce-time peak (records + order + growing tuples) low.
+  std::vector<std::uint32_t> order(records.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&records](std::uint32_t a, std::uint32_t b) {
+              if (records[a].time != records[b].time) {
+                return records[a].time < records[b].time;
+              }
+              return a < b;
+            });
+  StreamingCoalescer coalescer(machine, config);
+  for (const std::uint32_t i : order) coalescer.Add(records[i]);
+  std::vector<ErrorTuple> out = coalescer.FlushAll();
+  if (stats != nullptr) *stats = coalescer.stats();
+  return out;
 }
 
 }  // namespace ld

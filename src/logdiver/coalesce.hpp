@@ -80,18 +80,6 @@ class StreamingCoalescer {
   std::size_t open_tuples() const { return open_.size(); }
   const CoalesceStats& stats() const { return stats_; }
 
-  /// Folds another coalescer's state into this one (stats sum, closed
-  /// tuples concatenate in merge order, open tuples union).  The
-  /// other side's tuple ids are shifted past this side's id space, so
-  /// merged ids stay unique and the operation is associative; the
-  /// canonical fleet order is ascending shard index.  Intended for
-  /// *key-disjoint* partitions — every (category, location) key fed
-  /// wholly to one side — where the merged tuple set is exactly the
-  /// serial coalescer's (up to id numbering).  A key collision (inputs
-  /// were not disjoint) merges the two open tuples conservatively:
-  /// span-union, max severity, summed counts.
-  void MergeFrom(const StreamingCoalescer& other);
-
   /// Snapshot serialization hooks: open/displaced tuples, the id
   /// counter and the stats round-trip (machine + config stay
   /// construction-time).
@@ -122,17 +110,12 @@ class StreamingCoalescer {
   std::unordered_map<std::uint64_t, ResolvedNodes> resolve_cache_;
 };
 
-struct ErrorColumns;  // columns.hpp
-
 /// Coalesces parsed error records into tuples.  Input order is free; the
-/// output is sorted by first-event time.  The columnar overload is the
-/// primary implementation (an index sort over the dense time column,
-/// deterministic on ties by input order); the AoS overload converts and
-/// delegates, so both produce identical tuples for identical inputs.
-std::vector<ErrorTuple> CoalesceEvents(const Machine& machine,
-                                       const ErrorColumns& records,
-                                       const CoalesceConfig& config,
-                                       CoalesceStats* stats = nullptr);
+/// output is sorted by first-event time.  Records feed the coalescer in
+/// (time, input index) order, so equal timestamps are deterministic and
+/// the text-parse and bundle-cache paths assign identical tuple ids.
+/// Takes the records by value: a caller done with them moves them in and
+/// they are freed on return.
 std::vector<ErrorTuple> CoalesceEvents(const Machine& machine,
                                        std::vector<ErrorRecord> records,
                                        const CoalesceConfig& config,

@@ -7,7 +7,6 @@
 #include "common/obs/names.hpp"
 #include "common/obs/obs.hpp"
 #include "common/parallel.hpp"
-#include "logdiver/columns.hpp"
 
 namespace ld {
 namespace {
@@ -31,25 +30,22 @@ constexpr std::size_t kClassifyChunkRuns = 4096;
 /// pre-sorted by (first, index) once, so every row and the system list
 /// come out time-ordered without any per-row sort.
 ///
-/// Queries read only the TupleColumns SoA view (dense int64 first-event
-/// times and byte-wide enums); the AoS tuple vector is touched solely
-/// while building, for the per-tuple node lists and impact windows.
+/// Rows and the system list hold indices into the caller's tuple
+/// vector, which must outlive the index.
 class TupleIndex {
  public:
-  TupleIndex(const std::vector<ErrorTuple>& tuples, const TupleColumns& cols,
-             std::size_t node_count, Duration incident_slack)
-      : cols_(cols) {
+  TupleIndex(const std::vector<ErrorTuple>& tuples, std::size_t node_count,
+             Duration incident_slack)
+      : tuples_(tuples) {
     std::vector<std::uint32_t> fatal;
-    fatal.reserve(cols.size());
-    for (std::uint32_t i = 0; i < cols.size(); ++i) {
-      if (static_cast<Severity>(cols.severity[i]) == Severity::kFatal) {
-        fatal.push_back(i);
-      }
+    fatal.reserve(tuples.size());
+    for (std::uint32_t i = 0; i < tuples.size(); ++i) {
+      if (tuples[i].severity == Severity::kFatal) fatal.push_back(i);
     }
     std::sort(fatal.begin(), fatal.end(),
-              [&cols](std::uint32_t a, std::uint32_t b) {
-                if (cols.first[a] != cols.first[b]) {
-                  return cols.first[a] < cols.first[b];
+              [&tuples](std::uint32_t a, std::uint32_t b) {
+                if (tuples[a].first != tuples[b].first) {
+                  return tuples[a].first < tuples[b].first;
                 }
                 return a < b;
               });
@@ -57,7 +53,7 @@ class TupleIndex {
     // Pass 1: per-node row widths (into offsets_[n + 1]) + system list.
     offsets_.assign(node_count + 1, 0);
     for (std::uint32_t idx : fatal) {
-      if (static_cast<LocScope>(cols.scope[idx]) == LocScope::kSystem) {
+      if (tuples[idx].scope == LocScope::kSystem) {
         system_.push_back(idx);
         continue;
       }
@@ -74,9 +70,7 @@ class TupleIndex {
     entries_.resize(offsets_[node_count]);
     std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
     for (std::uint32_t idx : fatal) {
-      if (static_cast<LocScope>(cols.scope[idx]) == LocScope::kSystem) {
-        continue;
-      }
+      if (tuples[idx].scope == LocScope::kSystem) continue;
       for (NodeIndex n : tuples[idx].nodes) {
         if (n < node_count) entries_[cursor[n]++] = idx;
       }
@@ -92,7 +86,7 @@ class TupleIndex {
     for (std::uint32_t idx : system_) {
       const Interval window =
           tuples[idx].ImpactWindow().Inflate(incident_slack);
-      sys_start_.push_back(cols.first[idx]);
+      sys_start_.push_back(tuples[idx].first.unix_seconds());
       const std::int64_t end = window.end.unix_seconds();
       sys_prefix_max_end_.push_back(
           sys_prefix_max_end_.empty()
@@ -108,12 +102,11 @@ class TupleIndex {
     if (static_cast<std::size_t>(node) + 1 >= offsets_.size()) return;
     const std::uint32_t* begin = entries_.data() + offsets_[node];
     const std::uint32_t* end = entries_.data() + offsets_[node + 1];
-    const std::int64_t* first = cols_.first.data();
     const std::uint32_t* it = std::lower_bound(
-        begin, end, lo, [first](std::uint32_t idx, std::int64_t v) {
-          return first[idx] < v;
+        begin, end, lo, [this](std::uint32_t idx, std::int64_t v) {
+          return tuples_[idx].first.unix_seconds() < v;
         });
-    for (; it != end && first[*it] <= hi; ++it) {
+    for (; it != end && tuples_[*it].first.unix_seconds() <= hi; ++it) {
       out.push_back(*it);
     }
   }
@@ -134,7 +127,7 @@ class TupleIndex {
   }
 
  private:
-  const TupleColumns& cols_;
+  const std::vector<ErrorTuple>& tuples_;
   std::vector<std::uint32_t> offsets_;  // node -> row start; size nodes + 1
   std::vector<std::uint32_t> entries_;  // packed tuple indices, row-major
   std::vector<std::uint32_t> system_;   // system incidents by (first, index)
@@ -151,9 +144,7 @@ std::vector<ClassifiedRun> Correlator::Classify(
     const std::vector<AppRun>& runs, const std::vector<ErrorTuple>& tuples,
     ThreadPool* pool) const {
   const std::uint64_t start_ns = LD_OBS_NOW_NS();
-  const TupleColumns tcols = TupleColumns::FromTuples(tuples);
-  const RunColumns rcols = RunColumns::FromRuns(runs);
-  const TupleIndex index(tuples, tcols, machine_.node_count(),
+  const TupleIndex index(tuples, machine_.node_count(),
                          config_.incident_slack);
   if (start_ns != 0) {
     LD_OBS_HIST_RECORD(obs::names::kCorrelateIndexMicros,
@@ -184,9 +175,11 @@ std::vector<ClassifiedRun> Correlator::Classify(
     std::uint32_t best = kNoTuple;
     std::int64_t best_gap = 0;
     for (std::uint32_t idx : candidates) {
-      const auto category = static_cast<ErrorCategory>(tcols.category[idx]);
-      const std::int64_t first = tcols.first[idx];
-      if (first < death - config_.BeforeWindow(category).seconds()) continue;
+      const ErrorTuple& tuple = tuples[idx];
+      const std::int64_t first = tuple.first.unix_seconds();
+      if (first < death - config_.BeforeWindow(tuple.category).seconds()) {
+        continue;
+      }
       const std::int64_t gap = std::llabs(first - death);
       if (best == kNoTuple || gap < best_gap) {
         best = idx;
@@ -201,37 +194,37 @@ std::vector<ClassifiedRun> Correlator::Classify(
   // cannot depend on thread count or scheduling.
   auto classify_run = [&](std::uint32_t i,
                           std::vector<std::uint32_t>& candidates) {
+    const AppRun& run = runs[i];
     ClassifiedRun cls;
     cls.run_index = i;
 
     const auto attribute = [&](std::uint32_t cause) {
       if (cause != kNoTuple) {
-        cls.cause = static_cast<ErrorCategory>(tcols.category[cause]);
-        cls.tuple_id = tcols.id[cause];
+        cls.cause = tuples[cause].category;
+        cls.tuple_id = tuples[cause].id;
       }
     };
 
-    if ((rcols.flags[i] & RunColumns::kHasTermination) == 0) {
+    if (!run.has_termination) {
       cls.outcome = AppOutcome::kUnknown;
       return cls;
     }
-    if (rcols.exit_code[i] == 0 && rcols.exit_signal[i] == 0) {
+    if (run.exit_code == 0 && run.exit_signal == 0) {
       cls.outcome = AppOutcome::kSuccess;
       return cls;
     }
-    const std::int64_t death = rcols.end[i];
-    if ((rcols.flags[i] & RunColumns::kKilledNodeFailure) != 0) {
+    const std::int64_t death = run.end.unix_seconds();
+    if (run.killed_node_failure) {
       // ALPS observed the node loss: definitively system-caused.  Root
       // cause comes from correlation; search the failed node first.
       cls.outcome = AppOutcome::kSystemFailure;
       std::uint32_t cause =
-          rcols.failed_nid[i] != kInvalidNode
-              ? find_node_cause(
-                    std::span<const NodeIndex>(&rcols.failed_nid[i], 1),
-                    death, candidates)
+          run.failed_nid != kInvalidNode
+              ? find_node_cause(std::span<const NodeIndex>(&run.failed_nid, 1),
+                                death, candidates)
               : kNoTuple;
       if (cause == kNoTuple) {
-        cause = find_node_cause(rcols.Nodes(i), death, candidates);
+        cause = find_node_cause(run.nodes, death, candidates);
       }
       if (cause == kNoTuple) {
         cause = index.FindSystemCause(death, slack);
@@ -241,16 +234,16 @@ std::vector<ClassifiedRun> Correlator::Classify(
     }
     // Walltime: the job hit its limit and the run died by SIGTERM at
     // (or right before) job_start + limit.
-    if (rcols.walltime_limit[i] > 0 && rcols.exit_signal[i] == kSigTerm) {
-      const std::int64_t used = death - rcols.job_start[i];
-      if (used + config_.walltime_tolerance.seconds() >=
-          rcols.walltime_limit[i]) {
+    const std::int64_t limit = run.walltime_limit.seconds();
+    if (limit > 0 && run.exit_signal == kSigTerm) {
+      const std::int64_t used = death - run.job_start.unix_seconds();
+      if (used + config_.walltime_tolerance.seconds() >= limit) {
         cls.outcome = AppOutcome::kWalltime;
         return cls;
       }
     }
     // Abnormal exit: blame a system error only with log evidence.
-    std::uint32_t cause = find_node_cause(rcols.Nodes(i), death, candidates);
+    std::uint32_t cause = find_node_cause(run.nodes, death, candidates);
     if (cause == kNoTuple) {
       cause = index.FindSystemCause(death, slack);
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <utility>
@@ -220,29 +221,33 @@ Result<ParsedLogs> LogDiver::ParseLogs(const LogSetView& logs,
   parsed.alps_stats = alps_parser.stats();
   CountSourceStats(parsed.alps_stats);
 
+  // Syslog errors first, hwerr appended — the order the coalescer's
+  // (time, input index) tie-break keys on.  The syslog vector is sized
+  // for both, so the append never reallocates.
+  std::size_t hwerr_records = 0;
+  for (const HwerrParser::Chunk& chunk : hwerr_chunks) {
+    hwerr_records += chunk.records.size();
+  }
   SyslogParser syslog_parser(config_.syslog_base_year);
-  std::vector<ErrorRecord> errors;
   {
     LD_OBS_SPAN("reduce/syslog");
-    errors = syslog_parser.ReduceChunks(std::move(syslog_chunks), &sink);
+    parsed.errors = syslog_parser.ReduceChunks(std::move(syslog_chunks), &sink,
+                                               hwerr_records);
   }
   parsed.syslog_stats = syslog_parser.stats();
   CountSourceStats(parsed.syslog_stats);
 
   HwerrParser hwerr_parser;
-  std::vector<ErrorRecord> hwerr;
   {
     LD_OBS_SPAN("reduce/hwerr");
-    hwerr = hwerr_parser.ReduceChunks(std::move(hwerr_chunks), &sink);
+    std::vector<ErrorRecord> hwerr =
+        hwerr_parser.ReduceChunks(std::move(hwerr_chunks), &sink);
+    parsed.errors.insert(parsed.errors.end(),
+                         std::make_move_iterator(hwerr.begin()),
+                         std::make_move_iterator(hwerr.end()));
   }
   parsed.hwerr_stats = hwerr_parser.stats();
   CountSourceStats(parsed.hwerr_stats);
-
-  // Syslog errors first, hwerr appended — the order the coalescer's
-  // (time, input index) tie-break keys on.
-  parsed.errors.reserve(errors.size() + hwerr.size());
-  parsed.errors.Append(errors);
-  parsed.errors.Append(hwerr);
   return parsed;
 }
 
@@ -277,11 +282,12 @@ Result<AnalysisResult> LogDiver::AnalyzeParsed(ParsedLogs&& parsed,
   LD_TRY(check_budget("syslog", result.syslog_stats));
   LD_TRY(check_budget("hwerr", result.hwerr_stats));
 
-  // 2. Coalesce error events into tuples (columnar feed).
+  // 2. Coalesce error events into tuples.  The records move in and are
+  // freed before reconstruct allocates the runs.
   {
     LD_OBS_SPAN("coalesce");
-    result.tuples = CoalesceEvents(machine_, parsed.errors, config_.coalesce,
-                                   &result.coalesce_stats);
+    result.tuples = CoalesceEvents(machine_, std::move(parsed.errors),
+                                   config_.coalesce, &result.coalesce_stats);
   }
 
   // 3. Reconstruct application runs (replayed records dedup here).
@@ -338,7 +344,7 @@ Result<AnalysisResult> LogDiver::AnalyzeBundle(const std::string& dir) const {
 
   // Parsed-bundle cache (src/logdiver/cache).  A full hit returns the
   // memoized result without touching a parser; a records hit replays
-  // the analysis tail over restored columns; anything untrustworthy is
+  // the analysis tail over restored records; anything untrustworthy is
   // rejected and the text parse below remains the source of truth.
   const cache::BundleCache bundle_cache(config_.bundle_cache_dir,
                                         config_.bundle_cache_max_bytes);
@@ -360,7 +366,7 @@ Result<AnalysisResult> LogDiver::AnalyzeBundle(const std::string& dir) const {
   LD_OBS_SPAN("analyze");
   const std::uint64_t analyze_start_ns = LD_OBS_NOW_NS();
   LD_ASSIGN_OR_RETURN(ParsedLogs parsed, ParseLogs(views, pool));
-  // Snapshot the records bytes before the tail consumes the columns.
+  // Snapshot the records bytes before the tail consumes the records.
   const std::vector<std::uint8_t> parsed_bytes =
       cache::BundleCache::EncodeParsed(parsed);
   auto result = AnalyzeParsed(std::move(parsed), pool);

@@ -26,7 +26,6 @@
 #include "logdiver/alps_parser.hpp"
 #include "logdiver/block_reader.hpp"
 #include "logdiver/coalesce.hpp"
-#include "logdiver/columns.hpp"
 #include "logdiver/correlate.hpp"
 #include "logdiver/hwerr_parser.hpp"
 #include "logdiver/metrics.hpp"
@@ -151,12 +150,12 @@ Result<MappedBundle> LoadBundle(const StreamInputs& inputs, ThreadPool* pool);
 
 /// Everything the parse phase produces, decoupled from the analysis
 /// tail so the parsed-bundle cache can persist and restore it.  The
-/// error stream is already columnar (syslog records first, hwerr
-/// appended — the exact order the coalescer's tie-break keys on).
+/// error stream holds syslog records first, hwerr appended — the exact
+/// order the coalescer's tie-break keys on.
 struct ParsedLogs {
   std::vector<TorqueRecord> torque;
   std::vector<AlpsRecord> alps;
-  ErrorColumns errors;
+  std::vector<ErrorRecord> errors;
   ParseStats torque_stats;
   ParseStats alps_stats;
   ParseStats syslog_stats;

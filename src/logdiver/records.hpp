@@ -77,21 +77,24 @@ struct AlpsRecord {
   Kind kind = Kind::kPlace;
 };
 
-/// A normalized error event from syslog or hwerr.
+/// A normalized error event from syslog or hwerr.  The four one-byte
+/// enums sit together so the record packs into 32 bytes; the batch
+/// path holds one per error line from parse through coalesce.
 struct ErrorRecord {
   TimePoint time;
   ErrorCategory category = ErrorCategory::kUnknown;
   Severity severity = Severity::kCorrected;
   LocScope scope = LocScope::kNode;
+  LogSource source = LogSource::kSyslog;
   /// Node-level cname ("c1-2c0s3n1"), blade prefix ("c1-2c0s3"), or
   /// gemini name ("c1-2c0s3g0"); empty for system scope.  Interned: the
   /// same few thousand component names recur across the whole log.
   Symbol location;
-  LogSource source = LogSource::kSyslog;
   /// For system-scope incidents: the service-restored time if the parser
   /// paired a recovery line (nullopt while the incident is open).
   std::optional<TimePoint> recovered;
 };
+static_assert(sizeof(ErrorRecord) <= 32, "ErrorRecord grew past 32 bytes");
 
 /// Per-parser counters, reported so silent data loss is impossible.
 struct ParseStats {

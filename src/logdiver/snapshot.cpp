@@ -214,7 +214,8 @@ void SnapshotReader::Raw(void* out, std::size_t size) {
     std::memset(out, 0, size);
     return;
   }
-  std::memcpy(out, data_ + pos_, size);
+  // An empty column passes a null `out`; memcpy must not see it.
+  if (size != 0) std::memcpy(out, data_ + pos_, size);
   pos_ += size;
 }
 

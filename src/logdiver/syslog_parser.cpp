@@ -373,9 +373,10 @@ SyslogParser::Chunk SyslogParser::ParseChunk(
   return chunk;
 }
 
-std::vector<ErrorRecord> SyslogParser::ReduceChunks(std::vector<Chunk>&& chunks,
-                                                    QuarantineSink* sink) {
-  std::size_t total = 0;
+std::vector<ErrorRecord> SyslogParser::ReduceChunks(
+    std::vector<Chunk>&& chunks, QuarantineSink* sink,
+    std::size_t append_capacity) {
+  std::size_t total = append_capacity;
   for (const Chunk& chunk : chunks) total += chunk.items.size();
   std::vector<ErrorRecord> out;
   out.reserve(total);

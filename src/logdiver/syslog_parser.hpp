@@ -88,9 +88,12 @@ class SyslogParser {
   /// Folds chunks — in order — through the year-reconstruction and
   /// incident-pairing state machines, updating this parser's stream
   /// state, stats, and `sink`.  Any incident still open at end-of-input
-  /// is closed with the default window (FinishOpenIncident).
+  /// is closed with the default window (FinishOpenIncident).  The
+  /// result has room for `append_capacity` more records, so a caller
+  /// appending another source's records does not reallocate.
   std::vector<ErrorRecord> ReduceChunks(std::vector<Chunk>&& chunks,
-                                        QuarantineSink* sink = nullptr);
+                                        QuarantineSink* sink = nullptr,
+                                        std::size_t append_capacity = 0);
 
   /// Parses a whole stream, chunked across `pool` (inline when null),
   /// and returns the completed records, including paired system

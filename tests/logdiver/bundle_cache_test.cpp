@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "logdiver/cache/bundle_cache.hpp"
@@ -688,6 +690,88 @@ TEST(BundleCache, TwoConcurrentColdWritersNeverTearTheEntry) {
 
   fs::remove_all(cb.bundle_dir);
   fs::remove_all(cb.cache_dir);
+}
+
+// The records section of a v5 entry, pinned byte for byte: any change
+// to the error-records layout must come with a kBundleCacheVersion bump
+// (and a new pin), never silently reinterpret an existing entry.
+ParsedLogs PinnedParsedLogs() {
+  ParsedLogs parsed;
+  const auto add = [&parsed](std::int64_t t, ErrorCategory category,
+                             Severity severity, LocScope scope,
+                             std::string_view location, LogSource source,
+                             std::optional<std::int64_t> recovered) {
+    ErrorRecord rec;
+    rec.time = TimePoint(t);
+    rec.category = category;
+    rec.severity = severity;
+    rec.scope = scope;
+    rec.location = Intern(location);
+    rec.source = source;
+    if (recovered) rec.recovered = TimePoint(*recovered);
+    parsed.errors.push_back(rec);
+  };
+  add(1370000000, ErrorCategory::kMachineCheck, Severity::kFatal,
+      LocScope::kNode, "c0-0c0s1n2", LogSource::kSyslog, std::nullopt);
+  add(1370000060, ErrorCategory::kLustre, Severity::kFatal, LocScope::kSystem,
+      "", LogSource::kSyslog, 1370003600);
+  add(1369999990, ErrorCategory::kGeminiLink, Severity::kDegraded,
+      LocScope::kGemini, "c0-0c0s1g1", LogSource::kHwerr, std::nullopt);
+  add(1370000120, ErrorCategory::kBladeFault, Severity::kCorrected,
+      LocScope::kBlade, "c0-0c0s1", LogSource::kTorque, std::nullopt);
+  add(1370000180, ErrorCategory::kMachineCheck, Severity::kCorrected,
+      LocScope::kNode, "c0-0c0s1n2", LogSource::kAlps, std::nullopt);
+  parsed.syslog_stats = ParseStats{7, 3, 2, 2};
+  parsed.hwerr_stats = ParseStats{1, 1, 0, 0};
+  return parsed;
+}
+
+std::string Hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
+}
+
+TEST(BundleCache, ErrorRecordsSectionBytesArePinned) {
+  // Recorded from the v5 encoder; torque and alps sections are empty.
+  const std::string want =
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000010000000000000000000000"
+      "00000000000000000000000005000000000000000500000000000000808aa851"
+      "00000000bc8aa85100000000768aa85100000000f88aa85100000000348ba851"
+      "0000000005000000000000000005040700050000000000000002020100000500"
+      "000000000000000302010005000000000000000202030001040000000a000000"
+      "63302d30633073316e32000000000a00000063302d3063307331673108000000"
+      "63302d3063307331050000000000000000000000010000000200000003000000"
+      "0000000005000000000000000001000000050000000000000000000000000000"
+      "009098a851000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0007000000000000000300000000000000020000000000000002000000000000"
+      "0001000000000000000100000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "000000000000000000000000000000000000000000";
+  const std::vector<std::uint8_t> bytes =
+      cache::BundleCache::EncodeParsed(PinnedParsedLogs());
+  EXPECT_EQ(Hex(bytes), want);
+
+  // The pinned bytes also decode: a records hit re-encodes to the same
+  // bytes.
+  const std::string dir = ::testing::TempDir() + "/ld_bc_pinned";
+  fs::remove_all(dir);
+  const cache::BundleCache cache(dir);
+  const cache::CacheKeys stored{0x1234, 0x5678, 1};
+  ASSERT_TRUE(cache.Store(stored, bytes, AnalysisResult{}).ok());
+  const cache::CacheKeys other_tail{0x1234, 0x5678, 2};
+  auto loaded = cache.Load(other_tail);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(loaded->result.has_value());
+  EXPECT_EQ(Hex(cache::BundleCache::EncodeParsed(loaded->parsed)), want);
+  fs::remove_all(dir);
 }
 
 }  // namespace

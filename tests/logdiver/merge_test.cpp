@@ -181,96 +181,6 @@ TEST(MergeAlgebra, InsertionOrderDoesNotChangeTheBytes) {
   EXPECT_EQ(Bytes(in_order), Bytes(shuffled));
 }
 
-// --- coalescer -------------------------------------------------------
-
-ErrorRecord Rec(std::int64_t t, ErrorCategory cat, Severity sev,
-                std::string loc) {
-  ErrorRecord rec;
-  rec.time = TimePoint(t);
-  rec.category = cat;
-  rec.severity = sev;
-  rec.scope = LocScope::kNode;
-  rec.location = Intern(loc);
-  rec.source = LogSource::kSyslog;
-  return rec;
-}
-
-class CoalescerMergeTest : public ::testing::Test {
- protected:
-  CoalescerMergeTest()
-      : machine_(Machine::Testbed(96, 24)),
-        node0_(machine_.node(0).cname.ToString()),
-        node1_(machine_.node(1).cname.ToString()) {}
-  StreamingCoalescer Make() { return StreamingCoalescer(machine_, {}); }
-  Machine machine_;
-  std::string node0_;
-  std::string node1_;
-};
-
-TEST_F(CoalescerMergeTest, KeyDisjointMergePreservesTuplesAndStats) {
-  StreamingCoalescer a = Make();
-  StreamingCoalescer b = Make();
-  a.Add(Rec(1000, ErrorCategory::kMachineCheck, Severity::kFatal, node0_));
-  a.Add(Rec(1010, ErrorCategory::kMachineCheck, Severity::kFatal, node0_));
-  b.Add(Rec(2000, ErrorCategory::kMemoryUE, Severity::kCorrected, node1_));
-
-  a.MergeFrom(b);
-  EXPECT_EQ(a.stats().input_events, 3u);
-  const std::vector<ErrorTuple> tuples = a.FlushAll();
-  ASSERT_EQ(tuples.size(), 2u);
-
-  // Shifted ids stay unique across the merge.
-  std::vector<std::uint64_t> ids;
-  for (const ErrorTuple& t : tuples) ids.push_back(t.id);
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2}));
-}
-
-TEST_F(CoalescerMergeTest, CollidingOpenKeyMergesConservatively) {
-  // Same (category, location) open in both shards: the merged tuple
-  // must union the spans and sum the counts rather than drop either
-  // side.
-  StreamingCoalescer a = Make();
-  StreamingCoalescer b = Make();
-  a.Add(Rec(1000, ErrorCategory::kMachineCheck, Severity::kCorrected, node0_));
-  b.Add(Rec(1020, ErrorCategory::kMachineCheck, Severity::kFatal, node0_));
-
-  a.MergeFrom(b);
-  const std::vector<ErrorTuple> tuples = a.FlushAll();
-  ASSERT_EQ(tuples.size(), 1u);
-  EXPECT_EQ(tuples[0].count, 2u);
-  EXPECT_EQ(tuples[0].severity, Severity::kFatal);
-  EXPECT_EQ(tuples[0].first, TimePoint(1000));
-  EXPECT_EQ(tuples[0].last, TimePoint(1020));
-}
-
-TEST_F(CoalescerMergeTest, MergeIsAssociativeOnDisjointKeys) {
-  const auto feed = [&](StreamingCoalescer& c, const std::string& node,
-                        std::int64_t t) {
-    c.Add(Rec(t, ErrorCategory::kMachineCheck, Severity::kFatal, node));
-  };
-  const std::string node2 = machine_.node(2).cname.ToString();
-
-  StreamingCoalescer a1 = Make(), b1 = Make(), c1 = Make();
-  feed(a1, node0_, 1000);
-  feed(b1, node1_, 2000);
-  feed(c1, node2, 3000);
-  a1.MergeFrom(b1);  // (a + b) + c
-  a1.MergeFrom(c1);
-
-  StreamingCoalescer a2 = Make(), b2 = Make(), c2 = Make();
-  feed(a2, node0_, 1000);
-  feed(b2, node1_, 2000);
-  feed(c2, node2, 3000);
-  b2.MergeFrom(c2);  // a + (b + c)
-  a2.MergeFrom(b2);
-
-  SnapshotWriter w1, w2;
-  a1.SaveState(w1);
-  a2.SaveState(w2);
-  EXPECT_EQ(w1.bytes(), w2.bytes());
-}
-
 // --- quarantine / ingest stats ---------------------------------------
 
 TEST(MergeAlgebra, IngestStatsMergeSumsEveryCounter) {
