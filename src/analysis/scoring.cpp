@@ -26,7 +26,7 @@ Status AddTruthRow(const std::vector<std::string_view>& row,
   LD_ASSIGN_OR_RETURN(rec.apid, ParseUint(row[0]));
   LD_ASSIGN_OR_RETURN(rec.outcome, ParseOutcome(row[1]));
   if (!row[2].empty()) {
-    LD_ASSIGN_OR_RETURN(rec.cause, ParseErrorCategory(std::string(row[2])));
+    LD_ASSIGN_OR_RETURN(rec.cause, ParseErrorCategory(row[2]));
   }
   LD_ASSIGN_OR_RETURN(rec.event_id, ParseUint(row[3]));
   rec.cause_detected = row[4] == "1";

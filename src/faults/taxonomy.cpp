@@ -21,11 +21,11 @@ const char* ErrorCategoryName(ErrorCategory c) {
   return idx < kCategoryNames.size() ? kCategoryNames[idx] : "invalid";
 }
 
-Result<ErrorCategory> ParseErrorCategory(const std::string& name) {
+Result<ErrorCategory> ParseErrorCategory(std::string_view name) {
   for (std::size_t i = 0; i < kCategoryNames.size(); ++i) {
     if (name == kCategoryNames[i]) return static_cast<ErrorCategory>(i);
   }
-  return ParseError("unknown error category '" + name + "'");
+  return ParseError("unknown error category '" + std::string(name) + "'");
 }
 
 const char* SeverityName(Severity s) {
@@ -33,11 +33,11 @@ const char* SeverityName(Severity s) {
   return idx < kSeverityNames.size() ? kSeverityNames[idx] : "invalid";
 }
 
-Result<Severity> ParseSeverity(const std::string& name) {
+Result<Severity> ParseSeverity(std::string_view name) {
   for (std::size_t i = 0; i < kSeverityNames.size(); ++i) {
     if (name == kSeverityNames[i]) return static_cast<Severity>(i);
   }
-  return ParseError("unknown severity '" + name + "'");
+  return ParseError("unknown severity '" + std::string(name) + "'");
 }
 
 const char* ScopeName(Scope s) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.hpp"
 #include "common/time.hpp"
@@ -32,7 +33,7 @@ enum class ErrorCategory : std::uint8_t {
 inline constexpr int kErrorCategoryCount = 10;
 
 const char* ErrorCategoryName(ErrorCategory c);
-Result<ErrorCategory> ParseErrorCategory(const std::string& name);
+Result<ErrorCategory> ParseErrorCategory(std::string_view name);
 
 /// How severe a logged event is.  Only fatal-capable events are eligible
 /// to be blamed for an application failure; "corrected" events are the
@@ -44,7 +45,7 @@ enum class Severity : std::uint8_t {
 };
 
 const char* SeverityName(Severity s);
-Result<Severity> ParseSeverity(const std::string& name);
+Result<Severity> ParseSeverity(std::string_view name);
 
 /// Spatial blast radius of an event.
 enum class Scope : std::uint8_t {

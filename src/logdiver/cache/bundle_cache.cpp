@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -276,7 +277,8 @@ class DeltaReader {
 };
 
 /// Node-list CSR in v2: per-row varint length (the offset delta) + one
-/// varint entry stream.  Returns false (after r.Fail) on inconsistency.
+/// varint entry stream.  Returns false (after r.Fail) on inconsistency,
+/// including a row longer than `max_row` entries.
 template <typename Row>
 void PutNodeCsr(SnapshotWriter& w, const std::vector<Row>& rows) {
   for (const auto& row : rows) w.Varint(row.nodes.size());
@@ -286,11 +288,18 @@ void PutNodeCsr(SnapshotWriter& w, const std::vector<Row>& rows) {
 }
 
 template <typename Row>
-bool GetNodeCsr(SnapshotReader& r, std::vector<Row>& rows, const char* what) {
+bool GetNodeCsr(
+    SnapshotReader& r, std::vector<Row>& rows, const char* what,
+    std::uint64_t max_row = std::numeric_limits<std::uint64_t>::max()) {
   std::vector<std::uint64_t> lengths(rows.size());
   std::uint64_t total = 0;
   for (auto& len : lengths) {
     len = r.Varint();
+    if (len > max_row) {
+      r.Fail(std::string(what) + " node list longer than " +
+             std::to_string(max_row));
+      return false;
+    }
     total += len;
   }
   if (!r.ok()) return false;
@@ -644,7 +653,7 @@ void GetTuples(SnapshotReader& r, std::vector<ErrorTuple>& tuples) {
   for (auto& t : tuples) t.scope = static_cast<LocScope>(r.U8());
   GetSymbolColumn(r, n,
                   [&](std::size_t i, Symbol s) { tuples[i].location = s; });
-  if (!GetNodeCsr(r, tuples, "tuple")) return;
+  if (!GetNodeCsr(r, tuples, "tuple", NodeSet::kCapacity)) return;
   {
     DeltaReader first(r);
     for (auto& t : tuples) t.first = TimePoint(first.NextSigned());

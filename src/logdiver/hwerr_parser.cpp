@@ -20,13 +20,12 @@ Result<std::optional<ErrorRecord>> ParseLineImpl(std::string_view line) {
     pos = sep + 1;
   }
   LD_ASSIGN_OR_RETURN(const auto epoch, ParseInt(fields[0]));
-  auto category = ParseErrorCategory(std::string(fields[1]));
+  auto category = ParseErrorCategory(fields[1]);
   if (!category.ok()) {
     // Categories from newer firmware we don't know: skipped, not malformed.
     return std::optional<ErrorRecord>{};
   }
-  LD_ASSIGN_OR_RETURN(const auto severity,
-                      ParseSeverity(std::string(fields[3])));
+  LD_ASSIGN_OR_RETURN(const auto severity, ParseSeverity(fields[3]));
 
   ErrorRecord rec;
   rec.time = TimePoint(epoch);

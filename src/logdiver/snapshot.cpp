@@ -424,7 +424,13 @@ void LoadAppRun(SnapshotReader& r, AppRun& run) {
   run.node_type = static_cast<NodeType>(r.U8());
   const std::uint32_t nodes = r.U32();
   run.nodes.clear();
-  if (r.ok()) run.nodes.reserve(nodes);
+  // Each entry is a u32: a count past the payload is malformed, and
+  // must not size an allocation.
+  if (nodes > r.remaining() / 4) {
+    r.Fail("run node count exceeds the payload");
+    return;
+  }
+  run.nodes.reserve(nodes);
   for (std::uint32_t i = 0; i < nodes && r.ok(); ++i) {
     run.nodes.push_back(r.U32());
   }
@@ -489,7 +495,11 @@ void LoadErrorTuple(SnapshotReader& r, ErrorTuple& tuple) {
   tuple.location = Intern(r.Str());
   const std::uint32_t nodes = r.U32();
   tuple.nodes.clear();
-  if (r.ok()) tuple.nodes.reserve(nodes);
+  if (nodes > NodeSet::kCapacity || nodes > r.remaining() / 4) {
+    r.Fail("tuple node count exceeds " +
+           std::to_string(NodeSet::kCapacity) + " or the payload");
+    return;
+  }
   for (std::uint32_t i = 0; i < nodes && r.ok(); ++i) {
     tuple.nodes.push_back(r.U32());
   }

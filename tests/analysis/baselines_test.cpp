@@ -21,14 +21,14 @@ AppRun MakeRun(ApId apid, std::vector<NodeIndex> nodes, std::int64_t start,
   return run;
 }
 
-ErrorTuple MakeTuple(std::uint64_t id, Severity sev,
-                     std::vector<NodeIndex> nodes, std::int64_t t) {
+ErrorTuple MakeTuple(std::uint64_t id, Severity sev, NodeSet nodes,
+                     std::int64_t t) {
   ErrorTuple tuple;
   tuple.id = id;
   tuple.category = ErrorCategory::kMemoryUE;
   tuple.severity = sev;
   tuple.scope = LocScope::kNode;
-  tuple.nodes = std::move(nodes);
+  tuple.nodes = nodes;
   tuple.first = TimePoint(t);
   tuple.last = TimePoint(t);
   tuple.count = 1;

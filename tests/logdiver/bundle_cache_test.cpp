@@ -7,11 +7,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -771,6 +774,60 @@ TEST(BundleCache, ErrorRecordsSectionBytesArePinned) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_FALSE(loaded->result.has_value());
   EXPECT_EQ(Hex(cache::BundleCache::EncodeParsed(loaded->parsed)), want);
+  fs::remove_all(dir);
+}
+
+TEST(BundleCache, TupleWithMoreThanFourNodesIsRejected) {
+  // A memoized tuple row whose node list holds 5 entries: the entry is
+  // well-formed (CRC and size fixed up), but no location resolves to
+  // more than 4 nodes, so the decoder must reject it.
+  const std::string dir = ::testing::TempDir() + "/ld_bc_fat_tuple";
+  fs::remove_all(dir);
+  const cache::BundleCache cache(dir);
+  const cache::CacheKeys keys{0x1234, 0x5678, 1};
+  AnalysisResult result;
+  ErrorTuple tuple;
+  tuple.id = 1;
+  tuple.scope = LocScope::kBlade;
+  tuple.nodes = {91, 92, 93, 94};
+  tuple.count = 1;
+  result.tuples.push_back(tuple);
+  ASSERT_TRUE(
+      cache.Store(keys, cache::BundleCache::EncodeParsed(ParsedLogs{}), result)
+          .ok());
+  ASSERT_TRUE(cache.Load(keys).ok());
+
+  const std::string path = cache.BundlePath(keys.input_fingerprint);
+  std::vector<std::uint8_t> file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // The node CSR: row length 4, then the varint entries 91..94.
+  const std::vector<std::uint8_t> csr = {4, 91, 92, 93, 94};
+  auto at = std::search(file.begin() + kFileHeaderSize, file.end(),
+                        csr.begin(), csr.end());
+  ASSERT_NE(at, file.end());
+  *at = 5;
+  file.insert(at + csr.size(), 95);
+  const std::span<const std::uint8_t> payload(file.data() + kFileHeaderSize,
+                                              file.size() - kFileHeaderSize);
+  const auto put_le = [&file](std::size_t offset, std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) file[offset + i] = (v >> (8 * i)) & 0xFF;
+  };
+  put_le(12, Crc32(payload.data(), payload.size()), 4);
+  put_le(16, payload.size(), 8);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(file.data()),
+              static_cast<std::streamsize>(file.size()));
+  }
+
+  auto loaded = cache.Load(keys);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("tuple node list"),
+            std::string::npos)
+      << loaded.status().ToString();
   fs::remove_all(dir);
 }
 

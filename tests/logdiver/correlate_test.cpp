@@ -27,13 +27,13 @@ class CorrelateTest : public ::testing::Test {
   }
 
   ErrorTuple Tuple(std::uint64_t id, ErrorCategory cat, Severity sev,
-                   std::vector<NodeIndex> nodes, std::int64_t t) {
+                   NodeSet nodes, std::int64_t t) {
     ErrorTuple tuple;
     tuple.id = id;
     tuple.category = cat;
     tuple.severity = sev;
     tuple.scope = LocScope::kNode;
-    tuple.nodes = std::move(nodes);
+    tuple.nodes = nodes;
     tuple.first = TimePoint(t);
     tuple.last = TimePoint(t);
     tuple.count = 1;

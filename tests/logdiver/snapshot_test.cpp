@@ -81,6 +81,93 @@ TEST(SnapshotIoTest, OversizedStringPrefixFails) {
   EXPECT_FALSE(r.ok());
 }
 
+// The fields of an AppRun / ErrorTuple ahead of their node count.
+void PutRunHead(SnapshotWriter& w) {
+  w.U64(1);       // apid
+  w.U64(2);       // jobid
+  w.Str("user");  // user
+  w.Str("q");     // queue
+  w.U8(0);        // node_type
+}
+
+void PutTupleHead(SnapshotWriter& w) {
+  w.U64(1);  // id
+  w.U8(0);   // category
+  w.U8(2);   // severity
+  w.U8(0);   // scope
+  w.Str("c0-0c0s0n0");
+}
+
+TEST(SnapshotIoTest, RunNodeCountPastThePayloadFailsWithoutAllocating) {
+  SnapshotWriter w;
+  PutRunHead(w);
+  w.U32(0xFFFFFFFFu);
+  for (int i = 0; i < 64; ++i) w.U8(0);
+  SnapshotReader r(w.bytes());
+  AppRun run;
+  LoadAppRun(r, run);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(run.nodes.empty());
+}
+
+TEST(SnapshotIoTest, TupleNodeCountPastThePayloadFails) {
+  SnapshotWriter w;
+  PutTupleHead(w);
+  w.U32(0xFFFFFFFFu);
+  for (int i = 0; i < 64; ++i) w.U8(0);
+  SnapshotReader r(w.bytes());
+  ErrorTuple tuple;
+  LoadErrorTuple(r, tuple);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(tuple.nodes.empty());
+}
+
+TEST(SnapshotIoTest, TupleWithMoreThanFourNodesFails) {
+  // A well-formed tuple in every other respect: no location resolves
+  // to more than one blade's 4 nodes, so 5 is malformed.
+  SnapshotWriter w;
+  PutTupleHead(w);
+  w.U32(5);
+  for (std::uint32_t n = 0; n < 5; ++n) w.U32(n);
+  w.Time(TimePoint(1000));  // first
+  w.Time(TimePoint(1000));  // last
+  w.Bool(false);            // recovered
+  w.U32(1);                 // count
+  w.Bool(true);             // from_syslog
+  w.Bool(false);            // from_hwerr
+  SnapshotReader r(w.bytes());
+  ErrorTuple tuple;
+  LoadErrorTuple(r, tuple);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("tuple node count"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(SnapshotIoTest, FourNodeTupleRoundTrips) {
+  ErrorTuple tuple;
+  tuple.id = 9;
+  tuple.category = ErrorCategory::kBladeFault;
+  tuple.severity = Severity::kFatal;
+  tuple.scope = LocScope::kBlade;
+  tuple.location = Intern("c0-0c0s1");
+  tuple.nodes = {4, 5, 6, 7};
+  tuple.first = TimePoint(100);
+  tuple.last = TimePoint(160);
+  tuple.recovered = TimePoint(900);
+  tuple.count = 3;
+  tuple.from_hwerr = true;
+  SnapshotWriter w;
+  SaveErrorTuple(w, tuple);
+  SnapshotReader r(w.bytes());
+  ErrorTuple back;
+  LoadErrorTuple(r, back);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(back.nodes, tuple.nodes);
+  EXPECT_EQ(back.recovered, tuple.recovered);
+  EXPECT_EQ(back.count, 3u);
+}
+
 class SnapshotFileTest : public ::testing::Test {
  protected:
   std::string Path(const std::string& name) const {
