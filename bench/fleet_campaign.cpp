@@ -323,13 +323,11 @@ int Run(bool quick) {
                 ok ? "ok" : "FAIL");
   }
 
-  // --- warm bundle cache: shards skip the text re-parse --------------
-  // Same fleet twice against a shared bundle-cache dir.  The cold run
-  // populates the cache (every worker either stores or hits an entry a
-  // sibling raced in first); the warm run must be all hits — no misses,
-  // no stores — and both merged reports must stay bit-identical to the
-  // serial baseline: the cache may only change *how fast* the answer
-  // arrives, never the answer.
+  // --- bundle cache dir set: the answer never changes ----------------
+  // Same fleet twice against a shared bundle-cache dir.  Replay parses
+  // every line once and reads no cache entry, so both merged reports
+  // must stay bit-identical to the serial baseline: a cache dir may
+  // only ever change *how fast* the answer arrives, never the answer.
   {
     LogDiverConfig cached_config = diver_config;
     cached_config.bundle_cache_dir = base + "/bundle_cache";
@@ -343,45 +341,17 @@ int Run(bool quick) {
                    (!cold.ok() ? cold : warm).status().ToString().c_str());
     }
     if (ok) {
-      const bool cold_populates =
-          cold->load.cache_stores >= 1 && cold->load.cache_rejected == 0 &&
-          cold->load.cache_hits + cold->load.cache_misses == shards;
-      const bool warm_all_hits =
-          warm->load.cache_hits == shards && warm->load.cache_misses == 0 &&
-          warm->load.cache_stores == 0 && warm->load.cache_rejected == 0;
-      const bool identical =
-          FingerprintReport(cold->summary.metrics) == want_report &&
-          FingerprintReport(warm->summary.metrics) == want_report &&
-          cold->summary.reconstruct_stats.runs == want_runs &&
-          warm->summary.reconstruct_stats.runs == want_runs;
-      if (!cold_populates) {
-        std::fprintf(stderr,
-                     "  cold run: hits %llu misses %llu stores %llu "
-                     "rejected %llu\n",
-                     static_cast<unsigned long long>(cold->load.cache_hits),
-                     static_cast<unsigned long long>(cold->load.cache_misses),
-                     static_cast<unsigned long long>(cold->load.cache_stores),
-                     static_cast<unsigned long long>(
-                         cold->load.cache_rejected));
-      }
-      if (!warm_all_hits) {
-        std::fprintf(stderr,
-                     "  warm run: hits %llu misses %llu stores %llu "
-                     "rejected %llu\n",
-                     static_cast<unsigned long long>(warm->load.cache_hits),
-                     static_cast<unsigned long long>(warm->load.cache_misses),
-                     static_cast<unsigned long long>(warm->load.cache_stores),
-                     static_cast<unsigned long long>(
-                         warm->load.cache_rejected));
-      }
-      if (!identical) {
+      ok = FingerprintReport(cold->summary.metrics) == want_report &&
+           FingerprintReport(warm->summary.metrics) == want_report &&
+           cold->summary.reconstruct_stats.runs == want_runs &&
+           warm->summary.reconstruct_stats.runs == want_runs;
+      if (!ok) {
         std::fprintf(stderr, "  cache cell: merged report diverged from "
                              "serial baseline\n");
       }
-      ok = cold_populates && warm_all_hits && identical;
     }
     all_passed = all_passed && ok;
-    std::printf("warm bundle cache: all-hit shards, bit-identical      %s\n",
+    std::printf("bundle cache dir set: bit-identical                   %s\n",
                 ok ? "ok" : "FAIL");
   }
 

@@ -368,10 +368,7 @@ int main(int argc, char** argv) {
       return finish(1);
     }
     options.partial_dir = partial_dir;
-    ld::LogDiverConfig fleet_config;
-    fleet_config.bundle_cache_dir = bundle_cache_dir;
-    fleet_config.bundle_cache_max_bytes = bundle_cache_max_mb * 1024 * 1024;
-    const ld::fleet::ShardSupervisor supervisor(machine, fleet_config);
+    const ld::fleet::ShardSupervisor supervisor(machine, ld::LogDiverConfig{});
     auto fleet = supervisor.Run(ld::StreamInputs::FromBundleDir(dir), options);
     std::error_code ec;
     std::filesystem::remove_all(partial_dir, ec);
@@ -403,11 +400,8 @@ int main(int argc, char** argv) {
       ld::ResumeOptions options;
       options.snapshot_dir = snapshot_dir;
       options.snapshot_interval = snapshot_interval;
-      ld::LogDiverConfig stream_config;
-      stream_config.bundle_cache_dir = bundle_cache_dir;
-      stream_config.bundle_cache_max_bytes = bundle_cache_max_mb * 1024 * 1024;
       auto result = ld::RunResumableAnalysis(
-          machine, stream_config,
+          machine, ld::LogDiverConfig{},
           ld::StreamInputs::FromBundleDir(dir), options);
       if (!result.ok()) {
         std::cerr << "analyze failed: " << result.status().ToString() << "\n";

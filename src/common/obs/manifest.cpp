@@ -28,9 +28,11 @@ std::string HexU64(std::uint64_t v) {
 
 /// ru_maxrss is kilobytes on Linux (bytes on macOS; we only build on
 /// Linux — see CI — so no branch).
-std::int64_t MaxRssKb() {
+/// Peak RSS of this process (RUSAGE_SELF) or of its largest waited-for
+/// child (RUSAGE_CHILDREN), in KiB.
+std::int64_t MaxRssKb(int who) {
   struct rusage usage {};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  if (getrusage(who, &usage) != 0) return 0;
   return static_cast<std::int64_t>(usage.ru_maxrss);
 }
 
@@ -213,7 +215,10 @@ std::string ManifestBuilder::ToJson() const {
 
   w.KVDouble("wall_seconds",
              static_cast<double>(NowNanos() - epoch_ns_) / 1e9);
-  w.KV("max_rss_kb", MaxRssKb());
+  w.KV("max_rss_kb", MaxRssKb(RUSAGE_SELF));
+  // Supervised drivers (--snapshot-dir, --fleet-workers) do the work in
+  // forked children; their peak is the one that matters there.
+  w.KV("children_max_rss_kb", MaxRssKb(RUSAGE_CHILDREN));
   if (have_exit_code_) {
     w.KV("exit_code", static_cast<std::int64_t>(exit_code_));
   }

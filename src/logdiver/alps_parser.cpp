@@ -4,9 +4,7 @@
 #include "logdiver/quarantine.hpp"
 
 namespace ld {
-namespace {
-
-Result<std::optional<AlpsRecord>> ParseLineImpl(std::string_view line) {
+AlpsParser::Parsed AlpsParser::Parse(std::string_view line) {
   // "YYYY-MM-DDTHH:MM:SS daemon[pid]: payload"
   if (line.size() < 21) {
     return ParseError("alps: line too short");
@@ -86,18 +84,9 @@ Result<std::optional<AlpsRecord>> ParseLineImpl(std::string_view line) {
   return std::optional<AlpsRecord>{};
 }
 
-}  // namespace
-
-Result<std::optional<AlpsRecord>> AlpsParser::ParseLine(std::string_view line) {
-  ++stats_.lines;
-  auto rec = ParseLineImpl(line);
-  if (!rec.ok()) {
-    ++stats_.malformed;
-  } else if (rec->has_value()) {
-    ++stats_.records;
-  } else {
-    ++stats_.skipped;
-  }
+AlpsParser::Parsed AlpsParser::ParseLine(std::string_view line) {
+  Parsed rec = Parse(line);
+  stats_.Count(rec);
   return rec;
 }
 
@@ -106,7 +95,7 @@ AlpsParser::Chunk AlpsParser::ParseChunk(
     const QuarantineConfig* capture) {
   return ParseChunkWith<AlpsRecord>(
       lines, first_line_no, capture, LogSource::kAlps,
-      [](std::string_view line) { return ParseLineImpl(line); });
+      [](std::string_view line) { return Parse(line); });
 }
 
 std::vector<AlpsRecord> AlpsParser::ReduceChunks(std::vector<Chunk>&& chunks,

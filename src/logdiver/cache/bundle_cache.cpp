@@ -20,8 +20,8 @@ namespace {
 // --- keys ------------------------------------------------------------
 
 // Same FNV-1a-64 as resume.cpp's BundlePartitionFingerprint; the two
-// must stay value-identical (bundle_cache_test pins this) so a fleet
-// worker's snapshot fingerprint and its claims-cache entry agree.
+// must stay value-identical (bundle_cache_test pins this) so snapshot
+// headers and cache entries agree about a bundle's identity.
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
@@ -72,7 +72,6 @@ constexpr FileFormat kCacheFormat = {{'L', 'D', 'P', 'B', 'C', 'H', 'E', '1'},
                                      kBundleCacheVersion};
 
 constexpr std::uint8_t kKindBundle = 1;
-constexpr std::uint8_t kKindClaims = 2;
 
 Status WriteEntry(const std::string& dir, const std::string& path,
                   std::uint64_t fingerprint,
@@ -875,10 +874,6 @@ std::string BundleCache::BundlePath(std::uint64_t input_fingerprint) const {
   return dir_ + "/bundle-" + HexFingerprint(input_fingerprint) + ".ldpbc";
 }
 
-std::string BundleCache::ClaimsPath(std::uint64_t input_fingerprint) const {
-  return dir_ + "/claims-" + HexFingerprint(input_fingerprint) + ".ldpbc";
-}
-
 Result<LoadedEntry> BundleCache::Load(const CacheKeys& keys) const {
   const std::string path = BundlePath(keys.input_fingerprint);
   const std::uint64_t load_start_ns = LD_OBS_NOW_NS();
@@ -966,69 +961,6 @@ Status BundleCache::Store(const CacheKeys& keys,
   EncodeResult(w, result);
   LD_TRY(WriteEntry(dir_, BundlePath(keys.input_fingerprint),
                     keys.input_fingerprint, w));
-  EnforceCap();
-  return Status::Ok();
-}
-
-Result<ClaimedColumns> BundleCache::LoadClaims(
-    std::uint64_t input_fingerprint, int base_year,
-    const std::array<std::size_t, kNumLogSources>& line_counts) const {
-  const std::string path = ClaimsPath(input_fingerprint);
-  if (!std::filesystem::exists(path)) {
-    LD_OBS_COUNTER_ADD(obs::names::kCacheMissesTotal, 1);
-    return NotFoundError("bundle cache: no claims entry at " + path);
-  }
-  const auto reject = [](Status why) {
-    LD_OBS_COUNTER_ADD(obs::names::kCacheRejectedTotal, 1);
-    return Status(StatusCode::kParseError,
-                  "bundle cache: " + why.message() + " — claims entry "
-                  "rejected, reparsing claimed times");
-  };
-  auto entry = OpenEntry(path, input_fingerprint);
-  if (!entry.ok()) return reject(entry.status());
-  SnapshotReader r(entry->payload, entry->size);
-  const std::uint8_t kind = r.U8();
-  if (r.ok() && kind != kKindClaims) {
-    r.Fail("entry kind " + std::to_string(kind) + " is not a claims entry");
-  }
-  const std::int32_t entry_year = r.I32();
-  if (r.ok() && entry_year != base_year) {
-    r.Fail(path + " was written under base year " +
-           std::to_string(entry_year));
-  }
-  ClaimedColumns out;
-  for (std::size_t s = 0; s < kNumLogSources && r.ok(); ++s) {
-    std::vector<std::int64_t> column;
-    GetPodColumn(r, column);
-    if (!r.ok()) break;
-    if (column.size() != line_counts[s]) {
-      r.Fail(path + " claims column " + std::to_string(s) +
-             " does not match the bundle's line count");
-      break;
-    }
-    out[s].reserve(column.size());
-    for (const std::int64_t t : column) out[s].push_back(TimePoint(t));
-  }
-  if (!r.ok()) return reject(r.status());
-  LD_OBS_COUNTER_ADD(obs::names::kCacheHitsTotal, 1);
-  TouchEntry(path);
-  return out;
-}
-
-Status BundleCache::StoreClaims(std::uint64_t input_fingerprint,
-                                int base_year,
-                                const ClaimedColumns& claimed) const {
-  SnapshotWriter w;
-  w.U8(kKindClaims);
-  w.I32(base_year);
-  for (const auto& column : claimed) {
-    std::vector<std::int64_t> seconds;
-    seconds.reserve(column.size());
-    for (const TimePoint t : column) seconds.push_back(t.unix_seconds());
-    PutPodColumn(w, seconds);
-  }
-  LD_TRY(WriteEntry(dir_, ClaimsPath(input_fingerprint), input_fingerprint,
-                    w));
   EnforceCap();
   return Status::Ok();
 }

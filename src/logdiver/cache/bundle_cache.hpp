@@ -2,7 +2,7 @@
 // intermediate format keyed by the FNV-1a-64 bundle fingerprint, so
 // re-analysis of an already-seen bundle skips text parsing entirely.
 //
-// Two entry kinds live in one cache directory (conventionally next to
+// One entry kind lives in the cache directory (conventionally next to
 // the snapshot store):
 //
 //   bundle-<fp>.ldpbc   ParsedLogs as raw little-endian column arrays
@@ -10,10 +10,10 @@
 //                       plus an optional memoized AnalysisResult
 //                       section (keyed additionally by an
 //                       analysis-config + machine-geometry hash).
-//   claims-<fp>.ldpbc   Per-line claimed-time columns for the
-//                       streaming/fleet bundle loader (keyed by the
-//                       syslog base year), replacing the throwaway
-//                       ClaimedTracker pass over the whole bundle.
+//
+// Any other *.ldpbc file (a claims-<fp>.ldpbc from an older build) is
+// never read; it counts against the cap and is evicted like any cold
+// entry.
 //
 // Safety model (docs/FORMATS.md "Parsed-bundle cache"): every load
 // validates magic, format version, payload size, payload CRC-32, the
@@ -32,14 +32,12 @@
 // validate before decoding a single field.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.hpp"
-#include "common/time.hpp"
 #include "logdiver/logdiver.hpp"
 
 namespace ld::cache {
@@ -51,14 +49,13 @@ namespace ld::cache {
 /// deltas instead of fixed-width words (docs/FORMATS.md "Parsed-bundle
 /// cache v2").  v1 entries are rejected as stale — loudly, with the
 /// text-parse fallback — and rewritten in v2 on the next store.
-/// Version 3 changed what a claims entry means, not its layout: syslog
-/// claims carry the year reached by rollover instead of the base year,
-/// so a v2 claims entry would replay a different merge order and is
-/// rejected.  Version 4 writes the memoized result's summary with the
-/// shared SaveAnalysisSummary codec; v3 results lack the
-/// duplicate_job_records count and are rejected.  Version 5 drops the
-/// Torque job-name and ALPS command columns (the parsers no longer keep
-/// them) and writes the ALPS kill reason as a symbol column.
+/// Version 3 changed what the (since deleted) claims entry meant, not
+/// its layout: syslog claims carried the year reached by rollover.
+/// Version 4 writes the memoized result's summary with the shared
+/// SaveAnalysisSummary codec; v3 results lack the duplicate_job_records
+/// count and are rejected.  Version 5 drops the Torque job-name and ALPS
+/// command columns (the parsers no longer keep them) and writes the
+/// ALPS kill reason as a symbol column.
 inline constexpr std::uint32_t kBundleCacheVersion = 5;
 
 /// FNV-1a-64 (word-folded over line content for speed; bytewise
@@ -99,15 +96,11 @@ struct LoadedEntry {
   std::optional<AnalysisResult> result;
 };
 
-/// Claimed-time columns for the streaming loader, one per source, each
-/// the length of that source's line stream.
-using ClaimedColumns = std::array<std::vector<TimePoint>, kNumLogSources>;
-
 class BundleCache {
  public:
   /// `max_bytes` caps the total size of *.ldpbc entries in `dir`
   /// (0 = unbounded).  The cap is enforced LRU-first — least recently
-  /// *used*, not written: every successful Load/LoadClaims touches the
+  /// *used*, not written: every successful Load touches the
   /// entry's mtime — at construction (startup trim of an over-cap
   /// directory) and after every store.  Eviction is a plain unlink of a
   /// complete, valid file: a reader that already mapped the entry keeps
@@ -118,7 +111,6 @@ class BundleCache {
   const std::string& dir() const { return dir_; }
   std::uint64_t max_bytes() const { return max_bytes_; }
   std::string BundlePath(std::uint64_t input_fingerprint) const;
-  std::string ClaimsPath(std::uint64_t input_fingerprint) const;
 
   /// Loads and validates the bundle entry.  NotFound when absent;
   /// ParseError (counted in ld.cache.rejected_total) when torn, foreign,
@@ -137,15 +129,6 @@ class BundleCache {
   Status Store(const CacheKeys& keys,
                const std::vector<std::uint8_t>& parsed_bytes,
                const AnalysisResult& result) const;
-
-  /// Loads claimed-time columns; `line_counts` are the per-source line
-  /// counts of the live bundle (a mismatch rejects the entry).
-  Result<ClaimedColumns> LoadClaims(
-      std::uint64_t input_fingerprint, int base_year,
-      const std::array<std::size_t, kNumLogSources>& line_counts) const;
-
-  Status StoreClaims(std::uint64_t input_fingerprint, int base_year,
-                     const ClaimedColumns& claimed) const;
 
  private:
   /// Deletes least-recently-used entries until the directory is back

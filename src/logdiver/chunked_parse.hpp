@@ -45,21 +45,15 @@ ParsedChunk<Record> ParseChunkWith(std::span<const std::string_view> lines,
   chunk.records.reserve(lines.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::string_view line = lines[i];
-    ++chunk.stats.lines;
     auto rec = per_line(line);
+    chunk.stats.Count(rec);
     if (!rec.ok()) {
-      ++chunk.stats.malformed;
       if (capture != nullptr) {
         chunk.sink.Add(source, first_line_no + i, line, rec.status());
       }
       continue;
     }
-    if (!rec->has_value()) {
-      ++chunk.stats.skipped;
-      continue;
-    }
-    ++chunk.stats.records;
-    chunk.records.push_back(std::move(**rec));
+    if (rec->has_value()) chunk.records.push_back(std::move(**rec));
   }
   return chunk;
 }

@@ -1,22 +1,21 @@
 // Claimed times: the one rule that merges a bundle's four sources into
-// one stream, used by the replay loader (resume.hpp) and the service's
+// one stream, used by the replay loop (resume.hpp) and the service's
 // accept path (service/tenant.hpp).
 //
 // A line's claimed time is the last parseable timestamp of its source,
 // carried over lines that do not parse (a real shipper cannot drop what
-// it cannot read).  A syslog stamp takes its year from the carried claim
-// by the parser's own rollover rule (SyslogParser::ParseSyslogTime), so
-// a campaign crossing New Year keeps its order with the carry as the
-// only state.
+// it cannot read).  For Torque, ALPS and hwerr the claim derives from
+// the line's parse outcome, so a caller that parses the line anyway
+// (the replay loop) claims from that one parse.  A syslog stamp takes
+// its year from the carried claim by the parser's own rollover rule
+// (SyslogParser::ParseSyslogTime), so a campaign crossing New Year
+// keeps its order with the carry as the only state.
 #pragma once
 
 #include <string_view>
 
 #include "common/time.hpp"
-#include "logdiver/alps_parser.hpp"
-#include "logdiver/hwerr_parser.hpp"
 #include "logdiver/records.hpp"
-#include "logdiver/torque_parser.hpp"
 
 namespace ld {
 
@@ -25,8 +24,21 @@ class ClaimedTracker {
   explicit ClaimedTracker(int syslog_base_year)
       : syslog_base_year_(syslog_base_year) {}
 
-  /// Claimed time for `line`, updating the per-source carry.
+  /// Claimed time for `line`, updating the per-source carry: Torque,
+  /// ALPS and hwerr lines are parsed and claimed from the outcome,
+  /// syslog lines read only their stamp.
   TimePoint Claim(LogSource source, std::string_view line);
+
+  /// Claimed time of a Torque, ALPS or hwerr line from its parse
+  /// outcome: a record's time becomes the carry, a skipped or malformed
+  /// line keeps it.
+  template <typename Record>
+  TimePoint Claim(LogSource source,
+                  const Result<std::optional<Record>>& parsed) {
+    TimePoint& carry = carry_[static_cast<std::size_t>(source)];
+    if (parsed.ok() && parsed->has_value()) carry = (*parsed)->time;
+    return carry;
+  }
 
   /// Re-seeds one source's carry (service recovery: the snapshot and the
   /// replayed journal records carry the claims, so the parsers never
@@ -37,9 +49,6 @@ class ClaimedTracker {
 
  private:
   int syslog_base_year_;
-  TorqueParser torque_;
-  AlpsParser alps_;
-  HwerrParser hwerr_;
   /// The epoch means "no claim yet".
   TimePoint carry_[kNumLogSources] = {};
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "logdiver/snapshot.hpp"
-#include "topology/cname.hpp"
 
 namespace ld {
 namespace {
@@ -17,19 +16,17 @@ bool ResolveNodes(const Machine& machine, LocScope scope,
     case LocScope::kSystem:
       return true;
     case LocScope::kNode: {
-      auto idx = machine.FindByCname(std::string(location));
+      auto idx = machine.FindByCname(location);
       if (!idx.ok()) return false;
       out.push_back(*idx);
       return true;
     }
     case LocScope::kBlade: {
-      // Location is a blade prefix "cX-YcCsS"; resolve all 4 node slots.
-      for (int nd = 0; nd < 4; ++nd) {
-        auto idx = machine.FindByCname(std::string(location) + "n" +
-                                       std::to_string(nd));
-        if (idx.ok()) out.push_back(*idx);
-      }
-      return !out.empty();
+      // Location is a blade prefix "cX-YcCsS"; all 4 node slots.
+      auto first = machine.FindBlade(location);
+      if (!first.ok()) return false;
+      for (NodeIndex nd = 0; nd < 4; ++nd) out.push_back(*first + nd);
+      return true;
     }
     case LocScope::kGemini: {
       // Location "cX-YcCsSg{P}": router P serves nodes 2P and 2P+1.
@@ -37,12 +34,12 @@ bool ResolveNodes(const Machine& machine, LocScope scope,
       if (g == std::string_view::npos || g + 1 >= location.size()) return false;
       const int pair = location[g + 1] - '0';
       if (pair < 0 || pair > 1) return false;
-      const std::string blade(location.substr(0, g));
-      for (int nd = pair * 2; nd < pair * 2 + 2; ++nd) {
-        auto idx = machine.FindByCname(blade + "n" + std::to_string(nd));
-        if (idx.ok()) out.push_back(*idx);
-      }
-      return !out.empty();
+      auto first = machine.FindBlade(location.substr(0, g));
+      if (!first.ok()) return false;
+      const auto node0 = *first + static_cast<NodeIndex>(pair) * 2;
+      out.push_back(node0);
+      out.push_back(node0 + 1);
+      return true;
     }
   }
   return false;

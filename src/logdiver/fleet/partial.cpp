@@ -8,10 +8,6 @@ void SavePartialAggregates(SnapshotWriter& w, const PartialAggregates& p) {
   w.U32(p.header.shard_count);
   w.U64(p.header.fingerprint);
   SaveAnalysisSummary(w, p.summary);
-  w.U64(p.load.cache_hits);
-  w.U64(p.load.cache_misses);
-  w.U64(p.load.cache_rejected);
-  w.U64(p.load.cache_stores);
   p.metrics.SaveState(w);
 }
 
@@ -30,10 +26,6 @@ Result<PartialAggregates> LoadPartialAggregates(
   p.header.shard_count = r.U32();
   p.header.fingerprint = r.U64();
   LoadAnalysisSummary(r, p.summary);
-  p.load.cache_hits = r.U64();
-  p.load.cache_misses = r.U64();
-  p.load.cache_rejected = r.U64();
-  p.load.cache_stores = r.U64();
   p.metrics.LoadState(r);
   if (!r.ok()) return r.status();
   if (r.remaining() != 0) {

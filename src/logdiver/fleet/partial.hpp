@@ -7,8 +7,8 @@
 // shard header (record version, shard index, shard count, the
 // bundle-partition fingerprint again) followed by the worker's
 // AnalysisSummary (the bundle-wide counters every worker reproduces
-// identically, written with the shared summary codec), its claims-cache
-// counters and its shard-filtered MetricsAccumulator.  The supervisor
+// identically, written with the shared summary codec) and its
+// shard-filtered MetricsAccumulator.  The supervisor
 // validates CRC + fingerprint + shard identity before a partial is
 // allowed anywhere near the merge.
 #pragma once
@@ -20,7 +20,6 @@
 #include "common/status.hpp"
 #include "logdiver/logdiver.hpp"
 #include "logdiver/metrics.hpp"
-#include "logdiver/resume.hpp"
 #include "logdiver/snapshot.hpp"
 
 namespace ld::fleet {
@@ -30,8 +29,9 @@ namespace ld::fleet {
 /// rejections / stores), so the supervisor can see cache effectiveness
 /// without reaching into a dead child's obs registry.  Version 3 ships
 /// the worker's AnalysisSummary (SaveAnalysisSummary) in place of the
-/// per-field counters, reconstruct stats included.
-inline constexpr std::uint32_t kPartialRecordVersion = 3;
+/// per-field counters, reconstruct stats included.  Version 4 drops the
+/// claims-cache counters with the claims cache itself.
+inline constexpr std::uint32_t kPartialRecordVersion = 4;
 
 /// Who computed this partial, over what input.
 struct PartialHeader {
@@ -51,11 +51,6 @@ struct PartialHeader {
 struct PartialAggregates {
   PartialHeader header;
   AnalysisSummary summary;
-  /// Claims-cache activity of this worker's bundle load (v2): whether a
-  /// warm shard actually skipped the claimed-time re-parse.  Summed —
-  /// not survivor-picked — by the supervisor: each worker loads the
-  /// bundle independently.
-  BundleLoadStats load;
   MetricsAccumulator metrics;
 
   explicit PartialAggregates(MetricsConfig metrics_config = {})

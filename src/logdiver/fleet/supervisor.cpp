@@ -56,8 +56,7 @@ int RunWorkerProcess(const Machine& machine, LogDiverConfig config,
   config.shard = ShardSpec{shard, options.shard_count};
   StreamingAnalyzer analyzer(machine, config);
   PartialAggregates partial(config.metrics);
-  const auto total =
-      ReplayBundle(config, inputs, options.schedule, analyzer, &partial.load);
+  const auto total = ReplayBundle(config, inputs, options.schedule, analyzer);
   if (!total.ok()) {
     std::fprintf(stderr, "[fleet] shard %u: %s\n", shard,
                  total.status().message().c_str());
@@ -360,9 +359,6 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
     }
     ++fleet.coverage.shards_merged;
     merged.MergeFrom(s.partial->metrics);
-    // Cache counters are per-worker facts (each worker loads the
-    // bundle itself), so they sum instead of taking the survivor's.
-    fleet.load.MergeFrom(s.partial->load);
     if (first_survivor == nullptr) first_survivor = &s;
   }
   if (first_survivor == nullptr) {

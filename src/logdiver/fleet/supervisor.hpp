@@ -123,10 +123,6 @@ struct FleetSummary {
   /// surviving shard (identical on every survivor by construction).
   AnalysisSummary summary;
   std::uint64_t bundle_fingerprint = 0;
-  /// Claims-cache activity summed over merged shards (each worker loads
-  /// the bundle independently, so a warm fleet shows hits ≈ shard
-  /// count).  Zero across the board when no bundle_cache_dir is set.
-  BundleLoadStats load;
   FleetCoverage coverage;
   std::vector<ShardOutcome> shards;  // one per shard, index order
 };

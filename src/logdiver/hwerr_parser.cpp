@@ -4,9 +4,7 @@
 #include "logdiver/quarantine.hpp"
 
 namespace ld {
-namespace {
-
-Result<std::optional<ErrorRecord>> ParseLineImpl(std::string_view line) {
+HwerrParser::Parsed HwerrParser::Parse(std::string_view line) {
   // Four separators bound the five fields in use; the scan stops there
   // instead of materializing a vector of every '|' piece.
   std::string_view fields[4];
@@ -48,19 +46,9 @@ Result<std::optional<ErrorRecord>> ParseLineImpl(std::string_view line) {
   return std::optional<ErrorRecord>{rec};
 }
 
-}  // namespace
-
-Result<std::optional<ErrorRecord>> HwerrParser::ParseLine(
-    std::string_view line) {
-  ++stats_.lines;
-  auto rec = ParseLineImpl(line);
-  if (!rec.ok()) {
-    ++stats_.malformed;
-  } else if (rec->has_value()) {
-    ++stats_.records;
-  } else {
-    ++stats_.skipped;
-  }
+HwerrParser::Parsed HwerrParser::ParseLine(std::string_view line) {
+  Parsed rec = Parse(line);
+  stats_.Count(rec);
   return rec;
 }
 
@@ -69,7 +57,7 @@ HwerrParser::Chunk HwerrParser::ParseChunk(
     const QuarantineConfig* capture) {
   return ParseChunkWith<ErrorRecord>(
       lines, first_line_no, capture, LogSource::kHwerr,
-      [](std::string_view line) { return ParseLineImpl(line); });
+      [](std::string_view line) { return Parse(line); });
 }
 
 std::vector<ErrorRecord> HwerrParser::ReduceChunks(std::vector<Chunk>&& chunks,

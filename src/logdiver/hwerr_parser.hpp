@@ -24,7 +24,15 @@ class HwerrParser {
  public:
   using Chunk = ParsedChunk<ErrorRecord>;
 
-  Result<std::optional<ErrorRecord>> ParseLine(std::string_view line);
+  /// One line's parse outcome: a record, nullopt for a recognized but
+  /// skipped line, or an error for a malformed one.
+  using Parsed = Result<std::optional<ErrorRecord>>;
+
+  /// The pure per-line parse: touches no state, safe on any thread.
+  static Parsed Parse(std::string_view line);
+
+  /// Parse(line), counted into this parser's stats.
+  Parsed ParseLine(std::string_view line);
 
   /// Parses a slice of lines into a private chunk; safe to call from any
   /// thread.  `first_line_no` is the 1-based global number of lines[0].
@@ -48,9 +56,6 @@ class HwerrParser {
                                       QuarantineSink* sink = nullptr);
 
   const ParseStats& stats() const { return stats_; }
-  /// Checkpoint-restore hook: the parser's only cross-line state is its
-  /// counters.
-  void RestoreStats(const ParseStats& stats) { stats_ = stats; }
 
  private:
   ParseStats stats_;

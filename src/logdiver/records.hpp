@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/intern.hpp"
+#include "common/status.hpp"
 #include "common/time.hpp"
 #include "faults/taxonomy.hpp"
 #include "topology/machine.hpp"
@@ -108,6 +109,22 @@ struct ParseStats {
     records += other.records;
     skipped += other.skipped;
     malformed += other.malformed;
+  }
+
+  /// Counts one line by its parse outcome: an error is malformed, an
+  /// empty optional skipped, a value a record.  The one counting rule
+  /// behind every ParseLine, the chunked batch parse and the streaming
+  /// analyzer.
+  template <typename Record>
+  void Count(const Result<std::optional<Record>>& outcome) {
+    ++lines;
+    if (!outcome.ok()) {
+      ++malformed;
+    } else if (outcome->has_value()) {
+      ++records;
+    } else {
+      ++skipped;
+    }
   }
 };
 

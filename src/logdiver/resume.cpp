@@ -7,8 +7,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <span>
 #include <string_view>
-#include <vector>
 
 #include "common/crashpoint.hpp"
 #include "common/obs/obs.hpp"
@@ -25,111 +26,87 @@ namespace {
 /// files").
 constexpr std::uint32_t kResumeStateVersion = 1;
 
-/// A bundle loaded for replay: its lines plus each line's claimed time
-/// — everything the deterministic merge loop needs.
-struct ReplayInput {
-  MappedBundle bundle;
-  cache::ClaimedColumns claimed;
-  std::uint64_t fingerprint = 0;  // LinesFingerprint(views, 0)
-};
-
-/// Claims every line from line zero with a throwaway tracker, so the
-/// merge order never depends on restored state.
-cache::ClaimedColumns ClaimAll(const LogSetView& views, int base_year) {
-  ClaimedTracker tracker(base_year);
-  cache::ClaimedColumns claimed;
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    const auto source = static_cast<LogSource>(s);
-    claimed[s].reserve(views.lines(source).size());
-    for (const std::string_view line : views.lines(source)) {
-      claimed[s].push_back(tracker.Claim(source, line));
-    }
-  }
-  return claimed;
-}
-
-Result<ReplayInput> LoadReplayInput(const StreamInputs& inputs,
-                                    const LogDiverConfig& config,
-                                    BundleLoadStats* stats = nullptr) {
-  BundleLoadStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  ReplayInput in;
-  LD_ASSIGN_OR_RETURN(in.bundle, LoadBundle(inputs, nullptr));
-  const LogSetView& views = in.bundle.views;
-  const int base_year = config.syslog_base_year;
-  in.fingerprint = cache::LinesFingerprint(views, 0);
-  if (config.bundle_cache_dir.empty()) {
-    in.claimed = ClaimAll(views, base_year);
-    return in;
-  }
-
-  // Claimed-time cache: the throwaway claim pass is pure overhead on a
-  // bundle this process family has already seen.  Keyed by the same
-  // lines fingerprint as the snapshot headers (shard_count 0: claims are
-  // partition-independent), so every fleet worker shares one entry.
-  const cache::BundleCache bundle_cache(config.bundle_cache_dir,
-                                        config.bundle_cache_max_bytes);
-  std::array<std::size_t, kNumLogSources> line_counts{};
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    line_counts[s] = views.lines(static_cast<LogSource>(s)).size();
-  }
-  auto claims = bundle_cache.LoadClaims(in.fingerprint, base_year, line_counts);
-  if (claims.ok()) {
-    ++stats->cache_hits;
-    in.claimed = std::move(*claims);
-    return in;
-  }
-  if (claims.status().code() != StatusCode::kNotFound) {
-    // Rejected entry (torn/stale/foreign): fall back loudly, never
-    // silently — the claim pass below restores correctness either way.
-    ++stats->cache_rejected;
-    std::fprintf(stderr, "logdiver: %s\n",
-                 claims.status().message().c_str());
-  } else {
-    ++stats->cache_misses;
-  }
-  in.claimed = ClaimAll(views, base_year);
-  const Status stored =
-      bundle_cache.StoreClaims(in.fingerprint, base_year, in.claimed);
-  if (!stored.ok()) {
-    std::fprintf(stderr, "logdiver: %s\n", stored.message().c_str());
-  } else {
-    ++stats->cache_stores;
-  }
-  return in;
-}
-
-/// The deterministic merge-replay loop behind every replay entry point:
-/// the head with the earliest claimed time wins (strict
-/// `<` ties toward the lowest source index), watermarks advance on the
-/// total-line schedule.  `heads`/`total` carry restored offsets in and
-/// final positions out; `on_line` (optional) runs after every consumed
-/// line — the resumable path hangs its snapshot schedule there.
-void ReplayLoop(const LogSetView& lines, const cache::ClaimedColumns& claimed,
+/// The deterministic merge-replay loop behind every replay entry point.
+/// Each source has one head, its next unconsumed line: Torque, ALPS and
+/// hwerr heads are parsed once and claimed from that parse (claims.hpp),
+/// syslog heads are claimed from their stamp.  The head with the
+/// earliest claimed time wins (strict `<` ties toward the lowest source
+/// index) and its parse goes on to the analyzer; watermarks advance on
+/// the total-line schedule.  `heads`/`total` carry restored offsets in
+/// and final positions out — a resumed pass first rebuilds each source's
+/// carried claim by claiming the prefix the snapshot covered, so the
+/// merge order never depends on restored state.  `on_line` (optional)
+/// runs after every consumed line — the resumable path hangs its
+/// snapshot schedule there.
+void ReplayLoop(const LogSetView& lines, int syslog_base_year,
                 StreamingAnalyzer& analyzer, const ReplaySchedule& schedule,
                 std::uint64_t heads[kNumLogSources], std::uint64_t& total,
                 const std::function<Status(std::uint64_t total)>& on_line,
                 Status& status) {
+  ClaimedTracker tracker(syslog_base_year);
+  std::span<const std::string_view> source_lines[kNumLogSources];
+  for (std::size_t s = 0; s < kNumLogSources; ++s) {
+    const auto source = static_cast<LogSource>(s);
+    source_lines[s] = lines.lines(source);
+    for (std::uint64_t i = 0; i < heads[s]; ++i) {
+      tracker.Claim(source, source_lines[s][i]);
+    }
+  }
+
+  std::optional<TorqueParser::Parsed> torque;
+  std::optional<AlpsParser::Parsed> alps;
+  std::optional<HwerrParser::Parsed> hwerr;
+  TimePoint claimed[kNumLogSources];
+  const auto load_head = [&](std::size_t s) {
+    if (heads[s] >= source_lines[s].size()) return;
+    const std::string_view line = source_lines[s][heads[s]];
+    const auto source = static_cast<LogSource>(s);
+    switch (source) {
+      case LogSource::kTorque:
+        claimed[s] =
+            tracker.Claim(source, torque.emplace(TorqueParser::Parse(line)));
+        break;
+      case LogSource::kAlps:
+        claimed[s] =
+            tracker.Claim(source, alps.emplace(AlpsParser::Parse(line)));
+        break;
+      case LogSource::kSyslog:
+        claimed[s] = tracker.Claim(source, line);
+        break;
+      case LogSource::kHwerr:
+        claimed[s] =
+            tracker.Claim(source, hwerr.emplace(HwerrParser::Parse(line)));
+        break;
+    }
+  };
+  for (std::size_t s = 0; s < kNumLogSources; ++s) load_head(s);
+
   for (;;) {
     int pick = -1;
     for (std::size_t s = 0; s < kNumLogSources; ++s) {
-      if (heads[s] >= claimed[s].size()) continue;
-      if (pick < 0 || claimed[s][heads[s]] < claimed[pick][heads[pick]]) {
-        pick = static_cast<int>(s);
-      }
+      if (heads[s] >= source_lines[s].size()) continue;
+      if (pick < 0 || claimed[s] < claimed[pick]) pick = static_cast<int>(s);
     }
     if (pick < 0) break;
-    const std::string_view line =
-        lines.lines(static_cast<LogSource>(pick))[heads[pick]];
-    const TimePoint time = claimed[pick][heads[pick]];
+    const std::string_view line = source_lines[pick][heads[pick]];
+    const TimePoint time = claimed[pick];
+    switch (static_cast<LogSource>(pick)) {
+      case LogSource::kTorque:
+        analyzer.AddTorque(line, std::move(*torque));
+        break;
+      case LogSource::kAlps:
+        analyzer.AddAlps(line, std::move(*alps));
+        break;
+      case LogSource::kSyslog:
+        analyzer.AddSyslogLine(line);
+        break;
+      case LogSource::kHwerr:
+        analyzer.AddHwerr(line, std::move(*hwerr));
+        break;
+    }
     ++heads[pick];
     ++total;
-    switch (static_cast<LogSource>(pick)) {
-      case LogSource::kTorque: analyzer.AddTorqueLine(line); break;
-      case LogSource::kAlps: analyzer.AddAlpsLine(line); break;
-      case LogSource::kSyslog: analyzer.AddSyslogLine(line); break;
-      case LogSource::kHwerr: analyzer.AddHwerrLine(line); break;
-    }
+    load_head(static_cast<std::size_t>(pick));
     CrashPoint("ingest");
     if (schedule.advance_every != 0 && total % schedule.advance_every == 0) {
       analyzer.Advance(time - schedule.reorder_slack);
@@ -155,17 +132,9 @@ Result<std::uint64_t> BundlePartitionFingerprint(const StreamInputs& inputs,
 Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
                                    const StreamInputs& inputs,
                                    const ReplaySchedule& schedule,
-                                   StreamingAnalyzer& analyzer,
-                                   BundleLoadStats* load_stats) {
-  LD_ASSIGN_OR_RETURN(const ReplayInput in,
-                      LoadReplayInput(inputs, config, load_stats));
-  std::uint64_t heads[kNumLogSources] = {0, 0, 0, 0};
-  std::uint64_t total = 0;
-  Status status;
-  ReplayLoop(in.bundle.views, in.claimed, analyzer, schedule, heads, total,
-             nullptr, status);
-  LD_TRY(status);
-  return total;
+                                   StreamingAnalyzer& analyzer) {
+  LD_ASSIGN_OR_RETURN(const MappedBundle bundle, LoadBundle(inputs, nullptr));
+  return ReplayLines(bundle.views, config, schedule, analyzer);
 }
 
 std::uint64_t ReplayLines(const LogSetView& lines, const LogDiverConfig& config,
@@ -174,8 +143,8 @@ std::uint64_t ReplayLines(const LogSetView& lines, const LogDiverConfig& config,
   std::uint64_t heads[kNumLogSources] = {0, 0, 0, 0};
   std::uint64_t total = 0;
   Status status;
-  ReplayLoop(lines, ClaimAll(lines, config.syslog_base_year), analyzer,
-             schedule, heads, total, nullptr, status);
+  ReplayLoop(lines, config.syslog_base_year, analyzer, schedule, heads, total,
+             nullptr, status);
   return total;
 }
 
@@ -183,7 +152,12 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
                                               const LogDiverConfig& config,
                                               const StreamInputs& inputs,
                                               const ResumeOptions& options) {
-  LD_ASSIGN_OR_RETURN(const ReplayInput in, LoadReplayInput(inputs, config));
+  LD_ASSIGN_OR_RETURN(const MappedBundle bundle, LoadBundle(inputs, nullptr));
+  const LogSetView& views = bundle.views;
+  // The bundle's identity stamps and gates snapshots; without a
+  // snapshot directory nothing reads it.
+  const std::uint64_t fingerprint =
+      options.snapshot_dir.empty() ? 0 : cache::LinesFingerprint(views, 0);
 
   StreamingAnalyzer analyzer(machine, config);
   ResumableSummary out;
@@ -197,7 +171,7 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
   if (!options.snapshot_dir.empty() && options.resume) {
     // Fingerprint-gated: a snapshot of a *different* bundle in this
     // directory is rejected and skipped like a torn one.
-    auto loaded = store.LoadLatest(in.fingerprint);
+    auto loaded = store.LoadLatest(fingerprint);
     if (loaded.ok()) {
       out.snapshots_rejected = loaded->rejected;
       SnapshotReader r(loaded->payload);
@@ -211,7 +185,7 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
       for (std::uint64_t& head : heads) head = r.U64();
       LD_TRY(analyzer.Restore(r));
       for (std::size_t s = 0; s < kNumLogSources; ++s) {
-        if (heads[s] > in.claimed[s].size()) {
+        if (heads[s] > views.lines(static_cast<LogSource>(s)).size()) {
           return FailedPreconditionError(
               "snapshot records an offset past the end of " +
               std::string(LogSourceName(static_cast<LogSource>(s))) +
@@ -233,7 +207,7 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
   // at the same lines an uninterrupted one would.
   Status replay_status;
   ReplayLoop(
-      in.bundle.views, in.claimed, analyzer, options.schedule, heads, total,
+      views, config.syslog_base_year, analyzer, options.schedule, heads, total,
       [&](std::uint64_t total_now) -> Status {
         if (!snapshots_enabled || total_now % options.snapshot_interval != 0) {
           return Status::Ok();
@@ -242,7 +216,7 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
         w.U32(kResumeStateVersion);
         for (std::uint64_t head : heads) w.U64(head);
         analyzer.Snapshot(w);
-        LD_TRY(store.Write(w.bytes(), in.fingerprint));
+        LD_TRY(store.Write(w.bytes(), fingerprint));
         ++out.snapshots_written;
         CrashPoint("snapshot");
         return Status::Ok();

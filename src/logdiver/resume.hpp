@@ -4,15 +4,16 @@
 // RunResumableAnalysis streams an on-disk bundle through a
 // StreamingAnalyzer exactly as a live shipper would — four file tails
 // (loaded by LoadBundle, rotation families stitched) merged by claimed
-// head time (claims.hpp) — writing a snapshot every N lines.  On
-// startup it loads the newest *valid* snapshot (torn or corrupt files
-// are rejected by CRC and the loader falls back a generation), restores
-// the analyzer, and resumes reading each file at the recorded offset,
-// so every line is applied exactly once.  Because the merge order, the
-// watermark schedule and the serialization are all deterministic, an
-// interrupted-and-resumed pass produces a *bit-identical* MetricsReport
-// to an uninterrupted one — bench/crash_campaign asserts this across a
-// kill-point × snapshot-interval sweep.
+// head time (claims.hpp), each line parsed once — writing a snapshot
+// every N lines.  On startup it loads the newest *valid* snapshot (torn
+// or corrupt files are rejected by CRC and the loader falls back a
+// generation), restores the analyzer, and resumes reading each file at
+// the recorded offset, so every line is applied exactly once.  Because
+// the merge order, the watermark schedule and the serialization are
+// all deterministic, an interrupted-and-resumed pass produces a
+// *bit-identical* MetricsReport to an uninterrupted one —
+// bench/crash_campaign asserts this across a kill-point ×
+// snapshot-interval sweep.
 //
 // CrashSupervisor is the process-level loop: it runs an analysis
 // attempt in a forked child, distinguishes a crash (signal, or an exit
@@ -87,41 +88,19 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
                                               const StreamInputs& inputs,
                                               const ResumeOptions& options);
 
-/// Claims-cache activity observed while loading a bundle for replay.
-/// Fleet workers report these through their partial record (the obs
-/// registry dies with the forked process), so the supervisor — and the
-/// warm-cache campaign cell — can see whether warm shards actually
-/// skipped the claimed-time re-parse.
-struct BundleLoadStats {
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_rejected = 0;
-  std::uint64_t cache_stores = 0;
-
-  void MergeFrom(const BundleLoadStats& other) {
-    cache_hits += other.cache_hits;
-    cache_misses += other.cache_misses;
-    cache_rejected += other.cache_rejected;
-    cache_stores += other.cache_stores;
-  }
-};
-
 /// Streams the whole bundle through `analyzer` with the deterministic
 /// merge order and advance schedule of RunResumableAnalysis, but no
 /// snapshotting or resume — the replay core a fleet worker runs.  The
 /// caller owns the analyzer (and calls Finalize()); `config` must be
 /// the one the analyzer was built with (it supplies the syslog base
-/// year of the claimed times).  Returns total merged lines; fills
-/// `load_stats` (optional) with the claims-cache activity of the bundle
-/// load.
+/// year of the claimed times).  Returns total merged lines.
 Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
                                    const StreamInputs& inputs,
                                    const ReplaySchedule& schedule,
-                                   StreamingAnalyzer& analyzer,
-                                   BundleLoadStats* load_stats = nullptr);
+                                   StreamingAnalyzer& analyzer);
 
-/// ReplayBundle's merge order and schedule over lines already in memory
-/// (no claims cache).  Returns total merged lines.
+/// ReplayBundle's merge order and schedule over lines already in
+/// memory.  Returns total merged lines.
 std::uint64_t ReplayLines(const LogSetView& lines, const LogDiverConfig& config,
                           const ReplaySchedule& schedule,
                           StreamingAnalyzer& analyzer);

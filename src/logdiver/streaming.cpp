@@ -70,30 +70,31 @@ void StreamingAnalyzer::CheckBudget(LogSource source, const ParseStats& stats) {
   }
 }
 
-void StreamingAnalyzer::AddTorqueLine(std::string_view line) {
-  LD_CHECK(!finalized_, "AddTorqueLine on a finalized analyzer");
-  if (!SourceOpen(LogSource::kTorque)) return;
-  auto rec = torque_parser_.ParseLine(line);
-  if (!rec.ok()) {
-    Reject(LogSource::kTorque, torque_parser_.stats().lines, line,
-           rec.status());
-    CheckBudget(LogSource::kTorque, torque_parser_.stats());
-    return;
-  }
-  if (rec->has_value()) runs_.AddJob(**rec);
+template <typename Record>
+bool StreamingAnalyzer::Accept(LogSource source, std::string_view line,
+                               const Result<std::optional<Record>>& parsed,
+                               ParseStats& stats) {
+  if (!SourceOpen(source)) return false;
+  stats.Count(parsed);
+  if (parsed.ok()) return true;
+  Reject(source, stats.lines, line, parsed.status());
+  CheckBudget(source, stats);
+  return false;
 }
 
-void StreamingAnalyzer::AddAlpsLine(std::string_view line) {
-  LD_CHECK(!finalized_, "AddAlpsLine on a finalized analyzer");
-  if (!SourceOpen(LogSource::kAlps)) return;
-  auto rec = alps_parser_.ParseLine(line);
-  if (!rec.ok()) {
-    Reject(LogSource::kAlps, alps_parser_.stats().lines, line, rec.status());
-    CheckBudget(LogSource::kAlps, alps_parser_.stats());
-    return;
-  }
-  if (!rec->has_value()) return;
-  AlpsRecord& record = **rec;
+void StreamingAnalyzer::AddTorque(std::string_view line,
+                                  TorqueParser::Parsed&& parsed) {
+  LD_CHECK(!finalized_, "AddTorque on a finalized analyzer");
+  if (!Accept(LogSource::kTorque, line, parsed, torque_stats_)) return;
+  if (parsed->has_value()) runs_.AddJob(**parsed);
+}
+
+void StreamingAnalyzer::AddAlps(std::string_view line,
+                                AlpsParser::Parsed&& parsed) {
+  LD_CHECK(!finalized_, "AddAlps on a finalized analyzer");
+  if (!Accept(LogSource::kAlps, line, parsed, alps_stats_)) return;
+  if (!parsed->has_value()) return;
+  AlpsRecord& record = **parsed;
   if (record.kind == AlpsRecord::Kind::kPlace) {
     runs_.AddPlacement(std::move(record));
     return;
@@ -119,17 +120,11 @@ void StreamingAnalyzer::AddSyslogLine(std::string_view line) {
   if (rec->has_value()) coalescer_.Add(**rec);
 }
 
-void StreamingAnalyzer::AddHwerrLine(std::string_view line) {
-  LD_CHECK(!finalized_, "AddHwerrLine on a finalized analyzer");
-  if (!SourceOpen(LogSource::kHwerr)) return;
-  auto rec = hwerr_parser_.ParseLine(line);
-  if (!rec.ok()) {
-    Reject(LogSource::kHwerr, hwerr_parser_.stats().lines, line, rec.status());
-    CheckBudget(LogSource::kHwerr, hwerr_parser_.stats());
-    return;
-  }
-  if (!rec->has_value()) return;
-  coalescer_.Add(**rec);
+void StreamingAnalyzer::AddHwerr(std::string_view line,
+                                 HwerrParser::Parsed&& parsed) {
+  LD_CHECK(!finalized_, "AddHwerr on a finalized analyzer");
+  if (!Accept(LogSource::kHwerr, line, parsed, hwerr_stats_)) return;
+  if (parsed->has_value()) coalescer_.Add(**parsed);
 }
 
 void StreamingAnalyzer::ClassifyBatch(std::vector<AppRun>&& batch) {
@@ -276,10 +271,10 @@ AnalysisSummary StreamingAnalyzer::Finalize() {
 
   AnalysisSummary summary;
   summary.metrics = metrics_.Report();
-  summary.torque_stats = torque_parser_.stats();
-  summary.alps_stats = alps_parser_.stats();
+  summary.torque_stats = torque_stats_;
+  summary.alps_stats = alps_stats_;
   summary.syslog_stats = syslog_parser_.stats();
-  summary.hwerr_stats = hwerr_parser_.stats();
+  summary.hwerr_stats = hwerr_stats_;
   summary.coalesce_stats = coalescer_.stats();
   summary.reconstruct_stats = runs_.stats();
   summary.ingest = ingest_stats();
@@ -295,8 +290,8 @@ void StreamingAnalyzer::Snapshot(SnapshotWriter& w) const {
   // silently misclassify node types.
   w.U64(machine_.node_count());
 
-  SaveParseStats(w, torque_parser_.stats());
-  SaveParseStats(w, alps_parser_.stats());
+  SaveParseStats(w, torque_stats_);
+  SaveParseStats(w, alps_stats_);
   const SyslogParser::StreamState syslog = syslog_parser_.stream_state();
   SaveParseStats(w, syslog.stats);
   w.I32(syslog.current_year);
@@ -305,7 +300,7 @@ void StreamingAnalyzer::Snapshot(SnapshotWriter& w) const {
   if (syslog.held_incident.has_value()) {
     SaveErrorRecord(w, *syslog.held_incident);
   }
-  SaveParseStats(w, hwerr_parser_.stats());
+  SaveParseStats(w, hwerr_stats_);
 
   coalescer_.SaveState(w);
   quarantine_.SaveState(w);
@@ -342,21 +337,15 @@ Status StreamingAnalyzer::Restore(SnapshotReader& r) {
         " nodes, this machine has " + std::to_string(machine_.node_count()));
   }
 
-  ParseStats torque_stats;
-  LoadParseStats(r, torque_stats);
-  torque_parser_.RestoreStats(torque_stats);
-  ParseStats alps_stats;
-  LoadParseStats(r, alps_stats);
-  alps_parser_.RestoreStats(alps_stats);
+  LoadParseStats(r, torque_stats_);
+  LoadParseStats(r, alps_stats_);
   SyslogParser::StreamState syslog;
   LoadParseStats(r, syslog.stats);
   syslog.current_year = r.I32();
   syslog.last_month = r.I32();
   if (r.Bool()) LoadErrorRecord(r, syslog.held_incident.emplace());
   syslog_parser_.RestoreStreamState(syslog);
-  ParseStats hwerr_stats;
-  LoadParseStats(r, hwerr_stats);
-  hwerr_parser_.RestoreStats(hwerr_stats);
+  LoadParseStats(r, hwerr_stats_);
 
   coalescer_.LoadState(r);
   quarantine_.LoadState(r);

@@ -49,10 +49,23 @@ class StreamingAnalyzer {
  public:
   StreamingAnalyzer(const Machine& machine, LogDiverConfig config);
 
-  void AddTorqueLine(std::string_view line);
-  void AddAlpsLine(std::string_view line);
+  /// Feeds one line.  Add*Line parses it; AddTorque/AddAlps/AddHwerr
+  /// take the parse a caller already made with the parser's pure
+  /// Parse(line) (the replay loop claims each line's time from that
+  /// parse, so no line is parsed twice).  Both count the line the same.
+  void AddTorqueLine(std::string_view line) {
+    AddTorque(line, TorqueParser::Parse(line));
+  }
+  void AddAlpsLine(std::string_view line) {
+    AddAlps(line, AlpsParser::Parse(line));
+  }
   void AddSyslogLine(std::string_view line);
-  void AddHwerrLine(std::string_view line);
+  void AddHwerrLine(std::string_view line) {
+    AddHwerr(line, HwerrParser::Parse(line));
+  }
+  void AddTorque(std::string_view line, TorqueParser::Parsed&& parsed);
+  void AddAlps(std::string_view line, AlpsParser::Parsed&& parsed);
+  void AddHwerr(std::string_view line, HwerrParser::Parsed&& parsed);
 
   /// Finalizes every run that is provably classifiable before
   /// `watermark`; returns how many were finalized in this call.
@@ -117,6 +130,12 @@ class StreamingAnalyzer {
   /// Returns true when the source is still ingestible; otherwise counts
   /// the dropped line.  Rejected lines go to the quarantine.
   bool SourceOpen(LogSource source);
+  /// Counts a Torque/ALPS/hwerr line's parse into `stats` and
+  /// quarantines it when malformed; true when the line goes on to the
+  /// pipeline (source open and the parse succeeded).
+  template <typename Record>
+  bool Accept(LogSource source, std::string_view line,
+              const Result<std::optional<Record>>& parsed, ParseStats& stats);
   void Reject(LogSource source, std::uint64_t line_number,
               std::string_view line, const Status& why);
   void CheckBudget(LogSource source, const ParseStats& stats);
@@ -124,10 +143,10 @@ class StreamingAnalyzer {
   const Machine& machine_;
   LogDiverConfig config_;
 
-  TorqueParser torque_parser_;
-  AlpsParser alps_parser_;
+  ParseStats torque_stats_;
+  ParseStats alps_stats_;
   SyslogParser syslog_parser_;
-  HwerrParser hwerr_parser_;
+  ParseStats hwerr_stats_;
   StreamingCoalescer coalescer_;
   Correlator correlator_;
   MetricsAccumulator metrics_;

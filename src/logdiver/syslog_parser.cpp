@@ -273,9 +273,9 @@ Result<TimePoint> SyslogParser::ParseSyslogTime(std::string_view text,
 
 Result<std::optional<ErrorRecord>> SyslogParser::ParseLine(
     std::string_view line) {
-  ++stats_.lines;
   int month_seen = 0;
   auto pre = ParsePreImpl(line, &month_seen);
+  stats_.Count(pre);
   // Year-rollover reconstruction advances on every line whose month
   // token validated — including lines that fail later.
   int render_year = current_year_;
@@ -288,15 +288,8 @@ Result<std::optional<ErrorRecord>> SyslogParser::ParseLine(
       last_month_ = month_seen;
     }
   }
-  if (!pre.ok()) {
-    ++stats_.malformed;
-    return pre.status();
-  }
-  if (!pre->has_value()) {
-    ++stats_.skipped;
-    return std::optional<ErrorRecord>{};
-  }
-  ++stats_.records;
+  if (!pre.ok()) return pre.status();
+  if (!pre->has_value()) return std::optional<ErrorRecord>{};
   return Step(std::move(**pre), render_year);
 }
 
@@ -333,9 +326,9 @@ SyslogParser::Chunk SyslogParser::ParseChunk(
   int local_last_month = 0;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::string_view line = lines[i];
-    ++chunk.stats.lines;
     int month_seen = 0;
     auto pre = ParsePreImpl(line, &month_seen);
+    chunk.stats.Count(pre);
     int item_delta = chunk.year_delta_total;
     if (month_seen != 0) {
       if (chunk.first_month == 0) chunk.first_month = month_seen;
@@ -353,18 +346,13 @@ SyslogParser::Chunk SyslogParser::ParseChunk(
       }
     }
     if (!pre.ok()) {
-      ++chunk.stats.malformed;
       if (capture != nullptr) {
         chunk.sink.Add(LogSource::kSyslog, first_line_no + i, line,
                        pre.status());
       }
       continue;
     }
-    if (!pre->has_value()) {
-      ++chunk.stats.skipped;
-      continue;
-    }
-    ++chunk.stats.records;
+    if (!pre->has_value()) continue;
     PreRecord& item = **pre;
     item.year_delta = item_delta;
     chunk.items.push_back(std::move(item));

@@ -26,7 +26,9 @@ std::optional<TimePoint> EpochField(const KeyValueView& kv,
   return TimePoint(*v);
 }
 
-Result<std::optional<TorqueRecord>> ParseLineImpl(std::string_view line) {
+}  // namespace
+
+TorqueParser::Parsed TorqueParser::Parse(std::string_view line) {
   // "stamp;TYPE;jobid;payload" — only the three leading separators are
   // located; the payload (which may itself contain ';') is the raw tail,
   // so the line is never fully split.
@@ -106,19 +108,9 @@ Result<std::optional<TorqueRecord>> ParseLineImpl(std::string_view line) {
   return std::optional<TorqueRecord>{std::move(rec)};
 }
 
-}  // namespace
-
-Result<std::optional<TorqueRecord>> TorqueParser::ParseLine(
-    std::string_view line) {
-  ++stats_.lines;
-  auto rec = ParseLineImpl(line);
-  if (!rec.ok()) {
-    ++stats_.malformed;
-  } else if (rec->has_value()) {
-    ++stats_.records;
-  } else {
-    ++stats_.skipped;
-  }
+TorqueParser::Parsed TorqueParser::ParseLine(std::string_view line) {
+  Parsed rec = Parse(line);
+  stats_.Count(rec);
   return rec;
 }
 
@@ -127,7 +119,7 @@ TorqueParser::Chunk TorqueParser::ParseChunk(
     const QuarantineConfig* capture) {
   return ParseChunkWith<TorqueRecord>(
       lines, first_line_no, capture, LogSource::kTorque,
-      [](std::string_view line) { return ParseLineImpl(line); });
+      [](std::string_view line) { return Parse(line); });
 }
 
 std::vector<TorqueRecord> TorqueParser::ReduceChunks(

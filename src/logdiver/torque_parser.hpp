@@ -29,8 +29,15 @@ class TorqueParser {
  public:
   using Chunk = ParsedChunk<TorqueRecord>;
 
-  /// Parses one line; nullopt result with ok status means "skipped".
-  Result<std::optional<TorqueRecord>> ParseLine(std::string_view line);
+  /// One line's parse outcome: a record, nullopt for a recognized but
+  /// skipped line, or an error for a malformed one.
+  using Parsed = Result<std::optional<TorqueRecord>>;
+
+  /// The pure per-line parse: touches no state, safe on any thread.
+  static Parsed Parse(std::string_view line);
+
+  /// Parse(line), counted into this parser's stats.
+  Parsed ParseLine(std::string_view line);
 
   /// Parses a slice of lines into a private chunk; safe to call from any
   /// thread (touches no parser state).  `first_line_no` is the 1-based
@@ -55,9 +62,6 @@ class TorqueParser {
                                        QuarantineSink* sink = nullptr);
 
   const ParseStats& stats() const { return stats_; }
-  /// Checkpoint-restore hook: the parser's only cross-line state is its
-  /// counters.
-  void RestoreStats(const ParseStats& stats) { stats_ = stats; }
 
  private:
   ParseStats stats_;

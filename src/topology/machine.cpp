@@ -11,6 +11,33 @@ constexpr int kNodesPerBlade = 4;
 constexpr int kNodesPerCabinet =
     kChassisPerCabinet * kSlotsPerChassis * kNodesPerBlade;  // 96
 
+/// Consumes one "%d"-rendered coordinate from the front of `text`: at
+/// least one digit, no sign, no leading zero unless the field is "0",
+/// and at most 9 digits so the value fits an int.
+bool ReadField(std::string_view& text, int& out) {
+  std::size_t n = 0;
+  while (n < text.size() && n < 10 && text[n] >= '0' && text[n] <= '9') ++n;
+  if (n == 0 || n == 10 || (n > 1 && text[0] == '0')) return false;
+  out = 0;
+  for (std::size_t i = 0; i < n; ++i) out = out * 10 + (text[i] - '0');
+  text.remove_prefix(n);
+  return true;
+}
+
+bool ReadChar(std::string_view& text, char c) {
+  if (text.empty() || text.front() != c) return false;
+  text.remove_prefix(1);
+  return true;
+}
+
+/// Consumes a "c{X}-{Y}c{C}s{S}" blade prefix from the front of `text`.
+bool ReadBlade(std::string_view& text, Cname& c) {
+  return ReadChar(text, 'c') && ReadField(text, c.cabinet_x) &&
+         ReadChar(text, '-') && ReadField(text, c.cabinet_y) &&
+         ReadChar(text, 'c') && ReadField(text, c.chassis) &&
+         ReadChar(text, 's') && ReadField(text, c.slot);
+}
+
 }  // namespace
 
 const char* NodeTypeName(NodeType type) {
@@ -47,7 +74,8 @@ Machine Machine::Build(const MachineConfig& config) {
 
   Machine m;
   m.nodes_.reserve(slots);
-  m.by_cname_.reserve(slots);
+  m.cabinet_cols_ = config.cabinet_cols;
+  m.cabinet_rows_ = config.cabinet_rows;
 
   // XK cabinets are physically clustered (on Blue Waters they occupy
   // dedicated cabinet columns).  We lay out XE nodes first, then XK,
@@ -86,7 +114,6 @@ Machine Machine::Build(const MachineConfig& config) {
               node.dimm_count = 8;
               node.has_gpu = false;
             }
-            m.by_cname_.emplace(node.cname.ToString(), node.index);
             switch (node.type) {
               case NodeType::kXE: m.xe_nodes_.push_back(node.index); break;
               case NodeType::kXK: m.xk_nodes_.push_back(node.index); break;
@@ -114,30 +141,48 @@ const std::vector<NodeIndex>& Machine::nodes_of_type(NodeType type) const {
   throw std::logic_error("nodes_of_type: bad type");
 }
 
-Result<NodeIndex> Machine::FindByCname(const std::string& cname) const {
-  const auto it = by_cname_.find(cname);
-  if (it == by_cname_.end()) {
-    return NotFoundError("no node with cname '" + cname + "'");
+bool Machine::HasSlot(const Cname& c) const {
+  return c.cabinet_x >= 0 && c.cabinet_x < cabinet_cols_ &&
+         c.cabinet_y >= 0 && c.cabinet_y < cabinet_rows_ && c.chassis >= 0 &&
+         c.chassis < kChassisPerCabinet && c.slot >= 0 &&
+         c.slot < kSlotsPerChassis && c.node >= 0 && c.node < kNodesPerBlade;
+}
+
+NodeIndex Machine::SlotIndex(const Cname& c) const {
+  const int cabinet = c.cabinet_x * cabinet_rows_ + c.cabinet_y;
+  return static_cast<NodeIndex>(
+      ((cabinet * kChassisPerCabinet + c.chassis) * kSlotsPerChassis +
+       c.slot) * kNodesPerBlade +
+      c.node);
+}
+
+Result<NodeIndex> Machine::FindByCname(std::string_view cname) const {
+  Cname c;
+  std::string_view rest = cname;
+  if (ReadBlade(rest, c) && ReadChar(rest, 'n') && ReadField(rest, c.node) &&
+      rest.empty() && HasSlot(c)) {
+    return SlotIndex(c);
   }
-  return it->second;
+  return NotFoundError("no node with cname '" + std::string(cname) + "'");
+}
+
+Result<NodeIndex> Machine::FindBlade(std::string_view blade) const {
+  Cname c;  // node 0
+  std::string_view rest = blade;
+  if (ReadBlade(rest, c) && rest.empty() && HasSlot(c)) return SlotIndex(c);
+  return NotFoundError("no blade '" + std::string(blade) + "'");
 }
 
 std::vector<NodeIndex> Machine::BladeSiblings(NodeIndex i) const {
-  const Cname& c = node(i).cname;
-  std::vector<NodeIndex> out;
-  out.reserve(kNodesPerBlade);
-  for (int nd = 0; nd < kNodesPerBlade; ++nd) {
-    Cname sib = c;
-    sib.node = nd;
-    const auto it = by_cname_.find(sib.ToString());
-    if (it != by_cname_.end()) out.push_back(it->second);
-  }
-  return out;
+  Cname c = node(i).cname;
+  c.node = 0;
+  const NodeIndex first = SlotIndex(c);
+  return {first, first + 1, first + 2, first + 3};
 }
 
 std::vector<NodeIndex> Machine::NodesOnGemini(const GeminiCoord& coord) const {
   // Geminis serve node pairs laid out deterministically (see Build), so
-  // we can compute the candidate cname range instead of scanning.
+  // the attached slots follow from the coordinate.
   std::vector<NodeIndex> out;
   const int cx = coord.x;
   const int cy = coord.y / kChassisPerCabinet;
@@ -146,8 +191,7 @@ std::vector<NodeIndex> Machine::NodesOnGemini(const GeminiCoord& coord) const {
   const int pair = coord.z % (kNodesPerBlade / 2);
   for (int nd = pair * 2; nd < pair * 2 + 2; ++nd) {
     const Cname c{cx, cy, ch, sl, nd};
-    const auto it = by_cname_.find(c.ToString());
-    if (it != by_cname_.end()) out.push_back(it->second);
+    if (HasSlot(c)) out.push_back(SlotIndex(c));
   }
   return out;
 }

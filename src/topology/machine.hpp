@@ -15,7 +15,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/status.hpp"
@@ -87,8 +87,16 @@ class Machine {
   /// Indices of all compute nodes of the given type, in cname order.
   const std::vector<NodeIndex>& nodes_of_type(NodeType type) const;
 
-  /// Looks a node up by its rendered cname.
-  Result<NodeIndex> FindByCname(const std::string& cname) const;
+  /// Looks a node up by its exact Cname::ToString() rendering; any
+  /// other spelling (leading zeros, signs, trailing bytes, coordinates
+  /// off this machine) is NotFound.  Computed from the coordinates, no
+  /// table.
+  Result<NodeIndex> FindByCname(std::string_view cname) const;
+
+  /// Node 0 of the blade named by its exact Cname::BladePrefix()
+  /// rendering, under FindByCname's spelling rule.  A blade's 4 nodes
+  /// are that index + 0..3.
+  Result<NodeIndex> FindBlade(std::string_view blade) const;
 
   /// The 4 nodes sharing the blade of `i` (including `i` itself).
   std::vector<NodeIndex> BladeSiblings(NodeIndex i) const;
@@ -100,11 +108,18 @@ class Machine {
  private:
   Machine() = default;
 
+  /// True when the coordinates name a slot of this machine.
+  bool HasSlot(const Cname& c) const;
+  /// Index of a slot, following Build's layout (cabinet column, row,
+  /// chassis, slot, node; node fastest).  Requires HasSlot.
+  NodeIndex SlotIndex(const Cname& c) const;
+
   std::vector<Node> nodes_;
   std::vector<NodeIndex> xe_nodes_;
   std::vector<NodeIndex> xk_nodes_;
   std::vector<NodeIndex> service_nodes_;
-  std::unordered_map<std::string, NodeIndex> by_cname_;
+  int cabinet_cols_ = 0;
+  int cabinet_rows_ = 0;
   std::uint32_t xe_count_ = 0;
   std::uint32_t xk_count_ = 0;
 };

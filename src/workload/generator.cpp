@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <numbers>
+#include <tuple>
 
 #include "workload/scheduler.hpp"
 

@@ -4,6 +4,7 @@
 #include <deque>
 #include <queue>
 #include <set>
+#include <tuple>
 
 namespace ld {
 namespace {

@@ -3,8 +3,11 @@
 #include "common/obs/manifest.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -44,9 +47,37 @@ TEST(ObsManifestTest, GoldenSchema) {
         "\"seed\": \"7\"", "\"mode\": \"analyze\"", "\"env\": ",
         "\"LD_OBS_MANIFEST_TEST_UNSET_VAR\": null", "\"inputs\": [",
         "\"metrics\": ", "\"wall_seconds\": ", "\"max_rss_kb\": ",
-        "\"exit_code\": 0"}) {
+        "\"children_max_rss_kb\": ", "\"exit_code\": 0"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
+}
+
+TEST(ObsManifestTest, ChildrenMaxRssCoversAWaitedChild) {
+  // A child that touches 48 MiB and is waited for: the manifest's
+  // children_max_rss_kb must cover it (RUSAGE_CHILDREN reports the
+  // largest waited-for child's peak).
+  constexpr std::size_t kTouchBytes = std::size_t{48} << 20;
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    auto* block = static_cast<volatile char*>(std::malloc(kTouchBytes));
+    if (block == nullptr) _exit(1);
+    for (std::size_t i = 0; i < kTouchBytes; i += 4096) block[i] = 1;
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  const std::string json = ManifestBuilder("unit_test").ToJson();
+  ASSERT_TRUE(ValidateJson(json).ok()) << json;
+  const std::string key = "\"children_max_rss_kb\": ";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  const long long children_kb =
+      std::strtoll(json.c_str() + at + key.size(), nullptr, 10);
+  EXPECT_GE(children_kb, static_cast<long long>(kTouchBytes / 1024));
 }
 
 TEST(ObsManifestTest, ExitCodeOmittedUntilSet) {

@@ -354,82 +354,6 @@ TEST(BundleCache, LinesFingerprintMatchesBundlePartitionFingerprint) {
   fs::remove_all(cb.cache_dir);
 }
 
-TEST(BundleCache, ClaimsColumnsRoundTripAndValidate) {
-  const std::string dir = ::testing::TempDir() + "/ld_bc_claims_cache";
-  fs::remove_all(dir);
-  const cache::BundleCache bundle_cache(dir);
-
-  cache::ClaimedColumns claimed;
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    for (std::size_t i = 0; i < 5 + s; ++i) {
-      claimed[s].push_back(
-          TimePoint(1365000000 + static_cast<std::int64_t>(100 * s + i)));
-    }
-  }
-  std::array<std::size_t, kNumLogSources> counts{};
-  for (std::size_t s = 0; s < kNumLogSources; ++s) counts[s] = claimed[s].size();
-
-  const std::uint64_t fp = 0xfeedfacecafebeefull;
-  ASSERT_TRUE(bundle_cache.StoreClaims(fp, 2013, claimed).ok());
-
-  auto loaded = bundle_cache.LoadClaims(fp, 2013, counts);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    ASSERT_EQ((*loaded)[s].size(), claimed[s].size());
-    for (std::size_t i = 0; i < claimed[s].size(); ++i) {
-      EXPECT_EQ((*loaded)[s][i].unix_seconds(), claimed[s][i].unix_seconds());
-    }
-  }
-
-  // Wrong fingerprint: plain miss, not a rejection.
-  EXPECT_EQ(bundle_cache.LoadClaims(fp + 1, 2013, counts).status().code(),
-            StatusCode::kNotFound);
-  // Wrong base year: claimed times would differ, so the entry rejects.
-  EXPECT_EQ(bundle_cache.LoadClaims(fp, 2014, counts).status().code(),
-            StatusCode::kParseError);
-  // Wrong line counts: the live bundle cannot be the one cached.
-  counts[0] += 1;
-  EXPECT_EQ(bundle_cache.LoadClaims(fp, 2013, counts).status().code(),
-            StatusCode::kParseError);
-
-  fs::remove_all(dir);
-}
-
-TEST(BundleCache, StreamingLoaderUsesClaimsCacheWithIdenticalReport) {
-  const CachedBundle cb = MakeCachedBundle("stream", 108);
-  const StreamInputs inputs = StreamInputs::FromBundleDir(cb.bundle_dir);
-  ResumeOptions options;
-  options.snapshot_interval = 0;
-  options.resume = false;
-
-  LogDiverConfig uncached;
-  auto baseline =
-      RunResumableAnalysis(cb.machine, uncached, inputs, options);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  const LogDiverConfig cached = CachedConfig(cb);
-  auto cold = RunResumableAnalysis(cb.machine, cached, inputs, options);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-
-  bool claims_entry = false;
-  for (const auto& entry : fs::directory_iterator(cb.cache_dir)) {
-    if (entry.path().filename().string().rfind("claims-", 0) == 0) {
-      claims_entry = true;
-    }
-  }
-  EXPECT_TRUE(claims_entry);
-
-  auto warm = RunResumableAnalysis(cb.machine, cached, inputs, options);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-
-  const std::uint32_t want = FingerprintReport(baseline->summary.metrics);
-  EXPECT_EQ(FingerprintReport(cold->summary.metrics), want);
-  EXPECT_EQ(FingerprintReport(warm->summary.metrics), want);
-
-  fs::remove_all(cb.bundle_dir);
-  fs::remove_all(cb.cache_dir);
-}
-
 TEST(BundleCache, V1EntryIsRejectedAsStaleAndRewritten) {
   const CachedBundle cb = MakeCachedBundle("v1stale", 110);
   const LogDiver diver(cb.machine, CachedConfig(cb));
@@ -472,121 +396,93 @@ TEST(BundleCache, V1EntryIsRejectedAsStaleAndRewritten) {
   fs::remove_all(cb.cache_dir);
 }
 
-TEST(BundleCache, V2ClaimsEntryIsRejectedNotReplayed) {
-  // A v2 claims entry dated every syslog line in the base year; replaying
-  // its merge order would reorder a campaign that crosses New Year.  The
-  // version gate must reject it (and v3 and v4 entries, which predate
-  // the current format), and the fresh claim pass rewrites it.
-  const CachedBundle cb = MakeCachedBundle("v2claims", 112);
-  const StreamInputs inputs = StreamInputs::FromBundleDir(cb.bundle_dir);
-  const LogDiverConfig cached = CachedConfig(cb);
-  const auto replay = [&](BundleLoadStats* stats) {
-    StreamingAnalyzer analyzer(cb.machine, cached);
-    EXPECT_TRUE(
-        ReplayBundle(cached, inputs, ReplaySchedule{}, analyzer, stats).ok());
-    return FingerprintReport(analyzer.Finalize().metrics);
-  };
-  BundleLoadStats cold;
-  const std::uint32_t want = replay(&cold);
-  EXPECT_EQ(cold.cache_stores, 1u);
-
-  std::string entry;
-  for (const auto& file : fs::directory_iterator(cb.cache_dir)) {
-    const std::string name = file.path().filename().string();
-    if (name.rfind("claims-", 0) == 0) entry = file.path().string();
-  }
-  ASSERT_NE(entry, "");
-  for (const std::uint32_t stale_version : {2u, 3u, 4u}) {
-    {
-      std::fstream file(entry,
-                        std::ios::in | std::ios::out | std::ios::binary);
-      file.seekp(8);
-      file.write(reinterpret_cast<const char*>(&stale_version),
-                 sizeof(stale_version));
-    }
-
-    BundleLoadStats stale;
-    EXPECT_EQ(replay(&stale), want);
-    EXPECT_EQ(stale.cache_hits, 0u);
-    EXPECT_EQ(stale.cache_rejected, 1u);
-    EXPECT_EQ(stale.cache_stores, 1u);
-
-    BundleLoadStats warm;
-    EXPECT_EQ(replay(&warm), want);
-    EXPECT_EQ(warm.cache_hits, 1u);
-  }
-
-  fs::remove_all(cb.bundle_dir);
-  fs::remove_all(cb.cache_dir);
+// Identical small bundle entries (an empty record section, a default
+// memoized result) under distinct fingerprints, so every entry has the
+// same size and cap arithmetic is exact.
+cache::CacheKeys SmallKeys(std::uint64_t fp) {
+  cache::CacheKeys keys;
+  keys.input_fingerprint = fp;
+  keys.parse_key = 7;
+  keys.analysis_key = 11;
+  return keys;
 }
 
-// Small identical claims payloads so every entry has the same size and
-// cap arithmetic is exact.
-cache::ClaimedColumns SmallClaims() {
-  cache::ClaimedColumns claimed;
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    for (std::size_t i = 0; i < 8; ++i) {
-      claimed[s].push_back(
-          TimePoint(1365000000 + static_cast<std::int64_t>(i)));
-    }
-  }
-  return claimed;
-}
-
-std::array<std::size_t, kNumLogSources> ClaimCounts(
-    const cache::ClaimedColumns& claimed) {
-  std::array<std::size_t, kNumLogSources> counts{};
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    counts[s] = claimed[s].size();
-  }
-  return counts;
+Status StoreSmallEntry(const cache::BundleCache& bundle_cache,
+                       std::uint64_t fp) {
+  static const std::vector<std::uint8_t> parsed =
+      cache::BundleCache::EncodeParsed(ParsedLogs());
+  return bundle_cache.Store(SmallKeys(fp), parsed, AnalysisResult());
 }
 
 TEST(BundleCache, CapEvictsLeastRecentlyUsedNotLeastRecentlyWritten) {
   const std::string dir = ::testing::TempDir() + "/ld_bc_lru";
   fs::remove_all(dir);
-  const cache::ClaimedColumns claimed = SmallClaims();
-  const auto counts = ClaimCounts(claimed);
 
   // Three identical-size entries, written unbounded.
   const cache::BundleCache unbounded(dir);
   EXPECT_EQ(unbounded.max_bytes(), 0u);
   for (const std::uint64_t fp : {1ull, 2ull, 3ull}) {
-    ASSERT_TRUE(unbounded.StoreClaims(fp, 2013, claimed).ok());
+    ASSERT_TRUE(StoreSmallEntry(unbounded, fp).ok());
   }
-  const std::uint64_t entry_size = fs::file_size(unbounded.ClaimsPath(1));
+  const std::uint64_t entry_size = fs::file_size(unbounded.BundlePath(1));
   ASSERT_GT(entry_size, 0u);
 
   // Stamp distinct write times (1 oldest), then *use* entry 1: a load
   // touches the mtime, so recency must follow use, not write order.
   const auto now = fs::file_time_type::clock::now();
-  fs::last_write_time(unbounded.ClaimsPath(1), now - std::chrono::hours(3));
-  fs::last_write_time(unbounded.ClaimsPath(2), now - std::chrono::hours(2));
-  fs::last_write_time(unbounded.ClaimsPath(3), now - std::chrono::hours(1));
-  ASSERT_TRUE(unbounded.LoadClaims(1, 2013, counts).ok());
+  fs::last_write_time(unbounded.BundlePath(1), now - std::chrono::hours(3));
+  fs::last_write_time(unbounded.BundlePath(2), now - std::chrono::hours(2));
+  fs::last_write_time(unbounded.BundlePath(3), now - std::chrono::hours(1));
+  ASSERT_TRUE(unbounded.Load(SmallKeys(1)).ok());
 
   // Startup trim at two entries' worth: entry 2 is now the LRU victim.
   const cache::BundleCache capped(dir, 2 * entry_size);
   EXPECT_EQ(capped.max_bytes(), 2 * entry_size);
-  EXPECT_TRUE(fs::exists(capped.ClaimsPath(1)));
-  EXPECT_FALSE(fs::exists(capped.ClaimsPath(2)));
-  EXPECT_TRUE(fs::exists(capped.ClaimsPath(3)));
+  EXPECT_TRUE(fs::exists(capped.BundlePath(1)));
+  EXPECT_FALSE(fs::exists(capped.BundlePath(2)));
+  EXPECT_TRUE(fs::exists(capped.BundlePath(3)));
 
   // Survivors still load as clean hits; the evicted entry is a clean
   // miss — never a wrong or stale answer.
-  EXPECT_TRUE(capped.LoadClaims(1, 2013, counts).ok());
-  EXPECT_TRUE(capped.LoadClaims(3, 2013, counts).ok());
-  EXPECT_EQ(capped.LoadClaims(2, 2013, counts).status().code(),
+  EXPECT_TRUE(capped.Load(SmallKeys(1)).ok());
+  EXPECT_TRUE(capped.Load(SmallKeys(3)).ok());
+  EXPECT_EQ(capped.Load(SmallKeys(2)).status().code(),
             StatusCode::kNotFound);
 
   // A store through the capped cache evicts again, LRU-first: entry 3
   // (stamped an hour old) loses to the just-used 1 and just-written 4.
-  fs::last_write_time(capped.ClaimsPath(3), now - std::chrono::hours(1));
-  ASSERT_TRUE(capped.StoreClaims(4, 2013, claimed).ok());
-  EXPECT_TRUE(fs::exists(capped.ClaimsPath(1)));
-  EXPECT_FALSE(fs::exists(capped.ClaimsPath(3)));
-  EXPECT_TRUE(fs::exists(capped.ClaimsPath(4)));
-  EXPECT_TRUE(capped.LoadClaims(4, 2013, counts).ok());
+  fs::last_write_time(capped.BundlePath(3), now - std::chrono::hours(1));
+  ASSERT_TRUE(StoreSmallEntry(capped, 4).ok());
+  EXPECT_TRUE(fs::exists(capped.BundlePath(1)));
+  EXPECT_FALSE(fs::exists(capped.BundlePath(3)));
+  EXPECT_TRUE(fs::exists(capped.BundlePath(4)));
+  EXPECT_TRUE(capped.Load(SmallKeys(4)).ok());
+
+  fs::remove_all(dir);
+}
+
+TEST(BundleCache, StaleClaimsFileIsEvictedLikeAnyColdEntry) {
+  // Older builds also wrote claims-<fp>.ldpbc entries.  Nothing reads
+  // them any more; they count against the cap and go LRU-first.
+  const std::string dir = ::testing::TempDir() + "/ld_bc_stale_claims";
+  fs::remove_all(dir);
+  const cache::BundleCache unbounded(dir);
+  for (const std::uint64_t fp : {1ull, 2ull}) {
+    ASSERT_TRUE(StoreSmallEntry(unbounded, fp).ok());
+  }
+  const std::uint64_t entry_size = fs::file_size(unbounded.BundlePath(1));
+  const std::string stale = dir + "/claims-0000000000000001.ldpbc";
+  {
+    std::ofstream out(stale, std::ios::binary);
+    out << std::string(entry_size, 'x');
+  }
+  const auto now = fs::file_time_type::clock::now();
+  fs::last_write_time(stale, now - std::chrono::hours(3));
+
+  const cache::BundleCache capped(dir, 2 * entry_size);
+  EXPECT_FALSE(fs::exists(stale));
+  EXPECT_TRUE(capped.Load(SmallKeys(1)).ok());
+  EXPECT_TRUE(capped.Load(SmallKeys(2)).ok());
 
   fs::remove_all(dir);
 }
@@ -594,16 +490,14 @@ TEST(BundleCache, CapEvictsLeastRecentlyUsedNotLeastRecentlyWritten) {
 TEST(BundleCache, ConcurrentCappedWritersEndUnderCapWithValidEntries) {
   const std::string dir = ::testing::TempDir() + "/ld_bc_cap_race";
   fs::remove_all(dir);
-  const cache::ClaimedColumns claimed = SmallClaims();
-  const auto counts = ClaimCounts(claimed);
 
   // Size one entry, then cap the directory at two entries' worth.
   std::uint64_t entry_size = 0;
   {
     const cache::BundleCache sizer(dir);
-    ASSERT_TRUE(sizer.StoreClaims(999, 2013, claimed).ok());
-    entry_size = fs::file_size(sizer.ClaimsPath(999));
-    fs::remove(sizer.ClaimsPath(999));
+    ASSERT_TRUE(StoreSmallEntry(sizer, 999).ok());
+    entry_size = fs::file_size(sizer.BundlePath(999));
+    fs::remove(sizer.BundlePath(999));
   }
   const std::uint64_t cap = 2 * entry_size;
 
@@ -618,7 +512,7 @@ TEST(BundleCache, ConcurrentCappedWritersEndUnderCapWithValidEntries) {
       for (std::uint64_t i = 0; i < 4; ++i) {
         const std::uint64_t fp =
             10 * static_cast<std::uint64_t>(child + 1) + i;
-        if (!mine.StoreClaims(fp, 2013, claimed).ok()) _exit(1);
+        if (!StoreSmallEntry(mine, fp).ok()) _exit(1);
       }
       _exit(0);
     }
@@ -644,7 +538,7 @@ TEST(BundleCache, ConcurrentCappedWritersEndUnderCapWithValidEntries) {
     ++survivors;
     const std::uint64_t fp =
         std::stoull(name.substr(7, 16), nullptr, 16);
-    auto loaded = reader.LoadClaims(fp, 2013, counts);
+    auto loaded = reader.Load(SmallKeys(fp));
     ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
   }
   EXPECT_LE(total, cap);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <string_view>
 
 namespace ld {
 namespace {
@@ -42,6 +44,73 @@ TEST(Machine, FindByCnameMisses) {
   const Machine m = Machine::Testbed(96, 24);
   EXPECT_FALSE(m.FindByCname("c99-9c0s0n0").ok());
   EXPECT_FALSE(m.FindByCname("garbage").ok());
+}
+
+TEST(Machine, BlueWatersCornersResolveArithmetically) {
+  const Machine bw = Machine::BlueWaters();
+  EXPECT_EQ(*bw.FindByCname("c0-0c0s0n0"), 0u);
+  EXPECT_EQ(*bw.FindByCname("c23-11c2s7n3"), bw.node_count() - 1);
+  EXPECT_TRUE(bw.FindByCname("c1-2c0s3n1").ok());
+  EXPECT_FALSE(bw.FindByCname("c01-2c0s3n1").ok());
+  EXPECT_FALSE(bw.FindByCname("c24-0c0s0n0").ok());
+  EXPECT_FALSE(bw.FindByCname("c0-12c0s0n0").ok());
+  for (const NodeIndex i : {1u, 95u, 96u, 1151u, 13824u, 27000u}) {
+    const Cname& c = bw.node(i).cname;
+    EXPECT_EQ(*bw.FindByCname(c.ToString()), i);
+    EXPECT_EQ(*bw.FindBlade(c.BladePrefix()),
+              i - static_cast<NodeIndex>(c.node));
+  }
+}
+
+TEST(Machine, FindBladeNamesNodeZeroOfEveryBlade) {
+  const Machine m = Machine::Testbed(96, 24);
+  for (const Node& node : m.nodes()) {
+    auto first = m.FindBlade(node.cname.BladePrefix());
+    ASSERT_TRUE(first.ok()) << node.cname.BladePrefix();
+    EXPECT_EQ(*first + static_cast<NodeIndex>(node.cname.node), node.index);
+  }
+}
+
+// Only the exact Cname::ToString() rendering of a node on this machine
+// resolves — the spellings a rendered-string table never held stay
+// NotFound.  Testbed(96, 24) is a 2 x 1 cabinet grid: c1-0 exists,
+// c0-1 and c2-0 do not.
+TEST(Machine, OnlyTheExactRenderingResolves) {
+  const Machine m = Machine::Testbed(96, 24);
+  ASSERT_TRUE(m.FindByCname("c1-0c2s7n3").ok());
+  ASSERT_TRUE(m.FindBlade("c1-0c2s7").ok());
+  const std::string_view bad_nodes[] = {
+      // leading zeros
+      "c01-0c2s7n3", "c1-00c2s7n3", "c1-0c02s7n3", "c1-0c2s07n3",
+      "c1-0c2s7n03", "c00-0c0s0n0",
+      // trailing bytes
+      "c1-0c2s7n3 ", "c1-0c2s7n3x", "c1-0c2s7n3\n", "c1-0c2s7n30",
+      std::string_view("c1-0c2s7n3\0", 11), "c1-0c2s7n3g0",
+      // chassis > 2, slot > 7, node > 3
+      "c0-0c3s0n0", "c0-0c0s8n0", "c0-0c0s0n4", "c0-0c10s0n0",
+      // cabinets outside the grid
+      "c2-0c0s0n0", "c0-1c0s0n0", "c99-9c0s0n0", "c4294967296-0c0s0n0",
+      "c99999999999-0c0s0n0",
+      // a sign or an empty field
+      "c+1-0c2s7n3", "c-1-0c2s7n3", "c1--0c2s7n3", "c1-+0c2s7n3",
+      "c1-0c-2s7n3", "c1-0c2s+7n3", "c1-0c2s7n-3", "c-0c2s7n3", "c1-c2s7n3",
+      "c1-0cs7n3", "c1-0c2sn3", "c1-0c2s7n", "", "c", " c1-0c2s7n3",
+      // a blade prefix is not a node
+      "c1-0c2s7"};
+  for (const std::string_view cname : bad_nodes) {
+    const auto found = m.FindByCname(cname);
+    ASSERT_FALSE(found.ok()) << "'" << cname << "' resolved";
+    EXPECT_EQ(found.status().code(), StatusCode::kNotFound) << cname;
+  }
+  const std::string_view bad_blades[] = {
+      "c01-0c2s7", "c1-0c2s07", "c1-0c2s7 ",  "c1-0c2s7n0", "c1-0c3s0",
+      "c1-0c0s8",  "c2-0c0s0",  "c0-1c0s0",   "c+1-0c2s7",  "c1-0c2s",
+      "",          "c1-0c2s7g0"};
+  for (const std::string_view blade : bad_blades) {
+    const auto found = m.FindBlade(blade);
+    ASSERT_FALSE(found.ok()) << "'" << blade << "' resolved";
+    EXPECT_EQ(found.status().code(), StatusCode::kNotFound) << blade;
+  }
 }
 
 TEST(Machine, NodeIndicesAreDense) {
