@@ -37,7 +37,10 @@ inline constexpr const char* kCacheWritesTotal = "ld.cache.writes_total";
 inline constexpr const char* kCacheWriteBytesTotal =
     "ld.cache.write_bytes_total";
 inline constexpr const char* kCacheEvictedTotal = "ld.cache.evicted_total";
+inline constexpr const char* kCacheOrphansRemovedTotal =
+    "ld.cache.orphans_removed_total";
 inline constexpr const char* kCacheLoadMicros = "ld.cache.load_micros";
+inline constexpr const char* kCacheStoreMicros = "ld.cache.store_micros";
 
 // --- quarantine (quarantine.cpp) -------------------------------------
 inline constexpr const char* kQuarantineAddedTotal =

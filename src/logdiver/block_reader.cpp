@@ -46,7 +46,14 @@ void MappedFile::Reset() {
 Result<MappedFile> MappedFile::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
-    return NotFoundError("cannot open '" + path + "'");
+    // Only a missing file is NotFound; a file that is there but cannot
+    // be opened (permissions, too many open files) is another failure.
+    const int open_errno = errno;
+    if (open_errno == ENOENT) {
+      return NotFoundError("cannot open '" + path + "'");
+    }
+    return InternalError("cannot open '" + path + "': " +
+                         std::strerror(open_errno));
   }
   struct stat st {};
   if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {

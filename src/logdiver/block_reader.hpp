@@ -46,6 +46,8 @@ class MappedFile {
   MappedFile& operator=(const MappedFile&) = delete;
   ~MappedFile();
 
+  /// NotFound only when `path` does not exist; any other failure to
+  /// open or read it is another error.
   static Result<MappedFile> Open(const std::string& path);
 
   std::string_view data() const {

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "common/obs/names.hpp"
@@ -73,26 +72,6 @@ constexpr FileFormat kCacheFormat = {{'L', 'D', 'P', 'B', 'C', 'H', 'E', '1'},
 
 constexpr std::uint8_t kKindBundle = 1;
 
-Status WriteEntry(const std::string& dir, const std::string& path,
-                  std::uint64_t fingerprint,
-                  const SnapshotWriter& payload_writer) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return InternalError("bundle cache: cannot create " + dir + ": " +
-                         ec.message());
-  }
-  const std::vector<std::uint8_t>& payload = payload_writer.bytes();
-  if (Status s = WriteDurableFile(path, kCacheFormat, payload, fingerprint);
-      !s.ok()) {
-    return Status(s.code(), "bundle cache: " + s.message());
-  }
-  LD_OBS_COUNTER_ADD(obs::names::kCacheWritesTotal, 1);
-  LD_OBS_COUNTER_ADD(obs::names::kCacheWriteBytesTotal,
-                     kFileHeaderSize + payload.size());
-  return Status::Ok();
-}
-
 /// A mapped entry whose header has passed every check; the payload
 /// aliases the mapping, which must stay alive through decoding.
 struct MappedEntry {
@@ -101,8 +80,9 @@ struct MappedEntry {
   std::size_t size = 0;
 };
 
-/// Every failure path here is a *rejection*: the file exists but cannot
-/// be trusted.  The caller converts to a loud fallback.
+/// NotFound when no file is there (never written, or evicted since);
+/// every other failure is a *rejection*: the file exists but cannot be
+/// trusted.  The caller converts a rejection to a loud fallback.
 Result<MappedEntry> OpenEntry(const std::string& path,
                               std::uint64_t expected_fingerprint) {
   auto mapped = MappedFile::Open(path);
@@ -157,20 +137,9 @@ T GetElement(SnapshotReader& r) {
   return v;
 }
 
-/// u64 count + the raw little-endian array.  On LE hosts (every target
-/// this repo builds for) the dump and the load are single memcpys —
+/// Reads a u64 count + the raw little-endian array.  On LE hosts
+/// (every target this repo builds for) the load is a single memcpy —
 /// this is what makes a records hit decode at memory bandwidth.
-template <typename T>
-void PutPodColumn(SnapshotWriter& w, const std::vector<T>& col) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  w.U64(col.size());
-  if constexpr (std::endian::native == std::endian::little) {
-    w.Raw(col.data(), col.size() * sizeof(T));
-  } else {
-    for (const T& v : col) PutElement(w, v);
-  }
-}
-
 template <typename T>
 void GetPodColumn(SnapshotReader& r, std::vector<T>& col) {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -191,22 +160,29 @@ void GetPodColumn(SnapshotReader& r, std::vector<T>& col) {
 /// Interned-symbol column: a first-seen string table (u32 count +
 /// length-prefixed strings) followed by a u32 index column.  Symbol ids
 /// are process-local (intern.hpp), so the *strings* are the on-disk
-/// identity and the loader re-interns them.
+/// identity and the loader re-interns them.  Ids are dense, so a flat
+/// slot table indexed by id maps each symbol to its table index; the
+/// index column is written in a second pass, once the table is out.
 template <typename GetFn>
 void PutSymbolColumn(SnapshotWriter& w, std::size_t n, GetFn get) {
-  std::unordered_map<std::uint32_t, std::uint32_t> seen;
+  constexpr std::uint32_t kUnseen = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> slots;
   std::vector<Symbol> table;
-  std::vector<std::uint32_t> idx(n);
   for (std::size_t i = 0; i < n; ++i) {
     const Symbol s = get(i);
-    const auto [it, inserted] =
-        seen.emplace(s.id(), static_cast<std::uint32_t>(table.size()));
-    if (inserted) table.push_back(s);
-    idx[i] = it->second;
+    if (s.id() >= slots.size()) {
+      slots.resize(std::max<std::size_t>(s.id() + 1, 2 * slots.size()),
+                   kUnseen);
+    }
+    if (slots[s.id()] == kUnseen) {
+      slots[s.id()] = static_cast<std::uint32_t>(table.size());
+      table.push_back(s);
+    }
   }
   w.U32(static_cast<std::uint32_t>(table.size()));
   for (const Symbol s : table) w.Str(s.view());
-  PutPodColumn(w, idx);
+  w.U64(n);
+  for (std::size_t i = 0; i < n; ++i) w.U32(slots[get(i).id()]);
 }
 
 template <typename SetFn>
@@ -367,17 +343,23 @@ void PutAlps(SnapshotWriter& w, const std::vector<AlpsRecord>& recs) {
   for (const auto& rec : recs) w.U64(rec.jobid);
   PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].user; });
   for (const auto& rec : recs) w.U32(rec.nodect);
-  // Node placements as CSR: offsets + one packed entry array.
-  std::vector<std::uint64_t> offsets;
-  offsets.reserve(n + 1);
-  offsets.push_back(0);
-  std::vector<NodeIndex> entries;
+  // Node placements as CSR, written straight from the records: the
+  // u64-counted offsets column, then the u64-counted packed entries.
+  w.U64(n + 1);
+  std::uint64_t offset = 0;
+  w.U64(offset);
   for (const auto& rec : recs) {
-    entries.insert(entries.end(), rec.nids.begin(), rec.nids.end());
-    offsets.push_back(entries.size());
+    offset += rec.nids.size();
+    w.U64(offset);
   }
-  PutPodColumn(w, offsets);
-  PutPodColumn(w, entries);
+  w.U64(offset);
+  for (const auto& rec : recs) {
+    if constexpr (std::endian::native == std::endian::little) {
+      w.Raw(rec.nids.data(), rec.nids.size() * sizeof(NodeIndex));
+    } else {
+      for (const NodeIndex nid : rec.nids) PutElement(w, nid);
+    }
+  }
   for (const auto& rec : recs) w.I32(rec.exit_code);
   for (const auto& rec : recs) w.I32(rec.exit_signal);
   for (const auto& rec : recs) w.U8(rec.node_failure ? 1 : 0);
@@ -483,6 +465,19 @@ void GetErrors(SnapshotReader& r, std::vector<ErrorRecord>& recs) {
   GetField<std::int64_t>(r, recs, [](Rec& e, auto v) {
     if (e.recovered) e.recovered = TimePoint(v);
   });
+}
+
+/// Close to the records section's size: every fixed-width column
+/// exactly (a symbol column counted as its u32 index), plus slack for
+/// the symbol tables, the stats and the quarantine.  EncodeParsed
+/// reserves it once, so the section is never regrown and recopied.
+std::size_t RecordsSizeHint(const ParsedLogs& parsed) {
+  std::size_t nids = 0;
+  for (const auto& rec : parsed.alps) nids += rec.nids.size();
+  const std::size_t fixed = 81 * parsed.torque.size() +
+                            54 * parsed.alps.size() + 4 * nids +
+                            25 * parsed.errors.size();
+  return fixed + fixed / 8 + 64 * 1024;
 }
 
 void DecodeParsed(SnapshotReader& r, ParsedLogs& parsed) {
@@ -815,12 +810,18 @@ BundleCache::BundleCache(std::string dir, std::uint64_t max_bytes)
     : dir_(std::move(dir)), max_bytes_(max_bytes) {
   // Startup trim: a directory left over-cap by a previous run (or a
   // smaller --bundle-cache-max-mb than last time) is brought under the
-  // cap before any entry is served.
-  EnforceCap();
+  // cap before any entry is served, and a run killed mid-entry leaves
+  // no tmp file behind for long.
+  Trim();
 }
 
-void BundleCache::EnforceCap() const {
-  if (max_bytes_ == 0 || dir_.empty()) return;
+void BundleCache::Trim() const {
+  if (dir_.empty()) return;
+  // Outside the macro: an obs-off build must still reclaim.
+  [[maybe_unused]] const std::size_t orphans =
+      ReclaimOrphanedTmpFiles(dir_, ".ldpbc");
+  LD_OBS_COUNTER_ADD(obs::names::kCacheOrphansRemovedTotal, orphans);
+  if (max_bytes_ == 0) return;
   namespace fs = std::filesystem;
   struct Candidate {
     fs::path path;
@@ -833,7 +834,7 @@ void BundleCache::EnforceCap() const {
   for (const auto& item : fs::directory_iterator(dir_, ec)) {
     if (ec) return;  // directory missing or unreadable: nothing to trim
     // Only published cache entries count against the cap; in-flight
-    // .tmp.<pid> files are transient and owned by their writer.
+    // .tmp.<pid> files belong to a live writer (orphans went above).
     if (item.path().extension() != ".ldpbc") continue;
     std::error_code item_ec;
     if (!item.is_regular_file(item_ec) || item_ec) continue;
@@ -877,17 +878,20 @@ std::string BundleCache::BundlePath(std::uint64_t input_fingerprint) const {
 Result<LoadedEntry> BundleCache::Load(const CacheKeys& keys) const {
   const std::string path = BundlePath(keys.input_fingerprint);
   const std::uint64_t load_start_ns = LD_OBS_NOW_NS();
-  if (!std::filesystem::exists(path)) {
-    LD_OBS_COUNTER_ADD(obs::names::kCacheMissesTotal, 1);
-    return NotFoundError("bundle cache: no entry at " + path);
-  }
   const auto reject = [](Status why) {
     LD_OBS_COUNTER_ADD(obs::names::kCacheRejectedTotal, 1);
     return Status(StatusCode::kParseError,
                   "bundle cache: " + why.message() + " — entry rejected, "
                   "falling back to the text parse");
   };
+  // No existence pre-check: an entry a capped writer evicts between a
+  // check and the map would read as a rejection, not the clean miss it
+  // is.  Only the map itself can tell.
   auto entry = OpenEntry(path, keys.input_fingerprint);
+  if (!entry.ok() && entry.status().code() == StatusCode::kNotFound) {
+    LD_OBS_COUNTER_ADD(obs::names::kCacheMissesTotal, 1);
+    return NotFoundError("bundle cache: no entry at " + path);
+  }
   if (!entry.ok()) return reject(entry.status());
   SnapshotReader head(entry->payload, entry->size);
   const std::uint8_t kind = head.U8();
@@ -937,6 +941,7 @@ Result<LoadedEntry> BundleCache::Load(const CacheKeys& keys) const {
 
 std::vector<std::uint8_t> BundleCache::EncodeParsed(const ParsedLogs& parsed) {
   SnapshotWriter w;
+  w.Reserve(RecordsSizeHint(parsed));
   PutTorque(w, parsed.torque);
   PutAlps(w, parsed.alps);
   PutErrors(w, parsed.errors);
@@ -948,21 +953,64 @@ std::vector<std::uint8_t> BundleCache::EncodeParsed(const ParsedLogs& parsed) {
   return w.TakeBytes();
 }
 
+Result<PendingStore> BundleCache::BeginStore(
+    const CacheKeys& keys, std::span<const std::uint8_t> parsed_bytes) const {
+  const std::uint64_t start_ns = LD_OBS_NOW_NS();
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
+  if (ec) {
+    return InternalError("bundle cache: cannot create " + dir_ + ": " +
+                         ec.message());
+  }
+  auto file = DurableFileWriter::Open(BundlePath(keys.input_fingerprint),
+                                      kCacheFormat, keys.input_fingerprint);
+  if (!file.ok()) {
+    return Status(file.status().code(),
+                  "bundle cache: " + file.status().message());
+  }
+  PendingStore pending{std::move(*file), keys.analysis_key, 0};
+  {
+    SnapshotWriter w(pending.file);
+    w.U8(kKindBundle);
+    w.U64(keys.parse_key);
+    w.U64(parsed_bytes.size());
+    w.Raw(parsed_bytes.data(), parsed_bytes.size());
+    w.Flush();
+  }
+  if (start_ns != 0) pending.write_ns = LD_OBS_NOW_NS() - start_ns;
+  return pending;
+}
+
+Status BundleCache::FinishStore(PendingStore pending,
+                                const AnalysisResult& result) const {
+  const std::uint64_t start_ns = LD_OBS_NOW_NS();
+  {
+    SnapshotWriter w(pending.file);
+    w.Bool(true);
+    w.U64(pending.analysis_key);
+    EncodeResult(w, result);
+    w.Flush();
+  }
+  if (Status s = pending.file.Commit(); !s.ok()) {
+    return Status(s.code(), "bundle cache: " + s.message());
+  }
+  LD_OBS_COUNTER_ADD(obs::names::kCacheWritesTotal, 1);
+  LD_OBS_COUNTER_ADD(obs::names::kCacheWriteBytesTotal,
+                     kFileHeaderSize + pending.file.payload_size());
+  if (start_ns != 0) {
+    LD_OBS_HIST_RECORD(
+        obs::names::kCacheStoreMicros,
+        (pending.write_ns + LD_OBS_NOW_NS() - start_ns) / 1000);
+  }
+  Trim();
+  return Status::Ok();
+}
+
 Status BundleCache::Store(const CacheKeys& keys,
                           const std::vector<std::uint8_t>& parsed_bytes,
                           const AnalysisResult& result) const {
-  SnapshotWriter w;
-  w.U8(kKindBundle);
-  w.U64(keys.parse_key);
-  w.U64(parsed_bytes.size());
-  w.Raw(parsed_bytes.data(), parsed_bytes.size());
-  w.Bool(true);
-  w.U64(keys.analysis_key);
-  EncodeResult(w, result);
-  LD_TRY(WriteEntry(dir_, BundlePath(keys.input_fingerprint),
-                    keys.input_fingerprint, w));
-  EnforceCap();
-  return Status::Ok();
+  LD_ASSIGN_OR_RETURN(PendingStore pending, BeginStore(keys, parsed_bytes));
+  return FinishStore(std::move(pending), result);
 }
 
 }  // namespace ld::cache

@@ -26,19 +26,24 @@
 // tests/logdiver/bundle_cache_test.cpp hold the two paths to
 // FingerprintReport identity.
 //
-// Writes reuse the snapshot store's atomicity discipline: pid-qualified
-// tmp file, fsync, rename.  Concurrent writers of the same entry are
-// safe (last rename wins, both files valid); readers memory-map and
-// validate before decoding a single field.
+// Writes stream through the one durable-file writer (snapshot.hpp):
+// pid-qualified tmp file held under flock, header last, fsync, rename.
+// A cold analysis writes in two phases: the records section reaches the
+// tmp file before the analysis tail runs, the memoized result and the
+// commit follow it.  Concurrent writers of the same entry are safe
+// (last rename wins, both files valid); readers memory-map and validate
+// before decoding a single field.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.hpp"
 #include "logdiver/logdiver.hpp"
+#include "logdiver/snapshot.hpp"
 
 namespace ld::cache {
 
@@ -96,6 +101,17 @@ struct LoadedEntry {
   std::optional<AnalysisResult> result;
 };
 
+/// An entry whose prefix and records section are already in its tmp
+/// file; BundleCache::FinishStore appends the memoized result and
+/// publishes it.  Dropped unfinished (a failed analysis), it unlinks
+/// the tmp file and publishes nothing.
+struct PendingStore {
+  DurableFileWriter file;
+  std::uint64_t analysis_key = 0;
+  /// Time spent writing so far, for ld.cache.store_micros.
+  std::uint64_t write_ns = 0;
+};
+
 class BundleCache {
  public:
   /// `max_bytes` caps the total size of *.ldpbc entries in `dir`
@@ -105,14 +121,17 @@ class BundleCache {
   /// directory) and after every store.  Eviction is a plain unlink of a
   /// complete, valid file: a reader that already mapped the entry keeps
   /// its mapping, a later reader sees a clean miss — never a torn or
-  /// stale entry.  Evictions bump ld.cache.evicted_total.
+  /// stale entry.  Evictions bump ld.cache.evicted_total.  Construction
+  /// and every store also unlink the tmp files of writers that died
+  /// mid-entry (ld.cache.orphans_removed_total), capped or not.
   explicit BundleCache(std::string dir, std::uint64_t max_bytes = 0);
 
   const std::string& dir() const { return dir_; }
   std::uint64_t max_bytes() const { return max_bytes_; }
   std::string BundlePath(std::uint64_t input_fingerprint) const;
 
-  /// Loads and validates the bundle entry.  NotFound when absent;
+  /// Loads and validates the bundle entry.  NotFound when absent (an
+  /// entry evicted under a concurrent load included);
   /// ParseError (counted in ld.cache.rejected_total) when torn, foreign,
   /// or written under a different parse config / format version.  A
   /// parse-key match with an analysis-key mismatch is still a records
@@ -120,20 +139,31 @@ class BundleCache {
   Result<LoadedEntry> Load(const CacheKeys& keys) const;
 
   /// Serializes the records section.  Callers encode before the
-  /// analysis tail consumes `parsed`, then pass the bytes to Store —
-  /// no record copies, no second parse.
+  /// analysis tail consumes `parsed`, then pass the bytes to BeginStore
+  /// (or Store): no record copies, no second parse.
   static std::vector<std::uint8_t> EncodeParsed(const ParsedLogs& parsed);
 
-  /// Writes the bundle entry (records section + memoized result)
-  /// atomically.  Failure is reported but non-fatal to the analysis.
+  /// Opens the entry's tmp file and streams the prefix and the records
+  /// section into it, so the caller can free `parsed_bytes` before the
+  /// analysis tail runs.
+  Result<PendingStore> BeginStore(const CacheKeys& keys,
+                                  std::span<const std::uint8_t> parsed_bytes)
+      const;
+  /// Streams the memoized result after the records and publishes the
+  /// entry atomically.  Failure is reported but non-fatal to the
+  /// analysis.
+  Status FinishStore(PendingStore pending, const AnalysisResult& result) const;
+
+  /// BeginStore + FinishStore in one call.
   Status Store(const CacheKeys& keys,
                const std::vector<std::uint8_t>& parsed_bytes,
                const AnalysisResult& result) const;
 
  private:
-  /// Deletes least-recently-used entries until the directory is back
-  /// under max_bytes_; no-op when unbounded.
-  void EnforceCap() const;
+  /// Unlinks orphaned tmp files, then deletes least-recently-used
+  /// entries until the directory is back under max_bytes_ (no eviction
+  /// when unbounded).
+  void Trim() const;
 
   std::string dir_;
   std::uint64_t max_bytes_ = 0;

@@ -366,9 +366,18 @@ Result<AnalysisResult> LogDiver::AnalyzeBundle(const std::string& dir) const {
   LD_OBS_SPAN("analyze");
   const std::uint64_t analyze_start_ns = LD_OBS_NOW_NS();
   LD_ASSIGN_OR_RETURN(ParsedLogs parsed, ParseLogs(views, pool));
-  // Snapshot the records bytes before the tail consumes the records.
-  const std::vector<std::uint8_t> parsed_bytes =
-      cache::BundleCache::EncodeParsed(parsed);
+  // The records section goes to the entry's tmp file before the tail
+  // consumes the records, and its bytes are freed before the tail
+  // allocates.  A failed analysis drops the pending entry unpublished.
+  Result<cache::PendingStore> pending = [&] {
+    std::vector<std::uint8_t> records;
+    {
+      LD_OBS_SPAN("cache/encode");
+      records = cache::BundleCache::EncodeParsed(parsed);
+    }
+    LD_OBS_SPAN("cache/store");
+    return bundle_cache.BeginStore(keys, records);
+  }();
   auto result = AnalyzeParsed(std::move(parsed), pool);
   if (!result.ok()) return result;
   if (analyze_start_ns != 0) {
@@ -378,7 +387,11 @@ Result<AnalysisResult> LogDiver::AnalyzeBundle(const std::string& dir) const {
   result->cache_outcome = rejected ? CacheOutcome::kRejected
                                    : CacheOutcome::kMiss;
   result->cache_note = note;
-  const Status stored = bundle_cache.Store(keys, parsed_bytes, *result);
+  Status stored = pending.status();
+  if (pending.ok()) {
+    LD_OBS_SPAN("cache/store");
+    stored = bundle_cache.FinishStore(std::move(*pending), *result);
+  }
   if (!stored.ok()) {
     // A write failure costs only the next run's speed; disclose it.
     result->cache_note = result->cache_note.empty()

@@ -1,6 +1,8 @@
 #include "logdiver/snapshot.hpp"
 
 #include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <system_error>
+#include <utility>
 
 #include "common/obs/obs.hpp"
 #include "logdiver/coalesce.hpp"
@@ -100,10 +103,10 @@ Status InContext(const char* what, const Status& status) {
 
 }  // namespace
 
-std::uint32_t Crc32(const void* data, std::size_t size) {
+std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t crc) {
   const auto& t = Crc32Tables();
   const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
+  crc = ~crc;
   // The 8-at-a-time fold reads the words little-endian; on a big-endian
   // host the bytewise tail below handles everything.
   if constexpr (std::endian::native == std::endian::little) {
@@ -127,46 +130,40 @@ std::uint32_t Crc32(const void* data, std::size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-void SnapshotWriter::U32(std::uint32_t v) {
-  buffer_.push_back(static_cast<std::uint8_t>(v));
-  buffer_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buffer_.push_back(static_cast<std::uint8_t>(v >> 16));
-  buffer_.push_back(static_cast<std::uint8_t>(v >> 24));
+void SnapshotWriter::Emit(const std::uint8_t* data, std::size_t size) {
+  if (sink_ != nullptr) {
+    sink_->Append({data, size});
+  } else {
+    out_.insert(out_.end(), data, data + size);
+  }
 }
 
-void SnapshotWriter::U64(std::uint64_t v) {
-  U32(static_cast<std::uint32_t>(v));
-  U32(static_cast<std::uint32_t>(v >> 32));
+void SnapshotWriter::Flush() {
+  if (cur_ == chunk_.get()) return;
+  Emit(chunk_.get(), static_cast<std::size_t>(cur_ - chunk_.get()));
+  cur_ = chunk_.get();
 }
 
-void SnapshotWriter::F64(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  U64(bits);
-}
-
-void SnapshotWriter::Str(std::string_view s) {
-  U32(static_cast<std::uint32_t>(s.size()));
-  buffer_.insert(buffer_.end(), s.begin(), s.end());
+void SnapshotWriter::Spill() {
+  if (chunk_ == nullptr) {
+    chunk_ = std::make_unique_for_overwrite<std::uint8_t[]>(kChunkBytes);
+    cur_ = chunk_.get();
+    end_ = cur_ + kChunkBytes;
+    return;
+  }
+  Flush();
 }
 
 void SnapshotWriter::Raw(const void* data, std::size_t size) {
+  if (size == 0) return;
   const auto* bytes = static_cast<const std::uint8_t*>(data);
-  buffer_.insert(buffer_.end(), bytes, bytes + size);
-}
-
-void SnapshotWriter::Varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    buffer_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
+  if (size < kChunkBytes) {
+    std::memcpy(Room(size), bytes, size);
+    cur_ += size;
+    return;
   }
-  buffer_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void SnapshotWriter::VarintSigned(std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  Varint((u << 1) ^ static_cast<std::uint64_t>(v >> 63));
+  Flush();
+  Emit(bytes, size);
 }
 
 void SnapshotReader::Fail(std::string why) {
@@ -710,16 +707,11 @@ std::uint32_t FingerprintIngest(const IngestStats& stats) {
 
 // --- durable files -------------------------------------------------
 
-Status WriteDurableFile(const std::string& path, const FileFormat& format,
-                        std::span<const std::uint8_t> payload,
-                        std::uint64_t fingerprint) {
-  std::array<std::uint8_t, kFileHeaderSize> header{};
-  std::copy(format.magic.begin(), format.magic.end(), header.begin());
-  PutU32(header.data() + 8, format.version);
-  PutU32(header.data() + 12, Crc32(payload.data(), payload.size()));
-  PutU64(header.data() + 16, payload.size());
-  PutU64(header.data() + 24, fingerprint);
-
+Result<DurableFileWriter> DurableFileWriter::Open(const std::string& path,
+                                                  const FileFormat& format,
+                                                  std::uint64_t fingerprint) {
+  DurableFileWriter w;
+  w.path_ = path;
   // The tmp name is pid-qualified: two processes sharing a directory
   // (the daemon's per-tenant layout, concurrent cache writers, a test
   // racing two writers) must never interleave writes into one tmp file.
@@ -727,37 +719,134 @@ Status WriteDurableFile(const std::string& path, const FileFormat& format,
   // other was still appending to: a torn file under the *final* name
   // that atomicity exists to prevent.  Racing writers of one path end
   // benignly: the last rename wins and both candidates are complete.
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return InternalError("cannot create " + tmp + ": " +
-                         std::strerror(errno));
-  }
-  const auto fail = [&](const std::string& what) {
+  w.tmp_ = path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
+  w.format_ = format;
+  w.fingerprint_ = fingerprint;
+  // A sweeper may unlink the tmp file between our open and our lock
+  // (unlocked, it looks orphaned), and a writer of the same path in
+  // this process may publish it while we wait for the lock.  Either way
+  // the name no longer leads to the inode we locked: open it afresh.
+  for (int attempt = 0;; ++attempt) {
+    const int fd = ::open(w.tmp_.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+    if (fd < 0) {
+      return InternalError("cannot create " + w.tmp_ + ": " +
+                           std::strerror(errno));
+    }
+    int locked = 0;
+    do {
+      locked = ::flock(fd, LOCK_EX);
+    } while (locked != 0 && errno == EINTR);
+    struct stat held {};
+    struct stat named {};
+    if (locked == 0 && ::fstat(fd, &held) == 0 &&
+        ::stat(w.tmp_.c_str(), &named) == 0 && held.st_dev == named.st_dev &&
+        held.st_ino == named.st_ino) {
+      w.fd_ = fd;
+      break;
+    }
     const std::string why = std::strerror(errno);
     ::close(fd);
-    ::unlink(tmp.c_str());
-    return InternalError(what + " " + tmp + " failed: " + why);
-  };
-  if (!WriteAll(fd, header) || !WriteAll(fd, payload)) return fail("write to");
+    if (locked != 0 || attempt == 8) {
+      return InternalError("cannot lock " + w.tmp_ + ": " + why);
+    }
+  }
+  // The header goes in last, over this placeholder: its CRC and size
+  // are known only once the payload has streamed through Append.
+  const std::array<std::uint8_t, kFileHeaderSize> placeholder{};
+  if (::ftruncate(w.fd_, 0) != 0 || !WriteAll(w.fd_, placeholder)) {
+    const std::string why = std::strerror(errno);
+    w.Abandon();
+    return InternalError("write to " + w.tmp_ + " failed: " + why);
+  }
+  return w;
+}
+
+DurableFileWriter::DurableFileWriter(DurableFileWriter&& other) noexcept
+    : path_(std::move(other.path_)),
+      tmp_(std::move(other.tmp_)),
+      fd_(std::exchange(other.fd_, -1)),
+      format_(other.format_),
+      fingerprint_(other.fingerprint_),
+      crc_(other.crc_),
+      size_(other.size_),
+      error_(std::move(other.error_)) {}
+
+DurableFileWriter& DurableFileWriter::operator=(
+    DurableFileWriter&& other) noexcept {
+  if (this != &other) {
+    Abandon();
+    path_ = std::move(other.path_);
+    tmp_ = std::move(other.tmp_);
+    fd_ = std::exchange(other.fd_, -1);
+    format_ = other.format_;
+    fingerprint_ = other.fingerprint_;
+    crc_ = other.crc_;
+    size_ = other.size_;
+    error_ = std::move(other.error_);
+  }
+  return *this;
+}
+
+DurableFileWriter::~DurableFileWriter() { Abandon(); }
+
+void DurableFileWriter::Abandon() {
+  if (fd_ < 0) return;
+  ::unlink(tmp_.c_str());
+  ::close(fd_);
+  fd_ = -1;
+}
+
+void DurableFileWriter::Append(std::span<const std::uint8_t> bytes) {
+  if (!error_.ok()) return;
+  if (fd_ < 0) {
+    error_ = FailedPreconditionError("append to a closed " + path_);
+    return;
+  }
+  crc_ = Crc32(bytes.data(), bytes.size(), crc_);
+  size_ += bytes.size();
+  if (!WriteAll(fd_, bytes)) {
+    error_ = InternalError("write to " + tmp_ + " failed: " +
+                           std::strerror(errno));
+  }
+}
+
+Status DurableFileWriter::Commit() {
+  if (fd_ < 0) return FailedPreconditionError("commit of a closed " + path_);
+  std::array<std::uint8_t, kFileHeaderSize> header{};
+  std::copy(format_.magic.begin(), format_.magic.end(), header.begin());
+  PutU32(header.data() + 8, format_.version);
+  PutU32(header.data() + 12, crc_);
+  PutU64(header.data() + 16, size_);
+  PutU64(header.data() + 24, fingerprint_);
+  if (error_.ok() &&
+      ::pwrite(fd_, header.data(), header.size(), 0) !=
+          static_cast<ssize_t>(header.size())) {
+    error_ = InternalError("write to " + tmp_ + " failed: " +
+                           std::strerror(errno));
+  }
   // fsync before rename: the rename must never become durable ahead of
   // the data it points at.
-  if (::fsync(fd) != 0) return fail("fsync");
-  if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    return InternalError("close " + tmp + " failed");
+  if (error_.ok() && ::fsync(fd_) != 0) {
+    error_ = InternalError("fsync " + tmp_ + " failed: " +
+                           std::strerror(errno));
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string why = std::strerror(errno);
-    ::unlink(tmp.c_str());
-    return InternalError("rename to " + path + " failed: " + why);
+  if (error_.ok() && ::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    error_ = InternalError("rename to " + path_ + " failed: " +
+                           std::strerror(errno));
   }
+  if (!error_.ok()) {
+    Abandon();
+    return error_;
+  }
+  // Closing drops the lock; the data is already on disk, so a close
+  // error here cannot lose it.
+  ::close(fd_);
+  fd_ = -1;
   // The rename lives in the parent directory: until that directory is
   // on disk, a power loss can drop the file just published.
-  std::string dir = fs::path(path).parent_path().string();
+  std::string dir = fs::path(path_).parent_path().string();
   if (dir.empty()) dir = ".";
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dfd < 0) {
     return InternalError("cannot open directory " + dir + ": " +
                          std::strerror(errno));
@@ -771,6 +860,38 @@ Status WriteDurableFile(const std::string& path, const FileFormat& format,
                          std::strerror(sync_errno));
   }
   return Status::Ok();
+}
+
+Status WriteDurableFile(const std::string& path, const FileFormat& format,
+                        std::span<const std::uint8_t> payload,
+                        std::uint64_t fingerprint) {
+  LD_ASSIGN_OR_RETURN(DurableFileWriter file,
+                      DurableFileWriter::Open(path, format, fingerprint));
+  file.Append(payload);
+  return file.Commit();
+}
+
+std::size_t ReclaimOrphanedTmpFiles(const std::string& dir,
+                                    std::string_view suffix) {
+  const std::string marker = std::string(suffix) + ".tmp.";
+  std::size_t removed = 0;
+  std::error_code ec;
+  for (const auto& item : fs::directory_iterator(dir, ec)) {
+    const std::string path = item.path().string();
+    if (item.path().filename().string().find(marker) == std::string::npos) {
+      continue;
+    }
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NOFOLLOW);
+    if (fd < 0) continue;
+    // Unlinked while we hold the lock: a writer that opened this inode
+    // before the unlink finds, once it gets the lock, that the name no
+    // longer leads to it, and starts over on a fresh file.
+    if (::flock(fd, LOCK_EX | LOCK_NB) == 0 && ::unlink(path.c_str()) == 0) {
+      ++removed;
+    }
+    ::close(fd);
+  }
+  return removed;
 }
 
 Result<ValidatedFile> ValidateDurableFile(std::span<const std::uint8_t> file,

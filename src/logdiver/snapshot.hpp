@@ -16,8 +16,11 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -42,43 +45,121 @@ struct AnalysisSummary;
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected).  This is the
 /// checksum both the snapshot file trailer and the report fingerprints
-/// use; Crc32("123456789") == 0xCBF43926.
-std::uint32_t Crc32(const void* data, std::size_t size);
+/// use; Crc32("123456789") == 0xCBF43926.  Passing the CRC of the bytes
+/// before `data` as `crc` continues it: Crc32(b, n, Crc32(a, m)) is the
+/// CRC of a followed by b, so a streamed payload is checksummed chunk by
+/// chunk.
+std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t crc = 0);
 inline std::uint32_t Crc32(const std::vector<std::uint8_t>& bytes) {
   return Crc32(bytes.data(), bytes.size());
 }
 
+class DurableFileWriter;
+
 /// Append-only little-endian byte sink.  All multi-byte integers are
 /// written LE regardless of host order; doubles as their bit pattern.
+///
+/// Appends write inline through a cursor into one chunk of kChunkBytes.
+/// A full chunk is flushed to the writer's destination: its own byte
+/// vector (bytes(), TakeBytes()) or, for a writer built over a
+/// DurableFileWriter, the file, so an encoder streams a payload of any
+/// size without holding it whole.  Raw appends of a chunk or more skip
+/// the chunk and go to the destination directly.
 class SnapshotWriter {
  public:
-  void U8(std::uint8_t v) { buffer_.push_back(v); }
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
+
+  SnapshotWriter() = default;
+  /// Streams into `sink`; call Flush() before committing the file.
+  explicit SnapshotWriter(DurableFileWriter& sink) : sink_(&sink) {}
+  // The cursor points into the chunk: neither copyable nor movable.
+  SnapshotWriter(const SnapshotWriter&) = delete;
+  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
+
+  void U8(std::uint8_t v) {
+    *Room(1) = v;
+    ++cur_;
+  }
   void Bool(bool v) { U8(v ? 1 : 0); }
-  void U32(std::uint32_t v);
-  void U64(std::uint64_t v);
+  void U32(std::uint32_t v) { PutLe(v); }
+  void U64(std::uint64_t v) { PutLe(v); }
   void I32(std::int32_t v) { U32(static_cast<std::uint32_t>(v)); }
   void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
-  void F64(double v);
+  void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
   void Time(TimePoint t) { I64(t.unix_seconds()); }
   void Dur(Duration d) { I64(d.seconds()); }
   /// u32 length prefix + raw bytes.
-  void Str(std::string_view s);
+  void Str(std::string_view s) {
+    U32(static_cast<std::uint32_t>(s.size()));
+    Raw(s.data(), s.size());
+  }
   /// Unprefixed raw bytes (the bulk column dumps of the parsed-bundle
   /// cache); the caller owns length framing.
   void Raw(const void* data, std::size_t size);
   /// LEB128 variable-length unsigned integer: 7 value bits per byte,
   /// high bit = continuation, little-endian groups.  1 byte for values
   /// < 128 — the workhorse of the bundle cache's compacted columns.
-  void Varint(std::uint64_t v);
+  void Varint(std::uint64_t v) {
+    std::uint8_t* p = Room(10);
+    while (v >= 0x80) {
+      *p++ = static_cast<std::uint8_t>(v) | 0x80;
+      v >>= 7;
+    }
+    *p++ = static_cast<std::uint8_t>(v);
+    cur_ = p;
+  }
   /// Zigzag-mapped signed varint ((v << 1) ^ (v >> 63)), so small
   /// negative deltas stay small on disk.
-  void VarintSigned(std::int64_t v);
+  void VarintSigned(std::int64_t v) {
+    const auto u = static_cast<std::uint64_t>(v);
+    Varint((u << 1) ^ static_cast<std::uint64_t>(v >> 63));
+  }
 
-  const std::vector<std::uint8_t>& bytes() const { return buffer_; }
-  std::vector<std::uint8_t> TakeBytes() { return std::move(buffer_); }
+  /// Sizes the owned byte vector for `n` more bytes, so a payload of
+  /// known size is allocated once instead of regrown.
+  void Reserve(std::size_t n) { out_.reserve(out_.size() + n); }
+  /// Moves buffered bytes to the destination.  A sink keeps its first
+  /// write error for DurableFileWriter::Commit to report.
+  void Flush();
+
+  /// Everything written so far (owned writers only).
+  const std::vector<std::uint8_t>& bytes() {
+    Flush();
+    return out_;
+  }
+  std::vector<std::uint8_t> TakeBytes() {
+    Flush();
+    return std::move(out_);
+  }
 
  private:
-  std::vector<std::uint8_t> buffer_;
+  template <typename T>
+  void PutLe(T v) {
+    std::uint8_t* p = Room(sizeof(T));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(p, &v, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+      }
+    }
+    cur_ = p + sizeof(T);
+  }
+  /// The cursor, with at least `n` (at most kChunkBytes) bytes of room.
+  std::uint8_t* Room(std::size_t n) {
+    if (static_cast<std::size_t>(end_ - cur_) < n) Spill();
+    return cur_;
+  }
+  /// Flushes a full chunk, allocating it on first use.  The chunk is
+  /// never zero-filled: only bytes a caller wrote are ever touched.
+  void Spill();
+  void Emit(const std::uint8_t* data, std::size_t size);
+
+  std::unique_ptr<std::uint8_t[]> chunk_;
+  std::uint8_t* cur_ = nullptr;
+  std::uint8_t* end_ = nullptr;
+  std::vector<std::uint8_t> out_;
+  DurableFileWriter* sink_ = nullptr;
 };
 
 /// Sequential reader over a snapshot payload.  Reading past the end (or
@@ -192,16 +273,67 @@ inline constexpr std::size_t kFileHeaderSize = 32;
 inline constexpr FileFormat kSnapshotFormat = {
     {'L', 'D', 'S', 'N', 'A', 'P', 0x1A, 0x00}, 2};
 
-/// Writes header + payload to `path` atomically and durably: the bytes
-/// go to a pid-qualified tmp file, are fsync'd, the tmp is renamed over
-/// `path`, and the parent directory is fsync'd so the rename itself
-/// survives power loss.  A crash at any point leaves either the old
-/// file or no file, never a torn one under the final name.
-/// `fingerprint` identifies the input the payload was computed from
-/// (see BundlePartitionFingerprint in resume.hpp); 0 = unspecified.
+/// The one writer of durable files: a payload streamed into a
+/// pid-qualified tmp file and published under `path` atomically.
+///
+/// Open creates `<path>.tmp.<pid>`, takes flock(LOCK_EX) on it (held
+/// until after the rename, so a sweeper can tell a live writer from an
+/// orphan: see ReclaimOrphanedTmpFiles) and writes a placeholder
+/// header.  Append writes payload bytes and folds them into a running
+/// CRC-32.  Commit writes the real header at offset 0, fsyncs, renames
+/// the tmp over `path` and fsyncs the directory, so the rename itself
+/// survives power loss.  A crash at any point leaves either the old file
+/// or no file under `path`, never a torn one.  A writer destroyed
+/// without Commit unlinks its tmp file.
+class DurableFileWriter {
+ public:
+  /// `fingerprint` identifies the input the payload is computed from
+  /// (see BundlePartitionFingerprint in resume.hpp); 0 = unspecified.
+  static Result<DurableFileWriter> Open(const std::string& path,
+                                        const FileFormat& format,
+                                        std::uint64_t fingerprint);
+
+  DurableFileWriter(DurableFileWriter&& other) noexcept;
+  DurableFileWriter& operator=(DurableFileWriter&& other) noexcept;
+  DurableFileWriter(const DurableFileWriter&) = delete;
+  DurableFileWriter& operator=(const DurableFileWriter&) = delete;
+  ~DurableFileWriter();
+
+  /// Writes payload bytes.  The first failure is kept and reported by
+  /// Commit; later appends are dropped.
+  void Append(std::span<const std::uint8_t> bytes);
+  /// Publishes the file; on any failure nothing is published and the
+  /// tmp file is gone.
+  Status Commit();
+
+  std::uint64_t payload_size() const { return size_; }
+
+ private:
+  DurableFileWriter() = default;
+  /// Unlinks the tmp file (still under our lock) and closes it.
+  void Abandon();
+
+  std::string path_;
+  std::string tmp_;
+  int fd_ = -1;
+  FileFormat format_{};
+  std::uint64_t fingerprint_ = 0;
+  std::uint32_t crc_ = 0;
+  std::uint64_t size_ = 0;
+  Status error_;
+};
+
+/// A whole payload in one call: Open, Append, Commit.
 Status WriteDurableFile(const std::string& path, const FileFormat& format,
                         std::span<const std::uint8_t> payload,
                         std::uint64_t fingerprint);
+
+/// Unlinks every `*<suffix>.tmp.*` file in `dir` whose writer is gone:
+/// a DurableFileWriter holds its tmp file's lock until the rename, so a
+/// file this call can lock with LOCK_NB belongs to a dead process (or
+/// to none).  Returns the number removed.
+std::size_t ReclaimOrphanedTmpFiles(const std::string& dir,
+                                    std::string_view suffix);
 
 /// The payload and header fingerprint of a file that passed validation.
 /// `payload` aliases the validated bytes.

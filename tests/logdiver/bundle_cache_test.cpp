@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -17,8 +18,11 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
+#include "common/obs/metrics.hpp"
+#include "common/obs/names.hpp"
 #include "logdiver/cache/bundle_cache.hpp"
 #include "logdiver/logdiver.hpp"
 #include "logdiver/resume.hpp"
@@ -723,6 +727,328 @@ TEST(BundleCache, TupleWithMoreThanFourNodesIsRejected) {
             std::string::npos)
       << loaded.status().ToString();
   fs::remove_all(dir);
+}
+
+// A whole v5 entry built by hand: both record sections and a memoized
+// result that exercise every column kind (empty and multi-node ALPS
+// placements, every error field, node lists, set and unset recovery
+// times, a classified run, a quarantine entry).
+ParsedLogs PinnedEntryParsed() {
+  ParsedLogs parsed = PinnedParsedLogs();
+  TorqueRecord start;
+  start.kind = TorqueRecord::Kind::kStart;
+  start.time = TimePoint(1369990000);
+  start.jobid = 7001;
+  start.user = Intern("alice");
+  start.queue = Intern("normal");
+  start.submit = TimePoint(1369980000);
+  start.start = TimePoint(1369990000);
+  start.nodect = 4;
+  start.walltime_limit = Duration(7200);
+  TorqueRecord end = start;
+  end.kind = TorqueRecord::Kind::kEnd;
+  end.time = TimePoint(1369995000);
+  end.end = TimePoint(1369995000);
+  end.exit_status = 271;
+  end.walltime_used = Duration(5000);
+  parsed.torque = {start, end};
+
+  AlpsRecord empty_place;
+  empty_place.kind = AlpsRecord::Kind::kPlace;
+  empty_place.time = TimePoint(1369990010);
+  empty_place.apid = 900001;
+  empty_place.jobid = 7001;
+  empty_place.user = Intern("alice");
+  AlpsRecord place = empty_place;
+  place.apid = 900002;
+  place.nids = {3, 4, 5, 130};
+  place.nodect = 4;
+  AlpsRecord exit;
+  exit.kind = AlpsRecord::Kind::kExit;
+  exit.time = TimePoint(1369994000);
+  exit.apid = 900001;
+  exit.exit_code = 1;
+  exit.exit_signal = 11;
+  AlpsRecord kill;
+  kill.kind = AlpsRecord::Kind::kKill;
+  kill.time = TimePoint(1369994500);
+  kill.apid = 900002;
+  kill.node_failure = true;
+  kill.failed_nid = 130;
+  parsed.alps = {empty_place, place, exit, kill};
+  parsed.torque_stats = ParseStats{3, 2, 0, 1};
+  parsed.alps_stats = ParseStats{4, 4, 0, 0};
+  parsed.sink.Add(LogSource::kTorque, 3, "]]] broken accounting record",
+                  ParseError("no record type"));
+  return parsed;
+}
+
+AnalysisResult PinnedEntryResult() {
+  AnalysisResult result;
+  result.torque_stats = ParseStats{3, 2, 0, 1};
+  result.alps_stats = ParseStats{4, 4, 0, 0};
+  result.coalesce_stats.tuples = 2;
+  result.reconstruct_stats.runs = 2;
+  result.ingest.quarantined = 1;
+  AppRun run;
+  run.apid = 900001;
+  run.jobid = 7001;
+  run.user = Intern("alice");
+  run.queue = Intern("normal");
+  run.nodes = {3, 4, 5, 130};
+  run.nodect = 4;
+  run.start = TimePoint(1369990010);
+  run.end = TimePoint(1369994000);
+  run.has_termination = true;
+  run.exit_code = 1;
+  run.exit_signal = 11;
+  run.job_submit = TimePoint(1369980000);
+  run.job_start = TimePoint(1369990000);
+  run.walltime_limit = Duration(7200);
+  run.job_exit_status = 271;
+  AppRun killed = run;
+  killed.apid = 900002;
+  killed.node_type = NodeType::kXK;
+  killed.nodes = {130};
+  killed.nodect = 1;
+  killed.end = TimePoint(1369994500);
+  killed.exit_code = 137;
+  killed.exit_signal = 9;
+  killed.killed_node_failure = true;
+  killed.failed_nid = 130;
+  result.runs = {run, killed};
+  ErrorTuple node_tuple;
+  node_tuple.id = 1;
+  node_tuple.category = ErrorCategory::kMachineCheck;
+  node_tuple.severity = Severity::kFatal;
+  node_tuple.scope = LocScope::kBlade;
+  node_tuple.location = Intern("c0-0c0s1");
+  node_tuple.nodes = {4, 5, 6, 7};
+  node_tuple.first = TimePoint(1369994400);
+  node_tuple.last = TimePoint(1369994460);
+  node_tuple.count = 3;
+  node_tuple.from_syslog = true;
+  ErrorTuple system_tuple;
+  system_tuple.id = 2;
+  system_tuple.category = ErrorCategory::kLustre;
+  system_tuple.severity = Severity::kFatal;
+  system_tuple.scope = LocScope::kSystem;
+  system_tuple.first = TimePoint(1369994470);
+  system_tuple.last = TimePoint(1369994480);
+  system_tuple.recovered = TimePoint(1369998000);
+  system_tuple.count = 2;
+  system_tuple.from_syslog = true;
+  system_tuple.from_hwerr = true;
+  result.tuples = {node_tuple, system_tuple};
+  ClassifiedRun classified;
+  classified.run_index = 1;
+  classified.outcome = AppOutcome::kSystemFailure;
+  classified.cause = ErrorCategory::kMachineCheck;
+  classified.tuple_id = 1;
+  result.classified = {classified};
+  result.quarantine = {
+      {LogSource::kTorque, 3, "PARSE_ERROR: no record type",
+       "]]] broken accounting record"}};
+  return result;
+}
+
+std::vector<std::uint8_t> ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+// The whole entry file, pinned as written by the v5 encoder: streaming
+// the entry through the durable-file writer must not move a byte.
+TEST(BundleCache, EntryBytesArePinned) {
+  const std::string want =
+      "4c44504243484531050000007a3853952607000000000000efcdab8967452301"
+      "017856000000000000d703000000000000020000000000000000017063a85100"
+      "000000f876a85100000000591b000000000000591b0000000000000100000005"
+      "000000616c696365020000000000000000000000000000000100000006000000"
+      "6e6f726d616c02000000000000000000000000000000603ca85100000000603c"
+      "a851000000007063a851000000007063a851000000000000000000000000f876"
+      "a85100000000000000000f0100000400000004000000201c000000000000201c"
+      "0000000000000000000000000000881300000000000004000000000000000000"
+      "01027a63a851000000007a63a851000000001073a851000000000475a8510000"
+      "0000a1bb0d0000000000a2bb0d0000000000a1bb0d0000000000a2bb0d000000"
+      "0000591b000000000000591b0000000000000000000000000000000000000000"
+      "00000200000005000000616c6963650000000004000000000000000000000000"
+      "0000000100000001000000000000000400000000000000000000000500000000"
+      "0000000000000000000000000000000000000004000000000000000400000000"
+      "0000000400000000000000040000000000000003000000040000000500000082"
+      "0000000000000000000000010000000000000000000000000000000b00000000"
+      "00000000000001ffffffffffffffffffffffff82000000050000000000000005"
+      "00000000000000808aa85100000000bc8aa85100000000768aa85100000000f8"
+      "8aa85100000000348ba851000000000500000000000000000504070005000000"
+      "0000000002020100000500000000000000000302010005000000000000000202"
+      "030001040000000a00000063302d30633073316e32000000000a00000063302d"
+      "306330733167310800000063302d306330733105000000000000000000000001"
+      "0000000200000003000000000000000500000000000000000100000005000000"
+      "0000000000000000000000009098a85100000000000000000000000000000000"
+      "0000000000000000000000000300000000000000020000000000000000000000"
+      "0000000001000000000000000400000000000000040000000000000000000000"
+      "0000000000000000000000000700000000000000030000000000000002000000"
+      "0000000002000000000000000100000000000000010000000000000000000000"
+      "000000000000000000000000010000000003000000000000001b000000504152"
+      "53455f4552524f523a206e6f207265636f726420747970651c0000005d5d5d20"
+      "62726f6b656e206163636f756e74696e67207265636f72640100000000000000"
+      "0000000000000000010000000000000000000000000000000000000000000000"
+      "000000000000000001bc9a000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000f03f00000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000003000000000000"
+      "0002000000000000000000000000000000010000000000000004000000000000"
+      "0004000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0002000000000000000000000000000000000000000000000000000000000000"
+      "0002000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0001000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000001000000000000000003"
+      "000000000000001b00000050415253455f4552524f523a206e6f207265636f72"
+      "6420747970651c0000005d5d5d2062726f6b656e206163636f756e74696e6720"
+      "7265636f726402c2ee6d02b26d000100000005000000616c6963650200000000"
+      "000000000000000000000001000000060000006e6f726d616c02000000000000"
+      "00000000000000000000010401030405820182010401f48dc39a0a00a0ccc39a"
+      "0ae80701030292021612ffffffff0f8201c0f1c19a0a00e08dc39a0a00c070c0"
+      "709e049e04010000000000000001000000020001000000000000000202020005"
+      "02020103020000000800000063302d3063307331000000000200000000000000"
+      "0000000001000000040004050607c0d2c39a0a8c01b8d3c39a0a280001e08ac4"
+      "9a0a03020103";
+  const std::string dir = ::testing::TempDir() + "/ld_bc_entry_pinned";
+  fs::remove_all(dir);
+  const cache::BundleCache cache(dir);
+  const cache::CacheKeys keys{0x0123456789abcdefull, 0x5678, 0x9abc};
+  ASSERT_TRUE(cache
+                  .Store(keys,
+                         cache::BundleCache::EncodeParsed(PinnedEntryParsed()),
+                         PinnedEntryResult())
+                  .ok());
+  EXPECT_EQ(Hex(ReadWholeFile(cache.BundlePath(keys.input_fingerprint))),
+            want);
+  fs::remove_all(dir);
+}
+
+std::uint64_t CounterValue(const char* name) {
+  return obs::Registry::Get().GetCounter(name).Value();
+}
+
+TEST(BundleCache, EvictionDuringLoadIsAMissNotARejection) {
+  const std::string dir = ::testing::TempDir() + "/ld_bc_evict_load";
+  fs::remove_all(dir);
+  std::uint64_t entry_size = 0;
+  {
+    const cache::BundleCache sizer(dir);
+    ASSERT_TRUE(StoreSmallEntry(sizer, 31).ok());
+    entry_size = fs::file_size(sizer.BundlePath(31));
+    fs::remove(sizer.BundlePath(31));
+  }
+  // A cap below one entry: every store evicts the entry it just wrote,
+  // so a concurrent reader keeps finding it present, gone, or unlinked
+  // between its lookup and its map.
+  const cache::BundleCache capped(dir, entry_size - 1);
+  const std::uint64_t rejected_before =
+      CounterValue(obs::names::kCacheRejectedTotal);
+  std::atomic<bool> done{false};
+  std::atomic<int> store_failures{0};
+  std::thread writer([&] {
+    for (int i = 0; i < 200; ++i) {
+      if (!StoreSmallEntry(capped, 31).ok()) ++store_failures;
+    }
+    done = true;
+  });
+  std::uint64_t loads = 0;
+  std::vector<std::string> unexpected;
+  while (!done.load()) {
+    auto loaded = capped.Load(SmallKeys(31));
+    ++loads;
+    if (!loaded.ok() && loaded.status().code() != StatusCode::kNotFound) {
+      unexpected.push_back(loaded.status().ToString());
+    }
+  }
+  writer.join();
+  EXPECT_EQ(store_failures.load(), 0);
+  EXPECT_GT(loads, 0u);
+  EXPECT_TRUE(unexpected.empty()) << unexpected.size()
+                                  << " loads rejected, first: "
+                                  << unexpected.front();
+  EXPECT_EQ(CounterValue(obs::names::kCacheRejectedTotal), rejected_before);
+  fs::remove_all(dir);
+}
+
+TEST(BundleCache, OrphanedTmpFileOfADeadWriterIsReclaimed) {
+  const std::string dir = ::testing::TempDir() + "/ld_bc_orphans";
+  fs::remove_all(dir);
+  const std::vector<std::uint8_t> parsed =
+      cache::BundleCache::EncodeParsed(ParsedLogs());
+  [[maybe_unused]] const std::uint64_t removed_before =
+      CounterValue(obs::names::kCacheOrphansRemovedTotal);
+
+  // A writer killed during the analysis tail: it began the entry, so
+  // its tmp file holds the records section, and never finished.
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const cache::BundleCache dying(dir);
+    auto pending = dying.BeginStore(SmallKeys(41), parsed);
+    _exit(pending.ok() ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+  // BundlePath(41) + the dead writer's pid; spelled out, because a
+  // BundleCache on `dir` would already sweep.
+  const std::string orphan = dir + "/bundle-0000000000000029.ldpbc.tmp." +
+                             std::to_string(pid);
+  ASSERT_TRUE(fs::exists(orphan));
+
+  // The next cache on the directory reclaims it, uncapped as it is.
+  const cache::BundleCache cache(dir);
+  EXPECT_FALSE(fs::exists(orphan));
+#if !defined(LOGDIVER_OBS_DISABLED)
+  EXPECT_EQ(CounterValue(obs::names::kCacheOrphansRemovedTotal),
+            removed_before + 1);
+#endif
+
+  // A live writer's tmp file survives a sweep, and publishes.
+  auto pending = cache.BeginStore(SmallKeys(42), parsed);
+  ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+  const std::string live =
+      cache.BundlePath(42) + ".tmp." + std::to_string(::getpid());
+  ASSERT_TRUE(fs::exists(live));
+  const cache::BundleCache sweeper(dir);
+  EXPECT_TRUE(fs::exists(live));
+  ASSERT_TRUE(cache.FinishStore(std::move(*pending), AnalysisResult()).ok());
+  EXPECT_FALSE(fs::exists(live));
+  EXPECT_TRUE(cache.Load(SmallKeys(42)).ok());
+  fs::remove_all(dir);
+}
+
+TEST(BundleCache, FailFastAnalysisPublishesNothing) {
+  const CachedBundle cb = MakeCachedBundle("failfast", 111);
+  // The dirty bundle's malformed syslog lines trip a zero budget.
+  LogDiverConfig config = CachedConfig(cb);
+  config.ingest.policy = DegradationPolicy::kFailFast;
+  config.ingest.budget.min_malformed = 0;
+  config.ingest.budget.max_malformed_fraction = 0.0;
+  const LogDiver diver(cb.machine, config);
+  auto result = diver.AnalyzeBundle(cb.bundle_dir);
+  ASSERT_FALSE(result.ok());
+  // The records section had already streamed into a tmp file; the
+  // failed analysis unlinked it, so neither an entry nor a tmp remains.
+  std::vector<std::string> left;
+  for (const auto& item : fs::directory_iterator(cb.cache_dir)) {
+    left.push_back(item.path().filename().string());
+  }
+  EXPECT_TRUE(left.empty()) << left.front();
+  fs::remove_all(cb.bundle_dir);
+  fs::remove_all(cb.cache_dir);
 }
 
 }  // namespace

@@ -1,14 +1,22 @@
 #include "logdiver/snapshot.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
+#include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "logdiver/streaming.hpp"
@@ -24,6 +32,201 @@ TEST(Crc32Test, KnownVector) {
 }
 
 TEST(Crc32Test, EmptyIsZero) { EXPECT_EQ(Crc32(nullptr, 0), 0u); }
+
+TEST(Crc32Test, ContinuesFromAPreviousCrc) {
+  const char digits[] = "123456789";
+  for (std::size_t split = 0; split <= 9; ++split) {
+    EXPECT_EQ(Crc32(digits + split, 9 - split, Crc32(digits, split)),
+              0xCBF43926u)
+        << "split at " << split;
+  }
+}
+
+TEST(SnapshotIoTest, VarintBytesArePinned) {
+  // LEB128: low 7-bit group first, high bit set on every byte but the
+  // last.
+  const std::vector<std::uint8_t> nine_ff(9, 0xFF);
+  std::vector<std::uint8_t> max_bytes = nine_ff;
+  max_bytes.push_back(0x01);
+  std::vector<std::uint8_t> top_bit(9, 0x80);
+  top_bit.push_back(0x01);
+  const std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>>
+      unsigned_cases = {{0, {0x00}},
+                        {127, {0x7F}},
+                        {128, {0x80, 0x01}},
+                        {16383, {0xFF, 0x7F}},
+                        {16384, {0x80, 0x80, 0x01}},
+                        {std::uint64_t{1} << 63, top_bit},
+                        {UINT64_MAX, max_bytes}};
+  for (const auto& [value, bytes] : unsigned_cases) {
+    SnapshotWriter w;
+    w.Varint(value);
+    EXPECT_EQ(w.bytes(), bytes) << value;
+    SnapshotReader r(w.bytes());
+    EXPECT_EQ(r.Varint(), value);
+    EXPECT_TRUE(r.ok() && r.remaining() == 0) << value;
+  }
+  // Zigzag first: 0, -1, 1, -2, ... map to 0, 1, 2, 3, ...
+  std::vector<std::uint8_t> int64_max_bytes = {0xFE};
+  int64_max_bytes.insert(int64_max_bytes.end(), 8, 0xFF);
+  int64_max_bytes.push_back(0x01);
+  const std::vector<std::pair<std::int64_t, std::vector<std::uint8_t>>>
+      signed_cases = {{0, {0x00}},
+                      {-1, {0x01}},
+                      {1, {0x02}},
+                      {-64, {0x7F}},
+                      {64, {0x80, 0x01}},
+                      {INT64_MIN, max_bytes},
+                      {INT64_MAX, int64_max_bytes}};
+  for (const auto& [value, bytes] : signed_cases) {
+    SnapshotWriter w;
+    w.VarintSigned(value);
+    EXPECT_EQ(w.bytes(), bytes) << value;
+    SnapshotReader r(w.bytes());
+    EXPECT_EQ(r.VarintSigned(), value);
+    EXPECT_TRUE(r.ok() && r.remaining() == 0) << value;
+  }
+}
+
+// Every kind of append, enough of them to cross many chunk boundaries,
+// and raw runs below, at and above the chunk size.
+void WriteMixedPayload(SnapshotWriter& w) {
+  for (std::uint64_t i = 0; i < 40000; ++i) {
+    w.U8(static_cast<std::uint8_t>(i));
+    w.U32(static_cast<std::uint32_t>(i * 2654435761u));
+    w.Varint(i * i * i);
+    w.VarintSigned(-static_cast<std::int64_t>(i * 977));
+    if (i % 1000 == 0) {
+      w.F64(static_cast<double>(i) / 3.0);
+      w.Str("location-" + std::to_string(i));
+    }
+  }
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{5}, SnapshotWriter::kChunkBytes - 1,
+        SnapshotWriter::kChunkBytes, 3 * SnapshotWriter::kChunkBytes + 11}) {
+    std::vector<std::uint8_t> raw(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      raw[i] = static_cast<std::uint8_t>(i * 31 + size);
+    }
+    w.Raw(raw.data(), raw.size());
+    w.U64(size);
+  }
+}
+
+std::vector<std::uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+constexpr FileFormat kTestFormat = {{'L', 'D', 'T', 'E', 'S', 'T', 0x1A, 0},
+                                    3};
+
+TEST(SnapshotIoTest, WriterOverADurableFileStreamsTheOwnedBytes) {
+  SnapshotWriter owned;
+  WriteMixedPayload(owned);
+  const std::vector<std::uint8_t> payload = owned.TakeBytes();
+  ASSERT_GT(payload.size(), 4 * SnapshotWriter::kChunkBytes);
+
+  const std::string dir = testing::TempDir() + "durable_sink";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto file = DurableFileWriter::Open(dir + "/streamed", kTestFormat, 77);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  {
+    SnapshotWriter streamed(*file);
+    WriteMixedPayload(streamed);
+    streamed.Flush();
+  }
+  ASSERT_TRUE(file->Commit().ok());
+  ASSERT_TRUE(
+      WriteDurableFile(dir + "/whole", kTestFormat, payload, 77).ok());
+  EXPECT_EQ(ReadFileBytes(dir + "/streamed"), ReadFileBytes(dir + "/whole"));
+  std::filesystem::remove_all(dir);
+}
+
+class DurableFileWriterTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = testing::TempDir() + "durable_writer_" + std::to_string(::getpid());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    payload_.resize(10007);
+    for (std::size_t i = 0; i < payload_.size(); ++i) {
+      payload_[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 7));
+    }
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::vector<std::string> Listing() const {
+    std::vector<std::string> names;
+    for (const auto& item : std::filesystem::directory_iterator(dir_)) {
+      names.push_back(item.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  }
+
+  std::string dir_;
+  std::vector<std::uint8_t> payload_;
+};
+
+TEST_F(DurableFileWriterTest, AnyChunkingGivesTheWholePayloadFile) {
+  const std::string whole = dir_ + "/whole";
+  ASSERT_TRUE(
+      WriteDurableFile(whole, kTestFormat, payload_, 0xABCDEF).ok());
+  const std::vector<std::uint8_t> want = ReadFileBytes(whole);
+  ASSERT_EQ(want.size(), kFileHeaderSize + payload_.size());
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{7}, std::size_t{4096},
+        payload_.size() + 1}) {
+    const std::string path = dir_ + "/chunked_" + std::to_string(chunk);
+    auto file = DurableFileWriter::Open(path, kTestFormat, 0xABCDEF);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    for (std::size_t at = 0; at < payload_.size(); at += chunk) {
+      file->Append(std::span<const std::uint8_t>(payload_).subspan(
+          at, std::min(chunk, payload_.size() - at)));
+    }
+    EXPECT_EQ(file->payload_size(), payload_.size());
+    ASSERT_TRUE(file->Commit().ok()) << chunk;
+    EXPECT_EQ(ReadFileBytes(path), want) << "chunk " << chunk;
+    std::filesystem::remove(path);
+  }
+  EXPECT_EQ(Listing(), std::vector<std::string>{"whole"});
+}
+
+TEST_F(DurableFileWriterTest, DroppedWriterLeavesNoFile) {
+  {
+    auto file = DurableFileWriter::Open(dir_ + "/dropped", kTestFormat, 1);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    file->Append(payload_);
+    EXPECT_EQ(Listing(), std::vector<std::string>{
+                             "dropped.tmp." + std::to_string(::getpid())});
+  }
+  EXPECT_TRUE(Listing().empty());
+}
+
+TEST_F(DurableFileWriterTest, WriteFailurePublishesNothing) {
+  // A file-size limit below the payload: write() fails with EFBIG
+  // (SIGXFSZ ignored) part way through, as on a full disk.
+  const std::string path = dir_ + "/too_big";
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{4096, 4096};
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) std::_Exit(2);
+    auto file = DurableFileWriter::Open(path, kTestFormat, 1);
+    if (!file.ok()) std::_Exit(3);
+    file->Append(payload_);
+    const Status committed = file->Commit();
+    std::_Exit(committed.ok() ? 4 : 0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_TRUE(Listing().empty());
+}
 
 TEST(SnapshotIoTest, WriterReaderRoundTrip) {
   SnapshotWriter w;
