@@ -93,7 +93,8 @@ std::vector<TimedLine> MergeStreams(const EmittedLogs& logs, int base_year) {
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
     const auto source = static_cast<LogSource>(s);
     for (const std::string& line : *files[s]) {
-      merged.push_back({tracker.Claim(source, line), source, line});
+      merged.push_back(
+          {tracker.ParseAndClaim(source, line).claimed, source, line});
     }
   }
   std::stable_sort(merged.begin(), merged.end(),

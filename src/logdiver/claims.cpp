@@ -1,26 +1,38 @@
 #include "logdiver/claims.hpp"
 
-#include "logdiver/alps_parser.hpp"
-#include "logdiver/hwerr_parser.hpp"
 #include "logdiver/syslog_parser.hpp"
-#include "logdiver/torque_parser.hpp"
 
 namespace ld {
 
-TimePoint ClaimedTracker::Claim(LogSource source, std::string_view line) {
-  switch (source) {
-    case LogSource::kTorque: return Claim(source, TorqueParser::Parse(line));
-    case LogSource::kAlps: return Claim(source, AlpsParser::Parse(line));
-    case LogSource::kHwerr: return Claim(source, HwerrParser::Parse(line));
-    case LogSource::kSyslog: break;
-  }
+ClaimedLine ClaimedTracker::ParseAndClaim(LogSource source,
+                                          std::string_view line) {
+  ClaimedLine out;
+  out.line = line;
   TimePoint& carry = carry_[static_cast<std::size_t>(source)];
-  if (line.size() >= 15) {
-    auto t = SyslogParser::ParseSyslogTime(line.substr(0, 15),
-                                           syslog_base_year_, carry);
-    if (t.ok()) carry = *t;
+  const auto claim = [&carry](const auto& parsed) {
+    if (parsed.ok() && parsed->has_value()) carry = (*parsed)->time;
+  };
+  switch (source) {
+    case LogSource::kTorque:
+      claim(
+          out.parsed.emplace<TorqueParser::Parsed>(TorqueParser::Parse(line)));
+      break;
+    case LogSource::kAlps:
+      claim(out.parsed.emplace<AlpsParser::Parsed>(AlpsParser::Parse(line)));
+      break;
+    case LogSource::kHwerr:
+      claim(out.parsed.emplace<HwerrParser::Parsed>(HwerrParser::Parse(line)));
+      break;
+    case LogSource::kSyslog:
+      if (line.size() >= 15) {
+        auto t = SyslogParser::ParseSyslogTime(line.substr(0, 15),
+                                               syslog_base_year_, carry);
+        if (t.ok()) carry = *t;
+      }
+      break;
   }
-  return carry;
+  out.claimed = carry;
+  return out;
 }
 
 }  // namespace ld

@@ -79,8 +79,8 @@ struct LogDiverConfig {
   ShardSpec shard;
   /// Directory for the parsed-bundle cache (see logdiver/cache).  Empty
   /// disables caching.  AnalyzeBundle consults it before text-parsing
-  /// and writes back after a miss; the streaming/fleet bundle loader
-  /// caches per-line claimed times under the same keying.  A stale,
+  /// and writes back after a miss; streaming and fleet analyses read
+  /// no cache (they claim each line from its one parse).  A stale,
   /// foreign or torn entry is rejected (ld.cache.rejected_total) and
   /// the analysis falls back to the text parse — a cache can make a
   /// run faster, never different.

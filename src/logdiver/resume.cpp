@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <span>
 #include <string_view>
 
@@ -27,17 +26,16 @@ namespace {
 constexpr std::uint32_t kResumeStateVersion = 1;
 
 /// The deterministic merge-replay loop behind every replay entry point.
-/// Each source has one head, its next unconsumed line: Torque, ALPS and
-/// hwerr heads are parsed once and claimed from that parse (claims.hpp),
-/// syslog heads are claimed from their stamp.  The head with the
-/// earliest claimed time wins (strict `<` ties toward the lowest source
-/// index) and its parse goes on to the analyzer; watermarks advance on
-/// the total-line schedule.  `heads`/`total` carry restored offsets in
-/// and final positions out — a resumed pass first rebuilds each source's
-/// carried claim by claiming the prefix the snapshot covered, so the
-/// merge order never depends on restored state.  `on_line` (optional)
-/// runs after every consumed line — the resumable path hangs its
-/// snapshot schedule there.
+/// Each source has one head, its next unconsumed line, parsed once and
+/// claimed from that parse (ClaimedTracker::ParseAndClaim).  The head
+/// with the earliest claimed time wins (strict `<` ties toward the
+/// lowest source index) and its parse goes on to the analyzer;
+/// watermarks advance on the total-line schedule.  `heads`/`total`
+/// carry restored offsets in and final positions out — a resumed pass
+/// first rebuilds each source's carried claim by claiming the prefix the
+/// snapshot covered, so the merge order never depends on restored state.
+/// `on_line` (optional) runs after every consumed line — the resumable
+/// path hangs its snapshot schedule there.
 void ReplayLoop(const LogSetView& lines, int syslog_base_year,
                 StreamingAnalyzer& analyzer, const ReplaySchedule& schedule,
                 std::uint64_t heads[kNumLogSources], std::uint64_t& total,
@@ -49,35 +47,15 @@ void ReplayLoop(const LogSetView& lines, int syslog_base_year,
     const auto source = static_cast<LogSource>(s);
     source_lines[s] = lines.lines(source);
     for (std::uint64_t i = 0; i < heads[s]; ++i) {
-      tracker.Claim(source, source_lines[s][i]);
+      tracker.ParseAndClaim(source, source_lines[s][i]);
     }
   }
 
-  std::optional<TorqueParser::Parsed> torque;
-  std::optional<AlpsParser::Parsed> alps;
-  std::optional<HwerrParser::Parsed> hwerr;
-  TimePoint claimed[kNumLogSources];
+  ClaimedLine head[kNumLogSources];
   const auto load_head = [&](std::size_t s) {
     if (heads[s] >= source_lines[s].size()) return;
-    const std::string_view line = source_lines[s][heads[s]];
-    const auto source = static_cast<LogSource>(s);
-    switch (source) {
-      case LogSource::kTorque:
-        claimed[s] =
-            tracker.Claim(source, torque.emplace(TorqueParser::Parse(line)));
-        break;
-      case LogSource::kAlps:
-        claimed[s] =
-            tracker.Claim(source, alps.emplace(AlpsParser::Parse(line)));
-        break;
-      case LogSource::kSyslog:
-        claimed[s] = tracker.Claim(source, line);
-        break;
-      case LogSource::kHwerr:
-        claimed[s] =
-            tracker.Claim(source, hwerr.emplace(HwerrParser::Parse(line)));
-        break;
-    }
+    head[s] = tracker.ParseAndClaim(static_cast<LogSource>(s),
+                                    source_lines[s][heads[s]]);
   };
   for (std::size_t s = 0; s < kNumLogSources; ++s) load_head(s);
 
@@ -85,25 +63,13 @@ void ReplayLoop(const LogSetView& lines, int syslog_base_year,
     int pick = -1;
     for (std::size_t s = 0; s < kNumLogSources; ++s) {
       if (heads[s] >= source_lines[s].size()) continue;
-      if (pick < 0 || claimed[s] < claimed[pick]) pick = static_cast<int>(s);
+      if (pick < 0 || head[s].claimed < head[pick].claimed) {
+        pick = static_cast<int>(s);
+      }
     }
     if (pick < 0) break;
-    const std::string_view line = source_lines[pick][heads[pick]];
-    const TimePoint time = claimed[pick];
-    switch (static_cast<LogSource>(pick)) {
-      case LogSource::kTorque:
-        analyzer.AddTorque(line, std::move(*torque));
-        break;
-      case LogSource::kAlps:
-        analyzer.AddAlps(line, std::move(*alps));
-        break;
-      case LogSource::kSyslog:
-        analyzer.AddSyslogLine(line);
-        break;
-      case LogSource::kHwerr:
-        analyzer.AddHwerr(line, std::move(*hwerr));
-        break;
-    }
+    const TimePoint time = head[pick].claimed;
+    analyzer.Add(std::move(head[pick]));
     ++heads[pick];
     ++total;
     load_head(static_cast<std::size_t>(pick));

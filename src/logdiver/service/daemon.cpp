@@ -75,13 +75,14 @@ Status LogDiverDaemon::Start() {
 void LogDiverDaemon::Stop() {
   if (!started_) return;
   stopping_.store(true);
-  // Closing the listener unblocks the accept thread.
+  // Shutting the listener down unblocks the accept thread; the fd is
+  // closed only after that thread, which reads it, has exited.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   if (watchdog_thread_.joinable()) watchdog_thread_.join();
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
@@ -307,10 +308,13 @@ void LogDiverDaemon::WatchdogLoop() {
           continue;
         }
         // No progress since the last tick.  Only work left undone
-        // marks a stall: an idle tenant has nothing to apply.  A slow
+        // marks a stall: an idle tenant has nothing to apply.  Judge it
+        // by accepted-but-unapplied lines, not queue depth: the worker
+        // pops a whole batch before applying it, so a shard hung on the
+        // batch that emptied the queue has an empty queue.  A slow
         // shard keeps bumping `applied` and never lands here — that is
         // the whole point of the delay fault distinguishing the two.
-        if (shard->queue_depth() == 0) {
+        if (shard->accepted() <= applied) {
           p.last_change = now;
           continue;
         }

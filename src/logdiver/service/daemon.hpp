@@ -15,8 +15,9 @@
 //   degradation  — per-tenant error budgets answer SHED or mark the
 //                  tenant degraded (TenantBudgetConfig::policy);
 //   detection    — the watchdog compares each shard's applied counter
-//                  across ticks; no progress with work queued past
-//                  stall_timeout_ms means a wedged worker;
+//                  across ticks; no progress with accepted lines
+//                  still unapplied past stall_timeout_ms means a
+//                  wedged worker;
 //   recovery     — a recycled or restarted shard restores its latest
 //                  v2 snapshot (tenant-fingerprint-gated) and replays
 //                  its journal suffix, bit-identical to never having

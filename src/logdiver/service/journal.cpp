@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -31,28 +32,11 @@ bool TagToSource(char tag, LogSource& out) {
   }
 }
 
-/// Parses "<s> <claimed_unix> <raw line>" (no trailing newline).  The
-/// claimed time is a possibly-negative decimal (TimePoint is unix
-/// seconds, and a pre-epoch claim is representable even if unlikely).
+/// Parses "<s> <raw line>" (no trailing newline).
 bool ParseRecordLine(std::string_view text, JournalRecord& rec) {
-  if (text.size() < 3 || text[1] != ' ') return false;
+  if (text.size() < 2 || text[1] != ' ') return false;
   if (!TagToSource(text[0], rec.source)) return false;
-  std::size_t pos = 2;
-  bool negative = false;
-  if (pos < text.size() && text[pos] == '-') {
-    negative = true;
-    ++pos;
-  }
-  const std::size_t digits_start = pos;
-  std::int64_t unix_seconds = 0;
-  while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-    unix_seconds = unix_seconds * 10 + (text[pos] - '0');
-    ++pos;
-  }
-  if (pos == digits_start) return false;
-  if (pos >= text.size() || text[pos] != ' ') return false;
-  rec.claimed = TimePoint(negative ? -unix_seconds : unix_seconds);
-  rec.line = std::string(text.substr(pos + 1));
+  rec.line = std::string(text.substr(2));
   return true;
 }
 
@@ -81,29 +65,33 @@ Status TenantJournal::Open(const std::string& path) {
     Close();
     return err;
   }
-  size_ = static_cast<std::uint64_t>(st.st_size);
+  size_ = 0;
   path_ = path;
+  if (st.st_size == 0) return Write(kVersionRecord);
+  size_ = static_cast<std::uint64_t>(st.st_size);
   return Status::Ok();
 }
 
 Result<std::uint64_t> TenantJournal::Append(LogSource source,
-                                            TimePoint claimed,
                                             std::string_view line) {
   if (fd_ < 0) return FailedPreconditionError("journal: not open");
   std::string record;
-  record.reserve(line.size() + 24);
+  record.reserve(line.size() + 3);
   record.push_back(SourceTag(source));
-  record.push_back(' ');
-  record.append(std::to_string(claimed.unix_seconds()));
   record.push_back(' ');
   record.append(line);
   record.push_back('\n');
+  LD_TRY(Write(record));
+  return size_;
+}
+
+Status TenantJournal::Write(std::string_view bytes) {
   // One write(2) for the whole record: with O_APPEND a crash tears at
   // most this record, never an earlier one.
   std::size_t written = 0;
-  while (written < record.size()) {
-    const ssize_t n = ::write(fd_, record.data() + written,
-                              record.size() - written);
+  while (written < bytes.size()) {
+    const ssize_t n = ::write(fd_, bytes.data() + written,
+                              bytes.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
       const Status err = InternalError("journal: write " + path_ + ": " +
@@ -113,8 +101,8 @@ Result<std::uint64_t> TenantJournal::Append(LogSource source,
     }
     written += static_cast<std::size_t>(n);
   }
-  size_ += record.size();
-  return size_;
+  size_ += bytes.size();
+  return Status::Ok();
 }
 
 Status TenantJournal::Sync() {
@@ -133,14 +121,27 @@ Result<std::uint64_t> TenantJournal::Replay(
   if (!in) return from_offset;  // no journal yet: nothing to replay
   in.seekg(0, std::ios::end);
   const std::uint64_t file_size = static_cast<std::uint64_t>(in.tellg());
+  std::string head(std::min<std::uint64_t>(file_size, kVersionRecord.size()),
+                   '\0');
+  in.seekg(0);
+  in.read(head.data(), static_cast<std::streamsize>(head.size()));
+  if (!kVersionRecord.starts_with(head)) {
+    return FailedPreconditionError(
+        "journal: " + path + " has no '#ldj 2' version record — it is in "
+        "the older '<s> <claimed_unix> <raw line>' layout, which this "
+        "build does not replay; the file is left as it is");
+  }
   if (from_offset > file_size) {
     return FailedPreconditionError(
         "journal: snapshot offset " + std::to_string(from_offset) +
         " past the end of " + path + " (" + std::to_string(file_size) +
         " bytes) — snapshot and journal disagree");
   }
-  in.seekg(static_cast<std::streamoff>(from_offset));
-  std::uint64_t valid_end = from_offset;
+  // Empty, or torn inside the version record: nothing was acknowledged.
+  if (head.size() < kVersionRecord.size()) return 0;
+  std::uint64_t valid_end =
+      std::max<std::uint64_t>(from_offset, kVersionRecord.size());
+  in.seekg(static_cast<std::streamoff>(valid_end));
   std::string text;
   while (std::getline(in, text)) {
     const std::uint64_t line_end =

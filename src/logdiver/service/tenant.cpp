@@ -21,6 +21,18 @@ constexpr std::uint32_t kTenantSnapshotVersion = 1;
 /// queries interleave with a busy apply loop instead of starving.
 constexpr std::size_t kApplyBatch = 256;
 
+/// Takes `mu` within `timeout` (the lock does not own it on a timeout).
+/// The deadline is on the system clock, so the wait is
+/// pthread_mutex_timedlock, which ThreadSanitizer intercepts; a
+/// steady-clock deadline becomes pthread_mutex_clocklock, which the GCC
+/// 12 TSan runtime does not see, and every access under the lock then
+/// reports as a race.
+std::unique_lock<std::timed_mutex> LockWithin(
+    std::timed_mutex& mu, std::chrono::milliseconds timeout) {
+  return std::unique_lock<std::timed_mutex>(
+      mu, std::chrono::system_clock::now() + timeout);
+}
+
 std::string HexFingerprint(std::uint32_t fp) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%08x", fp);
@@ -62,11 +74,22 @@ TenantShard::TenantShard(std::string tenant_id, std::string dir,
       machine_(machine),
       config_(config),
       limits_(limits),
-      claimed_(config.syslog_base_year),
+      tracker_(config.syslog_base_year),
       store_(dir_ + "/snapshots", limits.keep_generations) {}
 
 TenantShard::~TenantShard() {
-  if (!abandoned_.load()) Stop();
+  if (!abandoned_.load()) {
+    Stop();
+    return;
+  }
+  // A recycled shard's detached worker exits once it sees abandoned_
+  // (unless truly wedged); its last writes must precede the free.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(limits_.stop_grace_ms);
+  while (!worker_done_.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    ::usleep(1000);
+  }
 }
 
 Status TenantShard::Start(std::uint64_t* recovered_lines) {
@@ -99,15 +122,12 @@ Status TenantShard::Start(std::uint64_t* recovered_lines) {
     }
     const std::uint64_t applied = r.U64();
     replay_from = r.U64();
-    for (TimePoint& carry : applied_carry_) carry = r.Time();
+    tracker_.Restore(r);
     LD_TRY(analyzer_->Restore(r));
     applied_.store(applied);
     applied_offset_ = replay_from;
     last_snapshot_applied_ = applied;
     last_snapshot_offset_ = replay_from;
-    for (std::size_t s = 0; s < kNumLogSources; ++s) {
-      claimed_.SetCarry(static_cast<LogSource>(s), applied_carry_[s]);
-    }
   } else if (loaded.status().code() != StatusCode::kNotFound) {
     return loaded.status();
   }
@@ -121,15 +141,13 @@ Status TenantShard::Start(std::uint64_t* recovered_lines) {
       const std::uint64_t valid_end,
       TenantJournal::Replay(journal_path, replay_from,
                             [&](const JournalRecord& rec) {
-                              QueueItem item{rec.source, rec.claimed,
-                                             rec.line, rec.end_offset};
-                              ApplyLocked(item);
-                              claimed_.SetCarry(rec.source, rec.claimed);
+                              ApplyLocked(rec);
                               ++replayed;
                             }));
   LD_TRY(TenantJournal::TruncateTo(journal_path, valid_end));
   LD_TRY(journal_.Open(journal_path));
-  if (journal_.size() != valid_end) {
+  const std::uint64_t head = TenantJournal::kVersionRecord.size();
+  if (journal_.size() != std::max(valid_end, head)) {
     return InternalError("tenant " + tenant_id_ +
                          ": journal size changed during recovery");
   }
@@ -216,8 +234,7 @@ std::string TenantShard::Ingest(LogSource source, std::string_view line) {
       return BusyReply(limits_.busy_retry_ms, "ingest queue full");
     }
   }
-  const TimePoint claimed = claimed_.Claim(source, line);
-  auto offset = journal_.Append(source, claimed, line);
+  auto offset = journal_.Append(source, line);
   if (!offset.ok()) {
     journal_broken_ = true;
     return ErrReply("tenant " + tenant_id_ +
@@ -227,25 +244,23 @@ std::string TenantShard::Ingest(LogSource source, std::string_view line) {
       accepted_.fetch_add(1, std::memory_order_relaxed) + 1;
   {
     std::lock_guard<std::mutex> qlock(queue_mu_);
-    queue_.push_back(QueueItem{source, claimed, std::string(line), *offset});
+    queue_.push_back(JournalRecord{source, std::string(line), *offset});
   }
   queue_cv_.notify_one();
   LD_OBS_COUNTER_ADD(obs::names::kSvcIngestAcceptedTotal, 1);
   return OkReply(std::to_string(seq));
 }
 
-void TenantShard::ApplyLocked(const QueueItem& item) {
-  switch (item.source) {
-    case LogSource::kTorque: analyzer_->AddTorqueLine(item.line); break;
-    case LogSource::kAlps: analyzer_->AddAlpsLine(item.line); break;
-    case LogSource::kSyslog: analyzer_->AddSyslogLine(item.line); break;
-    case LogSource::kHwerr: analyzer_->AddHwerrLine(item.line); break;
-  }
+void TenantShard::ApplyLocked(const JournalRecord& record) {
+  ClaimedLine claimed = tracker_.ParseAndClaim(record.source, record.line);
+  const TimePoint time = claimed.claimed;
+  analyzer_->Add(std::move(claimed));
+  malformed_seen_.store(analyzer_->quarantine().total(),
+                        std::memory_order_relaxed);
   const std::uint64_t n = applied_.fetch_add(1, std::memory_order_relaxed) + 1;
-  applied_offset_ = item.end_offset;
-  applied_carry_[static_cast<std::size_t>(item.source)] = item.claimed;
+  applied_offset_ = record.end_offset;
   if (limits_.advance_every != 0 && n % limits_.advance_every == 0) {
-    analyzer_->Advance(item.claimed - limits_.reorder_slack);
+    analyzer_->Advance(time - limits_.reorder_slack);
   }
 }
 
@@ -255,7 +270,7 @@ std::vector<std::uint8_t> TenantShard::BuildSnapshotLocked() {
   w.Str(tenant_id_);
   w.U64(applied_.load(std::memory_order_relaxed));
   w.U64(applied_offset_);
-  for (const TimePoint carry : applied_carry_) w.Time(carry);
+  tracker_.Snapshot(w);
   analyzer_->Snapshot(w);
   return w.TakeBytes();
 }
@@ -275,7 +290,7 @@ Status TenantShard::WriteSnapshotLocked() {
 }
 
 void TenantShard::WorkerLoop() {
-  std::vector<QueueItem> batch;
+  std::vector<JournalRecord> batch;
   for (;;) {
     batch.clear();
     {
@@ -291,7 +306,7 @@ void TenantShard::WorkerLoop() {
     }
 
     std::unique_lock<std::timed_mutex> state(state_mu_);
-    for (const QueueItem& item : batch) {
+    for (const JournalRecord& record : batch) {
       const std::uint64_t n = applied_.load(std::memory_order_relaxed) + 1;
       const auto fault = static_cast<ShardFault>(
           fault_.load(std::memory_order_relaxed));
@@ -314,12 +329,10 @@ void TenantShard::WorkerLoop() {
                              fault_seed_.load(std::memory_order_relaxed)) *
             1000));
       }
-      ApplyLocked(item);
+      ApplyLocked(record);
       // Daemon-wide fault boundary (LD_CRASH_AFTER / FAULT crash).
       CrashPoint("svc-apply");
     }
-    malformed_seen_.store(analyzer_->quarantine().total(),
-                          std::memory_order_relaxed);
 
     const std::uint64_t applied = applied_.load(std::memory_order_relaxed);
     const bool snapshot_due =
@@ -339,9 +352,9 @@ void TenantShard::WorkerLoop() {
 }
 
 std::string TenantShard::QueryReport() {
-  std::unique_lock<std::timed_mutex> state(state_mu_, std::defer_lock);
-  if (!state.try_lock_for(
-          std::chrono::milliseconds(limits_.query_lock_timeout_ms))) {
+  const auto state = LockWithin(
+      state_mu_, std::chrono::milliseconds(limits_.query_lock_timeout_ms));
+  if (!state.owns_lock()) {
     return ErrReply("tenant " + tenant_id_ + " stalled (apply lock busy)");
   }
   const MetricsReport report = analyzer_->metrics_accumulator().Report();
@@ -353,9 +366,9 @@ std::string TenantShard::QueryReport() {
 }
 
 std::string TenantShard::QueryIngest() {
-  std::unique_lock<std::timed_mutex> state(state_mu_, std::defer_lock);
-  if (!state.try_lock_for(
-          std::chrono::milliseconds(limits_.query_lock_timeout_ms))) {
+  const auto state = LockWithin(
+      state_mu_, std::chrono::milliseconds(limits_.query_lock_timeout_ms));
+  if (!state.owns_lock()) {
     return ErrReply("tenant " + tenant_id_ + " stalled (apply lock busy)");
   }
   const std::uint32_t fp = FingerprintIngest(analyzer_->ingest_stats());
@@ -414,8 +427,8 @@ Status TenantShard::Drain() {
 }
 
 Status TenantShard::SnapshotNow() {
-  std::unique_lock<std::timed_mutex> state(state_mu_, std::defer_lock);
-  if (!state.try_lock_for(std::chrono::seconds(5))) {
+  const auto state = LockWithin(state_mu_, std::chrono::seconds(5));
+  if (!state.owns_lock()) {
     return InternalError("tenant " + tenant_id_ +
                          ": snapshot timed out (shard stalled?)");
   }

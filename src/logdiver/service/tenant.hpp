@@ -9,17 +9,18 @@
 //   ------------------------------        --------------------------
 //   budget check -> SHED/degrade          pop batch from queue
 //   queue-full check -> BUSY              lock analyzer state
-//   claim timestamp (ingest_mu_)          AddXxxLine per record
-//   journal append (durability)           Advance on the line schedule
-//   reply OK <seq>                        bump applied progress
+//   journal append (durability)           parse + claim + feed per record
+//   reply OK <seq>                        Advance on the line schedule
+//                                         bump applied progress
 //                                         snapshot on the interval
 //
 // Acknowledge-after-journal plus replay-from-snapshot-offset is what
 // makes recovery exactly-once: an acked line is on disk, an unacked
 // line is the client's to resend (it re-syncs from QUERY ingest's
 // accepted count).  The watermark schedule is a function of the
-// *applied line count* and the *journaled claimed times*, both of
-// which recovery reproduces exactly — so a recovered shard's report
+// *applied line count* and the *claimed times*; recovery replays the
+// journal suffix through the same apply path, claiming with the
+// tracker carries the snapshot stored — so a recovered shard's report
 // bytes equal an uninterrupted run's (bench/service_campaign asserts
 // this per tenant, per cell).
 #pragma once
@@ -105,7 +106,7 @@ enum class TenantState : std::uint8_t {
   kActive,
   kDegraded,  // over budget under kQuarantineAndContinue
   kShedding,  // over budget under kFailFast, inside the cooloff
-  kStalled,   // watchdog saw no apply progress with work queued
+  kStalled,   // watchdog saw no apply progress with work unapplied
   kDraining,
 };
 
@@ -120,9 +121,11 @@ class TenantShard {
               const TenantLimits& limits);
   ~TenantShard();
 
-  /// Opens the journal (cutting any torn tail), restores the latest
-  /// snapshot if one exists, replays the journal suffix, and starts
-  /// the worker.  `recovered_lines` (optional) reports replayed lines.
+  /// Restores the latest snapshot if one exists, replays the journal
+  /// suffix through the apply path, opens the journal (cutting any torn
+  /// tail), and starts the worker.  A journal in the older layout is
+  /// refused and left untouched.  `recovered_lines` (optional) reports
+  /// replayed lines.
   Status Start(std::uint64_t* recovered_lines = nullptr);
 
   /// The accept path.  Returns the protocol reply line (OK with the
@@ -176,16 +179,10 @@ class TenantShard {
   static std::uint64_t TenantFingerprint(std::string_view tenant_id);
 
  private:
-  struct QueueItem {
-    LogSource source;
-    TimePoint claimed;
-    std::string line;
-    std::uint64_t end_offset = 0;  // journal offset past this record
-  };
-
   void WorkerLoop();
-  /// Applies one record to the analyzer (state lock held by caller).
-  void ApplyLocked(const QueueItem& item);
+  /// Parses, claims and applies one journaled record (state lock held
+  /// by caller).
+  void ApplyLocked(const JournalRecord& record);
   /// Serializes shard state (state lock held by caller).
   std::vector<std::uint8_t> BuildSnapshotLocked();
   Status WriteSnapshotLocked();
@@ -199,9 +196,8 @@ class TenantShard {
   const LogDiverConfig config_;
   const TenantLimits limits_;
 
-  // Accept-path state: claim carry, journal, budget windows.
+  // Accept-path state: journal, budget windows.
   std::mutex ingest_mu_;
-  ClaimedTracker claimed_;
   TenantJournal journal_;
   std::uint64_t window_started_lines_ = 0;
   std::uint64_t window_started_malformed_ = 0;
@@ -211,22 +207,19 @@ class TenantShard {
   // Queue between accept and apply.
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
-  std::deque<QueueItem> queue_;
+  std::deque<JournalRecord> queue_;
   bool stopping_ = false;
 
   // Analyzer state; timed so queries can detect a stalled shard
   // instead of blocking behind a hung worker forever.
   std::timed_mutex state_mu_;
   std::unique_ptr<StreamingAnalyzer> analyzer_;
+  /// Claim carries at the applied position.
+  ClaimedTracker tracker_;
   SnapshotStore store_;
   std::uint64_t last_snapshot_applied_ = 0;
   std::uint64_t last_snapshot_offset_ = 0;
   std::uint64_t applied_offset_ = 0;  // journal offset of last applied
-  /// Claimed time of the last *applied* record per source — what the
-  /// snapshot must store so a recovered tracker's carry matches the
-  /// uninterrupted run exactly (the live tracker runs ahead at the
-  /// accepted position).
-  TimePoint applied_carry_[kNumLogSources] = {};
 
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> applied_{0};

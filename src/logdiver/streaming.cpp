@@ -82,6 +82,19 @@ bool StreamingAnalyzer::Accept(LogSource source, std::string_view line,
   return false;
 }
 
+void StreamingAnalyzer::Add(ClaimedLine&& claimed) {
+  auto& parsed = claimed.parsed;
+  if (auto* p = std::get_if<TorqueParser::Parsed>(&parsed)) {
+    AddTorque(claimed.line, std::move(*p));
+  } else if (auto* p = std::get_if<AlpsParser::Parsed>(&parsed)) {
+    AddAlps(claimed.line, std::move(*p));
+  } else if (auto* p = std::get_if<HwerrParser::Parsed>(&parsed)) {
+    AddHwerr(claimed.line, std::move(*p));
+  } else {
+    AddSyslogLine(claimed.line);
+  }
+}
+
 void StreamingAnalyzer::AddTorque(std::string_view line,
                                   TorqueParser::Parsed&& parsed) {
   LD_CHECK(!finalized_, "AddTorque on a finalized analyzer");

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "logdiver/alps_parser.hpp"
+#include "logdiver/claims.hpp"
 #include "logdiver/coalesce.hpp"
 #include "logdiver/correlate.hpp"
 #include "logdiver/hwerr_parser.hpp"
@@ -49,10 +50,11 @@ class StreamingAnalyzer {
  public:
   StreamingAnalyzer(const Machine& machine, LogDiverConfig config);
 
-  /// Feeds one line.  Add*Line parses it; AddTorque/AddAlps/AddHwerr
-  /// take the parse a caller already made with the parser's pure
-  /// Parse(line) (the replay loop claims each line's time from that
-  /// parse, so no line is parsed twice).  Both count the line the same.
+  /// Feeds one line.  Add takes the line with the parse its claim was
+  /// made from (ClaimedTracker::ParseAndClaim: the replay loop and the
+  /// service's apply path, so no line is parsed twice); Add*Line parses
+  /// the line itself.  Both count the line the same.
+  void Add(ClaimedLine&& claimed);
   void AddTorqueLine(std::string_view line) {
     AddTorque(line, TorqueParser::Parse(line));
   }
@@ -63,9 +65,6 @@ class StreamingAnalyzer {
   void AddHwerrLine(std::string_view line) {
     AddHwerr(line, HwerrParser::Parse(line));
   }
-  void AddTorque(std::string_view line, TorqueParser::Parsed&& parsed);
-  void AddAlps(std::string_view line, AlpsParser::Parsed&& parsed);
-  void AddHwerr(std::string_view line, HwerrParser::Parsed&& parsed);
 
   /// Finalizes every run that is provably classifiable before
   /// `watermark`; returns how many were finalized in this call.
@@ -120,6 +119,9 @@ class StreamingAnalyzer {
   const Status& ingest_status() const { return ingest_status_; }
 
  private:
+  void AddTorque(std::string_view line, TorqueParser::Parsed&& parsed);
+  void AddAlps(std::string_view line, AlpsParser::Parsed&& parsed);
+  void AddHwerr(std::string_view line, HwerrParser::Parsed&& parsed);
   /// Guard between a run's death and the moment every tuple that could
   /// explain it has provably been flushed.
   Duration FinalizeGuard() const;

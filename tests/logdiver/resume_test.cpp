@@ -259,19 +259,38 @@ TEST_F(ResumeTest, MismatchedFingerprintSnapshotIsSkippedNotLoaded) {
 
 TEST(ClaimedTrackerTest, ClaimFollowsTheParseOutcome) {
   ClaimedTracker tracker(2013);
+  const auto claim = [&](LogSource source, std::string_view line) {
+    return tracker.ParseAndClaim(source, line).claimed;
+  };
   const std::string_view good =
       "1365000000|machine_check|c0-0c0s1n2|corrected|bank=4";
   const std::string_view skipped =
       "1365000500|future_category|c0-0c0s1n2|corrected|bank=4";
   const std::string_view malformed = "1365000900|machine_check";
-  EXPECT_EQ(tracker.Claim(LogSource::kHwerr, malformed), TimePoint());
-  EXPECT_EQ(tracker.Claim(LogSource::kHwerr, good), TimePoint(1365000000));
+  EXPECT_EQ(claim(LogSource::kHwerr, malformed), TimePoint());
+  EXPECT_EQ(claim(LogSource::kHwerr, good), TimePoint(1365000000));
   // Skipped and malformed lines carry the last record's time.
-  EXPECT_EQ(tracker.Claim(LogSource::kHwerr, HwerrParser::Parse(skipped)),
-            TimePoint(1365000000));
-  EXPECT_EQ(tracker.Claim(LogSource::kHwerr, malformed), TimePoint(1365000000));
+  EXPECT_EQ(claim(LogSource::kHwerr, skipped), TimePoint(1365000000));
+  EXPECT_EQ(claim(LogSource::kHwerr, malformed), TimePoint(1365000000));
   // The carry is per source.
-  EXPECT_EQ(tracker.Claim(LogSource::kAlps, malformed), TimePoint());
+  EXPECT_EQ(claim(LogSource::kAlps, malformed), TimePoint());
+}
+
+TEST(ClaimedTrackerTest, TheClaimCarriesTheOneParse) {
+  ClaimedTracker tracker(2013);
+  const std::string_view line =
+      "1365000000|machine_check|c0-0c0s1n2|corrected|bank=4";
+  ClaimedLine hwerr = tracker.ParseAndClaim(LogSource::kHwerr, line);
+  const auto* parsed = std::get_if<HwerrParser::Parsed>(&hwerr.parsed);
+  ASSERT_NE(parsed, nullptr);
+  ASSERT_TRUE(parsed->ok());
+  ASSERT_TRUE(parsed->value().has_value());
+  EXPECT_EQ((*parsed)->value().time, hwerr.claimed);
+  // A syslog claim reads only the stamp; the analyzer parses the line.
+  const ClaimedLine syslog = tracker.ParseAndClaim(
+      LogSource::kSyslog, "Apr  3 10:00:00 c0-0c0s1n2 kernel: hello");
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(syslog.parsed));
+  EXPECT_EQ(syslog.claimed.ToIso(), "2013-04-03T10:00:00");
 }
 
 // The merge order as it was before each line was parsed once: every
@@ -289,7 +308,7 @@ OracleOrder ClaimAllMergeOrder(const LogSetView& lines, int base_year) {
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
     const auto source = static_cast<LogSource>(s);
     for (const std::string_view line : lines.lines(source)) {
-      claimed[s].push_back(tracker.Claim(source, line));
+      claimed[s].push_back(tracker.ParseAndClaim(source, line).claimed);
     }
   }
   OracleOrder order;

@@ -17,7 +17,10 @@
 #include <vector>
 
 #include "common/crashpoint.hpp"
+#include "common/rng.hpp"
 #include "common/sockio.hpp"
+#include "faults/corruptor.hpp"
+#include "logdiver/claims.hpp"
 #include "logdiver/service/daemon.hpp"
 #include "logdiver/service/journal.hpp"
 #include "logdiver/service/protocol.hpp"
@@ -153,6 +156,11 @@ TEST(DelayPointTest, ArmDisarm) {
 // Journal
 // --------------------------------------------------------------------
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 class JournalTest : public ::testing::Test {
  protected:
   std::string Path(const std::string& name) const {
@@ -166,9 +174,9 @@ TEST_F(JournalTest, AppendReplayRoundTrip) {
   std::filesystem::remove(path);
   TenantJournal j;
   ASSERT_TRUE(j.Open(path).ok());
-  auto first = j.Append(LogSource::kTorque, TimePoint(100), "line one");
+  auto first = j.Append(LogSource::kTorque, "line one");
   ASSERT_TRUE(first.ok());
-  auto second = j.Append(LogSource::kSyslog, TimePoint(200), "line  two ");
+  auto second = j.Append(LogSource::kSyslog, "line  two ");
   ASSERT_TRUE(second.ok());
   j.Close();
 
@@ -179,7 +187,6 @@ TEST_F(JournalTest, AppendReplayRoundTrip) {
   EXPECT_EQ(*end, *second);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].source, LogSource::kTorque);
-  EXPECT_EQ(records[0].claimed, TimePoint(100));
   EXPECT_EQ(records[0].line, "line one");
   EXPECT_EQ(records[0].end_offset, *first);
   EXPECT_EQ(records[1].source, LogSource::kSyslog);
@@ -200,7 +207,7 @@ TEST_F(JournalTest, TornTailIsDetectedAndCut) {
   std::filesystem::remove(path);
   TenantJournal j;
   ASSERT_TRUE(j.Open(path).ok());
-  auto first = j.Append(LogSource::kAlps, TimePoint(7), "whole record");
+  auto first = j.Append(LogSource::kAlps, "whole record");
   ASSERT_TRUE(first.ok());
   j.Close();
   {
@@ -219,6 +226,40 @@ TEST_F(JournalTest, TornTailIsDetectedAndCut) {
   std::filesystem::remove(path);
 }
 
+TEST_F(JournalTest, RecordBytesArePinned) {
+  const std::string path = Path("bytes");
+  std::filesystem::remove(path);
+  TenantJournal j;
+  ASSERT_TRUE(j.Open(path).ok());
+  EXPECT_EQ(j.size(), 7u);  // a new journal starts with its version record
+  auto end = j.Append(LogSource::kHwerr, "1365000000|machine_check| x");
+  ASSERT_TRUE(end.ok());
+  j.Close();
+  const std::string want = "#ldj 2\nh 1365000000|machine_check| x\n";
+  EXPECT_EQ(ReadFile(path), want);
+  EXPECT_EQ(*end, want.size());
+  // Reopening an existing journal appends; the version record is not
+  // written twice.
+  ASSERT_TRUE(j.Open(path).ok());
+  EXPECT_EQ(j.size(), want.size());
+  j.Close();
+  EXPECT_EQ(ReadFile(path), want);
+  std::filesystem::remove(path);
+}
+
+TEST_F(JournalTest, TornVersionRecordReplaysNothing) {
+  const std::string path = Path("torn_head");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "#ld";  // a crash inside the very first write
+  }
+  auto end = TenantJournal::Replay(path, 0,
+                                   [](const JournalRecord&) { FAIL(); });
+  ASSERT_TRUE(end.ok()) << end.status().ToString();
+  EXPECT_EQ(*end, 0u);  // cut to nothing; Open writes a whole one
+  std::filesystem::remove(path);
+}
+
 TEST_F(JournalTest, MissingFileReplaysNothing) {
   auto end = TenantJournal::Replay(Path("absent"), 0,
                                    [](const JournalRecord&) { FAIL(); });
@@ -231,7 +272,7 @@ TEST_F(JournalTest, OffsetPastEofIsRefused) {
   std::filesystem::remove(path);
   TenantJournal j;
   ASSERT_TRUE(j.Open(path).ok());
-  ASSERT_TRUE(j.Append(LogSource::kTorque, TimePoint(1), "x").ok());
+  ASSERT_TRUE(j.Append(LogSource::kTorque, "x").ok());
   j.Close();
   // A snapshot pointing past the journal means the journal lost acked
   // data — recovery must fail loudly, not silently resume.
@@ -244,8 +285,9 @@ TEST_F(JournalTest, OffsetPastEofIsRefused) {
 // Tenant shard: ingest, recovery, budget
 // --------------------------------------------------------------------
 
-/// Campaign lines merged chronologically — the tailer's-eye view a
-/// service client would replay, shared by every shard test.
+/// Campaign lines merged in claimed-time order (claims.hpp) — the
+/// tailer's-eye view a service client would replay, shared by every
+/// shard test.
 struct TimedLine {
   TimePoint time;
   LogSource source;
@@ -260,42 +302,47 @@ class ServiceTest : public ::testing::Test {
     machine_ = new Machine(MakeMachine(config));
     auto campaign = RunCampaign(*machine_, config);
     ASSERT_TRUE(campaign.ok());
-    lines_ = new std::vector<TimedLine>(Merge(campaign->logs));
+    LogSet logs;
+    logs.torque = std::move(campaign->logs.torque);
+    logs.alps = std::move(campaign->logs.alps);
+    logs.syslog = std::move(campaign->logs.syslog);
+    logs.hwerr = std::move(campaign->logs.hwerr);
+    lines_ = new std::vector<TimedLine>(Merge(logs));
     ASSERT_GT(lines_->size(), 500u);
+
+    // The same campaign damaged by every LogCorruptor operator, so
+    // malformed Torque/ALPS/hwerr lines sit on both sides of a snapshot
+    // cut and claim a carried time (resume_test's DamagedReplayTest
+    // settings: short reorder and skew distances).
+    CorruptorConfig corrupt;
+    corrupt.rate = 0.05;
+    corrupt.ops = LogCorruptor::AllOps();
+    corrupt.max_reorder_distance = 3;
+    corrupt.max_skew_seconds = 60;
+    const CorruptionLedger ledger =
+        LogCorruptor(corrupt).CorruptBundle(logs, Rng(707).Fork("corruptor"));
+    ASSERT_GT(ledger.total(CorruptionOp::kGarble), 0u);
+    damaged_lines_ = new std::vector<TimedLine>(Merge(logs));
   }
 
   static void TearDownTestSuite() {
+    delete damaged_lines_;
     delete lines_;
     delete machine_;
+    damaged_lines_ = nullptr;
     lines_ = nullptr;
     machine_ = nullptr;
   }
 
-  static std::vector<TimedLine> Merge(const EmittedLogs& logs) {
+  static std::vector<TimedLine> Merge(const LogSet& logs) {
+    const LogSetView views(logs);
+    ClaimedTracker tracker(LogDiverConfig{}.syslog_base_year);
     std::vector<TimedLine> merged;
-    TorqueParser torque;
-    for (const std::string& line : logs.torque) {
-      auto rec = torque.ParseLine(line);
-      if (rec.ok() && rec->has_value()) {
-        merged.push_back({(*rec)->time, LogSource::kTorque, line});
-      }
-    }
-    AlpsParser alps;
-    for (const std::string& line : logs.alps) {
-      auto rec = alps.ParseLine(line);
-      if (rec.ok() && rec->has_value()) {
-        merged.push_back({(*rec)->time, LogSource::kAlps, line});
-      }
-    }
-    for (const std::string& line : logs.syslog) {
-      auto t = SyslogParser::ParseSyslogTime(line.substr(0, 15), 2013);
-      merged.push_back({t.ok() ? *t : TimePoint(0), LogSource::kSyslog, line});
-    }
-    HwerrParser hwerr;
-    for (const std::string& line : logs.hwerr) {
-      auto rec = hwerr.ParseLine(line);
-      if (rec.ok() && rec->has_value()) {
-        merged.push_back({(*rec)->time, LogSource::kHwerr, line});
+    for (std::size_t s = 0; s < kNumLogSources; ++s) {
+      const auto source = static_cast<LogSource>(s);
+      for (const std::string_view line : views.lines(source)) {
+        merged.push_back({tracker.ParseAndClaim(source, line).claimed, source,
+                          std::string(line)});
       }
     }
     std::stable_sort(merged.begin(), merged.end(),
@@ -312,11 +359,13 @@ class ServiceTest : public ::testing::Test {
     return dir;
   }
 
-  /// Feeds lines [begin, end) into the shard, absorbing backpressure
-  /// the way a well-behaved client does.
-  static void Feed(TenantShard& shard, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end && i < lines_->size(); ++i) {
-      const TimedLine& item = (*lines_)[i];
+  /// Feeds lines [begin, end) of `lines` (default: the clean campaign)
+  /// into the shard, absorbing backpressure the way a well-behaved
+  /// client does.
+  static void Feed(TenantShard& shard, std::size_t begin, std::size_t end,
+                   const std::vector<TimedLine>* lines = lines_) {
+    for (std::size_t i = begin; i < end && i < lines->size(); ++i) {
+      const TimedLine& item = (*lines)[i];
       std::string reply;
       for (int attempt = 0; attempt < 1000; ++attempt) {
         reply = shard.Ingest(item.source, item.line);
@@ -329,10 +378,12 @@ class ServiceTest : public ::testing::Test {
 
   static Machine* machine_;
   static std::vector<TimedLine>* lines_;
+  static std::vector<TimedLine>* damaged_lines_;
 };
 
 Machine* ServiceTest::machine_ = nullptr;
 std::vector<TimedLine>* ServiceTest::lines_ = nullptr;
+std::vector<TimedLine>* ServiceTest::damaged_lines_ = nullptr;
 
 TEST_F(ServiceTest, ShardIngestAndReportBasics) {
   const std::string dir = Dir("basics");
@@ -354,49 +405,114 @@ TEST_F(ServiceTest, ShardIngestAndReportBasics) {
 }
 
 TEST_F(ServiceTest, RecoveryIsBitIdenticalToUninterruptedRun) {
-  const std::size_t n = std::min<std::size_t>(lines_->size(), 1500);
+  const auto malformed = [](const TimedLine& item) {
+    return (item.source == LogSource::kTorque &&
+            !TorqueParser::Parse(item.line).ok()) ||
+           (item.source == LogSource::kAlps &&
+            !AlpsParser::Parse(item.line).ok());
+  };
+  // The clean campaign, and a damaged copy whose malformed heads claim
+  // carried times on both sides of the snapshot cut.
+  for (const std::vector<TimedLine>* input : {lines_, damaged_lines_}) {
+    SCOPED_TRACE(input == lines_ ? "clean input" : "damaged input");
+    const std::size_t n = std::min<std::size_t>(input->size(), 1500);
+    // Cut the damaged input just before a malformed Torque/ALPS line:
+    // the first line recovery replays then claims the carry the
+    // snapshot restored.  The watermark advances on every line, so
+    // every claim shows in the replies.
+    std::size_t cut = n / 2;
+    if (input == damaged_lines_) {
+      while (cut < n && !malformed((*input)[cut])) ++cut;
+      ASSERT_LT(cut, n);
+    }
+    TenantLimits limits;
+    limits.advance_every = 1;
 
-  // Reference: one shard, never interrupted.
-  const std::string ref_dir = Dir("recovery_ref");
-  std::string ref_report, ref_ingest;
-  {
-    TenantShard ref("acme", ref_dir, *machine_, LogDiverConfig{},
-                    TenantLimits{});
-    ASSERT_TRUE(ref.Start().ok());
-    Feed(ref, 0, n);
-    ASSERT_TRUE(ref.Drain().ok());
-    ref_report = ref.QueryReport();
-    ref_ingest = ref.QueryIngest();
-    ref.Stop();
-  }
+    // Reference: one shard, never interrupted.
+    const std::string ref_dir = Dir("recovery_ref");
+    std::string ref_report, ref_ingest;
+    {
+      TenantShard ref("acme", ref_dir, *machine_, LogDiverConfig{}, limits);
+      ASSERT_TRUE(ref.Start().ok());
+      Feed(ref, 0, n, input);
+      ASSERT_TRUE(ref.Drain().ok());
+      ref_report = ref.QueryReport();
+      ref_ingest = ref.QueryIngest();
+      ref.Stop();
+    }
 
-  // Interrupted: snapshot mid-stream, accept the rest, then come back
-  // WITHOUT a final snapshot — recovery must replay the journal suffix.
-  const std::string dir = Dir("recovery_cut");
-  TenantLimits limits;
-  limits.snapshot_interval_lines = 0;  // only explicit snapshots
-  limits.snapshot_interval_bytes = 0;
-  {
-    TenantShard shard("acme", dir, *machine_, LogDiverConfig{}, limits);
-    ASSERT_TRUE(shard.Start().ok());
-    Feed(shard, 0, n / 2);
-    ASSERT_TRUE(shard.Drain().ok());  // snapshot at the halfway point
-    Feed(shard, n / 2, n);
-    shard.Stop();  // applies the queue but takes no snapshot
+    // Interrupted: snapshot mid-stream, accept the rest, then come back
+    // WITHOUT a final snapshot — recovery must replay the journal suffix.
+    const std::string dir = Dir("recovery_cut");
+    limits.snapshot_interval_lines = 0;  // only explicit snapshots
+    limits.snapshot_interval_bytes = 0;
+    {
+      TenantShard shard("acme", dir, *machine_, LogDiverConfig{}, limits);
+      ASSERT_TRUE(shard.Start().ok());
+      Feed(shard, 0, cut, input);
+      ASSERT_TRUE(shard.Drain().ok());  // snapshot at the cut
+      Feed(shard, cut, n, input);
+      shard.Stop();  // applies the queue but takes no snapshot
+    }
+    {
+      TenantShard shard("acme", dir, *machine_, LogDiverConfig{}, limits);
+      std::uint64_t recovered = 0;
+      ASSERT_TRUE(shard.Start(&recovered).ok());
+      EXPECT_GT(recovered, 0u);  // the suffix really was replayed
+      EXPECT_EQ(shard.accepted(), n);
+      ASSERT_TRUE(shard.Drain().ok());
+      EXPECT_EQ(shard.QueryReport(), ref_report);
+      EXPECT_EQ(shard.QueryIngest(), ref_ingest);
+      shard.Stop();
+    }
+    std::filesystem::remove_all(ref_dir);
+    std::filesystem::remove_all(dir);
   }
-  {
-    TenantShard shard("acme", dir, *machine_, LogDiverConfig{}, limits);
-    std::uint64_t recovered = 0;
-    ASSERT_TRUE(shard.Start(&recovered).ok());
-    EXPECT_GT(recovered, 0u);  // the suffix really was replayed
-    EXPECT_EQ(shard.accepted(), n);
-    ASSERT_TRUE(shard.Drain().ok());
-    EXPECT_EQ(shard.QueryReport(), ref_report);
-    EXPECT_EQ(shard.QueryIngest(), ref_ingest);
-    shard.Stop();
+}
+
+TEST_F(ServiceTest, OldLayoutJournalIsRefusedAndLeftUntouched) {
+  // A journal in the layout before the version record, which carried
+  // each line's claimed time: Start must refuse it, naming the layout,
+  // and must neither replay nor truncate it — with or without a
+  // snapshot beside it.
+  std::string old_bytes;
+  for (std::size_t i = 0; i < 50; ++i) {
+    const TimedLine& item = (*lines_)[i];
+    old_bytes += std::string(1, LogSourceName(item.source)[0]) + " " +
+                 std::to_string(item.time.unix_seconds()) + " " + item.line +
+                 "\n";
   }
-  std::filesystem::remove_all(ref_dir);
-  std::filesystem::remove_all(dir);
+  old_bytes += "t 1364775002 torn tail, never acknowledged";
+  for (const bool with_snapshot : {false, true}) {
+    SCOPED_TRACE(with_snapshot ? "with snapshot" : "journal only");
+    const std::string dir = Dir("old_layout");
+    if (with_snapshot) {
+      TenantShard shard("acme", dir, *machine_, LogDiverConfig{},
+                        TenantLimits{});
+      ASSERT_TRUE(shard.Start().ok());
+      Feed(shard, 0, 50);
+      ASSERT_TRUE(shard.Drain().ok());  // writes a snapshot
+      shard.Stop();
+      ASSERT_FALSE(std::filesystem::is_empty(dir + "/snapshots"));
+    } else {
+      std::filesystem::create_directories(dir);
+    }
+    {
+      std::ofstream out(dir + "/journal.ldj",
+                        std::ios::binary | std::ios::trunc);
+      out << old_bytes;
+    }
+    TenantShard shard("acme", dir, *machine_, LogDiverConfig{},
+                      TenantLimits{});
+    const Status status = shard.Start();
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+        << status.ToString();
+    EXPECT_NE(status.message().find("<s> <claimed_unix> <raw line>"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(ReadFile(dir + "/journal.ldj"), old_bytes);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST_F(ServiceTest, RecoveryCutsTornJournalTail) {
@@ -541,7 +657,15 @@ TEST_F(ServiceTest, DegradePolicyKeepsInjestingButFlagsHealth) {
         shard.Ingest(LogSource::kTorque, "still not a torque line");
     ASSERT_NE(ReplyVerdict(reply), "SHED") << reply;
     if (ReplyVerdict(reply) == "BUSY") ::usleep(1000);
-    if (i % 32 == 31) ::usleep(2000);
+    // Budget windows read the quarantine total the worker publishes
+    // with each applied line; let it catch up before the next window
+    // is judged, or a busy host leaves the window looking clean.
+    if (i % 32 == 31) {
+      for (int wait = 0; wait < 5000 && shard.applied() < shard.accepted();
+           ++wait) {
+        ::usleep(1000);
+      }
+    }
   }
   ASSERT_TRUE(shard.Drain().ok());
   EXPECT_EQ(shard.state(), TenantState::kDegraded);
@@ -703,8 +827,8 @@ TEST_F(DaemonTest, WatchdogRecyclesHungShardAndLosesNothing) {
   ASSERT_EQ(ReplyVerdict(daemon.HandleCommand("DRAIN")), "OK");
   const std::string want = daemon.HandleCommand("QUERY healthy report");
 
-  // Hang the victim's worker mid-stream; keep ingesting so the queue
-  // stays non-empty (an idle shard is not a stalled shard).
+  // Hang the victim's worker mid-stream, with lines still queued
+  // behind the hung one (an idle shard is not a stalled shard).
   EXPECT_EQ(ReplyVerdict(daemon.HandleCommand("FAULT victim hang 200")), "OK");
   IngestThrough(daemon, "victim", 0, 400);
   // Generous deadline: an oversubscribed CI machine can starve the
@@ -727,6 +851,45 @@ TEST_F(DaemonTest, WatchdogRecyclesHungShardAndLosesNothing) {
   const std::string got = daemon.HandleCommand("QUERY victim report");
   // Same lines, same schedule — identical bytes modulo nothing.
   EXPECT_EQ(got, want);
+  daemon.Stop();
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(DaemonTest, WatchdogRecyclesShardHungOnItsLastBatch) {
+  // The whole backlog fits in one apply batch, so the worker has
+  // emptied the queue when it hangs on the last line: the stall shows
+  // as accepted-but-unapplied work, never as queue depth.
+  const std::string dir = Dir("daemon_watchdog_batch");
+  ServiceOptions options = Options(dir);
+  options.watchdog_period_ms = 20;
+  options.stall_timeout_ms = 100;
+  options.enable_fault_commands = true;
+  LogDiverDaemon daemon(*machine_, options);
+  ASSERT_TRUE(daemon.Start().ok());
+  constexpr std::size_t kLines = 100;
+
+  IngestThrough(daemon, "healthy", 0, kLines);
+  ASSERT_EQ(ReplyVerdict(daemon.HandleCommand("DRAIN")), "OK");
+  const std::string want = daemon.HandleCommand("QUERY healthy report");
+
+  EXPECT_EQ(ReplyVerdict(daemon.HandleCommand(
+                "FAULT victim hang " + std::to_string(kLines))),
+            "OK");
+  IngestThrough(daemon, "victim", 0, kLines);
+  for (int i = 0; i < 3000 && daemon.watchdog_recycles() == 0; ++i) {
+    ::usleep(10 * 1000);
+  }
+  ASSERT_GE(daemon.watchdog_recycles(), 1u) << "watchdog never fired";
+
+  std::string reply;
+  for (int i = 0; i < 3000; ++i) {
+    reply = daemon.HandleCommand("QUERY victim ingest");
+    if (ReplyVerdict(reply) == "OK") break;
+    ::usleep(10 * 1000);
+  }
+  ASSERT_EQ(ReplyVerdict(reply), "OK") << reply;
+  ASSERT_EQ(ReplyVerdict(daemon.HandleCommand("DRAIN")), "OK");
+  EXPECT_EQ(daemon.HandleCommand("QUERY victim report"), want);
   daemon.Stop();
   std::filesystem::remove_all(dir);
 }
