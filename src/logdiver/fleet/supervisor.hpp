@@ -2,12 +2,13 @@
 // bundle analysis across N worker processes and merges their partial
 // aggregates back into one MetricsReport.
 //
-// Partitioning is SPMD ownership, not input splitting: every worker
-// replays the *whole* bundle with the deterministic schedule of the
-// serial analyzer (resume.hpp ReplayBundle), so parsing, coalescing and
-// classification context are bit-identical everywhere; each worker only
-// folds its owned runs (`apid % shard_count`) and tuples
-// (`id % shard_count`) into its MetricsAccumulator (ShardSpec,
+// Partitioning is SPMD ownership, not input splitting: the supervisor
+// maps the bundle once (to fingerprint it) and every forked worker
+// replays the *whole* inherited line set with the deterministic
+// schedule of the serial analyzer (resume.hpp ReplayLines), so parsing,
+// coalescing and classification context are bit-identical everywhere;
+// each worker only folds its owned runs (`apid % shard_count`) and
+// tuples (`id % shard_count`) into its MetricsAccumulator (ShardSpec,
 // logdiver.hpp).  Disjoint ownership makes the partials merge-exact:
 // the supervisor's merged report is bit-identical to the serial
 // analyzer's — bench/fleet_campaign asserts this across a worker-fault
@@ -15,14 +16,16 @@
 //
 // The loop is hardened end-to-end, following the detection /
 // containment / recovery layering of the resilience design patterns
-// literature:
-//   * detection — waitpid status decoding (crash vs. ordinary failure),
-//     per-shard wall-clock deadlines, CRC + fingerprint + shard-id
-//     validation of every partial before it may merge;
+// literature.  Detection and containment are the shared supervised-
+// child loop's (common/supervise.hpp, which the crash-restart driver
+// uses too); the fleet is a judge over it:
+//   * detection — exit decoding (crash vs. ordinary failure) and
+//     per-attempt wall-clock deadlines in the loop, then CRC +
+//     fingerprint + shard-id validation of every partial before it may
+//     merge;
 //   * containment — workers are separate processes; a fault costs one
-//     shard attempt, never the fleet;
-//   * recovery — bounded retries with exponential backoff + jitter
-//     (deterministic under FleetOptions::seed), SIGKILL escalation for
+//     shard attempt, never the fleet, and no worker outlives Run;
+//   * recovery — bounded immediate retries, SIGKILL escalation for
 //     hangs, and a per-fleet failure budget deciding between fail-fast
 //     and degrade-and-annotate (the report ships with a coverage row
 //     naming dropped shards, mirroring the quarantine philosophy).
@@ -58,14 +61,13 @@ struct FaultPlan {
 };
 
 struct FleetOptions {
-  /// Ownership partitions; also the worker count unless max_workers
-  /// caps it.  1 is legal (a fleet of one, still fault-supervised).
+  /// Ownership partitions, one concurrent worker process each.  1 is
+  /// legal (a fleet of one, still fault-supervised).
   std::uint32_t shard_count = 4;
-  /// Concurrent worker processes; 0 = shard_count.
-  std::uint32_t max_workers = 0;
-  /// Wall-clock budget per shard attempt before SIGKILL escalation.
+  /// Wall-clock budget per shard attempt before SIGKILL escalation;
+  /// 0 means none.
   std::uint64_t shard_timeout_ms = 120000;
-  /// Total attempts per shard (first try + retries).
+  /// Total attempts per shard (first try + immediate retries).
   int max_attempts = 3;
   /// Shards allowed to drop (exhaust retries) before the fleet fails.
   /// Only consulted under kQuarantineAndContinue; kFailFast aborts on
@@ -75,18 +77,8 @@ struct FleetOptions {
   /// kQuarantineAndContinue: up to failure_budget dropped shards
   /// degrade the report (coverage-annotated) instead of failing.
   DegradationPolicy policy = DegradationPolicy::kFailFast;
-  /// Seed for retry jitter; the whole backoff schedule is a
-  /// deterministic function of (seed, shard, attempt).
-  std::uint64_t seed = 1;
-  /// Backoff before retry r (1-based): min(cap, base << (r-1)) plus
-  /// jitter uniform in [0, base], from Rng(seed).Fork("shard-i/try-r").
-  std::uint64_t backoff_base_ms = 5;
-  std::uint64_t backoff_cap_ms = 250;
   /// Directory for partial-snapshot files (created if needed).
   std::string partial_dir;
-  /// Replay schedule; must stay at the defaults for bit-identity with
-  /// the serial analyzer (see ReplaySchedule).
-  ReplaySchedule schedule;
   /// Test-only fault injection, keyed by shard index.
   std::map<std::uint32_t, FaultPlan> faults;
 };
@@ -98,9 +90,6 @@ struct ShardOutcome {
   int crashes = 0;
   int hangs_killed = 0;
   int partials_rejected = 0;
-  /// Backoff delay (ms, jitter included) slept before each retry;
-  /// deterministic under a fixed FleetOptions::seed.
-  std::vector<std::uint64_t> backoff_ms;
   bool completed = false;
   bool dropped = false;
 };

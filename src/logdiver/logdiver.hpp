@@ -141,7 +141,7 @@ struct MappedBundle {
 };
 
 /// The one bundle loader, behind AnalyzeBundle, the streaming replay,
-/// the fleet workers and BundlePartitionFingerprint: maps every segment
+/// the fleet supervisor and BundlePartitionFingerprint: maps every segment
 /// of each source's rotation family (RotationSegments, oldest first) and
 /// splits it into lines (SplitLinesParallel on `pool`, inline when
 /// null).  hwerr is optional: a missing hwerr file loads as an empty

@@ -1,17 +1,11 @@
 #include "logdiver/resume.hpp"
 
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <span>
 #include <string_view>
 
 #include "common/crashpoint.hpp"
 #include "common/obs/obs.hpp"
+#include "common/supervise.hpp"
 #include "logdiver/cache/bundle_cache.hpp"
 #include "logdiver/claims.hpp"
 #include "logdiver/logdiver.hpp"
@@ -202,74 +196,23 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
 CrashSupervisor::Outcome CrashSupervisor::Run(
     const std::function<int(int attempt)>& child, const Options& options) {
   Outcome out;
-  for (int attempt = 0;; ++attempt) {
-    out.attempts = attempt + 1;
-    // Flush so the child does not replay the parent's buffered output
-    // when it exits.
-    std::fflush(nullptr);
-    const pid_t pid = fork();
-    if (pid < 0) {
-      out.exit_code = -1;
-      return out;
-    }
-    if (pid == 0) {
-      const int rc = child(attempt);
-      std::fflush(nullptr);
-      std::_Exit(rc);
-    }
-    int status = 0;
-    bool hung = false;
-    if (options.timeout_ms == 0) {
-      if (waitpid(pid, &status, 0) < 0) {
-        out.exit_code = -1;
-        return out;
-      }
-    } else {
-      // Poll with a wall-clock deadline: a child that stops making
-      // progress (deadlock, injected hang) is escalated to SIGKILL and
-      // handled as a crash — it cannot hang the supervisor forever.
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(options.timeout_ms);
-      for (;;) {
-        const pid_t r = waitpid(pid, &status, WNOHANG);
-        if (r == pid) break;
-        if (r < 0) {
-          out.exit_code = -1;
-          return out;
+  const Status supervised = Supervise(
+      1, options.timeout_ms,
+      [&](std::size_t, int attempt) { return child(attempt); },
+      [&](std::size_t, int attempt, const ChildExit& exit) -> Result<Next> {
+        out.attempts = attempt + 1;
+        out.exit_code = exit.code;
+        if (exit.hung) ++out.hangs_killed;
+        if (!exit.crashed) return Next::kDone;
+        ++out.crashes;
+        if (out.crashes > options.max_restarts) {
+          out.exhausted = true;
+          return Next::kDone;
         }
-        if (std::chrono::steady_clock::now() >= deadline) {
-          ::kill(pid, SIGKILL);
-          if (waitpid(pid, &status, 0) < 0) {
-            out.exit_code = -1;
-            return out;
-          }
-          hung = true;
-          break;
-        }
-        ::usleep(2000);
-      }
-    }
-    if (hung) ++out.hangs_killed;
-    bool crashed = false;
-    int code = 0;
-    if (WIFSIGNALED(status)) {
-      crashed = true;
-      code = 128 + WTERMSIG(status);
-    } else {
-      code = WEXITSTATUS(status);
-      crashed = code >= 128;  // injected crashes exit with 128+signal
-    }
-    if (!crashed) {
-      out.exit_code = code;
-      return out;
-    }
-    ++out.crashes;
-    if (out.crashes > options.max_restarts) {
-      out.exhausted = true;
-      out.exit_code = code;
-      return out;
-    }
-  }
+        return Next::kRetry;
+      });
+  if (!supervised.ok()) out.exit_code = -1;
+  return out;
 }
 
 }  // namespace ld

@@ -15,12 +15,13 @@
 // bench/crash_campaign asserts this across a kill-point ×
 // snapshot-interval sweep.
 //
-// CrashSupervisor is the process-level loop: it runs an analysis
-// attempt in a forked child, distinguishes a crash (signal, or an exit
-// code >= 128 such as the injected kCrashExitCode) from an ordinary
-// failure, and restarts crashed attempts up to a budget.  Ordinary
-// failures pass through — a tripped ingest error budget must not be
-// retried into an infinite loop.
+// CrashSupervisor is the process-level restart rule: it runs each
+// analysis attempt as the single child of the shared supervised-child
+// loop (common/supervise.hpp, which tells a crash — signal, exit code
+// >= 128 such as the injected kCrashExitCode, or a blown deadline —
+// from an ordinary failure) and restarts crashed attempts at once, up
+// to a budget.  Ordinary failures pass through — a tripped ingest
+// error budget must not be retried into an infinite loop.
 #pragma once
 
 #include <cstdint>
@@ -90,17 +91,18 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
 
 /// Streams the whole bundle through `analyzer` with the deterministic
 /// merge order and advance schedule of RunResumableAnalysis, but no
-/// snapshotting or resume — the replay core a fleet worker runs.  The
-/// caller owns the analyzer (and calls Finalize()); `config` must be
-/// the one the analyzer was built with (it supplies the syslog base
-/// year of the claimed times).  Returns total merged lines.
+/// snapshotting or resume.  The caller owns the analyzer (and calls
+/// Finalize()); `config` must be the one the analyzer was built with
+/// (it supplies the syslog base year of the claimed times).  Returns
+/// total merged lines.
 Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
                                    const StreamInputs& inputs,
                                    const ReplaySchedule& schedule,
                                    StreamingAnalyzer& analyzer);
 
 /// ReplayBundle's merge order and schedule over lines already in
-/// memory.  Returns total merged lines.
+/// memory — the replay core a fleet worker runs over the views it
+/// inherits from the supervisor.  Returns total merged lines.
 std::uint64_t ReplayLines(const LogSetView& lines, const LogDiverConfig& config,
                           const ReplaySchedule& schedule,
                           StreamingAnalyzer& analyzer);
@@ -124,9 +126,9 @@ class CrashSupervisor {
     int max_restarts = 10;
     /// Wall-clock budget per attempt, in milliseconds; a child still
     /// running past it is SIGKILLed and treated as a crash (counted in
-    /// Outcome::hangs_killed and retried like any other).  0 keeps the
-    /// old blocking wait: no timeout, a hung child hangs the
-    /// supervisor.
+    /// Outcome::hangs_killed and retried like any other).  0 means no
+    /// deadline: the supervisor blocks until the child exits, so a hung
+    /// child hangs it.
     std::uint64_t timeout_ms = 0;
   };
 

@@ -40,19 +40,33 @@ Status LogDiverDaemon::RecoverExistingTenants() {
   }
   std::sort(ids.begin(), ids.end());
   for (const std::string& id : ids) {
-    auto shard = std::make_shared<TenantShard>(
-        id, options_.data_dir + "/" + id, machine_, options_.analyzer,
-        options_.tenant);
+    // One tenant that cannot start (an old-layout journal, a foreign
+    // snapshot) stays dark; the others must not.  Its next INGEST tries
+    // again and answers ERR naming the reason.
     std::uint64_t replayed = 0;
-    LD_TRY(shard->Start(&replayed));
+    auto shard = StartShard(id, &replayed);
+    if (!shard.ok()) {
+      std::fprintf(stderr, "[svc] skipping tenant %s: %s\n", id.c_str(),
+                   shard.status().ToString().c_str());
+      continue;
+    }
     std::lock_guard<std::mutex> lock(tenants_mu_);
-    tenants_.emplace(id, std::move(shard));
+    tenants_.emplace(id, std::move(*shard));
     ++tenants_recovered_;
     LD_OBS_COUNTER_ADD(obs::names::kSvcTenantsRecoveredTotal, 1);
     std::fprintf(stderr, "[svc] re-adopted tenant %s (%llu journal lines)\n",
                  id.c_str(), static_cast<unsigned long long>(replayed));
   }
   return Status::Ok();
+}
+
+Result<std::shared_ptr<TenantShard>> LogDiverDaemon::StartShard(
+    const std::string& id, std::uint64_t* replayed) const {
+  auto shard = std::make_shared<TenantShard>(
+      id, options_.data_dir + "/" + id, machine_, options_.analyzer,
+      options_.tenant);
+  LD_TRY(shard->Start(replayed));
+  return shard;
 }
 
 Status LogDiverDaemon::Start() {
@@ -129,18 +143,15 @@ std::shared_ptr<TenantShard> LogDiverDaemon::FindOrAdmit(
                             std::to_string(options_.max_tenants) + ")");
     return nullptr;
   }
-  auto shard = std::make_shared<TenantShard>(
-      tenant, options_.data_dir + "/" + tenant, machine_, options_.analyzer,
-      options_.tenant);
-  const Status started = shard->Start();
-  if (!started.ok()) {
+  auto shard = StartShard(tenant, nullptr);
+  if (!shard.ok()) {
     refusal = ErrReply("cannot admit tenant " + tenant + ": " +
-                       started.message());
+                       shard.status().message());
     return nullptr;
   }
-  tenants_.emplace(tenant, shard);
+  tenants_.emplace(tenant, *shard);
   LD_OBS_COUNTER_ADD(obs::names::kSvcTenantsAdmittedTotal, 1);
-  return shard;
+  return *shard;
 }
 
 std::string LogDiverDaemon::HandleCommand(const std::string& line) {
@@ -330,15 +341,12 @@ void LogDiverDaemon::WatchdogLoop() {
       std::fprintf(stderr, "[svc] watchdog: tenant %s stalled, recycling\n",
                    id.c_str());
       shard->Abandon();
-      auto fresh = std::make_shared<TenantShard>(
-          id, options_.data_dir + "/" + id, machine_, options_.analyzer,
-          options_.tenant);
       std::uint64_t replayed = 0;
-      const Status restarted = fresh->Start(&replayed);
+      auto fresh = StartShard(id, &replayed);
       std::lock_guard<std::mutex> lock(tenants_mu_);
       graveyard_.push_back(shard);
-      if (restarted.ok()) {
-        tenants_[id] = std::move(fresh);
+      if (fresh.ok()) {
+        tenants_[id] = std::move(*fresh);
         progress_[id] = Progress{tenants_[id]->applied(), now};
         watchdog_recycles_.fetch_add(1, std::memory_order_relaxed);
         LD_OBS_COUNTER_ADD(obs::names::kSvcWatchdogKillsTotal, 1);
@@ -351,7 +359,7 @@ void LogDiverDaemon::WatchdogLoop() {
         // The tenant stays routed to the abandoned shard (which answers
         // ERR) rather than vanishing; the next tick retries.
         std::fprintf(stderr, "[svc] watchdog: tenant %s recycle failed: %s\n",
-                     id.c_str(), restarted.ToString().c_str());
+                     id.c_str(), fresh.status().ToString().c_str());
       }
     }
   }

@@ -66,8 +66,9 @@ class LogDiverDaemon {
   LogDiverDaemon(const Machine& machine, ServiceOptions options);
   ~LogDiverDaemon();
 
-  /// Recovers every tenant under data_dir, binds the listen address,
-  /// and starts the accept + watchdog threads.
+  /// Recovers every tenant under data_dir (skipping, with a log line,
+  /// any that cannot start), binds the listen address, and starts the
+  /// accept + watchdog threads.
   Status Start();
 
   /// The bound address (port 0 resolved) — what clients connect to.
@@ -95,6 +96,13 @@ class LogDiverDaemon {
  private:
   std::shared_ptr<TenantShard> FindOrAdmit(const std::string& tenant,
                                            std::string& refusal);
+  /// Constructs tenant `id`'s shard and starts it (snapshot restore +
+  /// journal replay) — the one construct-and-Start behind recovery,
+  /// admission and the watchdog's recycle.
+  Result<std::shared_ptr<TenantShard>> StartShard(
+      const std::string& id, std::uint64_t* replayed) const;
+  /// Starts every tenant found under data_dir; a tenant that cannot
+  /// start is logged and skipped, never fatal to the daemon.
   Status RecoverExistingTenants();
   void AcceptLoop();
   void WatchdogLoop();

@@ -152,9 +152,8 @@ Status TenantShard::Start(std::uint64_t* recovered_lines) {
                          ": journal size changed during recovery");
   }
   accepted_.store(applied_.load());
-  window_started_lines_ = accepted_.load();
+  window_started_applied_ = applied_.load();
   window_started_malformed_ = analyzer_->quarantine().total();
-  malformed_seen_.store(window_started_malformed_);
   if (recovered_lines != nullptr) *recovered_lines = replayed;
 
   worker_ = std::thread([this] {
@@ -164,51 +163,49 @@ Status TenantShard::Start(std::uint64_t* recovered_lines) {
   return Status::Ok();
 }
 
-std::string TenantShard::CheckBudgetLocked() {
+std::string TenantShard::ShedReplyLocked() {
+  if (!shedding_.load(std::memory_order_relaxed)) return std::string();
   const auto now = std::chrono::steady_clock::now();
-  if (shedding_.load(std::memory_order_relaxed)) {
-    if (now < shed_until_) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            shed_until_ - now)
-                            .count();
-      return ShedReply(static_cast<std::uint64_t>(left > 0 ? left : 1),
-                       "tenant over error budget");
-    }
-    // Cooloff over: probe again with a fresh window.
-    shedding_.store(false, std::memory_order_relaxed);
-    window_started_lines_ = accepted_.load(std::memory_order_relaxed);
-    window_started_malformed_ = malformed_seen_.load(std::memory_order_relaxed);
-    return std::string();
+  if (now < shed_until_) {
+    const auto left =
+        std::chrono::duration_cast<std::chrono::milliseconds>(shed_until_ - now)
+            .count();
+    return ShedReply(static_cast<std::uint64_t>(left > 0 ? left : 1),
+                     "tenant over error budget");
   }
-  const std::uint64_t lines =
-      accepted_.load(std::memory_order_relaxed) - window_started_lines_;
-  if (limits_.budget.window_lines == 0 ||
-      lines < limits_.budget.window_lines) {
-    return std::string();
-  }
-  // The malformed mirror trails the accept counter by the queue depth;
-  // a whole window is hundreds of lines, so the window verdict is
-  // stable against that lag (and re-evaluated every window anyway).
-  const std::uint64_t malformed =
-      malformed_seen_.load(std::memory_order_relaxed) -
-      window_started_malformed_;
+  // Cooloff over: accept again; the worker's next window judges anew.
+  shedding_.store(false, std::memory_order_relaxed);
+  return std::string();
+}
+
+void TenantShard::JudgeWindowLocked() {
+  const TenantBudgetConfig& budget = limits_.budget;
+  const std::uint64_t applied = applied_.load(std::memory_order_relaxed);
+  const std::uint64_t lines = applied - window_started_applied_;
+  if (budget.window_lines == 0 || lines < budget.window_lines) return;
+  // Both counts describe the same applied lines: the window's verdict
+  // cannot depend on how far the worker trails the accept path.
+  const std::uint64_t quarantined = analyzer_->quarantine().total();
+  const std::uint64_t malformed = quarantined - window_started_malformed_;
+  window_started_applied_ = applied;
+  window_started_malformed_ = quarantined;
   const bool exceeded =
-      malformed > limits_.budget.min_malformed &&
+      malformed > budget.min_malformed &&
       static_cast<double>(malformed) >
-          limits_.budget.max_malformed_fraction * static_cast<double>(lines);
-  window_started_lines_ = accepted_.load(std::memory_order_relaxed);
-  window_started_malformed_ = malformed_seen_.load(std::memory_order_relaxed);
+          budget.max_malformed_fraction * static_cast<double>(lines);
   if (!exceeded) {
     degraded_.store(false, std::memory_order_relaxed);
-    return std::string();
+    return;
   }
-  if (limits_.budget.policy == DegradationPolicy::kQuarantineAndContinue) {
+  if (budget.policy == DegradationPolicy::kQuarantineAndContinue) {
     degraded_.store(true, std::memory_order_relaxed);
-    return std::string();
+    return;
   }
+  std::lock_guard<std::mutex> lock(ingest_mu_);
   shedding_.store(true, std::memory_order_relaxed);
-  shed_until_ = now + std::chrono::milliseconds(limits_.budget.cooloff_ms);
-  return ShedReply(limits_.budget.cooloff_ms, "tenant over error budget");
+  shed_until_ =
+      std::chrono::steady_clock::now() +
+      std::chrono::milliseconds(budget.cooloff_ms);
 }
 
 std::string TenantShard::Ingest(LogSource source, std::string_view line) {
@@ -222,7 +219,7 @@ std::string TenantShard::Ingest(LogSource source, std::string_view line) {
   if (journal_broken_) {
     return ErrReply("tenant " + tenant_id_ + ": journal unavailable");
   }
-  const std::string shed = CheckBudgetLocked();
+  const std::string shed = ShedReplyLocked();
   if (!shed.empty()) {
     LD_OBS_COUNTER_ADD(obs::names::kSvcIngestShedTotal, 1);
     return shed;
@@ -255,8 +252,6 @@ void TenantShard::ApplyLocked(const JournalRecord& record) {
   ClaimedLine claimed = tracker_.ParseAndClaim(record.source, record.line);
   const TimePoint time = claimed.claimed;
   analyzer_->Add(std::move(claimed));
-  malformed_seen_.store(analyzer_->quarantine().total(),
-                        std::memory_order_relaxed);
   const std::uint64_t n = applied_.fetch_add(1, std::memory_order_relaxed) + 1;
   applied_offset_ = record.end_offset;
   if (limits_.advance_every != 0 && n % limits_.advance_every == 0) {
@@ -330,6 +325,7 @@ void TenantShard::WorkerLoop() {
             1000));
       }
       ApplyLocked(record);
+      JudgeWindowLocked();
       // Daemon-wide fault boundary (LD_CRASH_AFTER / FAULT crash).
       CrashPoint("svc-apply");
     }

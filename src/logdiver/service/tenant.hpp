@@ -7,12 +7,18 @@
 //
 //   accept path (connection threads)      apply path (worker thread)
 //   ------------------------------        --------------------------
-//   budget check -> SHED/degrade          pop batch from queue
+//   shed verdict -> SHED                  pop batch from queue
 //   queue-full check -> BUSY              lock analyzer state
 //   journal append (durability)           parse + claim + feed per record
 //   reply OK <seq>                        Advance on the line schedule
 //                                         bump applied progress
+//                                         budget window -> shed/degrade
 //                                         snapshot on the interval
+//
+// The error budget is judged on the apply side, over windows of
+// applied lines, so a window's line count and malformed count describe
+// the same lines however far the worker trails; the accept path only
+// reads the verdict.
 //
 // Acknowledge-after-journal plus replay-from-snapshot-offset is what
 // makes recovery exactly-once: an acked line is on disk, an unacked
@@ -46,7 +52,7 @@
 namespace ld::service {
 
 /// Per-tenant admission policy: the PR 1 error budget, evaluated over
-/// rolling windows of accepted lines so a tenant that was dirty an
+/// consecutive windows of applied lines so a tenant that was dirty an
 /// hour ago is judged on what it sends now.
 struct TenantBudgetConfig {
   /// What happens to an over-budget tenant:
@@ -56,7 +62,7 @@ struct TenantBudgetConfig {
   ///   kQuarantineAndContinue-> degrade: keep ingesting, surface
   ///                            state=degraded in QUERY health.
   DegradationPolicy policy = DegradationPolicy::kQuarantineAndContinue;
-  /// Window length (accepted lines) per budget evaluation.
+  /// Window length (applied lines) per budget evaluation.
   std::uint64_t window_lines = 512;
   /// The budget within a window (ErrorBudget semantics: malformed must
   /// exceed BOTH the floor and the fraction).
@@ -186,9 +192,13 @@ class TenantShard {
   /// Serializes shard state (state lock held by caller).
   std::vector<std::uint8_t> BuildSnapshotLocked();
   Status WriteSnapshotLocked();
-  /// Budget bookkeeping on the accept path (ingest_mu_ held).
-  /// Returns a non-empty SHED reply when the line must be refused.
-  std::string CheckBudgetLocked();
+  /// The accept path's reading of the budget verdict (ingest_mu_
+  /// held).  Returns a non-empty SHED reply when the line must be
+  /// refused; clears the verdict once the cooloff has passed.
+  std::string ShedReplyLocked();
+  /// Closes the budget window once it holds window_lines applied lines
+  /// and publishes its verdict (state lock held, worker thread).
+  void JudgeWindowLocked();
 
   const std::string tenant_id_;
   const std::string dir_;
@@ -196,11 +206,10 @@ class TenantShard {
   const LogDiverConfig config_;
   const TenantLimits limits_;
 
-  // Accept-path state: journal, budget windows.
+  // Accept-path state: journal, and the shed verdict's cooloff (set
+  // by the worker, read and cleared by the accept path).
   std::mutex ingest_mu_;
   TenantJournal journal_;
-  std::uint64_t window_started_lines_ = 0;
-  std::uint64_t window_started_malformed_ = 0;
   std::chrono::steady_clock::time_point shed_until_{};
   bool journal_broken_ = false;
 
@@ -220,11 +229,14 @@ class TenantShard {
   std::uint64_t last_snapshot_applied_ = 0;
   std::uint64_t last_snapshot_offset_ = 0;
   std::uint64_t applied_offset_ = 0;  // journal offset of last applied
+  /// The open budget window: applied count and quarantine total at
+  /// its start.
+  std::uint64_t window_started_applied_ = 0;
+  std::uint64_t window_started_malformed_ = 0;
 
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> applied_{0};
   std::atomic<std::uint64_t> snapshots_written_{0};
-  std::atomic<std::uint64_t> malformed_seen_{0};  // quarantine total mirror
   std::atomic<bool> degraded_{false};
   std::atomic<bool> shedding_{false};
   std::atomic<bool> abandoned_{false};

@@ -5,10 +5,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 
+#include "common/obs/obs.hpp"
 #include "logdiver/fleet/supervisor.hpp"
 #include "logdiver/snapshot.hpp"
 #include "logdiver/streaming.hpp"
@@ -182,7 +185,6 @@ TEST_F(FleetEndToEndTest, CrashedShardIsRetriedAndAbsorbed) {
   EXPECT_FALSE(result->coverage.degraded());
   EXPECT_EQ(result->shards[1].crashes, 1);
   EXPECT_EQ(result->shards[1].attempts, 2);
-  ASSERT_EQ(result->shards[1].backoff_ms.size(), 1u);
   std::filesystem::remove_all(options.partial_dir);
 }
 
@@ -221,6 +223,61 @@ TEST_F(FleetEndToEndTest, FailFastAbortLeavesNoZombies) {
   EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
   EXPECT_EQ(errno, ECHILD);
   std::filesystem::remove_all(options.partial_dir);
+}
+
+TEST_F(FleetEndToEndTest, OrdinaryWorkerFailureFailsTheFleetOnce) {
+  // A worker whose ingest budget trips exits 3 — an ordinary failure
+  // a retry cannot fix.  The fleet must fail on it after one attempt,
+  // unretried, and reap shard 1, still parked in a hang, on the way out.
+  const std::string dirty = TempFleetDir("dirty_bundle");
+  std::filesystem::remove_all(dirty);
+  std::filesystem::copy(*bundle_dir_, dirty);
+  {
+    std::ofstream syslog(dirty + "/syslog.log", std::ios::app);
+    for (int i = 0; i < 5; ++i) syslog << "definitely not a syslog line\n";
+  }
+  LogDiverConfig config;
+  config.ingest.policy = DegradationPolicy::kFailFast;
+  config.ingest.budget.min_malformed = 2;
+  config.ingest.budget.max_malformed_fraction = 0.0;
+
+  fleet::FleetOptions options;
+  options.shard_count = 2;
+  options.partial_dir = TempFleetDir("ordinary_partials");
+  options.shard_timeout_ms = 60000;  // the hang outlives the whole test
+  fleet::FaultPlan hang;
+  hang.fault = fleet::WorkerFault::kHang;
+  hang.after_lines = 50;
+  hang.persistent = true;
+  options.faults[1] = hang;
+
+  const std::uint64_t spawned_before =
+      obs::Registry::Get().GetCounter(obs::names::kFleetWorkersSpawnedTotal)
+          .Value();
+  const std::uint64_t retries_before =
+      obs::Registry::Get().GetCounter(obs::names::kFleetRetriesTotal).Value();
+  const fleet::ShardSupervisor supervisor(*machine_, config);
+  auto result = supervisor.Run(StreamInputs::FromBundleDir(dirty), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status().message().find("shard 0 failed ordinarily "
+                                           "(exit 3)"),
+            std::string::npos)
+      << result.status().ToString();
+#if !defined(LOGDIVER_OBS_DISABLED)
+  EXPECT_EQ(obs::Registry::Get()
+                .GetCounter(obs::names::kFleetWorkersSpawnedTotal)
+                .Value(),
+            spawned_before + 2);
+  EXPECT_EQ(
+      obs::Registry::Get().GetCounter(obs::names::kFleetRetriesTotal).Value(),
+      retries_before);
+#endif
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+  std::filesystem::remove_all(options.partial_dir);
+  std::filesystem::remove_all(dirty);
 }
 
 TEST_F(FleetEndToEndTest, InvalidOptionsAreRejectedUpFront) {

@@ -376,6 +376,19 @@ class ServiceTest : public ::testing::Test {
     }
   }
 
+  /// Journal bytes in the layout before the version record, which
+  /// carried each line's claimed time.
+  static std::string OldLayoutJournal() {
+    std::string bytes;
+    for (std::size_t i = 0; i < 50; ++i) {
+      const TimedLine& item = (*lines_)[i];
+      bytes += std::string(1, LogSourceName(item.source)[0]) + " " +
+               std::to_string(item.time.unix_seconds()) + " " + item.line +
+               "\n";
+    }
+    return bytes + "t 1364775002 torn tail, never acknowledged";
+  }
+
   static Machine* machine_;
   static std::vector<TimedLine>* lines_;
   static std::vector<TimedLine>* damaged_lines_;
@@ -475,14 +488,7 @@ TEST_F(ServiceTest, OldLayoutJournalIsRefusedAndLeftUntouched) {
   // each line's claimed time: Start must refuse it, naming the layout,
   // and must neither replay nor truncate it — with or without a
   // snapshot beside it.
-  std::string old_bytes;
-  for (std::size_t i = 0; i < 50; ++i) {
-    const TimedLine& item = (*lines_)[i];
-    old_bytes += std::string(1, LogSourceName(item.source)[0]) + " " +
-                 std::to_string(item.time.unix_seconds()) + " " + item.line +
-                 "\n";
-  }
-  old_bytes += "t 1364775002 torn tail, never acknowledged";
+  const std::string old_bytes = OldLayoutJournal();
   for (const bool with_snapshot : {false, true}) {
     SCOPED_TRACE(with_snapshot ? "with snapshot" : "journal only");
     const std::string dir = Dir("old_layout");
@@ -623,8 +629,8 @@ TEST_F(ServiceTest, OverBudgetTenantIsShedThenRecovers) {
     } else {
       ASSERT_EQ(verdict, "OK") << reply;
     }
-    // Budget windows read the quarantine totals the worker publishes,
-    // so give the apply side a moment to keep up.
+    // The worker judges windows as it applies; let it close one before
+    // the flood runs out.
     if (i % 32 == 31) ::usleep(2000);
   }
   ASSERT_TRUE(shed) << "never shed; last reply: " << reply;
@@ -657,21 +663,53 @@ TEST_F(ServiceTest, DegradePolicyKeepsInjestingButFlagsHealth) {
         shard.Ingest(LogSource::kTorque, "still not a torque line");
     ASSERT_NE(ReplyVerdict(reply), "SHED") << reply;
     if (ReplyVerdict(reply) == "BUSY") ::usleep(1000);
-    // Budget windows read the quarantine total the worker publishes
-    // with each applied line; let it catch up before the next window
-    // is judged, or a busy host leaves the window looking clean.
-    if (i % 32 == 31) {
-      for (int wait = 0; wait < 5000 && shard.applied() < shard.accepted();
-           ++wait) {
-        ::usleep(1000);
-      }
-    }
   }
   ASSERT_TRUE(shard.Drain().ok());
   EXPECT_EQ(shard.state(), TenantState::kDegraded);
   EXPECT_NE(shard.QueryHealth().find("state=degraded"), std::string::npos);
   shard.Stop();
   std::filesystem::remove_all(dir);
+}
+
+TEST_F(ServiceTest, BudgetWindowVerdictDoesNotDependOnApplyLag) {
+  // One over-budget window, then one clean window.  Each window's
+  // verdict must describe its own lines, so the final health is the
+  // clean window's whether the worker kept up with every line or
+  // trailed the whole stream behind a slow fault.
+  constexpr std::size_t kWindow = 64;
+  std::vector<TimedLine> traffic;
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    traffic.push_back({TimePoint(), LogSource::kTorque, "not a torque line"});
+  }
+  traffic.insert(traffic.end(), lines_->begin(), lines_->begin() + kWindow);
+  TenantLimits limits;
+  limits.queue_capacity = 4 * kWindow;
+  limits.budget.policy = DegradationPolicy::kQuarantineAndContinue;
+  limits.budget.window_lines = kWindow;
+  limits.budget.min_malformed = 4;
+  limits.budget.max_malformed_fraction = 0.1;
+
+  std::string health[2];
+  for (const bool trail : {false, true}) {
+    SCOPED_TRACE(trail ? "worker trails" : "worker keeps up");
+    const std::string dir = Dir(trail ? "window_trail" : "window_keep_up");
+    TenantShard shard("windowed", dir, *machine_, LogDiverConfig{}, limits);
+    ASSERT_TRUE(shard.Start().ok());
+    if (trail) {
+      shard.ArmFault(ShardFault::kSlow, /*after=*/1, /*mean_ms=*/2,
+                     /*seed=*/7);
+    }
+    for (std::size_t i = 0; i < traffic.size(); ++i) {
+      Feed(shard, i, i + 1, &traffic);
+      while (!trail && shard.applied() < shard.accepted()) ::usleep(100);
+    }
+    ASSERT_TRUE(shard.Drain().ok());
+    health[trail] = shard.QueryHealth();
+    shard.Stop();
+    std::filesystem::remove_all(dir);
+  }
+  EXPECT_EQ(health[0], health[1]);
+  EXPECT_NE(health[1].find("state=active"), std::string::npos) << health[1];
 }
 
 TEST_F(ServiceTest, StopOnAWedgedWorkerIsBounded) {
@@ -809,6 +847,42 @@ TEST_F(DaemonTest, RestartReadoptsEveryTenantBitIdentically) {
   EXPECT_EQ(daemon.tenants_recovered(), 2u);
   EXPECT_EQ(daemon.HandleCommand("QUERY alpha report"), report_a);
   EXPECT_EQ(daemon.HandleCommand("QUERY beta report"), report_b);
+  daemon.Stop();
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(DaemonTest, TenantThatCannotStartDoesNotStopTheDaemon) {
+  const std::string dir = Dir("daemon_bad_tenant");
+  std::string report;
+  {
+    LogDiverDaemon daemon(*machine_, Options(dir));
+    ASSERT_TRUE(daemon.Start().ok());
+    IngestThrough(daemon, "good", 0, 300);
+    ASSERT_EQ(ReplyVerdict(daemon.HandleCommand("DRAIN")), "OK");
+    report = daemon.HandleCommand("QUERY good report");
+    daemon.Stop();
+  }
+  const std::string old_bytes = OldLayoutJournal();
+  std::filesystem::create_directories(dir + "/stale");
+  {
+    std::ofstream out(dir + "/stale/journal.ldj", std::ios::binary);
+    out << old_bytes;
+  }
+
+  LogDiverDaemon daemon(*machine_, Options(dir));
+  ASSERT_TRUE(daemon.Start().ok());
+  EXPECT_EQ(daemon.tenant_count(), 1u);
+  EXPECT_EQ(daemon.tenants_recovered(), 1u);
+  EXPECT_EQ(daemon.HandleCommand("QUERY good report"), report);
+  const std::string refused =
+      daemon.HandleCommand("INGEST stale torque " + (*lines_)[0].line);
+  EXPECT_EQ(ReplyVerdict(refused), "ERR") << refused;
+  EXPECT_NE(refused.find("cannot admit tenant stale"), std::string::npos)
+      << refused;
+  EXPECT_NE(refused.find("<s> <claimed_unix> <raw line>"), std::string::npos)
+      << refused;
+  EXPECT_EQ(ReplyVerdict(daemon.HandleCommand("QUERY stale report")), "ERR");
+  EXPECT_EQ(ReadFile(dir + "/stale/journal.ldj"), old_bytes);
   daemon.Stop();
   std::filesystem::remove_all(dir);
 }
