@@ -1,7 +1,8 @@
 // Tool-performance benchmarks (google-benchmark): throughput of each
 // LogDiver pipeline stage.  The paper's tool processed multi-gigabyte
 // production logs; these numbers show the reimplementation handles
-// field-study volumes comfortably.
+// field-study volumes comfortably.  A diagnostic: no gate reads these
+// rows.  The perf gate is the end-to-end CLI A/B in tools/ab_cli.py.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -419,8 +420,7 @@ BENCHMARK(BM_AnalyzeBundle)
 // --- Raw-speed ingestion ----------------------------------------------
 
 // Peak RSS (VmHWM) of this process in MB, from /proc/self/status; 0
-// when unreadable (non-Linux).  Reported as a counter so
-// tools/compare_bench.py --max-rss-mb can put a ceiling on it.
+// when unreadable (non-Linux).  Reported as a counter.
 double PeakRssMb() {
   std::ifstream status("/proc/self/status");
   std::string key;
@@ -454,7 +454,7 @@ const std::vector<std::string>& TorquePayloads() {
 // The key=value field splitter on the campaign's torque payloads: the
 // parsers' one-pass KeyValueView (one table-driven tokenizing pass,
 // then tag-indexed lookups) against the per-key substring scan it
-// replaced.  CI gates split ≥1.2x scan via compare_bench.py.
+// replaced.  A diagnostic only: no gate reads it.
 void BM_FieldSplit(benchmark::State& state, bool one_pass) {
   const std::vector<std::string>* payloads = &TorquePayloads();
   // The torque parser's lookup set.
@@ -488,9 +488,7 @@ BENCHMARK_CAPTURE(BM_FieldSplit, scan, false)->Unit(benchmark::kMillisecond);
 // AnalyzeBundle with the parsed-bundle cache: `cold` clears the cache
 // every iteration (text parse + entry write-back), `warm` hits the
 // memoized result.  bytes/s counts the on-disk input bytes either way,
-// so the two rows are directly comparable and CI can gate
-// warm >= 5x cold (compare_bench.py --min-speedup) plus a peak-RSS
-// ceiling on the warm row.
+// so the two rows are directly comparable.
 void BM_AnalyzeBundleCached(benchmark::State& state, bool warm) {
   const auto& shared = Shared();
   const std::string dir = std::filesystem::temp_directory_path().string() +

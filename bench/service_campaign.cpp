@@ -5,8 +5,8 @@
 //
 //   clean-burst   concurrent clients flood every tenant; per-tenant
 //                 report bytes match an uninterrupted in-process shard,
-//                 p99 query latency and the daemon's RSS ceiling are
-//                 recorded for the compare_bench.py perf gate;
+//                 p99 query latency is reported and the daemon's RSS
+//                 must stay under its ceiling;
 //   crash         a FAULT-armed crash kills the daemon mid-burst
 //                 (_Exit(137) at an apply boundary); after restart the
 //                 clients resume from `QUERY ingest` accepted counts
@@ -27,9 +27,7 @@
 //
 // Modes: --quick (the ctest `service` label: >= 100 tenants, smaller
 // campaign), --smoke (CI: 2 tenants, kill -9, restart, byte-identical
-// — seconds, not minutes), default (the full sweep).  --json FILE
-// writes google-benchmark-format entries (ingest/query latency plus an
-// rss_ceiling_mb pseudo-entry) for tools/compare_bench.py.
+// — seconds, not minutes), default (the full sweep).
 //
 // Environment knobs:
 //   LD_SVC_APPS     target application runs (default 2000; quick 700)
@@ -347,19 +345,12 @@ struct CampaignEnv {
   }
 };
 
-struct PerfNumbers {
-  double ingest_line_us = 0;
-  double p99_query_us = 0;
-  std::uint64_t rss_mb = 0;
-};
-
 // --------------------------------------------------------------------
 // Cells
 // --------------------------------------------------------------------
 
 /// Clean burst: concurrent clients, full traffic, latency + RSS.
-bool CellCleanBurst(CampaignEnv& env, PerfNumbers& perf,
-                    std::uint64_t rss_ceiling_mb) {
+bool CellCleanBurst(CampaignEnv& env, std::uint64_t rss_ceiling_mb) {
   ServiceOptions options = env.Options("clean");
   const pid_t pid = SpawnDaemon(env.machine, options);
 
@@ -379,7 +370,7 @@ bool CellCleanBurst(CampaignEnv& env, PerfNumbers& perf,
     });
   }
   // A reader thread hammers health/report queries *during* the burst —
-  // the latency the JSON records is latency under load.
+  // the latency the cell reports is latency under load.
   std::vector<double> query_us;
   std::atomic<bool> burst_done{false};
   std::thread reader([&] {
@@ -414,16 +405,17 @@ bool CellCleanBurst(CampaignEnv& env, PerfNumbers& perf,
   bool ok = drained.ok() && ReplyVerdict(*drained) == "OK";
   ok = VerifyReports(*client, env.tenants, env.expected, {}, "clean") && ok;
 
-  perf.ingest_line_us =
+  const double ingest_line_us =
       ingest_seconds * 1e6 / static_cast<double>(env.merged.size());
+  double p99_query_us = 0;
   if (!query_us.empty()) {
     std::sort(query_us.begin(), query_us.end());
-    perf.p99_query_us = query_us[query_us.size() * 99 / 100];
+    p99_query_us = query_us[query_us.size() * 99 / 100];
   }
-  perf.rss_mb = PeakRssMb(pid);
-  if (perf.rss_mb > rss_ceiling_mb) {
+  const std::uint64_t rss_mb = PeakRssMb(pid);
+  if (rss_mb > rss_ceiling_mb) {
     std::fprintf(stderr, "  [clean] RSS %llu MB exceeds ceiling %llu MB\n",
-                 static_cast<unsigned long long>(perf.rss_mb),
+                 static_cast<unsigned long long>(rss_mb),
                  static_cast<unsigned long long>(rss_ceiling_mb));
     ok = false;
   }
@@ -431,8 +423,8 @@ bool CellCleanBurst(CampaignEnv& env, PerfNumbers& perf,
   std::printf("cell clean-burst   %s  (%zu tenants, %zu lines, "
               "%.1f us/line, p99 query %.0f us, rss %llu MB)\n",
               ok ? "ok" : "FAIL", env.tenants.size(), env.merged.size(),
-              perf.ingest_line_us, perf.p99_query_us,
-              static_cast<unsigned long long>(perf.rss_mb));
+              ingest_line_us, p99_query_us,
+              static_cast<unsigned long long>(rss_mb));
   return ok;
 }
 
@@ -661,34 +653,10 @@ bool CellAdmission(CampaignEnv& env) {
 }
 
 // --------------------------------------------------------------------
-// JSON for the perf gate
-// --------------------------------------------------------------------
-
-void WriteBenchJson(const std::string& path, const PerfNumbers& perf) {
-  std::ofstream out(path);
-  // google-benchmark format so tools/compare_bench.py can gate ratios.
-  // rss_ceiling_mb is a pseudo-entry: the value is megabytes, carried
-  // in real_time so the same geomean gate covers memory regressions.
-  out << "{\n  \"context\": {\"executable\": \"service_campaign\"},\n"
-      << "  \"benchmarks\": [\n"
-      << "    {\"name\": \"service/ingest_line\", \"run_type\": "
-         "\"iteration\", \"iterations\": 1, \"real_time\": "
-      << perf.ingest_line_us << ", \"time_unit\": \"us\"},\n"
-      << "    {\"name\": \"service/p99_query\", \"run_type\": "
-         "\"iteration\", \"iterations\": 1, \"real_time\": "
-      << perf.p99_query_us << ", \"time_unit\": \"us\"},\n"
-      << "    {\"name\": \"service/rss_ceiling_mb\", \"run_type\": "
-         "\"iteration\", \"iterations\": 1, \"real_time\": "
-      << static_cast<double>(perf.rss_mb) << ", \"time_unit\": \"us\"}\n"
-      << "  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
-}
-
-// --------------------------------------------------------------------
 // Driver
 // --------------------------------------------------------------------
 
-int Run(bool quick, bool smoke, const std::string& json_out) {
+int Run(bool quick, bool smoke) {
   const std::uint64_t apps =
       EnvU64("LD_SVC_APPS", smoke ? 150 : quick ? 700 : 2000);
   const std::uint64_t seed = EnvU64("LD_SVC_SEED", 29);
@@ -719,19 +687,17 @@ int Run(bool quick, bool smoke, const std::string& json_out) {
   env.expected = ComputeExpected(env.machine, env.tenants, env.base);
 
   bool all_passed = true;
-  PerfNumbers perf;
   if (smoke) {
     // CI smoke: the kill -9 / restart / byte-identical contract only.
     all_passed = CellDaemonDeath(env, /*armed_crash=*/false);
   } else {
-    all_passed = CellCleanBurst(env, perf, rss_ceiling_mb) && all_passed;
+    all_passed = CellCleanBurst(env, rss_ceiling_mb) && all_passed;
     all_passed = CellDaemonDeath(env, /*armed_crash=*/true) && all_passed;
     all_passed = CellDaemonDeath(env, /*armed_crash=*/false) && all_passed;
     all_passed = CellHang(env) && all_passed;
     all_passed = CellSlow(env) && all_passed;
     all_passed = CellShed(env) && all_passed;
     all_passed = CellAdmission(env) && all_passed;
-    if (!json_out.empty()) WriteBenchJson(json_out, perf);
   }
 
   std::filesystem::remove_all(env.base);
@@ -746,20 +712,15 @@ int Run(bool quick, bool smoke, const std::string& json_out) {
 int main(int argc, char** argv) {
   bool quick = false;
   bool smoke = false;
-  std::string json_out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_out = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: service_campaign [--quick|--smoke] "
-                   "[--json FILE]\n");
+      std::fprintf(stderr, "usage: service_campaign [--quick|--smoke]\n");
       return 2;
     }
   }
-  return ld::service::Run(quick, smoke, json_out);
+  return ld::service::Run(quick, smoke);
 }

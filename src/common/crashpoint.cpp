@@ -20,11 +20,6 @@ std::atomic<std::int64_t> g_remaining{0};
 std::atomic<bool> g_hang_armed{false};
 std::atomic<std::int64_t> g_hang_remaining{0};
 std::atomic<bool> g_truncate_partial{false};
-std::atomic<bool> g_delay_armed{false};
-std::atomic<std::uint64_t> g_delay_after{0};
-std::atomic<std::uint64_t> g_delay_mean_ms{5};
-std::atomic<std::uint64_t> g_delay_seed{1};
-std::atomic<std::uint64_t> g_delay_ticks{0};
 std::once_flag g_env_once;
 
 std::uint64_t ParseCount(const char* value) {
@@ -49,16 +44,6 @@ void MaybeInitFromEnv() {
     if (trunc != nullptr && *trunc != '\0' &&
         !(trunc[0] == '0' && trunc[1] == '\0')) {
       g_truncate_partial.store(true);
-    }
-    if (const std::uint64_t n = ParseCount(std::getenv(kDelayAfterEnv))) {
-      g_delay_after.store(n);
-      if (const std::uint64_t ms = ParseCount(std::getenv(kDelayMsEnv))) {
-        g_delay_mean_ms.store(ms);
-      }
-      if (const std::uint64_t s = ParseCount(std::getenv(kDelaySeedEnv))) {
-        g_delay_seed.store(s);
-      }
-      g_delay_armed.store(true);
     }
   });
 }
@@ -102,17 +87,6 @@ void ArmHangPoint(std::uint64_t after) {
   g_hang_armed.store(after != 0);
 }
 
-void DisarmHangPoint() {
-  MaybeInitFromEnv();
-  g_hang_armed.store(false);
-  g_hang_remaining.store(0);
-}
-
-bool HangPointArmed() {
-  MaybeInitFromEnv();
-  return g_hang_armed.load();
-}
-
 void ArmTruncatePartial(bool armed) {
   MaybeInitFromEnv();
   g_truncate_partial.store(armed);
@@ -121,27 +95,6 @@ void ArmTruncatePartial(bool armed) {
 bool TruncatePartialArmed() {
   MaybeInitFromEnv();
   return g_truncate_partial.load();
-}
-
-void ArmDelayPoint(std::uint64_t after, std::uint64_t mean_ms,
-                   std::uint64_t seed) {
-  MaybeInitFromEnv();
-  g_delay_after.store(after);
-  g_delay_mean_ms.store(mean_ms == 0 ? 1 : mean_ms);
-  g_delay_seed.store(seed);
-  g_delay_ticks.store(0);
-  g_delay_armed.store(after != 0);
-}
-
-void DisarmDelayPoint() {
-  MaybeInitFromEnv();
-  g_delay_armed.store(false);
-  g_delay_after.store(0);
-}
-
-bool DelayPointArmed() {
-  MaybeInitFromEnv();
-  return g_delay_armed.load();
 }
 
 std::uint64_t DelayForBoundary(std::uint64_t index, std::uint64_t mean_ms,
@@ -175,17 +128,6 @@ void CrashPoint(std::string_view tag) {
                  static_cast<int>(tag.size()), tag.data());
     std::fflush(stderr);
     for (;;) ::pause();
-  }
-  if (g_delay_armed.load(std::memory_order_relaxed)) {
-    const std::uint64_t tick =
-        g_delay_ticks.fetch_add(1, std::memory_order_relaxed) + 1;
-    const std::uint64_t after = g_delay_after.load(std::memory_order_relaxed);
-    if (after != 0 && tick >= after) {
-      const std::uint64_t ms =
-          DelayForBoundary(tick, g_delay_mean_ms.load(std::memory_order_relaxed),
-                           g_delay_seed.load(std::memory_order_relaxed));
-      ::usleep(static_cast<useconds_t>(ms * 1000));
-    }
   }
 }
 

@@ -17,12 +17,10 @@
 //     place and exits successfully.  This models the one torn-output
 //     case atomic rename cannot prevent (bad disk, truncated copy on a
 //     shared filesystem) and must be caught by the reader's CRC.
-//   * delay — from the Nth boundary on, every boundary sleeps a
-//     seeded pseudo-random duration.  Unlike a hang the process keeps
-//     making progress, so a monitoring layer (the logdiverd watchdog)
-//     can be tested to *not* kill a merely-slow shard while still
-//     killing a hung one.  The delay sequence is a deterministic
-//     function of (seed, boundary index).
+//
+// DelayForBoundary() is the seeded slow-but-alive schedule logdiverd's
+// `FAULT slow` applies per line; it is a pure function, not a boundary
+// fault.
 //
 // Disarmed (the default), every CrashPoint() call is a branch on one
 // bool and nothing more, so the hooks are safe to leave in production
@@ -31,11 +29,10 @@
 // one of them must win the fault.
 //
 // Arming is either programmatic (ArmCrashPoint / ArmHangPoint /
-// ArmTruncatePartial / ArmDelayPoint) or via the environment variables
-// LD_CRASH_AFTER, LD_HANG_AFTER, LD_TRUNCATE_PARTIAL and LD_DELAY_AFTER
-// (with LD_DELAY_MS / LD_DELAY_SEED companions), read once on first use
-// — the env path is what lets a supervisor arm its *child* without a
-// side channel.
+// ArmTruncatePartial) or via the environment variables LD_CRASH_AFTER,
+// LD_HANG_AFTER and LD_TRUNCATE_PARTIAL, read once on first use — the
+// env path is what lets a supervisor arm its *child* without a side
+// channel.
 #pragma once
 
 #include <cstdint>
@@ -54,12 +51,6 @@ inline constexpr const char* kHangAfterEnv = "LD_HANG_AFTER";
 /// Environment variable flagging partial-truncation (any non-empty,
 /// non-"0" value arms it).
 inline constexpr const char* kTruncatePartialEnv = "LD_TRUNCATE_PARTIAL";
-/// Environment variable carrying the delay-start boundary count.
-inline constexpr const char* kDelayAfterEnv = "LD_DELAY_AFTER";
-/// Mean injected delay per boundary, in milliseconds (default 5).
-inline constexpr const char* kDelayMsEnv = "LD_DELAY_MS";
-/// Seed of the deterministic delay sequence (default 1).
-inline constexpr const char* kDelaySeedEnv = "LD_DELAY_SEED";
 
 /// Arms the crash countdown: the `after`-th CrashPoint() call from now
 /// dies.  `after` == 1 means the very next boundary.
@@ -78,12 +69,6 @@ std::uint64_t CrashPointRemaining();
 /// stops forever in a pause() loop (recoverable only by SIGKILL).
 void ArmHangPoint(std::uint64_t after);
 
-/// Disarms the hang countdown.
-void DisarmHangPoint();
-
-/// True when a hang countdown is live (programmatic or from the env).
-bool HangPointArmed();
-
 /// Arms/disarms the truncate-partial flag a fleet worker checks after
 /// writing its partial snapshot.
 void ArmTruncatePartial(bool armed = true);
@@ -91,22 +76,9 @@ void ArmTruncatePartial(bool armed = true);
 /// True when the worker should corrupt its partial before exiting.
 bool TruncatePartialArmed();
 
-/// Arms latency injection: boundary hits `after` and beyond each sleep a
-/// duration drawn deterministically from `seed` with mean `mean_ms`
-/// (uniform in [mean_ms/2, 3*mean_ms/2], minimum 1 ms).  `after` == 1
-/// slows every boundary from the next one on; `after` == 0 disarms.
-void ArmDelayPoint(std::uint64_t after, std::uint64_t mean_ms = 5,
-                   std::uint64_t seed = 1);
-
-/// Disarms latency injection.
-void DisarmDelayPoint();
-
-/// True when latency injection is live (programmatic or from the env).
-bool DelayPointArmed();
-
-/// The delay (ms) boundary number `index` (1-based) would sleep under
-/// the given seed/mean — exposed so tests can assert the injected
-/// sequence is the deterministic function the docs promise.
+/// The delay (ms) for boundary number `index` (1-based) under the given
+/// seed and mean: uniform in [mean_ms/2, 3*mean_ms/2], minimum 1 ms, and
+/// a deterministic function of (seed, index).
 std::uint64_t DelayForBoundary(std::uint64_t index, std::uint64_t mean_ms,
                                std::uint64_t seed);
 

@@ -124,17 +124,6 @@ double Rng::LogNormal(double mu, double sigma) {
   return std::exp(Normal(mu, sigma));
 }
 
-double Rng::Pareto(double xm, double alpha) {
-  if (xm <= 0.0 || alpha <= 0.0) {
-    throw std::invalid_argument("Pareto: xm/alpha <= 0");
-  }
-  double u;
-  do {
-    u = UniformDouble();
-  } while (u <= 0.0);
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
 std::uint64_t Rng::Poisson(double mean) {
   if (mean < 0.0) throw std::invalid_argument("Poisson: mean < 0");
   if (mean == 0.0) return 0;

@@ -44,8 +44,6 @@ class Rng {
   double Weibull(double shape, double scale);
   /// Lognormal: exp(Normal(mu, sigma)).
   double LogNormal(double mu, double sigma);
-  /// Pareto (type I) with scale x_m and shape alpha.
-  double Pareto(double xm, double alpha);
   /// Poisson-distributed count with the given mean (Knuth / normal approx.).
   std::uint64_t Poisson(double mean);
 

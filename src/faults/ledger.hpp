@@ -45,13 +45,6 @@ struct FaultLedger {
   std::uint64_t xk_kills = 0;
   std::uint64_t xk_kills_undetected_cause = 0;
 
-  /// Share of system kills whose cause left no log evidence.
-  double UndetectedCauseShare() const {
-    return kills_total == 0 ? 0.0
-                            : static_cast<double>(kills_undetected_cause) /
-                                  static_cast<double>(kills_total);
-  }
-
   /// Order-insensitive FNV-style fingerprint over every counter; equal
   /// ledgers <=> equal fingerprints (used by the determinism tests).
   std::uint64_t Fingerprint() const;

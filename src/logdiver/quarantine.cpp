@@ -1,19 +1,9 @@
 #include "logdiver/quarantine.hpp"
 
-#include <fstream>
-
 #include "common/obs/obs.hpp"
 #include "logdiver/snapshot.hpp"
 
 namespace ld {
-
-const char* DegradationPolicyName(DegradationPolicy policy) {
-  switch (policy) {
-    case DegradationPolicy::kFailFast: return "fail_fast";
-    case DegradationPolicy::kQuarantineAndContinue: return "quarantine";
-  }
-  return "unknown";
-}
 
 QuarantineSink::QuarantineSink(QuarantineConfig config)
     : config_(config) {}
@@ -53,41 +43,6 @@ void QuarantineSink::MergeFrom(QuarantineSink&& other) {
 
 std::uint64_t QuarantineSink::count(LogSource source) const {
   return by_source_[static_cast<std::size_t>(source)];
-}
-
-std::vector<std::string> QuarantineSink::Render() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const QuarantineEntry& entry : entries_) {
-    std::string row = LogSourceName(entry.source);
-    row += '|';
-    row += std::to_string(entry.line_number);
-    row += '|';
-    row += entry.reason;
-    row += '|';
-    // Control bytes in garbled lines would corrupt the quarantine file's
-    // own line framing; escape them.
-    for (char c : entry.line) {
-      const auto u = static_cast<unsigned char>(c);
-      if (u < 0x20 || u == 0x7f) {
-        constexpr char kHex[] = "0123456789abcdef";
-        row += "\\x";
-        row += kHex[u >> 4];
-        row += kHex[u & 0xf];
-      } else {
-        row += c;
-      }
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
-}
-
-Status QuarantineSink::WriteTo(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return InternalError("cannot write '" + path + "'");
-  for (const std::string& row : Render()) out << row << '\n';
-  return Status::Ok();
 }
 
 void QuarantineSink::SaveState(SnapshotWriter& w) const {

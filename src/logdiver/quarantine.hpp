@@ -32,8 +32,6 @@ enum class DegradationPolicy : std::uint8_t {
   kQuarantineAndContinue,
 };
 
-const char* DegradationPolicyName(DegradationPolicy policy);
-
 /// One rejected line, captured with its rejection reason.
 struct QuarantineEntry {
   LogSource source = LogSource::kTorque;
@@ -75,11 +73,6 @@ class QuarantineSink {
   std::uint64_t total() const { return total_; }
   std::uint64_t overflow() const { return overflow_; }
   std::uint64_t count(LogSource source) const;
-
-  /// Renders the quarantine file format (see docs/FORMATS.md):
-  ///   source|line_number|reason|line
-  std::vector<std::string> Render() const;
-  Status WriteTo(const std::string& path) const;
 
   /// Snapshot serialization hooks: entries, totals, overflow and the
   /// per-source counters round-trip; the config stays construction-time.

@@ -8,16 +8,6 @@
 
 namespace ld {
 
-const char* LocScopeName(LocScope s) {
-  switch (s) {
-    case LocScope::kNode: return "node";
-    case LocScope::kBlade: return "blade";
-    case LocScope::kGemini: return "gemini";
-    case LocScope::kSystem: return "system";
-  }
-  return "invalid";
-}
-
 const char* LogSourceName(LogSource s) {
   switch (s) {
     case LogSource::kTorque: return "torque";
@@ -50,7 +40,7 @@ bool ScanDigits(const char*& p, const char* end, std::uint64_t& value) {
 }
 
 /// Why a comma piece is rejected, worded as a per-piece ParseUint walk
-/// words it: quarantine.csv records these strings as the reason.
+/// words it: quarantine entries record these strings as the reason.
 Status NidPieceError(std::string_view piece) {
   const std::size_t dash = piece.find('-');
   if (dash == std::string_view::npos) return ParseUint(piece).status();

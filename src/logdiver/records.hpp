@@ -25,8 +25,6 @@ namespace ld {
 /// them) — the correlator resolves routers to their attached nodes.
 enum class LocScope : std::uint8_t { kNode, kBlade, kGemini, kSystem };
 
-const char* LocScopeName(LocScope s);
-
 /// Which log file a record came from.
 enum class LogSource : std::uint8_t { kTorque, kAlps, kSyslog, kHwerr };
 

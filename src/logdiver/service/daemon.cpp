@@ -17,6 +17,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Retry hint (ms) when the admission cap refuses a new tenant.
+constexpr std::uint64_t kAdmissionRetryMs = 100;
+
 }  // namespace
 
 LogDiverDaemon::LogDiverDaemon(const Machine& machine, ServiceOptions options)
@@ -138,7 +141,7 @@ std::shared_ptr<TenantShard> LogDiverDaemon::FindOrAdmit(
   const auto it = tenants_.find(tenant);
   if (it != tenants_.end()) return it->second;
   if (tenants_.size() >= options_.max_tenants) {
-    refusal = BusyReply(options_.admission_retry_ms,
+    refusal = BusyReply(kAdmissionRetryMs,
                         "daemon at max-tenants (" +
                             std::to_string(options_.max_tenants) + ")");
     return nullptr;

@@ -46,8 +46,6 @@ struct ServiceOptions {
   std::string data_dir;
   /// Admission cap on concurrent tenants.
   std::size_t max_tenants = 128;
-  /// Retry hint (ms) when the admission cap refuses a new tenant.
-  std::uint64_t admission_retry_ms = 100;
   /// Watchdog cadence and the no-progress window that counts as a
   /// stall.  0 watchdog_period_ms disables the watchdog.
   std::uint64_t watchdog_period_ms = 100;

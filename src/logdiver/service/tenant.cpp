@@ -20,6 +20,11 @@ constexpr std::uint32_t kTenantSnapshotVersion = 1;
 /// Worker batch size: items applied per state-lock acquisition, so
 /// queries interleave with a busy apply loop instead of starving.
 constexpr std::size_t kApplyBatch = 256;
+/// Retry-after hint on a BUSY reply (full queue or draining tenant).
+constexpr std::uint64_t kBusyRetryMs = 20;
+/// How long a query waits for the state lock before declaring the
+/// shard stalled.
+constexpr std::chrono::milliseconds kQueryLockTimeout{500};
 
 /// Takes `mu` within `timeout` (the lock does not own it on a timeout).
 /// The deadline is on the system clock, so the wait is
@@ -213,7 +218,7 @@ std::string TenantShard::Ingest(LogSource source, std::string_view line) {
     return ErrReply("tenant " + tenant_id_ + " is being recycled");
   }
   if (draining_.load(std::memory_order_relaxed)) {
-    return BusyReply(limits_.busy_retry_ms, "tenant draining");
+    return BusyReply(kBusyRetryMs, "tenant draining");
   }
   std::lock_guard<std::mutex> lock(ingest_mu_);
   if (journal_broken_) {
@@ -228,7 +233,7 @@ std::string TenantShard::Ingest(LogSource source, std::string_view line) {
     std::lock_guard<std::mutex> qlock(queue_mu_);
     if (queue_.size() >= limits_.queue_capacity) {
       LD_OBS_COUNTER_ADD(obs::names::kSvcIngestBackpressuredTotal, 1);
-      return BusyReply(limits_.busy_retry_ms, "ingest queue full");
+      return BusyReply(kBusyRetryMs, "ingest queue full");
     }
   }
   auto offset = journal_.Append(source, line);
@@ -254,8 +259,9 @@ void TenantShard::ApplyLocked(const JournalRecord& record) {
   analyzer_->Add(std::move(claimed));
   const std::uint64_t n = applied_.fetch_add(1, std::memory_order_relaxed) + 1;
   applied_offset_ = record.end_offset;
-  if (limits_.advance_every != 0 && n % limits_.advance_every == 0) {
-    analyzer_->Advance(time - limits_.reorder_slack);
+  const ReplaySchedule& schedule = limits_.schedule;
+  if (schedule.advance_every != 0 && n % schedule.advance_every == 0) {
+    analyzer_->Advance(time - schedule.reorder_slack);
   }
 }
 
@@ -348,8 +354,7 @@ void TenantShard::WorkerLoop() {
 }
 
 std::string TenantShard::QueryReport() {
-  const auto state = LockWithin(
-      state_mu_, std::chrono::milliseconds(limits_.query_lock_timeout_ms));
+  const auto state = LockWithin(state_mu_, kQueryLockTimeout);
   if (!state.owns_lock()) {
     return ErrReply("tenant " + tenant_id_ + " stalled (apply lock busy)");
   }
@@ -362,8 +367,7 @@ std::string TenantShard::QueryReport() {
 }
 
 std::string TenantShard::QueryIngest() {
-  const auto state = LockWithin(
-      state_mu_, std::chrono::milliseconds(limits_.query_lock_timeout_ms));
+  const auto state = LockWithin(state_mu_, kQueryLockTimeout);
   if (!state.owns_lock()) {
     return ErrReply("tenant " + tenant_id_ + " stalled (apply lock busy)");
   }

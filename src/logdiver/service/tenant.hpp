@@ -44,6 +44,7 @@
 
 #include "logdiver/claims.hpp"
 #include "logdiver/quarantine.hpp"
+#include "logdiver/resume.hpp"
 #include "logdiver/service/journal.hpp"
 #include "logdiver/snapshot.hpp"
 #include "logdiver/streaming.hpp"
@@ -76,22 +77,16 @@ struct TenantBudgetConfig {
 /// daemon; ServiceOptions carries the daemon-level copies).
 struct TenantLimits {
   std::size_t queue_capacity = 1024;
-  /// Retry-after hint on a BUSY (full-queue) reply.
-  std::uint64_t busy_retry_ms = 20;
   /// Snapshot after this many applied lines (0 = never by count) ...
   std::uint64_t snapshot_interval_lines = 4096;
   /// ... or once this many journal bytes accumulate past the last
   /// snapshot (0 = never by bytes).  Whichever trips first.
   std::uint64_t snapshot_interval_bytes = 1 << 20;
   /// Watermark cadence: Advance(claimed - reorder_slack) every
-  /// `advance_every` applied lines (the resume-path schedule).
-  std::uint64_t advance_every = 64;
-  Duration reorder_slack = Duration::Minutes(5);
+  /// `advance_every` applied lines (the resume path's schedule type).
+  ReplaySchedule schedule{64, Duration::Minutes(5)};
   /// Snapshot generations retained per tenant.
   std::size_t keep_generations = 2;
-  /// How long a query waits for the state lock before declaring the
-  /// shard stalled.
-  std::uint64_t query_lock_timeout_ms = 500;
   /// How long Stop() waits for the worker to finish its queue before
   /// abandoning it (a wedged worker must not pin shutdown forever).
   std::uint64_t stop_grace_ms = 10000;

@@ -56,8 +56,9 @@ TEST(ParseNidRanges, Rejections) {
 }
 
 TEST(ParseNidRanges, RejectionReasonsAreStable) {
-  // quarantine.csv records Status::ToString() as the reason column, so
-  // these strings are part of the output.
+  // Quarantine entries record Status::ToString() as the reason, and
+  // snapshots and cache entries carry it, so these strings are part of
+  // the output.
   const struct {
     const char* text;
     const char* reason;

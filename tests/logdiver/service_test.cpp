@@ -124,7 +124,7 @@ TEST(ProtocolTest, ReplyVerdicts) {
 }
 
 // --------------------------------------------------------------------
-// Delay fault point (LD_DELAY_AFTER)
+// Slow-fault delay schedule (FAULT slow)
 // --------------------------------------------------------------------
 
 TEST(DelayPointTest, BoundedAndDeterministic) {
@@ -141,15 +141,6 @@ TEST(DelayPointTest, BoundedAndDeterministic) {
   }
   EXPECT_TRUE(differs);
   EXPECT_GE(DelayForBoundary(7, /*mean_ms=*/0, /*seed=*/1), 1u);
-}
-
-TEST(DelayPointTest, ArmDisarm) {
-  EXPECT_FALSE(DelayPointArmed());
-  ArmDelayPoint(1, /*mean_ms=*/1, /*seed=*/1);
-  EXPECT_TRUE(DelayPointArmed());
-  CrashPoint("test");  // one ~1 ms nap; proves the path doesn't wedge
-  DisarmDelayPoint();
-  EXPECT_FALSE(DelayPointArmed());
 }
 
 // --------------------------------------------------------------------
@@ -439,7 +430,7 @@ TEST_F(ServiceTest, RecoveryIsBitIdenticalToUninterruptedRun) {
       ASSERT_LT(cut, n);
     }
     TenantLimits limits;
-    limits.advance_every = 1;
+    limits.schedule.advance_every = 1;
 
     // Reference: one shard, never interrupted.
     const std::string ref_dir = Dir("recovery_ref");

@@ -13,9 +13,16 @@ ANALYZE_FLAGS, `{run}` expands to a fresh empty directory per run, e.g.
 `-- --bundle-cache-dir {run}/cache` (a cold cache every run).
 
 Prints each side's wall-time median and quartiles, how many pairs each
-side won (strictly faster), and how many pairs tied.  Exits 1 if, in any pair, the ten CSV exports or the
-ground-truth scoring line differ between the sides, and 2 if a run
-fails; a slower side alone never fails the script.
+side won (strictly faster), and how many pairs tied.
+
+With at least 10 pairs it also gives a verdict: B is significantly
+slower when B lost at least ceil(0.9 * pairs) pairs (ties count for
+neither side) and median(B) - median(A) exceeds A's quartile spread
+(Q3 - Q1).  Fewer pairs give no verdict.
+
+Exit codes, highest precedence first: 2 if a run fails, 3 if B is
+significantly slower, 1 if, in any pair, the ten CSV exports or the
+ground-truth scoring line differ between the sides, 0 otherwise.
 """
 
 import argparse
@@ -29,6 +36,7 @@ import tempfile
 import time
 
 SCORE_PREFIX = "system precision:"
+MIN_VERDICT_PAIRS = 10
 
 
 def digest_dir(path):
@@ -73,6 +81,31 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def pair_wins(a_walls, b_walls):
+    """(pairs A won, pairs B won, ties): only a strictly faster side wins."""
+    a_won = sum(a < b for a, b in zip(a_walls, b_walls))
+    b_won = sum(b < a for a, b in zip(a_walls, b_walls))
+    return a_won, b_won, len(a_walls) - a_won - b_won
+
+
+def slower_verdict(a_walls, b_walls):
+    """(True if B is significantly slower, False if not, None below
+    MIN_VERDICT_PAIRS pairs; and the line that explains it)."""
+    pairs = len(a_walls)
+    if pairs < MIN_VERDICT_PAIRS:
+        return None, "no verdict (fewer than %d pairs)" % MIN_VERDICT_PAIRS
+    b_lost = pair_wins(a_walls, b_walls)[0]
+    need = (9 * pairs + 9) // 10  # ceil(0.9 * pairs)
+    q1, q3 = quartiles(a_walls)
+    gap = statistics.median(b_walls) - statistics.median(a_walls)
+    slower = b_lost >= need and gap > q3 - q1
+    return slower, ("B %s: lost %d/%d pairs (slower needs >= %d) and "
+                    "median gap %+.3f s against A quartile spread %.3f s" %
+                    ("significantly slower" if slower else
+                     "not significantly slower", b_lost, pairs, need, gap,
+                     q3 - q1))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("a_cli")
@@ -92,8 +125,6 @@ def main():
     os.makedirs(work, exist_ok=True)
     sides = {"A": args.a_cli, "B": args.b_cli}
     walls = {"A": [], "B": []}
-    wins = {"A": 0, "B": 0}
-    ties = 0
     mismatches = []
     try:
         for i in range(args.pairs):
@@ -107,13 +138,6 @@ def main():
                 shutil.rmtree(run_dir, ignore_errors=True)
             for side in sides:
                 walls[side].append(result[side][0])
-            # A pair is won only by the strictly faster side.
-            if result["A"][0] < result["B"][0]:
-                wins["A"] += 1
-            elif result["B"][0] < result["A"][0]:
-                wins["B"] += 1
-            else:
-                ties += 1
             if result["A"][1] != result["B"][1]:
                 differ = sorted(name for name in set(result["A"][1]) |
                                 set(result["B"][1])
@@ -134,17 +158,22 @@ def main():
         if not args.work:
             shutil.rmtree(work, ignore_errors=True)
 
-    for side in sides:
+    a_won, b_won, ties = pair_wins(walls["A"], walls["B"])
+    for side, won in (("A", a_won), ("B", b_won)):
         q1, q3 = quartiles(walls[side])
         print("%s: median %.3f s  quartiles %.3f / %.3f s  pairs won %d/%d"
               "  (%s)" % (side, statistics.median(walls[side]), q1, q3,
-                          wins[side], args.pairs, sides[side]))
+                          won, args.pairs, sides[side]))
     print("tied pairs (won by neither side): %d" % ties)
+    slower, why = slower_verdict(walls["A"], walls["B"])
+    print("verdict: %s" % why)
     if mismatches:
         print("\n".join(mismatches), file=sys.stderr)
-        return 1
-    print("outputs identical: CSV exports and scoring line")
-    return 0
+    else:
+        print("outputs identical: CSV exports and scoring line")
+    if slower:
+        return 3
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
