@@ -27,10 +27,12 @@
 // --small selects the 1,152-node testbed machine instead of the full
 // Blue Waters model (the machine geometry must match the bundle).
 //
-// --threads N sets the parse thread count for the batch analyze path
-// (0 = auto: LOGDIVER_THREADS env, else hardware concurrency).  Results
-// are bit-identical at any thread count.  The streaming/--snapshot-dir
-// path is single-threaded by design and ignores it.
+// --threads N sets the parse thread count (0 = auto: LOGDIVER_THREADS
+// env, else hardware concurrency).  Results are bit-identical at any
+// thread count.  The batch path parses chunks on the pool; the
+// --snapshot-dir child parses Torque/ALPS/hwerr lines a block ahead of
+// its one-threaded merge, and --threads 1 parses each line inline.  The
+// fleet's workers parse inline whatever the flag says.
 //
 //   With --fleet-workers N, analyze fans the bundle across N supervised
 //   worker processes (ownership-sharded by apid) and merges their
@@ -400,9 +402,11 @@ int main(int argc, char** argv) {
       ld::ResumeOptions options;
       options.snapshot_dir = snapshot_dir;
       options.snapshot_interval = snapshot_interval;
+      ld::LogDiverConfig stream_config;
+      stream_config.threads = threads;
       auto result = ld::RunResumableAnalysis(
-          machine, ld::LogDiverConfig{},
-          ld::StreamInputs::FromBundleDir(dir), options);
+          machine, stream_config, ld::StreamInputs::FromBundleDir(dir),
+          options);
       if (!result.ok()) {
         std::cerr << "analyze failed: " << result.status().ToString() << "\n";
         return 1;

@@ -19,6 +19,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -64,6 +65,21 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
+};
+
+/// The pool a configured thread count asks for: ResolveThreadCount
+/// workers, or none when that is one thread and the caller runs inline
+/// (get() is null then).
+class ConfiguredPool {
+ public:
+  explicit ConfiguredPool(int configured) {
+    const int threads = ResolveThreadCount(configured);
+    if (threads > 1) pool_.emplace(threads);
+  }
+  ThreadPool* get() { return pool_ ? &*pool_ : nullptr; }
+
+ private:
+  std::optional<ThreadPool> pool_;
 };
 
 /// A batch of tasks whose completion can be awaited as a unit.  With a

@@ -1,7 +1,10 @@
 // Claimed times: the one rule that merges a bundle's four sources into
 // one stream, used by the replay loop (resume.hpp) and the service's
 // apply path (service/tenant.hpp).  Both claim a line from the one parse
-// the analyzer then takes (StreamingAnalyzer::Add).
+// the analyzer then takes (StreamingAnalyzer::Add).  The parse is pure
+// and the claim is the only stateful step, so the two are separate:
+// the replay loop parses Torque/ALPS/hwerr lines ahead on a thread pool
+// and claims them in merge order on its own thread.
 //
 // A line's claimed time is the last parseable timestamp of its source,
 // carried over lines that do not parse (a real shipper cannot drop what
@@ -12,6 +15,7 @@
 // keeps its order with the carry as the only state.
 #pragma once
 
+#include <span>
 #include <string_view>
 #include <variant>
 
@@ -24,15 +28,17 @@
 
 namespace ld {
 
-/// One line, parsed once and claimed.  A syslog line carries no parse
-/// (monostate): its claim reads only the stamp, and the stateful syslog
-/// parser reads the line when the analyzer takes it.
+/// One line's pure parse.  A syslog line carries none (monostate): its
+/// claim reads only the stamp, and the stateful syslog parser reads the
+/// line when the analyzer takes it.
+using LineParse = std::variant<std::monostate, TorqueParser::Parsed,
+                               AlpsParser::Parsed, HwerrParser::Parsed>;
+
+/// One line, parsed once and claimed.
 struct ClaimedLine {
   std::string_view line;
   TimePoint claimed;
-  std::variant<std::monostate, TorqueParser::Parsed, AlpsParser::Parsed,
-               HwerrParser::Parsed>
-      parsed;
+  LineParse parsed;
 };
 
 class ClaimedTracker {
@@ -40,9 +46,28 @@ class ClaimedTracker {
   explicit ClaimedTracker(int syslog_base_year)
       : syslog_base_year_(syslog_base_year) {}
 
-  /// Parses `line` once (a syslog line: only its stamp), advances the
-  /// source's carry, and returns the claim together with the parse.
-  ClaimedLine ParseAndClaim(LogSource source, std::string_view line);
+  /// The pure per-line parse: depends on nothing but the line, so it is
+  /// safe on any thread.  A syslog line gets no parse (monostate).
+  static LineParse Parse(LogSource source, std::string_view line);
+
+  /// Advances the source's carry from `parsed`, the line's Parse (a
+  /// syslog line: from its stamp), and returns the claim together with
+  /// the parse.
+  ClaimedLine Claim(LogSource source, std::string_view line,
+                    LineParse&& parsed);
+
+  /// Claim(Parse(..)): the one parse-claim step of the service's apply
+  /// path and of the replay loop without a pool.
+  ClaimedLine ParseAndClaim(LogSource source, std::string_view line) {
+    return Claim(source, line, Parse(source, line));
+  }
+
+  /// Leaves the source's carry where claiming every line of `prefix` in
+  /// order would, without parsing the whole prefix: a Torque, ALPS or
+  /// hwerr carry is the time of the prefix's last record, found by
+  /// scanning back (none keeps the carry).  A syslog stamp's year chains
+  /// through the carry, so syslog claims the prefix forward, stamps only.
+  void ClaimPrefix(LogSource source, std::span<const std::string_view> prefix);
 
   /// The four carries in LogSource order (tenant snapshot payload).
   void Snapshot(SnapshotWriter& w) const {

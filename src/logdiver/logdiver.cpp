@@ -4,7 +4,6 @@
 #include <cctype>
 #include <filesystem>
 #include <iterator>
-#include <optional>
 #include <span>
 #include <utility>
 
@@ -109,12 +108,8 @@ Result<AnalysisResult> LogDiver::Analyze(const LogSet& logs) const {
 }
 
 Result<AnalysisResult> LogDiver::Analyze(const LogSetView& logs) const {
-  const int threads = ResolveThreadCount(config_.threads);
-  if (threads > 1) {
-    ThreadPool pool(threads);
-    return AnalyzeWith(logs, &pool);
-  }
-  return AnalyzeWith(logs, nullptr);
+  ConfiguredPool pool(config_.threads);
+  return AnalyzeWith(logs, pool.get());
 }
 
 namespace {
@@ -329,13 +324,8 @@ Result<AnalysisResult> LogDiver::AnalyzeParsed(ParsedLogs&& parsed,
 }
 
 Result<AnalysisResult> LogDiver::AnalyzeBundle(const std::string& dir) const {
-  const int threads = ResolveThreadCount(config_.threads);
-  std::optional<ThreadPool> pool_storage;
-  ThreadPool* pool = nullptr;
-  if (threads > 1) {
-    pool_storage.emplace(threads);
-    pool = &*pool_storage;
-  }
+  ConfiguredPool pool_storage(config_.threads);
+  ThreadPool* pool = pool_storage.get();
 
   LD_ASSIGN_OR_RETURN(const MappedBundle bundle,
                       LoadBundle(StreamInputs::FromBundleDir(dir), pool));

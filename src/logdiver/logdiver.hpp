@@ -13,9 +13,10 @@
 // original order, so the AnalysisResult is bit-identical at any thread
 // count (see DESIGN.md "Parallel ingestion").  `LogDiverConfig::threads`
 // (0 = auto: LOGDIVER_THREADS env, else hardware concurrency) sizes the
-// pool; the streaming/resume path stays single-threaded by design — its
-// snapshot cut points are defined per consumed line, which a parallel
-// parse has no equivalent of.
+// pool.  The streaming/resume path keeps its state on one thread — its
+// snapshot cut points are defined per consumed line — and uses the pool
+// only to parse Torque/ALPS/hwerr lines ahead of that thread
+// (resume.hpp).
 #pragma once
 
 #include <string>
@@ -61,9 +62,10 @@ struct LogDiverConfig {
   /// Calendar year of the first syslog line (classic syslog timestamps
   /// carry no year; see SyslogParser).
   int syslog_base_year = 2013;
-  /// Parse threads for the batch path: 0 = auto (LOGDIVER_THREADS env,
-  /// else hardware concurrency), 1 = sequential, N = pool of N.  The
-  /// result is bit-identical for every value.
+  /// Parse threads for the batch path and the streaming replay's
+  /// parse-ahead (RunResumableAnalysis, ReplayBundle): 0 = auto
+  /// (LOGDIVER_THREADS env, else hardware concurrency), 1 = sequential,
+  /// N = pool of N.  The result is bit-identical for every value.
   int threads = 0;
   /// Lines per parse task; tests shrink it to force chunk boundaries on
   /// tiny streams.  0 means the default.

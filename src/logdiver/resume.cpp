@@ -1,10 +1,14 @@
 #include "logdiver/resume.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "common/crashpoint.hpp"
 #include "common/obs/obs.hpp"
+#include "common/parallel.hpp"
 #include "common/supervise.hpp"
 #include "logdiver/cache/bundle_cache.hpp"
 #include "logdiver/claims.hpp"
@@ -19,37 +23,105 @@ namespace {
 /// files").
 constexpr std::uint32_t kResumeStateVersion = 1;
 
+/// One source's heads, parsed ahead on the pool: the loop takes parses
+/// from one block while the pool parses the next, so the per-line parse
+/// leaves the consuming thread.  Parse is pure, so every parse, and
+/// every claim made from it, is the inline path's.
+class ParseAhead {
+ public:
+  /// Parses `lines` from index `first` on, one block ahead of Take.
+  ParseAhead(ThreadPool* pool, LogSource source,
+             std::span<const std::string_view> lines, std::size_t first)
+      : source_(source), lines_(lines), first_(first),
+        blocks_{Block(pool), Block(pool)} {
+    Submit(0);
+    Submit(1);
+  }
+
+  /// The parse of line `index`.  Lines are taken in order from `first`,
+  /// each once.
+  LineParse Take(std::size_t index) {
+    const std::size_t offset = index - first_;
+    const std::size_t k = offset / kParseAheadLines;
+    Block& block = blocks_[k % 2];
+    if (offset % kParseAheadLines == 0) {
+      // Block k-1 is consumed: its buffer takes block k+1.
+      if (k > 0) Submit(k + 1);
+      block.parsing.Wait();
+    }
+    return std::move(block.parses[offset % kParseAheadLines]);
+  }
+
+ private:
+  struct Block {
+    explicit Block(ThreadPool* pool)
+        : parses(kParseAheadLines), parsing(pool) {}
+    std::vector<LineParse> parses;
+    /// Declared after `parses`, so it drains an in-flight parse before
+    /// the buffer dies (an early return out of the replay loop).
+    TaskGroup parsing;
+  };
+
+  /// Starts parsing block `k` into its buffer; past the end, nothing.
+  void Submit(std::size_t k) {
+    const std::size_t begin = first_ + k * kParseAheadLines;
+    if (begin >= lines_.size()) return;
+    const std::size_t end = std::min(lines_.size(), begin + kParseAheadLines);
+    Block& block = blocks_[k % 2];
+    block.parsing.Run([this, &block, begin, end] {
+      for (std::size_t i = begin; i < end; ++i) {
+        block.parses[i - begin] = ClaimedTracker::Parse(source_, lines_[i]);
+      }
+    });
+  }
+
+  LogSource source_;
+  std::span<const std::string_view> lines_;
+  std::size_t first_;
+  Block blocks_[2];
+};
+
 /// The deterministic merge-replay loop behind every replay entry point.
 /// Each source has one head, its next unconsumed line, parsed once and
-/// claimed from that parse (ClaimedTracker::ParseAndClaim).  The head
-/// with the earliest claimed time wins (strict `<` ties toward the
-/// lowest source index) and its parse goes on to the analyzer;
-/// watermarks advance on the total-line schedule.  `heads`/`total`
-/// carry restored offsets in and final positions out — a resumed pass
-/// first rebuilds each source's carried claim by claiming the prefix the
-/// snapshot covered, so the merge order never depends on restored state.
-/// `on_line` (optional) runs after every consumed line — the resumable
-/// path hangs its snapshot schedule there.
+/// claimed from that parse (ClaimedTracker::Claim).  The head with the
+/// earliest claimed time wins (strict `<` ties toward the lowest source
+/// index) and its parse goes on to the analyzer; watermarks advance on
+/// the total-line schedule.  With a pool of more than one thread, the
+/// Torque, ALPS and hwerr parses run ahead of the loop (ParseAhead);
+/// claims, the merge, the analyzer, the syslog parse and `on_line` stay
+/// on this thread, line by line, so the pool changes no result.
+/// `heads`/`total` carry restored offsets in and final positions out —
+/// a resumed pass first rebuilds each source's carried claim from the
+/// prefix the snapshot covered (ClaimedTracker::ClaimPrefix), so the
+/// merge order never depends on restored state.  `on_line` (optional)
+/// runs after every consumed line — the resumable path hangs its
+/// snapshot schedule there.
 void ReplayLoop(const LogSetView& lines, int syslog_base_year,
-                StreamingAnalyzer& analyzer, const ReplaySchedule& schedule,
+                ThreadPool* pool, StreamingAnalyzer& analyzer,
+                const ReplaySchedule& schedule,
                 std::uint64_t heads[kNumLogSources], std::uint64_t& total,
                 const std::function<Status(std::uint64_t total)>& on_line,
                 Status& status) {
   ClaimedTracker tracker(syslog_base_year);
   std::span<const std::string_view> source_lines[kNumLogSources];
+  std::optional<ParseAhead> ahead[kNumLogSources];
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
     const auto source = static_cast<LogSource>(s);
     source_lines[s] = lines.lines(source);
-    for (std::uint64_t i = 0; i < heads[s]; ++i) {
-      tracker.ParseAndClaim(source, source_lines[s][i]);
+    tracker.ClaimPrefix(source, source_lines[s].first(heads[s]));
+    if (pool != nullptr && pool->size() > 1 && source != LogSource::kSyslog) {
+      ahead[s].emplace(pool, source, source_lines[s], heads[s]);
     }
   }
 
   ClaimedLine head[kNumLogSources];
   const auto load_head = [&](std::size_t s) {
     if (heads[s] >= source_lines[s].size()) return;
-    head[s] = tracker.ParseAndClaim(static_cast<LogSource>(s),
-                                    source_lines[s][heads[s]]);
+    const auto source = static_cast<LogSource>(s);
+    const std::string_view line = source_lines[s][heads[s]];
+    head[s] = tracker.Claim(source, line,
+                            ahead[s] ? ahead[s]->Take(heads[s])
+                                     : ClaimedTracker::Parse(source, line));
   };
   for (std::size_t s = 0; s < kNumLogSources; ++s) load_head(s);
 
@@ -93,18 +165,20 @@ Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
                                    const StreamInputs& inputs,
                                    const ReplaySchedule& schedule,
                                    StreamingAnalyzer& analyzer) {
-  LD_ASSIGN_OR_RETURN(const MappedBundle bundle, LoadBundle(inputs, nullptr));
-  return ReplayLines(bundle.views, config, schedule, analyzer);
+  ConfiguredPool pool(config.threads);
+  LD_ASSIGN_OR_RETURN(const MappedBundle bundle,
+                      LoadBundle(inputs, pool.get()));
+  return ReplayLines(bundle.views, config, schedule, analyzer, pool.get());
 }
 
 std::uint64_t ReplayLines(const LogSetView& lines, const LogDiverConfig& config,
                           const ReplaySchedule& schedule,
-                          StreamingAnalyzer& analyzer) {
+                          StreamingAnalyzer& analyzer, ThreadPool* pool) {
   std::uint64_t heads[kNumLogSources] = {0, 0, 0, 0};
   std::uint64_t total = 0;
   Status status;
-  ReplayLoop(lines, config.syslog_base_year, analyzer, schedule, heads, total,
-             nullptr, status);
+  ReplayLoop(lines, config.syslog_base_year, pool, analyzer, schedule, heads,
+             total, nullptr, status);
   return total;
 }
 
@@ -112,12 +186,12 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
                                               const LogDiverConfig& config,
                                               const StreamInputs& inputs,
                                               const ResumeOptions& options) {
-  LD_ASSIGN_OR_RETURN(const MappedBundle bundle, LoadBundle(inputs, nullptr));
+  // The pool lives and dies inside this call: a supervised child has no
+  // thread alive at any fork.
+  ConfiguredPool pool(config.threads);
+  LD_ASSIGN_OR_RETURN(const MappedBundle bundle,
+                      LoadBundle(inputs, pool.get()));
   const LogSetView& views = bundle.views;
-  // The bundle's identity stamps and gates snapshots; without a
-  // snapshot directory nothing reads it.
-  const std::uint64_t fingerprint =
-      options.snapshot_dir.empty() ? 0 : cache::LinesFingerprint(views, 0);
 
   StreamingAnalyzer analyzer(machine, config);
   ResumableSummary out;
@@ -128,7 +202,21 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
       !options.snapshot_dir.empty() && options.snapshot_interval != 0;
   SnapshotStore store(options.snapshot_dir, options.keep_generations);
 
-  if (!options.snapshot_dir.empty() && options.resume) {
+  // The bundle's identity stamps and gates snapshots; without a
+  // snapshot directory nothing reads it.  With a generation to resume
+  // from it gates the load, so it comes first; otherwise only the first
+  // snapshot write reads it, and it is computed on the pool beside the
+  // replay.  `fingerprinting` outlives no value its task touches, so an
+  // early return drains the task first.
+  std::uint64_t fingerprint = 0;
+  TaskGroup fingerprinting(pool.get());
+  const auto fingerprint_bundle = [&fingerprint, &views] {
+    fingerprint = cache::LinesFingerprint(views, 0);
+  };
+  const bool resuming = !options.snapshot_dir.empty() && options.resume &&
+                        !store.Generations().empty();
+  if (resuming) {
+    fingerprint_bundle();
     // Fingerprint-gated: a snapshot of a *different* bundle in this
     // directory is rejected and skipped like a torn one.
     auto loaded = store.LoadLatest(fingerprint);
@@ -159,6 +247,8 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
     } else if (loaded.status().code() != StatusCode::kNotFound) {
       return loaded.status();
     }
+  } else if (!options.snapshot_dir.empty()) {
+    fingerprinting.Run(fingerprint_bundle);
   }
 
   LD_OBS_SPAN("resume/replay");
@@ -167,11 +257,13 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
   // at the same lines an uninterrupted one would.
   Status replay_status;
   ReplayLoop(
-      views, config.syslog_base_year, analyzer, options.schedule, heads, total,
+      views, config.syslog_base_year, pool.get(), analyzer, options.schedule,
+      heads, total,
       [&](std::uint64_t total_now) -> Status {
         if (!snapshots_enabled || total_now % options.snapshot_interval != 0) {
           return Status::Ok();
         }
+        fingerprinting.Wait();
         SnapshotWriter w;
         w.U32(kResumeStateVersion);
         for (std::uint64_t head : heads) w.U64(head);

@@ -5,14 +5,18 @@
 // StreamingAnalyzer exactly as a live shipper would — four file tails
 // (loaded by LoadBundle, rotation families stitched) merged by claimed
 // head time (claims.hpp), each line parsed once — writing a snapshot
-// every N lines.  On startup it loads the newest *valid* snapshot (torn
-// or corrupt files are rejected by CRC and the loader falls back a
-// generation), restores the analyzer, and resumes reading each file at
-// the recorded offset, so every line is applied exactly once.  Because
-// the merge order, the watermark schedule and the serialization are
-// all deterministic, an interrupted-and-resumed pass produces a
-// *bit-identical* MetricsReport to an uninterrupted one —
-// bench/crash_campaign asserts this across a kill-point ×
+// every N lines.  With `LogDiverConfig::threads` above one, a pool
+// splits the lines, fingerprints the bundle and parses Torque/ALPS/hwerr
+// lines a block ahead of the merge; the claims, the merge, the analyzer
+// and the snapshot points stay on one thread, line by line, so the
+// thread count changes no output byte.  On startup it loads the newest
+// *valid* snapshot (torn or corrupt files are rejected by CRC and the
+// loader falls back a generation), restores the analyzer, and resumes
+// reading each file at the recorded offset, so every line is applied
+// exactly once.  Because the merge order, the watermark schedule and
+// the serialization are all deterministic, an interrupted-and-resumed
+// pass produces a *bit-identical* MetricsReport to an uninterrupted one
+// — bench/crash_campaign asserts this across a kill-point ×
 // snapshot-interval sweep.
 //
 // CrashSupervisor is the process-level restart rule: it runs each
@@ -24,6 +28,7 @@
 // error budget must not be retried into an infinite loop.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -46,6 +51,12 @@ struct ReplaySchedule {
   /// advance.
   Duration reorder_slack = Duration::Minutes(5);
 };
+
+/// Lines per parse-ahead block of the replay loop: a pool task long
+/// enough to outweigh its hand-off, while a source's two blocks of
+/// parses stay small (a few hundred KiB) and are reused for the whole
+/// pass.
+inline constexpr std::size_t kParseAheadLines = 1024;
 
 struct ResumeOptions {
   /// Snapshot directory; empty disables both snapshots and resume.
@@ -80,10 +91,11 @@ struct ResumableSummary {
 
 /// Streams `inputs` through a fresh analyzer (resuming from the newest
 /// valid snapshot when options allow), finalizes, and returns the
-/// summary.  Errors on unreadable inputs or an unusable snapshot
-/// payload (version/geometry mismatch — *corruption* is handled by
-/// falling back, a mismatch means the operator pointed the tool at the
-/// wrong directory).
+/// summary.  The pool `config.threads` asks for (LogDiver::Analyze's
+/// rule) lives only inside the call.  Errors on unreadable inputs or an
+/// unusable snapshot payload (version/geometry mismatch — *corruption*
+/// is handled by falling back, a mismatch means the operator pointed the
+/// tool at the wrong directory).
 Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
                                               const LogDiverConfig& config,
                                               const StreamInputs& inputs,
@@ -93,8 +105,8 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
 /// merge order and advance schedule of RunResumableAnalysis, but no
 /// snapshotting or resume.  The caller owns the analyzer (and calls
 /// Finalize()); `config` must be the one the analyzer was built with
-/// (it supplies the syslog base year of the claimed times).  Returns
-/// total merged lines.
+/// (it supplies the syslog base year of the claimed times and the
+/// thread count of the call's pool).  Returns total merged lines.
 Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
                                    const StreamInputs& inputs,
                                    const ReplaySchedule& schedule,
@@ -102,10 +114,14 @@ Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
 
 /// ReplayBundle's merge order and schedule over lines already in
 /// memory — the replay core a fleet worker runs over the views it
-/// inherits from the supervisor.  Returns total merged lines.
+/// inherits from the supervisor.  A `pool` of more than one thread
+/// parses Torque/ALPS/hwerr lines ahead of the merge; null (a fleet
+/// worker) parses each head inline.  Either way the analyzer sees the
+/// same calls.  Returns total merged lines.
 std::uint64_t ReplayLines(const LogSetView& lines, const LogDiverConfig& config,
                           const ReplaySchedule& schedule,
-                          StreamingAnalyzer& analyzer);
+                          StreamingAnalyzer& analyzer,
+                          ThreadPool* pool = nullptr);
 
 /// Deterministic fingerprint of (bundle bytes, shard partition):
 /// bundle_cache's LinesFingerprint (word-folded FNV-1a-64) over every

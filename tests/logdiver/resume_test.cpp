@@ -6,10 +6,17 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/crashpoint.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "faults/corruptor.hpp"
 #include "logdiver/alps_parser.hpp"
@@ -365,10 +372,104 @@ bool ParsesAsMalformed(LogSource source, std::string_view line) {
   return false;
 }
 
+/// True for a Torque/ALPS/hwerr line whose parse holds a record, the
+/// only kind of line whose time becomes its source's carried claim.
+bool HoldsRecord(LogSource source, std::string_view line) {
+  const LineParse parsed = ClaimedTracker::Parse(source, line);
+  return std::visit(
+      [](const auto& p) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(p)>,
+                                     std::monostate>) {
+          return false;
+        } else {
+          return p.ok() && p->has_value();
+        }
+      },
+      parsed);
+}
+
 std::vector<std::uint8_t> SummaryBytes(const AnalysisSummary& summary) {
   SnapshotWriter w;
   SaveAnalysisSummary(w, summary);
   return w.TakeBytes();
+}
+
+void WriteLogSet(const LogSet& logs, const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::pair<const char*, const std::vector<std::string>*> files[] = {
+      {"torque.log", &logs.torque},
+      {"alps.log", &logs.alps},
+      {"syslog.log", &logs.syslog},
+      {"hwerr.log", &logs.hwerr}};
+  for (const auto& [name, lines] : files) {
+    std::ofstream out(dir + "/" + name, std::ios::binary);
+    for (const std::string& line : *lines) out << line << '\n';
+  }
+}
+
+/// The first merged-line count, in the oracle's merge order, at which
+/// `want(source, lines, head)` holds for some Torque/ALPS/hwerr source
+/// whose next unconsumed line is `head`; 0 when it never does.
+std::uint64_t FindCut(
+    const LogSetView& views, const OracleOrder& order,
+    const std::function<bool(LogSource, std::span<const std::string_view>,
+                             std::size_t)>& want) {
+  std::size_t heads[kNumLogSources] = {};
+  for (std::uint64_t total = 1; total <= order.picks.size(); ++total) {
+    ++heads[static_cast<std::size_t>(order.picks[total - 1])];
+    for (const LogSource source :
+         {LogSource::kTorque, LogSource::kAlps, LogSource::kHwerr}) {
+      if (want(source, views.lines(source),
+               heads[static_cast<std::size_t>(source)])) {
+        return total;
+      }
+    }
+  }
+  return 0;
+}
+
+/// Crashes a pass over `bundle_dir` right after its one snapshot at
+/// `cut` merged lines lands, resumes from that snapshot, and expects
+/// the uninterrupted pass's summary bytes.  Advancing on every line
+/// puts each merged line's claim into the watermark, so a resumed pass
+/// that claimed any line differently shows in the summary.
+void ExpectResumeAtCutIsBitIdentical(const Machine& machine,
+                                     const std::string& bundle_dir,
+                                     std::uint64_t cut, int threads) {
+  const StreamInputs inputs = StreamInputs::FromBundleDir(bundle_dir);
+  LogDiverConfig config;
+  config.threads = threads;
+  ResumeOptions options;
+  options.schedule.advance_every = 1;
+  auto baseline = RunResumableAnalysis(machine, config, inputs, options);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  const std::vector<std::uint8_t> want = SummaryBytes(baseline->summary);
+
+  const std::string snap_dir =
+      testing::TempDir() + "resume_cut_snaps_" + std::to_string(::getpid());
+  std::filesystem::remove_all(snap_dir);
+  options.snapshot_dir = snap_dir;
+  const auto outcome = CrashSupervisor::Run([&](int attempt) -> int {
+    if (attempt == 0) {
+      // One crash point per merged line, one after each snapshot write.
+      ArmCrashPoint(cut + 1);
+      options.snapshot_interval = cut;
+    } else {
+      // The resumed pass only needs to load the snapshot.
+      DisarmCrashPoint();
+      options.snapshot_interval = 0;
+    }
+    auto result = RunResumableAnalysis(machine, config, inputs, options);
+    if (!result.ok()) return 2;
+    if (attempt > 0 && result->lines_skipped != cut) return 3;
+    if (result->total_lines != baseline->total_lines) return 4;
+    return SummaryBytes(result->summary) == want ? 0 : 1;
+  });
+  EXPECT_EQ(outcome.exit_code, 0) << "cut " << cut << ", threads " << threads;
+  EXPECT_EQ(outcome.crashes, 1) << "cut " << cut << ", threads " << threads;
+  EXPECT_EQ(outcome.attempts, 2) << "cut " << cut << ", threads " << threads;
+  std::filesystem::remove_all(snap_dir);
 }
 
 // A small bundle damaged by every LogCorruptor operator, so many source
@@ -402,17 +503,7 @@ class DamagedReplayTest : public ::testing::Test {
 
     bundle_dir_ = new std::string(testing::TempDir() + "resume_damaged_" +
                                   std::to_string(::getpid()));
-    std::filesystem::remove_all(*bundle_dir_);
-    std::filesystem::create_directories(*bundle_dir_);
-    const std::pair<const char*, const std::vector<std::string>*> files[] = {
-        {"torque.log", &logs_->torque},
-        {"alps.log", &logs_->alps},
-        {"syslog.log", &logs_->syslog},
-        {"hwerr.log", &logs_->hwerr}};
-    for (const auto& [name, lines] : files) {
-      std::ofstream out(*bundle_dir_ + "/" + name, std::ios::binary);
-      for (const std::string& line : *lines) out << line << '\n';
-    }
+    WriteLogSet(*logs_, *bundle_dir_);
   }
 
   static void TearDownTestSuite() {
@@ -545,6 +636,294 @@ TEST_F(DamagedReplayTest, CrashResumeOnMalformedHeadsIsBitIdentical) {
     EXPECT_EQ(outcome.crashes, 1) << "crash point " << crash_points[c];
     EXPECT_EQ(outcome.attempts, 2) << "crash point " << crash_points[c];
     std::filesystem::remove_all(snap_dir);
+  }
+}
+
+TEST_F(DamagedReplayTest, ClaimPrefixMatchesForwardClaimsAtEveryCut) {
+  // A resumed pass rebuilds each carry with ClaimPrefix instead of
+  // claiming the covered prefix line by line; at every cut the next
+  // line must claim what it claims in a pass that never stopped.
+  const LogSetView views(*logs_);
+  for (std::size_t s = 0; s < kNumLogSources; ++s) {
+    const auto source = static_cast<LogSource>(s);
+    const std::span<const std::string_view> lines = views.lines(source);
+    // Syslog claims its prefix forward, so every cut costs the prefix:
+    // sample it.
+    const std::size_t step = source == LogSource::kSyslog ? 61 : 1;
+    ClaimedTracker forward(2013);
+    for (std::size_t cut = 0; cut < lines.size(); ++cut) {
+      const TimePoint want = forward.ParseAndClaim(source, lines[cut]).claimed;
+      if (cut % step != 0) continue;
+      ClaimedTracker resumed(2013);
+      resumed.ClaimPrefix(source, lines.first(cut));
+      ASSERT_EQ(resumed.ParseAndClaim(source, lines[cut]).claimed, want)
+          << LogSourceName(source) << " cut " << cut;
+    }
+  }
+}
+
+TEST_F(DamagedReplayTest, ResumeAtACutEndingInARunOfRecordlessLines) {
+  // The covered prefix of some source ends in malformed or skipped
+  // lines, the run goes on past the cut, and a record comes before it:
+  // the resumed head claims the carry from the record behind the run.
+  const LogSetView views(*logs_);
+  const OracleOrder order = ClaimAllMergeOrder(views, 2013);
+  const std::uint64_t cut = FindCut(
+      views, order,
+      [](LogSource source, std::span<const std::string_view> lines,
+         std::size_t head) {
+        if (head < 3 || head >= lines.size()) return false;
+        for (std::size_t i = head - 2; i <= head; ++i) {
+          if (HoldsRecord(source, lines[i])) return false;
+        }
+        for (std::size_t i = 0; i + 2 < head; ++i) {
+          if (HoldsRecord(source, lines[i])) return true;
+        }
+        return false;
+      });
+  ASSERT_NE(cut, 0u);
+  ExpectResumeAtCutIsBitIdentical(*machine_, *bundle_dir_, cut, 1);
+}
+
+TEST_F(DamagedReplayTest, ResumeAtACutWhereASourceHasNoRecordYet) {
+  // hwerr.log opens with lines that hold no record (malformed, skipped,
+  // malformed): a cut inside that run leaves the resumed hwerr carry at
+  // the epoch, as a pass that never stopped has it there.
+  LogSet logs = *logs_;
+  logs.hwerr.insert(logs.hwerr.begin(),
+                    {"1365000900|machine_check",
+                     "1365000500|future_category|c0-0c0s1n2|corrected|bank=4",
+                     "not a hardware error line"});
+  const std::string dir = testing::TempDir() + "resume_recordless_" +
+                          std::to_string(::getpid());
+  WriteLogSet(logs, dir);
+  const LogSetView views(logs);
+  const OracleOrder order = ClaimAllMergeOrder(views, 2013);
+  const std::uint64_t cut = FindCut(
+      views, order,
+      [](LogSource source, std::span<const std::string_view> lines,
+         std::size_t head) {
+        if (head < 2 || head >= lines.size()) return false;
+        for (std::size_t i = 0; i <= head; ++i) {
+          if (HoldsRecord(source, lines[i])) return false;
+        }
+        return true;
+      });
+  ASSERT_NE(cut, 0u);
+  ExpectResumeAtCutIsBitIdentical(*machine_, dir, cut, 1);
+  std::filesystem::remove_all(dir);
+}
+
+// --- parse-ahead replay ---------------------------------------------
+
+// The replay loop parses Torque/ALPS/hwerr lines a block ahead on a
+// pool of more than one thread.  Every output byte must be the inline
+// path's (one thread): summaries, every snapshot generation, line
+// totals, fail-fast trips, early returns and resumes at block edges.
+class ReplayParseAheadTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    // Enough runs for a snapshot at the default interval and several
+    // parse-ahead blocks of ALPS and Torque lines.
+    ScenarioConfig config = SmallScenario(2323);
+    config.workload.target_app_runs = 9000;
+    machine_ = new Machine(MakeMachine(config));
+    auto campaign = RunCampaign(*machine_, config);
+    ASSERT_TRUE(campaign.ok()) << campaign.status().ToString();
+    clean_ = new LogSet;
+    clean_->torque = std::move(campaign->logs.torque);
+    clean_->alps = std::move(campaign->logs.alps);
+    clean_->syslog = std::move(campaign->logs.syslog);
+    clean_->hwerr = std::move(campaign->logs.hwerr);
+    ASSERT_GT(clean_->alps.size(), 4 * kParseAheadLines);
+    ASSERT_GT(clean_->torque.size(), 2 * kParseAheadLines);
+    damaged_ = new LogSet(*clean_);
+    CorruptorConfig corrupt;
+    corrupt.rate = 0.03;
+    corrupt.ops = LogCorruptor::AllOps();
+    corrupt.max_reorder_distance = 3;
+    corrupt.max_skew_seconds = 60;
+    LogCorruptor(corrupt).CorruptBundle(*damaged_,
+                                        Rng(2323).Fork("corruptor"));
+    const std::string base =
+        testing::TempDir() + "parse_ahead_" + std::to_string(::getpid());
+    clean_dir_ = new std::string(base + "_clean");
+    damaged_dir_ = new std::string(base + "_damaged");
+    WriteLogSet(*clean_, *clean_dir_);
+    WriteLogSet(*damaged_, *damaged_dir_);
+  }
+
+  static void TearDownTestSuite() {
+    std::filesystem::remove_all(*clean_dir_);
+    std::filesystem::remove_all(*damaged_dir_);
+    delete clean_dir_;
+    delete damaged_dir_;
+    delete clean_;
+    delete damaged_;
+    delete machine_;
+  }
+
+  struct Pass {
+    std::vector<std::uint8_t> summary;
+    std::vector<std::vector<std::uint8_t>> generations;
+    std::uint64_t total_lines = 0;
+  };
+
+  /// A fresh snapshotted pass at `threads`, keeping every generation.
+  static Pass RunPass(const std::string& bundle_dir, int threads,
+                      std::uint64_t interval) {
+    const std::string snap_dir = testing::TempDir() + "parse_ahead_snaps_" +
+                                 std::to_string(::getpid());
+    std::filesystem::remove_all(snap_dir);
+    LogDiverConfig config;
+    config.threads = threads;
+    ResumeOptions options;
+    options.snapshot_dir = snap_dir;
+    options.snapshot_interval = interval;
+    options.keep_generations = 1000;
+    Pass pass;
+    auto result = RunResumableAnalysis(
+        *machine_, config, StreamInputs::FromBundleDir(bundle_dir), options);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return pass;
+    pass.summary = SummaryBytes(result->summary);
+    pass.total_lines = result->total_lines;
+    const SnapshotStore store(snap_dir);
+    for (const std::uint64_t generation : store.Generations()) {
+      std::ifstream in(store.PathFor(generation), std::ios::binary);
+      pass.generations.emplace_back(std::istreambuf_iterator<char>(in),
+                                    std::istreambuf_iterator<char>());
+    }
+    std::filesystem::remove_all(snap_dir);
+    return pass;
+  }
+
+  static Machine* machine_;
+  static LogSet* clean_;
+  static LogSet* damaged_;
+  static std::string* clean_dir_;
+  static std::string* damaged_dir_;
+};
+
+Machine* ReplayParseAheadTest::machine_ = nullptr;
+LogSet* ReplayParseAheadTest::clean_ = nullptr;
+LogSet* ReplayParseAheadTest::damaged_ = nullptr;
+std::string* ReplayParseAheadTest::clean_dir_ = nullptr;
+std::string* ReplayParseAheadTest::damaged_dir_ = nullptr;
+
+TEST_F(ReplayParseAheadTest, EveryThreadCountWritesTheInlineBytes) {
+  for (const std::string* dir : {clean_dir_, damaged_dir_}) {
+    for (const std::uint64_t interval :
+         {ResumeOptions().snapshot_interval, std::uint64_t{777}}) {
+      const Pass inline_pass = RunPass(*dir, 1, interval);
+      ASSERT_FALSE(inline_pass.generations.empty());
+      for (const int threads : {2, 4}) {
+        const Pass pass = RunPass(*dir, threads, interval);
+        const std::string where = *dir + " interval " +
+                                  std::to_string(interval) + " threads " +
+                                  std::to_string(threads);
+        EXPECT_EQ(pass.total_lines, inline_pass.total_lines) << where;
+        EXPECT_TRUE(pass.summary == inline_pass.summary) << where;
+        ASSERT_EQ(pass.generations.size(), inline_pass.generations.size())
+            << where;
+        for (std::size_t g = 0; g < pass.generations.size(); ++g) {
+          EXPECT_TRUE(pass.generations[g] == inline_pass.generations[g])
+              << where << " generation " << g + 1;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ReplayParseAheadTest, ReplayLinesTotalsMatchTheInlinePath) {
+  const LogDiverConfig config;
+  for (const LogSet* logs : {clean_, damaged_}) {
+    const LogSetView views(*logs);
+    StreamingAnalyzer inline_analyzer(*machine_, config);
+    const std::uint64_t want_total =
+        ReplayLines(views, config, ReplaySchedule{}, inline_analyzer);
+    const std::vector<std::uint8_t> want =
+        SummaryBytes(inline_analyzer.Finalize());
+    for (const int threads : {2, 4}) {
+      ThreadPool pool(threads);
+      StreamingAnalyzer analyzer(*machine_, config);
+      EXPECT_EQ(ReplayLines(views, config, ReplaySchedule{}, analyzer, &pool),
+                want_total)
+          << "threads " << threads;
+      EXPECT_TRUE(SummaryBytes(analyzer.Finalize()) == want)
+          << "threads " << threads;
+    }
+  }
+}
+
+TEST_F(ReplayParseAheadTest, FailFastTripWithBlocksInFlightMatchesInline) {
+  // A tight fail-fast budget trips mid-stream, while parse-ahead blocks
+  // of the tripped source are still in flight; the analyzer drops the
+  // rest of that source the same way on every path.
+  const auto run = [&](int threads) {
+    LogDiverConfig config;
+    config.threads = threads;
+    config.ingest.policy = DegradationPolicy::kFailFast;
+    config.ingest.budget.min_malformed = 5;
+    config.ingest.budget.max_malformed_fraction = 0.001;
+    return RunResumableAnalysis(*machine_, config,
+                                StreamInputs::FromBundleDir(*damaged_dir_),
+                                ResumeOptions{});
+  };
+  auto inline_pass = run(1);
+  ASSERT_TRUE(inline_pass.ok()) << inline_pass.status().ToString();
+  ASSERT_FALSE(inline_pass->summary.ingest_status.ok());
+  ASSERT_GT(inline_pass->summary.ingest.lines_dropped_after_budget,
+            kParseAheadLines);
+  for (const int threads : {2, 4}) {
+    auto pass = run(threads);
+    ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+    EXPECT_EQ(pass->summary.ingest_status.ToString(),
+              inline_pass->summary.ingest_status.ToString());
+    EXPECT_TRUE(SummaryBytes(pass->summary) ==
+                SummaryBytes(inline_pass->summary))
+        << "threads " << threads;
+  }
+}
+
+TEST_F(ReplayParseAheadTest, FailedSnapshotWriteDrainsInFlightBlocks) {
+  // The snapshot directory cannot be created (its parent is a file), so
+  // the first snapshot write fails and the replay returns early with
+  // two blocks per source still parsing; they must finish before their
+  // buffers die (the sanitizer builds catch a use after free here).
+  const std::string file = testing::TempDir() + "parse_ahead_not_a_dir_" +
+                           std::to_string(::getpid());
+  { std::ofstream(file) << "x"; }
+  LogDiverConfig config;
+  config.threads = 4;
+  for (const std::uint64_t interval :
+       {std::uint64_t{1}, kParseAheadLines + 500}) {
+    ResumeOptions options;
+    options.snapshot_dir = file + "/snaps";
+    options.snapshot_interval = interval;
+    auto result = RunResumableAnalysis(
+        *machine_, config, StreamInputs::FromBundleDir(*clean_dir_), options);
+    EXPECT_FALSE(result.ok()) << "interval " << interval;
+  }
+  std::filesystem::remove(file);
+}
+
+TEST_F(ReplayParseAheadTest, CrashAtABlockBoundaryResumesBitIdentically) {
+  // Cuts where the ALPS head sits one line before, on and one line after
+  // a parse-ahead block boundary: the crashed pass is mid hand-off and
+  // the resumed pass starts its blocks at the restored offset.
+  const LogSetView views(*clean_);
+  const OracleOrder order = ClaimAllMergeOrder(views, 2013);
+  for (const std::size_t alps_head :
+       {kParseAheadLines - 1, kParseAheadLines, kParseAheadLines + 1}) {
+    const std::uint64_t cut = FindCut(
+        views, order,
+        [alps_head](LogSource source, std::span<const std::string_view>,
+                    std::size_t head) {
+          return source == LogSource::kAlps && head == alps_head;
+        });
+    ASSERT_NE(cut, 0u);
+    ExpectResumeAtCutIsBitIdentical(*machine_, *clean_dir_, cut, 4);
   }
 }
 
