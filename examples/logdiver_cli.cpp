@@ -56,12 +56,11 @@
 #include <iostream>
 #include <limits>
 #include <string>
-#include <type_traits>
 
 #include "analysis/scoring.hpp"
 #include "common/obs/manifest.hpp"
 #include "common/obs/trace.hpp"
-#include "common/strings.hpp"
+#include "cli_flags.hpp"
 #include "logdiver/export.hpp"
 #include "logdiver/fleet/supervisor.hpp"
 #include "logdiver/logdiver.hpp"
@@ -179,20 +178,8 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    // A numeric flag's value: decimal digits only, no sign or trailing
-    // bytes, within [lo, hi].  A bad value names the flag; the caller
-    // then exits through Usage().
     auto number = [&](auto& out, std::uint64_t lo, std::uint64_t hi) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      const auto parsed = ld::ParseUint(v);
-      if (!parsed.ok() || *parsed < lo || *parsed > hi) {
-        std::cerr << "logdiver_cli: " << arg << " expects an integer in ["
-                  << lo << ", " << hi << "], got '" << v << "'\n";
-        return false;
-      }
-      out = static_cast<std::remove_reference_t<decltype(out)>>(*parsed);
-      return true;
+      return ld::ParseUintFlag("logdiver_cli", arg, next(), lo, hi, out);
     };
     if (arg == "--seed") {
       if (!number(seed, 0, kMaxU64)) return Usage();

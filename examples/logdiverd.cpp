@@ -33,19 +33,33 @@
 // --small selects the 1,152-node testbed machine instead of the full
 // Blue Waters model (must match what the traffic was generated on).
 //
+// Numeric flags take plain decimal digits within a per-flag range
+// (--max-tenants 1..2^20, --queue-cap 1..2^24, --tenant-budget,
+// --snapshot-interval and --seed 0..2^64-1); --tenant-fraction takes a
+// finite number in [0, 1].  A bad value names the flag and exits 2.
+//
 // Exit codes: 0 clean shutdown, 1 startup/runtime error, 2 usage.
+#include <cmath>
 #include <csignal>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include <unistd.h>
 
+#include "cli_flags.hpp"
+#include "common/strings.hpp"
 #include "logdiver/service/daemon.hpp"
 #include "simlog/scenario.hpp"
 
 namespace {
+
+// Per-flag ceilings of the numeric flags (usage error past them).
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kMaxTenants = 1u << 20;
+constexpr std::uint64_t kMaxQueueCap = 1u << 24;
 
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -56,16 +70,16 @@ int Usage() {
       << "usage: logdiverd --snapshot-dir <dir> [options]\n"
       << "  --listen ADDR            unix:<path> or <ipv4>:<port> "
          "(default 127.0.0.1:0)\n"
-      << "  --max-tenants N          admission cap (default 128)\n"
+      << "  --max-tenants N          admission cap, 1..2^20 (default 128)\n"
       << "  --tenant-budget N        per-window malformed-line floor "
          "(default 32)\n"
-      << "  --tenant-fraction F      per-window malformed fraction "
-         "(default 0.25)\n"
+      << "  --tenant-fraction F      per-window malformed fraction in "
+         "[0, 1] (default 0.25)\n"
       << "  --tenant-policy P        shed | degrade (default degrade)\n"
-      << "  --queue-cap N            per-tenant ingest queue depth "
-         "(default 1024)\n"
-      << "  --snapshot-interval N    snapshot every N applied lines "
-         "(default 4096)\n"
+      << "  --queue-cap N            per-tenant ingest queue depth, "
+         "1..2^24 (default 1024)\n"
+      << "  --snapshot-interval N    snapshot every N applied lines; 0 = "
+         "by journal bytes only (default 4096)\n"
       << "  --small                  1,152-node testbed machine\n"
       << "  --seed N                 scenario seed for --small "
          "(default 42)\n"
@@ -85,6 +99,9 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    auto number = [&](auto& out, std::uint64_t lo, std::uint64_t hi) {
+      return ld::ParseUintFlag("logdiverd", arg, next(), lo, hi, out);
+    };
     if (arg == "--snapshot-dir") {
       const char* v = next();
       if (!v) return Usage();
@@ -94,17 +111,23 @@ int main(int argc, char** argv) {
       if (!v) return Usage();
       options.listen = v;
     } else if (arg == "--max-tenants") {
-      const char* v = next();
-      if (!v) return Usage();
-      options.max_tenants = std::strtoull(v, nullptr, 10);
+      if (!number(options.max_tenants, 1, kMaxTenants)) return Usage();
     } else if (arg == "--tenant-budget") {
-      const char* v = next();
-      if (!v) return Usage();
-      options.tenant.budget.min_malformed = std::strtoull(v, nullptr, 10);
+      if (!number(options.tenant.budget.min_malformed, 0, kMaxU64)) {
+        return Usage();
+      }
     } else if (arg == "--tenant-fraction") {
       const char* v = next();
       if (!v) return Usage();
-      options.tenant.budget.max_malformed_fraction = std::strtod(v, nullptr);
+      const auto parsed = ld::ParseDouble(v);
+      if (!parsed.ok() || !std::isfinite(*parsed) || *parsed < 0.0 ||
+          *parsed > 1.0) {
+        std::cerr << "logdiverd: --tenant-fraction expects a number in "
+                     "[0, 1], got '"
+                  << v << "'\n";
+        return Usage();
+      }
+      options.tenant.budget.max_malformed_fraction = *parsed;
     } else if (arg == "--tenant-policy") {
       const char* v = next();
       if (!v) return Usage();
@@ -114,22 +137,23 @@ int main(int argc, char** argv) {
         options.tenant.budget.policy =
             ld::DegradationPolicy::kQuarantineAndContinue;
       } else {
+        std::cerr << "logdiverd: --tenant-policy expects shed or degrade, "
+                     "got '"
+                  << v << "'\n";
         return Usage();
       }
     } else if (arg == "--queue-cap") {
-      const char* v = next();
-      if (!v) return Usage();
-      options.tenant.queue_capacity = std::strtoull(v, nullptr, 10);
+      if (!number(options.tenant.queue_capacity, 1, kMaxQueueCap)) {
+        return Usage();
+      }
     } else if (arg == "--snapshot-interval") {
-      const char* v = next();
-      if (!v) return Usage();
-      options.tenant.snapshot_interval_lines = std::strtoull(v, nullptr, 10);
+      if (!number(options.tenant.snapshot_interval_lines, 0, kMaxU64)) {
+        return Usage();
+      }
     } else if (arg == "--small") {
       small = true;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return Usage();
-      seed = std::strtoull(v, nullptr, 10);
+      if (!number(seed, 0, kMaxU64)) return Usage();
     } else if (arg == "--enable-fault-injection") {
       options.enable_fault_commands = true;
     } else {

@@ -484,11 +484,8 @@ void DecodeParsed(SnapshotReader& r, ParsedLogs& parsed) {
   GetTorque(r, parsed.torque);
   GetAlps(r, parsed.alps);
   GetErrors(r, parsed.errors);
-  LoadParseStats(r, parsed.torque_stats);
-  LoadParseStats(r, parsed.alps_stats);
-  LoadParseStats(r, parsed.syslog_stats);
-  LoadParseStats(r, parsed.hwerr_stats);
-  parsed.sink.LoadState(r);
+  r(parsed.torque_stats, parsed.alps_stats, parsed.syslog_stats,
+    parsed.hwerr_stats, parsed.sink);
 }
 
 // --- memoized-result section -----------------------------------------
@@ -697,24 +694,16 @@ void GetClassified(SnapshotReader& r, std::vector<ClassifiedRun>& cls) {
 }
 
 void EncodeResult(SnapshotWriter& w, const AnalysisResult& result) {
-  SaveAnalysisSummary(w, result);
-  w.U64(result.quarantine.size());
-  for (const auto& entry : result.quarantine) SaveQuarantineEntry(w, entry);
+  w(static_cast<const AnalysisSummary&>(result));
+  Seq<std::uint64_t>(w, result.quarantine);
   PutRuns(w, result.runs);
   PutClassified(w, result.classified);
   PutTuples(w, result.tuples);
 }
 
 void DecodeResult(SnapshotReader& r, AnalysisResult& result) {
-  LoadAnalysisSummary(r, result);
-  const std::uint64_t quarantined = r.U64();
-  if (!r.ok()) return;
-  if (quarantined > r.remaining()) {
-    r.Fail("quarantine column longer than the payload");
-    return;
-  }
-  result.quarantine.resize(quarantined);
-  for (auto& entry : result.quarantine) LoadQuarantineEntry(r, entry);
+  r(static_cast<AnalysisSummary&>(result));
+  Seq<std::uint64_t>(r, result.quarantine);
   GetRuns(r, result.runs);
   GetClassified(r, result.classified);
   GetTuples(r, result.tuples);
@@ -945,11 +934,8 @@ std::vector<std::uint8_t> BundleCache::EncodeParsed(const ParsedLogs& parsed) {
   PutTorque(w, parsed.torque);
   PutAlps(w, parsed.alps);
   PutErrors(w, parsed.errors);
-  SaveParseStats(w, parsed.torque_stats);
-  SaveParseStats(w, parsed.alps_stats);
-  SaveParseStats(w, parsed.syslog_stats);
-  SaveParseStats(w, parsed.hwerr_stats);
-  parsed.sink.SaveState(w);
+  w(parsed.torque_stats, parsed.alps_stats, parsed.syslog_stats,
+    parsed.hwerr_stats, parsed.sink);
   return w.TakeBytes();
 }
 

@@ -57,7 +57,7 @@ namespace ld::cache {
 /// Version 3 changed what the (since deleted) claims entry meant, not
 /// its layout: syslog claims carried the year reached by rollover.
 /// Version 4 writes the memoized result's summary with the shared
-/// SaveAnalysisSummary codec; v3 results lack the duplicate_job_records
+/// AnalysisSummary codec; v3 results lack the duplicate_job_records
 /// count and are rejected.  Version 5 drops the Torque job-name and ALPS
 /// command columns (the parsers no longer keep them) and writes the
 /// ALPS kill reason as a symbol column.

@@ -51,18 +51,4 @@ ClaimedLine ClaimedTracker::Claim(LogSource source, std::string_view line,
   return ClaimedLine{line, carry, std::move(parsed)};
 }
 
-void ClaimedTracker::ClaimPrefix(LogSource source,
-                                 std::span<const std::string_view> prefix) {
-  if (source == LogSource::kSyslog) {
-    for (const std::string_view line : prefix) Claim(source, line, {});
-    return;
-  }
-  for (auto it = prefix.rbegin(); it != prefix.rend(); ++it) {
-    if (const auto time = RecordTime(Parse(source, *it))) {
-      carry_[static_cast<std::size_t>(source)] = *time;
-      return;
-    }
-  }
-}
-
 }  // namespace ld

@@ -15,7 +15,6 @@
 // keeps its order with the carry as the only state.
 #pragma once
 
-#include <span>
 #include <string_view>
 #include <variant>
 
@@ -62,19 +61,19 @@ class ClaimedTracker {
     return Claim(source, line, Parse(source, line));
   }
 
-  /// Leaves the source's carry where claiming every line of `prefix` in
-  /// order would, without parsing the whole prefix: a Torque, ALPS or
-  /// hwerr carry is the time of the prefix's last record, found by
-  /// scanning back (none keeps the carry).  A syslog stamp's year chains
-  /// through the carry, so syslog claims the prefix forward, stamps only.
-  void ClaimPrefix(LogSource source, std::span<const std::string_view> prefix);
-
-  /// The four carries in LogSource order (tenant snapshot payload).
-  void Snapshot(SnapshotWriter& w) const {
-    for (const TimePoint carry : carry_) w.Time(carry);
+  /// Sets `source`'s carry to `other`'s.  The replay loop claims each
+  /// source's next line ahead of consuming it, so it keeps the carries
+  /// of its consumed lines in a second tracker.
+  void TakeCarry(LogSource source, const ClaimedTracker& other) {
+    const auto s = static_cast<std::size_t>(source);
+    carry_[s] = other.carry_[s];
   }
-  void Restore(SnapshotReader& r) {
-    for (TimePoint& carry : carry_) carry = r.Time();
+
+  /// The codec (snapshot.hpp) of the four carries, in LogSource order:
+  /// the resume and tenant snapshot payloads store them.
+  template <class Io>
+  void Fields(Io& io) {
+    io(carry_);
   }
 
  private:

@@ -261,80 +261,69 @@ std::vector<ErrorTuple> StreamingCoalescer::FlushAll() {
   return out;
 }
 
-void StreamingCoalescer::SaveState(SnapshotWriter& w) const {
-  w.U64(stats_.input_events);
-  w.U64(stats_.tuples);
-  w.U64(stats_.unresolved_locations);
-  w.U64(next_id_);
-  // Open keys embed nondeterministic symbol ids; serialize the open
-  // tuples in (category, location string) order so the snapshot bytes
-  // are a pure function of the analyzed stream.  Displaced tuples
-  // follow in creation order.
-  std::vector<const ErrorTuple*> open;
-  std::vector<const ErrorTuple*> closed;
-  open.reserve(open_.size());
-  closed.reserve(tuples_.size() - open_.size());
-  for (std::size_t i = 0; i < tuples_.size(); ++i) {
-    const std::uint32_t* index = open_.Find(OpenKey(tuples_[i]));
-    (index != nullptr && *index == i ? open : closed).push_back(&tuples_[i]);
+template <class Io>
+void StreamingCoalescer::Fields(Io& io) {
+  io(stats_, next_id_);
+  // Open keys embed nondeterministic symbol ids; the open tuples go out
+  // in (category, location string) order so the snapshot bytes are a
+  // pure function of the analyzed stream.  Displaced tuples follow in
+  // creation order.
+  std::vector<ErrorTuple> open;
+  std::vector<ErrorTuple> closed;
+  if constexpr (!Io::kReading) {
+    open.reserve(open_.size());
+    closed.reserve(tuples_.size() - open_.size());
+    for (std::size_t i = 0; i < tuples_.size(); ++i) {
+      const std::uint32_t* index = open_.Find(OpenKey(tuples_[i]));
+      (index != nullptr && *index == i ? open : closed).push_back(tuples_[i]);
+    }
+    std::sort(open.begin(), open.end(),
+              [](const ErrorTuple& a, const ErrorTuple& b) {
+                if (a.category != b.category) return a.category < b.category;
+                return a.location.view() < b.location.view();
+              });
   }
-  std::sort(open.begin(), open.end(),
-            [](const ErrorTuple* a, const ErrorTuple* b) {
-              if (a->category != b->category) return a->category < b->category;
-              return a->location.view() < b->location.view();
-            });
-  w.U32(static_cast<std::uint32_t>(open.size()));
-  for (const ErrorTuple* tuple : open) {
-    w.I32(static_cast<std::int32_t>(tuple->category));
-    w.Str(tuple->location.view());
-    SaveErrorTuple(w, *tuple);
+  // Each open tuple follows its key: the category, written as an I32
+  // although ErrorCategory is one byte, and the location.
+  Seq<std::uint32_t>(io, open, []<class In>(In& in, ErrorTuple& tuple) {
+    auto category = static_cast<std::int32_t>(tuple.category);
+    Symbol location = tuple.location;
+    in(category, location, tuple);
+    if constexpr (In::kReading) {
+      if (in.ok() && (tuple.category != static_cast<ErrorCategory>(category) ||
+                      tuple.location != location)) {
+        in.Fail("open tuple key does not match its tuple");
+      }
+    }
+  });
+  Seq<std::uint32_t>(io, closed);
+  if constexpr (Io::kReading) {
+    // Restore creation (= id) order; the open tuples own a key.
+    const std::size_t open_count = open.size();
+    std::vector<ErrorTuple>& loaded = open;
+    loaded.insert(loaded.end(), closed.begin(), closed.end());
+    std::vector<std::uint32_t> order(loaded.size());
+    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&loaded](std::uint32_t a,
+                                                    std::uint32_t b) {
+      return loaded[a].id != loaded[b].id ? loaded[a].id < loaded[b].id
+                                          : a < b;
+    });
+    tuples_.clear();
+    tuples_.reserve(order.size());
+    open_.Clear();
+    for (const std::uint32_t i : order) {
+      const auto index = static_cast<std::uint32_t>(tuples_.size());
+      tuples_.push_back(loaded[i]);
+      if (i < open_count && !open_.Insert(OpenKey(loaded[i]), index).second) {
+        io.Fail("duplicate open tuple key");
+      }
+    }
   }
-  w.U32(static_cast<std::uint32_t>(closed.size()));
-  for (const ErrorTuple* tuple : closed) SaveErrorTuple(w, *tuple);
 }
 
-void StreamingCoalescer::LoadState(SnapshotReader& r) {
-  stats_.input_events = r.U64();
-  stats_.tuples = r.U64();
-  stats_.unresolved_locations = r.U64();
-  next_id_ = r.U64();
-  // Read the open tuples, then the displaced ones, and restore creation
-  // (= id) order; the first open_count tuples read own a key.
-  std::vector<ErrorTuple> loaded;
-  const std::uint32_t open_count = r.U32();
-  for (std::uint32_t i = 0; i < open_count && r.ok(); ++i) {
-    const auto cat = static_cast<ErrorCategory>(r.I32());
-    const Symbol location = Intern(r.Str());
-    ErrorTuple tuple;
-    LoadErrorTuple(r, tuple);
-    if (r.ok() && (tuple.category != cat || tuple.location != location)) {
-      r.Fail("open tuple key does not match its tuple");
-    }
-    loaded.push_back(tuple);
-  }
-  const std::uint32_t closed_count = r.U32();
-  for (std::uint32_t i = 0; i < closed_count && r.ok(); ++i) {
-    ErrorTuple tuple;
-    LoadErrorTuple(r, tuple);
-    loaded.push_back(tuple);
-  }
-  std::vector<std::uint32_t> order(loaded.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&loaded](std::uint32_t a,
-                                                  std::uint32_t b) {
-    return loaded[a].id != loaded[b].id ? loaded[a].id < loaded[b].id : a < b;
-  });
-  tuples_.clear();
-  tuples_.reserve(order.size());
-  open_.Clear();
-  for (const std::uint32_t i : order) {
-    const auto index = static_cast<std::uint32_t>(tuples_.size());
-    tuples_.push_back(loaded[i]);
-    if (i < open_count && !open_.Insert(OpenKey(loaded[i]), index).second) {
-      r.Fail("duplicate open tuple key");
-    }
-  }
-}
+template void StreamingCoalescer::Fields(SnapshotWriter&);
+template void StreamingCoalescer::Fields(SnapshotReader&);
 
 std::vector<ErrorTuple> CoalesceEvents(const Machine& machine,
                                        std::vector<ErrorRecord> records,

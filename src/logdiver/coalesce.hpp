@@ -27,9 +27,6 @@
 
 namespace ld {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /// A tuple's resolved nodes, held inline: a location names at most one
 /// blade (4 nodes), so a Gemini resolves to 2, a node to 1 and a
 /// system-wide incident to none.  Keeps ErrorTuple trivially copyable.
@@ -131,11 +128,11 @@ class StreamingCoalescer {
   std::size_t open_tuples() const { return open_.size(); }
   const CoalesceStats& stats() const { return stats_; }
 
-  /// Snapshot serialization hooks: open/displaced tuples, the id
-  /// counter and the stats round-trip (machine + config stay
+  /// The checkpoint codec (snapshot.hpp): open/displaced tuples, the
+  /// id counter and the stats round-trip (machine + config stay
   /// construction-time).
-  void SaveState(SnapshotWriter& w) const;
-  void LoadState(SnapshotReader& r);
+  template <class Io>
+  void Fields(Io& io);
 
  private:
   /// 64-bit key -> 32-bit value map: open addressing, linear probing,

@@ -28,7 +28,7 @@ namespace ld::fleet {
 /// Version 2 added the worker's claims-cache counters (hits / misses /
 /// rejections / stores), so the supervisor can see cache effectiveness
 /// without reaching into a dead child's obs registry.  Version 3 ships
-/// the worker's AnalysisSummary (SaveAnalysisSummary) in place of the
+/// the worker's AnalysisSummary (its snapshot.hpp codec) in place of the
 /// per-field counters, reconstruct stats included.  Version 4 drops the
 /// claims-cache counters with the claims cache itself.
 inline constexpr std::uint32_t kPartialRecordVersion = 4;
@@ -57,14 +57,11 @@ struct PartialAggregates {
       : metrics(std::move(metrics_config)) {}
 };
 
-/// Serializes a partial into `w` (header first, accumulator last).
-void SavePartialAggregates(SnapshotWriter& w, const PartialAggregates& p);
-
-/// Parses a partial payload.  `metrics_config` must match the config
-/// the worker ran with (scale-bucket geometry is construction-time).
-Result<PartialAggregates> LoadPartialAggregates(
-    const std::vector<std::uint8_t>& payload,
-    const MetricsConfig& metrics_config);
+/// The partial payload's one codec (header first, accumulator last).
+/// Decoding expects `p.metrics` built with the config the worker ran
+/// with (scale-bucket geometry is construction-time).
+template <class Io>
+void Fields(Io& io, PartialAggregates& p);
 
 /// Writes `p` to `path` with the snapshot file framing, stamping
 /// `p.header.fingerprint` into the file header.

@@ -357,201 +357,75 @@ void MetricsAccumulator::MergeFrom(const MetricsAccumulator& other) {
   }
 }
 
-void MetricsAccumulator::SaveState(SnapshotWriter& w) const {
-  w.U64(total_runs_);
-  w.I64(total_node_seconds_);
-  w.U64(system_failures_);
-  w.I64(lost_node_seconds_);
-  w.Time(span_lo_);
-  w.Time(span_hi_);
-  w.Bool(have_span_);
-
-  w.U32(static_cast<std::uint32_t>(outcome_rows_.size()));
-  for (const auto& [outcome, row] : outcome_rows_) {
-    w.U8(static_cast<std::uint8_t>(outcome));
-    w.U64(row.runs);
-    w.I64(row.node_seconds);
+template <class Io>
+void MetricsAccumulator::Fields(Io& io) {
+  io(total_runs_, total_node_seconds_, system_failures_, lost_node_seconds_,
+     span_lo_, span_hi_, have_span_);
+  MapSeq<std::uint32_t>(io, outcome_rows_,
+                        [](auto& in, auto& outcome, OutcomeTally& row) {
+                          in(outcome, row.runs, row.node_seconds);
+                        });
+  MapSeq<std::uint32_t>(io, cat_rows_,
+                        [](auto& in, auto& category, CategoryRow& row) {
+                          in(category, row.category, row.tuples,
+                             row.fatal_tuples, row.raw_events);
+                        });
+  MapSeq<std::uint32_t>(io, attr_rows_,
+                        [](auto& in, auto& cause, AttributionRow& row) {
+                          in(cause, row.cause, row.xe_failures,
+                             row.xk_failures);
+                        });
+  for (auto* scale : {&xe_scale_, &xk_scale_}) {
+    Seq<std::uint32_t>(io, *scale, [](auto& in, ScalePoint& p) {
+      in(p.lo, p.hi, p.runs, p.system_failures);
+    });
+  }
+  MapSeq<std::uint32_t>(io, monthly_,
+                        [](auto& in, auto& ym, MonthlyTally& p) {
+                          in(ym.first, ym.second, p.runs, p.system_failures,
+                             p.node_seconds, p.lost_node_seconds);
+                        });
+  for (DetectionGapRow* gap : {&xe_gap_, &xk_gap_}) {
+    io(gap->type, gap->system_failures, gap->attributed, gap->unattributed);
   }
 
-  w.U32(static_cast<std::uint32_t>(cat_rows_.size()));
-  for (const auto& [category, row] : cat_rows_) {
-    w.U8(static_cast<std::uint8_t>(category));
-    w.U8(static_cast<std::uint8_t>(row.category));
-    w.U64(row.tuples);
-    w.U64(row.fatal_tuples);
-    w.U64(row.raw_events);
-  }
-
-  w.U32(static_cast<std::uint32_t>(attr_rows_.size()));
-  for (const auto& [cause, row] : attr_rows_) {
-    w.U8(static_cast<std::uint8_t>(cause));
-    w.U8(static_cast<std::uint8_t>(row.cause));
-    w.U64(row.xe_failures);
-    w.U64(row.xk_failures);
-  }
-
-  for (const auto* scale : {&xe_scale_, &xk_scale_}) {
-    w.U32(static_cast<std::uint32_t>(scale->size()));
-    for (const ScalePoint& p : *scale) {
-      w.U32(p.lo);
-      w.U32(p.hi);
-      w.U64(p.runs);
-      w.U64(p.system_failures);
-    }
-  }
-
-  w.U32(static_cast<std::uint32_t>(monthly_.size()));
-  for (const auto& [ym, p] : monthly_) {
-    w.I32(ym.first);
-    w.I32(ym.second);
-    w.U64(p.runs);
-    w.U64(p.system_failures);
-    w.I64(p.node_seconds);
-    w.I64(p.lost_node_seconds);
-  }
-
-  for (const DetectionGapRow* gap : {&xe_gap_, &xk_gap_}) {
-    w.U8(static_cast<std::uint8_t>(gap->type));
-    w.U64(gap->system_failures);
-    w.U64(gap->attributed);
-    w.U64(gap->unattributed);
-  }
-
-  w.U64(incidents_);
-  w.U32(static_cast<std::uint32_t>(downtime_.intervals().size()));
-  for (const Interval& iv : downtime_.intervals()) {
-    w.Time(iv.start);
-    w.Time(iv.end);
+  io(incidents_);
+  std::vector<Interval> downtime = downtime_.intervals();
+  Seq<std::uint32_t>(io, downtime,
+                     [](auto& in, Interval& iv) { in(iv.start, iv.end); });
+  if constexpr (Io::kReading) {
+    downtime_ = IntervalSet();
+    for (const Interval& iv : downtime) downtime_.Add(iv);
   }
 
   // Sorted ids: the sets are unordered in memory, the bytes must not be.
-  for (const std::unordered_set<JobId>* jobs : {&seen_jobs_, &failed_jobs_}) {
-    std::vector<JobId> sorted(jobs->begin(), jobs->end());
-    std::sort(sorted.begin(), sorted.end());
-    w.U64(sorted.size());
-    for (JobId id : sorted) w.U64(id);
+  for (std::unordered_set<JobId>* jobs : {&seen_jobs_, &failed_jobs_}) {
+    std::vector<JobId> ids;
+    if constexpr (!Io::kReading) {
+      ids.assign(jobs->begin(), jobs->end());
+      std::sort(ids.begin(), ids.end());
+    }
+    Seq<std::uint64_t>(io, ids);
+    if constexpr (Io::kReading) {
+      jobs->clear();
+      jobs->insert(ids.begin(), ids.end());
+    }
   }
 
   // Per-job winners in jobid order (the map's iteration order).
-  w.U32(static_cast<std::uint32_t>(waits_.size()));
-  for (const auto& [jobid, sample] : waits_) {
-    w.U64(jobid);
-    w.U64(sample.apid);
-    w.U32(sample.band);
-    w.I64(sample.wait.seconds());
-  }
+  MapSeq<std::uint32_t>(
+      io, waits_, []<class In>(In& in, auto& jobid, WaitSample& sample) {
+        in(jobid, sample.apid, sample.band, sample.wait);
+        if constexpr (In::kReading) {
+          if (sample.band >= kWaitBands.size()) {
+            in.Fail("queue-wait band out of range");
+          }
+        }
+      });
 }
 
-void MetricsAccumulator::LoadState(SnapshotReader& r) {
-  total_runs_ = r.U64();
-  total_node_seconds_ = r.I64();
-  system_failures_ = r.U64();
-  lost_node_seconds_ = r.I64();
-  span_lo_ = r.Time();
-  span_hi_ = r.Time();
-  have_span_ = r.Bool();
-
-  outcome_rows_.clear();
-  const std::uint32_t outcomes = r.U32();
-  for (std::uint32_t i = 0; i < outcomes && r.ok(); ++i) {
-    const auto key = static_cast<AppOutcome>(r.U8());
-    OutcomeTally row;
-    row.runs = r.U64();
-    row.node_seconds = r.I64();
-    outcome_rows_.emplace(key, row);
-  }
-
-  cat_rows_.clear();
-  const std::uint32_t cats = r.U32();
-  for (std::uint32_t i = 0; i < cats && r.ok(); ++i) {
-    const auto key = static_cast<ErrorCategory>(r.U8());
-    CategoryRow row;
-    row.category = static_cast<ErrorCategory>(r.U8());
-    row.tuples = r.U64();
-    row.fatal_tuples = r.U64();
-    row.raw_events = r.U64();
-    cat_rows_.emplace(key, row);
-  }
-
-  attr_rows_.clear();
-  const std::uint32_t attrs = r.U32();
-  for (std::uint32_t i = 0; i < attrs && r.ok(); ++i) {
-    const auto key = static_cast<ErrorCategory>(r.U8());
-    AttributionRow row;
-    row.cause = static_cast<ErrorCategory>(r.U8());
-    row.xe_failures = r.U64();
-    row.xk_failures = r.U64();
-    attr_rows_.emplace(key, row);
-  }
-
-  for (auto* scale : {&xe_scale_, &xk_scale_}) {
-    scale->clear();
-    const std::uint32_t points = r.U32();
-    if (r.ok()) scale->reserve(points);
-    for (std::uint32_t i = 0; i < points && r.ok(); ++i) {
-      ScalePoint p;
-      p.lo = r.U32();
-      p.hi = r.U32();
-      p.runs = r.U64();
-      p.system_failures = r.U64();
-      scale->push_back(p);
-    }
-  }
-
-  monthly_.clear();
-  const std::uint32_t months = r.U32();
-  for (std::uint32_t i = 0; i < months && r.ok(); ++i) {
-    const int key_year = r.I32();
-    const int key_month = r.I32();
-    MonthlyTally p;
-    p.runs = r.U64();
-    p.system_failures = r.U64();
-    p.node_seconds = r.I64();
-    p.lost_node_seconds = r.I64();
-    monthly_.emplace(std::make_pair(key_year, key_month), p);
-  }
-
-  for (DetectionGapRow* gap : {&xe_gap_, &xk_gap_}) {
-    gap->type = static_cast<NodeType>(r.U8());
-    gap->system_failures = r.U64();
-    gap->attributed = r.U64();
-    gap->unattributed = r.U64();
-  }
-
-  incidents_ = r.U64();
-  downtime_ = IntervalSet();
-  const std::uint32_t intervals = r.U32();
-  for (std::uint32_t i = 0; i < intervals && r.ok(); ++i) {
-    Interval iv;
-    iv.start = r.Time();
-    iv.end = r.Time();
-    downtime_.Add(iv);
-  }
-
-  for (std::unordered_set<JobId>* jobs : {&seen_jobs_, &failed_jobs_}) {
-    jobs->clear();
-    const std::uint64_t count = r.U64();
-    if (r.ok()) jobs->reserve(count);
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-      jobs->insert(r.U64());
-    }
-  }
-
-  waits_.clear();
-  const std::uint32_t jobs = r.U32();
-  for (std::uint32_t i = 0; i < jobs && r.ok(); ++i) {
-    const JobId jobid = r.U64();
-    WaitSample sample;
-    sample.apid = r.U64();
-    sample.band = r.U32();
-    sample.wait = Duration(r.I64());
-    if (sample.band >= kWaitBands.size()) {
-      r.Fail("queue-wait band out of range");
-      return;
-    }
-    waits_.emplace(jobid, sample);
-  }
-}
+template void MetricsAccumulator::Fields(SnapshotWriter&);
+template void MetricsAccumulator::Fields(SnapshotReader&);
 
 MetricsReport ComputeMetrics(const std::vector<AppRun>& runs,
                              const std::vector<ClassifiedRun>& classified,

@@ -23,9 +23,6 @@
 
 namespace ld {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 struct OutcomeRow {
   AppOutcome outcome = AppOutcome::kUnknown;
   std::uint64_t runs = 0;
@@ -144,7 +141,7 @@ struct MetricsReport {
 /// not floating node-hours), a min/max, a set union, or a keyed
 /// minimum, so MergeFrom is associative and commutative and disjoint
 /// shard partials merge to the serial accumulator's exact state —
-/// byte-identical SaveState output, bit-identical Report numbers.
+/// byte-identical codec output, bit-identical Report numbers.
 /// Floating point appears only in Report(), computed once from the
 /// merged integers.
 class MetricsAccumulator {
@@ -167,14 +164,14 @@ class MetricsAccumulator {
   /// Snapshot of the metrics over everything accumulated so far.
   MetricsReport Report() const;
 
-  /// Checkpoint serialization hooks: every accumulator (scale buckets,
-  /// monthly/outcome/category/attribution maps, downtime intervals,
-  /// job-dedup sets, queue-wait samples) round-trips exactly, so a
-  /// restored accumulator reports bit-identical numbers.  The config
-  /// stays construction-time; Restore expects an accumulator built with
-  /// the same config.
-  void SaveState(SnapshotWriter& w) const;
-  void LoadState(SnapshotReader& r);
+  /// The checkpoint codec (snapshot.hpp): every accumulator (scale
+  /// buckets, monthly/outcome/category/attribution maps, downtime
+  /// intervals, job-dedup sets, queue-wait samples) round-trips
+  /// exactly, so a decoded accumulator reports bit-identical numbers.
+  /// The config stays construction-time; decoding expects an
+  /// accumulator built with the same config.
+  template <class Io>
+  void Fields(Io& io);
 
  private:
   /// Internal integer tallies mirroring the report rows; doubles are
@@ -217,7 +214,7 @@ class MetricsAccumulator {
   std::uint64_t incidents_ = 0;
   IntervalSet downtime_;
   /// Job-dedup sets are unordered (this is the per-run hot lookup);
-  /// SaveState writes their ids sorted so snapshot bytes stay
+  /// The codec writes their ids sorted so snapshot bytes stay
   /// deterministic and match the old ordered-set layout.
   std::unordered_set<JobId> seen_jobs_;
   std::unordered_set<JobId> failed_jobs_;

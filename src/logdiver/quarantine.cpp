@@ -45,28 +45,13 @@ std::uint64_t QuarantineSink::count(LogSource source) const {
   return by_source_[static_cast<std::size_t>(source)];
 }
 
-void QuarantineSink::SaveState(SnapshotWriter& w) const {
-  w.U32(static_cast<std::uint32_t>(entries_.size()));
-  for (const QuarantineEntry& entry : entries_) {
-    SaveQuarantineEntry(w, entry);
-  }
-  w.U64(total_);
-  w.U64(overflow_);
-  for (std::uint64_t n : by_source_) w.U64(n);
+template <class Io>
+void QuarantineSink::Fields(Io& io) {
+  Seq<std::uint32_t>(io, entries_);
+  io(total_, overflow_, by_source_);
 }
 
-void QuarantineSink::LoadState(SnapshotReader& r) {
-  const std::uint32_t entries = r.U32();
-  entries_.clear();
-  if (r.ok()) entries_.reserve(entries);
-  for (std::uint32_t i = 0; i < entries && r.ok(); ++i) {
-    QuarantineEntry entry;
-    LoadQuarantineEntry(r, entry);
-    entries_.push_back(std::move(entry));
-  }
-  total_ = r.U64();
-  overflow_ = r.U64();
-  for (std::uint64_t& n : by_source_) n = r.U64();
-}
+template void QuarantineSink::Fields(SnapshotWriter&);
+template void QuarantineSink::Fields(SnapshotReader&);
 
 }  // namespace ld

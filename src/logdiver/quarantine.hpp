@@ -47,9 +47,6 @@ struct QuarantineConfig {
   std::size_t max_line_bytes = 256;
 };
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /// Bounded capture of rejected lines.  Adding is cheap and never fails;
 /// overflow beyond max_entries is counted, not stored.
 class QuarantineSink {
@@ -74,10 +71,11 @@ class QuarantineSink {
   std::uint64_t overflow() const { return overflow_; }
   std::uint64_t count(LogSource source) const;
 
-  /// Snapshot serialization hooks: entries, totals, overflow and the
-  /// per-source counters round-trip; the config stays construction-time.
-  void SaveState(SnapshotWriter& w) const;
-  void LoadState(SnapshotReader& r);
+  /// The checkpoint codec (snapshot.hpp): entries, totals, overflow and
+  /// the per-source counters round-trip; the config stays
+  /// construction-time.
+  template <class Io>
+  void Fields(Io& io);
 
  private:
   QuarantineConfig config_;

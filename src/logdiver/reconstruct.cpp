@@ -33,6 +33,33 @@ void SortByStart(std::vector<AppRun>& runs) {
   runs = std::move(sorted);
 }
 
+/// A hash map's values in key order, so the bytes never depend on its
+/// insertion history: a u64 count, then each value sorted by
+/// `key_of(value)`.  Read back, each value goes in under its key.
+template <class Io, class Map, class KeyOf>
+void SortedValues(Io& io, Map& map, const KeyOf& key_of) {
+  using Value = typename Map::mapped_type;
+  const std::size_t n = io.template Count<std::uint64_t>(
+      map.size(), [](SnapshotWriter& w) { w(Value{}); });
+  if constexpr (Io::kReading) {
+    map.clear();
+    for (std::size_t i = 0; i < n && io.ok(); ++i) {
+      Value value{};
+      io(value);
+      map.emplace(key_of(value), std::move(value));
+    }
+  } else {
+    std::vector<const Value*> sorted;
+    sorted.reserve(map.size());
+    for (const auto& [key, value] : map) sorted.push_back(&value);
+    std::sort(sorted.begin(), sorted.end(),
+              [&key_of](const Value* a, const Value* b) {
+                return key_of(*a) < key_of(*b);
+              });
+    for (const Value* value : sorted) io(*value);
+  }
+}
+
 }  // namespace
 
 RunBuilder::RunBuilder(const Machine& machine)
@@ -172,45 +199,19 @@ void RunBuilder::Forget(TimePoint terminated_before,
   }
 }
 
-void RunBuilder::SaveState(SnapshotWriter& w) const {
-  // Hash-map order depends on insertion history; the snapshot bytes
-  // must not, so both indexes are written in key order.
-  std::vector<const TorqueRecord*> jobs;
-  jobs.reserve(jobs_.size());
-  for (const auto& [jobid, record] : jobs_) jobs.push_back(&record);
-  std::sort(jobs.begin(), jobs.end(),
-            [](const auto* a, const auto* b) { return a->jobid < b->jobid; });
-  w.U64(jobs.size());
-  for (const TorqueRecord* record : jobs) SaveTorqueRecord(w, *record);
-
-  std::vector<const AppRun*> runs;
-  runs.reserve(runs_.size());
-  for (const auto& [apid, run] : runs_) runs.push_back(&run);
-  std::sort(runs.begin(), runs.end(),
-            [](const auto* a, const auto* b) { return a->apid < b->apid; });
-  w.U64(runs.size());
-  for (const AppRun* run : runs) SaveAppRun(w, *run);
-  SaveReconstructStats(w, stats_);
+template <class Io>
+void RunBuilder::Fields(Io& io) {
+  SortedValues(io, jobs_, [](const TorqueRecord& job) { return job.jobid; });
+  SortedValues(io, runs_, [](const AppRun& run) { return run.apid; });
+  io(stats_);
+  if constexpr (Io::kReading) {
+    open_runs_ = 0;
+    for (const auto& [apid, run] : runs_) open_runs_ += !run.has_termination;
+  }
 }
 
-void RunBuilder::LoadState(SnapshotReader& r) {
-  jobs_.clear();
-  for (std::uint64_t i = 0, n = r.U64(); i < n && r.ok(); ++i) {
-    TorqueRecord record;
-    LoadTorqueRecord(r, record);
-    jobs_.emplace(record.jobid, record);
-  }
-  runs_.clear();
-  open_runs_ = 0;
-  for (std::uint64_t i = 0, n = r.U64(); i < n && r.ok(); ++i) {
-    AppRun run;
-    LoadAppRun(r, run);
-    open_runs_ += !run.has_termination;
-    const ApId apid = run.apid;
-    runs_.emplace(apid, std::move(run));
-  }
-  LoadReconstructStats(r, stats_);
-}
+template void RunBuilder::Fields(SnapshotWriter&);
+template void RunBuilder::Fields(SnapshotReader&);
 
 std::vector<AppRun> ReconstructRuns(const Machine& machine,
                                     std::vector<AlpsRecord> alps,

@@ -75,9 +75,6 @@ struct ReconstructStats {
   std::uint64_t duplicate_job_records = 0;
 };
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /// The run-join rules, in one place (DESIGN.md "One ingest core"): an E
 /// job record overrides an S, any other repeat is a counted replay; the
 /// first placement and first termination per apid win, a termination
@@ -112,10 +109,11 @@ class RunBuilder {
   std::size_t job_count() const { return jobs_.size(); }
   std::size_t open_run_count() const { return open_runs_; }
 
-  /// Serializes jobs (jobid order), runs and terminated remnants (apid
-  /// order) and the stats; layout in docs/FORMATS.md.
-  void SaveState(SnapshotWriter& w) const;
-  void LoadState(SnapshotReader& r);
+  /// The checkpoint codec (snapshot.hpp): jobs (jobid order), runs and
+  /// terminated remnants (apid order) and the stats; layout in
+  /// docs/FORMATS.md.
+  template <class Io>
+  void Fields(Io& io);
 
  private:
   /// Node type of the placed nids (dense table: the vote touches every

@@ -1,6 +1,8 @@
 #include "logdiver/resume.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -18,10 +20,18 @@
 namespace ld {
 namespace {
 
-/// Resume payload layout: the per-source replay offsets wrap the
-/// analyzer state (docs/FORMATS.md "snapshot — analyzer checkpoint
-/// files").
-constexpr std::uint32_t kResumeStateVersion = 1;
+/// Resume payload layout version: the per-source replay offsets and
+/// claim carries wrap the analyzer state (docs/FORMATS.md "snapshot —
+/// analyzer checkpoint files").  Version 2 stores the carries.
+constexpr std::uint32_t kResumeStateVersion = 2;
+
+/// The resume payload's one codec.
+template <class Io>
+void ResumePayload(Io& io, std::uint64_t (&heads)[kNumLogSources],
+                   ClaimedTracker& tracker, StreamingAnalyzer& analyzer) {
+  io.Version(kResumeStateVersion, "snapshot resume-state");
+  io(heads, tracker, analyzer);
+}
 
 /// One source's heads, parsed ahead on the pool: the loop takes parses
 /// from one block while the pool parses the next, so the per-line parse
@@ -90,34 +100,37 @@ class ParseAhead {
 /// Torque, ALPS and hwerr parses run ahead of the loop (ParseAhead);
 /// claims, the merge, the analyzer, the syslog parse and `on_line` stay
 /// on this thread, line by line, so the pool changes no result.
-/// `heads`/`total` carry restored offsets in and final positions out —
-/// a resumed pass first rebuilds each source's carried claim from the
-/// prefix the snapshot covered (ClaimedTracker::ClaimPrefix), so the
-/// merge order never depends on restored state.  `on_line` (optional)
-/// runs after every consumed line — the resumable path hangs its
-/// snapshot schedule there.
-void ReplayLoop(const LogSetView& lines, int syslog_base_year,
-                ThreadPool* pool, StreamingAnalyzer& analyzer,
-                const ReplaySchedule& schedule,
-                std::uint64_t heads[kNumLogSources], std::uint64_t& total,
+/// `heads`/`total` and `consumed`, the carries of the lines before the
+/// heads, come in restored (a resumed pass) and go out at the final
+/// positions.  The heads are claimed on a copy of `consumed`, so it
+/// never holds the claim of a line still waiting in the merge: a
+/// resumed pass claims each head once, from the carry the
+/// uninterrupted pass claimed it from.  `on_line` (optional) runs after
+/// every consumed line — the resumable path hangs its snapshot schedule
+/// there.
+void ReplayLoop(const LogSetView& lines, ThreadPool* pool,
+                StreamingAnalyzer& analyzer, const ReplaySchedule& schedule,
+                std::uint64_t heads[kNumLogSources], ClaimedTracker& consumed,
+                std::uint64_t& total,
                 const std::function<Status(std::uint64_t total)>& on_line,
                 Status& status) {
-  ClaimedTracker tracker(syslog_base_year);
   std::span<const std::string_view> source_lines[kNumLogSources];
   std::optional<ParseAhead> ahead[kNumLogSources];
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
     const auto source = static_cast<LogSource>(s);
     source_lines[s] = lines.lines(source);
-    tracker.ClaimPrefix(source, source_lines[s].first(heads[s]));
     if (pool != nullptr && pool->size() > 1 && source != LogSource::kSyslog) {
       ahead[s].emplace(pool, source, source_lines[s], heads[s]);
     }
   }
 
+  ClaimedTracker tracker = consumed;
   ClaimedLine head[kNumLogSources];
   const auto load_head = [&](std::size_t s) {
-    if (heads[s] >= source_lines[s].size()) return;
     const auto source = static_cast<LogSource>(s);
+    // The carry now holds the claim of the line just consumed.
+    consumed.TakeCarry(source, tracker);
+    if (heads[s] >= source_lines[s].size()) return;
     const std::string_view line = source_lines[s][heads[s]];
     head[s] = tracker.Claim(source, line,
                             ahead[s] ? ahead[s]->Take(heads[s])
@@ -175,10 +188,11 @@ std::uint64_t ReplayLines(const LogSetView& lines, const LogDiverConfig& config,
                           const ReplaySchedule& schedule,
                           StreamingAnalyzer& analyzer, ThreadPool* pool) {
   std::uint64_t heads[kNumLogSources] = {0, 0, 0, 0};
+  ClaimedTracker tracker(config.syslog_base_year);
   std::uint64_t total = 0;
   Status status;
-  ReplayLoop(lines, config.syslog_base_year, pool, analyzer, schedule, heads,
-             total, nullptr, status);
+  ReplayLoop(lines, pool, analyzer, schedule, heads, tracker, total, nullptr,
+             status);
   return total;
 }
 
@@ -193,7 +207,8 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
                       LoadBundle(inputs, pool.get()));
   const LogSetView& views = bundle.views;
 
-  StreamingAnalyzer analyzer(machine, config);
+  auto analyzer = std::make_unique<StreamingAnalyzer>(machine, config);
+  ClaimedTracker tracker(config.syslog_base_year);
   ResumableSummary out;
   std::uint64_t heads[kNumLogSources] = {0, 0, 0, 0};
   std::uint64_t total = 0;
@@ -218,29 +233,33 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
   if (resuming) {
     fingerprint_bundle();
     // Fingerprint-gated: a snapshot of a *different* bundle in this
-    // directory is rejected and skipped like a torn one.
-    auto loaded = store.LoadLatest(fingerprint);
+    // directory is rejected and skipped like a torn one, and so is one
+    // that does not decode.  Each generation decodes into a fresh
+    // analyzer, kept only once the whole payload has decoded.
+    auto loaded = store.LoadLatest(
+        fingerprint, [&](std::span<const std::uint8_t> payload) -> Status {
+          auto restored = std::make_unique<StreamingAnalyzer>(machine, config);
+          ClaimedTracker carries(config.syslog_base_year);
+          std::uint64_t offsets[kNumLogSources] = {};
+          SnapshotReader r(payload);
+          ResumePayload(r, offsets, carries, *restored);
+          LD_TRY(r.Finish());
+          for (std::size_t s = 0; s < kNumLogSources; ++s) {
+            if (offsets[s] > views.lines(static_cast<LogSource>(s)).size()) {
+              return FailedPreconditionError(
+                  "snapshot records an offset past the end of " +
+                  std::string(LogSourceName(static_cast<LogSource>(s))) +
+                  " — it belongs to a different bundle");
+            }
+          }
+          analyzer = std::move(restored);
+          tracker = carries;
+          std::copy(std::begin(offsets), std::end(offsets), heads);
+          return Status::Ok();
+        });
     if (loaded.ok()) {
       out.snapshots_rejected = loaded->rejected;
-      SnapshotReader r(loaded->payload);
-      const std::uint32_t version = r.U32();
-      if (!r.ok()) return r.status();
-      if (version != kResumeStateVersion) {
-        return FailedPreconditionError(
-            "snapshot resume-state version " + std::to_string(version) +
-            ", this build speaks " + std::to_string(kResumeStateVersion));
-      }
-      for (std::uint64_t& head : heads) head = r.U64();
-      LD_TRY(analyzer.Restore(r));
-      for (std::size_t s = 0; s < kNumLogSources; ++s) {
-        if (heads[s] > views.lines(static_cast<LogSource>(s)).size()) {
-          return FailedPreconditionError(
-              "snapshot records an offset past the end of " +
-              std::string(LogSourceName(static_cast<LogSource>(s))) +
-              " — it belongs to a different bundle");
-        }
-        total += heads[s];
-      }
+      for (const std::uint64_t head : heads) total += head;
       out.resumed_generation = loaded->generation;
       out.lines_skipped = total;
       LD_OBS_COUNTER_ADD(obs::names::kResumeLinesSkippedTotal, total);
@@ -257,17 +276,14 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
   // at the same lines an uninterrupted one would.
   Status replay_status;
   ReplayLoop(
-      views, config.syslog_base_year, pool.get(), analyzer, options.schedule,
-      heads, total,
+      views, pool.get(), *analyzer, options.schedule, heads, tracker, total,
       [&](std::uint64_t total_now) -> Status {
         if (!snapshots_enabled || total_now % options.snapshot_interval != 0) {
           return Status::Ok();
         }
         fingerprinting.Wait();
         SnapshotWriter w;
-        w.U32(kResumeStateVersion);
-        for (std::uint64_t head : heads) w.U64(head);
-        analyzer.Snapshot(w);
+        ResumePayload(w, heads, tracker, *analyzer);
         LD_TRY(store.Write(w.bytes(), fingerprint));
         ++out.snapshots_written;
         CrashPoint("snapshot");
@@ -280,7 +296,7 @@ Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
   // granularity rule): streamed = lines actually replayed this attempt.
   LD_OBS_COUNTER_ADD(obs::names::kResumeLinesStreamedTotal,
                      total - out.lines_skipped);
-  out.summary = analyzer.Finalize();
+  out.summary = analyzer->Finalize();
   out.total_lines = total;
   return out;
 }

@@ -1,23 +1,22 @@
 // Crash-tolerant streaming analysis: the recovery half of the
 // checkpoint-recovery pattern (snapshot.hpp is the checkpoint half).
 //
-// RunResumableAnalysis streams an on-disk bundle through a
-// StreamingAnalyzer exactly as a live shipper would — four file tails
-// (loaded by LoadBundle, rotation families stitched) merged by claimed
-// head time (claims.hpp), each line parsed once — writing a snapshot
-// every N lines.  With `LogDiverConfig::threads` above one, a pool
-// splits the lines, fingerprints the bundle and parses Torque/ALPS/hwerr
-// lines a block ahead of the merge; the claims, the merge, the analyzer
-// and the snapshot points stay on one thread, line by line, so the
-// thread count changes no output byte.  On startup it loads the newest
-// *valid* snapshot (torn or corrupt files are rejected by CRC and the
-// loader falls back a generation), restores the analyzer, and resumes
-// reading each file at the recorded offset, so every line is applied
-// exactly once.  Because the merge order, the watermark schedule and
-// the serialization are all deterministic, an interrupted-and-resumed
-// pass produces a *bit-identical* MetricsReport to an uninterrupted one
-// — bench/crash_campaign asserts this across a kill-point ×
-// snapshot-interval sweep.
+// RunResumableAnalysis streams an on-disk bundle through a StreamingAnalyzer
+// exactly as a live shipper would — four file tails (loaded by LoadBundle,
+// rotation families stitched) merged by claimed head time (claims.hpp), each
+// line parsed once — writing a snapshot every N lines.  With
+// `LogDiverConfig::threads` above one, a pool splits the lines, fingerprints
+// the bundle and parses Torque/ALPS/hwerr lines a block ahead of the merge; the
+// claims, the merge, the analyzer and the snapshot points stay on one thread,
+// line by line, so the thread count changes no output byte.  On startup it
+// loads the newest snapshot that is valid and decodes (a torn, corrupt or
+// undecodable generation is rejected and the loader falls back a generation),
+// restores the analyzer and each source's claim carry, and resumes reading each
+// file at the recorded offset, so every line is applied exactly once.  Because
+// the merge order, the watermark schedule and the serialization are all
+// deterministic, an interrupted-and-resumed pass produces a *bit-identical*
+// MetricsReport to an uninterrupted one — bench/crash_campaign asserts this
+// across a kill-point × snapshot-interval sweep.
 //
 // CrashSupervisor is the process-level restart rule: it runs each
 // analysis attempt as the single child of the shared supervised-child
@@ -89,13 +88,13 @@ struct ResumableSummary {
   std::uint64_t lines_skipped = 0;
 };
 
-/// Streams `inputs` through a fresh analyzer (resuming from the newest
-/// valid snapshot when options allow), finalizes, and returns the
-/// summary.  The pool `config.threads` asks for (LogDiver::Analyze's
-/// rule) lives only inside the call.  Errors on unreadable inputs or an
-/// unusable snapshot payload (version/geometry mismatch — *corruption*
-/// is handled by falling back, a mismatch means the operator pointed the
-/// tool at the wrong directory).
+/// Streams `inputs` through a fresh analyzer (resuming from the newest snapshot
+/// that is valid and decodes, when options allow), finalizes, and returns the
+/// summary.  The pool `config.threads` asks for (LogDiver::Analyze's rule)
+/// lives only inside the call.  Errors on unreadable inputs or an unusable
+/// snapshot payload: a layout version or geometry mismatch, or offsets past the
+/// bundle.  *Corruption* is handled by falling back; a mismatch means the
+/// operator pointed the tool at the wrong directory.
 Result<ResumableSummary> RunResumableAnalysis(const Machine& machine,
                                               const LogDiverConfig& config,
                                               const StreamInputs& inputs,

@@ -17,6 +17,26 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::uint32_t kTenantSnapshotVersion = 1;
+
+/// The tenant snapshot payload's one codec (docs/FORMATS.md "tenant
+/// snapshot").  The stored tenant id must be `tenant_id`.
+template <class Io>
+void TenantPayload(Io& io, const std::string& tenant_id,
+                   std::uint64_t& applied, std::uint64_t& offset,
+                   ClaimedTracker& tracker, StreamingAnalyzer& analyzer) {
+  io.Version(kTenantSnapshotVersion, "tenant " + tenant_id + ": snapshot");
+  std::string owner = tenant_id;
+  io(owner);
+  if constexpr (Io::kReading) {
+    if (io.ok() && owner != tenant_id) {
+      io.Fail(FailedPreconditionError("tenant " + tenant_id +
+                                      ": snapshot belongs to tenant '" +
+                                      owner + "'"));
+    }
+  }
+  io(applied, offset, tracker, analyzer);
+}
+
 /// Worker batch size: items applied per state-lock acquisition, so
 /// queries interleave with a busy apply loop instead of starving.
 constexpr std::size_t kApplyBatch = 256;
@@ -106,34 +126,29 @@ Status TenantShard::Start(std::uint64_t* recovered_lines) {
   }
   analyzer_ = std::make_unique<StreamingAnalyzer>(machine_, config_);
 
-  const std::uint64_t fingerprint = TenantFingerprint(tenant_id_);
+  // Each generation decodes into a fresh analyzer, kept only once the
+  // whole payload has decoded; one that does not decode falls back.
   std::uint64_t replay_from = 0;
-  auto loaded = store_.LoadLatest(fingerprint);
-  if (loaded.ok()) {
-    SnapshotReader r(loaded->payload);
-    const std::uint32_t version = r.U32();
-    if (!r.ok()) return r.status();
-    if (version != kTenantSnapshotVersion) {
-      return FailedPreconditionError(
-          "tenant " + tenant_id_ + ": snapshot version " +
-          std::to_string(version) + ", this build speaks " +
-          std::to_string(kTenantSnapshotVersion));
-    }
-    const std::string snap_tenant = r.Str();
-    if (snap_tenant != tenant_id_) {
-      return FailedPreconditionError("tenant " + tenant_id_ +
-                                     ": snapshot belongs to tenant '" +
-                                     snap_tenant + "'");
-    }
-    const std::uint64_t applied = r.U64();
-    replay_from = r.U64();
-    tracker_.Restore(r);
-    LD_TRY(analyzer_->Restore(r));
-    applied_.store(applied);
-    applied_offset_ = replay_from;
-    last_snapshot_applied_ = applied;
-    last_snapshot_offset_ = replay_from;
-  } else if (loaded.status().code() != StatusCode::kNotFound) {
+  auto loaded = store_.LoadLatest(
+      TenantFingerprint(tenant_id_),
+      [&](std::span<const std::uint8_t> payload) -> Status {
+        auto analyzer = std::make_unique<StreamingAnalyzer>(machine_, config_);
+        ClaimedTracker tracker(config_.syslog_base_year);
+        std::uint64_t applied = 0;
+        std::uint64_t offset = 0;
+        SnapshotReader r(payload);
+        TenantPayload(r, tenant_id_, applied, offset, tracker, *analyzer);
+        LD_TRY(r.Finish());
+        analyzer_ = std::move(analyzer);
+        tracker_ = tracker;
+        applied_.store(applied);
+        applied_offset_ = offset;
+        last_snapshot_applied_ = applied;
+        last_snapshot_offset_ = offset;
+        replay_from = offset;
+        return Status::Ok();
+      });
+  if (!loaded.ok() && loaded.status().code() != StatusCode::kNotFound) {
     return loaded.status();
   }
 
@@ -267,12 +282,9 @@ void TenantShard::ApplyLocked(const JournalRecord& record) {
 
 std::vector<std::uint8_t> TenantShard::BuildSnapshotLocked() {
   SnapshotWriter w;
-  w.U32(kTenantSnapshotVersion);
-  w.Str(tenant_id_);
-  w.U64(applied_.load(std::memory_order_relaxed));
-  w.U64(applied_offset_);
-  tracker_.Snapshot(w);
-  analyzer_->Snapshot(w);
+  std::uint64_t applied = applied_.load(std::memory_order_relaxed);
+  TenantPayload(w, tenant_id_, applied, applied_offset_, tracker_,
+                *analyzer_);
   return w.TakeBytes();
 }
 

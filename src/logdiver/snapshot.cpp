@@ -167,9 +167,12 @@ void SnapshotWriter::Raw(const void* data, std::size_t size) {
 }
 
 void SnapshotReader::Fail(std::string why) {
-  if (status_.ok()) {
-    status_ = InternalError("snapshot payload: " + std::move(why));
-  }
+  Fail(ParseError("snapshot payload: " + std::move(why)));
+}
+
+void SnapshotReader::Fail(Status why) {
+  if (status_.ok()) status_ = std::move(why);
+  pos_ = size_;
 }
 
 std::uint8_t SnapshotReader::U8() {
@@ -253,455 +256,171 @@ std::string SnapshotReader::Str() {
   return s;
 }
 
-// --- shared struct serializers ---------------------------------------
-
-void SaveParseStats(SnapshotWriter& w, const ParseStats& s) {
-  w.U64(s.lines);
-  w.U64(s.records);
-  w.U64(s.skipped);
-  w.U64(s.malformed);
-}
-
-void LoadParseStats(SnapshotReader& r, ParseStats& s) {
-  s.lines = r.U64();
-  s.records = r.U64();
-  s.skipped = r.U64();
-  s.malformed = r.U64();
-}
-
-void SaveIngestStats(SnapshotWriter& w, const IngestStats& s) {
-  w.U64(s.quarantined);
-  w.U64(s.quarantine_overflow);
-  w.U64(s.duplicate_placements);
-  w.U64(s.duplicate_terminations);
-  w.U64(s.duplicate_job_records);
-  w.U64(s.watermark_regressions);
-  w.U64(s.evicted_pending_runs);
-  w.U64(s.evicted_tuples);
-  w.U64(s.budget_exhausted_sources);
-  w.U64(s.lines_dropped_after_budget);
-}
-
-void LoadIngestStats(SnapshotReader& r, IngestStats& s) {
-  s.quarantined = r.U64();
-  s.quarantine_overflow = r.U64();
-  s.duplicate_placements = r.U64();
-  s.duplicate_terminations = r.U64();
-  s.duplicate_job_records = r.U64();
-  s.watermark_regressions = r.U64();
-  s.evicted_pending_runs = r.U64();
-  s.evicted_tuples = r.U64();
-  s.budget_exhausted_sources = r.U64();
-  s.lines_dropped_after_budget = r.U64();
-}
-
-void SaveReconstructStats(SnapshotWriter& w, const ReconstructStats& s) {
-  w.U64(s.placements);
-  w.U64(s.terminations);
-  w.U64(s.runs);
-  w.U64(s.missing_termination);
-  w.U64(s.orphan_terminations);
-  w.U64(s.missing_job);
-  w.U64(s.mixed_node_types);
-  w.U64(s.duplicate_placements);
-  w.U64(s.duplicate_terminations);
-  w.U64(s.duplicate_job_records);
-}
-
-void LoadReconstructStats(SnapshotReader& r, ReconstructStats& s) {
-  s.placements = r.U64();
-  s.terminations = r.U64();
-  s.runs = r.U64();
-  s.missing_termination = r.U64();
-  s.orphan_terminations = r.U64();
-  s.missing_job = r.U64();
-  s.mixed_node_types = r.U64();
-  s.duplicate_placements = r.U64();
-  s.duplicate_terminations = r.U64();
-  s.duplicate_job_records = r.U64();
-}
-
-void SaveAnalysisSummary(SnapshotWriter& w, const AnalysisSummary& summary) {
-  SaveMetricsReport(w, summary.metrics);
-  SaveParseStats(w, summary.torque_stats);
-  SaveParseStats(w, summary.alps_stats);
-  SaveParseStats(w, summary.syslog_stats);
-  SaveParseStats(w, summary.hwerr_stats);
-  w.U64(summary.coalesce_stats.input_events);
-  w.U64(summary.coalesce_stats.tuples);
-  w.U64(summary.coalesce_stats.unresolved_locations);
-  SaveReconstructStats(w, summary.reconstruct_stats);
-  SaveIngestStats(w, summary.ingest);
-  SaveStatus(w, summary.ingest_status);
-}
-
-void LoadAnalysisSummary(SnapshotReader& r, AnalysisSummary& summary) {
-  LoadMetricsReport(r, summary.metrics);
-  LoadParseStats(r, summary.torque_stats);
-  LoadParseStats(r, summary.alps_stats);
-  LoadParseStats(r, summary.syslog_stats);
-  LoadParseStats(r, summary.hwerr_stats);
-  summary.coalesce_stats.input_events = r.U64();
-  summary.coalesce_stats.tuples = r.U64();
-  summary.coalesce_stats.unresolved_locations = r.U64();
-  LoadReconstructStats(r, summary.reconstruct_stats);
-  LoadIngestStats(r, summary.ingest);
-  summary.ingest_status = LoadStatus(r);
-}
-
-void SaveStatus(SnapshotWriter& w, const Status& s) {
-  w.U8(static_cast<std::uint8_t>(s.code()));
-  w.Str(s.message());
-}
-
-Status LoadStatus(SnapshotReader& r) {
-  const auto code = static_cast<StatusCode>(r.U8());
-  std::string message = r.Str();
-  if (code == StatusCode::kOk) return Status::Ok();
-  return Status(code, std::move(message));
-}
-
-void SaveTorqueRecord(SnapshotWriter& w, const TorqueRecord& rec) {
-  w.U8(static_cast<std::uint8_t>(rec.kind));
-  w.Time(rec.time);
-  w.U64(rec.jobid);
-  w.Str(rec.user.view());
-  w.Str(rec.queue.view());
-  w.Time(rec.submit);
-  w.Time(rec.start);
-  w.Time(rec.end);
-  w.I32(rec.exit_status);
-  w.U32(rec.nodect);
-  w.Dur(rec.walltime_limit);
-  w.Dur(rec.walltime_used);
-}
-
-void LoadTorqueRecord(SnapshotReader& r, TorqueRecord& rec) {
-  rec.kind = static_cast<TorqueRecord::Kind>(r.U8());
-  rec.time = r.Time();
-  rec.jobid = r.U64();
-  rec.user = Intern(r.Str());
-  rec.queue = Intern(r.Str());
-  rec.submit = r.Time();
-  rec.start = r.Time();
-  rec.end = r.Time();
-  rec.exit_status = r.I32();
-  rec.nodect = r.U32();
-  rec.walltime_limit = r.Dur();
-  rec.walltime_used = r.Dur();
-}
-
-void SaveAppRun(SnapshotWriter& w, const AppRun& run) {
-  w.U64(run.apid);
-  w.U64(run.jobid);
-  w.Str(run.user.view());
-  w.Str(run.queue.view());
-  w.U8(static_cast<std::uint8_t>(run.node_type));
-  w.U32(static_cast<std::uint32_t>(run.nodes.size()));
-  for (NodeIndex n : run.nodes) w.U32(n);
-  w.U32(run.nodect);
-  w.Time(run.start);
-  w.Time(run.end);
-  w.Bool(run.has_termination);
-  w.I32(run.exit_code);
-  w.I32(run.exit_signal);
-  w.Bool(run.killed_node_failure);
-  w.U32(run.failed_nid);
-  w.Time(run.job_submit);
-  w.Time(run.job_start);
-  w.Dur(run.walltime_limit);
-  w.I32(run.job_exit_status);
-}
-
-void LoadAppRun(SnapshotReader& r, AppRun& run) {
-  run.apid = r.U64();
-  run.jobid = r.U64();
-  run.user = Intern(r.Str());
-  run.queue = Intern(r.Str());
-  run.node_type = static_cast<NodeType>(r.U8());
-  const std::uint32_t nodes = r.U32();
-  run.nodes.clear();
-  // Each entry is a u32: a count past the payload is malformed, and
-  // must not size an allocation.
-  if (nodes > r.remaining() / 4) {
-    r.Fail("run node count exceeds the payload");
-    return;
+void SnapshotReader::Version(std::uint32_t version, std::string_view what) {
+  const std::uint32_t found = U32();
+  if (ok() && found != version) {
+    Fail(FailedPreconditionError(std::string(what) + " version " +
+                                 std::to_string(found) +
+                                 ", this build speaks " +
+                                 std::to_string(version)));
   }
-  run.nodes.reserve(nodes);
-  for (std::uint32_t i = 0; i < nodes && r.ok(); ++i) {
-    run.nodes.push_back(r.U32());
+}
+
+Status SnapshotReader::Finish() const {
+  if (ok() && remaining() != 0) {
+    return ParseError("snapshot payload has " + std::to_string(remaining()) +
+                      " trailing bytes — layout mismatch");
   }
-  run.nodect = r.U32();
-  run.start = r.Time();
-  run.end = r.Time();
-  run.has_termination = r.Bool();
-  run.exit_code = r.I32();
-  run.exit_signal = r.I32();
-  run.killed_node_failure = r.Bool();
-  run.failed_nid = r.U32();
-  run.job_submit = r.Time();
-  run.job_start = r.Time();
-  run.walltime_limit = r.Dur();
-  run.job_exit_status = r.I32();
+  return status_;
 }
 
-void SaveErrorRecord(SnapshotWriter& w, const ErrorRecord& rec) {
-  w.Time(rec.time);
-  w.U8(static_cast<std::uint8_t>(rec.category));
-  w.U8(static_cast<std::uint8_t>(rec.severity));
-  w.U8(static_cast<std::uint8_t>(rec.scope));
-  w.Str(rec.location.view());
-  w.U8(static_cast<std::uint8_t>(rec.source));
-  w.Bool(rec.recovered.has_value());
-  if (rec.recovered.has_value()) w.Time(*rec.recovered);
+// --- shared struct codecs ----------------------------------------------
+
+template <class Io>
+void Fields(Io& io, ParseStats& s) {
+  io(s.lines, s.records, s.skipped, s.malformed);
 }
 
-void LoadErrorRecord(SnapshotReader& r, ErrorRecord& rec) {
-  rec.time = r.Time();
-  rec.category = static_cast<ErrorCategory>(r.U8());
-  rec.severity = static_cast<Severity>(r.U8());
-  rec.scope = static_cast<LocScope>(r.U8());
-  rec.location = Intern(r.Str());
-  rec.source = static_cast<LogSource>(r.U8());
-  rec.recovered.reset();
-  if (r.Bool()) rec.recovered = r.Time();
+template <class Io>
+void Fields(Io& io, IngestStats& s) {
+  io(s.quarantined, s.quarantine_overflow, s.duplicate_placements,
+     s.duplicate_terminations, s.duplicate_job_records,
+     s.watermark_regressions, s.evicted_pending_runs, s.evicted_tuples,
+     s.budget_exhausted_sources, s.lines_dropped_after_budget);
 }
 
-void SaveErrorTuple(SnapshotWriter& w, const ErrorTuple& tuple) {
-  w.U64(tuple.id);
-  w.U8(static_cast<std::uint8_t>(tuple.category));
-  w.U8(static_cast<std::uint8_t>(tuple.severity));
-  w.U8(static_cast<std::uint8_t>(tuple.scope));
-  w.Str(tuple.location.view());
-  w.U32(static_cast<std::uint32_t>(tuple.nodes.size()));
-  for (NodeIndex n : tuple.nodes) w.U32(n);
-  w.Time(tuple.first);
-  w.Time(tuple.last);
-  w.Bool(tuple.recovered.has_value());
-  if (tuple.recovered.has_value()) w.Time(*tuple.recovered);
-  w.U32(tuple.count);
-  w.Bool(tuple.from_syslog);
-  w.Bool(tuple.from_hwerr);
+template <class Io>
+void Fields(Io& io, CoalesceStats& s) {
+  io(s.input_events, s.tuples, s.unresolved_locations);
 }
 
-void LoadErrorTuple(SnapshotReader& r, ErrorTuple& tuple) {
-  tuple.id = r.U64();
-  tuple.category = static_cast<ErrorCategory>(r.U8());
-  tuple.severity = static_cast<Severity>(r.U8());
-  tuple.scope = static_cast<LocScope>(r.U8());
-  tuple.location = Intern(r.Str());
-  const std::uint32_t nodes = r.U32();
-  tuple.nodes.clear();
-  if (nodes > NodeSet::kCapacity || nodes > r.remaining() / 4) {
-    r.Fail("tuple node count exceeds " +
-           std::to_string(NodeSet::kCapacity) + " or the payload");
-    return;
-  }
-  for (std::uint32_t i = 0; i < nodes && r.ok(); ++i) {
-    tuple.nodes.push_back(r.U32());
-  }
-  tuple.first = r.Time();
-  tuple.last = r.Time();
-  tuple.recovered.reset();
-  if (r.Bool()) tuple.recovered = r.Time();
-  tuple.count = r.U32();
-  tuple.from_syslog = r.Bool();
-  tuple.from_hwerr = r.Bool();
+template <class Io>
+void Fields(Io& io, ReconstructStats& s) {
+  io(s.placements, s.terminations, s.runs, s.missing_termination,
+     s.orphan_terminations, s.missing_job, s.mixed_node_types,
+     s.duplicate_placements, s.duplicate_terminations,
+     s.duplicate_job_records);
 }
 
-void SaveQuarantineEntry(SnapshotWriter& w, const QuarantineEntry& e) {
-  w.U8(static_cast<std::uint8_t>(e.source));
-  w.U64(e.line_number);
-  w.Str(e.reason);
-  w.Str(e.line);
+template <class Io>
+void Fields(Io& io, AnalysisSummary& summary) {
+  io(summary.metrics, summary.torque_stats, summary.alps_stats,
+     summary.syslog_stats, summary.hwerr_stats, summary.coalesce_stats,
+     summary.reconstruct_stats, summary.ingest, summary.ingest_status);
 }
 
-void LoadQuarantineEntry(SnapshotReader& r, QuarantineEntry& e) {
-  e.source = static_cast<LogSource>(r.U8());
-  e.line_number = r.U64();
-  e.reason = r.Str();
-  e.line = r.Str();
+template <class Io>
+void Fields(Io& io, TorqueRecord& rec) {
+  io(rec.kind, rec.time, rec.jobid, rec.user, rec.queue, rec.submit,
+     rec.start, rec.end, rec.exit_status, rec.nodect, rec.walltime_limit,
+     rec.walltime_used);
 }
 
-void SaveMetricsReport(SnapshotWriter& w, const MetricsReport& report) {
-  w.U64(report.total_runs);
-  w.F64(report.total_node_hours);
-  w.F64(report.system_failure_fraction);
-  w.F64(report.lost_node_hours_fraction);
-  w.F64(report.overall_mtti_hours);
+template <class Io>
+void Fields(Io& io, AppRun& run) {
+  io(run.apid, run.jobid, run.user, run.queue, run.node_type);
+  Seq<std::uint32_t>(io, run.nodes);
+  io(run.nodect, run.start, run.end, run.has_termination, run.exit_code,
+     run.exit_signal, run.killed_node_failure, run.failed_nid,
+     run.job_submit, run.job_start, run.walltime_limit, run.job_exit_status);
+}
 
-  w.U32(static_cast<std::uint32_t>(report.outcomes.size()));
-  for (const OutcomeRow& row : report.outcomes) {
-    w.U8(static_cast<std::uint8_t>(row.outcome));
-    w.U64(row.runs);
-    w.F64(row.runs_share);
-    w.F64(row.node_hours);
-    w.F64(row.node_hours_share);
-  }
+template <class Io>
+void Fields(Io& io, ErrorRecord& rec) {
+  io(rec.time, rec.category, rec.severity, rec.scope, rec.location,
+     rec.source, rec.recovered);
+}
 
-  w.U32(static_cast<std::uint32_t>(report.categories.size()));
-  for (const CategoryRow& row : report.categories) {
-    w.U8(static_cast<std::uint8_t>(row.category));
-    w.U64(row.tuples);
-    w.U64(row.fatal_tuples);
-    w.U64(row.raw_events);
-    w.F64(row.fatal_mtbe_hours);
-  }
-
-  w.U64(report.availability.incidents);
-  w.F64(report.availability.downtime_hours);
-  w.F64(report.availability.availability);
-
-  w.U32(static_cast<std::uint32_t>(report.attribution.size()));
-  for (const AttributionRow& row : report.attribution) {
-    w.U8(static_cast<std::uint8_t>(row.cause));
-    w.U64(row.xe_failures);
-    w.U64(row.xk_failures);
-  }
-
-  for (const auto* scale : {&report.xe_scale, &report.xk_scale}) {
-    w.U32(static_cast<std::uint32_t>(scale->size()));
-    for (const ScalePoint& p : *scale) {
-      w.U32(p.lo);
-      w.U32(p.hi);
-      w.U64(p.runs);
-      w.U64(p.system_failures);
-      w.F64(p.failure_probability.point);
-      w.F64(p.failure_probability.lo);
-      w.F64(p.failure_probability.hi);
+template <class Io>
+void Fields(Io& io, ErrorTuple& tuple) {
+  io(tuple.id, tuple.category, tuple.severity, tuple.scope, tuple.location);
+  const std::size_t nodes = io.template Count<std::uint32_t>(
+      tuple.nodes.size(), [](SnapshotWriter& w) { w(NodeIndex{}); });
+  if constexpr (Io::kReading) {
+    tuple.nodes.clear();
+    if (nodes > NodeSet::kCapacity) {
+      io.Fail("tuple node count exceeds " +
+              std::to_string(NodeSet::kCapacity));
+    } else {
+      tuple.nodes.resize(nodes);
     }
   }
-
-  w.U32(static_cast<std::uint32_t>(report.monthly.size()));
-  for (const MonthlyPoint& p : report.monthly) {
-    w.I32(p.year);
-    w.I32(p.month);
-    w.U64(p.runs);
-    w.U64(p.system_failures);
-    w.F64(p.node_hours);
-    w.F64(p.lost_node_hours);
-    w.F64(p.mtti_hours);
-  }
-
-  w.U32(static_cast<std::uint32_t>(report.detection_gap.size()));
-  for (const DetectionGapRow& row : report.detection_gap) {
-    w.U8(static_cast<std::uint8_t>(row.type));
-    w.U64(row.system_failures);
-    w.U64(row.attributed);
-    w.U64(row.unattributed);
-    w.F64(row.unattributed_share);
-  }
-
-  w.U32(static_cast<std::uint32_t>(report.queue_waits.size()));
-  for (const QueueWaitRow& row : report.queue_waits) {
-    w.U32(row.lo);
-    w.U32(row.hi);
-    w.U64(row.jobs);
-    w.F64(row.mean_wait_hours);
-    w.F64(row.p95_wait_hours);
-  }
-
-  w.U64(report.job_impact.jobs);
-  w.U64(report.job_impact.jobs_with_system_failure);
-  w.F64(report.job_impact.fraction);
-
-  SaveIngestStats(w, report.ingest);
+  for (NodeIndex& node : tuple.nodes) io(node);
+  io(tuple.first, tuple.last, tuple.recovered, tuple.count,
+     tuple.from_syslog, tuple.from_hwerr);
 }
 
-void LoadMetricsReport(SnapshotReader& r, MetricsReport& report) {
-  report.total_runs = r.U64();
-  report.total_node_hours = r.F64();
-  report.system_failure_fraction = r.F64();
-  report.lost_node_hours_fraction = r.F64();
-  report.overall_mtti_hours = r.F64();
+template <class Io>
+void Fields(Io& io, QuarantineEntry& e) {
+  io(e.source, e.line_number, e.reason, e.line);
+}
 
-  report.outcomes.resize(r.U32());
-  for (OutcomeRow& row : report.outcomes) {
-    row.outcome = static_cast<AppOutcome>(r.U8());
-    row.runs = r.U64();
-    row.runs_share = r.F64();
-    row.node_hours = r.F64();
-    row.node_hours_share = r.F64();
-  }
-
-  report.categories.resize(r.U32());
-  for (CategoryRow& row : report.categories) {
-    row.category = static_cast<ErrorCategory>(r.U8());
-    row.tuples = r.U64();
-    row.fatal_tuples = r.U64();
-    row.raw_events = r.U64();
-    row.fatal_mtbe_hours = r.F64();
-  }
-
-  report.availability.incidents = r.U64();
-  report.availability.downtime_hours = r.F64();
-  report.availability.availability = r.F64();
-
-  report.attribution.resize(r.U32());
-  for (AttributionRow& row : report.attribution) {
-    row.cause = static_cast<ErrorCategory>(r.U8());
-    row.xe_failures = r.U64();
-    row.xk_failures = r.U64();
-  }
-
+template <class Io>
+void Fields(Io& io, MetricsReport& report) {
+  io(report.total_runs, report.total_node_hours,
+     report.system_failure_fraction, report.lost_node_hours_fraction,
+     report.overall_mtti_hours);
+  Seq<std::uint32_t>(io, report.outcomes, [](auto& in, OutcomeRow& row) {
+    in(row.outcome, row.runs, row.runs_share, row.node_hours,
+       row.node_hours_share);
+  });
+  Seq<std::uint32_t>(io, report.categories, [](auto& in, CategoryRow& row) {
+    in(row.category, row.tuples, row.fatal_tuples, row.raw_events,
+       row.fatal_mtbe_hours);
+  });
+  io(report.availability.incidents, report.availability.downtime_hours,
+     report.availability.availability);
+  Seq<std::uint32_t>(io, report.attribution,
+                     [](auto& in, AttributionRow& row) {
+                       in(row.cause, row.xe_failures, row.xk_failures);
+                     });
   for (auto* scale : {&report.xe_scale, &report.xk_scale}) {
-    scale->resize(r.U32());
-    for (ScalePoint& p : *scale) {
-      p.lo = r.U32();
-      p.hi = r.U32();
-      p.runs = r.U64();
-      p.system_failures = r.U64();
-      p.failure_probability.point = r.F64();
-      p.failure_probability.lo = r.F64();
-      p.failure_probability.hi = r.F64();
-    }
+    Seq<std::uint32_t>(io, *scale, [](auto& in, ScalePoint& p) {
+      in(p.lo, p.hi, p.runs, p.system_failures, p.failure_probability.point,
+         p.failure_probability.lo, p.failure_probability.hi);
+    });
   }
-
-  report.monthly.resize(r.U32());
-  for (MonthlyPoint& p : report.monthly) {
-    p.year = r.I32();
-    p.month = r.I32();
-    p.runs = r.U64();
-    p.system_failures = r.U64();
-    p.node_hours = r.F64();
-    p.lost_node_hours = r.F64();
-    p.mtti_hours = r.F64();
-  }
-
-  report.detection_gap.resize(r.U32());
-  for (DetectionGapRow& row : report.detection_gap) {
-    row.type = static_cast<NodeType>(r.U8());
-    row.system_failures = r.U64();
-    row.attributed = r.U64();
-    row.unattributed = r.U64();
-    row.unattributed_share = r.F64();
-  }
-
-  report.queue_waits.resize(r.U32());
-  for (QueueWaitRow& row : report.queue_waits) {
-    row.lo = r.U32();
-    row.hi = r.U32();
-    row.jobs = r.U64();
-    row.mean_wait_hours = r.F64();
-    row.p95_wait_hours = r.F64();
-  }
-
-  report.job_impact.jobs = r.U64();
-  report.job_impact.jobs_with_system_failure = r.U64();
-  report.job_impact.fraction = r.F64();
-
-  LoadIngestStats(r, report.ingest);
+  Seq<std::uint32_t>(io, report.monthly, [](auto& in, MonthlyPoint& p) {
+    in(p.year, p.month, p.runs, p.system_failures, p.node_hours,
+       p.lost_node_hours, p.mtti_hours);
+  });
+  Seq<std::uint32_t>(io, report.detection_gap,
+                     [](auto& in, DetectionGapRow& row) {
+                       in(row.type, row.system_failures, row.attributed,
+                          row.unattributed, row.unattributed_share);
+                     });
+  Seq<std::uint32_t>(io, report.queue_waits, [](auto& in, QueueWaitRow& row) {
+    in(row.lo, row.hi, row.jobs, row.mean_wait_hours, row.p95_wait_hours);
+  });
+  io(report.job_impact.jobs, report.job_impact.jobs_with_system_failure,
+     report.job_impact.fraction, report.ingest);
 }
+
+#define LD_FIELDS_BOTH_WAYS(T)                 \
+  template void Fields(SnapshotWriter&, T&); \
+  template void Fields(SnapshotReader&, T&)
+LD_FIELDS_BOTH_WAYS(ParseStats);
+LD_FIELDS_BOTH_WAYS(IngestStats);
+LD_FIELDS_BOTH_WAYS(CoalesceStats);
+LD_FIELDS_BOTH_WAYS(ReconstructStats);
+LD_FIELDS_BOTH_WAYS(AnalysisSummary);
+LD_FIELDS_BOTH_WAYS(TorqueRecord);
+LD_FIELDS_BOTH_WAYS(AppRun);
+LD_FIELDS_BOTH_WAYS(ErrorRecord);
+LD_FIELDS_BOTH_WAYS(ErrorTuple);
+LD_FIELDS_BOTH_WAYS(QuarantineEntry);
+LD_FIELDS_BOTH_WAYS(MetricsReport);
+#undef LD_FIELDS_BOTH_WAYS
 
 std::uint32_t FingerprintReport(const MetricsReport& report) {
   SnapshotWriter w;
-  SaveMetricsReport(w, report);
+  w(report);
   return Crc32(w.bytes());
 }
 
 std::uint32_t FingerprintIngest(const IngestStats& stats) {
   SnapshotWriter w;
-  SaveIngestStats(w, stats);
+  w(stats);
   return Crc32(w.bytes());
 }
 
@@ -1028,17 +747,28 @@ Result<std::uint64_t> SnapshotStore::Write(
 }
 
 Result<SnapshotStore::Loaded> SnapshotStore::LoadLatest(
-    std::uint64_t expected_fingerprint) const {
+    std::uint64_t expected_fingerprint,
+    const std::function<Status(std::span<const std::uint8_t>)>& decode)
+    const {
   const std::vector<std::uint64_t> gens = Generations();
   Loaded loaded;
   for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
     // A snapshot computed from different input (a stale directory or a
-    // foreign partial) is as unusable as a torn one.
+    // foreign partial), or one that does not decode, is as unusable as
+    // a torn one.
     std::uint64_t fingerprint = 0;
     auto payload =
         ReadSnapshotFile(PathFor(*it), &fingerprint, expected_fingerprint);
+    if (payload.ok() && decode) {
+      const Status decoded = decode(*payload);
+      if (!decoded.ok() && decoded.code() != StatusCode::kParseError) {
+        return decoded;
+      }
+      if (!decoded.ok()) payload = decoded;
+    }
     if (payload.ok()) {
-      loaded.payload = std::move(*payload);
+      // A decoder has taken what it needs; the bytes die here.
+      if (!decode) loaded.payload = std::move(*payload);
       loaded.generation = *it;
       loaded.fingerprint = fingerprint;
       LD_OBS_COUNTER_ADD(obs::names::kSnapshotRestoresTotal, 1);

@@ -15,18 +15,22 @@
 // bench/crash_campaign asserts cell by cell.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "common/intern.hpp"
 #include "common/status.hpp"
 #include "common/time.hpp"
 
@@ -38,6 +42,7 @@ struct ErrorTuple;
 struct TorqueRecord;
 struct ParseStats;
 struct IngestStats;
+struct CoalesceStats;
 struct QuarantineEntry;
 struct MetricsReport;
 struct ReconstructStats;
@@ -68,6 +73,8 @@ class DurableFileWriter;
 class SnapshotWriter {
  public:
   static constexpr std::size_t kChunkBytes = 64 * 1024;
+  /// The codec direction (see "codecs" below).
+  static constexpr bool kReading = false;
 
   SnapshotWriter() = default;
   /// Streams into `sink`; call Flush() before committing the file.
@@ -114,6 +121,26 @@ class SnapshotWriter {
     const auto u = static_cast<std::uint64_t>(v);
     Varint((u << 1) ^ static_cast<std::uint64_t>(v >> 63));
   }
+
+  /// Writes each value through its codec (see "codecs" below).
+  template <class... T>
+  void operator()(const T&... values);
+  /// Writes a container's element count as a CountT (u32 or u64); only
+  /// a reader uses `encode_default`.
+  template <class CountT, class EncodeDefault>
+  std::size_t Count(std::size_t n, const EncodeDefault& /*encode_default*/) {
+    if constexpr (sizeof(CountT) == 4) {
+      U32(static_cast<std::uint32_t>(n));
+    } else {
+      U64(n);
+    }
+    return n;
+  }
+  /// Writes a layout version word.
+  void Version(std::uint32_t version, std::string_view /*what*/) {
+    U32(version);
+  }
+  bool ok() const { return true; }
 
   /// Sizes the owned byte vector for `n` more bytes, so a payload of
   /// known size is allocated once instead of regrown.
@@ -162,17 +189,59 @@ class SnapshotWriter {
   DurableFileWriter* sink_ = nullptr;
 };
 
+/// The fewest bytes an element can take: what `encode_default` writes
+/// for a default-constructed one (empty strings and lists, absent
+/// optionals), measured once per element codec.
+template <class EncodeDefault>
+std::size_t MinBytes(const EncodeDefault& encode_default) {
+  static const std::size_t bytes = [&encode_default] {
+    SnapshotWriter w;
+    encode_default(w);
+    return w.bytes().size();
+  }();
+  return bytes;
+}
+
 /// Sequential reader over a snapshot payload.  Reading past the end (or
 /// a length prefix past the end) latches an error status and returns
 /// zero values; callers check `status()` once after a batch of reads
-/// instead of per-field — the CRC already vouches for the bytes, so a
-/// failure here means a layout/version bug, not data corruption.
+/// instead of per-field.  A failed reader reads nothing more: every
+/// later read returns a zero value.
 class SnapshotReader {
  public:
+  /// The codec direction (see "codecs" below).
+  static constexpr bool kReading = true;
+
   SnapshotReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
+  explicit SnapshotReader(std::span<const std::uint8_t> bytes)
+      : SnapshotReader(bytes.data(), bytes.size()) {}
   explicit SnapshotReader(const std::vector<std::uint8_t>& bytes)
       : SnapshotReader(bytes.data(), bytes.size()) {}
+
+  /// Reads each value back through its codec (see "codecs" below).
+  template <class... T>
+  void operator()(T&&... values);
+  /// Reads a CountT (u32 or u64) element count and refuses, before the
+  /// caller sizes anything by it, a count the rest of the payload cannot
+  /// hold: each element takes at least MinBytes(encode_default).  A
+  /// refused count reads as 0.
+  template <class CountT, class EncodeDefault>
+  std::size_t Count(std::size_t /*n*/, const EncodeDefault& encode_default) {
+    const std::uint64_t n = sizeof(CountT) == 4 ? U32() : U64();
+    if (n > remaining() / std::max<std::size_t>(MinBytes(encode_default), 1)) {
+      Fail("count " + std::to_string(n) + " exceeds the payload");
+      return 0;
+    }
+    return static_cast<std::size_t>(n);
+  }
+  /// Reads a layout version word; any other value than `version` fails
+  /// the reader with FailedPrecondition "<what> version N, this build
+  /// speaks M".
+  void Version(std::uint32_t version, std::string_view what);
+  /// The status of a whole-payload decode: the latched error, or a
+  /// ParseError when bytes remain past the layout.
+  Status Finish() const;
 
   std::uint8_t U8();
   bool Bool() { return U8() != 0; }
@@ -184,6 +253,17 @@ class SnapshotReader {
   TimePoint Time() { return TimePoint(I64()); }
   Duration Dur() { return Duration(I64()); }
   std::string Str();
+  // The same reads into a value, so one codec runs in both directions.
+  void U8(std::uint8_t& v) { v = U8(); }
+  void Bool(bool& v) { v = Bool(); }
+  void U32(std::uint32_t& v) { v = U32(); }
+  void U64(std::uint64_t& v) { v = U64(); }
+  void I32(std::int32_t& v) { v = I32(); }
+  void I64(std::int64_t& v) { v = I64(); }
+  void F64(double& v) { v = F64(); }
+  void Time(TimePoint& v) { v = Time(); }
+  void Dur(Duration& v) { v = Dur(); }
+  void Str(std::string& v) { v = Str(); }
   /// Bulk copy of `size` raw bytes into `out`; zero-fills and latches
   /// an error when fewer remain.
   void Raw(void* out, std::size_t size);
@@ -198,7 +278,10 @@ class SnapshotReader {
   const Status& status() const { return status_; }
   /// Bytes not yet consumed; 0 when fully read.
   std::size_t remaining() const { return size_ - pos_; }
+  /// Latches a ParseError "snapshot payload: <why>" (a malformed
+  /// payload), or `why` itself; the first failure wins.
   void Fail(std::string why);
+  void Fail(Status why);
 
  private:
   const std::uint8_t* data_;
@@ -207,40 +290,192 @@ class SnapshotReader {
   Status status_;
 };
 
-// --- shared struct serializers (used by the analyzer state hooks) ----
+// --- codecs ----------------------------------------------------------
+//
+// Each serialized type states its field order once, in one `Fields`
+// function that runs in either direction: given a SnapshotWriter it
+// appends the fields, given a SnapshotReader it reads them back into
+// the same places.  `io(a, b, c)` passes each value through its codec:
+//   * bool, u8 → U8; u32/i32 → U32; u64/i64 → U64; double → F64 (bit
+//     pattern); TimePoint, Duration → I64 seconds; std::string → Str;
+//     an enum → U8;
+//   * Symbol → its string, re-interned on read;
+//   * Status → U8 code + Str message (an OK code reads back as Ok());
+//   * std::optional<T> → Bool presence, then the value when present;
+//   * std::array<T, N> and T[N] → the N elements, no count;
+//   * a type with a member `template <class Io> void Fields(Io&)`
+//     (classes with private state), else the free `Fields(io, value)`.
+// Counted containers go through Seq / MapSeq and so through Count,
+// which refuses a count the payload cannot hold before anything is
+// sized by it.  A writer passes a const value through the same
+// non-const codec: a codec run by a writer only reads.
 
-void SaveParseStats(SnapshotWriter& w, const ParseStats& s);
-void LoadParseStats(SnapshotReader& r, ParseStats& s);
-void SaveIngestStats(SnapshotWriter& w, const IngestStats& s);
-void LoadIngestStats(SnapshotReader& r, IngestStats& s);
-void SaveStatus(SnapshotWriter& w, const Status& s);
-Status LoadStatus(SnapshotReader& r);
-void SaveReconstructStats(SnapshotWriter& w, const ReconstructStats& s);
-void LoadReconstructStats(SnapshotReader& r, ReconstructStats& s);
-void SaveTorqueRecord(SnapshotWriter& w, const TorqueRecord& rec);
-void LoadTorqueRecord(SnapshotReader& r, TorqueRecord& rec);
-void SaveAppRun(SnapshotWriter& w, const AppRun& run);
-void LoadAppRun(SnapshotReader& r, AppRun& run);
-void SaveErrorRecord(SnapshotWriter& w, const ErrorRecord& rec);
-void LoadErrorRecord(SnapshotReader& r, ErrorRecord& rec);
-void SaveErrorTuple(SnapshotWriter& w, const ErrorTuple& tuple);
-void LoadErrorTuple(SnapshotReader& r, ErrorTuple& tuple);
-void SaveQuarantineEntry(SnapshotWriter& w, const QuarantineEntry& e);
-void LoadQuarantineEntry(SnapshotReader& r, QuarantineEntry& e);
+template <class Io, class T>
+void Field(Io& io, T& value);
 
-/// Serializes every field of a report (fractions, CI bounds, ingest
-/// counters, all tables and series) into `w` — the basis of the
-/// bit-identical equivalence check in bench/crash_campaign.
-void SaveMetricsReport(SnapshotWriter& w, const MetricsReport& report);
-/// Inverse of SaveMetricsReport: reads the exact field layout back.  A
-/// loaded report re-serializes to the same bytes (FingerprintReport
-/// equal) — the parsed-bundle cache depends on this round trip.
-void LoadMetricsReport(SnapshotReader& r, MetricsReport& report);
-/// The one codec for the bundle-wide result every driver produces
-/// (report, parse/coalesce/reconstruct/ingest counters, ingest status):
-/// the bundle cache's memoized result and the fleet partials use it.
-void SaveAnalysisSummary(SnapshotWriter& w, const AnalysisSummary& summary);
-void LoadAnalysisSummary(SnapshotReader& r, AnalysisSummary& summary);
+template <class... T>
+void SnapshotWriter::operator()(const T&... values) {
+  (Field(*this, values), ...);
+}
+
+template <class... T>
+void SnapshotReader::operator()(T&&... values) {
+  (Field(*this, values), ...);
+}
+
+namespace codec {
+template <class T>
+inline constexpr bool kOptional = false;
+template <class T>
+inline constexpr bool kOptional<std::optional<T>> = true;
+template <class T>
+inline constexpr bool kArray = std::is_array_v<T>;
+template <class T, std::size_t N>
+inline constexpr bool kArray<std::array<T, N>> = true;
+}  // namespace codec
+
+template <class Io, class T>
+void Field(Io& io, T& value) {
+  using V = std::remove_const_t<T>;
+  V& v = const_cast<V&>(value);
+  if constexpr (std::is_same_v<V, bool>) {
+    io.Bool(v);
+  } else if constexpr (std::is_same_v<V, std::uint8_t>) {
+    io.U8(v);
+  } else if constexpr (std::is_same_v<V, std::uint32_t>) {
+    io.U32(v);
+  } else if constexpr (std::is_same_v<V, std::int32_t>) {
+    io.I32(v);
+  } else if constexpr (std::is_same_v<V, std::uint64_t>) {
+    io.U64(v);
+  } else if constexpr (std::is_same_v<V, std::int64_t>) {
+    io.I64(v);
+  } else if constexpr (std::is_same_v<V, double>) {
+    io.F64(v);
+  } else if constexpr (std::is_same_v<V, TimePoint>) {
+    io.Time(v);
+  } else if constexpr (std::is_same_v<V, Duration>) {
+    io.Dur(v);
+  } else if constexpr (std::is_same_v<V, std::string>) {
+    io.Str(v);
+  } else if constexpr (std::is_enum_v<V>) {
+    auto byte = static_cast<std::uint8_t>(v);
+    io.U8(byte);
+    if constexpr (Io::kReading) v = static_cast<V>(byte);
+  } else if constexpr (std::is_same_v<V, Symbol>) {
+    if constexpr (Io::kReading) {
+      v = Intern(io.Str());
+    } else {
+      io.Str(v.view());
+    }
+  } else if constexpr (std::is_same_v<V, Status>) {
+    StatusCode code = v.code();
+    std::string message = v.message();
+    io(code, message);
+    if constexpr (Io::kReading) {
+      v = code == StatusCode::kOk ? Status::Ok()
+                                  : Status(code, std::move(message));
+    }
+  } else if constexpr (codec::kOptional<V>) {
+    bool present = v.has_value();
+    io.Bool(present);
+    if constexpr (Io::kReading) {
+      v.reset();
+      if (present) v.emplace();
+    }
+    if (present) Field(io, *v);
+  } else if constexpr (codec::kArray<V>) {
+    for (auto& element : v) Field(io, element);
+  } else if constexpr (requires { v.Fields(io); }) {
+    v.Fields(io);
+  } else if constexpr (requires { Fields(io, v); }) {
+    Fields(io, v);
+  } else {
+    static_assert(sizeof(V) == 0, "no codec for this type");
+  }
+}
+
+/// A counted sequence (vector or deque): a CountT count, then each
+/// element through `each(io, element)`.
+template <class CountT, class Io, class Items, class Each>
+void Seq(Io& io, Items& items, const Each& each) {
+  const std::size_t n = io.template Count<CountT>(
+      items.size(), [&each](SnapshotWriter& w) {
+        typename Items::value_type item{};
+        each(w, item);
+      });
+  if constexpr (Io::kReading) {
+    items.clear();
+    items.resize(n);
+  }
+  for (auto& item : items) {
+    if (!io.ok()) break;
+    each(io, item);
+  }
+}
+
+template <class CountT, class Io, class Items>
+void Seq(Io& io, Items& items) {
+  Seq<CountT>(io, items, [](auto& inner, auto& item) { inner(item); });
+}
+
+/// A counted map in its iteration order: a CountT count, then each
+/// entry through `each(io, key, value)`.
+template <class CountT, class Io, class Map, class Each>
+void MapSeq(Io& io, Map& map, const Each& each) {
+  using Key = typename Map::key_type;
+  using Value = typename Map::mapped_type;
+  const std::size_t n =
+      io.template Count<CountT>(map.size(), [&each](SnapshotWriter& w) {
+        Key key{};
+        Value value{};
+        each(w, key, value);
+      });
+  if constexpr (Io::kReading) {
+    map.clear();
+    for (std::size_t i = 0; i < n && io.ok(); ++i) {
+      Key key{};
+      Value value{};
+      each(io, key, value);
+      map.emplace(std::move(key), std::move(value));
+    }
+  } else {
+    for (auto& [key, value] : map) each(io, key, value);
+  }
+}
+
+// The shared struct codecs (snapshot.cpp), each instantiated for both
+// directions.
+template <class Io>
+void Fields(Io& io, ParseStats& s);
+template <class Io>
+void Fields(Io& io, IngestStats& s);
+template <class Io>
+void Fields(Io& io, CoalesceStats& s);
+template <class Io>
+void Fields(Io& io, ReconstructStats& s);
+template <class Io>
+void Fields(Io& io, TorqueRecord& rec);
+template <class Io>
+void Fields(Io& io, AppRun& run);
+template <class Io>
+void Fields(Io& io, ErrorRecord& rec);
+template <class Io>
+void Fields(Io& io, ErrorTuple& tuple);
+template <class Io>
+void Fields(Io& io, QuarantineEntry& e);
+/// Every field of a report (fractions, CI bounds, ingest counters, all
+/// tables and series) — the basis of the bit-identical equivalence
+/// check in bench/crash_campaign.  A decoded report re-encodes to the
+/// same bytes (FingerprintReport equal); the bundle cache depends on it.
+template <class Io>
+void Fields(Io& io, MetricsReport& report);
+/// The bundle-wide result every driver produces (report,
+/// parse/coalesce/reconstruct/ingest counters, ingest status): the
+/// bundle cache's memoized result and the fleet partials hold it.
+template <class Io>
+void Fields(Io& io, AnalysisSummary& summary);
+
 /// CRC-32 over the full serialized report: two reports fingerprint
 /// equal iff every number in them is bit-identical.
 std::uint32_t FingerprintReport(const MetricsReport& report);
@@ -381,6 +616,7 @@ class SnapshotStore {
                               std::uint64_t fingerprint = 0);
 
   struct Loaded {
+    /// The accepted payload; empty when a `decode` callback took it.
     std::vector<std::uint8_t> payload;
     std::uint64_t generation = 0;
     /// Header fingerprint of the loaded snapshot.
@@ -393,9 +629,16 @@ class SnapshotStore {
   /// whose header fingerprint differs — a checkpoint of a *different*
   /// bundle (the directory was reused, or a partial from another shard
   /// partition landed here) is as unusable as a torn one, and falls
-  /// back the same way.  Every rejected generation, torn or
-  /// mismatched, bumps `ld.snapshot.rejected_total`.
-  Result<Loaded> LoadLatest(std::uint64_t expected_fingerprint = 0) const;
+  /// back the same way.  A `decode` callback runs on each candidate
+  /// payload, newest first: a ParseError from it (a payload that does
+  /// not decode, such as a count past its end) rejects the generation
+  /// the same way too, while any other error (a layout version or
+  /// machine geometry this build does not speak) is returned.  Every
+  /// rejected generation bumps `ld.snapshot.rejected_total`.
+  Result<Loaded> LoadLatest(
+      std::uint64_t expected_fingerprint = 0,
+      const std::function<Status(std::span<const std::uint8_t>)>& decode =
+          nullptr) const;
 
   /// Existing generation numbers, ascending.
   std::vector<std::uint64_t> Generations() const;

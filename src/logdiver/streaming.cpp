@@ -296,103 +296,37 @@ AnalysisSummary StreamingAnalyzer::Finalize() {
   return summary;
 }
 
-void StreamingAnalyzer::Snapshot(SnapshotWriter& w) const {
-  LD_CHECK(!finalized_, "Snapshot on a finalized analyzer");
-  w.U32(kStreamStateVersion);
+template <class Io>
+void StreamingAnalyzer::Fields(Io& io) {
+  LD_CHECK(!finalized_, "snapshot codec on a finalized analyzer");
+  io.Version(kStreamStateVersion, "snapshot stream-state");
   // Geometry sanity: restoring against a different machine would
   // silently misclassify node types.
-  w.U64(machine_.node_count());
-
-  SaveParseStats(w, torque_stats_);
-  SaveParseStats(w, alps_stats_);
-  const SyslogParser::StreamState syslog = syslog_parser_.stream_state();
-  SaveParseStats(w, syslog.stats);
-  w.I32(syslog.current_year);
-  w.I32(syslog.last_month);
-  w.Bool(syslog.held_incident.has_value());
-  if (syslog.held_incident.has_value()) {
-    SaveErrorRecord(w, *syslog.held_incident);
+  std::uint64_t node_count = machine_.node_count();
+  io(node_count);
+  if constexpr (Io::kReading) {
+    if (io.ok() && node_count != machine_.node_count()) {
+      io.Fail(InvalidArgumentError(
+          "snapshot was taken on a machine with " +
+          std::to_string(node_count) + " nodes, this machine has " +
+          std::to_string(machine_.node_count())));
+    }
   }
-  SaveParseStats(w, hwerr_stats_);
 
-  coalescer_.SaveState(w);
-  quarantine_.SaveState(w);
-  metrics_.SaveState(w);
+  SyslogParser::StreamState syslog = syslog_parser_.stream_state();
+  io(torque_stats_, alps_stats_, syslog.stats, syslog.current_year,
+     syslog.last_month, syslog.held_incident, hwerr_stats_);
+  if constexpr (Io::kReading) syslog_parser_.RestoreStreamState(syslog);
 
-  runs_.SaveState(w);
-  w.U64(pending_.size());
-  for (const AppRun& run : pending_) SaveAppRun(w, run);
-  w.U64(tuple_buffer_.size());
-  for (const ErrorTuple& tuple : tuple_buffer_) SaveErrorTuple(w, tuple);
-
-  w.U64(runs_finalized_);
-  SaveIngestStats(w, ingest_);
-  SaveStatus(w, ingest_status_);
-  w.Time(last_watermark_);
-  w.Bool(have_watermark_);
-  for (bool closed : source_closed_) w.Bool(closed);
-  for (bool counted : budget_counted_) w.Bool(counted);
+  io(coalescer_, quarantine_, metrics_, runs_);
+  Seq<std::uint64_t>(io, pending_);
+  Seq<std::uint64_t>(io, tuple_buffer_);
+  io(runs_finalized_, ingest_, ingest_status_, last_watermark_,
+     have_watermark_, source_closed_, budget_counted_);
 }
 
-Status StreamingAnalyzer::Restore(SnapshotReader& r) {
-  LD_CHECK(!finalized_, "Restore on a finalized analyzer");
-  const std::uint32_t version = r.U32();
-  if (!r.ok()) return r.status();
-  if (version != kStreamStateVersion) {
-    return FailedPreconditionError("snapshot stream-state version " +
-                            std::to_string(version) + ", this build speaks " +
-                            std::to_string(kStreamStateVersion));
-  }
-  const std::uint64_t node_count = r.U64();
-  if (r.ok() && node_count != machine_.node_count()) {
-    return InvalidArgumentError(
-        "snapshot was taken on a machine with " + std::to_string(node_count) +
-        " nodes, this machine has " + std::to_string(machine_.node_count()));
-  }
-
-  LoadParseStats(r, torque_stats_);
-  LoadParseStats(r, alps_stats_);
-  SyslogParser::StreamState syslog;
-  LoadParseStats(r, syslog.stats);
-  syslog.current_year = r.I32();
-  syslog.last_month = r.I32();
-  if (r.Bool()) LoadErrorRecord(r, syslog.held_incident.emplace());
-  syslog_parser_.RestoreStreamState(syslog);
-  LoadParseStats(r, hwerr_stats_);
-
-  coalescer_.LoadState(r);
-  quarantine_.LoadState(r);
-  metrics_.LoadState(r);
-
-  runs_.LoadState(r);
-  pending_.clear();
-  for (std::uint64_t i = 0, n = r.U64(); i < n && r.ok(); ++i) {
-    AppRun run;
-    LoadAppRun(r, run);
-    pending_.push_back(std::move(run));
-  }
-  tuple_buffer_.clear();
-  for (std::uint64_t i = 0, n = r.U64(); i < n && r.ok(); ++i) {
-    ErrorTuple tuple;
-    LoadErrorTuple(r, tuple);
-    tuple_buffer_.push_back(std::move(tuple));
-  }
-
-  runs_finalized_ = r.U64();
-  LoadIngestStats(r, ingest_);
-  ingest_status_ = LoadStatus(r);
-  last_watermark_ = r.Time();
-  have_watermark_ = r.Bool();
-  for (bool& closed : source_closed_) closed = r.Bool();
-  for (bool& counted : budget_counted_) counted = r.Bool();
-  if (!r.ok()) return r.status();
-  if (r.remaining() != 0) {
-    return ParseError("snapshot payload has " +
-                      std::to_string(r.remaining()) +
-                      " trailing bytes — layout mismatch");
-  }
-  return Status::Ok();
-}
+template void StreamingAnalyzer::Fields(SnapshotWriter&);
+template void StreamingAnalyzer::Fields(SnapshotReader&);
 
 StreamingAnalyzer::StateSize StreamingAnalyzer::state_size() const {
   StateSize size;

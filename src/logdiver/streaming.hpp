@@ -81,18 +81,18 @@ class StreamingAnalyzer {
   /// finalizing again is a programming error (LD_CHECK).
   AnalysisSummary Finalize();
 
-  /// Serializes the full retained state — parsers, coalescer, metric
-  /// accumulators, quarantine, open/pending runs, tuple buffer, replay
-  /// memory, ingest counters and the watermark — into `w`.  Restoring
-  /// into an analyzer constructed with the same machine and config
-  /// continues the stream bit-identically to never having stopped
-  /// (bench/crash_campaign asserts this; layout in docs/FORMATS.md).
-  void Snapshot(SnapshotWriter& w) const;
-  /// Overwrites this analyzer's state from a snapshot payload.  Errors
-  /// on a layout/version mismatch or a snapshot taken on a different
-  /// machine geometry; the analyzer may be partially overwritten then
-  /// and must be discarded.
-  Status Restore(SnapshotReader& r);
+  /// The checkpoint codec (snapshot.hpp) of the full retained state —
+  /// parsers, coalescer, metric accumulators, quarantine, open/pending
+  /// runs, tuple buffer, replay memory, ingest counters and the
+  /// watermark.  Decoding into an analyzer constructed with the same
+  /// machine and config continues the stream bit-identically to never
+  /// having stopped (bench/crash_campaign asserts this; layout in
+  /// docs/FORMATS.md).  A decode fails the reader on a layout version
+  /// mismatch (FailedPrecondition) or a snapshot taken on a different
+  /// machine geometry (InvalidArgument); the analyzer may be partially
+  /// overwritten then and must be discarded.
+  template <class Io>
+  void Fields(Io& io);
 
   /// Retained-state sizes, for bounded-memory assertions and ops
   /// visibility.

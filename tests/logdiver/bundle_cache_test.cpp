@@ -276,6 +276,52 @@ TEST(BundleCache, StaleFormatVersionIsRejected) {
   fs::remove_all(cb.cache_dir);
 }
 
+TEST(BundleCache, ImpossibleReportRowCountIsRejectedNotAllocated) {
+  // An entry whose CRC is valid but whose summary claims 2^32-1 outcome
+  // rows: the count is refused before any row is allocated, and the run
+  // falls back to the text parse.
+  const CachedBundle cb = MakeCachedBundle("rowcount", 108);
+  const LogDiver diver(cb.machine, CachedConfig(cb));
+  auto cold = diver.AnalyzeBundle(cb.bundle_dir);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  const std::string entry = FindBundleEntry(cb.cache_dir);
+  ASSERT_NE(entry, "");
+  std::vector<std::uint8_t> bytes(fs::file_size(entry));
+  {
+    std::ifstream file(entry, std::ios::binary);
+    file.read(reinterpret_cast<char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  const auto get_le = [](const std::uint8_t* at, int width) {
+    std::uint64_t v = 0;
+    for (int i = width - 1; i >= 0; --i) v = v << 8 | at[i];
+    return v;
+  };
+  FileFormat format{};
+  std::copy_n(bytes.begin(), format.magic.size(), format.magic.begin());
+  format.version = static_cast<std::uint32_t>(get_le(bytes.data() + 8, 4));
+  const std::uint64_t fingerprint = get_le(bytes.data() + 24, 8);
+  std::vector<std::uint8_t> payload(bytes.begin() + kFileHeaderSize,
+                                    bytes.end());
+  // Kind u8, parse key u64, records length u64, the records, has-result
+  // u8, analysis key u64; then the summary's report: total runs u64 and
+  // four f64 ahead of the outcome-row count.
+  const std::size_t rows_at = 17 + get_le(payload.data() + 9, 8) + 9 + 40;
+  ASSERT_EQ(get_le(payload.data() + rows_at, 4), cold->metrics.outcomes.size());
+  std::fill_n(payload.begin() + static_cast<std::ptrdiff_t>(rows_at), 4, 0xFF);
+  ASSERT_TRUE(WriteDurableFile(entry, format, payload, fingerprint).ok());
+
+  auto rejected = diver.AnalyzeBundle(cb.bundle_dir);
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_EQ(rejected->cache_outcome, CacheOutcome::kRejected);
+  EXPECT_NE(rejected->cache_note.find("falling back"), std::string::npos)
+      << rejected->cache_note;
+  ExpectSameAnalysis(*cold, *rejected);
+
+  fs::remove_all(cb.bundle_dir);
+  fs::remove_all(cb.cache_dir);
+}
+
 TEST(BundleCache, CrossKindFilesFailTheMagicCheck) {
   // Snapshots and cache entries share one header layout and validator;
   // the magic tells them apart.  A file of one kind under the other's

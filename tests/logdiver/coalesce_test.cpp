@@ -304,7 +304,7 @@ TEST_F(CoalesceTest, StreamingWithRandomFlushesMatchesBatch) {
     // stay open between flushes.
     const double flush_p = seed % 2 == 1 ? 0.05 : 0.003;
     const std::size_t restore_at = rng.UniformInt(records.size());
-    // `coalescer` goes through one SaveState/LoadState round trip;
+    // `coalescer` goes through one codec round trip;
     // `twin` sees the same feed without it.
     auto coalescer = std::make_unique<StreamingCoalescer>(machine_, config_);
     StreamingCoalescer twin(machine_, config_);
@@ -322,10 +322,10 @@ TEST_F(CoalesceTest, StreamingWithRandomFlushesMatchesBatch) {
       }
       if (i == restore_at) {
         SnapshotWriter saved;
-        coalescer->SaveState(saved);
+        saved(*coalescer);
         coalescer = std::make_unique<StreamingCoalescer>(machine_, config_);
         SnapshotReader r(saved.bytes());
-        coalescer->LoadState(r);
+        r(*coalescer);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         EXPECT_EQ(r.remaining(), 0u);
       }
@@ -333,8 +333,8 @@ TEST_F(CoalesceTest, StreamingWithRandomFlushesMatchesBatch) {
     // The restored coalescer's state is byte for byte the twin's.
     SnapshotWriter restored_state;
     SnapshotWriter twin_state;
-    coalescer->SaveState(restored_state);
-    twin.SaveState(twin_state);
+    restored_state(*coalescer);
+    twin_state(twin);
     EXPECT_EQ(restored_state.bytes(), twin_state.bytes());
 
     for (ErrorTuple& t : coalescer->FlushAll()) streamed.push_back(t);

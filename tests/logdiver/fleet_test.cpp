@@ -5,9 +5,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <set>
 #include <string>
 
@@ -84,6 +86,129 @@ TEST_F(PartialFileTest, RoundTripsThroughDisk) {
   std::filesystem::remove(path);
 }
 
+TEST_F(PartialFileTest, PayloadBytesArePinned) {
+  // CRC-32 and size of a partial payload with a non-empty summary and
+  // accumulator: the partial layout must not move a byte while
+  // kPartialRecordVersion stays.
+  fleet::PartialAggregates p = Make();
+  p.summary.metrics.total_runs = 2;
+  p.summary.metrics.outcomes = {{AppOutcome::kSystemFailure, 1, 0.5, 2.0,
+                                 0.25}};
+  p.summary.ingest_status = ParseError("alps: over the error budget");
+  AppRun run;
+  run.apid = 601;
+  run.jobid = 5001;
+  run.nodes = {0, 1};
+  run.nodect = 2;
+  run.start = TimePoint(1364774700);
+  run.end = TimePoint(1364775600);
+  run.has_termination = true;
+  run.exit_code = 137;
+  run.exit_signal = 9;
+  run.job_submit = TimePoint(1364774600);
+  run.job_start = TimePoint(1364774700);
+  ClassifiedRun cls;
+  cls.outcome = AppOutcome::kSystemFailure;
+  cls.cause = ErrorCategory::kMemoryUE;
+  cls.tuple_id = 1;
+  p.metrics.AddRun(run, cls);
+  run.apid = 602;
+  run.jobid = 5002;
+  run.node_type = NodeType::kXK;
+  run.exit_code = 0;
+  run.exit_signal = 0;
+  cls.outcome = AppOutcome::kSuccess;
+  cls.cause = ErrorCategory::kUnknown;
+  cls.tuple_id = 0;
+  p.metrics.AddRun(run, cls);
+  ErrorTuple tuple;
+  tuple.id = 1;
+  tuple.category = ErrorCategory::kMemoryUE;
+  tuple.severity = Severity::kFatal;
+  tuple.location = Intern("c0-0c0s0n0");
+  tuple.nodes = {0};
+  tuple.first = TimePoint(1364775300);
+  tuple.last = TimePoint(1364775300);
+  tuple.count = 1;
+  p.metrics.AddTuple(tuple);
+  const std::string path = Path("pinned.ldsnap");
+  ASSERT_TRUE(fleet::WritePartialFile(path, p).ok());
+  auto payload = ReadSnapshotFile(path);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  EXPECT_EQ(payload->size(), 1334u);
+  EXPECT_EQ(Crc32(*payload), 1368067651u);
+  std::filesystem::remove(path);
+}
+
+TEST_F(PartialFileTest, ImpossibleCountsRejectTheAttempt) {
+  // A partial whose CRC is valid but whose count field says 2^32-1 (or
+  // 2^64-1) elements fails ReadPartialFile, which rejects the attempt,
+  // before anything is sized by the count.
+  fleet::PartialAggregates p = Make();
+  p.summary.metrics.outcomes = {{AppOutcome::kSystemFailure, 1, 1.0, 2.0,
+                                 1.0}};
+  AppRun run;
+  run.apid = 601;
+  run.jobid = 5001;
+  run.nodes = {0, 1};
+  run.nodect = 2;
+  run.start = TimePoint(1364774700);
+  run.end = TimePoint(1364775600);
+  run.has_termination = true;
+  ClassifiedRun cls;
+  cls.outcome = AppOutcome::kSystemFailure;
+  p.metrics.AddRun(run, cls);
+  const std::string path = Path("bad_count.ldsnap");
+  ASSERT_TRUE(fleet::WritePartialFile(path, p).ok());
+  auto payload = ReadSnapshotFile(path);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  const auto find = [&payload](std::initializer_list<std::uint64_t> words,
+                               int width, std::size_t from) {
+    std::vector<std::uint8_t> pattern;
+    for (const std::uint64_t v : words) {
+      for (int i = 0; i < width; ++i) pattern.push_back((v >> (8 * i)) & 0xFF);
+    }
+    const auto at = std::search(payload->begin() + from, payload->end(),
+                                pattern.begin(), pattern.end());
+    EXPECT_NE(at, payload->end());
+    return static_cast<std::size_t>(at - payload->begin());
+  };
+  // The payload header is 20 bytes; the summary's report then holds
+  // total runs u64 and four f64 ahead of its outcome-row count.  The
+  // accumulator follows the summary.
+  SnapshotWriter summary;
+  summary(p.summary);
+  const std::size_t accumulator_at = 20 + summary.bytes().size();
+  const struct {
+    const char* field;
+    std::size_t at;
+    int width;
+  } cases[] = {
+      {"report row count", 20 + 40, 4},
+      // The XE curve's count and first bucket.
+      {"accumulator scale-point count", find({8, 1, 1}, 4, accumulator_at),
+       4},
+      // Job 5001's run failed: it is in both job sets.
+      {"accumulator job-set count", find({1, 5001, 1, 5001}, 8, accumulator_at),
+       8},
+  };
+  ASSERT_EQ((*payload)[20 + 40], 1);  // one outcome row
+  for (const auto& c : cases) {
+    ASSERT_LE(c.at + c.width, payload->size()) << c.field;
+    std::vector<std::uint8_t> bad = *payload;
+    std::fill_n(bad.begin() + static_cast<std::ptrdiff_t>(c.at), c.width,
+                0xFF);
+    ASSERT_TRUE(WriteDurableFile(path, kSnapshotFormat, bad,
+                                 p.header.fingerprint)
+                    .ok());
+    auto read = fleet::ReadPartialFile(path, {});
+    ASSERT_FALSE(read.ok()) << c.field;
+    EXPECT_EQ(read.status().code(), StatusCode::kParseError)
+        << c.field << ": " << read.status().ToString();
+  }
+  std::filesystem::remove(path);
+}
+
 TEST_F(PartialFileTest, TornPartialIsRejected) {
   const std::string path = Path("torn.ldsnap");
   ASSERT_TRUE(fleet::WritePartialFile(path, Make()).ok());
@@ -100,7 +225,7 @@ TEST_F(PartialFileTest, HeaderPayloadFingerprintDisagreementIsRejected) {
   const std::string path = Path("mixed.ldsnap");
   fleet::PartialAggregates p = Make();
   SnapshotWriter w;
-  fleet::SavePartialAggregates(w, p);
+  w(p);
   ASSERT_TRUE(WriteSnapshotFile(path, w.bytes(), /*fingerprint=*/42).ok());
   auto read = fleet::ReadPartialFile(path, {});
   EXPECT_FALSE(read.ok());

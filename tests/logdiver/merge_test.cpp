@@ -28,7 +28,7 @@ constexpr std::int64_t kT0 = 1364774400;  // 2013-04-01
 
 std::vector<std::uint8_t> Bytes(const MetricsAccumulator& acc) {
   SnapshotWriter w;
-  acc.SaveState(w);
+  w(acc);
   return w.bytes();
 }
 

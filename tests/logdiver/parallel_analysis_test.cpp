@@ -305,17 +305,13 @@ TEST(ParallelAnalysis, InternedFieldsRoundTripThroughSnapshot) {
   rec.queue = Intern("snapshot-queue");
 
   SnapshotWriter w;
-  SaveAppRun(w, run);
-  SaveErrorTuple(w, tuple);
-  SaveTorqueRecord(w, rec);
+  w(run, tuple, rec);
 
   SnapshotReader r(w.bytes());
   AppRun run2;
   ErrorTuple tuple2;
   TorqueRecord rec2;
-  LoadAppRun(r, run2);
-  LoadErrorTuple(r, tuple2);
-  LoadTorqueRecord(r, rec2);
+  r(run2, tuple2, rec2);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(run2.user, run.user);

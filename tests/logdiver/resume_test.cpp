@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -213,11 +214,12 @@ TEST_F(ResumeTest, SnapshotFromDifferentBundleIsRejected) {
   std::filesystem::remove_all(snap_dir);
   SnapshotStore store(snap_dir);
   SnapshotWriter w;
-  w.U32(1);  // resume-state version
+  w.U32(2);  // resume-state version
   for (int s = 0; s < 4; ++s) w.U64(1u << 30);  // absurd offsets
+  for (int s = 0; s < 4; ++s) w.Time(TimePoint());  // claim carries
   {
     StreamingAnalyzer empty(*machine_, LogDiverConfig{});
-    empty.Snapshot(w);
+    w(empty);
   }
   ASSERT_TRUE(store.Write(w.bytes(), *fingerprint).ok());
 
@@ -226,6 +228,75 @@ TEST_F(ResumeTest, SnapshotFromDifferentBundleIsRejected) {
   auto result =
       RunResumableAnalysis(*machine_, LogDiverConfig{}, inputs, options);
   EXPECT_FALSE(result.ok());
+  std::filesystem::remove_all(snap_dir);
+}
+
+TEST_F(ResumeTest, UndecodableNewestSnapshotFallsBackOneGeneration) {
+  // The newest generation passes its CRC but claims 2^32-1 scale points:
+  // the resume rejects it before anything is sized by the count,
+  // restores the generation before, and still reproduces the baseline.
+  const StreamInputs inputs = StreamInputs::FromBundleDir(*bundle_dir_);
+  auto baseline =
+      RunResumableAnalysis(*machine_, LogDiverConfig{}, inputs, {});
+  ASSERT_TRUE(baseline.ok());
+  const std::string snap_dir = testing::TempDir() + "resume_test_bad_count";
+  std::filesystem::remove_all(snap_dir);
+  ResumeOptions options;
+  options.snapshot_dir = snap_dir;
+  options.snapshot_interval = baseline->total_lines / 5 + 1;
+  ASSERT_TRUE(
+      RunResumableAnalysis(*machine_, LogDiverConfig{}, inputs, options).ok());
+  SnapshotStore store(snap_dir);
+  const std::vector<std::uint64_t> gens = store.Generations();
+  ASSERT_EQ(gens.size(), 2u);
+  std::uint64_t fingerprint = 0;
+  auto payload = ReadSnapshotFile(store.PathFor(gens[1]), &fingerprint);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  // The XE curve's count and first bucket: u32 8, then lo = hi = 1.
+  const std::vector<std::uint8_t> xe = {8, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0};
+  const auto at = std::search(payload->begin(), payload->end(), xe.begin(),
+                              xe.end());
+  ASSERT_NE(at, payload->end());
+  std::fill_n(at, 4, 0xFF);
+  ASSERT_TRUE(WriteDurableFile(store.PathFor(gens[1]), kSnapshotFormat,
+                               *payload, fingerprint)
+                  .ok());
+
+  auto result =
+      RunResumableAnalysis(*machine_, LogDiverConfig{}, inputs, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->resumed_generation, gens[0]);
+  EXPECT_EQ(result->snapshots_rejected, 1u);
+  EXPECT_EQ(FingerprintReport(result->summary.metrics),
+            FingerprintReport(baseline->summary.metrics));
+  std::filesystem::remove_all(snap_dir);
+}
+
+TEST_F(ResumeTest, VersionOneSnapshotFailsWithTheVersionMessage) {
+  // Resume payload v1 rebuilt each claim carry from the covered prefix;
+  // v2 stores the carries.  A v1 directory fails loudly.
+  const StreamInputs inputs = StreamInputs::FromBundleDir(*bundle_dir_);
+  auto fingerprint = BundlePartitionFingerprint(inputs, 0);
+  ASSERT_TRUE(fingerprint.ok());
+  const std::string snap_dir = testing::TempDir() + "resume_test_v1";
+  std::filesystem::remove_all(snap_dir);
+  SnapshotStore store(snap_dir);
+  SnapshotWriter w;
+  w.U32(1);  // resume-state version
+  for (int s = 0; s < 4; ++s) w.U64(0);
+  {
+    StreamingAnalyzer empty(*machine_, LogDiverConfig{});
+    w(empty);
+  }
+  ASSERT_TRUE(store.Write(w.bytes(), *fingerprint).ok());
+
+  ResumeOptions options;
+  options.snapshot_dir = snap_dir;
+  auto result =
+      RunResumableAnalysis(*machine_, LogDiverConfig{}, inputs, options);
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(result.status().message(),
+            "snapshot resume-state version 1, this build speaks 2");
   std::filesystem::remove_all(snap_dir);
 }
 
@@ -238,11 +309,12 @@ TEST_F(ResumeTest, MismatchedFingerprintSnapshotIsSkippedNotLoaded) {
   std::filesystem::remove_all(snap_dir);
   SnapshotStore store(snap_dir);
   SnapshotWriter w;
-  w.U32(1);  // resume-state version
+  w.U32(2);  // resume-state version
   for (int s = 0; s < 4; ++s) w.U64(0);
+  for (int s = 0; s < 4; ++s) w.Time(TimePoint());  // claim carries
   {
     StreamingAnalyzer empty(*machine_, LogDiverConfig{});
-    empty.Snapshot(w);
+    w(empty);
   }
   ASSERT_TRUE(store.Write(w.bytes(), /*fingerprint=*/0xDEADBEEF).ok());
 
@@ -390,7 +462,7 @@ bool HoldsRecord(LogSource source, std::string_view line) {
 
 std::vector<std::uint8_t> SummaryBytes(const AnalysisSummary& summary) {
   SnapshotWriter w;
-  SaveAnalysisSummary(w, summary);
+  w(summary);
   return w.TakeBytes();
 }
 
@@ -548,8 +620,8 @@ TEST_F(DamagedReplayTest, ReplayLinesMatchesTheClaimAllOracle) {
 
     SnapshotWriter want_state;
     SnapshotWriter got_state;
-    oracle.Snapshot(want_state);
-    replayed.Snapshot(got_state);
+    want_state(oracle);
+    got_state(replayed);
     EXPECT_TRUE(want_state.bytes() == got_state.bytes())
         << "analyzer state diverged, advance_every=" << advance_every;
 
@@ -639,29 +711,6 @@ TEST_F(DamagedReplayTest, CrashResumeOnMalformedHeadsIsBitIdentical) {
   }
 }
 
-TEST_F(DamagedReplayTest, ClaimPrefixMatchesForwardClaimsAtEveryCut) {
-  // A resumed pass rebuilds each carry with ClaimPrefix instead of
-  // claiming the covered prefix line by line; at every cut the next
-  // line must claim what it claims in a pass that never stopped.
-  const LogSetView views(*logs_);
-  for (std::size_t s = 0; s < kNumLogSources; ++s) {
-    const auto source = static_cast<LogSource>(s);
-    const std::span<const std::string_view> lines = views.lines(source);
-    // Syslog claims its prefix forward, so every cut costs the prefix:
-    // sample it.
-    const std::size_t step = source == LogSource::kSyslog ? 61 : 1;
-    ClaimedTracker forward(2013);
-    for (std::size_t cut = 0; cut < lines.size(); ++cut) {
-      const TimePoint want = forward.ParseAndClaim(source, lines[cut]).claimed;
-      if (cut % step != 0) continue;
-      ClaimedTracker resumed(2013);
-      resumed.ClaimPrefix(source, lines.first(cut));
-      ASSERT_EQ(resumed.ParseAndClaim(source, lines[cut]).claimed, want)
-          << LogSourceName(source) << " cut " << cut;
-    }
-  }
-}
-
 TEST_F(DamagedReplayTest, ResumeAtACutEndingInARunOfRecordlessLines) {
   // The covered prefix of some source ends in malformed or skipped
   // lines, the run goes on past the cut, and a record comes before it:
@@ -711,6 +760,97 @@ TEST_F(DamagedReplayTest, ResumeAtACutWhereASourceHasNoRecordYet) {
       });
   ASSERT_NE(cut, 0u);
   ExpectResumeAtCutIsBitIdentical(*machine_, dir, cut, 1);
+  std::filesystem::remove_all(dir);
+}
+
+/// Every generation in `snap_dir`, oldest first.
+std::vector<std::vector<std::uint8_t>> ReadGenerations(
+    const std::string& snap_dir) {
+  std::vector<std::vector<std::uint8_t>> generations;
+  const SnapshotStore store(snap_dir);
+  for (const std::uint64_t generation : store.Generations()) {
+    std::ifstream in(store.PathFor(generation), std::ios::binary);
+    generations.emplace_back(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+  }
+  return generations;
+}
+
+TEST_F(DamagedReplayTest, ResumeAtACutBeforeAYearCrossingSyslogStamp) {
+  // A syslog stamp whose day runs past the year's end claims a time in
+  // the next year (day 370 of any month falls there), and every later
+  // syslog claim takes its year from that carry.  Cut while that line
+  // is the unread syslog head, a snapshot must hold the carry from
+  // before its claim: claimed again from its own claim, the line and
+  // every syslog line after it would land one more year late.
+  LogSet logs = *logs_;
+  const std::size_t at = logs.syslog.size() / 4;
+  ClaimedTracker tracker(2013);
+  TimePoint before;
+  for (std::size_t i = 0; i < at; ++i) {
+    before = tracker.ParseAndClaim(LogSource::kSyslog, logs.syslog[i]).claimed;
+  }
+  static constexpr const char* kMonths[] = {"Jan", "Feb", "Mar", "Apr",
+                                            "May", "Jun", "Jul", "Aug",
+                                            "Sep", "Oct", "Nov", "Dec"};
+  const CalendarTime calendar = ToCalendar(before);
+  logs.syslog.insert(logs.syslog.begin() + static_cast<std::ptrdiff_t>(at),
+                     std::string(kMonths[calendar.month - 1]) +
+                         " 370 10:00:00 c0-0c0s0n1 kernel: stray stamp");
+  const TimePoint stray =
+      tracker.ParseAndClaim(LogSource::kSyslog, logs.syslog[at]).claimed;
+  ASSERT_EQ(ToCalendar(stray).year, calendar.year + 1);
+
+  const std::string dir = testing::TempDir() + "resume_year_crossing_" +
+                          std::to_string(::getpid());
+  WriteLogSet(logs, dir);
+  const LogSetView views(logs);
+  const OracleOrder order = ClaimAllMergeOrder(views, 2013);
+  std::uint64_t cut = 0;
+  std::size_t syslog_head = 0;
+  while (syslog_head < at) {
+    syslog_head += order.picks[cut++] == LogSource::kSyslog ? 1 : 0;
+  }
+  ASSERT_GT(cut, 0u);
+
+  // The uninterrupted pass and a pass that crashes right after its
+  // first snapshot lands write every generation at the same lines; each
+  // one, and the summary, must be the same bytes.
+  const StreamInputs inputs = StreamInputs::FromBundleDir(dir);
+  ResumeOptions options;
+  options.schedule.advance_every = 1;
+  options.snapshot_interval = cut;
+  options.keep_generations = 1000;
+  options.snapshot_dir = dir + "_uninterrupted";
+  std::filesystem::remove_all(options.snapshot_dir);
+  auto baseline =
+      RunResumableAnalysis(*machine_, LogDiverConfig{}, inputs, options);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  const std::vector<std::uint8_t> want = SummaryBytes(baseline->summary);
+  const auto want_generations = ReadGenerations(options.snapshot_dir);
+  ASSERT_GE(want_generations.size(), 2u);
+  std::filesystem::remove_all(options.snapshot_dir);
+
+  options.snapshot_dir = dir + "_resumed";
+  std::filesystem::remove_all(options.snapshot_dir);
+  const auto outcome = CrashSupervisor::Run([&](int attempt) -> int {
+    if (attempt == 0) {
+      // One crash point per merged line, one after each snapshot write.
+      ArmCrashPoint(cut + 1);
+    } else {
+      DisarmCrashPoint();
+    }
+    auto result =
+        RunResumableAnalysis(*machine_, LogDiverConfig{}, inputs, options);
+    if (!result.ok()) return 2;
+    if (attempt > 0 && result->lines_skipped != cut) return 3;
+    if (SummaryBytes(result->summary) != want) return 1;
+    return ReadGenerations(options.snapshot_dir) == want_generations ? 0 : 4;
+  });
+  EXPECT_EQ(outcome.exit_code, 0) << "cut " << cut;
+  EXPECT_EQ(outcome.crashes, 1) << "cut " << cut;
+  EXPECT_EQ(outcome.attempts, 2) << "cut " << cut;
+  std::filesystem::remove_all(options.snapshot_dir);
   std::filesystem::remove_all(dir);
 }
 

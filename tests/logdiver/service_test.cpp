@@ -559,6 +559,48 @@ TEST_F(ServiceTest, ForeignSnapshotIsRejectedAtStart) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(ServiceTest, TenantSnapshotPayloadBytesArePinned) {
+  // CRC-32 and size of the snapshot a drained tenant writes after a
+  // fixed stream: the tenant layout must not move a byte while its
+  // version stays.
+  const std::pair<LogSource, const char*> lines[] = {
+      {LogSource::kTorque,
+       "04/01/2013 00:05:00;S;5001.bw;user=pin queue=normal jobname=j "
+       "ctime=1364774600 start=1364774700 Resource_List.nodect=2"},
+      {LogSource::kAlps,
+       "2013-04-01T00:05:00 apsched[5]: placeApp apid=601 jobid=5001 "
+       "user=pin cmd=c nodect=2 nids=0-1"},
+      {LogSource::kHwerr, "1364775300|memory_ue|c0-0c0s0n0|fatal|row=4"},
+      {LogSource::kAlps,
+       "2013-04-01T00:16:00 apsys[5]: apid=601 killed, "
+       "reason=node_failure nid=0"},
+      {LogSource::kSyslog,
+       "Apr  1 00:17:00 sonexion LustreError: ost12 failing over"},
+      {LogSource::kAlps, "complete garbage line"},
+      {LogSource::kTorque,
+       "04/01/2013 00:20:00;E;5001.bw;user=pin queue=normal jobname=j "
+       "ctime=1364774600 start=1364774700 end=1364775600 Exit_status=271 "
+       "Resource_List.nodect=2"},
+  };
+  const std::string dir = Dir("pinned");
+  {
+    TenantShard shard("acme", dir, *machine_, LogDiverConfig{},
+                      TenantLimits{});
+    ASSERT_TRUE(shard.Start().ok());
+    for (const auto& [source, line] : lines) {
+      ASSERT_EQ(ReplyVerdict(shard.Ingest(source, line)), "OK") << line;
+    }
+    ASSERT_TRUE(shard.Drain().ok());
+    shard.Stop();
+  }
+  SnapshotStore store(dir + "/snapshots");
+  auto loaded = store.LoadLatest(TenantShard::TenantFingerprint("acme"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->payload.size(), 1534u);
+  EXPECT_EQ(Crc32(loaded->payload), 3448125328u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(ServiceTest, StaleAnalyzerStateInTenantSnapshotIsRejected) {
   // A tenant snapshot nests the analyzer state, so the analyzer's layout
   // version gates it too: a v4 payload (job records with a job name)

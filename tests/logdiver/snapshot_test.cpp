@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <span>
 #include <string>
@@ -308,7 +309,7 @@ TEST(SnapshotIoTest, RunNodeCountPastThePayloadFailsWithoutAllocating) {
   for (int i = 0; i < 64; ++i) w.U8(0);
   SnapshotReader r(w.bytes());
   AppRun run;
-  LoadAppRun(r, run);
+  r(run);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(run.nodes.empty());
 }
@@ -320,7 +321,7 @@ TEST(SnapshotIoTest, TupleNodeCountPastThePayloadFails) {
   for (int i = 0; i < 64; ++i) w.U8(0);
   SnapshotReader r(w.bytes());
   ErrorTuple tuple;
-  LoadErrorTuple(r, tuple);
+  r(tuple);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(tuple.nodes.empty());
 }
@@ -340,7 +341,7 @@ TEST(SnapshotIoTest, TupleWithMoreThanFourNodesFails) {
   w.Bool(false);            // from_hwerr
   SnapshotReader r(w.bytes());
   ErrorTuple tuple;
-  LoadErrorTuple(r, tuple);
+  r(tuple);
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("tuple node count"), std::string::npos)
       << r.status().ToString();
@@ -360,10 +361,10 @@ TEST(SnapshotIoTest, FourNodeTupleRoundTrips) {
   tuple.count = 3;
   tuple.from_hwerr = true;
   SnapshotWriter w;
-  SaveErrorTuple(w, tuple);
+  w(tuple);
   SnapshotReader r(w.bytes());
   ErrorTuple back;
-  LoadErrorTuple(r, back);
+  r(back);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(back.nodes, tuple.nodes);
@@ -592,8 +593,14 @@ class AnalyzerSnapshotTest : public ::testing::Test {
   static std::vector<std::uint8_t> TakeSnapshot(
       const StreamingAnalyzer& analyzer) {
     SnapshotWriter w;
-    analyzer.Snapshot(w);
+    w(analyzer);
     return w.TakeBytes();
+  }
+
+  /// Decodes a whole analyzer payload into `analyzer`.
+  static Status Decode(SnapshotReader& r, StreamingAnalyzer& analyzer) {
+    r(analyzer);
+    return r.Finish();
   }
 
   static ScenarioConfig* config_;
@@ -613,7 +620,7 @@ TEST_F(AnalyzerSnapshotTest, EmptyAnalyzerSnapshotIsByteStable) {
 
   StreamingAnalyzer b(*machine_, LogDiverConfig{});
   SnapshotReader r(first);
-  ASSERT_TRUE(b.Restore(r).ok());
+  ASSERT_TRUE(Decode(r, b).ok());
   EXPECT_EQ(TakeSnapshot(b), first);  // restore -> snapshot is identity
 }
 
@@ -645,7 +652,7 @@ TEST_F(AnalyzerSnapshotTest, MidStreamRoundTripContinuesIdentically) {
   const std::vector<std::uint8_t> snapshot = TakeSnapshot(before_crash);
   StreamingAnalyzer resumed(*machine_, LogDiverConfig{});
   SnapshotReader r(snapshot);
-  ASSERT_TRUE(resumed.Restore(r).ok());
+  ASSERT_TRUE(Decode(r, resumed).ok());
 
   // Both continue with the identical second half and must agree bit
   // for bit.
@@ -681,7 +688,7 @@ TEST_F(AnalyzerSnapshotTest, HeldIncidentSurvivesSnapshotAndRestore) {
   std::vector<std::uint8_t> snapshot = TakeSnapshot(before_crash);
   StreamingAnalyzer resumed(*machine_, LogDiverConfig{});
   SnapshotReader r(snapshot);
-  ASSERT_TRUE(resumed.Restore(r).ok());
+  ASSERT_TRUE(Decode(r, resumed).ok());
   for (const std::string& line : after) {
     uninterrupted.AddSyslogLine(line);
     resumed.AddSyslogLine(line);
@@ -701,7 +708,7 @@ TEST_F(AnalyzerSnapshotTest, HeldIncidentSurvivesSnapshotAndRestore) {
     std::memcpy(snapshot.data(), &stale_version, sizeof(stale_version));
     StreamingAnalyzer stale(*machine_, LogDiverConfig{});
     SnapshotReader stale_reader(snapshot);
-    const Status status = stale.Restore(stale_reader);
+    const Status status = Decode(stale_reader, stale);
     EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
         << status.ToString();
   }
@@ -716,7 +723,7 @@ TEST_F(AnalyzerSnapshotTest, RestoreRejectsWrongGeometry) {
   const Machine small = MakeMachine(other);
   StreamingAnalyzer b(small, LogDiverConfig{});
   SnapshotReader r(snapshot);
-  EXPECT_FALSE(b.Restore(r).ok());
+  EXPECT_FALSE(Decode(r, b).ok());
 }
 
 TEST_F(AnalyzerSnapshotTest, QuarantineOverflowSurvivesRoundTrip) {
@@ -733,7 +740,7 @@ TEST_F(AnalyzerSnapshotTest, QuarantineOverflowSurvivesRoundTrip) {
   StreamingAnalyzer b(*machine_, config);
   const std::vector<std::uint8_t> snapshot = TakeSnapshot(a);
   SnapshotReader r(snapshot);
-  ASSERT_TRUE(b.Restore(r).ok());
+  ASSERT_TRUE(Decode(r, b).ok());
   // The overflow counters — not just the stored entries — must survive,
   // or a restored run under-reports how dirty the stream was.
   EXPECT_EQ(b.quarantine().total(), 10u);
@@ -769,6 +776,200 @@ TEST_F(AnalyzerSnapshotTest, RepeatedWatermarkFinalizesNothingNew) {
   EXPECT_EQ(a.ingest_stats().watermark_regressions, 0u);
 }
 
+// --- pinned payload bytes ------------------------------------------
+//
+// CRC-32 and size of payloads encoded by the layouts docs/FORMATS.md
+// documents.  A codec change that moves one byte of a layout whose
+// version did not change fails here.
+
+// A fixed stream cut before its end: one run finalized into the
+// accumulator, one terminated run pending, one open run, open tuples,
+// a held Lustre incident and three quarantined lines.
+void FeedFixedStream(StreamingAnalyzer& a) {
+  a.AddTorqueLine(
+      "04/01/2013 00:05:00;S;5001.bw;user=pin queue=normal jobname=j "
+      "ctime=1364774600 start=1364774700 Resource_List.nodect=2");
+  a.AddAlpsLine(
+      "2013-04-01T00:05:00 apsched[5]: placeApp apid=601 jobid=5001 "
+      "user=pin cmd=c nodect=2 nids=0-1");
+  a.AddHwerrLine("1364775300|memory_ue|c0-0c0s0n0|fatal|row=4");
+  a.AddAlpsLine(
+      "2013-04-01T00:16:00 apsys[5]: apid=601 killed, reason=node_failure "
+      "nid=0");
+  a.AddTorqueLine(
+      "04/01/2013 00:20:00;E;5001.bw;user=pin queue=normal jobname=j "
+      "ctime=1364774600 start=1364774700 end=1364775600 Exit_status=271 "
+      "Resource_List.nodect=2");
+  a.Advance(TimePoint(1364781600));  // 02:00
+  a.AddTorqueLine(
+      "04/01/2013 02:05:00;S;5002.bw;user=pin queue=high jobname=k "
+      "ctime=1364781800 start=1364781900 Resource_List.nodect=3");
+  a.AddAlpsLine(
+      "2013-04-01T02:05:00 apsched[5]: placeApp apid=602 jobid=5002 "
+      "user=pin cmd=c nodect=2 nids=2-3");
+  a.AddSyslogLine("Apr  1 02:10:00 sonexion LustreError: ost12 failing over");
+  a.AddSyslogLine(
+      "Apr  1 02:11:00 c0-0c0s1n0 kernel: [Hardware Error]: Machine check: "
+      "Processor context corrupt");
+  a.AddHwerrLine("1364782320|gpu_dbe|c0-0c0s1n1|fatal|ecc");
+  a.AddAlpsLine(
+      "2013-04-01T02:20:00 apsys[5]: apid=602 exited, status=1 signal=0");
+  a.AddAlpsLine(
+      "2013-04-01T02:25:00 apsched[5]: placeApp apid=603 jobid=5002 "
+      "user=pin cmd=c nodect=1 nids=4");
+  a.AddAlpsLine("complete garbage line");
+  a.AddTorqueLine("]]] broken accounting record");
+  a.AddHwerrLine("broken");
+}
+
+TEST_F(AnalyzerSnapshotTest, MidStreamPayloadBytesArePinned) {
+  StreamingAnalyzer a(*machine_, LogDiverConfig{});
+  FeedFixedStream(a);
+  ASSERT_EQ(a.runs_finalized(), 1u);
+  ASSERT_EQ(a.state_size().pending_runs, 1u);
+  ASSERT_EQ(a.state_size().open_runs, 1u);
+  ASSERT_GE(a.state_size().open_tuples, 2u);
+  ASSERT_EQ(a.quarantine().entries().size(), 3u);
+  const std::vector<std::uint8_t> payload = TakeSnapshot(a);
+  EXPECT_EQ(payload.size(), 2019u);
+  EXPECT_EQ(Crc32(payload), 811034801u);
+}
+
+TEST(SnapshotIoTest, ReportFingerprintsArePinned) {
+  MetricsReport report;
+  report.total_runs = 1234;
+  report.total_node_hours = 5678.25;
+  report.system_failure_fraction = 0.0153;
+  report.lost_node_hours_fraction = 0.09;
+  report.overall_mtti_hours = 17.5;
+  report.outcomes = {{AppOutcome::kSuccess, 1200, 0.97, 5000.0, 0.88},
+                     {AppOutcome::kSystemFailure, 34, 0.03, 678.25, 0.12}};
+  report.categories = {{ErrorCategory::kMachineCheck, 9, 4, 31, 120.5}};
+  report.availability = {2, 3.5, 0.999};
+  report.attribution = {{ErrorCategory::kLustre, 3, 1}};
+  ScalePoint point;
+  point.lo = 1;
+  point.hi = 64;
+  point.runs = 1000;
+  point.system_failures = 12;
+  point.failure_probability = {0.012, 0.006, 0.021};
+  report.xe_scale = {point};
+  point.lo = 65;
+  point.hi = 4096;
+  report.xk_scale = {point, point};
+  report.monthly = {{2013, 4, 600, 20, 2500.0, 310.5, 36.0}};
+  report.detection_gap = {{NodeType::kXK, 10, 7, 3, 0.3}};
+  report.queue_waits = {{1, 64, 800, 0.25, 1.75}};
+  report.job_impact = {900, 30, 30.0 / 900.0};
+  report.ingest.quarantined = 5;
+  report.ingest.duplicate_placements = 2;
+  report.ingest.lines_dropped_after_budget = 11;
+  EXPECT_EQ(FingerprintReport(report), 1110852941u);
+  EXPECT_EQ(FingerprintIngest(report.ingest), 2062262682u);
+}
+
+// --- impossible counts ------------------------------------------------
+
+/// `v` as `width` little-endian bytes.
+std::vector<std::uint8_t> Le(std::uint64_t v, int width) {
+  std::vector<std::uint8_t> out;
+  for (int i = 0; i < width; ++i) out.push_back((v >> (8 * i)) & 0xFF);
+  return out;
+}
+
+std::vector<std::uint8_t> Cat(
+    std::initializer_list<std::vector<std::uint8_t>> parts) {
+  std::vector<std::uint8_t> out;
+  for (const auto& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+/// Offset of the first `pattern` in `bytes` at or past `from`, or npos.
+std::size_t Find(const std::vector<std::uint8_t>& bytes,
+                 const std::vector<std::uint8_t>& pattern,
+                 std::size_t from = 0) {
+  const auto at = std::search(bytes.begin() + from, bytes.end(),
+                              pattern.begin(), pattern.end());
+  return at == bytes.end() ? std::string::npos
+                           : static_cast<std::size_t>(at - bytes.begin());
+}
+
+TEST_F(AnalyzerSnapshotTest, ImpossibleCountFallsBackOneGeneration) {
+  // A newest generation whose CRC is valid but whose count field says
+  // 2^32-1 (or 2^64-1) elements is rejected before anything is sized by
+  // it, and the store falls back to the generation before.
+  StreamingAnalyzer a(*machine_, LogDiverConfig{});
+  FeedFixedStream(a);
+  const std::vector<std::uint8_t> payload = TakeSnapshot(a);
+  const QuarantineEntry& first = a.quarantine().entries().front();
+  const std::vector<std::uint8_t> reason(first.reason.begin(),
+                                         first.reason.end());
+  struct Case {
+    const char* field;
+    std::vector<std::uint8_t> pattern;  // starts at the count
+    int width;
+  };
+  const Case cases[] = {
+      {"quarantine entry count",
+       Cat({Le(3, 4), Le(static_cast<std::uint8_t>(first.source), 1),
+            Le(first.line_number, 8), Le(reason.size(), 4), reason}),
+       4},
+      // The XE curve's count and first bucket; the XK curve follows.
+      {"accumulator scale-point count", Cat({Le(8, 4), Le(1, 4), Le(1, 4)}),
+       4},
+      // Job 5001's run failed: it is in both job sets.
+      {"accumulator job-set count",
+       Cat({Le(1, 8), Le(5001, 8), Le(1, 8), Le(5001, 8)}), 8},
+  };
+  const std::string dir = testing::TempDir() + "snapshot_bad_count";
+  for (const Case& c : cases) {
+    const std::size_t at = Find(payload, c.pattern);
+    ASSERT_NE(at, std::string::npos) << c.field;
+    std::vector<std::uint8_t> bad = payload;
+    std::fill_n(bad.begin() + static_cast<std::ptrdiff_t>(at), c.width, 0xFF);
+    std::filesystem::remove_all(dir);
+    SnapshotStore store(dir);
+    ASSERT_TRUE(store.Write(payload).ok());
+    ASSERT_TRUE(
+        WriteDurableFile(store.PathFor(2), kSnapshotFormat, bad, 0).ok());
+    auto loaded =
+        store.LoadLatest(0, [this](std::span<const std::uint8_t> bytes) {
+          StreamingAnalyzer b(*machine_, LogDiverConfig{});
+          SnapshotReader r(bytes);
+          return Decode(r, b);
+        });
+    ASSERT_TRUE(loaded.ok()) << c.field << ": " << loaded.status().ToString();
+    EXPECT_EQ(loaded->generation, 1u) << c.field;
+    EXPECT_EQ(loaded->rejected, 1u) << c.field;
+    EXPECT_TRUE(loaded->payload.empty()) << c.field;  // the decoder took it
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(AnalyzerSnapshotTest, LayoutVersionMismatchIsReturnedNotSkipped) {
+  // A generation of another layout version is not this build's
+  // directory: LoadLatest returns the decode error instead of falling
+  // back past it.
+  StreamingAnalyzer a(*machine_, LogDiverConfig{});
+  std::vector<std::uint8_t> payload = TakeSnapshot(a);
+  const std::string dir = testing::TempDir() + "snapshot_stale_version";
+  std::filesystem::remove_all(dir);
+  SnapshotStore store(dir);
+  ASSERT_TRUE(store.Write(payload).ok());
+  payload[0] = 4;  // stream-state version 4
+  ASSERT_TRUE(store.Write(payload).ok());
+  auto loaded = store.LoadLatest(0, [this](std::span<const std::uint8_t> b) {
+    StreamingAnalyzer analyzer(*machine_, LogDiverConfig{});
+    SnapshotReader r(b);
+    return Decode(r, analyzer);
+  });
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
+      << loaded.status().ToString();
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(AnalyzerSnapshotTest, FinalizeIsSpentAfterUse) {
   StreamingAnalyzer a(*machine_, LogDiverConfig{});
   a.Finalize();
@@ -779,7 +980,7 @@ TEST_F(AnalyzerSnapshotTest, FinalizeIsSpentAfterUse) {
   EXPECT_THROW(a.AddHwerrLine("x"), std::logic_error);
   EXPECT_THROW(a.Advance(TimePoint(0)), std::logic_error);
   SnapshotWriter w;
-  EXPECT_THROW(a.Snapshot(w), std::logic_error);
+  EXPECT_THROW(w(a), std::logic_error);
 }
 
 }  // namespace
