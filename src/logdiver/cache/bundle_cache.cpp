@@ -6,7 +6,10 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/obs/names.hpp"
 #include "common/obs/obs.hpp"
@@ -100,613 +103,420 @@ Result<MappedEntry> OpenEntry(const std::string& path,
   return entry;
 }
 
-// --- column primitives -----------------------------------------------
-
-template <typename T>
-void PutElement(SnapshotWriter& w, T v) {
-  static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8);
-  if constexpr (sizeof(T) == 1) {
-    std::uint8_t b;
-    std::memcpy(&b, &v, 1);
-    w.U8(b);
-  } else if constexpr (sizeof(T) == 4) {
-    std::uint32_t b;
-    std::memcpy(&b, &v, 4);
-    w.U32(b);
-  } else {
-    std::uint64_t b;
-    std::memcpy(&b, &v, 8);
-    w.U64(b);
-  }
-}
-
-template <typename T>
-T GetElement(SnapshotReader& r) {
-  static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8);
-  T v{};
-  if constexpr (sizeof(T) == 1) {
-    const std::uint8_t b = r.U8();
-    std::memcpy(&v, &b, 1);
-  } else if constexpr (sizeof(T) == 4) {
-    const std::uint32_t b = r.U32();
-    std::memcpy(&v, &b, 4);
-  } else {
-    const std::uint64_t b = r.U64();
-    std::memcpy(&v, &b, 8);
-  }
-  return v;
-}
-
-/// Reads a u64 count + the raw little-endian array.  On LE hosts
-/// (every target this repo builds for) the load is a single memcpy —
-/// this is what makes a records hit decode at memory bandwidth.
-template <typename T>
-void GetPodColumn(SnapshotReader& r, std::vector<T>& col) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const std::uint64_t n = r.U64();
-  if (!r.ok()) return;
-  if (n > r.remaining() / sizeof(T)) {
-    r.Fail("column longer than the payload");
-    return;
-  }
-  col.resize(n);
-  if constexpr (std::endian::native == std::endian::little) {
-    r.Raw(col.data(), col.size() * sizeof(T));
-  } else {
-    for (T& v : col) v = GetElement<T>(r);
-  }
-}
-
-/// Interned-symbol column: a first-seen string table (u32 count +
-/// length-prefixed strings) followed by a u32 index column.  Symbol ids
-/// are process-local (intern.hpp), so the *strings* are the on-disk
-/// identity and the loader re-interns them.  Ids are dense, so a flat
-/// slot table indexed by id maps each symbol to its table index; the
-/// index column is written in a second pass, once the table is out.
-template <typename GetFn>
-void PutSymbolColumn(SnapshotWriter& w, std::size_t n, GetFn get) {
-  constexpr std::uint32_t kUnseen = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> slots;
-  std::vector<Symbol> table;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Symbol s = get(i);
-    if (s.id() >= slots.size()) {
-      slots.resize(std::max<std::size_t>(s.id() + 1, 2 * slots.size()),
-                   kUnseen);
-    }
-    if (slots[s.id()] == kUnseen) {
-      slots[s.id()] = static_cast<std::uint32_t>(table.size());
-      table.push_back(s);
-    }
-  }
-  w.U32(static_cast<std::uint32_t>(table.size()));
-  for (const Symbol s : table) w.Str(s.view());
-  w.U64(n);
-  for (std::size_t i = 0; i < n; ++i) w.U32(slots[get(i).id()]);
-}
-
-template <typename SetFn>
-void GetSymbolColumn(SnapshotReader& r, std::size_t n, SetFn set) {
-  const std::uint32_t table_size = r.U32();
-  if (!r.ok()) return;
-  if (table_size > r.remaining() / 4) {
-    r.Fail("symbol table longer than the payload");
-    return;
-  }
-  std::vector<Symbol> table;
-  table.reserve(table_size);
-  for (std::uint32_t i = 0; i < table_size && r.ok(); ++i) {
-    table.push_back(Intern(r.Str()));
-  }
-  std::vector<std::uint32_t> idx;
-  GetPodColumn(r, idx);
-  if (!r.ok()) return;
-  if (idx.size() != n) {
-    r.Fail("symbol column length mismatch");
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (idx[i] >= table.size()) {
-      r.Fail("symbol index out of range");
-      return;
-    }
-    set(i, table[idx[i]]);
-  }
-}
-
-// --- v2 compacted columns --------------------------------------------
+// --- columns ---------------------------------------------------------
 //
-// The memoized-result section stores its dominant columns (ids, epochs,
-// node lists) as zigzag-varint deltas: consecutive apids ascend, times
-// cluster within a run population, so most deltas fit in 1–2 bytes
-// instead of 8.  Arithmetic is done in uint64 (wraparound
-// well-defined), with C++20 two's-complement casts at the boundaries,
-// so the round trip is exact for every 64-bit value.
+// A section is a row count, then its columns: one field of every row
+// each.  Every template here runs in both directions (snapshot.hpp,
+// "codecs"): given a SnapshotWriter it writes the rows' cells, given a
+// SnapshotReader it reads them back into rows the section has sized.
 
-class DeltaWriter {
- public:
-  explicit DeltaWriter(SnapshotWriter& w) : w_(w) {}
-  void Add(std::uint64_t v) {
-    w_.VarintSigned(static_cast<std::int64_t>(v - prev_));
-    prev_ = v;
+/// A per-row lower bound for SnapshotReader::Count: `kRowBytes` payload
+/// bytes a row.
+template <std::size_t kRowBytes>
+struct RowBytes {
+  static constexpr std::size_t kBytes = kRowBytes;
+  void operator()(SnapshotWriter& w) const {
+    for (std::size_t i = 0; i < kBytes; ++i) w.U8(0);
   }
-  void AddSigned(std::int64_t v) { Add(static_cast<std::uint64_t>(v)); }
-
- private:
-  SnapshotWriter& w_;
-  std::uint64_t prev_ = 0;
 };
 
-class DeltaReader {
- public:
-  explicit DeltaReader(SnapshotReader& r) : r_(r) {}
-  std::uint64_t Next() {
-    prev_ += static_cast<std::uint64_t>(r_.VarintSigned());
-    return prev_;
-  }
-  std::int64_t NextSigned() { return static_cast<std::int64_t>(Next()); }
-
- private:
-  SnapshotReader& r_;
-  std::uint64_t prev_ = 0;
-};
-
-/// Node-list CSR in v2: per-row varint length (the offset delta) + one
-/// varint entry stream.  Returns false (after r.Fail) on inconsistency,
-/// including a row longer than `max_row` entries.
-template <typename Row>
-void PutNodeCsr(SnapshotWriter& w, const std::vector<Row>& rows) {
-  for (const auto& row : rows) w.Varint(row.nodes.size());
-  for (const auto& row : rows) {
-    for (const NodeIndex nid : row.nodes) w.Varint(nid);
+/// The section's CountT row count; a reader refuses one past `RowBound`
+/// bytes a row before it sizes `rows`.
+template <class CountT, class RowBound, class Io, class Rows>
+void RowCount(Io& io, Rows& rows) {
+  const std::size_t n = io.template Count<CountT>(rows.size(), RowBound{});
+  if constexpr (Io::kReading) {
+    rows.clear();
+    rows.resize(n);
   }
 }
 
-template <typename Row>
-bool GetNodeCsr(
-    SnapshotReader& r, std::vector<Row>& rows, const char* what,
-    std::uint64_t max_row = std::numeric_limits<std::uint64_t>::max()) {
-  std::vector<std::uint64_t> lengths(rows.size());
-  std::uint64_t total = 0;
-  for (auto& len : lengths) {
-    len = r.Varint();
-    if (len > max_row) {
-      r.Fail(std::string(what) + " node list longer than " +
-             std::to_string(max_row));
-      return false;
-    }
-    total += len;
+/// How a column codes its cells: fixed-width little-endian (the shared
+/// Field codec), a varint (zigzag for a signed value), or the zigzag
+/// varint of the difference from the cell above.  Consecutive ids
+/// ascend and times cluster, so most deltas take 1-2 bytes, not 8.
+enum Coding { kFixed, kVarint, kDelta };
+
+template <class T>
+constexpr bool kSignedCell = std::is_signed_v<T> ||
+                             std::is_same_v<T, TimePoint> ||
+                             std::is_same_v<T, Duration>;
+
+/// A varint or delta cell as a 64-bit word: times and durations as
+/// seconds, signed values sign-extended.  Delta arithmetic wraps in
+/// uint64, so the round trip is exact for every 64-bit value.
+template <class T>
+std::uint64_t ToWord(const T& v) {
+  if constexpr (std::is_same_v<T, TimePoint>) {
+    return static_cast<std::uint64_t>(v.unix_seconds());
+  } else if constexpr (std::is_same_v<T, Duration>) {
+    return static_cast<std::uint64_t>(v.seconds());
+  } else {
+    return static_cast<std::uint64_t>(v);
   }
-  if (!r.ok()) return false;
-  // Each entry costs at least one payload byte: a total past the
-  // remaining payload means a malformed length column.
-  if (total > r.remaining()) {
-    r.Fail(std::string(what) + " node CSR is inconsistent");
-    return false;
-  }
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    rows[i].nodes.resize(lengths[i]);
-    for (auto& nid : rows[i].nodes) {
-      nid = static_cast<NodeIndex>(r.Varint());
-    }
-  }
-  return r.ok();
 }
 
-// --- parsed-records section ------------------------------------------
-
-void PutTorque(SnapshotWriter& w, const std::vector<TorqueRecord>& recs) {
-  const std::size_t n = recs.size();
-  w.U64(n);
-  for (const auto& rec : recs) w.U8(static_cast<std::uint8_t>(rec.kind));
-  for (const auto& rec : recs) w.I64(rec.time.unix_seconds());
-  for (const auto& rec : recs) w.U64(rec.jobid);
-  PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].user; });
-  PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].queue; });
-  for (const auto& rec : recs) w.I64(rec.submit.unix_seconds());
-  for (const auto& rec : recs) w.I64(rec.start.unix_seconds());
-  for (const auto& rec : recs) w.I64(rec.end.unix_seconds());
-  for (const auto& rec : recs) w.I32(rec.exit_status);
-  for (const auto& rec : recs) w.U32(rec.nodect);
-  for (const auto& rec : recs) w.I64(rec.walltime_limit.seconds());
-  for (const auto& rec : recs) w.I64(rec.walltime_used.seconds());
+template <class T>
+T FromWord(std::uint64_t word) {
+  if constexpr (std::is_same_v<T, TimePoint> || std::is_same_v<T, Duration>) {
+    return T(static_cast<std::int64_t>(word));
+  } else {
+    return static_cast<T>(word);
+  }
 }
 
-void GetTorque(SnapshotReader& r, std::vector<TorqueRecord>& recs) {
-  const std::uint64_t n = r.U64();
-  if (!r.ok()) return;
-  if (n > r.remaining()) {  // every record spends well over 1 byte
-    r.Fail("torque column longer than the payload");
-    return;
-  }
-  recs.resize(n);
-  for (auto& rec : recs) rec.kind = static_cast<TorqueRecord::Kind>(r.U8());
-  for (auto& rec : recs) rec.time = TimePoint(r.I64());
-  for (auto& rec : recs) rec.jobid = r.U64();
-  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].user = s; });
-  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].queue = s; });
-  for (auto& rec : recs) rec.submit = TimePoint(r.I64());
-  for (auto& rec : recs) rec.start = TimePoint(r.I64());
-  for (auto& rec : recs) rec.end = TimePoint(r.I64());
-  for (auto& rec : recs) rec.exit_status = r.I32();
-  for (auto& rec : recs) rec.nodect = r.U32();
-  for (auto& rec : recs) rec.walltime_limit = Duration(r.I64());
-  for (auto& rec : recs) rec.walltime_used = Duration(r.I64());
-}
-
-void PutAlps(SnapshotWriter& w, const std::vector<AlpsRecord>& recs) {
-  const std::size_t n = recs.size();
-  w.U64(n);
-  for (const auto& rec : recs) w.U8(static_cast<std::uint8_t>(rec.kind));
-  for (const auto& rec : recs) w.I64(rec.time.unix_seconds());
-  for (const auto& rec : recs) w.U64(rec.apid);
-  for (const auto& rec : recs) w.U64(rec.jobid);
-  PutSymbolColumn(w, n, [&](std::size_t i) { return recs[i].user; });
-  for (const auto& rec : recs) w.U32(rec.nodect);
-  // Node placements as CSR, written straight from the records: the
-  // u64-counted offsets column, then the u64-counted packed entries.
-  w.U64(n + 1);
-  std::uint64_t offset = 0;
-  w.U64(offset);
-  for (const auto& rec : recs) {
-    offset += rec.nids.size();
-    w.U64(offset);
-  }
-  w.U64(offset);
-  for (const auto& rec : recs) {
-    if constexpr (std::endian::native == std::endian::little) {
-      w.Raw(rec.nids.data(), rec.nids.size() * sizeof(NodeIndex));
+/// One cell; `prev` carries a delta column's word from the row above.
+template <Coding kCoding, class Io, class T>
+void Cell(Io& io, T& v, std::uint64_t& prev) {
+  if constexpr (kCoding == kFixed) {
+    io(v);
+  } else {
+    std::uint64_t word = ToWord(v);
+    if constexpr (kCoding == kDelta) {
+      auto delta = static_cast<std::int64_t>(word - prev);
+      io.VarintSigned(delta);
+      word = prev += static_cast<std::uint64_t>(delta);
+    } else if constexpr (kSignedCell<T>) {
+      auto value = static_cast<std::int64_t>(word);
+      io.VarintSigned(value);
+      word = static_cast<std::uint64_t>(value);
     } else {
-      for (const NodeIndex nid : rec.nids) PutElement(w, nid);
+      io.Varint(word);
+    }
+    if constexpr (Io::kReading) v = FromWord<T>(word);
+  }
+}
+
+/// One column of `member`.  An optional member's fixed column has a
+/// cell for every row, zero for an absent value; its delta column holds
+/// the present values only (a Flags column says which rows).
+template <Coding kCoding, class Io, class Row, class T>
+void Column(Io& io, std::vector<Row>& rows, T Row::*member) {
+  std::uint64_t prev = 0;
+  for (Row& row : rows) {
+    T& cell = row.*member;
+    if constexpr (!codec::kOptional<T>) {
+      Cell<kCoding>(io, cell, prev);
+    } else if (cell) {
+      Cell<kCoding>(io, *cell, prev);
+    } else if constexpr (kCoding == kFixed) {
+      typename T::value_type zero{};
+      Cell<kCoding>(io, zero, prev);
     }
   }
-  for (const auto& rec : recs) w.I32(rec.exit_code);
-  for (const auto& rec : recs) w.I32(rec.exit_signal);
-  for (const auto& rec : recs) w.U8(rec.node_failure ? 1 : 0);
-  for (const auto& rec : recs) w.U32(rec.failed_nid);
 }
 
-void GetAlps(SnapshotReader& r, std::vector<AlpsRecord>& recs) {
-  const std::uint64_t n = r.U64();
-  if (!r.ok()) return;
-  if (n > r.remaining()) {
-    r.Fail("alps column longer than the payload");
-    return;
-  }
-  recs.resize(n);
-  for (auto& rec : recs) rec.kind = static_cast<AlpsRecord::Kind>(r.U8());
-  for (auto& rec : recs) rec.time = TimePoint(r.I64());
-  for (auto& rec : recs) rec.apid = r.U64();
-  for (auto& rec : recs) rec.jobid = r.U64();
-  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].user = s; });
-  for (auto& rec : recs) rec.nodect = r.U32();
-  std::vector<std::uint64_t> offsets;
-  std::vector<NodeIndex> entries;
-  GetPodColumn(r, offsets);
-  GetPodColumn(r, entries);
-  if (!r.ok()) return;
-  if (offsets.size() != n + 1 || offsets[0] != 0 ||
-      offsets.back() != entries.size()) {
-    r.Fail("alps nid CSR is inconsistent");
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (offsets[i] > offsets[i + 1]) {
-      r.Fail("alps nid CSR is inconsistent");
-      return;
-    }
-    recs[i].nids.assign(entries.begin() + offsets[i],
-                        entries.begin() + offsets[i + 1]);
-  }
-  for (auto& rec : recs) rec.exit_code = r.I32();
-  for (auto& rec : recs) rec.exit_signal = r.I32();
-  for (auto& rec : recs) rec.node_failure = r.U8() != 0;
-  for (auto& rec : recs) rec.failed_nid = r.U32();
+/// One column per member, in the order given.
+template <Coding kCoding, class Io, class Row, class... T>
+void Columns(Io& io, std::vector<Row>& rows, T Row::*... members) {
+  (Column<kCoding>(io, rows, members), ...);
 }
 
-// Error records keep the v5 column layout: a record count, then per
-// field a u64 count and one little-endian element per record (location
-// as a symbol column; recovered as a set flag, then unix seconds or 0).
-
-/// One fixed-width field column: u64 count + `get(rec)` per record.
-template <typename Rec, typename GetFn>
-void PutField(SnapshotWriter& w, const std::vector<Rec>& recs, GetFn get) {
-  w.U64(recs.size());
-  for (const Rec& rec : recs) PutElement(w, get(rec));
-}
-
-/// Reads a PutField column of T into the already-sized `recs`.
-template <typename T, typename Rec, typename SetFn>
-void GetField(SnapshotReader& r, std::vector<Rec>& recs, SetFn set) {
-  const std::uint64_t n = r.U64();
-  if (r.ok() && (n != recs.size() || n > r.remaining() / sizeof(T))) {
-    r.Fail("error columns have mismatched lengths");
+/// The error section's per-column u64 count, equal to its row count.
+template <class Io, class Row>
+void ColumnCount(Io& io, std::vector<Row>& rows) {
+  [[maybe_unused]] const std::size_t n =
+      io.template Count<std::uint64_t>(rows.size(), RowBytes<1>{});
+  if constexpr (Io::kReading) {
+    if (n != rows.size()) io.Fail("error columns have mismatched lengths");
   }
-  if (!r.ok()) return;
-  for (Rec& rec : recs) set(rec, GetElement<T>(r));
 }
 
-void PutErrors(SnapshotWriter& w, const std::vector<ErrorRecord>& recs) {
-  using Rec = ErrorRecord;
-  w.U64(recs.size());
-  PutField(w, recs, [](const Rec& e) { return e.time.unix_seconds(); });
-  PutField(w, recs, [](const Rec& e) { return e.category; });
-  PutField(w, recs, [](const Rec& e) { return e.severity; });
-  PutField(w, recs, [](const Rec& e) { return e.scope; });
-  PutField(w, recs, [](const Rec& e) { return e.source; });
-  PutSymbolColumn(w, recs.size(),
-                  [&](std::size_t i) { return recs[i].location; });
-  PutField(w, recs, [](const Rec& e) {
-    return static_cast<std::uint8_t>(e.recovered.has_value());
-  });
-  PutField(w, recs, [](const Rec& e) {
-    return e.recovered ? e.recovered->unix_seconds() : std::int64_t{0};
-  });
+/// Fixed columns each behind its own ColumnCount.
+template <class Io, class Row, class... T>
+void CountedColumns(Io& io, std::vector<Row>& rows, T Row::*... members) {
+  ((ColumnCount(io, rows), Column<kFixed>(io, rows, members)), ...);
 }
 
-void GetErrors(SnapshotReader& r, std::vector<ErrorRecord>& recs) {
-  using Rec = ErrorRecord;
-  const std::uint64_t n = r.U64();
-  // Every record spends well over one byte.
-  if (n > r.remaining()) r.Fail("error column longer than the payload");
-  if (!r.ok()) return;
-  recs.resize(n);
-  GetField<std::int64_t>(r, recs,
-                         [](Rec& e, auto v) { e.time = TimePoint(v); });
-  GetField<ErrorCategory>(r, recs, [](Rec& e, auto v) { e.category = v; });
-  GetField<Severity>(r, recs, [](Rec& e, auto v) { e.severity = v; });
-  GetField<LocScope>(r, recs, [](Rec& e, auto v) { e.scope = v; });
-  GetField<LogSource>(r, recs, [](Rec& e, auto v) { e.source = v; });
-  if (!r.ok()) return;
-  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { recs[i].location = s; });
-  GetField<std::uint8_t>(r, recs, [](Rec& e, auto set) {
-    if (set != 0) e.recovered = TimePoint(0);
-  });
-  GetField<std::int64_t>(r, recs, [](Rec& e, auto v) {
-    if (e.recovered) e.recovered = TimePoint(v);
-  });
-}
-
-/// Close to the records section's size: every fixed-width column
-/// exactly (a symbol column counted as its u32 index), plus slack for
-/// the symbol tables, the stats and the quarantine.  EncodeParsed
-/// reserves it once, so the section is never regrown and recopied.
-std::size_t RecordsSizeHint(const ParsedLogs& parsed) {
-  std::size_t nids = 0;
-  for (const auto& rec : parsed.alps) nids += rec.nids.size();
-  const std::size_t fixed = 81 * parsed.torque.size() +
-                            54 * parsed.alps.size() + 4 * nids +
-                            25 * parsed.errors.size();
-  return fixed + fixed / 8 + 64 * 1024;
-}
-
-void DecodeParsed(SnapshotReader& r, ParsedLogs& parsed) {
-  GetTorque(r, parsed.torque);
-  GetAlps(r, parsed.alps);
-  GetErrors(r, parsed.errors);
-  r(parsed.torque_stats, parsed.alps_stats, parsed.syslog_stats,
-    parsed.hwerr_stats, parsed.sink);
-}
-
-// --- memoized-result section -----------------------------------------
-
-// v2 layout: every id/epoch column is a per-column delta stream, node
-// lists are varint CSR, small integers are plain (zigzag) varints.
-// Column order is unchanged from v1 — only the element encoding
-// shrank.
-void PutRuns(SnapshotWriter& w, const std::vector<AppRun>& runs) {
-  const std::size_t n = runs.size();
-  w.Varint(n);
-  {
-    DeltaWriter apid(w);
-    for (const auto& run : runs) apid.Add(run.apid);
+/// Reads a flag back: a bool's value, or an optional's presence (a
+/// placeholder value until the optional's value column).
+template <class T>
+void SetFlag(T& cell, bool set) {
+  if constexpr (std::is_same_v<T, bool>) {
+    cell = set;
+  } else {
+    cell = set ? T(std::in_place) : T();
   }
-  {
-    DeltaWriter jobid(w);
-    for (const auto& run : runs) jobid.Add(run.jobid);
-  }
-  PutSymbolColumn(w, n, [&](std::size_t i) { return runs[i].user; });
-  PutSymbolColumn(w, n, [&](std::size_t i) { return runs[i].queue; });
-  for (const auto& run : runs) w.U8(static_cast<std::uint8_t>(run.node_type));
-  PutNodeCsr(w, runs);
-  for (const auto& run : runs) w.Varint(run.nodect);
-  {
-    DeltaWriter start(w);
-    for (const auto& run : runs) start.AddSigned(run.start.unix_seconds());
-  }
-  {
-    DeltaWriter end(w);
-    for (const auto& run : runs) end.AddSigned(run.end.unix_seconds());
-  }
-  for (const auto& run : runs) {
+}
+
+/// One u8 column of bits, the first member in bit 0: a bool's value, an
+/// optional's presence.
+template <class Io, class Row, class... T>
+void Flags(Io& io, std::vector<Row>& rows, T Row::*... members) {
+  for (Row& row : rows) {
     std::uint8_t flags = 0;
-    if (run.has_termination) flags |= 1;
-    if (run.killed_node_failure) flags |= 2;
-    w.U8(flags);
-  }
-  for (const auto& run : runs) w.VarintSigned(run.exit_code);
-  for (const auto& run : runs) w.VarintSigned(run.exit_signal);
-  for (const auto& run : runs) w.Varint(run.failed_nid);
-  {
-    DeltaWriter submit(w);
-    for (const auto& run : runs) submit.AddSigned(run.job_submit.unix_seconds());
-  }
-  {
-    DeltaWriter jstart(w);
-    for (const auto& run : runs) jstart.AddSigned(run.job_start.unix_seconds());
-  }
-  for (const auto& run : runs) w.VarintSigned(run.walltime_limit.seconds());
-  for (const auto& run : runs) w.VarintSigned(run.job_exit_status);
-}
-
-void GetRuns(SnapshotReader& r, std::vector<AppRun>& runs) {
-  const std::uint64_t n = r.Varint();
-  if (!r.ok()) return;
-  if (n > r.remaining()) {  // every run spends well over 1 byte
-    r.Fail("run column longer than the payload");
-    return;
-  }
-  runs.resize(n);
-  {
-    DeltaReader apid(r);
-    for (auto& run : runs) run.apid = apid.Next();
-  }
-  {
-    DeltaReader jobid(r);
-    for (auto& run : runs) run.jobid = jobid.Next();
-  }
-  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { runs[i].user = s; });
-  GetSymbolColumn(r, n, [&](std::size_t i, Symbol s) { runs[i].queue = s; });
-  for (auto& run : runs) run.node_type = static_cast<NodeType>(r.U8());
-  if (!GetNodeCsr(r, runs, "run")) return;
-  for (auto& run : runs) run.nodect = static_cast<std::uint32_t>(r.Varint());
-  {
-    DeltaReader start(r);
-    for (auto& run : runs) run.start = TimePoint(start.NextSigned());
-  }
-  {
-    DeltaReader end(r);
-    for (auto& run : runs) run.end = TimePoint(end.NextSigned());
-  }
-  for (auto& run : runs) {
-    const std::uint8_t flags = r.U8();
-    run.has_termination = (flags & 1) != 0;
-    run.killed_node_failure = (flags & 2) != 0;
-  }
-  for (auto& run : runs) run.exit_code = static_cast<int>(r.VarintSigned());
-  for (auto& run : runs) run.exit_signal = static_cast<int>(r.VarintSigned());
-  for (auto& run : runs) run.failed_nid = static_cast<NodeIndex>(r.Varint());
-  {
-    DeltaReader submit(r);
-    for (auto& run : runs) run.job_submit = TimePoint(submit.NextSigned());
-  }
-  {
-    DeltaReader jstart(r);
-    for (auto& run : runs) run.job_start = TimePoint(jstart.NextSigned());
-  }
-  for (auto& run : runs) run.walltime_limit = Duration(r.VarintSigned());
-  for (auto& run : runs) {
-    run.job_exit_status = static_cast<int>(r.VarintSigned());
-  }
-}
-
-void PutTuples(SnapshotWriter& w, const std::vector<ErrorTuple>& tuples) {
-  const std::size_t n = tuples.size();
-  w.Varint(n);
-  {
-    DeltaWriter id(w);
-    for (const auto& t : tuples) id.Add(t.id);
-  }
-  for (const auto& t : tuples) w.U8(static_cast<std::uint8_t>(t.category));
-  for (const auto& t : tuples) w.U8(static_cast<std::uint8_t>(t.severity));
-  for (const auto& t : tuples) w.U8(static_cast<std::uint8_t>(t.scope));
-  PutSymbolColumn(w, n, [&](std::size_t i) { return tuples[i].location; });
-  PutNodeCsr(w, tuples);
-  {
-    DeltaWriter first(w);
-    for (const auto& t : tuples) first.AddSigned(t.first.unix_seconds());
-  }
-  {
-    DeltaWriter last(w);
-    for (const auto& t : tuples) last.AddSigned(t.last.unix_seconds());
-  }
-  for (const auto& t : tuples) w.U8(t.recovered.has_value() ? 1 : 0);
-  {
-    // Sparse column: only set recovery times are written, as deltas.
-    DeltaWriter recovered(w);
-    for (const auto& t : tuples) {
-      if (t.recovered) recovered.AddSigned(t.recovered->unix_seconds());
+    int bit = 0;
+    ((flags |= static_cast<std::uint8_t>(static_cast<bool>(row.*members)
+                                         << bit++)),
+     ...);
+    io.U8(flags);
+    if constexpr (Io::kReading) {
+      bit = 0;
+      (SetFlag(row.*members, ((flags >> bit++) & 1) != 0), ...);
     }
   }
-  for (const auto& t : tuples) w.Varint(t.count);
-  for (const auto& t : tuples) {
-    std::uint8_t flags = 0;
-    if (t.from_syslog) flags |= 1;
-    if (t.from_hwerr) flags |= 2;
-    w.U8(flags);
+}
+
+/// `n` little-endian cells: one memcpy on a little-endian host.
+template <class Io, class T>
+void RawCells(Io& io, T* cells, std::size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    io.Raw(cells, n * sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) io(cells[i]);
   }
 }
 
-void GetTuples(SnapshotReader& r, std::vector<ErrorTuple>& tuples) {
-  const std::uint64_t n = r.Varint();
-  if (!r.ok()) return;
-  if (n > r.remaining()) {
-    r.Fail("tuple column longer than the payload");
-    return;
+/// A u64 count, then the items as one raw little-endian array.
+template <class Io, class T>
+void RawArray(Io& io, std::vector<T>& items) {
+  RowCount<std::uint64_t, RowBytes<sizeof(T)>>(io, items);
+  RawCells(io, items.data(), items.size());
+}
+
+/// A symbol column: a first-seen string table (u32 count, then each
+/// string), then every row's u32 table index as a raw array.  Symbol ids
+/// are process-local (intern.hpp), so the strings are the on-disk
+/// identity and a reader re-interns them.
+template <class Io, class Row>
+void Symbols(Io& io, std::vector<Row>& rows, Symbol Row::*member) {
+  std::vector<Symbol> table;
+  std::vector<std::uint32_t> index;
+  if constexpr (!Io::kReading) {
+    // Ids are dense: a flat slot table maps an id to its table index.
+    constexpr std::uint32_t kUnseen =
+        std::numeric_limits<std::uint32_t>::max();
+    std::vector<std::uint32_t> slots;
+    index.reserve(rows.size());
+    for (const Row& row : rows) {
+      const Symbol s = row.*member;
+      if (s.id() >= slots.size()) {
+        slots.resize(std::max<std::size_t>(s.id() + 1, 2 * slots.size()),
+                     kUnseen);
+      }
+      if (slots[s.id()] == kUnseen) {
+        slots[s.id()] = static_cast<std::uint32_t>(table.size());
+        table.push_back(s);
+      }
+      index.push_back(slots[s.id()]);
+    }
   }
-  tuples.resize(n);
-  {
-    DeltaReader id(r);
-    for (auto& t : tuples) t.id = id.Next();
-  }
-  for (auto& t : tuples) t.category = static_cast<ErrorCategory>(r.U8());
-  for (auto& t : tuples) t.severity = static_cast<Severity>(r.U8());
-  for (auto& t : tuples) t.scope = static_cast<LocScope>(r.U8());
-  GetSymbolColumn(r, n,
-                  [&](std::size_t i, Symbol s) { tuples[i].location = s; });
-  if (!GetNodeCsr(r, tuples, "tuple", NodeSet::kCapacity)) return;
-  {
-    DeltaReader first(r);
-    for (auto& t : tuples) t.first = TimePoint(first.NextSigned());
-  }
-  {
-    DeltaReader last(r);
-    for (auto& t : tuples) t.last = TimePoint(last.NextSigned());
-  }
-  std::vector<std::uint8_t> recovered_set(n);
-  for (auto& set : recovered_set) set = r.U8();
-  {
-    DeltaReader recovered(r);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (recovered_set[i] != 0) {
-        tuples[i].recovered = TimePoint(recovered.NextSigned());
+  Seq<std::uint32_t>(io, table);
+  RawArray(io, index);
+  if constexpr (Io::kReading) {
+    if (io.ok() && index.size() != rows.size()) {
+      io.Fail("symbol column length mismatch");
+    }
+    for (std::size_t i = 0; i < rows.size() && io.ok(); ++i) {
+      if (index[i] >= table.size()) {
+        io.Fail("symbol index out of range");
+      } else {
+        rows[i].*member = table[index[i]];
       }
     }
   }
-  for (auto& t : tuples) t.count = static_cast<std::uint32_t>(r.Varint());
-  for (auto& t : tuples) {
-    const std::uint8_t flags = r.U8();
-    t.from_syslog = (flags & 1) != 0;
-    t.from_hwerr = (flags & 2) != 0;
+}
+
+/// Node lists as a varint CSR: every row's length, then every entry.  A
+/// reader refuses a row longer than `max_row`, and lengths that add up
+/// past the payload (an entry takes a byte), before it sizes a list.
+template <class Io, class Row, class Nodes>
+void NodeCsr(
+    Io& io, std::vector<Row>& rows, Nodes Row::*member, const char* what,
+    std::uint64_t max_row = std::numeric_limits<std::uint64_t>::max()) {
+  std::vector<std::uint64_t> lengths;
+  lengths.reserve(rows.size());
+  std::uint64_t total = 0;
+  for (Row& row : rows) {
+    lengths.push_back(io.template Count<VarintCount>((row.*member).size(),
+                                                     RowBytes<1>{}));
+    total += lengths.back();
+    if constexpr (Io::kReading) {
+      if (lengths.back() > max_row) {
+        io.Fail(std::string(what) + " node list longer than " +
+                std::to_string(max_row));
+      }
+    }
+  }
+  if constexpr (Io::kReading) {
+    if (io.ok() && total > io.remaining()) {
+      io.Fail(std::string(what) + " node CSR is inconsistent");
+    }
+    if (!io.ok()) return;
+  }
+  std::uint64_t prev = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    Nodes& nodes = rows[i].*member;
+    if constexpr (Io::kReading) nodes.resize(lengths[i]);
+    for (NodeIndex& nid : nodes) Cell<kVarint>(io, nid, prev);
   }
 }
 
-void PutClassified(SnapshotWriter& w, const std::vector<ClassifiedRun>& cls) {
-  w.U64(cls.size());
-  for (const auto& c : cls) w.U32(c.run_index);
-  for (const auto& c : cls) w.U8(static_cast<std::uint8_t>(c.outcome));
-  for (const auto& c : cls) w.U8(static_cast<std::uint8_t>(c.cause));
-  for (const auto& c : cls) w.U64(c.tuple_id);
-}
-
-void GetClassified(SnapshotReader& r, std::vector<ClassifiedRun>& cls) {
-  const std::uint64_t n = r.U64();
-  if (!r.ok()) return;
-  if (n > r.remaining()) {
-    r.Fail("classified column longer than the payload");
-    return;
+/// The ALPS placements: the offsets (row i holds entries [offsets[i],
+/// offsets[i + 1])), then the entries, each a raw array.
+template <class Io>
+void NidCsr(Io& io, std::vector<AlpsRecord>& recs) {
+  std::vector<std::uint64_t> offsets(1, 0);
+  if constexpr (!Io::kReading) {
+    offsets.reserve(recs.size() + 1);
+    for (const auto& rec : recs) {
+      offsets.push_back(offsets.back() + rec.nids.size());
+    }
   }
-  cls.resize(n);
-  for (auto& c : cls) c.run_index = r.U32();
-  for (auto& c : cls) c.outcome = static_cast<AppOutcome>(r.U8());
-  for (auto& c : cls) c.cause = static_cast<ErrorCategory>(r.U8());
-  for (auto& c : cls) c.tuple_id = r.U64();
+  RawArray(io, offsets);
+  if constexpr (Io::kReading) {
+    if (io.ok() && (offsets.size() != recs.size() + 1 || offsets[0] != 0 ||
+                    !std::is_sorted(offsets.begin(), offsets.end()))) {
+      io.Fail("alps nid CSR is inconsistent");
+    }
+    if (!io.ok()) return;
+  }
+  [[maybe_unused]] const std::size_t total = io.template Count<std::uint64_t>(
+      offsets.back(), RowBytes<sizeof(NodeIndex)>{});
+  if constexpr (Io::kReading) {
+    if (io.ok() && total != offsets.back()) {
+      io.Fail("alps nid CSR is inconsistent");
+    }
+    if (!io.ok()) return;
+  }
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    std::vector<NodeIndex>& nids = recs[i].nids;
+    if constexpr (Io::kReading) nids.resize(offsets[i + 1] - offsets[i]);
+    RawCells(io, nids.data(), nids.size());
+  }
 }
 
-void EncodeResult(SnapshotWriter& w, const AnalysisResult& result) {
-  w(static_cast<const AnalysisSummary&>(result));
-  Seq<std::uint64_t>(w, result.quarantine);
-  PutRuns(w, result.runs);
-  PutClassified(w, result.classified);
-  PutTuples(w, result.tuples);
+// --- sections --------------------------------------------------------
+//
+// Each section lists its columns once, in their on-disk order.  Its row
+// bound adds up the bytes of its fixed-width cells, a symbol cell as
+// its u32 index, in column order.  Varint cells and the one-off symbol
+// tables are left out, so every valid entry meets the bound.
+
+// kind time jobid user queue submit start end exit nodect limit used
+using TorqueRow = RowBytes<1 + 8 + 8 + 4 + 4 + 8 + 8 + 8 + 4 + 4 + 8 + 8>;
+// kind time apid jobid user nodect offset exit signal node_failure
+// failed_nid
+using AlpsRow = RowBytes<1 + 8 + 8 + 8 + 4 + 4 + 8 + 4 + 4 + 1 + 4>;
+// time category severity scope source location recovered(flag, time)
+using ErrorRow = RowBytes<8 + 1 + 1 + 1 + 1 + 4 + 1 + 8>;
+// user queue node_type flags
+using RunRow = RowBytes<4 + 4 + 1 + 1>;
+// run_index outcome cause tuple_id
+using ClassifiedRow = RowBytes<4 + 1 + 1 + 8>;
+// category severity scope location recovered(flag) flags
+using TupleRow = RowBytes<1 + 1 + 1 + 4 + 1 + 1>;
+
+template <class Io>
+void TorqueSection(Io& io, std::vector<TorqueRecord>& recs) {
+  using R = TorqueRecord;
+  RowCount<std::uint64_t, TorqueRow>(io, recs);
+  Columns<kFixed>(io, recs, &R::kind, &R::time, &R::jobid);
+  Symbols(io, recs, &R::user);
+  Symbols(io, recs, &R::queue);
+  Columns<kFixed>(io, recs, &R::submit, &R::start, &R::end, &R::exit_status,
+                  &R::nodect, &R::walltime_limit, &R::walltime_used);
 }
 
-void DecodeResult(SnapshotReader& r, AnalysisResult& result) {
-  r(static_cast<AnalysisSummary&>(result));
-  Seq<std::uint64_t>(r, result.quarantine);
-  GetRuns(r, result.runs);
-  GetClassified(r, result.classified);
-  GetTuples(r, result.tuples);
+template <class Io>
+void AlpsSection(Io& io, std::vector<AlpsRecord>& recs) {
+  using R = AlpsRecord;
+  RowCount<std::uint64_t, AlpsRow>(io, recs);
+  Columns<kFixed>(io, recs, &R::kind, &R::time, &R::apid, &R::jobid);
+  Symbols(io, recs, &R::user);
+  Columns<kFixed>(io, recs, &R::nodect);
+  NidCsr(io, recs);
+  Columns<kFixed>(io, recs, &R::exit_code, &R::exit_signal, &R::node_failure,
+                  &R::failed_nid);
+}
+
+/// Every error column has its own u64 count.
+template <class Io>
+void ErrorSection(Io& io, std::vector<ErrorRecord>& recs) {
+  using R = ErrorRecord;
+  RowCount<std::uint64_t, ErrorRow>(io, recs);
+  CountedColumns(io, recs, &R::time, &R::category, &R::severity, &R::scope,
+                 &R::source);
+  Symbols(io, recs, &R::location);
+  ColumnCount(io, recs);
+  Flags(io, recs, &R::recovered);
+  CountedColumns(io, recs, &R::recovered);
+}
+
+template <class Io>
+void RunSection(Io& io, std::vector<AppRun>& runs) {
+  using R = AppRun;
+  RowCount<VarintCount, RunRow>(io, runs);
+  Columns<kDelta>(io, runs, &R::apid, &R::jobid);
+  Symbols(io, runs, &R::user);
+  Symbols(io, runs, &R::queue);
+  Columns<kFixed>(io, runs, &R::node_type);
+  NodeCsr(io, runs, &R::nodes, "run");
+  Columns<kVarint>(io, runs, &R::nodect);
+  Columns<kDelta>(io, runs, &R::start, &R::end);
+  Flags(io, runs, &R::has_termination, &R::killed_node_failure);
+  Columns<kVarint>(io, runs, &R::exit_code, &R::exit_signal, &R::failed_nid);
+  Columns<kDelta>(io, runs, &R::job_submit, &R::job_start);
+  Columns<kVarint>(io, runs, &R::walltime_limit, &R::job_exit_status);
+}
+
+template <class Io>
+void ClassifiedSection(Io& io, std::vector<ClassifiedRun>& cls) {
+  using R = ClassifiedRun;
+  RowCount<std::uint64_t, ClassifiedRow>(io, cls);
+  Columns<kFixed>(io, cls, &R::run_index, &R::outcome, &R::cause,
+                  &R::tuple_id);
+}
+
+template <class Io>
+void TupleSection(Io& io, std::vector<ErrorTuple>& tuples) {
+  using R = ErrorTuple;
+  RowCount<VarintCount, TupleRow>(io, tuples);
+  Columns<kDelta>(io, tuples, &R::id);
+  Columns<kFixed>(io, tuples, &R::category, &R::severity, &R::scope);
+  Symbols(io, tuples, &R::location);
+  NodeCsr(io, tuples, &R::nodes, "tuple", NodeSet::kCapacity);
+  Columns<kDelta>(io, tuples, &R::first, &R::last);
+  Flags(io, tuples, &R::recovered);
+  Columns<kDelta>(io, tuples, &R::recovered);
+  Columns<kVarint>(io, tuples, &R::count);
+  Flags(io, tuples, &R::from_syslog, &R::from_hwerr);
+}
+
+/// The records section: the three record sections, then the parse
+/// counters and the quarantine.
+template <class Io>
+void RecordsSection(Io& io, ParsedLogs& parsed) {
+  TorqueSection(io, parsed.torque);
+  AlpsSection(io, parsed.alps);
+  ErrorSection(io, parsed.errors);
+  io(parsed.torque_stats, parsed.alps_stats, parsed.syslog_stats,
+     parsed.hwerr_stats, parsed.sink);
+}
+
+/// The memoized-result section: the summary and the quarantine, then
+/// the three result sections.
+template <class Io>
+void ResultSection(Io& io, AnalysisResult& result) {
+  io(static_cast<AnalysisSummary&>(result));
+  Seq<std::uint64_t>(io, result.quarantine);
+  RunSection(io, result.runs);
+  ClassifiedSection(io, result.classified);
+  TupleSection(io, result.tuples);
+}
+
+/// Close to the records section's size: every fixed-width cell exactly,
+/// 4 bytes per ALPS nid, plus slack for the symbol tables, the counters
+/// and the quarantine.  EncodeParsed reserves it once, so the section is
+/// never regrown and recopied.
+std::size_t RecordsSizeHint(const ParsedLogs& parsed) {
+  std::size_t nids = 0;
+  for (const auto& rec : parsed.alps) nids += rec.nids.size();
+  const std::size_t fixed = TorqueRow::kBytes * parsed.torque.size() +
+                            AlpsRow::kBytes * parsed.alps.size() +
+                            sizeof(NodeIndex) * nids +
+                            ErrorRow::kBytes * parsed.errors.size();
+  return fixed + fixed / 8 + 64 * 1024;
 }
 
 /// Marks an entry as recently used.  mtime is the LRU recency signal
@@ -911,12 +721,12 @@ Result<LoadedEntry> BundleCache::Load(const CacheKeys& keys) const {
   if (has_result && analysis_key == keys.analysis_key) {
     // Full hit: decode only the memoized result, never the records.
     AnalysisResult result;
-    DecodeResult(tail, result);
+    ResultSection(tail, result);
     if (!tail.ok()) return reject(tail.status());
     out.result = std::move(result);
     LD_OBS_COUNTER_ADD(obs::names::kCacheHitsTotal, 1);
   } else {
-    DecodeParsed(records, out.parsed);
+    RecordsSection(records, out.parsed);
     if (!records.ok()) return reject(records.status());
     LD_OBS_COUNTER_ADD(obs::names::kCacheRecordHitsTotal, 1);
   }
@@ -931,11 +741,8 @@ Result<LoadedEntry> BundleCache::Load(const CacheKeys& keys) const {
 std::vector<std::uint8_t> BundleCache::EncodeParsed(const ParsedLogs& parsed) {
   SnapshotWriter w;
   w.Reserve(RecordsSizeHint(parsed));
-  PutTorque(w, parsed.torque);
-  PutAlps(w, parsed.alps);
-  PutErrors(w, parsed.errors);
-  w(parsed.torque_stats, parsed.alps_stats, parsed.syslog_stats,
-    parsed.hwerr_stats, parsed.sink);
+  // A writer only reads the rows (snapshot.hpp, "codecs").
+  RecordsSection(w, const_cast<ParsedLogs&>(parsed));
   return w.TakeBytes();
 }
 
@@ -974,7 +781,7 @@ Status BundleCache::FinishStore(PendingStore pending,
     SnapshotWriter w(pending.file);
     w.Bool(true);
     w.U64(pending.analysis_key);
-    EncodeResult(w, result);
+    ResultSection(w, const_cast<AnalysisResult&>(result));
     w.Flush();
   }
   if (Status s = pending.file.Commit(); !s.ok()) {

@@ -15,6 +15,13 @@
 // never read; it counts against the cap and is evicted like any cold
 // entry.
 //
+// Each section of an entry (torque, alps, errors; runs, classified,
+// tuples) is one codec in bundle_cache.cpp that lists its columns once
+// and runs for both the writer and the reader (snapshot.hpp, "codecs").
+// Every row count passes SnapshotReader::Count at the section's
+// fixed-width bytes a row, so a CRC-valid entry that claims more rows
+// than its payload holds is rejected before a row is allocated.
+//
 // Safety model (docs/FORMATS.md "Parsed-bundle cache"): every load
 // validates magic, format version, payload size, payload CRC-32, the
 // input fingerprint and the relevant config keys.  Any mismatch — a

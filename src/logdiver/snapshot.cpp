@@ -757,22 +757,18 @@ Result<SnapshotStore::Loaded> SnapshotStore::LoadLatest(
     // foreign partial), or one that does not decode, is as unusable as
     // a torn one.
     std::uint64_t fingerprint = 0;
-    auto payload =
+    const auto payload =
         ReadSnapshotFile(PathFor(*it), &fingerprint, expected_fingerprint);
-    if (payload.ok() && decode) {
-      const Status decoded = decode(*payload);
-      if (!decoded.ok() && decoded.code() != StatusCode::kParseError) {
-        return decoded;
-      }
-      if (!decoded.ok()) payload = decoded;
-    }
-    if (payload.ok()) {
-      // A decoder has taken what it needs; the bytes die here.
-      if (!decode) loaded.payload = std::move(*payload);
+    const Status decoded = payload.ok() ? decode(*payload) : payload.status();
+    if (decoded.ok()) {
+      // The decoder has taken what it needs; the bytes die here.
       loaded.generation = *it;
       loaded.fingerprint = fingerprint;
       LD_OBS_COUNTER_ADD(obs::names::kSnapshotRestoresTotal, 1);
       return loaded;
+    }
+    if (payload.ok() && decoded.code() != StatusCode::kParseError) {
+      return decoded;
     }
     // Counted per rejection (not batched on a successful load) so a
     // directory whose every generation is bad still shows up.

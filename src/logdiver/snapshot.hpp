@@ -61,6 +61,10 @@ inline std::uint32_t Crc32(const std::vector<std::uint8_t>& bytes) {
 
 class DurableFileWriter;
 
+/// The count width that codes a count as a LEB128 varint (Varint below)
+/// instead of a u32 or u64.
+struct VarintCount {};
+
 /// Append-only little-endian byte sink.  All multi-byte integers are
 /// written LE regardless of host order; doubles as their bit pattern.
 ///
@@ -125,11 +129,13 @@ class SnapshotWriter {
   /// Writes each value through its codec (see "codecs" below).
   template <class... T>
   void operator()(const T&... values);
-  /// Writes a container's element count as a CountT (u32 or u64); only
-  /// a reader uses `encode_default`.
+  /// Writes a container's element count as a CountT (u32, u64 or
+  /// VarintCount); only a reader uses `encode_default`.
   template <class CountT, class EncodeDefault>
   std::size_t Count(std::size_t n, const EncodeDefault& /*encode_default*/) {
-    if constexpr (sizeof(CountT) == 4) {
+    if constexpr (std::is_same_v<CountT, VarintCount>) {
+      Varint(n);
+    } else if constexpr (sizeof(CountT) == 4) {
       U32(static_cast<std::uint32_t>(n));
     } else {
       U64(n);
@@ -222,13 +228,18 @@ class SnapshotReader {
   /// Reads each value back through its codec (see "codecs" below).
   template <class... T>
   void operator()(T&&... values);
-  /// Reads a CountT (u32 or u64) element count and refuses, before the
-  /// caller sizes anything by it, a count the rest of the payload cannot
-  /// hold: each element takes at least MinBytes(encode_default).  A
-  /// refused count reads as 0.
+  /// Reads a CountT (u32, u64 or VarintCount) element count and refuses,
+  /// before the caller sizes anything by it, a count the rest of the
+  /// payload cannot hold: each element takes at least
+  /// MinBytes(encode_default).  A refused count reads as 0.
   template <class CountT, class EncodeDefault>
   std::size_t Count(std::size_t /*n*/, const EncodeDefault& encode_default) {
-    const std::uint64_t n = sizeof(CountT) == 4 ? U32() : U64();
+    std::uint64_t n = 0;
+    if constexpr (std::is_same_v<CountT, VarintCount>) {
+      n = Varint();
+    } else {
+      n = sizeof(CountT) == 4 ? U32() : U64();
+    }
     if (n > remaining() / std::max<std::size_t>(MinBytes(encode_default), 1)) {
       Fail("count " + std::to_string(n) + " exceeds the payload");
       return 0;
@@ -273,6 +284,8 @@ class SnapshotReader {
   std::uint64_t Varint();
   /// Zigzag-decoded signed varint.
   std::int64_t VarintSigned();
+  void Varint(std::uint64_t& v) { v = Varint(); }
+  void VarintSigned(std::int64_t& v) { v = VarintSigned(); }
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
@@ -616,29 +629,28 @@ class SnapshotStore {
                               std::uint64_t fingerprint = 0);
 
   struct Loaded {
-    /// The accepted payload; empty when a `decode` callback took it.
-    std::vector<std::uint8_t> payload;
     std::uint64_t generation = 0;
     /// Header fingerprint of the loaded snapshot.
     std::uint64_t fingerprint = 0;
     /// Newer generations that failed validation and were skipped.
     std::uint64_t rejected = 0;
   };
-  /// Newest valid snapshot; NotFound when the directory holds none.
-  /// A non-zero `expected_fingerprint` additionally rejects snapshots
-  /// whose header fingerprint differs — a checkpoint of a *different*
-  /// bundle (the directory was reused, or a partial from another shard
-  /// partition landed here) is as unusable as a torn one, and falls
-  /// back the same way.  A `decode` callback runs on each candidate
-  /// payload, newest first: a ParseError from it (a payload that does
-  /// not decode, such as a count past its end) rejects the generation
-  /// the same way too, while any other error (a layout version or
-  /// machine geometry this build does not speak) is returned.  Every
-  /// rejected generation bumps `ld.snapshot.rejected_total`.
+  /// Decodes the newest valid snapshot; NotFound when the directory
+  /// holds none.  A non-zero `expected_fingerprint` additionally rejects
+  /// snapshots whose header fingerprint differs — a checkpoint of a
+  /// *different* bundle (the directory was reused, or a partial from
+  /// another shard partition landed here) is as unusable as a torn one,
+  /// and falls back the same way.  `decode` runs on each candidate
+  /// payload, newest first, and keeps what it needs: a ParseError from
+  /// it (a payload that does not decode, such as a count past its end)
+  /// rejects the generation the same way too, while any other error (a
+  /// layout version or machine geometry this build does not speak) is
+  /// returned.  Every rejected generation bumps
+  /// `ld.snapshot.rejected_total`.
   Result<Loaded> LoadLatest(
-      std::uint64_t expected_fingerprint = 0,
-      const std::function<Status(std::span<const std::uint8_t>)>& decode =
-          nullptr) const;
+      std::uint64_t expected_fingerprint,
+      const std::function<Status(std::span<const std::uint8_t>)>& decode)
+      const;
 
   /// Existing generation numbers, ascending.
   std::vector<std::uint64_t> Generations() const;

@@ -63,6 +63,30 @@ bool ParseClock(std::string_view text, int& h, int& m, int& s) {
   return eat(h) && colon() && eat(m) && colon() && eat(s) && text.empty();
 }
 
+/// A syslog stamp's fields, range-checked.
+struct Stamp {
+  int month = 0, day = 0, hour = 0, minute = 0, second = 0;
+};
+
+/// The one stamp grammar, behind both the line parse and ParseSyslogTime:
+/// a month abbreviation, a day in 1-31 and a clock up to 23:59:60 (a leap
+/// second).  `*month_seen` is set as soon as the month validates.
+Result<Stamp> ParseStamp(std::string_view month, std::string_view day,
+                         std::string_view clock, int* month_seen) {
+  Stamp stamp;
+  stamp.month = MonthFromAbbrev(month);
+  if (stamp.month == 0) return ParseError("syslog: bad month");
+  *month_seen = stamp.month;
+  LD_ASSIGN_OR_RETURN(const std::int64_t d, ParseInt(day));
+  if (d < 1 || d > 31) return ParseError("syslog: day out of range");
+  stamp.day = static_cast<int>(d);
+  if (!ParseClock(clock, stamp.hour, stamp.minute, stamp.second) ||
+      stamp.hour > 23 || stamp.minute > 59 || stamp.second > 60) {
+    return ParseError("syslog: bad clock field");
+  }
+  return stamp;
+}
+
 /// Extracts the cname following a marker word, e.g. "node c1-0c2s3n2".
 std::string CnameAfter(std::string_view text, std::string_view marker) {
   const std::size_t pos = text.find(marker);
@@ -132,25 +156,14 @@ Result<std::optional<SyslogParser::PreRecord>> ParsePreImpl(
   if (SkipWhitespace(line, pos) == line.size()) {
     return ParseError("syslog: too few fields");
   }
-  const int month = MonthFromAbbrev(fields[0]);
-  if (month == 0) {
-    return ParseError("syslog: bad month");
-  }
-  *month_seen = month;
-
-  const auto day = ParseInt(fields[1]);
-  if (!day.ok()) return day.status();
-  int h = 0, m = 0, s = 0;
-  if (!ParseClock(fields[2], h, m, s)) {
-    return ParseError("syslog: bad clock field");
-  }
-
+  LD_ASSIGN_OR_RETURN(const Stamp stamp,
+                      ParseStamp(fields[0], fields[1], fields[2], month_seen));
   SyslogParser::PreRecord pre;
-  pre.month = month;
-  pre.day = static_cast<int>(*day);
-  pre.hour = h;
-  pre.minute = m;
-  pre.second = s;
+  pre.month = stamp.month;
+  pre.day = stamp.day;
+  pre.hour = stamp.hour;
+  pre.minute = stamp.minute;
+  pre.second = stamp.second;
 
   // The single-space-joined stamp the old code built spanned exactly
   // this many bytes; the hostname search must start from the same offset
@@ -249,26 +262,20 @@ Result<TimePoint> SyslogParser::ParseSyslogTime(std::string_view text,
   // "Apr  1 02:10:02" (day may be space-padded).
   const auto fields = SplitWhitespace(text);
   if (fields.size() < 3) return ParseError("syslog: bad timestamp");
-  const int month = MonthFromAbbrev(fields[0]);
-  if (month == 0) {
-    return ParseError("syslog: bad month '" + std::string(fields[0]) + "'");
-  }
-  auto day = ParseInt(fields[1]);
-  if (!day.ok()) return day.status();
-  int h = 0, m = 0, s = 0;
-  if (!ParseClock(fields[2], h, m, s)) {
-    return ParseError("syslog: bad clock field");
-  }
+  int month_seen = 0;
+  LD_ASSIGN_OR_RETURN(const Stamp stamp, ParseStamp(fields[0], fields[1],
+                                                    fields[2], &month_seen));
   if (previous != TimePoint()) {
     // The previous time carries its own year, so a stale-clock line
     // resolved a year back needs no extra state: the next in-year line
     // rolls forward from it again.
     const CalendarTime prev = ToCalendar(previous);
     year = prev.year;
-    if (RolloverBetween(prev.month, month)) ++year;
-    if (BackwardJump(prev.month, month)) --year;
+    if (RolloverBetween(prev.month, stamp.month)) ++year;
+    if (BackwardJump(prev.month, stamp.month)) --year;
   }
-  return TimePoint::FromCalendar(year, month, static_cast<int>(*day), h, m, s);
+  return TimePoint::FromCalendar(year, stamp.month, stamp.day, stamp.hour,
+                                 stamp.minute, stamp.second);
 }
 
 Result<std::optional<ErrorRecord>> SyslogParser::ParseLine(

@@ -68,7 +68,9 @@ TEST_F(InjectorTest, EventsAreTimeSortedWithinCampaign) {
   const TimePoint lo = workload_config_.epoch;
   for (std::size_t i = 0; i < result.events.size(); ++i) {
     EXPECT_GE(result.events[i].time, lo);
-    if (i > 0) EXPECT_GE(result.events[i].time, result.events[i - 1].time);
+    if (i > 0) {
+      EXPECT_GE(result.events[i].time, result.events[i - 1].time);
+    }
   }
 }
 
@@ -113,7 +115,9 @@ TEST_F(InjectorTest, CancelledAppsFollowNodeDownKills) {
       }
       if (app.alps_node_failure) job_dead = true;
     }
-    if (job_dead) EXPECT_EQ(job.exit_status, -11);
+    if (job_dead) {
+      EXPECT_EQ(job.exit_status, -11);
+    }
   }
   EXPECT_EQ(cancelled, result.cancelled_apps);
 }

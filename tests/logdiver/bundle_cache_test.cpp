@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iterator>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -276,6 +277,36 @@ TEST(BundleCache, StaleFormatVersionIsRejected) {
   fs::remove_all(cb.cache_dir);
 }
 
+std::vector<std::uint8_t> ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+std::uint64_t GetLe(const std::uint8_t* at, int width) {
+  std::uint64_t v = 0;
+  for (int i = width - 1; i >= 0; --i) v = v << 8 | at[i];
+  return v;
+}
+
+/// A published entry taken apart, so a test can rewrite its payload and
+/// frame it again with WriteDurableFile (and so a valid CRC).
+struct EntryFile {
+  FileFormat format{};
+  std::uint64_t fingerprint = 0;
+  std::vector<std::uint8_t> payload;
+};
+
+EntryFile ReadEntry(const std::string& path) {
+  const std::vector<std::uint8_t> bytes = ReadWholeFile(path);
+  EntryFile entry;
+  std::copy_n(bytes.begin(), entry.format.magic.size(),
+              entry.format.magic.begin());
+  entry.format.version = static_cast<std::uint32_t>(GetLe(&bytes[8], 4));
+  entry.fingerprint = GetLe(&bytes[24], 8);
+  entry.payload.assign(bytes.begin() + kFileHeaderSize, bytes.end());
+  return entry;
+}
+
 TEST(BundleCache, ImpossibleReportRowCountIsRejectedNotAllocated) {
   // An entry whose CRC is valid but whose summary claims 2^32-1 outcome
   // rows: the count is refused before any row is allocated, and the run
@@ -286,30 +317,16 @@ TEST(BundleCache, ImpossibleReportRowCountIsRejectedNotAllocated) {
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   const std::string entry = FindBundleEntry(cb.cache_dir);
   ASSERT_NE(entry, "");
-  std::vector<std::uint8_t> bytes(fs::file_size(entry));
-  {
-    std::ifstream file(entry, std::ios::binary);
-    file.read(reinterpret_cast<char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
-  const auto get_le = [](const std::uint8_t* at, int width) {
-    std::uint64_t v = 0;
-    for (int i = width - 1; i >= 0; --i) v = v << 8 | at[i];
-    return v;
-  };
-  FileFormat format{};
-  std::copy_n(bytes.begin(), format.magic.size(), format.magic.begin());
-  format.version = static_cast<std::uint32_t>(get_le(bytes.data() + 8, 4));
-  const std::uint64_t fingerprint = get_le(bytes.data() + 24, 8);
-  std::vector<std::uint8_t> payload(bytes.begin() + kFileHeaderSize,
-                                    bytes.end());
+  EntryFile file = ReadEntry(entry);
+  std::vector<std::uint8_t>& payload = file.payload;
   // Kind u8, parse key u64, records length u64, the records, has-result
   // u8, analysis key u64; then the summary's report: total runs u64 and
   // four f64 ahead of the outcome-row count.
-  const std::size_t rows_at = 17 + get_le(payload.data() + 9, 8) + 9 + 40;
-  ASSERT_EQ(get_le(payload.data() + rows_at, 4), cold->metrics.outcomes.size());
+  const std::size_t rows_at = 17 + GetLe(&payload[9], 8) + 9 + 40;
+  ASSERT_EQ(GetLe(&payload[rows_at], 4), cold->metrics.outcomes.size());
   std::fill_n(payload.begin() + static_cast<std::ptrdiff_t>(rows_at), 4, 0xFF);
-  ASSERT_TRUE(WriteDurableFile(entry, format, payload, fingerprint).ok());
+  ASSERT_TRUE(
+      WriteDurableFile(entry, file.format, payload, file.fingerprint).ok());
 
   auto rejected = diver.AnalyzeBundle(cb.bundle_dir);
   ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
@@ -320,6 +337,196 @@ TEST(BundleCache, ImpossibleReportRowCountIsRejectedNotAllocated) {
 
   fs::remove_all(cb.bundle_dir);
   fs::remove_all(cb.cache_dir);
+}
+
+std::vector<std::uint8_t> VarintBytes(std::uint64_t v) {
+  SnapshotWriter w;
+  w.Varint(v);
+  return w.TakeBytes();
+}
+
+TEST(BundleCache, ImpossibleSectionRowCountsAreRejectedNotAllocated) {
+  // Each section's row count, and a symbol table's, rewritten inside a
+  // real entry whose CRC stays valid: once to the bytes left after it
+  // (a check that allows a row per byte lets that through), once to its
+  // width's maximum.  Each must be refused at the count, before a row
+  // is sized by it, and the run falls back to the text parse.
+  const CachedBundle cb = MakeCachedBundle("sectioncounts", 109);
+  const LogDiver diver(cb.machine, CachedConfig(cb));
+  auto cold = diver.AnalyzeBundle(cb.bundle_dir);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  const std::string entry = FindBundleEntry(cb.cache_dir);
+  ASSERT_NE(entry, "");
+  const EntryFile file = ReadEntry(entry);
+  const std::vector<std::uint8_t>& payload = file.payload;
+
+  // Kind u8, parse key u64, records length u64, the records; has-result
+  // u8, analysis key u64, the result.
+  const std::size_t records_at = 17;
+  const std::size_t records_end = records_at + GetLe(&payload[9], 8);
+  const std::size_t result_at = records_end + 9;
+  const std::uint64_t parse_key = GetLe(&payload[1], 8);
+  const std::uint64_t analysis_key = GetLe(&payload[records_end + 1], 8);
+
+  // The entry's own rows, read back through both kinds of hit.
+  const cache::BundleCache bundle_cache(cb.cache_dir);
+  auto hit = bundle_cache.Load({file.fingerprint, parse_key, analysis_key});
+  auto records_hit =
+      bundle_cache.Load({file.fingerprint, parse_key, analysis_key + 1});
+  ASSERT_TRUE(hit.ok() && hit->result.has_value());
+  ASSERT_TRUE(records_hit.ok());
+  const ParsedLogs& parsed = records_hit->parsed;
+  const AnalysisResult& result = *hit->result;
+  ASSERT_FALSE(parsed.torque.empty() || parsed.alps.empty() ||
+               parsed.errors.empty() || result.runs.empty() ||
+               result.classified.empty() || result.tuples.empty());
+
+  // A section's size is what it adds to an encoding whose sections are
+  // all empty, plus what it takes empty: its count, 12 bytes per symbol
+  // column (table and index counts), and for ALPS the offsets array
+  // {0} and the entry count.
+  const auto records_size = [](const ParsedLogs& p) {
+    return cache::BundleCache::EncodeParsed(p).size();
+  };
+  const std::size_t no_records = records_size(ParsedLogs());
+  ParsedLogs only_torque;
+  only_torque.torque = parsed.torque;
+  ParsedLogs only_alps;
+  only_alps.alps = parsed.alps;
+  const std::size_t torque_at = records_at;
+  const std::size_t alps_at =
+      torque_at + records_size(only_torque) - no_records + 8 + 2 * 12;
+  const std::size_t errors_at =
+      alps_at + records_size(only_alps) - no_records + 8 + 12 + 16 + 8;
+  // The user table's u32 count follows the kind, time and jobid columns.
+  const std::size_t users_at = torque_at + 8 + 17 * parsed.torque.size();
+  std::set<std::string_view> users;
+  for (const TorqueRecord& rec : parsed.torque) users.insert(rec.user.view());
+
+  const auto result_size = [&](const AnalysisResult& r) {
+    const std::string dir = cb.cache_dir + "_sizes";
+    fs::remove_all(dir);
+    const cache::BundleCache sizes(dir);
+    EXPECT_TRUE(sizes.Store({1, 2, 3}, cache::BundleCache::EncodeParsed(
+                                           ParsedLogs()), r).ok());
+    const std::size_t size = fs::file_size(sizes.BundlePath(1)) -
+                             kFileHeaderSize - records_at - no_records - 9;
+    fs::remove_all(dir);
+    return size;
+  };
+  AnalysisResult no_rows = result;
+  no_rows.runs.clear();
+  no_rows.classified.clear();
+  no_rows.tuples.clear();
+  AnalysisResult only_runs = no_rows;
+  only_runs.runs = result.runs;
+  // Empty, runs take a varint count and two symbol columns, classified
+  // runs a u64 count, tuples a varint count and one symbol column.
+  const std::size_t empty_runs = 1 + 2 * 12;
+  const std::size_t runs_at =
+      result_at + result_size(no_rows) - empty_runs - 8 - (1 + 12);
+  const std::size_t classified_at =
+      runs_at + result_size(only_runs) - result_size(no_rows) + empty_runs;
+  // A classified run is a u32, two u8 and a u64.
+  const std::size_t tuples_at =
+      classified_at + 8 + 14 * result.classified.size();
+
+  struct Site {
+    const char* name;
+    std::size_t at;
+    int width;  // 4 or 8 bytes; 0 for a varint
+    std::size_t rows;
+    bool in_records;
+  };
+  const Site sites[] = {
+      {"torque", torque_at, 8, parsed.torque.size(), true},
+      {"torque users", users_at, 4, users.size(), true},
+      {"alps", alps_at, 8, parsed.alps.size(), true},
+      {"errors", errors_at, 8, parsed.errors.size(), true},
+      {"runs", runs_at, 0, result.runs.size(), false},
+      {"classified", classified_at, 8, result.classified.size(), false},
+      {"tuples", tuples_at, 0, result.tuples.size(), false},
+  };
+  for (const Site& site : sites) {
+    SnapshotReader count(&payload[site.at], payload.size() - site.at);
+    const std::uint64_t rows =
+        site.width == 0 ? count.Varint() : GetLe(&payload[site.at], site.width);
+    const std::size_t width =
+        site.width != 0 ? static_cast<std::size_t>(site.width)
+                        : payload.size() - site.at - count.remaining();
+    ASSERT_EQ(rows, site.rows) << site.name;
+    const std::size_t end = site.in_records ? records_end : payload.size();
+    const std::uint64_t most = site.width == 4 ? 0xFFFFFFFFull : ~0ull;
+    for (const std::uint64_t claim : {end - site.at - width, most}) {
+      std::vector<std::uint8_t> bad = payload;
+      // Without a memoized result a load decodes the records section.
+      if (site.in_records) bad[records_end] = 0;
+      std::vector<std::uint8_t> bytes = VarintBytes(claim);
+      if (site.width != 0) {
+        bytes.resize(site.width);
+        for (int i = 0; i < site.width; ++i) {
+          bytes[i] = static_cast<std::uint8_t>(claim >> (8 * i));
+        }
+      }
+      const auto at = bad.begin() + static_cast<std::ptrdiff_t>(site.at);
+      bad.insert(bad.erase(at, at + static_cast<std::ptrdiff_t>(width)),
+                 bytes.begin(), bytes.end());
+      ASSERT_TRUE(
+          WriteDurableFile(entry, file.format, bad, file.fingerprint).ok());
+
+      auto rejected = diver.AnalyzeBundle(cb.bundle_dir);
+      ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+      EXPECT_EQ(rejected->cache_outcome, CacheOutcome::kRejected)
+          << site.name << " claims " << claim;
+      EXPECT_NE(rejected->cache_note.find("exceeds the payload"),
+                std::string::npos)
+          << site.name << " claims " << claim << ": " << rejected->cache_note;
+      ExpectSameAnalysis(*cold, *rejected);
+    }
+  }
+
+  fs::remove_all(cb.bundle_dir);
+  fs::remove_all(cb.cache_dir);
+}
+
+TEST(BundleCache, RowBoundsAdmitSectionsOfDefaultRows) {
+  // A row bound must never refuse a valid entry: a section of many
+  // default rows (empty symbols and node lists, zero times) and nothing
+  // after it still loads, in each of the six sections.
+  const std::string dir = ::testing::TempDir() + "/ld_bc_row_bounds";
+  constexpr std::size_t kRows = 5000;
+  for (int section = 0; section < 6; ++section) {
+    fs::remove_all(dir);
+    const cache::BundleCache cache(dir);
+    ParsedLogs parsed;
+    AnalysisResult result;
+    switch (section) {
+      case 0: parsed.torque.resize(kRows); break;
+      case 1: parsed.alps.resize(kRows); break;
+      case 2: parsed.errors.resize(kRows); break;
+      case 3: result.runs.resize(kRows); break;
+      case 4: result.classified.resize(kRows); break;
+      default: result.tuples.resize(kRows); break;
+    }
+    const cache::CacheKeys keys{0x1234, 0x5678, 1};
+    ASSERT_TRUE(
+        cache.Store(keys, cache::BundleCache::EncodeParsed(parsed), result)
+            .ok());
+    auto hit = cache.Load(keys);
+    ASSERT_TRUE(hit.ok()) << section << ": " << hit.status().ToString();
+    ASSERT_TRUE(hit->result.has_value());
+    EXPECT_EQ(hit->result->runs.size() + hit->result->classified.size() +
+                  hit->result->tuples.size(),
+              section < 3 ? 0 : kRows);
+    auto records_hit = cache.Load({0x1234, 0x5678, 2});
+    ASSERT_TRUE(records_hit.ok())
+        << section << ": " << records_hit.status().ToString();
+    EXPECT_EQ(records_hit->parsed.torque.size() +
+                  records_hit->parsed.alps.size() +
+                  records_hit->parsed.errors.size(),
+              section < 3 ? kRows : 0);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(BundleCache, CrossKindFilesFailTheMagicCheck) {
@@ -356,10 +563,16 @@ TEST(BundleCache, CrossKindFilesFailTheMagicCheck) {
   ASSERT_FALSE(read.ok());
   EXPECT_NE(read.status().message().find("magic"), std::string::npos)
       << read.status().ToString();
-  auto loaded = store.LoadLatest(fingerprint);
+  std::vector<std::uint8_t> loaded_payload;
+  auto loaded = store.LoadLatest(
+      fingerprint, [&loaded_payload](std::span<const std::uint8_t> bytes) {
+        loaded_payload.assign(bytes.begin(), bytes.end());
+        return Status::Ok();
+      });
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->generation, 1u);
   EXPECT_EQ(loaded->rejected, 1u);
+  EXPECT_EQ(loaded_payload, (std::vector<std::uint8_t>{1, 2, 3}));
 
   // The same payload and fingerprint framed as a snapshot, over the
   // cache entry's path: rejected, with the text-parse fallback.
@@ -737,7 +950,7 @@ TEST(BundleCache, TupleWithMoreThanFourNodesIsRejected) {
   tuple.count = 1;
   result.tuples.push_back(tuple);
   ASSERT_TRUE(
-      cache.Store(keys, cache::BundleCache::EncodeParsed(ParsedLogs{}), result)
+      cache.Store(keys, cache::BundleCache::EncodeParsed(ParsedLogs()), result)
           .ok());
   ASSERT_TRUE(cache.Load(keys).ok());
 
@@ -896,11 +1109,6 @@ AnalysisResult PinnedEntryResult() {
       {LogSource::kTorque, 3, "PARSE_ERROR: no record type",
        "]]] broken accounting record"}};
   return result;
-}
-
-std::vector<std::uint8_t> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), {}};
 }
 
 // The whole entry file, pinned as written by the v5 encoder: streaming

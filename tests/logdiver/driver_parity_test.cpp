@@ -3,8 +3,8 @@
 // RunResumableAnalysis with snapshots (and resumed from one), and the
 // fleet at 1 and 4 shards.  Covered: the clean small bundle, copies of
 // it without hwerr.log, with lost ALPS terminations and with replayed
-// Torque S records, and every catalog scenario (rotated and
-// clock-skewed syslog included).
+// Torque S records, a bundle with a syslog stamp past the month's end,
+// and every catalog scenario (rotated and clock-skewed syslog included).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -89,6 +89,34 @@ TEST(DriverParity, CleanBundleWithAndWithoutHwerr) {
   // hwerr.log is optional on every path, not only in batch.
   ASSERT_TRUE(fs::remove(bundle + "/hwerr.log"));
   ExpectDriversAgree(machine, bundle, "nohwerr");
+  fs::remove_all(bundle);
+}
+
+TEST(DriverParity, SyslogStampWithADayPastTheMonth) {
+  // One stamp a quarter of the way into syslog.log whose day (370) would
+  // date it in the next year: it is quarantined on every driver, and the
+  // streaming drivers' merge order does not jump a year after it.
+  ScenarioConfig config = SmallScenario(13);
+  config.workload.target_app_runs = 3000;
+  const Machine machine = MakeMachine(config);
+  const std::string bundle = WorkDir("stray_stamp_bundle");
+  fs::remove_all(bundle);
+  ASSERT_TRUE(WriteBundle(machine, config, bundle).ok());
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(bundle + "/syslog.log");
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GT(lines.size(), 4u);
+  const std::size_t at = lines.size() / 4;
+  lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+               lines[at - 1].substr(0, 3) +
+                   " 370 10:00:00 c0-0c0s0n1 kernel: stray stamp");
+  {
+    std::ofstream out(bundle + "/syslog.log", std::ios::trunc);
+    for (const std::string& line : lines) out << line << '\n';
+  }
+  ExpectDriversAgree(machine, bundle, "stray_stamp");
   fs::remove_all(bundle);
 }
 

@@ -93,7 +93,9 @@ TEST(ExportCsv, FilesParseBackWithExpectedValues) {
       EXPECT_EQ(row[1], "3");
       saw_quarantined = true;
     }
-    if (row[0] == "duplicate_placements") EXPECT_EQ(row[1], "2");
+    if (row[0] == "duplicate_placements") {
+      EXPECT_EQ(row[1], "2");
+    }
   }
   EXPECT_TRUE(saw_quarantined);
   std::filesystem::remove_all(dir);

@@ -24,6 +24,7 @@
 #include "logdiver/claims.hpp"
 #include "logdiver/hwerr_parser.hpp"
 #include "logdiver/snapshot.hpp"
+#include "logdiver/syslog_parser.hpp"
 #include "logdiver/torque_parser.hpp"
 #include "simlog/scenario.hpp"
 
@@ -777,12 +778,11 @@ std::vector<std::vector<std::uint8_t>> ReadGenerations(
 }
 
 TEST_F(DamagedReplayTest, ResumeAtACutBeforeAYearCrossingSyslogStamp) {
-  // A syslog stamp whose day runs past the year's end claims a time in
-  // the next year (day 370 of any month falls there), and every later
-  // syslog claim takes its year from that carry.  Cut while that line
-  // is the unread syslog head, a snapshot must hold the carry from
-  // before its claim: claimed again from its own claim, the line and
-  // every syslog line after it would land one more year late.
+  // A syslog stamp whose day runs past the year's end (day 370 would
+  // fall in the next year) is malformed: the line is quarantined and
+  // its claim keeps the carry from the line before.  Cut while that line
+  // is the unread syslog head, the resumed pass must write every
+  // snapshot generation and the summary as the uninterrupted one does.
   LogSet logs = *logs_;
   const std::size_t at = logs.syslog.size() / 4;
   ClaimedTracker tracker(2013);
@@ -797,9 +797,9 @@ TEST_F(DamagedReplayTest, ResumeAtACutBeforeAYearCrossingSyslogStamp) {
   logs.syslog.insert(logs.syslog.begin() + static_cast<std::ptrdiff_t>(at),
                      std::string(kMonths[calendar.month - 1]) +
                          " 370 10:00:00 c0-0c0s0n1 kernel: stray stamp");
-  const TimePoint stray =
-      tracker.ParseAndClaim(LogSource::kSyslog, logs.syslog[at]).claimed;
-  ASSERT_EQ(ToCalendar(stray).year, calendar.year + 1);
+  EXPECT_FALSE(SyslogParser(2013).ParseLine(logs.syslog[at]).ok());
+  EXPECT_EQ(tracker.ParseAndClaim(LogSource::kSyslog, logs.syslog[at]).claimed,
+            before);
 
   const std::string dir = testing::TempDir() + "resume_year_crossing_" +
                           std::to_string(::getpid());

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -284,6 +285,14 @@ struct TimedLine {
   LogSource source;
   std::string line;
 };
+
+/// A LoadLatest decoder that keeps a copy of the accepted payload.
+auto CopyInto(std::vector<std::uint8_t>& out) {
+  return [&out](std::span<const std::uint8_t> bytes) {
+    out.assign(bytes.begin(), bytes.end());
+    return Status::Ok();
+  };
+}
 
 class ServiceTest : public ::testing::Test {
  protected:
@@ -594,10 +603,12 @@ TEST_F(ServiceTest, TenantSnapshotPayloadBytesArePinned) {
     shard.Stop();
   }
   SnapshotStore store(dir + "/snapshots");
-  auto loaded = store.LoadLatest(TenantShard::TenantFingerprint("acme"));
+  std::vector<std::uint8_t> payload;
+  auto loaded = store.LoadLatest(TenantShard::TenantFingerprint("acme"),
+                                 CopyInto(payload));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->payload.size(), 1534u);
-  EXPECT_EQ(Crc32(loaded->payload), 3448125328u);
+  EXPECT_EQ(payload.size(), 1534u);
+  EXPECT_EQ(Crc32(payload), 3448125328u);
   std::filesystem::remove_all(dir);
 }
 
@@ -616,12 +627,12 @@ TEST_F(ServiceTest, StaleAnalyzerStateInTenantSnapshotIsRejected) {
   }
   const std::uint64_t fingerprint = TenantShard::TenantFingerprint("acme");
   SnapshotStore store(dir + "/snapshots");
-  auto loaded = store.LoadLatest(fingerprint);
+  std::vector<std::uint8_t> payload;
+  auto loaded = store.LoadLatest(fingerprint, CopyInto(payload));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   // Tenant version u32, tenant id (u32 length + "acme"), applied u64,
   // journal offset u64, four claim carries (i64): then the analyzer's
   // own u32 layout version.
-  std::vector<std::uint8_t> payload = loaded->payload;
   const std::size_t analyzer_version_at = 4 + 4 + 4 + 8 + 8 + 4 * 8;
   const std::uint32_t stale_version = 4;
   std::memcpy(payload.data() + analyzer_version_at, &stale_version,

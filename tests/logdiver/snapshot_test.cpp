@@ -423,6 +423,14 @@ TEST_F(SnapshotFileTest, GarbageIsRejectedNotCrashed) {
   std::filesystem::remove(path);
 }
 
+/// A LoadLatest decoder that keeps a copy of the accepted payload.
+auto CopyInto(std::vector<std::uint8_t>& out) {
+  return [&out](std::span<const std::uint8_t> bytes) {
+    out.assign(bytes.begin(), bytes.end());
+    return Status::Ok();
+  };
+}
+
 TEST(SnapshotStoreTest, FallsBackPastCorruptNewest) {
   const std::string dir = testing::TempDir() + "snapshot_store_fallback";
   std::filesystem::remove_all(dir);
@@ -434,9 +442,10 @@ TEST(SnapshotStoreTest, FallsBackPastCorruptNewest) {
   ASSERT_TRUE(gen2.ok());
 
   std::filesystem::resize_file(store.PathFor(*gen2), 10);  // tear it
-  auto loaded = store.LoadLatest();
+  std::vector<std::uint8_t> payload;
+  auto loaded = store.LoadLatest(0, CopyInto(payload));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->payload, old_payload);
+  EXPECT_EQ(payload, old_payload);
   EXPECT_EQ(loaded->generation, *gen2 - 1);
   EXPECT_EQ(loaded->rejected, 1u);
   std::filesystem::remove_all(dir);
@@ -467,21 +476,23 @@ TEST(SnapshotStoreTest, MismatchedFingerprintIsRejectedLikeATornFile) {
   auto gen2 = store.Write(foreign, /*fingerprint=*/222);
   ASSERT_TRUE(gen2.ok());
 
-  auto loaded = store.LoadLatest(/*expected_fingerprint=*/111);
+  std::vector<std::uint8_t> payload;
+  auto loaded =
+      store.LoadLatest(/*expected_fingerprint=*/111, CopyInto(payload));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->payload, matching);
+  EXPECT_EQ(payload, matching);
   EXPECT_EQ(loaded->generation, *gen2 - 1);
   EXPECT_EQ(loaded->fingerprint, 111u);
   EXPECT_EQ(loaded->rejected, 1u);
 
   // No expectation (0) loads the newest regardless of its stamp.
-  auto any = store.LoadLatest();
+  auto any = store.LoadLatest(0, CopyInto(payload));
   ASSERT_TRUE(any.ok());
-  EXPECT_EQ(any->payload, foreign);
+  EXPECT_EQ(payload, foreign);
   EXPECT_EQ(any->fingerprint, 222u);
 
   // Nothing matches: NotFound, with both generations rejected.
-  auto none = store.LoadLatest(/*expected_fingerprint=*/333);
+  auto none = store.LoadLatest(/*expected_fingerprint=*/333, CopyInto(payload));
   EXPECT_FALSE(none.ok());
   EXPECT_EQ(none.status().code(), StatusCode::kNotFound);
   std::filesystem::remove_all(dir);
@@ -535,22 +546,23 @@ TEST(SnapshotStoreTest, TwoConcurrentWriterProcessesNeverTearTheStore) {
   SnapshotStore store(dir, /*keep_generations=*/2);
   const auto generations = store.Generations();
   EXPECT_GE(generations.size(), 2u);
-  auto latest = store.LoadLatest();
+  std::vector<std::uint8_t> payload;
+  auto latest = store.LoadLatest(0, CopyInto(payload));
   ASSERT_TRUE(latest.ok()) << latest.status().ToString();
-  EXPECT_EQ(latest->payload.size(), 64u);
+  ASSERT_EQ(payload.size(), 64u);
   // The payload must be wholly one writer's bytes — a generation
   // mixing both writers' data would mean the tmp files collided.
-  const std::uint8_t writer = latest->payload[1];
+  const std::uint8_t writer = payload[1];
   EXPECT_TRUE(writer == 0 || writer == 1);
-  for (std::size_t i = 2; i < latest->payload.size(); ++i) {
-    EXPECT_EQ(latest->payload[i], writer) << "torn payload at byte " << i;
+  for (std::size_t i = 2; i < payload.size(); ++i) {
+    EXPECT_EQ(payload[i], writer) << "torn payload at byte " << i;
   }
   EXPECT_EQ(latest->fingerprint, 100u + writer);
 
   // Fingerprint rejection still works in the shared dir: asking for one
   // writer's snapshots skips the other's (or reports NotFound if every
   // surviving generation is the other writer's).
-  auto mine = store.LoadLatest(/*expected_fingerprint=*/100);
+  auto mine = store.LoadLatest(/*expected_fingerprint=*/100, CopyInto(payload));
   if (mine.ok()) {
     EXPECT_EQ(mine->fingerprint, 100u);
   } else {
@@ -563,7 +575,8 @@ TEST(SnapshotStoreTest, EmptyDirIsNotFound) {
   const std::string dir = testing::TempDir() + "snapshot_store_empty";
   std::filesystem::remove_all(dir);
   SnapshotStore store(dir);
-  auto loaded = store.LoadLatest();
+  std::vector<std::uint8_t> payload;
+  auto loaded = store.LoadLatest(0, CopyInto(payload));
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
@@ -943,7 +956,6 @@ TEST_F(AnalyzerSnapshotTest, ImpossibleCountFallsBackOneGeneration) {
     ASSERT_TRUE(loaded.ok()) << c.field << ": " << loaded.status().ToString();
     EXPECT_EQ(loaded->generation, 1u) << c.field;
     EXPECT_EQ(loaded->rejected, 1u) << c.field;
-    EXPECT_TRUE(loaded->payload.empty()) << c.field;  // the decoder took it
   }
   std::filesystem::remove_all(dir);
 }

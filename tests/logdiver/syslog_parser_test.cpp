@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "logdiver/claims.hpp"
+
 namespace ld {
 namespace {
 
@@ -29,6 +33,31 @@ TEST(SyslogTime, ClockMustBeDigitsAndColons) {
   auto narrow = SyslogParser::ParseSyslogTime("Apr  1 2:3:4", 2013);
   ASSERT_TRUE(narrow.ok());
   EXPECT_EQ(narrow->ToIso(), "2013-04-01T02:03:04");
+}
+
+TEST(SyslogTime, DayAndClockAreRangeChecked) {
+  // One stamp grammar on the claim path and the line path: a day outside
+  // 1-31 or a clock past 23:59:60 is malformed on both, and the claim
+  // carry stays where the last good stamp left it.
+  for (const char* bad : {"Apr  0 02:10:02", "Apr 32 02:10:02",
+                          "Apr 370 10:00:00", "Apr -1 02:10:02",
+                          "Apr  1 24:00:00", "Apr  1 23:60:00",
+                          "Apr  1 23:59:61"}) {
+    EXPECT_FALSE(SyslogParser::ParseSyslogTime(bad, 2013).ok()) << bad;
+    const std::string line = std::string(bad) + " c0-0c0s0n1 kernel: stray";
+    SyslogParser parser(2013);
+    EXPECT_FALSE(parser.ParseLine(line).ok()) << bad;
+    EXPECT_EQ(parser.stats().malformed, 1u) << bad;
+    ClaimedTracker tracker(2013);
+    const TimePoint before =
+        tracker.ParseAndClaim(LogSource::kSyslog, "Apr  1 02:10:02 smw x")
+            .claimed;
+    EXPECT_EQ(tracker.ParseAndClaim(LogSource::kSyslog, line).claimed, before)
+        << bad;
+  }
+  auto leap = SyslogParser::ParseSyslogTime("Jun 30 23:59:60", 2013);
+  ASSERT_TRUE(leap.ok());
+  EXPECT_EQ(leap->ToIso(), "2013-07-01T00:00:00");
 }
 
 TEST(SyslogParser, MachineCheckFatalOnNode) {
