@@ -30,8 +30,8 @@
 // --threads N sets the parse thread count (0 = auto: LOGDIVER_THREADS
 // env, else hardware concurrency).  Results are bit-identical at any
 // thread count.  The batch path parses chunks on the pool; the
-// --snapshot-dir child parses Torque/ALPS/hwerr lines a block ahead of
-// its one-threaded merge, and --threads 1 parses each line inline.  The
+// --snapshot-dir child parses every source's lines a block ahead of its
+// one-threaded merge, and --threads 1 parses each line inline.  The
 // fleet's workers parse inline whatever the flag says.
 //
 //   With --fleet-workers N, analyze fans the bundle across N supervised

@@ -3,16 +3,18 @@
 // apply path (service/tenant.hpp).  Both claim a line from the one parse
 // the analyzer then takes (StreamingAnalyzer::Add).  The parse is pure
 // and the claim is the only stateful step, so the two are separate:
-// the replay loop parses Torque/ALPS/hwerr lines ahead on a thread pool
-// and claims them in merge order on its own thread.
+// the replay loop parses lines of all four sources ahead on a thread
+// pool and claims them in merge order on its own thread.
 //
 // A line's claimed time is the last parseable timestamp of its source,
 // carried over lines that do not parse (a real shipper cannot drop what
 // it cannot read).  For Torque, ALPS and hwerr a record's time becomes
-// the carry, a skipped or malformed line keeps it.  A syslog stamp takes
-// its year from the carried claim by the parser's own rollover rule
-// (SyslogParser::ParseSyslogTime), so a campaign crossing New Year
-// keeps its order with the carry as the only state.
+// the carry, a skipped or malformed line keeps it.  A syslog line claims
+// the stamp in its first 15 bytes, which its parse reads; the stamp
+// takes its year from the carried claim by the parser's own rollover
+// rule (SyslogParser::StampTime), so a campaign crossing New Year keeps
+// its order with the carry as the only state.  A syslog line shorter
+// than 15 bytes, or whose prefix holds no stamp, keeps the carry.
 #pragma once
 
 #include <string_view>
@@ -23,15 +25,16 @@
 #include "logdiver/hwerr_parser.hpp"
 #include "logdiver/records.hpp"
 #include "logdiver/snapshot.hpp"
+#include "logdiver/syslog_parser.hpp"
 #include "logdiver/torque_parser.hpp"
 
 namespace ld {
 
-/// One line's pure parse.  A syslog line carries none (monostate): its
-/// claim reads only the stamp, and the stateful syslog parser reads the
-/// line when the analyzer takes it.
-using LineParse = std::variant<std::monostate, TorqueParser::Parsed,
-                               AlpsParser::Parsed, HwerrParser::Parsed>;
+/// One line's pure parse, by source; monostate is an empty slot, the
+/// parse of no line.
+using LineParse =
+    std::variant<std::monostate, TorqueParser::Parsed, AlpsParser::Parsed,
+                 SyslogParser::Parsed, HwerrParser::Parsed>;
 
 /// One line, parsed once and claimed.
 struct ClaimedLine {
@@ -46,12 +49,11 @@ class ClaimedTracker {
       : syslog_base_year_(syslog_base_year) {}
 
   /// The pure per-line parse: depends on nothing but the line, so it is
-  /// safe on any thread.  A syslog line gets no parse (monostate).
+  /// safe on any thread.
   static LineParse Parse(LogSource source, std::string_view line);
 
-  /// Advances the source's carry from `parsed`, the line's Parse (a
-  /// syslog line: from its stamp), and returns the claim together with
-  /// the parse.
+  /// Advances the source's carry from `parsed`, the line's Parse, and
+  /// returns the claim together with the parse.
   ClaimedLine Claim(LogSource source, std::string_view line,
                     LineParse&& parsed);
 

@@ -91,7 +91,8 @@ std::string FleetCoverage::Row() const {
   if (!dropped_shards.empty()) {
     row += " (dropped:";
     for (std::uint32_t shard : dropped_shards) {
-      row += " " + std::to_string(shard);
+      row += ' ';
+      row += std::to_string(shard);
     }
     row += ")";
   }

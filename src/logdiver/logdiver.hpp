@@ -15,8 +15,7 @@
 // (0 = auto: LOGDIVER_THREADS env, else hardware concurrency) sizes the
 // pool.  The streaming/resume path keeps its state on one thread — its
 // snapshot cut points are defined per consumed line — and uses the pool
-// only to parse Torque/ALPS/hwerr lines ahead of that thread
-// (resume.hpp).
+// only to parse lines ahead of that thread (resume.hpp).
 #pragma once
 
 #include <string>

@@ -109,8 +109,11 @@ void PrintScaleCurve(std::ostream& out, const std::vector<ScalePoint>& points,
     rows.push_back({band, WithThousands(p.runs),
                     WithThousands(p.system_failures),
                     FormatDouble(p.failure_probability.point, 4),
-                    "[" + FormatDouble(p.failure_probability.lo, 4) + ", " +
-                        FormatDouble(p.failure_probability.hi, 4) + "]"});
+                    std::string("[")
+                        .append(FormatDouble(p.failure_probability.lo, 4))
+                        .append(", ")
+                        .append(FormatDouble(p.failure_probability.hi, 4))
+                        .append("]")});
   }
   out << RenderTable(rows);
 }

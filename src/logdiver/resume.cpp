@@ -96,10 +96,11 @@ class ParseAhead {
 /// claimed from that parse (ClaimedTracker::Claim).  The head with the
 /// earliest claimed time wins (strict `<` ties toward the lowest source
 /// index) and its parse goes on to the analyzer; watermarks advance on
-/// the total-line schedule.  With a pool of more than one thread, the
-/// Torque, ALPS and hwerr parses run ahead of the loop (ParseAhead);
-/// claims, the merge, the analyzer, the syslog parse and `on_line` stay
-/// on this thread, line by line, so the pool changes no result.
+/// the total-line schedule.  With a pool of more than one thread, every
+/// source's parses run ahead of the loop (ParseAhead); claims, the
+/// merge, the analyzer (the syslog parser's stateful Apply among it)
+/// and `on_line` stay on this thread, line by line, so the pool changes
+/// no result.
 /// `heads`/`total` and `consumed`, the carries of the lines before the
 /// heads, come in restored (a resumed pass) and go out at the final
 /// positions.  The heads are claimed on a copy of `consumed`, so it
@@ -119,7 +120,7 @@ void ReplayLoop(const LogSetView& lines, ThreadPool* pool,
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
     const auto source = static_cast<LogSource>(s);
     source_lines[s] = lines.lines(source);
-    if (pool != nullptr && pool->size() > 1 && source != LogSource::kSyslog) {
+    if (pool != nullptr && pool->size() > 1) {
       ahead[s].emplace(pool, source, source_lines[s], heads[s]);
     }
   }

@@ -6,7 +6,7 @@
 // rotation families stitched) merged by claimed head time (claims.hpp), each
 // line parsed once — writing a snapshot every N lines.  With
 // `LogDiverConfig::threads` above one, a pool splits the lines, fingerprints
-// the bundle and parses Torque/ALPS/hwerr lines a block ahead of the merge; the
+// the bundle and parses every source's lines a block ahead of the merge; the
 // claims, the merge, the analyzer and the snapshot points stay on one thread,
 // line by line, so the thread count changes no output byte.  On startup it
 // loads the newest snapshot that is valid and decodes (a torn, corrupt or
@@ -114,7 +114,7 @@ Result<std::uint64_t> ReplayBundle(const LogDiverConfig& config,
 /// ReplayBundle's merge order and schedule over lines already in
 /// memory — the replay core a fleet worker runs over the views it
 /// inherits from the supervisor.  A `pool` of more than one thread
-/// parses Torque/ALPS/hwerr lines ahead of the merge; null (a fleet
+/// parses every source's lines ahead of the merge; null (a fleet
 /// worker) parses each head inline.  Either way the analyzer sees the
 /// same calls.  Returns total merged lines.
 std::uint64_t ReplayLines(const LogSetView& lines, const LogDiverConfig& config,

@@ -88,10 +88,12 @@ void StreamingAnalyzer::Add(ClaimedLine&& claimed) {
     AddTorque(claimed.line, std::move(*p));
   } else if (auto* p = std::get_if<AlpsParser::Parsed>(&parsed)) {
     AddAlps(claimed.line, std::move(*p));
+  } else if (auto* p = std::get_if<SyslogParser::Parsed>(&parsed)) {
+    AddSyslog(claimed.line, std::move(*p));
   } else if (auto* p = std::get_if<HwerrParser::Parsed>(&parsed)) {
     AddHwerr(claimed.line, std::move(*p));
   } else {
-    AddSyslogLine(claimed.line);
+    LD_CHECK(false, "Add of a line without a parse");
   }
 }
 
@@ -119,10 +121,11 @@ void StreamingAnalyzer::AddAlps(std::string_view line,
   }
 }
 
-void StreamingAnalyzer::AddSyslogLine(std::string_view line) {
-  LD_CHECK(!finalized_, "AddSyslogLine on a finalized analyzer");
+void StreamingAnalyzer::AddSyslog(std::string_view line,
+                                  SyslogParser::Parsed&& parsed) {
+  LD_CHECK(!finalized_, "AddSyslog on a finalized analyzer");
   if (!SourceOpen(LogSource::kSyslog)) return;
-  auto rec = syslog_parser_.ParseLine(line);
+  auto rec = syslog_parser_.Apply(std::move(parsed));
   if (!rec.ok()) {
     Reject(LogSource::kSyslog, syslog_parser_.stats().lines, line,
            rec.status());

@@ -61,7 +61,9 @@ class StreamingAnalyzer {
   void AddAlpsLine(std::string_view line) {
     AddAlps(line, AlpsParser::Parse(line));
   }
-  void AddSyslogLine(std::string_view line);
+  void AddSyslogLine(std::string_view line) {
+    AddSyslog(line, SyslogParser::Parse(line));
+  }
   void AddHwerrLine(std::string_view line) {
     AddHwerr(line, HwerrParser::Parse(line));
   }
@@ -121,6 +123,7 @@ class StreamingAnalyzer {
  private:
   void AddTorque(std::string_view line, TorqueParser::Parsed&& parsed);
   void AddAlps(std::string_view line, AlpsParser::Parsed&& parsed);
+  void AddSyslog(std::string_view line, SyslogParser::Parsed&& parsed);
   void AddHwerr(std::string_view line, HwerrParser::Parsed&& parsed);
   /// Guard between a run's death and the moment every tuple that could
   /// explain it has provably been flushed.

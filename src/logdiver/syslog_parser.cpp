@@ -63,10 +63,7 @@ bool ParseClock(std::string_view text, int& h, int& m, int& s) {
   return eat(h) && colon() && eat(m) && colon() && eat(s) && text.empty();
 }
 
-/// A syslog stamp's fields, range-checked.
-struct Stamp {
-  int month = 0, day = 0, hour = 0, minute = 0, second = 0;
-};
+using Stamp = SyslogParser::Stamp;
 
 /// The one stamp grammar, behind both the line parse and ParseSyslogTime:
 /// a month abbreviation, a day in 1-31 and a clock up to 23:59:60 (a leap
@@ -85,6 +82,42 @@ Result<Stamp> ParseStamp(std::string_view month, std::string_view day,
     return ParseError("syslog: bad clock field");
   }
   return stamp;
+}
+
+/// Reads the whitespace-separated tokens at the front of `text` into
+/// `fields`, in place, from `*pos` on; `*pos` ends just past the last
+/// one.  False when `text` holds fewer tokens than `fields`.
+bool ReadTokens(std::string_view text, std::span<std::string_view> fields,
+                std::size_t* pos) {
+  for (std::string_view& field : fields) {
+    *pos = SkipWhitespace(text, *pos);
+    if (*pos == text.size()) return false;
+    const std::size_t end = FindWhitespace(text, *pos);
+    field = text.substr(*pos, end - *pos);
+    *pos = end;
+  }
+  return true;
+}
+
+/// A stamp's text ("Apr  1 02:10:02", the day may be space-padded): its
+/// first three tokens through the stamp grammar; anything after them is
+/// ignored.
+Result<Stamp> ParseStampText(std::string_view text) {
+  std::string_view fields[3];
+  std::size_t pos = 0;
+  if (!ReadTokens(text, fields, &pos)) {
+    return ParseError("syslog: bad timestamp");
+  }
+  int month_seen = 0;
+  return ParseStamp(fields[0], fields[1], fields[2], &month_seen);
+}
+
+/// The bytes a claim reads its stamp from.
+constexpr std::size_t kClaimStampBytes = 15;
+
+TimePoint StampTimeIn(const Stamp& stamp, int year) {
+  return TimePoint::FromCalendar(year, stamp.month, stamp.day, stamp.hour,
+                                 stamp.minute, stamp.second);
 }
 
 /// Extracts the cname following a marker word, e.g. "node c1-0c2s3n2".
@@ -144,26 +177,13 @@ Result<std::optional<SyslogParser::PreRecord>> ParsePreImpl(
   // non-whitespace byte.
   std::string_view fields[4];
   std::size_t pos = 0;
-  for (std::string_view& field : fields) {
-    pos = SkipWhitespace(line, pos);
-    if (pos == line.size()) {
-      return ParseError("syslog: too few fields");
-    }
-    const std::size_t end = FindWhitespace(line, pos);
-    field = line.substr(pos, end - pos);
-    pos = end;
-  }
-  if (SkipWhitespace(line, pos) == line.size()) {
+  if (!ReadTokens(line, fields, &pos) ||
+      SkipWhitespace(line, pos) == line.size()) {
     return ParseError("syslog: too few fields");
   }
-  LD_ASSIGN_OR_RETURN(const Stamp stamp,
-                      ParseStamp(fields[0], fields[1], fields[2], month_seen));
   SyslogParser::PreRecord pre;
-  pre.month = stamp.month;
-  pre.day = stamp.day;
-  pre.hour = stamp.hour;
-  pre.minute = stamp.minute;
-  pre.second = stamp.second;
+  LD_ASSIGN_OR_RETURN(pre.stamp,
+                      ParseStamp(fields[0], fields[1], fields[2], month_seen));
 
   // The single-space-joined stamp the old code built spanned exactly
   // this many bytes; the hostname search must start from the same offset
@@ -259,12 +279,12 @@ SyslogParser::SyslogParser(int base_year) : current_year_(base_year) {}
 
 Result<TimePoint> SyslogParser::ParseSyslogTime(std::string_view text,
                                                 int year, TimePoint previous) {
-  // "Apr  1 02:10:02" (day may be space-padded).
-  const auto fields = SplitWhitespace(text);
-  if (fields.size() < 3) return ParseError("syslog: bad timestamp");
-  int month_seen = 0;
-  LD_ASSIGN_OR_RETURN(const Stamp stamp, ParseStamp(fields[0], fields[1],
-                                                    fields[2], &month_seen));
+  LD_ASSIGN_OR_RETURN(const Stamp stamp, ParseStampText(text));
+  return StampTime(stamp, year, previous);
+}
+
+TimePoint SyslogParser::StampTime(const Stamp& stamp, int year,
+                                  TimePoint previous) {
   if (previous != TimePoint()) {
     // The previous time carries its own year, so a stale-clock line
     // resolved a year back needs no extra state: the next in-year line
@@ -274,14 +294,23 @@ Result<TimePoint> SyslogParser::ParseSyslogTime(std::string_view text,
     if (RolloverBetween(prev.month, stamp.month)) ++year;
     if (BackwardJump(prev.month, stamp.month)) --year;
   }
-  return TimePoint::FromCalendar(year, stamp.month, stamp.day, stamp.hour,
-                                 stamp.minute, stamp.second);
+  return StampTimeIn(stamp, year);
 }
 
-Result<std::optional<ErrorRecord>> SyslogParser::ParseLine(
-    std::string_view line) {
+SyslogParser::Parsed SyslogParser::Parse(std::string_view line) {
+  std::optional<Stamp> claim;
+  if (line.size() >= kClaimStampBytes) {
+    auto stamp = ParseStampText(line.substr(0, kClaimStampBytes));
+    if (stamp.ok()) claim = *stamp;
+  }
   int month_seen = 0;
   auto pre = ParsePreImpl(line, &month_seen);
+  return Parsed{claim, month_seen, std::move(pre)};
+}
+
+Result<std::optional<ErrorRecord>> SyslogParser::Apply(Parsed&& parsed) {
+  auto& pre = parsed.pre;
+  const int month_seen = parsed.month_seen;
   stats_.Count(pre);
   // Year-rollover reconstruction advances on every line whose month
   // token validated — including lines that fail later.
@@ -302,8 +331,7 @@ Result<std::optional<ErrorRecord>> SyslogParser::ParseLine(
 
 std::optional<ErrorRecord> SyslogParser::Step(PreRecord&& item, int year) {
   ErrorRecord rec = std::move(item.rec);
-  rec.time = TimePoint::FromCalendar(year, item.month, item.day, item.hour,
-                                     item.minute, item.second);
+  rec.time = StampTimeIn(item.stamp, year);
   if (rec.scope != LocScope::kSystem) return rec;
   if (item.is_recovery) {
     // Recovery lines never become records themselves: they close the

@@ -16,14 +16,17 @@
 // ParseChunk (any thread) emits *year-relative* pre-records — calendar
 // fields plus the rollover count within the chunk — and ReduceChunks
 // (owning thread, chunks in order) resolves absolute years across chunk
-// boundaries.  ReduceChunks and the line-at-a-time ParseLine then feed
-// every pre-record through the same step (date it, pair incidents), so
-// ParseLine line by line plus FinishOpenIncident() emits exactly the
-// records ParseLines does, at any thread count or chunk size (see
-// DESIGN.md "Parallel ingestion").
+// boundaries.  The line-at-a-time path is split the same way: Parse
+// (any thread) reads one line into a value and Apply (owning thread,
+// lines in order) takes it through the year rollover.  ReduceChunks and
+// Apply then feed every pre-record through the same step (date it, pair
+// incidents), so ParseLine line by line plus FinishOpenIncident() emits
+// exactly the records ParseLines does, at any thread count or chunk
+// size (see DESIGN.md "Parallel ingestion").
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -39,11 +42,51 @@ class SyslogParser {
   /// `base_year` is the calendar year of the first line in the stream.
   explicit SyslogParser(int base_year);
 
-  /// Parses one line.  A Lustre error line opens a held incident and
-  /// returns nullopt, as do further reports of the same outage (they fold
-  /// into it); the recovery line returns the held incident with
-  /// `recovered` set.  Every other record returns at once.
-  Result<std::optional<ErrorRecord>> ParseLine(std::string_view line);
+  /// A syslog stamp's fields ("Apr  1 02:10:02"), range-checked: a day
+  /// in 1-31 and a clock up to 23:59:60 (a leap second).
+  struct Stamp {
+    int month = 0, day = 0, hour = 0, minute = 0, second = 0;
+  };
+
+  /// One record parsed before its absolute year is known: `year_delta`
+  /// counts December rollovers observed within a chunk up to and
+  /// including this line (ParseChunk; the line-at-a-time path leaves 0).
+  struct PreRecord {
+    ErrorRecord rec;  // time unset; recovered unset (see is_recovery)
+    Stamp stamp;
+    int year_delta = 0;
+    bool is_recovery = false;  // Lustre recovery line (closes an incident)
+  };
+
+  /// One line's pure parse.  `claim` is the stamp read from the line's
+  /// first 15 bytes (none when the line is shorter or that prefix does
+  /// not parse): the line's merge time (ClaimedTracker).  `pre` is the
+  /// line's parse and `month_seen` its month, set as soon as the month
+  /// token validates, even on a line that fails later: the year
+  /// rollover advances on exactly those lines.  Holds no string and no
+  /// error status when the line parses.
+  struct Parsed {
+    std::optional<Stamp> claim;
+    int month_seen = 0;
+    Result<std::optional<PreRecord>> pre;
+  };
+
+  /// Parses one line; safe to call from any thread (touches no parser
+  /// state).
+  static Parsed Parse(std::string_view line);
+
+  /// Takes one line's Parse, in stream order: counts it, advances the
+  /// year rollover and dates the record.  A Lustre error line opens a
+  /// held incident and returns nullopt, as do further reports of the
+  /// same outage (they fold into it); the recovery line returns the
+  /// held incident with `recovered` set.  Every other record returns at
+  /// once.
+  Result<std::optional<ErrorRecord>> Apply(Parsed&& parsed);
+
+  /// Apply(Parse(line)).
+  Result<std::optional<ErrorRecord>> ParseLine(std::string_view line) {
+    return Apply(Parse(line));
+  }
 
   /// End of stream: closes a still-held incident with the default window
   /// (its recovery line never arrived) and returns it; nullopt when no
@@ -56,16 +99,6 @@ class SyslogParser {
     if (!held_incident_.has_value()) return std::nullopt;
     return held_incident_->time;
   }
-
-  /// One record parsed inside a chunk, before the absolute year is
-  /// known: `year_delta` counts December rollovers observed within the
-  /// chunk up to and including this line.
-  struct PreRecord {
-    ErrorRecord rec;  // time unset; recovered unset (see is_recovery)
-    int year_delta = 0;
-    int month = 0, day = 0, hour = 0, minute = 0, second = 0;
-    bool is_recovery = false;  // Lustre recovery line (closes an incident)
-  };
 
   /// A chunk's private output plus the year-rollover summary the ordered
   /// reduction needs to stitch absolute years across chunk boundaries.
@@ -133,13 +166,18 @@ class SyslogParser {
   /// Parses "Apr  1 02:10:02" within `year` — or, given `previous`, the
   /// stream's last resolved time, in the year the stream has reached: the
   /// month step from `previous` advances or steps back a year by the
-  /// parser's own rollover rule.  Dates a line without running the parser
-  /// (ClaimedTracker).
+  /// parser's own rollover rule.  Dates a line without running the
+  /// parser.
   static Result<TimePoint> ParseSyslogTime(std::string_view text, int year,
                                            TimePoint previous = TimePoint());
 
+  /// `stamp`'s time by ParseSyslogTime's year rule: within `year`, or,
+  /// given `previous`, in the year the stream has reached.
+  static TimePoint StampTime(const Stamp& stamp, int year,
+                             TimePoint previous = TimePoint());
+
  private:
-  /// The one per-pre-record step of ParseLine and ReduceChunks: dates
+  /// The one per-pre-record step of Apply and ReduceChunks: dates
   /// `item` in `year` and runs incident pairing.  Returns the record the
   /// stream emits now, if any.
   std::optional<ErrorRecord> Step(PreRecord&& item, int year);

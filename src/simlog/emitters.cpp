@@ -328,7 +328,8 @@ std::vector<std::string> RenderGroundTruthCsv(const Workload& workload,
     line += rec.outcome == AppOutcome::kSystemFailure
                 ? ErrorCategoryName(rec.cause)
                 : "";
-    line += "," + std::to_string(rec.event_id);
+    line += ",";
+    line += std::to_string(rec.event_id);
     line += ",";
     line += rec.cause_detected ? "1" : "0";
     lines.push_back(std::move(line));

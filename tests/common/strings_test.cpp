@@ -167,13 +167,14 @@ TEST(KeyValueView, OverflowFallsBackToFullScan) {
   // every Get must still answer correctly via the per-key scan.
   std::string rec;
   for (std::size_t i = 0; i < KeyValueView::kMaxEntries + 8; ++i) {
-    rec += "k" + std::to_string(i) + "=" + std::to_string(i * 10) + " ";
+    rec.append("k").append(std::to_string(i)).append("=");
+    rec.append(std::to_string(i * 10)).append(" ");
   }
   const KeyValueView kv(rec);
   EXPECT_TRUE(kv.overflowed());
   EXPECT_EQ(kv.entry_count(), 0u);
   for (std::size_t i = 0; i < KeyValueView::kMaxEntries + 8; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = std::string("k").append(std::to_string(i));
     ASSERT_TRUE(kv.Get(key).has_value()) << key;
     EXPECT_EQ(kv.Get(key).value(), std::to_string(i * 10)) << key;
   }
@@ -226,7 +227,8 @@ TEST(KeyValueView, MatchesFindKeyValueOptOnEveryRecordShape) {
   // 64-byte boundary.
   std::string wide;
   for (std::size_t i = 0; i <= KeyValueView::kMaxEntries; ++i) {
-    wide += "k" + std::to_string(i) + "=" + std::to_string(i * 10) + " ";
+    wide.append("k").append(std::to_string(i)).append("=");
+    wide.append(std::to_string(i * 10)).append(" ");
   }
   const std::string records[] = {
       LargeExecHostRecord(),

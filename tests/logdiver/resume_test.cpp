@@ -366,10 +366,19 @@ TEST(ClaimedTrackerTest, TheClaimCarriesTheOneParse) {
   ASSERT_TRUE(parsed->ok());
   ASSERT_TRUE(parsed->value().has_value());
   EXPECT_EQ((*parsed)->value().time, hwerr.claimed);
-  // A syslog claim reads only the stamp; the analyzer parses the line.
+  // A syslog claim reads the stamp its parse holds; the parse holds the
+  // pre-record the analyzer's syslog parser dates.
   const ClaimedLine syslog = tracker.ParseAndClaim(
-      LogSource::kSyslog, "Apr  3 10:00:00 c0-0c0s1n2 kernel: hello");
-  EXPECT_TRUE(std::holds_alternative<std::monostate>(syslog.parsed));
+      LogSource::kSyslog,
+      "Apr  3 10:00:00 c0-0c0s1n2 kernel: Machine check events logged");
+  const auto* pre = std::get_if<SyslogParser::Parsed>(&syslog.parsed);
+  ASSERT_NE(pre, nullptr);
+  ASSERT_TRUE(pre->claim.has_value());
+  ASSERT_TRUE(pre->pre.ok());
+  ASSERT_TRUE(pre->pre->has_value());
+  EXPECT_EQ((*pre->pre)->rec.category, ErrorCategory::kMachineCheck);
+  EXPECT_EQ((*pre->pre)->stamp.day, 3);
+  EXPECT_EQ(pre->month_seen, 4);
   EXPECT_EQ(syslog.claimed.ToIso(), "2013-04-03T10:00:00");
 }
 
@@ -446,13 +455,15 @@ bool ParsesAsMalformed(LogSource source, std::string_view line) {
 }
 
 /// True for a Torque/ALPS/hwerr line whose parse holds a record, the
-/// only kind of line whose time becomes its source's carried claim.
+/// only kind of line whose record time becomes its source's carried
+/// claim (a syslog line claims its stamp).
 bool HoldsRecord(LogSource source, std::string_view line) {
   const LineParse parsed = ClaimedTracker::Parse(source, line);
   return std::visit(
       [](const auto& p) {
-        if constexpr (std::is_same_v<std::decay_t<decltype(p)>,
-                                     std::monostate>) {
+        using P = std::decay_t<decltype(p)>;
+        if constexpr (std::is_same_v<P, std::monostate> ||
+                      std::is_same_v<P, SyslogParser::Parsed>) {
           return false;
         } else {
           return p.ok() && p->has_value();
@@ -856,17 +867,24 @@ TEST_F(DamagedReplayTest, ResumeAtACutBeforeAYearCrossingSyslogStamp) {
 
 // --- parse-ahead replay ---------------------------------------------
 
-// The replay loop parses Torque/ALPS/hwerr lines a block ahead on a
-// pool of more than one thread.  Every output byte must be the inline
-// path's (one thread): summaries, every snapshot generation, line
-// totals, fail-fast trips, early returns and resumes at block edges.
+// The replay loop parses every source's lines a block ahead on a pool
+// of more than one thread.  Every output byte must be the inline path's
+// (one thread): summaries, every snapshot generation, line totals,
+// fail-fast trips, early returns and resumes at block edges.
 class ReplayParseAheadTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     // Enough runs for a snapshot at the default interval and several
-    // parse-ahead blocks of ALPS and Torque lines.
+    // parse-ahead blocks of ALPS and Torque lines.  The error processes
+    // are scaled as `ldbench generate --noise-x 4 --incident-x 4` scales
+    // them, so syslog spans several blocks too, and the campaign crosses
+    // New Year, so its stamps roll over a year.
     ScenarioConfig config = SmallScenario(2323);
     config.workload.target_app_runs = 9000;
+    config.workload.epoch = TimePoint::FromCalendar(2013, 12, 15);
+    config.faults.corrected_mce_per_day *= 4;
+    config.faults.link_degrade_per_day *= 4;
+    config.faults.lustre_incidents_per_day *= 4;
     machine_ = new Machine(MakeMachine(config));
     auto campaign = RunCampaign(*machine_, config);
     ASSERT_TRUE(campaign.ok()) << campaign.status().ToString();
@@ -877,6 +895,7 @@ class ReplayParseAheadTest : public ::testing::Test {
     clean_->hwerr = std::move(campaign->logs.hwerr);
     ASSERT_GT(clean_->alps.size(), 4 * kParseAheadLines);
     ASSERT_GT(clean_->torque.size(), 2 * kParseAheadLines);
+    ASSERT_GT(clean_->syslog.size(), 4 * kParseAheadLines);
     damaged_ = new LogSet(*clean_);
     CorruptorConfig corrupt;
     corrupt.rate = 0.03;
@@ -1046,6 +1065,98 @@ TEST_F(ReplayParseAheadTest, FailedSnapshotWriteDrainsInFlightBlocks) {
     EXPECT_FALSE(result.ok()) << "interval " << interval;
   }
   std::filesystem::remove(file);
+}
+
+TEST_F(ReplayParseAheadTest, SyslogEdgeCasesAtBlockEdgesMatchInline) {
+  // The fixture's syslog crosses New Year.  Add a Lustre incident whose
+  // error line and recovery line sit in different parse-ahead blocks,
+  // and, around another block edge, stamps that do not parse: day 370,
+  // too few fields, and a clock running past the 15-byte claim prefix
+  // (the prefix claims; the line is malformed).
+  LogSet logs = *clean_;
+  std::vector<std::string>& syslog = logs.syslog;
+  const auto crossing = std::adjacent_find(
+      syslog.begin(), syslog.end(), [](const auto& a, const auto& b) {
+        return a.starts_with("Dec") && b.starts_with("Jan");
+      });
+  ASSERT_NE(crossing, syslog.end());
+
+  const std::size_t lustre_edge = 2 * kParseAheadLines;
+  const std::string lustre_stamp = syslog[lustre_edge - 2].substr(0, 15);
+  syslog.insert(
+      syslog.begin() + static_cast<std::ptrdiff_t>(lustre_edge - 1),
+      {lustre_stamp +
+           " sonexion LustreError: 11-0: snx11003-OST0042: operation "
+           "ost_write failed: service unavailable",
+       lustre_stamp + " sonexion Lustre: snx11003-OST0042: service recovered"});
+
+  const std::size_t stamp_edge = 3 * kParseAheadLines;
+  const std::string stamp = syslog[stamp_edge - 2].substr(0, 15);
+  const std::vector<std::string> malformed = {
+      stamp.substr(0, 3) + " 370 " + stamp.substr(7) +
+          " c0-0c0s0n1 kernel: stray stamp",
+      stamp + " c0-0c0s0n1",
+      stamp + ".250 c0-0c0s0n1 kernel: Machine check events logged"};
+  syslog.insert(syslog.begin() + static_cast<std::ptrdiff_t>(stamp_edge - 1),
+                malformed.begin(), malformed.end());
+  for (const std::string& line : malformed) {
+    EXPECT_FALSE(SyslogParser(2013).ParseLine(line).ok()) << line;
+  }
+  ClaimedTracker tracker(2013);
+  EXPECT_EQ(tracker.ParseAndClaim(LogSource::kSyslog, malformed[2]).claimed,
+            SyslogParser::ParseSyslogTime(stamp, 2013).value());
+
+  const std::string dir = testing::TempDir() + "parse_ahead_syslog_" +
+                          std::to_string(::getpid());
+  WriteLogSet(logs, dir);
+  const Pass inline_pass = RunPass(dir, 1, 777);
+  ASSERT_FALSE(inline_pass.generations.empty());
+  for (const int threads : {2, 4}) {
+    const Pass pass = RunPass(dir, threads, 777);
+    EXPECT_EQ(pass.total_lines, inline_pass.total_lines) << threads;
+    EXPECT_TRUE(pass.summary == inline_pass.summary) << threads;
+    EXPECT_TRUE(pass.generations == inline_pass.generations) << threads;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ReplayParseAheadTest, SyslogClaimsReadTheStampPrefix) {
+  // The claim rule, over every line of a corrupted syslog stream: a line
+  // of at least 15 bytes claims ParseSyslogTime of those bytes, dated
+  // from the carry, when they parse; any other line keeps the carry.
+  std::vector<std::string> syslog = clean_->syslog;
+  CorruptorConfig corrupt;
+  corrupt.rate = 0.2;
+  corrupt.ops = LogCorruptor::AllOps();
+  corrupt.max_reorder_distance = 3;
+  corrupt.max_skew_seconds = 40 * 86400;  // skews cross month ends
+  LogCorruptor(corrupt).CorruptStream(StreamDialect::kSyslog, "syslog",
+                                      syslog, Rng(2323).Fork("claims"));
+  syslog.insert(syslog.begin() + 100,
+                {"Dec 370 10:00:00 c0-0c0s0n1 kernel: stray stamp",
+                 "Dec 20 10:00:00", "Dec 20 10:00:0", "",
+                 "Dec 20 10:00:00.250 c0-0c0s0n1 kernel: Machine check"});
+
+  ClaimedTracker tracker(2013);
+  TimePoint carry;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < syslog.size(); ++i) {
+    const std::string_view line = syslog[i];
+    const TimePoint before = carry;
+    if (line.size() >= 15) {
+      auto t = SyslogParser::ParseSyslogTime(line.substr(0, 15), 2013, carry);
+      if (t.ok()) carry = *t;
+    }
+    kept += carry == before ? 1 : 0;
+    ASSERT_EQ(tracker
+                  .Claim(LogSource::kSyslog, line,
+                         ClaimedTracker::Parse(LogSource::kSyslog, line))
+                  .claimed,
+              carry)
+        << "line " << i << ": " << line;
+  }
+  EXPECT_GT(kept, 5u);
+  EXPECT_GT(carry, TimePoint::FromCalendar(2014, 1, 1));
 }
 
 TEST_F(ReplayParseAheadTest, CrashAtABlockBoundaryResumesBitIdentically) {

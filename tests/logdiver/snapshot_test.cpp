@@ -68,9 +68,8 @@ TEST(SnapshotIoTest, VarintBytesArePinned) {
     EXPECT_TRUE(r.ok() && r.remaining() == 0) << value;
   }
   // Zigzag first: 0, -1, 1, -2, ... map to 0, 1, 2, 3, ...
-  std::vector<std::uint8_t> int64_max_bytes = {0xFE};
-  int64_max_bytes.insert(int64_max_bytes.end(), 8, 0xFF);
-  int64_max_bytes.push_back(0x01);
+  const std::vector<std::uint8_t> int64_max_bytes = {
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01};
   const std::vector<std::pair<std::int64_t, std::vector<std::uint8_t>>>
       signed_cases = {{0, {0x00}},
                       {-1, {0x01}},
