@@ -29,6 +29,7 @@ struct SharedCampaign {
   ld::Machine machine;
   ld::Campaign campaign;
   ld::LogSet logs;
+  ld::LogSetView views;
 
   SharedCampaign()
       : config(MakeConfig()), machine(ld::MakeMachine(config)) {
@@ -39,6 +40,7 @@ struct SharedCampaign {
     logs.alps = campaign.logs.alps;
     logs.syslog = campaign.logs.syslog;
     logs.hwerr = campaign.logs.hwerr;
+    views = ld::LogSetView(logs);
   }
 
   static ld::ScenarioConfig MakeConfig() {
@@ -57,7 +59,7 @@ const SharedCampaign& Shared() {
 }
 
 void BM_ParseTorque(benchmark::State& state) {
-  const auto& lines = Shared().logs.torque;
+  const auto& lines = Shared().views.torque;
   for (auto _ : state) {
     ld::TorqueParser parser;
     benchmark::DoNotOptimize(parser.ParseLines(lines));
@@ -68,7 +70,7 @@ void BM_ParseTorque(benchmark::State& state) {
 BENCHMARK(BM_ParseTorque)->Unit(benchmark::kMillisecond);
 
 void BM_ParseAlps(benchmark::State& state) {
-  const auto& lines = Shared().logs.alps;
+  const auto& lines = Shared().views.alps;
   for (auto _ : state) {
     ld::AlpsParser parser;
     benchmark::DoNotOptimize(parser.ParseLines(lines));
@@ -79,7 +81,7 @@ void BM_ParseAlps(benchmark::State& state) {
 BENCHMARK(BM_ParseAlps)->Unit(benchmark::kMillisecond);
 
 void BM_ParseSyslog(benchmark::State& state) {
-  const auto& lines = Shared().logs.syslog;
+  const auto& lines = Shared().views.syslog;
   for (auto _ : state) {
     ld::SyslogParser parser(2013);
     benchmark::DoNotOptimize(parser.ParseLines(lines));
@@ -93,9 +95,9 @@ void BM_Coalesce(benchmark::State& state) {
   const auto& shared = Shared();
   ld::SyslogParser syslog_parser(2013);
   std::vector<ld::ErrorRecord> records =
-      syslog_parser.ParseLines(shared.logs.syslog);
+      syslog_parser.ParseLines(shared.views.syslog);
   ld::HwerrParser hwerr_parser;
-  auto hwerr = hwerr_parser.ParseLines(shared.logs.hwerr);
+  auto hwerr = hwerr_parser.ParseLines(shared.views.hwerr);
   records.insert(records.end(), hwerr.begin(), hwerr.end());
   for (auto _ : state) {
     auto copy = records;
@@ -110,9 +112,9 @@ BENCHMARK(BM_Coalesce)->Unit(benchmark::kMillisecond);
 void BM_Reconstruct(benchmark::State& state) {
   const auto& shared = Shared();
   ld::AlpsParser alps_parser;
-  const auto alps = alps_parser.ParseLines(shared.logs.alps);
+  const auto alps = alps_parser.ParseLines(shared.views.alps);
   ld::TorqueParser torque_parser;
-  const auto torque = torque_parser.ParseLines(shared.logs.torque);
+  const auto torque = torque_parser.ParseLines(shared.views.torque);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ld::ReconstructRuns(shared.machine, alps, torque, nullptr));
@@ -208,12 +210,9 @@ BENCHMARK(BM_AnalyzeThreads)
     ->UseRealTime();
 
 // Parse stage only (syslog, the most expensive parser), isolating the
-// chunk fan-out from the serial coalesce/reconstruct/metrics tail.
+// parse-ahead fan-out from the serial coalesce/reconstruct/metrics tail.
 void BM_ParseSyslogThreads(benchmark::State& state) {
-  const auto& lines = Shared().logs.syslog;
-  std::vector<std::string_view> views;
-  views.reserve(lines.size());
-  for (const std::string& line : lines) views.emplace_back(line);
+  const auto& views = Shared().views.syslog;
   const int threads = static_cast<int>(state.range(0));
   ld::ThreadPool pool(threads);
   ld::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
@@ -223,7 +222,7 @@ void BM_ParseSyslogThreads(benchmark::State& state) {
         std::span<const std::string_view>(views), nullptr, pool_ptr));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(lines.size()));
+                          static_cast<std::int64_t>(views.size()));
 }
 BENCHMARK(BM_ParseSyslogThreads)
     ->Arg(1)
@@ -237,10 +236,7 @@ BENCHMARK(BM_ParseSyslogThreads)
 // row above.  These are the rows the one-pass field splitter
 // (strings.hpp KeyValueView) moves.
 void BM_ParseTorqueThreads(benchmark::State& state) {
-  const auto& lines = Shared().logs.torque;
-  std::vector<std::string_view> views;
-  views.reserve(lines.size());
-  for (const std::string& line : lines) views.emplace_back(line);
+  const auto& views = Shared().views.torque;
   const int threads = static_cast<int>(state.range(0));
   ld::ThreadPool pool(threads);
   ld::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
@@ -250,7 +246,7 @@ void BM_ParseTorqueThreads(benchmark::State& state) {
         std::span<const std::string_view>(views), nullptr, pool_ptr));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(lines.size()));
+                          static_cast<std::int64_t>(views.size()));
 }
 BENCHMARK(BM_ParseTorqueThreads)
     ->Arg(1)
@@ -260,10 +256,7 @@ BENCHMARK(BM_ParseTorqueThreads)
     ->UseRealTime();
 
 void BM_ParseAlpsThreads(benchmark::State& state) {
-  const auto& lines = Shared().logs.alps;
-  std::vector<std::string_view> views;
-  views.reserve(lines.size());
-  for (const std::string& line : lines) views.emplace_back(line);
+  const auto& views = Shared().views.alps;
   const int threads = static_cast<int>(state.range(0));
   ld::ThreadPool pool(threads);
   ld::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
@@ -273,7 +266,7 @@ void BM_ParseAlpsThreads(benchmark::State& state) {
         std::span<const std::string_view>(views), nullptr, pool_ptr));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(lines.size()));
+                          static_cast<std::int64_t>(views.size()));
 }
 BENCHMARK(BM_ParseAlpsThreads)
     ->Arg(1)

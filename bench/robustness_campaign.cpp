@@ -38,14 +38,13 @@
 namespace ld {
 namespace {
 
-/// Cross-checks that the chunk-parallel parse path produces bit-identical
+/// Cross-checks that the 4-thread parse-ahead path produces bit-identical
 /// results to the serial one on this (possibly dirty) bundle: same
 /// metrics fingerprint, same ingest fingerprint, same quarantine.
 bool ParallelMatchesSerial(const Machine& machine, const LogSet& logs,
                            const AnalysisResult& serial, const char* label) {
   LogDiverConfig config;
   config.threads = 4;
-  config.parse_chunk_lines = 512;  // small chunks: many boundaries
   const LogDiver parallel_diver(machine, config);
   auto parallel = parallel_diver.Analyze(logs);
   if (!parallel.ok()) {
@@ -239,7 +238,7 @@ int Run() {
       cell.batch_ingest = analysis->ingest;
       cell.batch_runs = analysis->metrics.total_runs;
 
-      // At the harshest rate, cross-check the chunk-parallel parse path
+      // At the harshest rate, cross-check the 4-thread parse path
       // against the serial result on this dirty bundle.
       if (rate == rates.back() &&
           !ParallelMatchesSerial(

@@ -29,10 +29,11 @@
 //
 // --threads N sets the parse thread count (0 = auto: LOGDIVER_THREADS
 // env, else hardware concurrency).  Results are bit-identical at any
-// thread count.  The batch path parses chunks on the pool; the
-// --snapshot-dir child parses every source's lines a block ahead of its
-// one-threaded merge, and --threads 1 parses each line inline.  The
-// fleet's workers parse inline whatever the flag says.
+// thread count.  Both the batch path and the --snapshot-dir child parse
+// lines ahead on the pool in 1,024-line blocks and apply them in order
+// on one thread (batch one source at a time, the child merging all
+// four); --threads 1 parses each line inline.  The fleet's workers parse
+// inline whatever the flag says.
 //
 //   With --fleet-workers N, analyze fans the bundle across N supervised
 //   worker processes (ownership-sharded by apid) and merges their

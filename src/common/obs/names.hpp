@@ -17,8 +17,6 @@ inline constexpr const char* kIngestLinesTotal = "ld.ingest.lines_total";
 inline constexpr const char* kIngestRecordsTotal = "ld.ingest.records_total";
 inline constexpr const char* kIngestMalformedTotal =
     "ld.ingest.malformed_total";
-inline constexpr const char* kIngestChunksTotal = "ld.ingest.chunks_total";
-inline constexpr const char* kIngestChunkMicros = "ld.ingest.chunk_micros";
 inline constexpr const char* kIngestBytesMappedTotal =
     "ld.ingest.bytes_mapped_total";
 inline constexpr const char* kIngestMmapFallbackTotal =

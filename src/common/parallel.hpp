@@ -1,10 +1,11 @@
 // Deterministic parallel-execution primitives for the ingestion engine.
 //
 // The design constraint is bit-identical output: callers split work into
-// chunks whose processing is a pure function of the chunk, run the chunks
-// on a fixed-size ThreadPool, and reduce the results in original chunk
-// order.  Thread count and scheduling can then never change what is
-// computed — only how fast (see DESIGN.md "Parallel ingestion").
+// pieces whose processing is a pure function of the piece, run them on a
+// fixed-size ThreadPool, and consume the results in original order
+// (ParallelMap's index-ordered slots, OrderedAhead's in-order Take).
+// Thread count and scheduling can then never change what is computed —
+// only how fast (see DESIGN.md "Parallel ingestion").
 //
 // Nested use is not supported: a task running on the pool must not wait
 // on another TaskGroup of the same pool (a single-thread pool would
@@ -12,6 +13,7 @@
 // that owns the pool.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -21,6 +23,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -142,5 +145,81 @@ struct IndexRange {
 
 /// Splits [0, n) into consecutive ranges of at most `chunk` items.
 std::vector<IndexRange> ChunkRanges(std::size_t n, std::size_t chunk);
+
+/// Items per OrderedAhead block: a pool task long enough to outweigh its
+/// hand-off, while a block of parsed lines stays small (a few hundred
+/// KiB) and its buffer is reused for the whole pass.
+inline constexpr std::size_t kParseAheadLines = 1024;
+
+/// Items [first, end) of a pure `produce(i)`, made ahead of the one
+/// thread that takes them, in order.  On a pool of more than one thread
+/// the items are made in blocks of kParseAheadLines, one pool task per
+/// block, up to `depth` blocks ahead of Take; a consumed block's buffer
+/// takes the block `depth` further on.  With a null or one-thread pool
+/// there is no buffer and no task: Take makes its item inline.  Either
+/// way item i is produce(i), so the pool changes no result.  An
+/// exception thrown by `produce` surfaces at a Take: inline at the item
+/// itself, ahead at the first item of its block.
+template <typename Produce>
+class OrderedAhead {
+ public:
+  using Item = std::invoke_result_t<const Produce&, std::size_t>;
+
+  OrderedAhead(ThreadPool* pool, std::size_t depth, std::size_t first,
+               std::size_t end, Produce produce)
+      : first_(first), end_(end), produce_(std::move(produce)) {
+    if (pool == nullptr || pool->size() <= 1) return;
+    for (std::size_t k = 0; k < depth; ++k) blocks_.emplace_back(pool);
+    for (std::size_t k = 0; k < depth; ++k) Submit(k);
+  }
+  OrderedAhead(const OrderedAhead&) = delete;
+  OrderedAhead& operator=(const OrderedAhead&) = delete;
+
+  /// Item `i`.  Items are taken in order from `first`, each once.
+  Item Take(std::size_t i) {
+    if (blocks_.empty()) return produce_(i);
+    const std::size_t offset = i - first_;
+    const std::size_t slot = offset % kParseAheadLines;
+    if (slot == 0) {
+      // Block k-1 is consumed: its buffer takes block k-1+depth.
+      const std::size_t k = offset / kParseAheadLines;
+      if (k > 0) Submit(k - 1 + blocks_.size());
+      taking_ = &blocks_[k % blocks_.size()];
+      taking_->producing.Wait();
+    }
+    return std::move(taking_->items[slot]);
+  }
+
+ private:
+  struct Block {
+    explicit Block(ThreadPool* pool) : producing(pool) {}
+    std::vector<Item> items;
+    /// Declared after `items`, so it drains an in-flight task before the
+    /// buffer dies (a consumer that stops early, or throws).
+    TaskGroup producing;
+  };
+
+  /// Starts making block `k` into its buffer; past the end, nothing.
+  void Submit(std::size_t k) {
+    const std::size_t begin = first_ + k * kParseAheadLines;
+    if (begin >= end_) return;
+    const std::size_t end = std::min(end_, begin + kParseAheadLines);
+    Block& block = blocks_[k % blocks_.size()];
+    block.producing.Run([this, &block, begin, end] {
+      block.items.clear();
+      for (std::size_t i = begin; i < end; ++i) {
+        block.items.push_back(produce_(i));
+      }
+    });
+  }
+
+  std::size_t first_;
+  std::size_t end_;
+  Produce produce_;
+  /// Declared after `produce_`: the blocks drain their tasks first.
+  std::deque<Block> blocks_;
+  /// The block Take reads from.
+  Block* taking_ = nullptr;
+};
 
 }  // namespace ld

@@ -129,16 +129,6 @@ std::uint8_t KvClass(char c) {
   return kKvClass[static_cast<unsigned char>(c)];
 }
 
-// Length, first and last byte of a key packed in one word.
-std::uint32_t KeyTag(std::string_view key) {
-  if (key.empty()) return 0;
-  return static_cast<std::uint32_t>(key.size() & 0xFFFF) |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(key.front()))
-             << 16 |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(key.back()))
-             << 24;
-}
-
 }  // namespace
 
 KeyValueView::KeyValueView(std::string_view record) : record_(record) {
@@ -164,20 +154,14 @@ KeyValueView::KeyValueView(std::string_view record) : record_(record) {
     e.key_size = static_cast<std::size_t>(eq - key);
     e.value = eq + 1;
     e.value_size = static_cast<std::size_t>(p - eq - 1);
-    e.tag = KeyTag({key, e.key_size});
-    std::size_t slot = Slot(e.tag);
-    while (slots_[slot] != 0) slot = (slot + 1) % kSlots;
-    slots_[slot] = static_cast<std::uint8_t>(count_);
   }
 }
 
 std::optional<std::string_view> KeyValueView::Get(std::string_view key) const {
   if (overflow_) return FindKeyValueOpt(record_, key);
-  const std::uint32_t tag = KeyTag(key);
-  for (std::size_t slot = Slot(tag); slots_[slot] != 0;
-       slot = (slot + 1) % kSlots) {
-    const Entry& e = entries_[slots_[slot] - 1];
-    if (e.tag == tag && std::string_view(e.key, e.key_size) == key) {
+  for (std::size_t i = 0; i < count_; ++i) {
+    const Entry& e = entries_[i];
+    if (std::string_view(e.key, e.key_size) == key) {
       return std::string_view(e.value, e.value_size);
     }
   }

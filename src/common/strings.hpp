@@ -65,9 +65,8 @@ std::optional<std::string_view> FindKeyValueOpt(std::string_view record,
 /// Tokenize-once view over a "key=value key2=value2" record for parsers
 /// that look up many keys in the same record: one table-driven pass
 /// (a 256-entry byte-class table for whitespace and '=') splits the
-/// record into at most kMaxEntries key=value entries up front and
-/// indexes them by a tag of each key's length, first and last byte, so
-/// each Get is one or two probes instead of a walk over the record.
+/// record into at most kMaxEntries key=value entries up front, so each
+/// Get is a walk over those few entries instead of over the record.
 /// Records with more entries than the fixed table fall back to
 /// FindKeyValueOpt per lookup.  Behavior is identical to repeated
 /// FindKeyValueOpt calls for every record: first matching occurrence
@@ -92,28 +91,17 @@ class KeyValueView {
 
  private:
   // Raw fields, so the table costs nothing to set up per record; only
-  // the first count_ entries are ever read.
+  // the first count_ entries are ever read, in record order, so Get
+  // finds the first occurrence of a repeated key.
   struct Entry {
     const char* key;
     const char* value;
     std::size_t key_size;
     std::size_t value_size;
-    std::uint32_t tag;  // length, first and last byte of the key
   };
-
-  // Open-addressed index over the entries by tag: entry index + 1, 0 =
-  // empty.  Twice kMaxEntries slots, so a probe always reaches an empty
-  // one; the earlier of two equal keys sits earlier on the probe path,
-  // so lookups find the first occurrence.
-  static constexpr std::size_t kSlots = 2 * kMaxEntries;
-  static_assert(kSlots == 64, "Slot() keeps the top 6 bits of the hash");
-  static std::size_t Slot(std::uint32_t tag) {
-    return (tag * 0x9E3779B1u) >> 26;
-  }
 
   std::string_view record_;
   Entry entries_[kMaxEntries];
-  std::uint8_t slots_[kSlots] = {};
   std::size_t count_ = 0;
   bool overflow_ = false;
 };

@@ -1,7 +1,7 @@
 #include "logdiver/alps_parser.hpp"
 
 #include "common/strings.hpp"
-#include "logdiver/quarantine.hpp"
+#include "logdiver/ordered_parse.hpp"
 
 namespace ld {
 AlpsParser::Parsed AlpsParser::Parse(std::string_view line) {
@@ -84,42 +84,12 @@ AlpsParser::Parsed AlpsParser::Parse(std::string_view line) {
   return std::optional<AlpsRecord>{};
 }
 
-AlpsParser::Parsed AlpsParser::ParseLine(std::string_view line) {
-  Parsed rec = Parse(line);
-  stats_.Count(rec);
-  return rec;
-}
-
-AlpsParser::Chunk AlpsParser::ParseChunk(
-    std::span<const std::string_view> lines, std::uint64_t first_line_no,
-    const QuarantineConfig* capture) {
-  return ParseChunkWith<AlpsRecord>(
-      lines, first_line_no, capture, LogSource::kAlps,
-      [](std::string_view line) { return Parse(line); });
-}
-
-std::vector<AlpsRecord> AlpsParser::ReduceChunks(std::vector<Chunk>&& chunks,
-                                                 QuarantineSink* sink) {
-  return ReduceParsedChunks(std::move(chunks), &stats_, sink);
-}
-
 std::vector<AlpsRecord> AlpsParser::ParseLines(
     std::span<const std::string_view> lines, QuarantineSink* sink,
-    ThreadPool* pool, std::size_t chunk_lines) {
-  auto chunks = MapLineChunks(
-      lines, chunk_lines, pool,
-      sink != nullptr ? &sink->config() : nullptr,
-      [](std::span<const std::string_view> slice, std::uint64_t first,
-         const QuarantineConfig* capture) {
-        return ParseChunk(slice, first, capture);
-      });
-  return ReduceChunks(std::move(chunks), sink);
-}
-
-std::vector<AlpsRecord> AlpsParser::ParseLines(
-    const std::vector<std::string>& lines, QuarantineSink* sink) {
-  const std::vector<std::string_view> views = LineViews(lines);
-  return ParseLines(std::span<const std::string_view>(views), sink);
+    ThreadPool* pool) {
+  std::vector<AlpsRecord> out;
+  ParseInOrder(*this, LogSource::kAlps, lines, sink, pool, out);
+  return out;
 }
 
 }  // namespace ld

@@ -58,7 +58,7 @@ class ClaimedTracker {
                     LineParse&& parsed);
 
   /// Claim(Parse(..)): the one parse-claim step of the service's apply
-  /// path and of the replay loop without a pool.
+  /// path.
   ClaimedLine ParseAndClaim(LogSource source, std::string_view line) {
     return Claim(source, line, Parse(source, line));
   }

@@ -1,7 +1,7 @@
 #include "logdiver/hwerr_parser.hpp"
 
 #include "common/strings.hpp"
-#include "logdiver/quarantine.hpp"
+#include "logdiver/ordered_parse.hpp"
 
 namespace ld {
 HwerrParser::Parsed HwerrParser::Parse(std::string_view line) {
@@ -46,42 +46,12 @@ HwerrParser::Parsed HwerrParser::Parse(std::string_view line) {
   return std::optional<ErrorRecord>{rec};
 }
 
-HwerrParser::Parsed HwerrParser::ParseLine(std::string_view line) {
-  Parsed rec = Parse(line);
-  stats_.Count(rec);
-  return rec;
-}
-
-HwerrParser::Chunk HwerrParser::ParseChunk(
-    std::span<const std::string_view> lines, std::uint64_t first_line_no,
-    const QuarantineConfig* capture) {
-  return ParseChunkWith<ErrorRecord>(
-      lines, first_line_no, capture, LogSource::kHwerr,
-      [](std::string_view line) { return Parse(line); });
-}
-
-std::vector<ErrorRecord> HwerrParser::ReduceChunks(std::vector<Chunk>&& chunks,
-                                                   QuarantineSink* sink) {
-  return ReduceParsedChunks(std::move(chunks), &stats_, sink);
-}
-
 std::vector<ErrorRecord> HwerrParser::ParseLines(
     std::span<const std::string_view> lines, QuarantineSink* sink,
-    ThreadPool* pool, std::size_t chunk_lines) {
-  auto chunks = MapLineChunks(
-      lines, chunk_lines, pool,
-      sink != nullptr ? &sink->config() : nullptr,
-      [](std::span<const std::string_view> slice, std::uint64_t first,
-         const QuarantineConfig* capture) {
-        return ParseChunk(slice, first, capture);
-      });
-  return ReduceChunks(std::move(chunks), sink);
-}
-
-std::vector<ErrorRecord> HwerrParser::ParseLines(
-    const std::vector<std::string>& lines, QuarantineSink* sink) {
-  const std::vector<std::string_view> views = LineViews(lines);
-  return ParseLines(std::span<const std::string_view>(views), sink);
+    ThreadPool* pool) {
+  std::vector<ErrorRecord> out;
+  ParseInOrder(*this, LogSource::kHwerr, lines, sink, pool, out);
+  return out;
 }
 
 }  // namespace ld

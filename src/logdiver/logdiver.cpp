@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <iterator>
-#include <span>
 #include <utility>
 
 #include "common/obs/obs.hpp"
@@ -12,6 +10,7 @@
 #include "common/strings.hpp"
 #include "logdiver/block_reader.hpp"
 #include "logdiver/cache/bundle_cache.hpp"
+#include "logdiver/ordered_parse.hpp"
 
 namespace ld {
 
@@ -95,10 +94,10 @@ Result<MappedBundle> LoadBundle(const StreamInputs& inputs, ThreadPool* pool) {
 }
 
 LogSetView::LogSetView(const LogSet& logs)
-    : torque(LineViews(logs.torque)),
-      alps(LineViews(logs.alps)),
-      syslog(LineViews(logs.syslog)),
-      hwerr(LineViews(logs.hwerr)) {}
+    : torque(logs.torque.begin(), logs.torque.end()),
+      alps(logs.alps.begin(), logs.alps.end()),
+      syslog(logs.syslog.begin(), logs.syslog.end()),
+      hwerr(logs.hwerr.begin(), logs.hwerr.end()) {}
 
 LogDiver::LogDiver(const Machine& machine, LogDiverConfig config)
     : machine_(machine), config_(std::move(config)) {}
@@ -115,7 +114,7 @@ Result<AnalysisResult> LogDiver::Analyze(const LogSetView& logs) const {
 namespace {
 
 /// Folds one source's ParseStats into the ingest counters.  Called once
-/// per source per analysis, after the ordered reduction — never per
+/// per source per analysis, after its last line is applied — never per
 /// line, per the obs.hpp granularity rule.
 void CountSourceStats([[maybe_unused]] const ParseStats& stats) {
   LD_OBS_COUNTER_ADD(obs::names::kIngestLinesTotal, stats.lines);
@@ -140,106 +139,53 @@ Result<AnalysisResult> LogDiver::AnalyzeWith(const LogSetView& logs,
 
 Result<ParsedLogs> LogDiver::ParseLogs(const LogSetView& logs,
                                        ThreadPool* pool) const {
+  LD_OBS_SPAN("parse");
   ParsedLogs parsed;
   parsed.sink = QuarantineSink(config_.ingest.quarantine);
-  QuarantineSink& sink = parsed.sink;
-  const QuarantineConfig* capture = &config_.ingest.quarantine;
+  QuarantineSink* sink = &parsed.sink;
 
-  // Parse each source, all four concurrently on one pool: every chunk
-  // of every source is one task in a single group, so a small source
-  // cannot leave the pool idle while a big one still has chunks queued.
-  // Chunks land in pre-sized slots (no locks); the ordered per-source
-  // reductions below run on this thread, in fixed source order, which
-  // keeps records, stats, and quarantine entries bit-identical to a
-  // sequential pass.
-  const std::size_t chunk_lines = config_.parse_chunk_lines == 0
-                                      ? kDefaultParseChunkLines
-                                      : config_.parse_chunk_lines;
-  const auto torque_ranges = ChunkRanges(logs.torque.size(), chunk_lines);
-  const auto alps_ranges = ChunkRanges(logs.alps.size(), chunk_lines);
-  const auto syslog_ranges = ChunkRanges(logs.syslog.size(), chunk_lines);
-  const auto hwerr_ranges = ChunkRanges(logs.hwerr.size(), chunk_lines);
-  std::vector<TorqueParser::Chunk> torque_chunks(torque_ranges.size());
-  std::vector<AlpsParser::Chunk> alps_chunks(alps_ranges.size());
-  std::vector<SyslogParser::Chunk> syslog_chunks(syslog_ranges.size());
-  std::vector<HwerrParser::Chunk> hwerr_chunks(hwerr_ranges.size());
-  {
-    LD_OBS_SPAN("parse");
-    TaskGroup group(pool);
-    // span_name is a string literal ("chunk/torque", ...) so the per-task
-    // trace span costs no allocation when the tracer is disarmed.
-    const auto submit = [&group, capture](const auto& ranges, const auto& lines,
-                                          auto& chunks, auto parse_chunk,
-                                          [[maybe_unused]] const char* span_name) {
-      const std::string_view* base = lines.data();
-      for (std::size_t i = 0; i < ranges.size(); ++i) {
-        const IndexRange r = ranges[i];
-        auto* slot = &chunks[i];
-        group.Run([base, r, capture, slot, parse_chunk, span_name] {
-          LD_OBS_SPAN(span_name);
-          const std::uint64_t chunk_start_ns = LD_OBS_NOW_NS();
-          *slot = parse_chunk(
-              std::span<const std::string_view>(base + r.begin, r.size()),
-              static_cast<std::uint64_t>(r.begin) + 1, capture);
-          LD_OBS_COUNTER_ADD(obs::names::kIngestChunksTotal, 1);
-          if (chunk_start_ns != 0) {
-            LD_OBS_HIST_RECORD(obs::names::kIngestChunkMicros,
-                               (LD_OBS_NOW_NS() - chunk_start_ns) / 1000);
-          }
-        });
-      }
-    };
-    submit(torque_ranges, logs.torque, torque_chunks, &TorqueParser::ParseChunk,
-           "chunk/torque");
-    submit(alps_ranges, logs.alps, alps_chunks, &AlpsParser::ParseChunk,
-           "chunk/alps");
-    submit(syslog_ranges, logs.syslog, syslog_chunks,
-           &SyslogParser::ParseChunk, "chunk/syslog");
-    submit(hwerr_ranges, logs.hwerr, hwerr_chunks, &HwerrParser::ParseChunk,
-           "chunk/hwerr");
-    group.Wait();
-  }
-
+  // One source at a time, in fixed source order, each parsed ahead on
+  // the pool and applied in line order on this thread: records, stats
+  // and quarantine entries are bit-identical to a sequential pass.
   TorqueParser torque_parser;
   {
-    LD_OBS_SPAN("reduce/torque");
-    parsed.torque = torque_parser.ReduceChunks(std::move(torque_chunks), &sink);
+    LD_OBS_SPAN("parse/torque");
+    ParseInOrder(torque_parser, LogSource::kTorque, logs.torque, sink, pool,
+                 parsed.torque);
   }
   parsed.torque_stats = torque_parser.stats();
   CountSourceStats(parsed.torque_stats);
 
   AlpsParser alps_parser;
   {
-    LD_OBS_SPAN("reduce/alps");
-    parsed.alps = alps_parser.ReduceChunks(std::move(alps_chunks), &sink);
+    LD_OBS_SPAN("parse/alps");
+    ParseInOrder(alps_parser, LogSource::kAlps, logs.alps, sink, pool,
+                 parsed.alps);
   }
   parsed.alps_stats = alps_parser.stats();
   CountSourceStats(parsed.alps_stats);
 
   // Syslog errors first, hwerr appended — the order the coalescer's
-  // (time, input index) tie-break keys on.  The syslog vector is sized
-  // for both, so the append never reallocates.
-  std::size_t hwerr_records = 0;
-  for (const HwerrParser::Chunk& chunk : hwerr_chunks) {
-    hwerr_records += chunk.records.size();
-  }
+  // (time, input index) tie-break keys on.  The vector is sized for
+  // both, so the append never reallocates.
+  parsed.errors.reserve(logs.syslog.size() + logs.hwerr.size());
   SyslogParser syslog_parser(config_.syslog_base_year);
   {
-    LD_OBS_SPAN("reduce/syslog");
-    parsed.errors = syslog_parser.ReduceChunks(std::move(syslog_chunks), &sink,
-                                               hwerr_records);
+    LD_OBS_SPAN("parse/syslog");
+    ParseInOrder(syslog_parser, LogSource::kSyslog, logs.syslog, sink, pool,
+                 parsed.errors);
+    if (auto rec = syslog_parser.FinishOpenIncident()) {
+      parsed.errors.push_back(std::move(*rec));
+    }
   }
   parsed.syslog_stats = syslog_parser.stats();
   CountSourceStats(parsed.syslog_stats);
 
   HwerrParser hwerr_parser;
   {
-    LD_OBS_SPAN("reduce/hwerr");
-    std::vector<ErrorRecord> hwerr =
-        hwerr_parser.ReduceChunks(std::move(hwerr_chunks), &sink);
-    parsed.errors.insert(parsed.errors.end(),
-                         std::make_move_iterator(hwerr.begin()),
-                         std::make_move_iterator(hwerr.end()));
+    LD_OBS_SPAN("parse/hwerr");
+    ParseInOrder(hwerr_parser, LogSource::kHwerr, logs.hwerr, sink, pool,
+                 parsed.errors);
   }
   parsed.hwerr_stats = hwerr_parser.stats();
   CountSourceStats(parsed.hwerr_stats);
@@ -314,8 +260,7 @@ Result<AnalysisResult> LogDiver::AnalyzeParsed(ParsedLogs&& parsed,
   result.quarantine = parsed.sink.entries();
   result.metrics.ingest = result.ingest;
 
-  // Bulk self-measurements, once per analysis (overflow is counted here,
-  // not in QuarantineSink::MergeFrom, so merged sinks never double-count).
+  // Bulk self-measurements, once per analysis.
   LD_OBS_COUNTER_ADD(obs::names::kQuarantineOverflowTotal,
                      parsed.sink.overflow());
   LD_OBS_COUNTER_ADD(obs::names::kAnalyzeRunsTotal, result.runs.size());

@@ -8,14 +8,15 @@
 //   auto analysis = diver.AnalyzeBundle("/data/bw-logs");
 //   if (analysis.ok()) Print(analysis->metrics);
 //
-// The batch path is deterministically parallel: each source's lines are
-// parsed in chunks across a fixed-size thread pool and reduced in
-// original order, so the AnalysisResult is bit-identical at any thread
-// count (see DESIGN.md "Parallel ingestion").  `LogDiverConfig::threads`
-// (0 = auto: LOGDIVER_THREADS env, else hardware concurrency) sizes the
-// pool.  The streaming/resume path keeps its state on one thread — its
-// snapshot cut points are defined per consumed line — and uses the pool
-// only to parse lines ahead of that thread (resume.hpp).
+// Both drivers parse the same way: each line's pure parse runs ahead on
+// a fixed-size thread pool, in blocks, and one thread applies the
+// parses in line order, so the AnalysisResult is bit-identical at any
+// thread count (see DESIGN.md "Parallel ingestion").
+// `LogDiverConfig::threads` (0 = auto: LOGDIVER_THREADS env, else
+// hardware concurrency) sizes the pool.  Batch applies one source at a
+// time; the streaming/resume path merges the four sources line by line
+// on its one thread — its snapshot cut points are defined per consumed
+// line (resume.hpp).
 #pragma once
 
 #include <string>
@@ -66,9 +67,6 @@ struct LogDiverConfig {
   /// (LOGDIVER_THREADS env, else hardware concurrency), 1 = sequential,
   /// N = pool of N.  The result is bit-identical for every value.
   int threads = 0;
-  /// Lines per parse task; tests shrink it to force chunk boundaries on
-  /// tiny streams.  0 means the default.
-  std::size_t parse_chunk_lines = kDefaultParseChunkLines;
   CoalesceConfig coalesce;
   CorrelatorConfig correlator;
   MetricsConfig metrics;
@@ -235,8 +233,9 @@ class LogDiver {
   /// Loads the bundle in `dir` (LoadBundle) and runs the pipeline.
   Result<AnalysisResult> AnalyzeBundle(const std::string& dir) const;
 
-  /// The parse phase alone: chunk-parallel parse + ordered reduction of
-  /// all four sources into ParsedLogs.  Budget checks happen in
+  /// The parse phase alone: all four sources, one at a time, parsed
+  /// ahead on `pool` and applied in line order (ordered_parse.hpp) into
+  /// ParsedLogs.  Budget checks happen in
   /// AnalyzeParsed so a cached ParsedLogs takes the identical path.
   Result<ParsedLogs> ParseLogs(const LogSetView& logs, ThreadPool* pool) const;
 

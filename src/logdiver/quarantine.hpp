@@ -56,15 +56,6 @@ class QuarantineSink {
   void Add(LogSource source, std::uint64_t line_number, std::string_view line,
            const Status& why);
 
-  /// Folds a chunk-local sink into this one, preserving the order the
-  /// entries were added with and re-applying this sink's max_entries
-  /// bound.  The parallel parse path gives every chunk a private sink
-  /// (no locks on the hot path) and merges them in original chunk order,
-  /// so the merged sink is bit-identical to a sequential pass.
-  void MergeFrom(QuarantineSink&& other);
-
-  const QuarantineConfig& config() const { return config_; }
-
   const std::vector<QuarantineEntry>& entries() const { return entries_; }
   /// Every rejection seen, including entries dropped on overflow.
   std::uint64_t total() const { return total_; }
@@ -137,21 +128,6 @@ struct IngestStats {
            duplicate_job_records == 0 && watermark_regressions == 0 &&
            evicted_pending_runs == 0 && evicted_tuples == 0 &&
            budget_exhausted_sources == 0 && lines_dropped_after_budget == 0;
-  }
-
-  /// Counter-wise sum; associative and commutative, so partial stats
-  /// from disjoint inputs merge in any order.
-  void MergeFrom(const IngestStats& other) {
-    quarantined += other.quarantined;
-    quarantine_overflow += other.quarantine_overflow;
-    duplicate_placements += other.duplicate_placements;
-    duplicate_terminations += other.duplicate_terminations;
-    duplicate_job_records += other.duplicate_job_records;
-    watermark_regressions += other.watermark_regressions;
-    evicted_pending_runs += other.evicted_pending_runs;
-    evicted_tuples += other.evicted_tuples;
-    budget_exhausted_sources += other.budget_exhausted_sources;
-    lines_dropped_after_budget += other.lines_dropped_after_budget;
   }
 };
 

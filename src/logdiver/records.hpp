@@ -102,17 +102,9 @@ struct ParseStats {
   std::uint64_t skipped = 0;    // recognized but irrelevant
   std::uint64_t malformed = 0;  // unparseable
 
-  void MergeFrom(const ParseStats& other) {
-    lines += other.lines;
-    records += other.records;
-    skipped += other.skipped;
-    malformed += other.malformed;
-  }
-
   /// Counts one line by its parse outcome: an error is malformed, an
   /// empty optional skipped, a value a record.  The one counting rule
-  /// behind every ParseLine, the chunked batch parse and the streaming
-  /// analyzer.
+  /// behind every parser's Apply and the streaming analyzer.
   template <typename Record>
   void Count(const Result<std::optional<Record>>& outcome) {
     ++lines;
@@ -136,11 +128,5 @@ inline constexpr std::uint64_t kMaxNidListNodes = std::uint64_t{1} << 20;
 /// first reservation, never past kMaxNidListNodes.
 Result<std::vector<NodeIndex>> ParseNidRanges(std::string_view text,
                                               std::uint64_t expected_nodes = 0);
-
-/// Lines per work unit in the chunk-parallel ParseLines paths: big
-/// enough to amortize task dispatch, small enough that a 4-thread pool
-/// load-balances a mid-size source.  Tests shrink it to force chunk
-/// boundaries on tiny streams.
-inline constexpr std::size_t kDefaultParseChunkLines = 8192;
 
 }  // namespace ld

@@ -33,74 +33,30 @@ void ResumePayload(Io& io, std::uint64_t (&heads)[kNumLogSources],
   io(heads, tracker, analyzer);
 }
 
-/// One source's heads, parsed ahead on the pool: the loop takes parses
-/// from one block while the pool parses the next, so the per-line parse
-/// leaves the consuming thread.  Parse is pure, so every parse, and
-/// every claim made from it, is the inline path's.
-class ParseAhead {
- public:
-  /// Parses `lines` from index `first` on, one block ahead of Take.
-  ParseAhead(ThreadPool* pool, LogSource source,
-             std::span<const std::string_view> lines, std::size_t first)
-      : source_(source), lines_(lines), first_(first),
-        blocks_{Block(pool), Block(pool)} {
-    Submit(0);
-    Submit(1);
+/// One source's pure parse of its line `i`: what the replay loop's
+/// OrderedAhead makes ahead of the merge.
+struct SourceParse {
+  LogSource source;
+  std::span<const std::string_view> lines;
+  LineParse operator()(std::size_t i) const {
+    return ClaimedTracker::Parse(source, lines[i]);
   }
-
-  /// The parse of line `index`.  Lines are taken in order from `first`,
-  /// each once.
-  LineParse Take(std::size_t index) {
-    const std::size_t offset = index - first_;
-    const std::size_t k = offset / kParseAheadLines;
-    Block& block = blocks_[k % 2];
-    if (offset % kParseAheadLines == 0) {
-      // Block k-1 is consumed: its buffer takes block k+1.
-      if (k > 0) Submit(k + 1);
-      block.parsing.Wait();
-    }
-    return std::move(block.parses[offset % kParseAheadLines]);
-  }
-
- private:
-  struct Block {
-    explicit Block(ThreadPool* pool)
-        : parses(kParseAheadLines), parsing(pool) {}
-    std::vector<LineParse> parses;
-    /// Declared after `parses`, so it drains an in-flight parse before
-    /// the buffer dies (an early return out of the replay loop).
-    TaskGroup parsing;
-  };
-
-  /// Starts parsing block `k` into its buffer; past the end, nothing.
-  void Submit(std::size_t k) {
-    const std::size_t begin = first_ + k * kParseAheadLines;
-    if (begin >= lines_.size()) return;
-    const std::size_t end = std::min(lines_.size(), begin + kParseAheadLines);
-    Block& block = blocks_[k % 2];
-    block.parsing.Run([this, &block, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) {
-        block.parses[i - begin] = ClaimedTracker::Parse(source_, lines_[i]);
-      }
-    });
-  }
-
-  LogSource source_;
-  std::span<const std::string_view> lines_;
-  std::size_t first_;
-  Block blocks_[2];
 };
+
+/// Blocks each source parses ahead of the merge.  The four sources
+/// interleave, so two apiece keep the pool busy.
+constexpr std::size_t kReplayAheadBlocks = 2;
 
 /// The deterministic merge-replay loop behind every replay entry point.
 /// Each source has one head, its next unconsumed line, parsed once and
 /// claimed from that parse (ClaimedTracker::Claim).  The head with the
 /// earliest claimed time wins (strict `<` ties toward the lowest source
 /// index) and its parse goes on to the analyzer; watermarks advance on
-/// the total-line schedule.  With a pool of more than one thread, every
-/// source's parses run ahead of the loop (ParseAhead); claims, the
-/// merge, the analyzer (the syslog parser's stateful Apply among it)
-/// and `on_line` stay on this thread, line by line, so the pool changes
-/// no result.
+/// the total-line schedule.  Every source's parses run ahead of the loop
+/// (OrderedAhead; inline without a pool of more than one thread);
+/// claims, the merge, the analyzer (the syslog parser's stateful Apply
+/// among it) and `on_line` stay on this thread, line by line, so the
+/// pool changes no result.
 /// `heads`/`total` and `consumed`, the carries of the lines before the
 /// heads, come in restored (a resumed pass) and go out at the final
 /// positions.  The heads are claimed on a copy of `consumed`, so it
@@ -116,13 +72,13 @@ void ReplayLoop(const LogSetView& lines, ThreadPool* pool,
                 const std::function<Status(std::uint64_t total)>& on_line,
                 Status& status) {
   std::span<const std::string_view> source_lines[kNumLogSources];
-  std::optional<ParseAhead> ahead[kNumLogSources];
+  std::optional<OrderedAhead<SourceParse>> ahead[kNumLogSources];
   for (std::size_t s = 0; s < kNumLogSources; ++s) {
     const auto source = static_cast<LogSource>(s);
     source_lines[s] = lines.lines(source);
-    if (pool != nullptr && pool->size() > 1) {
-      ahead[s].emplace(pool, source, source_lines[s], heads[s]);
-    }
+    ahead[s].emplace(pool, kReplayAheadBlocks, heads[s],
+                     source_lines[s].size(),
+                     SourceParse{source, source_lines[s]});
   }
 
   ClaimedTracker tracker = consumed;
@@ -132,10 +88,8 @@ void ReplayLoop(const LogSetView& lines, ThreadPool* pool,
     // The carry now holds the claim of the line just consumed.
     consumed.TakeCarry(source, tracker);
     if (heads[s] >= source_lines[s].size()) return;
-    const std::string_view line = source_lines[s][heads[s]];
-    head[s] = tracker.Claim(source, line,
-                            ahead[s] ? ahead[s]->Take(heads[s])
-                                     : ClaimedTracker::Parse(source, line));
+    head[s] = tracker.Claim(source, source_lines[s][heads[s]],
+                            ahead[s]->Take(heads[s]));
   };
   for (std::size_t s = 0; s < kNumLogSources; ++s) load_head(s);
 

@@ -6,7 +6,7 @@
 // rotation families stitched) merged by claimed head time (claims.hpp), each
 // line parsed once — writing a snapshot every N lines.  With
 // `LogDiverConfig::threads` above one, a pool splits the lines, fingerprints
-// the bundle and parses every source's lines a block ahead of the merge; the
+// the bundle and parses every source's lines two blocks ahead of the merge; the
 // claims, the merge, the analyzer and the snapshot points stay on one thread,
 // line by line, so the thread count changes no output byte.  On startup it
 // loads the newest snapshot that is valid and decodes (a torn, corrupt or
@@ -32,6 +32,7 @@
 #include <functional>
 #include <string>
 
+#include "common/parallel.hpp"
 #include "common/status.hpp"
 #include "logdiver/streaming.hpp"
 
@@ -50,12 +51,6 @@ struct ReplaySchedule {
   /// advance.
   Duration reorder_slack = Duration::Minutes(5);
 };
-
-/// Lines per parse-ahead block of the replay loop: a pool task long
-/// enough to outweigh its hand-off, while a source's two blocks of
-/// parses stay small (a few hundred KiB) and are reused for the whole
-/// pass.
-inline constexpr std::size_t kParseAheadLines = 1024;
 
 struct ResumeOptions {
   /// Snapshot directory; empty disables both snapshots and resume.

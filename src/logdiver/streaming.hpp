@@ -51,7 +51,7 @@ class StreamingAnalyzer {
   StreamingAnalyzer(const Machine& machine, LogDiverConfig config);
 
   /// Feeds one line.  Add takes the line with the parse its claim was
-  /// made from (ClaimedTracker::ParseAndClaim: the replay loop and the
+  /// made from (ClaimedTracker::Claim: the replay loop and the
   /// service's apply path, so no line is parsed twice); Add*Line parses
   /// the line itself.  Both count the line the same.
   void Add(ClaimedLine&& claimed);

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/strings.hpp"
-#include "logdiver/quarantine.hpp"
+#include "logdiver/ordered_parse.hpp"
 
 namespace ld {
 namespace {
@@ -144,8 +144,8 @@ std::string StripLaneSuffix(std::string cname) {
 /// (stream truncated); matches the study's conservative handling.
 constexpr std::int64_t kDefaultOpenIncidentSeconds = 1800;
 
-/// The December-rollover test shared by the sequential path, the chunk
-/// worker, the chunk-boundary stitch and ParseSyslogTime.
+/// The December-rollover test shared by Apply and StampTime (the claims'
+/// and ParseSyslogTime's year rule).
 bool RolloverBetween(int last_month, int month) {
   return last_month != 0 && month < last_month && last_month - month > 6;
 }
@@ -165,9 +165,8 @@ bool BackwardJump(int last_month, int month) {
 ///
 /// `month_seen` is set to the line's month as soon as the month token
 /// validates, even when the line later fails (bad day/clock, smw event
-/// without a component name) or is skipped: the sequential parser
-/// advances its rollover state on exactly those lines, so the chunked
-/// path must count them identically.
+/// without a component name) or is skipped: Apply advances the year
+/// rollover on exactly those lines.
 Result<std::optional<SyslogParser::PreRecord>> ParsePreImpl(
     std::string_view line, int* month_seen) {
   // Timestamp = first 3 whitespace-separated tokens; then hostname; then
@@ -203,7 +202,7 @@ Result<std::optional<SyslogParser::PreRecord>> ParsePreImpl(
     rec.category = ErrorCategory::kLustre;
     rec.scope = LocScope::kSystem;
     if (Contains(message, "recovered")) {
-      // Recovery line: closes the pending incident during reduction.
+      // Recovery line: closes the held incident in Apply.
       rec.severity = Severity::kCorrected;
       pre.is_recovery = true;
       return std::optional<SyslogParser::PreRecord>{std::move(pre)};
@@ -326,23 +325,22 @@ Result<std::optional<ErrorRecord>> SyslogParser::Apply(Parsed&& parsed) {
   }
   if (!pre.ok()) return pre.status();
   if (!pre->has_value()) return std::optional<ErrorRecord>{};
-  return Step(std::move(**pre), render_year);
-}
-
-std::optional<ErrorRecord> SyslogParser::Step(PreRecord&& item, int year) {
+  PreRecord& item = **pre;
   ErrorRecord rec = std::move(item.rec);
-  rec.time = StampTimeIn(item.stamp, year);
-  if (rec.scope != LocScope::kSystem) return rec;
+  rec.time = StampTimeIn(item.stamp, render_year);
+  if (rec.scope != LocScope::kSystem) {
+    return std::optional<ErrorRecord>{std::move(rec)};
+  }
   if (item.is_recovery) {
     // Recovery lines never become records themselves: they close the
     // held incident (a stray one closes nothing).
-    if (!held_incident_.has_value()) return std::nullopt;
+    if (!held_incident_.has_value()) return std::optional<ErrorRecord>{};
     held_incident_->recovered = rec.time;
     return std::exchange(held_incident_, std::nullopt);
   }
   // The first report opens the incident; overlapping ones fold into it.
   if (!held_incident_.has_value()) held_incident_ = std::move(rec);
-  return std::nullopt;
+  return std::optional<ErrorRecord>{};
 }
 
 std::optional<ErrorRecord> SyslogParser::FinishOpenIncident() {
@@ -352,100 +350,13 @@ std::optional<ErrorRecord> SyslogParser::FinishOpenIncident() {
   return std::exchange(held_incident_, std::nullopt);
 }
 
-SyslogParser::Chunk SyslogParser::ParseChunk(
-    std::span<const std::string_view> lines, std::uint64_t first_line_no,
-    const QuarantineConfig* capture) {
-  Chunk chunk;
-  if (capture != nullptr) chunk.sink = QuarantineSink(*capture);
-  chunk.items.reserve(lines.size());
-  int local_last_month = 0;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string_view line = lines[i];
-    int month_seen = 0;
-    auto pre = ParsePreImpl(line, &month_seen);
-    chunk.stats.Count(pre);
-    int item_delta = chunk.year_delta_total;
-    if (month_seen != 0) {
-      if (chunk.first_month == 0) chunk.first_month = month_seen;
-      if (RolloverBetween(local_last_month, month_seen)) {
-        ++chunk.year_delta_total;
-      }
-      if (BackwardJump(local_last_month, month_seen)) {
-        // Skewed stale-clock line: one year behind the chunk's running
-        // count; the carried month stays so the next in-year line does
-        // not re-trigger the rollover.
-        item_delta = chunk.year_delta_total - 1;
-      } else {
-        item_delta = chunk.year_delta_total;
-        local_last_month = month_seen;
-      }
-    }
-    if (!pre.ok()) {
-      if (capture != nullptr) {
-        chunk.sink.Add(LogSource::kSyslog, first_line_no + i, line,
-                       pre.status());
-      }
-      continue;
-    }
-    if (!pre->has_value()) continue;
-    PreRecord& item = **pre;
-    item.year_delta = item_delta;
-    chunk.items.push_back(std::move(item));
-  }
-  chunk.last_month = local_last_month;
-  return chunk;
-}
-
-std::vector<ErrorRecord> SyslogParser::ReduceChunks(
-    std::vector<Chunk>&& chunks, QuarantineSink* sink,
-    std::size_t append_capacity) {
-  std::size_t total = append_capacity;
-  for (const Chunk& chunk : chunks) total += chunk.items.size();
-  std::vector<ErrorRecord> out;
-  out.reserve(total);
-  for (Chunk& chunk : chunks) {
-    // Chunk-boundary stitch: a rollover between the carried last month
-    // and this chunk's first valid month shifts the whole chunk's base
-    // year — the chunk itself started counting from zero.  A *backward*
-    // jump at the boundary (carried Jan, chunk opens on a skewed Dec
-    // line) means the chunk started counting in the previous year.
-    int entry_year = current_year_;
-    if (chunk.first_month != 0) {
-      if (RolloverBetween(last_month_, chunk.first_month)) ++entry_year;
-      if (BackwardJump(last_month_, chunk.first_month)) --entry_year;
-    }
-    for (PreRecord& item : chunk.items) {
-      const int year = entry_year + item.year_delta;
-      if (auto rec = Step(std::move(item), year)) {
-        out.push_back(std::move(*rec));
-      }
-    }
-    current_year_ = entry_year + chunk.year_delta_total;
-    if (chunk.last_month != 0) last_month_ = chunk.last_month;
-    stats_.MergeFrom(chunk.stats);
-    if (sink != nullptr) sink->MergeFrom(std::move(chunk.sink));
-  }
-  if (auto rec = FinishOpenIncident()) out.push_back(std::move(*rec));
-  return out;
-}
-
 std::vector<ErrorRecord> SyslogParser::ParseLines(
     std::span<const std::string_view> lines, QuarantineSink* sink,
-    ThreadPool* pool, std::size_t chunk_lines) {
-  auto chunks = MapLineChunks(
-      lines, chunk_lines, pool,
-      sink != nullptr ? &sink->config() : nullptr,
-      [](std::span<const std::string_view> slice, std::uint64_t first,
-         const QuarantineConfig* capture) {
-        return ParseChunk(slice, first, capture);
-      });
-  return ReduceChunks(std::move(chunks), sink);
-}
-
-std::vector<ErrorRecord> SyslogParser::ParseLines(
-    const std::vector<std::string>& lines, QuarantineSink* sink) {
-  const std::vector<std::string_view> views = LineViews(lines);
-  return ParseLines(std::span<const std::string_view>(views), sink);
+    ThreadPool* pool) {
+  std::vector<ErrorRecord> out;
+  ParseInOrder(*this, LogSource::kSyslog, lines, sink, pool, out);
+  if (auto rec = FinishOpenIncident()) out.push_back(std::move(*rec));
+  return out;
 }
 
 }  // namespace ld

@@ -12,17 +12,13 @@
 //     one system-scope record carrying the outage window; overlapping
 //     reports fold into the held incident.
 //
-// Both are cross-line state, so the chunk-parallel path is split in two:
-// ParseChunk (any thread) emits *year-relative* pre-records — calendar
-// fields plus the rollover count within the chunk — and ReduceChunks
-// (owning thread, chunks in order) resolves absolute years across chunk
-// boundaries.  The line-at-a-time path is split the same way: Parse
-// (any thread) reads one line into a value and Apply (owning thread,
-// lines in order) takes it through the year rollover.  ReduceChunks and
-// Apply then feed every pre-record through the same step (date it, pair
-// incidents), so ParseLine line by line plus FinishOpenIncident() emits
-// exactly the records ParseLines does, at any thread count or chunk
-// size (see DESIGN.md "Parallel ingestion").
+// Both are cross-line state, so the parse is split in two: Parse (any
+// thread) reads one line into a value, and Apply (owning thread, lines
+// in order) takes it through the year rollover and the incident
+// pairing.  Every driver — ParseLines, LogDiver::ParseLogs, the
+// streaming replay — runs that same split, so ParseLine line by line
+// plus FinishOpenIncident() emits exactly the records ParseLines does,
+// at any thread count (see DESIGN.md "Parallel ingestion").
 #pragma once
 
 #include <cstdint>
@@ -31,8 +27,9 @@
 #include <string_view>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/status.hpp"
-#include "logdiver/chunked_parse.hpp"
+#include "logdiver/quarantine.hpp"
 #include "logdiver/records.hpp"
 
 namespace ld {
@@ -48,13 +45,11 @@ class SyslogParser {
     int month = 0, day = 0, hour = 0, minute = 0, second = 0;
   };
 
-  /// One record parsed before its absolute year is known: `year_delta`
-  /// counts December rollovers observed within a chunk up to and
-  /// including this line (ParseChunk; the line-at-a-time path leaves 0).
+  /// One record parsed before its absolute year is known (Apply dates
+  /// it).
   struct PreRecord {
     ErrorRecord rec;  // time unset; recovered unset (see is_recovery)
     Stamp stamp;
-    int year_delta = 0;
     bool is_recovery = false;  // Lustre recovery line (closes an incident)
   };
 
@@ -100,45 +95,14 @@ class SyslogParser {
     return held_incident_->time;
   }
 
-  /// A chunk's private output plus the year-rollover summary the ordered
-  /// reduction needs to stitch absolute years across chunk boundaries.
-  struct Chunk {
-    std::vector<PreRecord> items;
-    ParseStats stats;
-    QuarantineSink sink;
-    int first_month = 0;      // first month-valid line's month, 0 if none
-    int last_month = 0;       // last month-valid line's month, 0 if none
-    int year_delta_total = 0; // rollovers observed within the chunk
-  };
-
-  /// Parses a slice of lines into a private chunk; safe to call from any
-  /// thread (touches no parser state).  `first_line_no` is the 1-based
-  /// global number of lines[0]; `capture` null disables quarantine.
-  static Chunk ParseChunk(std::span<const std::string_view> lines,
-                          std::uint64_t first_line_no,
-                          const QuarantineConfig* capture);
-
-  /// Folds chunks — in order — through the year-reconstruction and
-  /// incident-pairing state machines, updating this parser's stream
-  /// state, stats, and `sink`.  Any incident still open at end-of-input
-  /// is closed with the default window (FinishOpenIncident).  The
-  /// result has room for `append_capacity` more records, so a caller
-  /// appending another source's records does not reallocate.
-  std::vector<ErrorRecord> ReduceChunks(std::vector<Chunk>&& chunks,
-                                        QuarantineSink* sink = nullptr,
-                                        std::size_t append_capacity = 0);
-
-  /// Parses a whole stream, chunked across `pool` (inline when null),
-  /// and returns the completed records, including paired system
-  /// incidents.  Rejected lines are captured in `sink` when provided.
-  std::vector<ErrorRecord> ParseLines(
-      std::span<const std::string_view> lines, QuarantineSink* sink = nullptr,
-      ThreadPool* pool = nullptr,
-      std::size_t chunk_lines = kDefaultParseChunkLines);
-
-  /// Legacy overload for owning line vectors; single-threaded.
-  std::vector<ErrorRecord> ParseLines(const std::vector<std::string>& lines,
-                                      QuarantineSink* sink = nullptr);
+  /// Parses a whole stream ahead on `pool` (inline when null), applies
+  /// it in order (ordered_parse.hpp) and returns the completed records,
+  /// including paired system incidents; an incident still open at the
+  /// end is closed with the default window (FinishOpenIncident).
+  /// Rejected lines are captured in `sink` when provided.
+  std::vector<ErrorRecord> ParseLines(std::span<const std::string_view> lines,
+                                      QuarantineSink* sink = nullptr,
+                                      ThreadPool* pool = nullptr);
 
   const ParseStats& stats() const { return stats_; }
 
@@ -177,11 +141,6 @@ class SyslogParser {
                              TimePoint previous = TimePoint());
 
  private:
-  /// The one per-pre-record step of Apply and ReduceChunks: dates
-  /// `item` in `year` and runs incident pairing.  Returns the record the
-  /// stream emits now, if any.
-  std::optional<ErrorRecord> Step(PreRecord&& item, int year);
-
   ParseStats stats_;
   int current_year_;
   int last_month_ = 0;

@@ -1,7 +1,7 @@
 #include "logdiver/torque_parser.hpp"
 
 #include "common/strings.hpp"
-#include "logdiver/quarantine.hpp"
+#include "logdiver/ordered_parse.hpp"
 
 namespace ld {
 namespace {
@@ -108,42 +108,12 @@ TorqueParser::Parsed TorqueParser::Parse(std::string_view line) {
   return std::optional<TorqueRecord>{std::move(rec)};
 }
 
-TorqueParser::Parsed TorqueParser::ParseLine(std::string_view line) {
-  Parsed rec = Parse(line);
-  stats_.Count(rec);
-  return rec;
-}
-
-TorqueParser::Chunk TorqueParser::ParseChunk(
-    std::span<const std::string_view> lines, std::uint64_t first_line_no,
-    const QuarantineConfig* capture) {
-  return ParseChunkWith<TorqueRecord>(
-      lines, first_line_no, capture, LogSource::kTorque,
-      [](std::string_view line) { return Parse(line); });
-}
-
-std::vector<TorqueRecord> TorqueParser::ReduceChunks(
-    std::vector<Chunk>&& chunks, QuarantineSink* sink) {
-  return ReduceParsedChunks(std::move(chunks), &stats_, sink);
-}
-
 std::vector<TorqueRecord> TorqueParser::ParseLines(
     std::span<const std::string_view> lines, QuarantineSink* sink,
-    ThreadPool* pool, std::size_t chunk_lines) {
-  auto chunks = MapLineChunks(
-      lines, chunk_lines, pool,
-      sink != nullptr ? &sink->config() : nullptr,
-      [](std::span<const std::string_view> slice, std::uint64_t first,
-         const QuarantineConfig* capture) {
-        return ParseChunk(slice, first, capture);
-      });
-  return ReduceChunks(std::move(chunks), sink);
-}
-
-std::vector<TorqueRecord> TorqueParser::ParseLines(
-    const std::vector<std::string>& lines, QuarantineSink* sink) {
-  const std::vector<std::string_view> views = LineViews(lines);
-  return ParseLines(std::span<const std::string_view>(views), sink);
+    ThreadPool* pool) {
+  std::vector<TorqueRecord> out;
+  ParseInOrder(*this, LogSource::kTorque, lines, sink, pool, out);
+  return out;
 }
 
 }  // namespace ld

@@ -8,27 +8,27 @@
 // are authoritative for times; the leading wall-clock stamp is only the
 // flush time.
 //
-// The per-line parse is a pure function of the line, so batch parsing is
-// chunk-parallel: ParseChunk runs on any thread over a slice of lines,
-// ReduceChunks stitches the results back in original order — bit-identical
-// to a sequential pass at any thread count.
+// The per-line parse is a pure function of the line, so it runs on any
+// thread; Apply, which only counts, takes the parses in line order
+// (ordered_parse.hpp) — bit-identical to a sequential pass at any thread
+// count.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/status.hpp"
-#include "logdiver/chunked_parse.hpp"
+#include "logdiver/quarantine.hpp"
 #include "logdiver/records.hpp"
 
 namespace ld {
 
 class TorqueParser {
  public:
-  using Chunk = ParsedChunk<TorqueRecord>;
-
   /// One line's parse outcome: a record, nullopt for a recognized but
   /// skipped line, or an error for a malformed one.
   using Parsed = Result<std::optional<TorqueRecord>>;
@@ -36,30 +36,22 @@ class TorqueParser {
   /// The pure per-line parse: touches no state, safe on any thread.
   static Parsed Parse(std::string_view line);
 
-  /// Parse(line), counted into this parser's stats.
-  Parsed ParseLine(std::string_view line);
+  /// Takes one line's Parse, in stream order: counts it into this
+  /// parser's stats.
+  Parsed Apply(Parsed&& parsed) {
+    stats_.Count(parsed);
+    return std::move(parsed);
+  }
 
-  /// Parses a slice of lines into a private chunk; safe to call from any
-  /// thread (touches no parser state).  `first_line_no` is the 1-based
-  /// global number of lines[0]; `capture` null disables quarantine.
-  static Chunk ParseChunk(std::span<const std::string_view> lines,
-                          std::uint64_t first_line_no,
-                          const QuarantineConfig* capture);
+  /// Apply(Parse(line)).
+  Parsed ParseLine(std::string_view line) { return Apply(Parse(line)); }
 
-  /// Folds chunks — in order — into this parser's stats and `sink`.
-  std::vector<TorqueRecord> ReduceChunks(std::vector<Chunk>&& chunks,
-                                         QuarantineSink* sink = nullptr);
-
-  /// Parses many lines, chunked across `pool` (inline when null).
-  /// Rejected lines are captured in `sink` (with reasons) when provided.
-  std::vector<TorqueRecord> ParseLines(
-      std::span<const std::string_view> lines, QuarantineSink* sink = nullptr,
-      ThreadPool* pool = nullptr,
-      std::size_t chunk_lines = kDefaultParseChunkLines);
-
-  /// Legacy overload for owning line vectors; single-threaded.
-  std::vector<TorqueRecord> ParseLines(const std::vector<std::string>& lines,
-                                       QuarantineSink* sink = nullptr);
+  /// Parses many lines ahead on `pool` (inline when null) and applies
+  /// them in order (ordered_parse.hpp).  Rejected lines are captured in
+  /// `sink` (with reasons) when provided.
+  std::vector<TorqueRecord> ParseLines(std::span<const std::string_view> lines,
+                                       QuarantineSink* sink = nullptr,
+                                       ThreadPool* pool = nullptr);
 
   const ParseStats& stats() const { return stats_; }
 

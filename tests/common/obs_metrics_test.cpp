@@ -152,7 +152,7 @@ TEST_F(ObsMetricsTest, CatalogNamesFollowTheNamingScheme) {
     EXPECT_TRUE(name.ends_with("_total")) << name;
     EXPECT_TRUE(name.starts_with("ld.")) << name;
   }
-  const std::string histograms[] = {names::kIngestChunkMicros,
+  const std::string histograms[] = {names::kAnalyzeTotalMicros,
                                     names::kPoolWaitMicros,
                                     names::kSnapshotWriteMicros};
   for (const std::string& name : histograms) {

@@ -1,7 +1,7 @@
 // Span tracer: Chrome trace_event JSON well-formedness, and span-count
-// determinism across thread counts (chunking is deterministic, so the
-// same analysis must emit the same spans no matter how many workers ran
-// them).
+// determinism across thread counts (spans follow sources and stages,
+// not the schedule, so the same analysis must emit the same spans no
+// matter how many workers ran it).
 #include "common/obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -81,9 +81,10 @@ TEST_F(ObsTraceTest, StartClearsPreviousEvents) {
 }
 
 TEST_F(ObsTraceTest, SpanCountIsDeterministicAcrossThreadCounts) {
-  // The analysis pipeline chunks work identically at every thread count
-  // (that's the bit-identical-output contract), so the set of spans —
-  // one per chunk plus the fixed stages — must be identical too.
+  // The analysis pipeline's spans follow sources, stages and fixed-size
+  // classify chunks, never the schedule (that's the bit-identical-output
+  // contract), so the set of spans must be identical at every thread
+  // count too.
   ScenarioConfig config = SmallScenario(17);
   config.workload.target_app_runs = 300;
   const Machine machine = MakeMachine(config);

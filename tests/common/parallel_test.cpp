@@ -4,8 +4,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace ld {
@@ -102,6 +105,95 @@ TEST(Parallel, DefaultThreadCountReadsEnvOverride) {
   EXPECT_GE(DefaultThreadCount(), 1);  // falls back to hardware
   ::unsetenv("LOGDIVER_THREADS");
   EXPECT_GE(DefaultThreadCount(), 1);
+}
+
+// --- OrderedAhead: items made ahead on a pool, taken in order ---------
+
+/// A pure item with an owning payload, so a buffer slot read before its
+/// block is made (or after it is reused) shows as a wrong string, and
+/// under ASan as a use of freed memory.
+std::string Item(std::size_t i) {
+  return "item-" + std::to_string(i * 7919 % 100003);
+}
+
+/// The pools the suite runs at: none, then 1-4 threads (one thread is
+/// the inline path, like none).
+std::vector<std::unique_ptr<ThreadPool>> Pools() {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (int threads = 1; threads <= 4; ++threads) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  return pools;
+}
+
+TEST(ParallelOrderedAhead, TakesEveryItemInOrderAtAnyDepthAndPool) {
+  // Ranges that start mid-block (a resumed replay) and end mid-block,
+  // empty and shorter than one block.
+  const std::size_t ranges[][2] = {{0, 5 * kParseAheadLines + 17},
+                                   {kParseAheadLines - 3, 4 * kParseAheadLines},
+                                   {0, 10},
+                                   {7, 7}};
+  for (const auto& pool : Pools()) {
+    const int threads = pool == nullptr ? 0 : pool->size();
+    for (const std::size_t depth : {2, 3, 5}) {
+      for (const auto& range : ranges) {
+        OrderedAhead ahead(pool.get(), depth, range[0], range[1], Item);
+        for (std::size_t i = range[0]; i < range[1]; ++i) {
+          ASSERT_EQ(ahead.Take(i), Item(i))
+              << "threads=" << threads << " depth=" << depth << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelOrderedAhead, DestroyedWithBlocksInFlightDrainsThem) {
+  // The consumer stops early — mid-block, at a block edge, before the
+  // first Take — while up to `depth` blocks are still being made into
+  // buffers the destructor frees.
+  ThreadPool pool(4);
+  std::atomic<std::size_t> made{0};
+  const auto produce = [&made](std::size_t i) {
+    made.fetch_add(1, std::memory_order_relaxed);
+    return Item(i);
+  };
+  for (const std::size_t taken :
+       {std::size_t{0}, kParseAheadLines / 2, 2 * kParseAheadLines}) {
+    made = 0;
+    {
+      OrderedAhead ahead(&pool, 5, 0, 40 * kParseAheadLines, produce);
+      for (std::size_t i = 0; i < taken; ++i) ASSERT_EQ(ahead.Take(i), Item(i));
+    }
+    // Only blocks within `depth` of the consumer were ever started.
+    EXPECT_LE(made.load(), (taken / kParseAheadLines + 5) * kParseAheadLines);
+  }
+}
+
+TEST(ParallelOrderedAhead, ProducerExceptionSurfacesAtTake) {
+  // Item 3000 throws.  Inline, its own Take throws; ahead, the Take of
+  // its block's first item does (the block's task stopped there).
+  const std::size_t bad = 3000;
+  const auto produce = [bad](std::size_t i) {
+    if (i == bad) throw std::runtime_error("item 3000 failed");
+    return Item(i);
+  };
+  for (const auto& pool : Pools()) {
+    const bool ahead_on_pool = pool != nullptr && pool->size() > 1;
+    const std::size_t throws_at =
+        ahead_on_pool ? bad / kParseAheadLines * kParseAheadLines : bad;
+    OrderedAhead ahead(pool.get(), 2, 0, 4 * kParseAheadLines, produce);
+    std::optional<std::size_t> thrown;
+    for (std::size_t i = 0; i < 4 * kParseAheadLines && !thrown; ++i) {
+      try {
+        EXPECT_EQ(ahead.Take(i), Item(i));
+      } catch (const std::runtime_error&) {
+        thrown = i;
+      }
+    }
+    ASSERT_TRUE(thrown.has_value());
+    EXPECT_EQ(*thrown, throws_at);
+  }
 }
 
 }  // namespace

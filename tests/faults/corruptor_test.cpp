@@ -13,6 +13,11 @@
 namespace ld {
 namespace {
 
+/// A string_view per line (the parsers' ParseLines takes views).
+std::vector<std::string_view> Views(const std::vector<std::string>& lines) {
+  return {lines.begin(), lines.end()};
+}
+
 /// A small well-formed bundle shaped like simlog output.
 struct Bundle {
   std::vector<std::string> torque;
@@ -153,12 +158,12 @@ TEST(LogCorruptor, SkewedLinesStillParse) {
   // Skew attacks semantics, not syntax: every stream parses clean, but
   // the claimed times moved.
   TorqueParser torque;
-  torque.ParseLines(bundle.torque);
+  torque.ParseLines(Views(bundle.torque));
   EXPECT_EQ(torque.stats().malformed, 0u);
   EXPECT_EQ(torque.stats().records, 100u);
 
   AlpsParser alps;
-  const auto alps_records = alps.ParseLines(bundle.alps);
+  const auto alps_records = alps.ParseLines(Views(bundle.alps));
   EXPECT_EQ(alps.stats().malformed, 0u);
   ASSERT_EQ(alps_records.size(), 100u);
   bool moved = false;
@@ -171,11 +176,11 @@ TEST(LogCorruptor, SkewedLinesStillParse) {
   EXPECT_TRUE(moved);
 
   SyslogParser syslog(2013);
-  syslog.ParseLines(bundle.syslog);
+  syslog.ParseLines(Views(bundle.syslog));
   EXPECT_EQ(syslog.stats().malformed, 0u);
 
   HwerrParser hwerr;
-  hwerr.ParseLines(bundle.hwerr);
+  hwerr.ParseLines(Views(bundle.hwerr));
   EXPECT_EQ(hwerr.stats().malformed, 0u);
 }
 

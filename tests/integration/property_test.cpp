@@ -13,6 +13,11 @@
 namespace ld {
 namespace {
 
+/// A string_view per line (the parsers' ParseLines takes views).
+std::vector<std::string_view> Views(const std::vector<std::string>& lines) {
+  return {lines.begin(), lines.end()};
+}
+
 // ---------------------------------------------------------------- parsers
 
 /// Randomly mutates a line: truncation, character garbling, field
@@ -62,7 +67,7 @@ TEST_P(ParserFuzz, ParsersNeverThrowAndAccountEveryLine) {
   {
     TorqueParser parser;
     const auto lines = fuzz(campaign->logs.torque);
-    EXPECT_NO_THROW(parser.ParseLines(lines));
+    EXPECT_NO_THROW(parser.ParseLines(Views(lines)));
     EXPECT_EQ(parser.stats().lines, lines.size());
     EXPECT_EQ(parser.stats().records + parser.stats().skipped +
                   parser.stats().malformed,
@@ -71,7 +76,7 @@ TEST_P(ParserFuzz, ParsersNeverThrowAndAccountEveryLine) {
   {
     AlpsParser parser;
     const auto lines = fuzz(campaign->logs.alps);
-    EXPECT_NO_THROW(parser.ParseLines(lines));
+    EXPECT_NO_THROW(parser.ParseLines(Views(lines)));
     EXPECT_EQ(parser.stats().records + parser.stats().skipped +
                   parser.stats().malformed,
               parser.stats().lines);
@@ -79,7 +84,7 @@ TEST_P(ParserFuzz, ParsersNeverThrowAndAccountEveryLine) {
   {
     SyslogParser parser(2013);
     const auto lines = fuzz(campaign->logs.syslog);
-    EXPECT_NO_THROW(parser.ParseLines(lines));
+    EXPECT_NO_THROW(parser.ParseLines(Views(lines)));
     EXPECT_EQ(parser.stats().records + parser.stats().skipped +
                   parser.stats().malformed,
               parser.stats().lines);
@@ -87,7 +92,7 @@ TEST_P(ParserFuzz, ParsersNeverThrowAndAccountEveryLine) {
   {
     HwerrParser parser;
     const auto lines = fuzz(campaign->logs.hwerr);
-    EXPECT_NO_THROW(parser.ParseLines(lines));
+    EXPECT_NO_THROW(parser.ParseLines(Views(lines)));
     EXPECT_EQ(parser.stats().records + parser.stats().skipped +
                   parser.stats().malformed,
               parser.stats().lines);
@@ -116,7 +121,7 @@ TEST_P(CorruptorFuzz, CorruptedBundlesNeverThrowAndAccountEveryLine) {
   EXPECT_GT(ledger.total(), 0u);
 
   auto check = [](auto& parser, const std::vector<std::string>& lines) {
-    EXPECT_NO_THROW(parser.ParseLines(lines));
+    EXPECT_NO_THROW(parser.ParseLines(Views(lines)));
     EXPECT_EQ(parser.stats().lines, lines.size());
     EXPECT_EQ(parser.stats().records + parser.stats().skipped +
                   parser.stats().malformed,

@@ -175,7 +175,7 @@ TEST(AlpsParser, MalformedLines) {
 
 TEST(AlpsParser, ParseLinesRoundtrip) {
   AlpsParser parser;
-  const std::vector<std::string> lines = {
+  const std::vector<std::string_view> lines = {
       "2013-04-01T02:10:05 apsched[5]: placeApp apid=1 jobid=2 user=u "
       "cmd=c nodect=1 nids=0",
       "junk",

@@ -58,7 +58,7 @@ TEST(HwerrParser, MalformedLines) {
 
 TEST(HwerrParser, ParseLinesKeepsGood) {
   HwerrParser parser;
-  const std::vector<std::string> lines = {
+  const std::vector<std::string_view> lines = {
       "100|gpu_dbe|c9-9c0s0n3|fatal|ecc",
       "broken",
       "200|memory_ue|c0-0c0s0n0|fatal|row=4",

@@ -181,37 +181,6 @@ TEST(MergeAlgebra, InsertionOrderDoesNotChangeTheBytes) {
   EXPECT_EQ(Bytes(in_order), Bytes(shuffled));
 }
 
-// --- quarantine / ingest stats ---------------------------------------
-
-TEST(MergeAlgebra, IngestStatsMergeSumsEveryCounter) {
-  IngestStats a, b;
-  a.quarantined = 2;
-  a.duplicate_placements = 4;
-  a.watermark_regressions = 1;
-  b.quarantined = 3;
-  b.evicted_tuples = 7;
-  b.lines_dropped_after_budget = 9;
-  a.MergeFrom(b);
-  EXPECT_EQ(a.quarantined, 5u);
-  EXPECT_EQ(a.duplicate_placements, 4u);
-  EXPECT_EQ(a.watermark_regressions, 1u);
-  EXPECT_EQ(a.evicted_tuples, 7u);
-  EXPECT_EQ(a.lines_dropped_after_budget, 9u);
-  EXPECT_FALSE(a.clean());
-}
-
-TEST(MergeAlgebra, QuarantineSinkMergePreservesEntriesAndTotals) {
-  QuarantineSink a, b;
-  a.Add(LogSource::kSyslog, 3, "bad line A", ParseError("nope"));
-  b.Add(LogSource::kTorque, 7, "bad line B", ParseError("nah"));
-  const std::uint64_t want_total = a.total() + b.total();
-  a.MergeFrom(std::move(b));
-  EXPECT_EQ(a.total(), want_total);
-  ASSERT_EQ(a.entries().size(), 2u);
-  EXPECT_EQ(a.count(LogSource::kSyslog), 1u);
-  EXPECT_EQ(a.count(LogSource::kTorque), 1u);
-}
-
 // --- end to end: dirty bundle, real pipeline -------------------------
 
 TEST(MergeAlgebra, DirtyBundleShardsMergeToSerialSnapshotBytes) {

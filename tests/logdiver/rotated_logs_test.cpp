@@ -128,7 +128,8 @@ TEST(RotatedLogs, SkewedMidnightSegmentsReadLikeWholeStream) {
   EXPECT_EQ(*joined, skewed);
 
   SyslogParser parser(2013);
-  const auto records = parser.ParseLines(*joined);
+  const std::vector<std::string_view> views(joined->begin(), joined->end());
+  const auto records = parser.ParseLines(views);
   ASSERT_EQ(records.size(), 5u);
   const int years[] = {2013, 2013, 2013, 2014, 2014};
   for (std::size_t i = 0; i < records.size(); ++i) {

@@ -186,7 +186,7 @@ TEST(SyslogParser, SkewedLineAfterRolloverKeepsOldYearOnce) {
   // the old year, and — the regression — the next January line must not
   // re-trigger the rollover and advance the year a second time.
   SyslogParser parser(2013);
-  const std::vector<std::string> lines = {
+  const std::vector<std::string_view> lines = {
       "Dec 31 23:59:30 c0-0c0s0n0 kernel: Kernel panic - not syncing: a",
       "Jan  1 00:00:10 c0-0c0s0n1 kernel: Kernel panic - not syncing: b",
       "Dec 31 23:59:50 c0-0c0s0n2 kernel: Kernel panic - not syncing: c",
@@ -213,7 +213,7 @@ TEST(SyslogParser, NoSpuriousRolloverWithinYear) {
 
 TEST(SyslogParser, LustreIncidentPairing) {
   SyslogParser parser(2013);
-  const std::vector<std::string> lines = {
+  const std::vector<std::string_view> lines = {
       "Apr  1 02:00:00 sonexion LustreError: 11-0: snx11003-OST0042: "
       "operation ost_write failed: service unavailable",
       "Apr  1 02:15:00 sonexion Lustre: snx11003-OST0042: service recovered",
@@ -233,7 +233,7 @@ TEST(SyslogParser, LustreIncidentPairing) {
 
 TEST(SyslogParser, OverlappingLustreReportsMerge) {
   SyslogParser parser(2013);
-  const std::vector<std::string> lines = {
+  const std::vector<std::string_view> lines = {
       "Apr  1 02:00:00 sonexion LustreError: service unavailable",
       "Apr  1 02:01:00 sonexion LustreError: service unavailable",
       "Apr  1 02:10:00 sonexion Lustre: service recovered",

@@ -77,8 +77,8 @@ TEST(TorqueParser, CountsMalformed) {
 
 TEST(TorqueParser, ParseLinesSkipsBadKeepsGood) {
   TorqueParser parser;
-  const std::vector<std::string> lines = {kEndRecord, "corrupted line",
-                                          kStartRecord};
+  const std::vector<std::string_view> lines = {kEndRecord, "corrupted line",
+                                               kStartRecord};
   const auto records = parser.ParseLines(lines);
   EXPECT_EQ(records.size(), 2u);
   EXPECT_EQ(parser.stats().records, 2u);
