@@ -1,27 +1,23 @@
 #include "bench_common.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 
 #include "common/obs/manifest.hpp"
+#include "common/strings.hpp"
 
 namespace ld::bench {
 
 namespace {
 
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtod(value, nullptr);
+[[noreturn]] void BadEnv(const char* name, const char* what,
+                         const char* value) {
+  std::cerr << name << " expects " << what << ", got '" << value << "'\n";
+  std::exit(2);
 }
 
 /// "table3: outcome breakdown" -> "table3_outcome_breakdown".
@@ -59,6 +55,24 @@ void WriteBenchManifest() {
 }
 
 }  // namespace
+
+std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value == '\0') return fallback;
+  const auto parsed = ParseUint(value);
+  if (!parsed.ok()) BadEnv(name, "an unsigned integer", value);
+  return *parsed;
+}
+
+double EnvDouble(const char* name, double fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value == '\0') return fallback;
+  const auto parsed = ParseDouble(value);
+  if (!parsed.ok() || !std::isfinite(*parsed)) {
+    BadEnv(name, "a finite number", value);
+  }
+  return *parsed;
+}
 
 BenchOptions OptionsFromEnv(BenchOptions defaults) {
   BenchOptions options = defaults;

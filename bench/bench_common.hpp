@@ -27,6 +27,13 @@ struct BenchOptions {
   double large_bucket_boost = 1.0;
 };
 
+/// Reads the unsigned integer in environment variable `name`, or
+/// `fallback` when it is unset or empty.  Anything but plain decimal
+/// digits prints "<name> expects ..., got '<value>'" and exits 2.
+std::uint64_t EnvU64(const char* name, std::uint64_t fallback);
+/// As EnvU64, for a finite decimal number.
+double EnvDouble(const char* name, double fallback);
+
 /// Reads the environment knobs over the given defaults.
 BenchOptions OptionsFromEnv(BenchOptions defaults = {});
 

@@ -20,12 +20,12 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/crashpoint.hpp"
 #include "logdiver/resume.hpp"
 #include "logdiver/snapshot.hpp"
@@ -33,12 +33,6 @@
 
 namespace ld {
 namespace {
-
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
 
 struct Cell {
   double kill_fraction = 0.0;
@@ -49,8 +43,8 @@ struct Cell {
 };
 
 int Run(bool quick) {
-  const std::uint64_t apps = EnvU64("LD_CRASH_APPS", quick ? 1500 : 4000);
-  const std::uint64_t seed = EnvU64("LD_CRASH_SEED", 11);
+  const std::uint64_t apps = bench::EnvU64("LD_CRASH_APPS", quick ? 1500 : 4000);
+  const std::uint64_t seed = bench::EnvU64("LD_CRASH_SEED", 11);
 
   const std::string base =
       "/tmp/ld_crash_campaign." + std::to_string(getpid());

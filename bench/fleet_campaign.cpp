@@ -22,12 +22,12 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "logdiver/fleet/supervisor.hpp"
 #include "logdiver/snapshot.hpp"
 #include "logdiver/streaming.hpp"
@@ -35,12 +35,6 @@
 
 namespace ld {
 namespace {
-
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
 
 const char* FaultName(fleet::WorkerFault fault) {
   switch (fault) {
@@ -53,8 +47,8 @@ const char* FaultName(fleet::WorkerFault fault) {
 }
 
 int Run(bool quick) {
-  const std::uint64_t apps = EnvU64("LD_FLEET_APPS", quick ? 1200 : 3000);
-  const std::uint64_t seed = EnvU64("LD_FLEET_SEED", 13);
+  const std::uint64_t apps = bench::EnvU64("LD_FLEET_APPS", quick ? 1200 : 3000);
+  const std::uint64_t seed = bench::EnvU64("LD_FLEET_SEED", 13);
 
   const std::string base =
       "/tmp/ld_fleet_campaign." + std::to_string(getpid());

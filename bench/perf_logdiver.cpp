@@ -13,7 +13,6 @@
 
 #include "analysis/bootstrap.hpp"
 #include "bench_common.hpp"
-#include "common/obs/obs.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -342,41 +341,6 @@ BENCHMARK(BM_BootstrapThreads)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// Observability overhead guard: the same full batch analysis with
-// metric recording runtime-enabled (Arg 1) vs runtime-disabled (Arg 0)
-// in this one binary.  The instrumentation budget is <2%: compare the
-// two rows' real time.  (The compile-time kill switch -DLOGDIVER_OBS=OFF
-// is cheaper still — a separate CI job builds it; this bench bounds the
-// cost of the default build.)
-void BM_AnalyzeObsOverhead(benchmark::State& state) {
-#if defined(LOGDIVER_OBS_DISABLED)
-  if (state.range(0) != 0) {
-    state.SkipWithError("observability compiled out (LOGDIVER_OBS=OFF)");
-    return;
-  }
-#else
-  ld::obs::Registry::Get().SetEnabled(state.range(0) != 0);
-#endif
-  const auto& shared = Shared();
-  ld::LogDiver diver(shared.machine, {});
-  std::int64_t total_lines = static_cast<std::int64_t>(
-      shared.logs.torque.size() + shared.logs.alps.size() +
-      shared.logs.syslog.size() + shared.logs.hwerr.size());
-  for (auto _ : state) {
-    auto analysis = diver.Analyze(shared.logs);
-    benchmark::DoNotOptimize(analysis);
-  }
-  state.SetItemsProcessed(state.iterations() * total_lines);
-#if !defined(LOGDIVER_OBS_DISABLED)
-  ld::obs::Registry::Get().SetEnabled(true);
-#endif
-}
-BENCHMARK(BM_AnalyzeObsOverhead)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -23,12 +23,12 @@
 //   LD_ROBUST_SEED  campaign + corruption seed (default 7)
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <vector>
 
 #include "analysis/scoring.hpp"
+#include "bench_common.hpp"
 #include "faults/corruptor.hpp"
 #include "logdiver/resume.hpp"
 #include "logdiver/snapshot.hpp"
@@ -78,12 +78,6 @@ bool ParallelMatchesSerial(const Machine& machine, const LogSet& logs,
   return true;
 }
 
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
-
 /// Streams the dirty bundle the way a live shipper would: each file is
 /// consumed strictly in file order, and the four tails are merged by the
 /// claimed time of their current heads (ReplayLines).  Skewed or
@@ -110,8 +104,8 @@ struct Cell {
 };
 
 int Run() {
-  const std::uint64_t apps = EnvU64("LD_ROBUST_APPS", 8000);
-  const std::uint64_t seed = EnvU64("LD_ROBUST_SEED", 7);
+  const std::uint64_t apps = bench::EnvU64("LD_ROBUST_APPS", 8000);
+  const std::uint64_t seed = bench::EnvU64("LD_ROBUST_SEED", 7);
 
   ScenarioConfig config = SmallScenario(seed);
   config.workload.target_app_runs = apps;

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/obs/manifest.hpp"
 #include "common/strings.hpp"
 #include "faults/taxonomy.hpp"
@@ -38,12 +39,6 @@
 
 namespace ld {
 namespace {
-
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
 
 std::vector<std::string> SplitCsv(const char* value) {
   std::vector<std::string> out;
@@ -150,10 +145,10 @@ int main(int argc, char** argv) {
   }
 
   ScenarioRunOptions options;
-  options.seed = EnvU64("LD_SCENARIO_SEED", 42);
-  options.threads = static_cast<int>(EnvU64("LD_SCENARIO_THREADS", 0));
+  options.seed = bench::EnvU64("LD_SCENARIO_SEED", 42);
+  options.threads = static_cast<int>(bench::EnvU64("LD_SCENARIO_THREADS", 0));
   options.app_scale =
-      static_cast<double>(EnvU64("LD_SCENARIO_APPS", 4000)) / 4000.0;
+      static_cast<double>(bench::EnvU64("LD_SCENARIO_APPS", 4000)) / 4000.0;
   const std::vector<std::string> only =
       SplitCsv(std::getenv("LD_SCENARIO_ONLY"));
 

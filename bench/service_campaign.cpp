@@ -55,6 +55,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "logdiver/claims.hpp"
 #include "logdiver/service/client.hpp"
 #include "logdiver/service/daemon.hpp"
@@ -65,12 +66,6 @@ namespace ld::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
 
 // --------------------------------------------------------------------
 // Traffic: one campaign's merged logs, partitioned across tenants
@@ -658,11 +653,11 @@ bool CellAdmission(CampaignEnv& env) {
 
 int Run(bool quick, bool smoke) {
   const std::uint64_t apps =
-      EnvU64("LD_SVC_APPS", smoke ? 150 : quick ? 700 : 2000);
-  const std::uint64_t seed = EnvU64("LD_SVC_SEED", 29);
+      bench::EnvU64("LD_SVC_APPS", smoke ? 150 : quick ? 700 : 2000);
+  const std::uint64_t seed = bench::EnvU64("LD_SVC_SEED", 29);
   const std::size_t tenant_count = static_cast<std::size_t>(
-      EnvU64("LD_SVC_TENANTS", smoke ? 2 : quick ? 100 : 160));
-  const std::uint64_t rss_ceiling_mb = EnvU64("LD_SVC_RSS_MB", 2048);
+      bench::EnvU64("LD_SVC_TENANTS", smoke ? 2 : quick ? 100 : 160));
+  const std::uint64_t rss_ceiling_mb = bench::EnvU64("LD_SVC_RSS_MB", 2048);
 
   ScenarioConfig config = SmallScenario(seed);
   config.workload.target_app_runs = apps;

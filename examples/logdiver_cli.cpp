@@ -158,7 +158,8 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   std::uint64_t apps = 50000;
   bool have_apps = false;
-  std::int64_t days = 518;
+  std::int64_t days = 0;
+  bool have_days = false;
   bool small = false;
   std::string scenario_name;
   std::string csv_dir;
@@ -193,6 +194,7 @@ int main(int argc, char** argv) {
       scenario_name = v;
     } else if (arg == "--days") {
       if (!number(days, 1, kMaxDays)) return Usage();
+      have_days = true;
     } else if (arg == "--small") {
       small = true;
     } else if (arg == "--csv") {
@@ -244,7 +246,6 @@ int main(int argc, char** argv) {
   manifest.Set("dir", dir);
   manifest.SetUint("seed", seed);
   manifest.SetUint("apps", apps);
-  manifest.SetInt("days", days);
   manifest.Set("small", small ? "true" : "false");
   if (!scenario_name.empty()) manifest.Set("scenario", scenario_name);
   manifest.SetInt("threads", threads);
@@ -318,13 +319,14 @@ int main(int argc, char** argv) {
   if (scenario_spec != nullptr) {
     scenario_spec->configure(&config);
     if (have_apps) config.workload.target_app_runs = apps;
-  } else if (!small) {
-    config.full_machine = true;
-    config.workload.target_app_runs = apps;
-    config.workload.campaign = ld::Duration::Days(days);
   } else {
     config.workload.target_app_runs = apps;
   }
+  // --days overrides every base campaign: 518 days on the full machine,
+  // 30 on the small testbed, a scenario recipe's own length otherwise.
+  if (have_days) config.workload.campaign = ld::Duration::Days(days);
+  manifest.SetInt("days", static_cast<std::int64_t>(
+                              config.workload.campaign.days()));
   const ld::Machine machine = ld::MakeMachine(config);
 
   if (mode == "generate") {

@@ -19,7 +19,7 @@ Result<BootstrapCi> BootstrapRatioCi(const std::vector<double>& numerator,
   if (replicas == 0) {
     return InvalidArgumentError("BootstrapRatioCi: need replicas > 0");
   }
-  const std::uint64_t start_ns = LD_OBS_NOW_NS();
+  const std::uint64_t start_ns = obs::NowNanos();
   double num_total = 0.0, den_total = 0.0;
   for (std::size_t i = 0; i < numerator.size(); ++i) {
     num_total += numerator[i];
@@ -56,10 +56,8 @@ Result<BootstrapCi> BootstrapRatioCi(const std::vector<double>& numerator,
   ci.lo = Quantile(samples, 0.025);
   ci.hi = Quantile(samples, 0.975);
   LD_OBS_COUNTER_ADD(obs::names::kBootstrapReplicasTotal, replicas);
-  if (start_ns != 0) {
-    LD_OBS_HIST_RECORD(obs::names::kBootstrapTotalMicros,
-                       (LD_OBS_NOW_NS() - start_ns) / 1000);
-  }
+  LD_OBS_HIST_RECORD(obs::names::kBootstrapTotalMicros,
+                     (obs::NowNanos() - start_ns) / 1000);
   return ci;
 }
 

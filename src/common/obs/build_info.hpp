@@ -13,7 +13,6 @@ struct BuildInfo {
   const char* compiler;       // id + version
   const char* cxx_flags;      // CMAKE_CXX_FLAGS as configured
   const char* sanitizers;     // LOGDIVER_SANITIZE, "" when none
-  bool obs_compiled_in;       // false when built with -DLOGDIVER_OBS=OFF
 };
 
 const BuildInfo& GetBuildInfo();

@@ -138,7 +138,6 @@ std::string ManifestBuilder::ToJson() const {
   w.KV("compiler", std::string_view(build.compiler));
   w.KV("cxx_flags", std::string_view(build.cxx_flags));
   w.KV("sanitizers", std::string_view(build.sanitizers));
-  w.KV("obs_compiled_in", build.obs_compiled_in);
   w.EndObject();
 
   w.Key("host");

@@ -22,7 +22,7 @@
 
 namespace ld::obs {
 
-inline constexpr std::uint32_t kManifestSchemaVersion = 1;
+inline constexpr std::uint32_t kManifestSchemaVersion = 2;
 
 /// FNV-1a 64-bit over a file's bytes, streamed (files can be GBs).
 Result<std::uint64_t> Fnv1a64File(const std::string& path);

@@ -6,25 +6,6 @@
 
 namespace ld::obs {
 
-std::size_t Counter::ShardIndex() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t shard =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return shard;
-}
-
-std::uint64_t Counter::Value() const {
-  std::uint64_t total = 0;
-  for (const Cell& cell : cells_) {
-    total += cell.v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Counter::Reset() {
-  for (Cell& cell : cells_) cell.v.store(0, std::memory_order_relaxed);
-}
-
 void Gauge::Set(std::int64_t v) {
   value_.store(v, std::memory_order_relaxed);
   std::int64_t seen = max_.load(std::memory_order_relaxed);
@@ -149,8 +130,6 @@ void Registry::Reset() {
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, hist] : histograms_) hist->Reset();
 }
-
-bool RegistryEnabled() { return Registry::Get().enabled(); }
 
 std::uint64_t NowNanos() {
   return static_cast<std::uint64_t>(

@@ -5,16 +5,12 @@
 // it measures itself (monitoring as a structural pattern — Hukerikar &
 // Engelmann, ORNL/TM-2016/687).  Design constraints, in order:
 //
-//   1. Hot-path cost must be negligible.  Counters are sharded: each
-//      thread increments its own cache-line-padded cell (selected by a
-//      thread-local shard index), and the shards are only summed when a
-//      snapshot is taken — no locks, no shared cache line ping-pong on
-//      the ingestion path.  Instrumentation sites record per *chunk*
-//      (thousands of lines), never per line.
-//   2. Everything can be compiled out.  Call sites use the LD_OBS_*
-//      macros from obs.hpp; building with -DLOGDIVER_OBS=OFF turns every
-//      macro into `((void)0)` and leaves zero trace in the binary.
-//   3. Stable names.  Every metric name lives in names.hpp and is
+//   1. Recording cost must stay out of the wall time.  Every metric is
+//      a handful of relaxed atomics — no locks on the recording path —
+//      and instrumentation sites record per parse block, stage, file or
+//      pool task, never per line.  Call sites use the LD_OBS_* macros
+//      from obs.hpp, which cache the registry lookup per site.
+//   2. Stable names.  Every metric name lives in names.hpp and is
 //      documented in docs/OBSERVABILITY.md; tools/check_metric_docs.py
 //      fails CI when the two drift.
 //
@@ -36,27 +32,15 @@
 
 namespace ld::obs {
 
-/// Monotonically increasing count, sharded across threads.  Add() is a
-/// single relaxed fetch_add on a cell no other running thread touches
-/// (threads are striped across kShards cells); Value() sums the shards.
+/// Monotonically increasing count: one relaxed atomic.
 class Counter {
  public:
-  static constexpr std::size_t kShards = 16;
-
-  void Add(std::uint64_t n) {
-    cells_[ShardIndex()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t Value() const;
-  void Reset();
+  void Add(std::uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
+  std::uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  /// Shard of the calling thread: assigned round-robin on first use.
-  static std::size_t ShardIndex();
-
-  Cell cells_[kShards];
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Last-written value plus a high-water mark.  Set() stores and folds
@@ -131,17 +115,7 @@ class Registry {
   Gauge& GetGauge(std::string_view name);
   Histogram& GetHistogram(std::string_view name);
 
-  /// Runtime kill switch checked by the LD_OBS_* macros before any
-  /// recording (and before any clock read at instrumented sites).
-  /// Compiled-in builds default to enabled; BM_AnalyzeObsOverhead
-  /// benchmarks the two states against each other.
-  void SetEnabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  /// Aggregated values of every registered metric, sorted by name.
-  /// This is the "flush": shard cells are summed here, not on Add().
+  /// Values of every registered metric, sorted by name.
   std::vector<MetricSnapshot> Snapshot() const;
 
   /// Zeroes every metric in place.  References stay valid; intended for
@@ -156,12 +130,7 @@ class Registry {
   std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_;
   std::vector<std::pair<std::string, std::unique_ptr<Gauge>>> gauges_;
   std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> histograms_;
-  std::atomic<bool> enabled_{true};
 };
-
-/// Free-function form of Registry::Get().enabled(), used by the
-/// LD_OBS_ACTIVE() macro so call sites need no Registry spelling.
-bool RegistryEnabled();
 
 /// Monotonic clock in microseconds / nanoseconds (steady_clock), the
 /// time base shared by histograms and the tracer.

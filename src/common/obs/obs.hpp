@@ -1,95 +1,53 @@
 // Self-observability entry point: the LD_OBS_* macros every
 // instrumented call site uses.
 //
-// Two switches control cost:
-//
-//   Compile time — building with `-DLOGDIVER_OBS=OFF` defines
-//   LOGDIVER_OBS_DISABLED on every target, and all macros below expand
-//   to `((void)0)`: no registry lookups, no clock reads, no branches,
-//   no strings in the binary.  tests/common/obs_off_test.cpp pins this.
-//
-//   Run time — with observability compiled in, every macro first checks
-//   LD_OBS_ACTIVE() (one relaxed atomic load).  Registry::SetEnabled
-//   (false) turns recording — including the clock reads at timed sites
-//   — into that single load; BM_AnalyzeObsOverhead measures the
-//   enabled-vs-disabled delta and the <2% budget.
+// Observability has one mode: always compiled in, always recording.
+// Each macro looks its metric up once per call site (a function-local
+// static reference) and then records with relaxed atomics; hand-timed
+// sections read the clock with obs::NowNanos().  Spans record only
+// while the tracer is armed (`--trace-out`).
 //
 // Metric names must come from names.hpp (the documented catalog), never
-// be spelled inline.  Instrumentation granularity is per chunk / stage
-// / file — never per log line; that convention, not the macro
-// machinery, is what keeps the overhead budget honest.
+// be spelled inline.  Instrumentation granularity is per parse block /
+// stage / file / pool task — never per log line; that convention is
+// what keeps the recording cost out of the wall time.
 #pragma once
 
-#include <cstdint>
-
+#include "common/obs/metrics.hpp"
 #include "common/obs/names.hpp"
+#include "common/obs/trace.hpp"
 
 #define LD_OBS_CONCAT_IMPL_(a, b) a##b
 #define LD_OBS_CONCAT_(a, b) LD_OBS_CONCAT_IMPL_(a, b)
 
-#if defined(LOGDIVER_OBS_DISABLED)
-
-#define LD_OBS_ACTIVE() false
-#define LD_OBS_NOW_NS() (std::uint64_t{0})
-#define LD_OBS_COUNTER_ADD(name, delta) ((void)0)
-#define LD_OBS_GAUGE_SET(name, value) ((void)0)
-#define LD_OBS_HIST_RECORD(name, value) ((void)0)
-#define LD_OBS_SPAN(name) ((void)0)
-#define LD_OBS_SPAN_DYN(name_expr) ((void)0)
-
-#else  // observability compiled in
-
-#include "common/obs/metrics.hpp"
-#include "common/obs/trace.hpp"
-
-#define LD_OBS_ACTIVE() (::ld::obs::RegistryEnabled())
-
-/// Monotonic nanoseconds for hand-timed sections, or 0 when recording
-/// is disabled — 0 doubles as the "don't record this sample" sentinel,
-/// so a disabled run never pays the clock read.
-#define LD_OBS_NOW_NS() \
-  (LD_OBS_ACTIVE() ? ::ld::obs::NowNanos() : std::uint64_t{0})
-
 /// Adds `delta` to the named counter.  The registry lookup happens once
-/// per call site (static reference); the hot path is one sharded
-/// relaxed fetch_add.
-#define LD_OBS_COUNTER_ADD(name, delta)                          \
-  do {                                                           \
-    if (LD_OBS_ACTIVE()) {                                       \
-      static ::ld::obs::Counter& ld_obs_metric_ =                \
-          ::ld::obs::Registry::Get().GetCounter(name);           \
-      ld_obs_metric_.Add(delta);                                 \
-    }                                                            \
+/// per call site (static reference); the hot path is one relaxed
+/// fetch_add.
+#define LD_OBS_COUNTER_ADD(name, delta)                  \
+  do {                                                   \
+    static ::ld::obs::Counter& ld_obs_metric_ =          \
+        ::ld::obs::Registry::Get().GetCounter(name);     \
+    ld_obs_metric_.Add(delta);                           \
   } while (0)
 
 /// Sets the named gauge (and folds its high-water mark).
-#define LD_OBS_GAUGE_SET(name, value)                            \
-  do {                                                           \
-    if (LD_OBS_ACTIVE()) {                                       \
-      static ::ld::obs::Gauge& ld_obs_metric_ =                  \
-          ::ld::obs::Registry::Get().GetGauge(name);             \
-      ld_obs_metric_.Set(value);                                 \
-    }                                                            \
+#define LD_OBS_GAUGE_SET(name, value)                    \
+  do {                                                   \
+    static ::ld::obs::Gauge& ld_obs_metric_ =            \
+        ::ld::obs::Registry::Get().GetGauge(name);       \
+    ld_obs_metric_.Set(value);                           \
   } while (0)
 
 /// Records `value` into the named log2 histogram.
-#define LD_OBS_HIST_RECORD(name, value)                          \
-  do {                                                           \
-    if (LD_OBS_ACTIVE()) {                                       \
-      static ::ld::obs::Histogram& ld_obs_metric_ =              \
-          ::ld::obs::Registry::Get().GetHistogram(name);         \
-      ld_obs_metric_.Record(value);                              \
-    }                                                            \
+#define LD_OBS_HIST_RECORD(name, value)                  \
+  do {                                                   \
+    static ::ld::obs::Histogram& ld_obs_metric_ =        \
+        ::ld::obs::Registry::Get().GetHistogram(name);   \
+    ld_obs_metric_.Record(value);                        \
   } while (0)
 
-/// RAII trace span covering the rest of the enclosing scope.  `name`
-/// must be a string literal; use LD_OBS_SPAN_DYN for computed names.
+/// RAII trace span covering the rest of the enclosing scope.  `name` is
+/// a string literal or a computed std::string (copied only while the
+/// tracer is armed).
 #define LD_OBS_SPAN(name) \
   ::ld::obs::Span LD_OBS_CONCAT_(ld_obs_span_, __LINE__)(name)
-
-/// Span with a computed (std::string) name; the string is copied only
-/// while the tracer is armed.
-#define LD_OBS_SPAN_DYN(name_expr) \
-  ::ld::obs::Span LD_OBS_CONCAT_(ld_obs_span_, __LINE__)(name_expr)
-
-#endif  // LOGDIVER_OBS_DISABLED

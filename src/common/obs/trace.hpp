@@ -6,11 +6,11 @@
 // The resulting JSON loads directly into chrome://tracing or Perfetto
 // (ui.perfetto.dev), which renders one swimlane per thread — the
 // fastest way to *see* why a thread-scaling curve flattens (idle lanes,
-// one giant serial reduction, a straggler chunk).
+// one giant serial reduction, a straggler task).
 //
-// Spans are chunk/stage-grained, never per line; an un-armed tracer
+// Spans are stage/file/task-grained, never per line; an un-armed tracer
 // costs one relaxed load per span site.  Event recording takes a mutex:
-// at chunk granularity (thousands of events per gigabyte of logs) the
+// at that granularity (thousands of events per gigabyte of logs) the
 // contention is unmeasurable, and it keeps writing/draining trivially
 // correct.  Walkthrough and format details: docs/OBSERVABILITY.md.
 #pragma once
@@ -69,8 +69,7 @@ class Tracer {
 
 /// RAII span: captures the clock on construction when the tracer is
 /// armed, emits a complete event on destruction.  Instantiate through
-/// LD_OBS_SPAN / LD_OBS_SPAN_DYN (obs.hpp) so disabled builds compile
-/// the whole thing away.
+/// LD_OBS_SPAN (obs.hpp).
 class Span {
  public:
   explicit Span(const char* name) : name_(name) {

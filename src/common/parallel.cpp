@@ -39,10 +39,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  [[maybe_unused]] std::size_t depth;
+  std::size_t depth;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back({std::move(task), LD_OBS_NOW_NS()});
+    queue_.push_back({std::move(task), obs::NowNanos()});
     depth = queue_.size();
   }
   LD_OBS_COUNTER_ADD(obs::names::kPoolTasksTotal, 1);
@@ -54,7 +54,7 @@ void ThreadPool::Submit(std::function<void()> task) {
 void ThreadPool::WorkerLoop() {
   for (;;) {
     Task task;
-    [[maybe_unused]] std::size_t depth;
+    std::size_t depth;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -63,25 +63,14 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
       depth = queue_.size();
     }
-    // enqueue_ns == 0 means obs was inactive at submit time; skip the
-    // wait sample rather than record a bogus epoch-sized value.
-    if (task.enqueue_ns != 0) {
-      LD_OBS_GAUGE_SET(obs::names::kPoolQueueDepth,
-                       static_cast<std::int64_t>(depth));
-      const std::uint64_t start_ns = LD_OBS_NOW_NS();
-      if (start_ns > task.enqueue_ns) {
-        LD_OBS_HIST_RECORD(obs::names::kPoolWaitMicros,
-                           (start_ns - task.enqueue_ns) / 1000);
-      }
-      task.fn();
-      const std::uint64_t end_ns = LD_OBS_NOW_NS();
-      if (end_ns > start_ns) {
-        LD_OBS_HIST_RECORD(obs::names::kPoolRunMicros,
-                           (end_ns - start_ns) / 1000);
-      }
-    } else {
-      task.fn();
-    }
+    LD_OBS_GAUGE_SET(obs::names::kPoolQueueDepth,
+                     static_cast<std::int64_t>(depth));
+    const std::uint64_t start_ns = obs::NowNanos();
+    LD_OBS_HIST_RECORD(obs::names::kPoolWaitMicros,
+                       (start_ns - task.enqueue_ns) / 1000);
+    task.fn();
+    LD_OBS_HIST_RECORD(obs::names::kPoolRunMicros,
+                       (obs::NowNanos() - start_ns) / 1000);
   }
 }
 

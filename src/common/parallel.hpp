@@ -54,8 +54,8 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
  private:
-  /// A queued task plus its enqueue time (0 when observability is
-  /// inactive, so the drain side knows not to record a wait).
+  /// A queued task plus its enqueue time (obs::NowNanos), from which
+  /// the drain side records the task's queue wait.
   struct Task {
     std::function<void()> fn;
     std::uint64_t enqueue_ns = 0;

@@ -616,9 +616,7 @@ BundleCache::BundleCache(std::string dir, std::uint64_t max_bytes)
 
 void BundleCache::Trim() const {
   if (dir_.empty()) return;
-  // Outside the macro: an obs-off build must still reclaim.
-  [[maybe_unused]] const std::size_t orphans =
-      ReclaimOrphanedTmpFiles(dir_, ".ldpbc");
+  const std::size_t orphans = ReclaimOrphanedTmpFiles(dir_, ".ldpbc");
   LD_OBS_COUNTER_ADD(obs::names::kCacheOrphansRemovedTotal, orphans);
   if (max_bytes_ == 0) return;
   namespace fs = std::filesystem;
@@ -676,7 +674,7 @@ std::string BundleCache::BundlePath(std::uint64_t input_fingerprint) const {
 
 Result<LoadedEntry> BundleCache::Load(const CacheKeys& keys) const {
   const std::string path = BundlePath(keys.input_fingerprint);
-  const std::uint64_t load_start_ns = LD_OBS_NOW_NS();
+  const std::uint64_t load_start_ns = obs::NowNanos();
   const auto reject = [](Status why) {
     LD_OBS_COUNTER_ADD(obs::names::kCacheRejectedTotal, 1);
     return Status(StatusCode::kParseError,
@@ -730,10 +728,8 @@ Result<LoadedEntry> BundleCache::Load(const CacheKeys& keys) const {
     if (!records.ok()) return reject(records.status());
     LD_OBS_COUNTER_ADD(obs::names::kCacheRecordHitsTotal, 1);
   }
-  if (load_start_ns != 0) {
-    LD_OBS_HIST_RECORD(obs::names::kCacheLoadMicros,
-                       (LD_OBS_NOW_NS() - load_start_ns) / 1000);
-  }
+  LD_OBS_HIST_RECORD(obs::names::kCacheLoadMicros,
+                     (obs::NowNanos() - load_start_ns) / 1000);
   TouchEntry(path);
   return out;
 }
@@ -748,7 +744,7 @@ std::vector<std::uint8_t> BundleCache::EncodeParsed(const ParsedLogs& parsed) {
 
 Result<PendingStore> BundleCache::BeginStore(
     const CacheKeys& keys, std::span<const std::uint8_t> parsed_bytes) const {
-  const std::uint64_t start_ns = LD_OBS_NOW_NS();
+  const std::uint64_t start_ns = obs::NowNanos();
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec) {
@@ -770,13 +766,13 @@ Result<PendingStore> BundleCache::BeginStore(
     w.Raw(parsed_bytes.data(), parsed_bytes.size());
     w.Flush();
   }
-  if (start_ns != 0) pending.write_ns = LD_OBS_NOW_NS() - start_ns;
+  pending.write_ns = obs::NowNanos() - start_ns;
   return pending;
 }
 
 Status BundleCache::FinishStore(PendingStore pending,
                                 const AnalysisResult& result) const {
-  const std::uint64_t start_ns = LD_OBS_NOW_NS();
+  const std::uint64_t start_ns = obs::NowNanos();
   {
     SnapshotWriter w(pending.file);
     w.Bool(true);
@@ -790,11 +786,8 @@ Status BundleCache::FinishStore(PendingStore pending,
   LD_OBS_COUNTER_ADD(obs::names::kCacheWritesTotal, 1);
   LD_OBS_COUNTER_ADD(obs::names::kCacheWriteBytesTotal,
                      kFileHeaderSize + pending.file.payload_size());
-  if (start_ns != 0) {
-    LD_OBS_HIST_RECORD(
-        obs::names::kCacheStoreMicros,
-        (pending.write_ns + LD_OBS_NOW_NS() - start_ns) / 1000);
-  }
+  LD_OBS_HIST_RECORD(obs::names::kCacheStoreMicros,
+                     (pending.write_ns + obs::NowNanos() - start_ns) / 1000);
   Trim();
   return Status::Ok();
 }

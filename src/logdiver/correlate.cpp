@@ -143,13 +143,11 @@ Correlator::Correlator(const Machine& machine, CorrelatorConfig config)
 std::vector<ClassifiedRun> Correlator::Classify(
     const std::vector<AppRun>& runs, const std::vector<ErrorTuple>& tuples,
     ThreadPool* pool) const {
-  const std::uint64_t start_ns = LD_OBS_NOW_NS();
+  const std::uint64_t start_ns = obs::NowNanos();
   const TupleIndex index(tuples, machine_.node_count(),
                          config_.incident_slack);
-  if (start_ns != 0) {
-    LD_OBS_HIST_RECORD(obs::names::kCorrelateIndexMicros,
-                       (LD_OBS_NOW_NS() - start_ns) / 1000);
-  }
+  LD_OBS_HIST_RECORD(obs::names::kCorrelateIndexMicros,
+                     (obs::NowNanos() - start_ns) / 1000);
 
   // The widest per-category `before` window bounds the candidate fetch;
   // each candidate is then checked against its own category's window.
@@ -269,10 +267,8 @@ std::vector<ClassifiedRun> Correlator::Classify(
   });
   LD_OBS_COUNTER_ADD(obs::names::kCorrelateRunsTotal, runs.size());
   LD_OBS_COUNTER_ADD(obs::names::kCorrelateChunksTotal, chunks.size());
-  if (start_ns != 0) {
-    LD_OBS_HIST_RECORD(obs::names::kCorrelateTotalMicros,
-                       (LD_OBS_NOW_NS() - start_ns) / 1000);
-  }
+  LD_OBS_HIST_RECORD(obs::names::kCorrelateTotalMicros,
+                     (obs::NowNanos() - start_ns) / 1000);
   return out;
 }
 

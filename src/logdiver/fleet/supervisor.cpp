@@ -219,7 +219,7 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
   // Merge phase: ascending shard index (the documented canonical
   // order; the algebra is order-free, the bytes we compare are not
   // allowed to depend on that).
-  const std::uint64_t merge_start_ns = LD_OBS_NOW_NS();
+  const std::uint64_t merge_start_ns = obs::NowNanos();
   FleetSummary fleet;
   fleet.bundle_fingerprint = fingerprint;
   fleet.coverage.shard_count = options.shard_count;
@@ -243,10 +243,8 @@ Result<FleetSummary> ShardSupervisor::Run(const StreamInputs& inputs,
   fleet.shards = std::move(outcomes);
   fleet.summary.metrics = merged.Report();
   fleet.summary.metrics.ingest = fleet.summary.ingest;
-  if (merge_start_ns != 0) {
-    LD_OBS_HIST_RECORD(obs::names::kFleetMergeMicros,
-                       (LD_OBS_NOW_NS() - merge_start_ns) / 1000);
-  }
+  LD_OBS_HIST_RECORD(obs::names::kFleetMergeMicros,
+                     (obs::NowNanos() - merge_start_ns) / 1000);
   return fleet;
 }
 

@@ -75,7 +75,7 @@ Result<MappedBundle> LoadBundle(const StreamInputs& inputs, ThreadPool* pool) {
       -> Status {
     LD_ASSIGN_OR_RETURN(const auto segments, RotationSegments(base));
     for (const std::string& path : segments) {
-      LD_OBS_SPAN_DYN("load/" + path);
+      LD_OBS_SPAN("load/" + path);
       LD_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
       const std::vector<std::string_view> lines =
           SplitLinesParallel(file.data(), pool);
@@ -116,7 +116,7 @@ namespace {
 /// Folds one source's ParseStats into the ingest counters.  Called once
 /// per source per analysis, after its last line is applied — never per
 /// line, per the obs.hpp granularity rule.
-void CountSourceStats([[maybe_unused]] const ParseStats& stats) {
+void CountSourceStats(const ParseStats& stats) {
   LD_OBS_COUNTER_ADD(obs::names::kIngestLinesTotal, stats.lines);
   LD_OBS_COUNTER_ADD(obs::names::kIngestRecordsTotal, stats.records);
   LD_OBS_COUNTER_ADD(obs::names::kIngestMalformedTotal, stats.malformed);
@@ -127,12 +127,12 @@ void CountSourceStats([[maybe_unused]] const ParseStats& stats) {
 Result<AnalysisResult> LogDiver::AnalyzeWith(const LogSetView& logs,
                                              ThreadPool* pool) const {
   LD_OBS_SPAN("analyze");
-  const std::uint64_t analyze_start_ns = LD_OBS_NOW_NS();
+  const std::uint64_t analyze_start_ns = obs::NowNanos();
   LD_ASSIGN_OR_RETURN(ParsedLogs parsed, ParseLogs(logs, pool));
   auto result = AnalyzeParsed(std::move(parsed), pool);
-  if (analyze_start_ns != 0 && result.ok()) {
+  if (result.ok()) {
     LD_OBS_HIST_RECORD(obs::names::kAnalyzeTotalMicros,
-                       (LD_OBS_NOW_NS() - analyze_start_ns) / 1000);
+                       (obs::NowNanos() - analyze_start_ns) / 1000);
   }
   return result;
 }
@@ -299,7 +299,7 @@ Result<AnalysisResult> LogDiver::AnalyzeBundle(const std::string& dir) const {
   const std::string note = rejected ? entry.status().message() : "";
 
   LD_OBS_SPAN("analyze");
-  const std::uint64_t analyze_start_ns = LD_OBS_NOW_NS();
+  const std::uint64_t analyze_start_ns = obs::NowNanos();
   LD_ASSIGN_OR_RETURN(ParsedLogs parsed, ParseLogs(views, pool));
   // The records section goes to the entry's tmp file before the tail
   // consumes the records, and its bytes are freed before the tail
@@ -315,10 +315,8 @@ Result<AnalysisResult> LogDiver::AnalyzeBundle(const std::string& dir) const {
   }();
   auto result = AnalyzeParsed(std::move(parsed), pool);
   if (!result.ok()) return result;
-  if (analyze_start_ns != 0) {
-    LD_OBS_HIST_RECORD(obs::names::kAnalyzeTotalMicros,
-                       (LD_OBS_NOW_NS() - analyze_start_ns) / 1000);
-  }
+  LD_OBS_HIST_RECORD(obs::names::kAnalyzeTotalMicros,
+                     (obs::NowNanos() - analyze_start_ns) / 1000);
   result->cache_outcome = rejected ? CacheOutcome::kRejected
                                    : CacheOutcome::kMiss;
   result->cache_note = note;

@@ -176,7 +176,7 @@ std::string LogDiverDaemon::HandleCommand(const std::string& line) {
     }
 
     case RequestKind::kQuery: {
-      const std::uint64_t start_ns = LD_OBS_NOW_NS();
+      const std::uint64_t start_ns = obs::NowNanos();
       const std::shared_ptr<TenantShard> shard = FindTenant(req.tenant);
       if (shard == nullptr) {
         return ErrReply("unknown tenant '" + req.tenant + "'");
@@ -188,10 +188,8 @@ std::string LogDiverDaemon::HandleCommand(const std::string& line) {
         case QueryKind::kHealth: reply = shard->QueryHealth(); break;
       }
       LD_OBS_COUNTER_ADD(obs::names::kSvcQueriesTotal, 1);
-      if (start_ns != 0) {
-        LD_OBS_HIST_RECORD(obs::names::kSvcQueryMicros,
-                           (LD_OBS_NOW_NS() - start_ns) / 1000);
-      }
+      LD_OBS_HIST_RECORD(obs::names::kSvcQueryMicros,
+                         (obs::NowNanos() - start_ns) / 1000);
       return reply;
     }
 

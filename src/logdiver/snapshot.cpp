@@ -653,16 +653,14 @@ Status WriteSnapshotFile(const std::string& path,
                          const std::vector<std::uint8_t>& payload,
                          std::uint64_t fingerprint) {
   LD_OBS_SPAN("snapshot/write");
-  const std::uint64_t write_start_ns = LD_OBS_NOW_NS();
+  const std::uint64_t write_start_ns = obs::NowNanos();
   LD_TRY(InContext("snapshot: ", WriteDurableFile(path, kSnapshotFormat,
                                                   payload, fingerprint)));
   LD_OBS_COUNTER_ADD(obs::names::kSnapshotWritesTotal, 1);
   LD_OBS_COUNTER_ADD(obs::names::kSnapshotWriteBytesTotal,
                      kFileHeaderSize + payload.size());
-  if (write_start_ns != 0) {
-    LD_OBS_HIST_RECORD(obs::names::kSnapshotWriteMicros,
-                       (LD_OBS_NOW_NS() - write_start_ns) / 1000);
-  }
+  LD_OBS_HIST_RECORD(obs::names::kSnapshotWriteMicros,
+                     (obs::NowNanos() - write_start_ns) / 1000);
   return Status::Ok();
 }
 

@@ -529,7 +529,7 @@ Result<LogBundle> WriteScenarioBundle(const Machine& machine,
 
 Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
                                     const ScenarioRunOptions& options) {
-  const std::uint64_t t0 = LD_OBS_NOW_NS();
+  const std::uint64_t t0 = obs::NowNanos();
 
   ScenarioConfig config = SmallScenario(options.seed);
   if (options.app_scale != 1.0) {
@@ -710,10 +710,8 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
   LD_OBS_COUNTER_ADD(obs::names::kScenarioAppsTotal, out.apps);
   LD_OBS_COUNTER_ADD(obs::names::kScenarioValidationFailuresTotal,
                      out.violations.size());
-  const std::uint64_t t1 = LD_OBS_NOW_NS();
-  if (t0 != 0 && t1 > t0) {
-    LD_OBS_HIST_RECORD(obs::names::kScenarioRunMicros, (t1 - t0) / 1000);
-  }
+  LD_OBS_HIST_RECORD(obs::names::kScenarioRunMicros,
+                     (obs::NowNanos() - t0) / 1000);
   return out;
 }
 

@@ -38,11 +38,11 @@ TEST(ObsManifestTest, GoldenSchema) {
   // diffs), so substring checks are exact enough.
   // The writer emits `"key": value` (one space after the colon).
   for (const char* key :
-       {"\"schema_version\": 1", "\"tool\": \"unit_test\"",
+       {"\"schema_version\": 2", "\"tool\": \"unit_test\"",
         "\"created_unix\": ",
         "\"argv\": [\"tool\",\"analyze\",\"--seed\",\"7\"]", "\"build\": ",
         "\"git_sha\": ", "\"build_type\": ", "\"compiler\": ",
-        "\"cxx_flags\": ", "\"sanitizers\": ", "\"obs_compiled_in\": ",
+        "\"cxx_flags\": ", "\"sanitizers\": ",
         "\"host\": ", "\"hardware_concurrency\": ", "\"config\": ",
         "\"seed\": \"7\"", "\"mode\": \"analyze\"", "\"env\": ",
         "\"LD_OBS_MANIFEST_TEST_UNSET_VAR\": null", "\"inputs\": [",
@@ -128,11 +128,6 @@ TEST(ObsManifestTest, BuildInfoIsWired) {
   // literal @...@ placeholders mean the template was compiled raw.
   EXPECT_EQ(std::string(build.git_sha).find('@'), std::string::npos);
   EXPECT_NE(std::string(build.compiler), "");
-#if defined(LOGDIVER_OBS_DISABLED)
-  EXPECT_FALSE(build.obs_compiled_in);
-#else
-  EXPECT_TRUE(build.obs_compiled_in);
-#endif
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Metrics registry: exactness under concurrency, histogram bucket
-// geometry, and the runtime kill switch.
+// Metrics registry: exactness under concurrency and histogram bucket
+// geometry.
 #include "common/obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -9,21 +9,14 @@
 #include <vector>
 
 #include "common/obs/names.hpp"
-#include "common/obs/obs.hpp"
 
 namespace ld::obs {
 namespace {
 
 class ObsMetricsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    Registry::Get().SetEnabled(true);
-    Registry::Get().Reset();
-  }
-  void TearDown() override {
-    Registry::Get().SetEnabled(true);
-    Registry::Get().Reset();
-  }
+  void SetUp() override { Registry::Get().Reset(); }
+  void TearDown() override { Registry::Get().Reset(); }
 };
 
 TEST_F(ObsMetricsTest, ConcurrentIncrementsAggregateExactly) {
@@ -125,22 +118,6 @@ TEST_F(ObsMetricsTest, GetReturnsStableReferencesAcrossResets) {
   again.Add(1);
   EXPECT_EQ(first.Value(), 1u);
 }
-
-#if !defined(LOGDIVER_OBS_DISABLED)
-TEST_F(ObsMetricsTest, RuntimeDisableStopsMacroRecording) {
-  LD_OBS_COUNTER_ADD("test.switch_total", 1);
-  Registry::Get().SetEnabled(false);
-  EXPECT_FALSE(LD_OBS_ACTIVE());
-  LD_OBS_COUNTER_ADD("test.switch_total", 1);
-  LD_OBS_HIST_RECORD("test.switch_micros", 55);
-  Registry::Get().SetEnabled(true);
-  EXPECT_EQ(Registry::Get().GetCounter("test.switch_total").Value(), 1u);
-  // The histogram macro never ran, so the metric was never registered.
-  for (const MetricSnapshot& m : Registry::Get().Snapshot()) {
-    EXPECT_NE(m.name, "test.switch_micros");
-  }
-}
-#endif  // !LOGDIVER_OBS_DISABLED
 
 TEST_F(ObsMetricsTest, CatalogNamesFollowTheNamingScheme) {
   // Counters end in _total; histograms in a unit suffix.  This pins the

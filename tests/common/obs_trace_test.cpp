@@ -18,11 +18,6 @@
 namespace ld::obs {
 namespace {
 
-// Spans come from the LD_OBS_* macros, which are no-ops when the build
-// compiled observability out — nothing to test there (obs_off_test.cpp
-// pins the no-op behavior instead).
-#if !defined(LOGDIVER_OBS_DISABLED)
-
 class ObsTraceTest : public ::testing::Test {
  protected:
   void TearDown() override { Tracer::Get().Stop(); }
@@ -44,7 +39,7 @@ TEST_F(ObsTraceTest, SpansRecordOnlyWhileArmed) {
 TEST_F(ObsTraceTest, DynamicNamesAndEscaping) {
   Tracer::Get().Start();
   const std::string tricky = "load/a\"b\\c\tfile";
-  { LD_OBS_SPAN_DYN(tricky); }
+  { LD_OBS_SPAN(tricky); }
   Tracer::Get().Stop();
   const std::string json = Tracer::Get().ToJson();
   EXPECT_TRUE(ValidateJson(json).ok()) << json;
@@ -112,8 +107,6 @@ TEST_F(ObsTraceTest, SpanCountIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(counts[0], counts[1]);
   EXPECT_EQ(counts[0], counts[2]);
 }
-
-#endif  // !LOGDIVER_OBS_DISABLED
 
 }  // namespace
 }  // namespace ld::obs

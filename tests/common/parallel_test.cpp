@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <numeric>
@@ -10,6 +11,9 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "common/obs/metrics.hpp"
+#include "common/obs/names.hpp"
 
 namespace ld {
 namespace {
@@ -26,6 +30,29 @@ TEST(ThreadPool, RunsSubmittedTasks) {
     group.Wait();
   }
   EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPool, RecordsEveryTaskInThePoolMetrics) {
+  obs::Registry& registry = obs::Registry::Get();
+  const obs::Counter& tasks = registry.GetCounter(obs::names::kPoolTasksTotal);
+  const obs::Histogram& waits =
+      registry.GetHistogram(obs::names::kPoolWaitMicros);
+  const obs::Histogram& runs = registry.GetHistogram(obs::names::kPoolRunMicros);
+  const std::uint64_t tasks_before = tasks.Value();
+  const std::uint64_t waits_before = waits.Count();
+  const std::uint64_t runs_before = runs.Count();
+  constexpr std::uint64_t kTasks = 37;
+  std::atomic<std::uint64_t> ran{0};
+  {
+    ThreadPool pool(2);
+    for (std::uint64_t i = 0; i < kTasks; ++i) {
+      pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }  // joining the workers finishes every task and its samples
+  EXPECT_EQ(ran.load(), kTasks);
+  EXPECT_EQ(tasks.Value() - tasks_before, kTasks);
+  EXPECT_EQ(waits.Count() - waits_before, kTasks);
+  EXPECT_EQ(runs.Count() - runs_before, kTasks);
 }
 
 TEST(ThreadPool, GroupWaitRethrowsFirstTaskException) {

@@ -389,7 +389,6 @@ TEST_F(FleetEndToEndTest, OrdinaryWorkerFailureFailsTheFleetOnce) {
                                            "(exit 3)"),
             std::string::npos)
       << result.status().ToString();
-#if !defined(LOGDIVER_OBS_DISABLED)
   EXPECT_EQ(obs::Registry::Get()
                 .GetCounter(obs::names::kFleetWorkersSpawnedTotal)
                 .Value(),
@@ -397,7 +396,6 @@ TEST_F(FleetEndToEndTest, OrdinaryWorkerFailureFailsTheFleetOnce) {
   EXPECT_EQ(
       obs::Registry::Get().GetCounter(obs::names::kFleetRetriesTotal).Value(),
       retries_before);
-#endif
   errno = 0;
   EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
   EXPECT_EQ(errno, ECHILD);
